@@ -76,6 +76,15 @@ def scenarios() -> dict[str, JobSpec]:
             app_config={"width": 16, "height": 32, "steps": 10,
                         "lb_period": 5},
             lb_strategy="greedyrefine", layout=(1, 1, 4)),
+        # benchmarks/host's adcirc_lb shape: ranks migrate themselves
+        # mid-quantum, which moves the makespan by a few hundred ns if a
+        # quantum is charged to the PE it ended on — too little for the
+        # small scenario above to notice.
+        "adcirc-lb-bench": JobSpec(
+            app="adcirc", nvp=16,
+            app_config={"width": 128, "height": 256, "steps": 40,
+                        "lb_period": 10},
+            lb_strategy="greedyrefine", layout=(1, 1, 4)),
         "pingpong-none": JobSpec(
             app="pingpong", nvp=4,
             app_config={"yields_per_rank": 200}, method="none"),

@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Callable
 from repro.errors import DeadlockError, ReproError
 from repro.perf.costs import CostModel
 from repro.perf.counters import CounterSet, EV_CTX_SWITCH
+from repro.threads.backend import Baton, Wakeable
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UltState, UserLevelThread
 from repro.trace.recorder import PE_TID, TraceRecorder
@@ -47,6 +48,9 @@ class JobScheduler:
         self._all_ranks: list["VirtualRank"] = []
         #: ULT OS threads that survived their join timeout at shutdown
         self.orphaned = 0
+        #: times :meth:`run` passed the baton between two parties (ULTs,
+        #: or a ULT and the caller) — the OS-thread wakeups it paid for
+        self.os_handoffs = 0
         self.runq = RunQueue(self._pe_busy_of, pe_of=self._pe_of)
         #: (pe index, vp, start ns) per scheduling quantum, in order —
         #: consumed by the instruction-cache study to reconstruct the
@@ -162,11 +166,24 @@ class JobScheduler:
     # -- the event loop ------------------------------------------------------------------
 
     def run(self) -> None:
-        # The loop below runs once per scheduling quantum — hundreds of
-        # thousands of iterations for paper-scale sweeps — so everything
+        # The loop body runs once per scheduling quantum — hundreds of
+        # thousands of times for paper-scale sweeps — so everything
         # invariant across quanta is hoisted into locals, including the
-        # trace/timeline/fault guards (all three are decided before run()
-        # and stay fixed for its duration).
+        # trace/timeline/fault guards (all decided before run() and fixed
+        # for its duration).
+        #
+        # The body is two closures, ``account`` (the quantum that just
+        # ended) and ``next_quantum`` (pop + pre-switch accounting of the
+        # one to run), executed by whichever OS thread holds the baton.
+        # Normally that is the ULT whose quantum ended: ``dispatch`` runs
+        # both on its stack and names the successor, which the ULT wakes
+        # directly — one OS-thread handoff per quantum instead of a round
+        # trip through this thread, none when a rank succeeds itself.
+        # This thread waits on ``hub`` and gets the baton back only for
+        # what may unwind a stack (shutdown, a deadlock report, re-raising
+        # an exception), which is never done on a ULT's stack.  A fault
+        # rollback kills ULTs too, so a job with a ``fault_check`` gets no
+        # dispatcher: every step of its loop stays on this thread.
         ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
         tr = self.trace
         pid_base = self.trace_pid_base
@@ -181,7 +198,18 @@ class JobScheduler:
         heappop = heapq.heappop
         DONE = UltState.DONE
         ERROR = UltState.ERROR
-        try:
+        hub = Baton()
+        #: (rank, ult, the PE it started on, start ns) of the quantum in
+        #: flight; a rank may migrate itself mid-quantum, and the quantum
+        #: is charged to the PE that ran it
+        running: tuple = ()
+        #: what ended the ring, raised again on this thread
+        failure: BaseException | None = None
+
+        def next_quantum() -> UserLevelThread | None:
+            """Pop the next quantum, fire the timers due before it and do
+            its pre-switch accounting; None when nothing is runnable."""
+            nonlocal running
             while True:
                 item = runq_pop()
                 if item is None:
@@ -200,9 +228,7 @@ class JobScheduler:
                         at, _, fn = heappop(timers)
                         fn()
                         continue
-                    if all(r.finished for r in self._all_ranks):
-                        return
-                    self._report_deadlock()
+                    return None
                 ult, ready_time = item
                 rank = ranks_by_tid.get(ult.tid)
                 if rank is None:
@@ -263,30 +289,78 @@ class JobScheduler:
                 if on_quantum is not None:
                     on_quantum()
                 self.current = rank
-                state = ult.switch_in()
-                self.current = None
+                running = (rank, ult, pe, start)
+                return ult
 
-                now = ult.clock.now
-                ran_ns = now - start
-                if ran_ns < 0:
-                    ran_ns = 0
-                rank.record_run(ran_ns)
-                pe.busy_ns += ran_ns
-                pe.busy_until = now
-                pe.last_rank = rank
-                if tr is not None and ran_ns > 0:
-                    tr.span(f"vp{rank.vp}", "exec", start, ran_ns,
-                            pid=pid_base + pe.index, tid=rank.vp)
+        def account() -> None:
+            """Charge the quantum that just ended; raises the exception
+            its rank died of."""
+            rank, ult, pe, start = running
+            self.current = None
+            now = ult.clock.now
+            ran_ns = now - start
+            if ran_ns < 0:
+                ran_ns = 0
+            rank.record_run(ran_ns)
+            pe.busy_ns += ran_ns
+            pe.busy_until = now
+            pe.last_rank = rank
+            if tr is not None and ran_ns > 0:
+                tr.span(f"vp{rank.vp}", "exec", start, ran_ns,
+                        pid=pid_base + pe.index, tid=rank.vp)
 
-                if state is DONE:
-                    rank.finished = True
-                    rank.exit_value = ult.result
-                    if self.on_rank_done is not None:
-                        self.on_rank_done(rank)
-                elif state is ERROR:
-                    exc = ult.exception
-                    self.shutdown()
-                    raise exc
+            state = ult.state
+            if state is DONE:
+                rank.finished = True
+                rank.exit_value = ult.result
+                if self.on_rank_done is not None:
+                    self.on_rank_done(rank)
+            elif state is ERROR:
+                raise ult.exception
+
+        def dispatch() -> Wakeable:
+            """The loop body on the stack of the ULT whose quantum just
+            ended (its ``yield_`` or its runner, after ``_main``).
+            Whatever goes wrong here is this thread's to raise, not the
+            user code's above us on that stack."""
+            nonlocal failure
+            prev = running[1]
+            try:
+                account()
+                ult = next_quantum()
+                if ult is not None:
+                    if ult is not prev:
+                        self.os_handoffs += 1
+                    return ult.activate()
+            except BaseException as e:  # noqa: BLE001 - re-raised by run()
+                failure = e
+            self.os_handoffs += 1
+            return hub
+
+        try:
+            ring = fault_check is None
+            if ring:
+                for rank in self._all_ranks:
+                    if rank.ult is not None:
+                        rank.ult.dispatcher = dispatch
+            while True:
+                ult = next_quantum()
+                if ult is None:
+                    if all(r.finished for r in self._all_ranks):
+                        return
+                    self._report_deadlock()
+                if ring:
+                    # Start the ring; it hands the baton back when the
+                    # queue runs dry or something failed.
+                    self.os_handoffs += 1
+                    ult.activate().wake()
+                    hub.wait()
+                    if failure is not None:
+                        raise failure
+                else:
+                    self.os_handoffs += 2
+                    ult.switch_in()
+                    account()
         finally:
             # Leave no orphan OS threads behind on any exit path.
             self.shutdown()

@@ -248,7 +248,7 @@ def bench_ctx_sweep(
 ) -> dict[str, Any]:
     """Real switches/second of the yield ping-pong at growing VP counts.
 
-    One PE, so every quantum is a scheduler-mediated baton handoff —
+    One PE, so every quantum hands the baton to a different rank —
     the figure 6 microbenchmark measured in host time instead of
     simulated time.
     """

@@ -12,12 +12,22 @@ the rest of the simulator never sees.  Two backends exist:
 
 ``pooled``
     A process-wide pool of persistent worker threads.  A worker is
-    bound to a ULT lazily at its first ``switch_in`` and recycled the
-    moment the ULT finishes or is killed, so ranks and whole jobs reuse
-    the same OS threads: after the pool has warmed up to a job's
-    high-water mark, running another job of the same scale performs
-    **zero** thread creates/joins.  Baton handoff uses raw locks, the
-    cheapest cross-thread wakeup CPython offers.
+    bound to a ULT lazily at its first quantum and recycled the moment
+    the ULT finishes or is killed, so ranks and whole jobs reuse the
+    same OS threads: after the pool has warmed up to a job's high-water
+    mark, running another job of the same scale performs **zero**
+    thread creates/joins.  Baton handoff uses raw locks, the cheapest
+    cross-thread wakeup CPython offers.
+
+A backend hands each ULT a *runner* (:class:`UltRunner`).  Its two
+primitives are one-way: ``wake()`` makes the ULT's stack runnable and
+returns at once, ``wait()`` parks the calling ULT until it is woken.
+They are all the baton ring needs — a ULT that stops running wakes its
+successor's runner (or the :class:`Baton` the ``JobScheduler.run``
+caller is parked on) and waits on its own.  The round-trip pair a
+stand-alone ULT is driven with, ``resume()`` (caller side) and
+``park()`` (ULT side), is the same two primitives plus a caller-side
+token.
 
 Determinism contract: backends only decide which OS stack runs a ULT's
 body; they never touch simulated clocks, the run queue, or scheduling
@@ -36,7 +46,7 @@ from __future__ import annotations
 import os
 import threading
 import warnings
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Protocol
 
 from _thread import allocate_lock
 
@@ -77,15 +87,50 @@ def _record_orphan(name: str, context: str) -> None:
     )
 
 
+class Wakeable(Protocol):
+    """Something the baton can be handed to."""
+
+    def wake(self) -> None:
+        """Make the owner runnable; never blocks."""
+
+    def wait(self) -> None:
+        """Owner side: block until the next :meth:`wake`."""
+
+
+class UltRunner(Wakeable, Protocol):
+    """The OS stack of one ULT, as :class:`UserLevelThread` drives it."""
+
+    def resume(self) -> None:
+        """Caller side: wake the ULT, block until it parks or finishes."""
+
+    def park(self) -> None:
+        """ULT side: release the :meth:`resume` caller, then wait."""
+
+
+class Baton:
+    """Where a thread that is not a ULT waits for the baton — the
+    ``JobScheduler.run`` caller, while its ULTs dispatch each other."""
+
+    __slots__ = ("wake", "wait")
+
+    def __init__(self) -> None:
+        lock = allocate_lock()
+        lock.acquire()
+        self.wake = lock.release
+        self.wait = lock.acquire
+
+
 class ExecutionBackend:
     """Interface a ULT uses to obtain and release its OS stack.
 
     ``attach`` is called from :meth:`UserLevelThread.start`; ``bind``
-    from the first ``switch_in`` and must return a *runner* exposing
-    ``resume()`` (caller side: hand the baton to the ULT, block until it
-    comes back) and ``park()`` (ULT side: hand the baton back, block
-    until resumed).  ``reap`` releases whatever ``attach``/``bind``
+    the first time the ULT is given the baton and must return its
+    :class:`UltRunner`.  ``reap`` releases whatever ``attach``/``bind``
     allocated once the ULT has finished.
+
+    A runner's thread, once ``ult._main()`` returns, hands the baton to
+    ``ult.dispatcher()`` if the ULT has a dispatcher and to the
+    ``resume()`` caller otherwise.
     """
 
     name = "abstract"
@@ -93,7 +138,7 @@ class ExecutionBackend:
     def attach(self, ult: "UserLevelThread") -> None:
         raise NotImplementedError
 
-    def bind(self, ult: "UserLevelThread"):
+    def bind(self, ult: "UserLevelThread") -> UltRunner:
         raise NotImplementedError
 
     def reap(self, ult: "UserLevelThread", timeout: float | None = None) -> bool:
@@ -121,21 +166,34 @@ class _ThreadRunner:
         self.thread.start()
 
     def _bootstrap(self) -> None:
-        self._my_turn.wait()
+        self.wait()
+        ult = self._ult
         try:
-            self._ult._main()
+            ult._main()
         finally:
-            self._caller_turn.set()
+            dispatch = ult.dispatcher
+            if dispatch is None:
+                self._caller_turn.set()
+            else:
+                dispatch().wake()
+
+    def wake(self) -> None:
+        self._my_turn.set()
+
+    def wait(self) -> None:
+        # Cleared after the wait, not before it: a wake that arrives
+        # before this thread gets here must not be lost.
+        self._my_turn.wait()
+        self._my_turn.clear()
 
     def resume(self) -> None:
-        self._caller_turn.clear()
-        self._my_turn.set()
+        self.wake()
         self._caller_turn.wait()
+        self._caller_turn.clear()
 
     def park(self) -> None:
-        self._my_turn.clear()
         self._caller_turn.set()
-        self._my_turn.wait()
+        self.wait()
 
 
 class ThreadBackend(ExecutionBackend):
@@ -197,28 +255,40 @@ class _PoolWorker:
         self.thread.start()
 
     def _loop(self) -> None:
-        acquire = self._resume.acquire
         while True:
-            acquire()                  # first resume of a bound ULT
+            self.wait()                # first wake of a bound ULT
             ult = self._ult
             if ult is None:            # shutdown sentinel
                 return
             ult._main()
-            # Clear the binding BEFORE releasing the caller: the caller
-            # may rebind this worker (via the free list) immediately.
+            # Unbind and recycle BEFORE passing the baton on: whoever
+            # holds it next may rebind this worker immediately.  That
+            # includes the dispatcher below — a successor that has no
+            # stack yet gets this one, and its body starts on this very
+            # thread without any OS handoff.
             self._ult = None
-            self._yield.release()      # switch_in returns with DONE/ERROR
             self._pool._recycle(self)
+            dispatch = ult.dispatcher
+            if dispatch is None:
+                self._yield.release()  # resume() returns with DONE/ERROR
+            else:
+                dispatch().wake()
 
     # -- runner protocol -----------------------------------------------------
 
-    def resume(self) -> None:
+    def wake(self) -> None:
         self._resume.release()
+
+    def wait(self) -> None:
+        self._resume.acquire()
+
+    def resume(self) -> None:
+        self.wake()
         self._yield.acquire()
 
     def park(self) -> None:
         self._yield.release()
-        self._resume.acquire()
+        self.wait()
 
 
 class PooledBackend(ExecutionBackend):
@@ -358,6 +428,11 @@ def default_backend() -> ExecutionBackend:
     global _default
     if _default is None:
         _default = get_backend(os.environ.get("REPRO_ULT_BACKEND", "thread"))
+    elif getattr(_default, "closed", False):
+        # Someone closed the shared pool (a test, `repro bench`); follow
+        # get_backend(name) to its replacement instead of handing out a
+        # backend that can never bind again.
+        _default = get_backend(_default.name)
     return _default
 
 

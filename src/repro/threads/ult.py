@@ -4,12 +4,25 @@ Each :class:`UserLevelThread` runs its user code on a real OS stack
 supplied by an :class:`~repro.threads.backend.ExecutionBackend` — a
 dedicated thread (``thread`` backend) or a recycled pool worker
 (``pooled`` backend).  The stack spends almost all of its life blocked
-on a private baton.  Control is handed over explicitly: the scheduler
-calls :meth:`UserLevelThread.switch_in`, which wakes the ULT and blocks
-the caller until the ULT either *yields* (blocks on communication) or
-finishes.  At any instant exactly one thread — the scheduler or one ULT
-— is runnable, so no user-visible locking is needed and execution is
+on a private baton.  At any instant exactly one thread holds the baton
+and is runnable, so no user-visible locking is needed and execution is
 fully deterministic regardless of backend.
+
+The baton moves in one of two ways:
+
+*Hub* — a stand-alone ULT (probes, tests, forced shutdown) is driven by
+a caller: :meth:`UserLevelThread.switch_in` wakes the ULT and blocks the
+caller until the ULT *yields* or finishes.  Two OS-thread handoffs per
+quantum.
+
+*Ring* — a ULT that has a :attr:`~UserLevelThread.dispatcher` asks it,
+on its own stack, who runs next whenever it yields or finishes, wakes
+that successor directly and parks: one handoff per quantum, none when
+the ULT is its own successor.  ``JobScheduler.run`` installs its loop
+body as the dispatcher of every rank; its caller waits on a
+:class:`~repro.threads.backend.Baton` until the ring hands it back.
+:meth:`UserLevelThread.kill` takes a ULT out of the ring, so unwinding
+a stack is always a hub operation, done by the thread that asked for it.
 
 Simulated time lives in ``ult.clock`` (a :class:`~repro.perf.clock.SimClock`);
 the real threads exist only to give user code an ordinary blocking call
@@ -23,7 +36,12 @@ from typing import Any, Callable
 
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
-from repro.threads.backend import ExecutionBackend, get_backend
+from repro.threads.backend import (
+    ExecutionBackend,
+    UltRunner,
+    Wakeable,
+    get_backend,
+)
 
 
 class UltState(enum.Enum):
@@ -69,8 +87,15 @@ class UserLevelThread:
         self.result: Any = None
         self.exception: BaseException | None = None
 
+        #: ring dispatch: called on this ULT's stack when it yields or
+        #: finishes; returns whom to wake next — a ULT's runner (this
+        #: ULT's own: keep running) or the waiting owner's baton.  Must
+        #: not raise.  ``None``: hand back to the ``switch_in`` caller.
+        self.dispatcher: Callable[[], Wakeable] | None = None
+
         self._kill = False
-        self._runner = None  # set by the backend (attach or first bind)
+        #: set by the backend (attach or first bind)
+        self._runner: UltRunner | None = None
 
     # -- lifecycle (scheduler side) ---------------------------------------------
 
@@ -86,8 +111,10 @@ class UserLevelThread:
         self.state = UltState.READY
         self.backend.attach(self)
 
-    def switch_in(self) -> UltState:
-        """Hand the baton to this ULT; returns when it yields or finishes."""
+    def activate(self) -> UltRunner:
+        """Mark the ULT running and return the runner that will run it
+        (bound on first use).  Whoever holds the baton then passes it
+        with ``wake()`` (one way) or ``resume()`` (and back)."""
         if self.state not in (UltState.READY, UltState.BLOCKED):
             raise ReproError(
                 f"cannot switch to ULT {self.name} in state {self.state.value}"
@@ -96,7 +123,11 @@ class UserLevelThread:
         if runner is None:
             runner = self._runner = self.backend.bind(self)
         self.state = UltState.RUNNING
-        runner.resume()
+        return runner
+
+    def switch_in(self) -> UltState:
+        """Hand the baton to this ULT; returns when it yields or finishes."""
+        self.activate().resume()
         return self.state
 
     def kill(self) -> None:
@@ -110,6 +141,7 @@ class UserLevelThread:
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
         self._kill = True
+        self.dispatcher = None  # unwinds back to this caller, not onward
         if self._runner is None:
             # Started but never ran: no user stack exists to unwind.
             self.state = UltState.ERROR
@@ -130,10 +162,18 @@ class UserLevelThread:
     # -- ULT side -----------------------------------------------------------------
 
     def yield_(self, reason: str = "yield") -> None:
-        """Suspend; returns when the scheduler switches back in."""
+        """Suspend; returns when this ULT is given the baton again."""
         self.block_reason = reason
         self.state = UltState.BLOCKED
-        self._runner.park()
+        runner = self._runner
+        dispatch = self.dispatcher
+        if dispatch is None:
+            runner.park()
+        else:
+            successor = dispatch()
+            if successor is not runner:
+                successor.wake()
+                runner.wait()
         if self._kill:
             raise UltKilled(self.name)
         self.block_reason = ""
@@ -141,7 +181,7 @@ class UserLevelThread:
     def _main(self) -> None:
         """Body executed on the backing OS stack (backend-invoked).
 
-        The first ``resume()`` has already been consumed by the backend
+        The first wake has already been consumed by the backend
         before this runs.  Never raises: all outcomes are captured in
         ``state``/``result``/``exception`` for the scheduler.
         """

@@ -14,7 +14,7 @@ from repro.threads.ult import UserLevelThread
 CS = TEST_COSTS.context_switch_ns
 
 
-def make_ranks(n, pes_layout=JobLayout(1, 1, 2), bodies=None):
+def make_ranks(n, pes_layout=JobLayout(1, 1, 2), bodies=None, backend=None):
     arena = IsomallocArena(max(n, 1), 1 << 20)
     _, _, pes = build_topology(pes_layout, TEST_MACHINE, arena)
     sched = JobScheduler(TEST_COSTS)
@@ -22,7 +22,7 @@ def make_ranks(n, pes_layout=JobLayout(1, 1, 2), bodies=None):
     for vp in range(n):
         rank = VirtualRank(vp, pes[vp % len(pes)])
         body = bodies[vp] if bodies else (lambda: vp)
-        rank.ult = UserLevelThread(f"vp{vp}", body)
+        rank.ult = UserLevelThread(f"vp{vp}", body, backend=backend)
         ranks.append(rank)
     return sched, ranks, pes
 
@@ -147,6 +147,46 @@ class TestBlockingAndWaking:
         sched.register(ranks[0], 0)
         sched.run()
         assert hits[1] >= hits[0] + 100
+
+
+class TestSelfMigratingQuantum:
+    def test_quantum_charged_to_the_pe_it_started_on(self):
+        """AMPI_Migrate_to re-homes the rank in the middle of a quantum;
+        that quantum ran on the PE it started on, and that PE — not
+        ``rank.pe`` as read afterwards — is the one kept busy by it."""
+        from repro.ampi.runtime import AmpiJob
+        from repro.program.source import Program
+
+        p = Program("selfmig")
+
+        @p.function()
+        def main(ctx):
+            ctx.compute(5_000)
+            ctx.mpi.migrate_to(1)
+            ctx.compute(3_000)
+
+        job = AmpiJob(p.build(), 1, method="pieglobals", machine=TEST_MACHINE,
+                      layout=JobLayout(1, 1, 2), slot_size=1 << 24)
+        result = job.run()
+        sched = job.scheduler
+        (rank,) = sched.ranks()
+        pe0, pe1 = job.pes
+        cs = sched.costs.context_switch_ns + sched.ctx_switch_extra_ns
+        (mig,) = result.migrations
+        assert mig.ns > 0
+
+        (at0, vp0, start0), (at1, vp1, start1) = sched.timeline
+        assert (at0, vp0, at1, vp1) == (0, 0, 1, 0)
+        left_pe0 = start1 - cs - mig.ns     # the clock at the yield
+        assert left_pe0 >= start0 + 5_000
+        assert (pe0.busy_until, pe0.busy_ns) == (left_pe0, left_pe0 - start0)
+        assert pe0.last_rank is rank
+        end = result.makespan_ns
+        assert end >= start1 + 3_000
+        assert (pe1.busy_until, pe1.busy_ns) == (end, end - start1)
+        assert pe1.idle_ns == left_pe0 + mig.ns
+        assert pe1.last_rank is rank
+        assert (pe0.ctx_switches, pe1.ctx_switches) == (1, 1)
 
 
 class TestFailureModes:

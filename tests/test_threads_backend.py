@@ -98,6 +98,22 @@ class TestRegistry:
         finally:
             set_default_backend(None)
 
+    def test_closed_default_pool_is_replaced(self):
+        """REPRO_ULT_BACKEND=pooled + anyone closing the shared pool used
+        to leave every later default-backend ULT unable to bind."""
+        try:
+            pool = set_default_backend("pooled")
+            pool.close()
+            fresh = default_backend()
+            assert fresh is get_backend("pooled") and not fresh.closed
+            u = UserLevelThread("d", lambda: "ran")
+            u.start()
+            u.switch_in()
+            assert u.result == "ran"
+        finally:
+            get_backend("pooled").close()
+            set_default_backend(None)
+
 
 class TestPooledReuse:
     def test_workers_reused_across_batches(self):
