@@ -259,9 +259,9 @@ class AmpiJob:
         self.optimize = optimize
         self.stack_bytes = stack_bytes
         self.slot_size = slot_size
-        #: how rank ULTs get their OS stacks ("thread", "pooled", a
-        #: backend instance, or None for the process default) — a pure
-        #: execution-speed choice with no effect on simulated timelines
+        #: the worker pool rank ULTs take their OS stacks from: None (or
+        #: "pooled") for the process-wide shared pool, or a private
+        #: PooledBackend instance — no effect on simulated timelines
         self.ult_backend = ult_backend
         if placement not in ("block", "roundrobin"):
             raise ReproError(f"unknown placement {placement!r}")

@@ -5,11 +5,11 @@ and applies rule family 4 (:mod:`repro.analyze.determinism`) to the
 whole module — the mechanical enforcement of the byte-identical-timeline
 contract the provenance/chaos/serve subsystems stand on.
 
-Legitimate host-time sites (the bench harness measures real wall-clock,
-the provenance store uses mtimes for eviction recency, the serve janitor
+Legitimate host-time sites (the serve client reports host latency, the
+provenance store uses mtimes for eviction recency, the serve janitor
 sleeps in host time) carry an explicit pragma::
 
-    t0 = time.perf_counter()  # repro: allow(det-wallclock) host-side bench timing
+    t0 = time.perf_counter()  # repro: allow(det-wallclock) host-side analysis timing
 
 A pragma suppresses only the named code, only on its own line or the
 line directly below it, so every exemption is visible and reviewable

@@ -1,4 +1,4 @@
-"""Micro programs shared by the harness, the CLI, and the bench.
+"""Micro programs shared by the harness, the CLI, and the host benchmark.
 
 These are the tiny single-purpose workloads the experiment drivers used
 to build inline — the Figure 5 startup probe, the Figure 6 yield

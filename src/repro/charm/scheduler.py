@@ -46,7 +46,7 @@ class JobScheduler:
         self._ranks_by_tid: dict[int, "VirtualRank"] = {}
         self._tid_by_vp: dict[int, int] = {}
         self._all_ranks: list["VirtualRank"] = []
-        #: ULT OS threads that survived their join timeout at shutdown
+        #: ULTs that kept their pool worker past the kill at shutdown
         self.orphaned = 0
         #: times :meth:`run` passed the baton between two parties (ULTs,
         #: or a ULT and the caller) — the OS-thread wakeups it paid for
@@ -385,12 +385,12 @@ class JobScheduler:
         )
 
     def shutdown(self) -> None:
-        """Force-unwind every live ULT and release its OS thread.
+        """Force-unwind every live ULT, returning its worker to the pool.
 
-        Idempotent.  A backing thread that refuses to die within the
-        backend's join timeout is counted in :attr:`orphaned` (and in the
-        process-wide :func:`repro.threads.orphan_count`) instead of being
-        silently leaked across sweeps.
+        Idempotent.  A ULT that swallows the kill and keeps its worker
+        is counted in :attr:`orphaned` (and in the process-wide
+        :func:`repro.threads.orphan_count`) instead of being silently
+        leaked across sweeps.
         """
         for rank in self._all_ranks:
             ult = rank.ult

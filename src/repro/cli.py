@@ -19,14 +19,6 @@ Commands
 ``faults <app> [--kmax K] [--json]``
     Fault-tolerance overhead sweep: failure-free vs. k node crashes on
     a checkpointing Jacobi-3D, with deterministic fault injection.
-``bench [--quick] [--serve] [--json] [--out F]``
-    Wall-clock (host-time) performance smoke of the event loop itself:
-    ULT lifecycle churn, a paper-scale Jacobi run under both execution
-    backends (with a byte-identical-timeline determinism check), and a
-    figure-6-style context-switch sweep.  ``--serve`` appends a
-    load-generator pass against a private job service (cold/warm
-    throughput, hit rate, single-flight coalescing, concurrent gc).
-    Writes ``BENCH_scale.json``.
 ``hello [--method M] [--vp N]``
     The Figure 2/3 hello world under a chosen method.
 ``runs [--store DIR]``
@@ -52,7 +44,7 @@ Commands
     misses on a worker pool, serves repeats straight from the store,
     and coalesces identical in-flight submissions onto one execution.
 
-``run``, ``faults``, ``bench`` and ``hello`` accept ``--provenance
+``run``, ``faults`` and ``hello`` accept ``--provenance
 [DIR]`` (or the ``REPRO_PROVENANCE`` environment variable) to record
 every run they execute into the store (default ``.repro/store``).
 
@@ -315,84 +307,6 @@ def cmd_faults(args) -> int:
                   f"recovery={args.recovery})",
         ))
     return 0 if all(r.status == "ok" for r in rows) else 1
-
-
-def cmd_bench(args) -> int:
-    from repro.harness.bench import run_bench
-
-    payload = run_bench(quick=args.quick, nvp=args.nvp, reps=args.reps,
-                        serve=args.serve)
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if args.out:
-        try:
-            with open(args.out, "w") as f:
-                f.write(text + "\n")
-        except OSError as e:
-            print(f"cannot write {args.out}: {e}", file=sys.stderr)
-            return 2
-    if args.json:
-        print(text)
-    else:
-        for stage in payload["stages"]:
-            name = stage["name"]
-            if "backends" in stage:
-                rows = [[b, s["min_s"], s["ops_per_s"]]
-                        for b, s in sorted(stage["backends"].items())]
-                extra = f" — pooled {stage['speedup_pooled_vs_thread']}x"
-                if "trace_identical" in stage:
-                    extra += (", timelines identical"
-                              if stage["trace_identical"]
-                              else ", TIMELINES DIVERGED")
-                print(format_table(
-                    ["backend", "best wall (s)", f"{stage['unit']}/s"],
-                    rows, title=f"{name}{extra}"))
-            elif name == "serve":
-                c, w = stage["cold"], stage["warm"]
-                b = stage.get("batch")
-                rows = [
-                    ["cold", c["jobs"], c["total_s"], c["jobs_per_s"],
-                     "-", c["p50_ms"], c["p99_ms"]],
-                    ["warm", w["jobs"], w["total_s"], w["jobs_per_s"],
-                     w["hit_rate"], w["p50_ms"], w["p99_ms"]],
-                ]
-                if b is not None:
-                    rows.append(["batch", b["jobs"], b["total_s"],
-                                 b["jobs_per_s"], b["hit_rate"],
-                                 b["p50_ms"], b["p99_ms"]])
-                ident = ("identical" if stage["records_identical"]
-                         else "DIVERGED")
-                verdict = "ok" if stage["ok"] else "FAILED"
-                print(format_table(
-                    ["pass", "jobs", "wall (s)", "jobs/s", "hit rate",
-                     "p50 ms", "p99 ms"],
-                    rows,
-                    title=f"serve — warm {stage['speedup_warm_vs_cold']}x "
-                          f"over cold, records {ident}, gc cycles "
-                          f"{stage['gc']['cycles']} ({verdict})"))
-                res = stage.get("resilience")
-                if res is not None:
-                    print(format_table(
-                        ["queue depth", "shed", "retries", "quarantined",
-                         "deadline", "lease waits"],
-                        [[res["queue_depth"], res["shed"], res["retries"],
-                          res["quarantined"], res["deadline_exceeded"],
-                          res["lease_waits"]]],
-                        title="serve resilience counters"))
-            else:
-                print(format_table(
-                    ["nvp", "wall (s)", "switches/s"],
-                    [[r["nvp"], r["wall_s"], r["switches_per_s"]]
-                     for r in stage["rows"]],
-                    title=f"{name} ({stage['params']['backend']} backend)"))
-            print()
-        if args.out:
-            print(f"wrote {args.out}")
-    # The determinism contract is part of the bench's contract: fail
-    # loudly if the backends ever produce different simulated timelines
-    # (or the serve stage breaks its caching/coalescing invariants).
-    ok = all(s.get("trace_identical", True) and s.get("ok", True)
-             for s in payload["stages"])
-    return 0 if ok else 1
 
 
 def cmd_check(args) -> int:
@@ -998,30 +912,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit result rows as JSON instead of a table")
     _add_provenance_flag(faults)
     faults.set_defaults(fn=cmd_faults)
-
-    bench = sub.add_parser(
-        "bench",
-        help="host wall-clock smoke of the event loop (ULT churn, "
-             "Jacobi scale run per backend, ctx-switch sweep); writes "
-             "BENCH_scale.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="shrunken stages for CI (seconds, not minutes)")
-    bench.add_argument("--nvp", type=int, default=None,
-                       help="Jacobi stage VP count (default 1024; "
-                            "64 with --quick)")
-    bench.add_argument("--reps", type=int, default=None,
-                       help="timed repetitions per measurement (best-of)")
-    bench.add_argument("--serve", action="store_true",
-                       help="append the job-service load-gen stage "
-                            "(cold/warm throughput, hit rate, "
-                            "single-flight coalescing, concurrent gc)")
-    bench.add_argument("--json", action="store_true",
-                       help="print the payload to stdout as JSON")
-    bench.add_argument("--out", default="BENCH_scale.json",
-                       help="output path (default BENCH_scale.json; "
-                            "'' to skip writing)")
-    _add_provenance_flag(bench)
-    bench.set_defaults(fn=cmd_bench)
 
     hello = sub.add_parser("hello")
     hello.add_argument("--method", default="none")

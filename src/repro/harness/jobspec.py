@@ -1,5 +1,5 @@
 """The canonical job specification shared by the CLI, the experiment
-drivers, the bench, and the provenance store.
+drivers, the host benchmark, and the provenance store.
 
 Every run in this repo is deterministic by contract: the simulated
 timeline is a pure function of *what ran* — program, machine preset,
@@ -8,7 +8,7 @@ virtualization, placement, fault plan, transport, recovery scheme.
 of inputs, with a stable JSON encoding (:meth:`JobSpec.to_dict` /
 :meth:`JobSpec.from_dict`) and a content digest (:meth:`JobSpec.digest`)
 over the canonical encoding.  It is deliberately *speed-agnostic*: the
-ULT execution backend, tracing, and fetch tracing are runtime options of
+ULT worker pool, tracing, and fetch tracing are runtime options of
 :func:`build_job`, because none of them may change simulated timelines
 (the repo-wide zero-overhead-when-off contract).
 
@@ -345,8 +345,8 @@ _code_version_cache: str | None = None
 def code_version() -> str:
     """Digest of the installed ``repro`` source tree.
 
-    Stored in every provenance record, fault-sweep row, and bench
-    payload so results are attributable to the code that produced them.
+    Stored in every provenance record, fault-sweep row, and host
+    benchmark result so results are attributable to the code that produced them.
     Computed over the relative path and bytes of every ``.py`` file
     under the package root, in sorted order.
     """

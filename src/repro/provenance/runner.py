@@ -3,9 +3,9 @@
 :func:`record_run` executes a spec and stores its record + event
 stream.  :func:`enable_auto_record` hooks the harness chokepoint
 (:func:`repro.harness.jobspec.run_spec`) so *every* spec-built run — a
-``repro run`` experiment sweep, a ``repro faults`` row, a bench stage —
-is recorded as a side effect; this is what ``--provenance`` /
-``$REPRO_PROVENANCE`` turn on.
+``repro run`` experiment sweep, a ``repro faults`` row — is recorded as
+a side effect; this is what ``--provenance`` / ``$REPRO_PROVENANCE``
+turn on.
 
 :func:`replay_record` is the determinism audit: re-execute a stored
 spec under the current sources and verify the timeline digest (and the

@@ -41,10 +41,9 @@ and results are cacheable.
 ``mode="thread"`` trades parallelism for startup cost: workers are
 threads in the current process, execution is serialized by a
 process-wide lock (the simulator's state is not reentrant — the lock
-is module-level so even two pools in one process never interleave) and
-forced onto the thread-per-ULT backend.  Threads cannot be killed, so
-the crash-retry machinery is process-mode only; deadlines are honored
-in both modes.
+is module-level so even two pools in one process never interleave).
+Threads cannot be killed, so the crash-retry machinery is process-mode
+only; deadlines are honored in both modes.
 
 Chaos hook: a task may carry ``chaos={"kill_worker_attempts": N}``
 (injected via the server's ``enable_chaos`` flag, never from specs) —
@@ -76,8 +75,7 @@ CHAOS_EXIT = 86
 _THREAD_EXEC_LOCK = threading.Lock()
 
 
-def execute_spec(spec_dict: dict[str, Any], *,
-                 ult_backend: str | None = None) -> dict[str, Any]:
+def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
     """Run one spec dict to completion; never raises.
 
     Returns ``{"record": RunRecord.to_dict(), "timeline_z": bytes,
@@ -85,13 +83,10 @@ def execute_spec(spec_dict: dict[str, Any], *,
     runs), or ``{"record": None, "timeline_z": None, "error": str}``
     when the job cannot be built or dies unstructured.
     """
-    runtime: dict[str, Any] = {"strict": False}
-    if ult_backend is not None:
-        runtime["ult_backend"] = ult_backend
     try:
         spec = JobSpec.from_dict(dict(spec_dict))
         with result_hook_scope(exclusive=True):
-            job, result = run_spec_job(spec, **runtime)
+            job, result = run_spec_job(spec, strict=False)
         record = RunRecord.from_run(spec, job, result)
         return {"record": record.to_dict(),
                 "timeline_z": compress_timeline(job.scheduler.timeline),
@@ -439,7 +434,7 @@ class WorkerPool:
                               _deadline_reply(task.deadline_ts))
                 continue
             with _THREAD_EXEC_LOCK:
-                out = execute_spec(task.spec_dict, ult_backend="thread")
+                out = execute_spec(task.spec_dict)
             self._resolve(task.task_id, out)
 
     # -- teardown -----------------------------------------------------------

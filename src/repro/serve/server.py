@@ -122,7 +122,7 @@ class JobService:
     Lifecycle: ``await start()`` binds the socket and spawns workers;
     ``await run()`` serves until :meth:`request_shutdown` (also
     reachable as the ``shutdown`` op); ``await close()`` drains.  For
-    synchronous hosts (tests, the bench) use :class:`ServiceThread`.
+    synchronous hosts (tests, the host benchmark) use :class:`ServiceThread`.
 
     ``lease_ttl_s=None`` disables cross-server leases (single-server
     deployments save two file ops per execution); any float enables
@@ -669,7 +669,7 @@ class JobService:
 
 class ServiceThread:
     """Run a :class:`JobService` on a private event loop in a daemon
-    thread — the bridge for synchronous hosts (the bench, tests, the
+    thread — the bridge for synchronous hosts (the host benchmark, tests, the
     smoke script's subprocess-free mode)."""
 
     def __init__(self, service: JobService):

@@ -10,15 +10,10 @@ threads — only one ever runs at a time, handed off explicitly — with all
 from repro.threads.ult import UserLevelThread, UltState, UltKilled
 from repro.threads.runqueue import RunQueue
 from repro.threads.backend import (
-    ExecutionBackend,
     PooledBackend,
-    ThreadBackend,
-    backend_names,
     consume_orphan_count,
-    default_backend,
     get_backend,
     orphan_count,
-    set_default_backend,
 )
 
 __all__ = [
@@ -26,13 +21,8 @@ __all__ = [
     "UltState",
     "UltKilled",
     "RunQueue",
-    "ExecutionBackend",
-    "ThreadBackend",
     "PooledBackend",
     "get_backend",
-    "default_backend",
-    "set_default_backend",
-    "backend_names",
     "orphan_count",
     "consume_orphan_count",
 ]

@@ -1,12 +1,11 @@
 """Baton-passing user-level threads.
 
-Each :class:`UserLevelThread` runs its user code on a real OS stack
-supplied by an :class:`~repro.threads.backend.ExecutionBackend` — a
-dedicated thread (``thread`` backend) or a recycled pool worker
-(``pooled`` backend).  The stack spends almost all of its life blocked
-on a private baton.  At any instant exactly one thread holds the baton
-and is runnable, so no user-visible locking is needed and execution is
-fully deterministic regardless of backend.
+Each :class:`UserLevelThread` runs its user code on a real OS stack: a
+recycled worker of a :class:`~repro.threads.backend.PooledBackend`.  The
+stack spends almost all of its life blocked on a private baton.  At any
+instant exactly one thread holds the baton and is runnable, so no
+user-visible locking is needed and execution is fully deterministic
+whatever state the pool is in.
 
 The baton moves in one of two ways:
 
@@ -37,7 +36,7 @@ from typing import Any, Callable
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
 from repro.threads.backend import (
-    ExecutionBackend,
+    PooledBackend,
     UltRunner,
     Wakeable,
     get_backend,
@@ -72,7 +71,7 @@ class UserLevelThread:
         target: Callable[..., Any],
         args: tuple = (),
         stack_bytes: int = 1 << 20,
-        backend: "ExecutionBackend | str | None" = None,
+        backend: "PooledBackend | str | None" = None,
     ):
         UserLevelThread._id_counter += 1
         self.tid = UserLevelThread._id_counter
@@ -94,22 +93,22 @@ class UserLevelThread:
         self.dispatcher: Callable[[], Wakeable] | None = None
 
         self._kill = False
-        #: set by the backend (attach or first bind)
+        #: the pool worker hosting this ULT, bound at its first quantum
         self._runner: UltRunner | None = None
+        #: set once the pool has reported this ULT's worker as wedged
+        self._orphan_recorded = False
 
     # -- lifecycle (scheduler side) ---------------------------------------------
 
     def start(self) -> None:
         """Make the ULT runnable, paused before user code runs.
 
-        The thread backend spawns the backing OS thread here; the pooled
-        backend defers until the first :meth:`switch_in` so never-run
-        ULTs cost nothing.
+        No OS resource is taken here: a pool worker is bound at the
+        first :meth:`activate`, so never-run ULTs cost nothing.
         """
         if self.state is not UltState.NEW:
             raise ReproError(f"ULT {self.name} already started")
         self.state = UltState.READY
-        self.backend.attach(self)
 
     def activate(self) -> UltRunner:
         """Mark the ULT running and return the runner that will run it
@@ -133,10 +132,10 @@ class UserLevelThread:
     def kill(self) -> None:
         """Force the ULT to unwind (used at abnormal shutdown).
 
-        Under the pooled backend this recycles the worker rather than
-        joining an OS thread; under the thread backend the dead thread
-        is joined, and a join that times out is surfaced through the
-        backend's orphan counter instead of being silently ignored.
+        The unwound ULT's pool worker is recycled; a ULT whose user code
+        swallowed :class:`UltKilled` keeps its worker, which
+        :meth:`join_thread` surfaces through the orphan counter instead
+        of silently ignoring it.
         """
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
@@ -148,16 +147,14 @@ class UserLevelThread:
             self.exception = UltKilled(self.name)
             return
         # resume() returns only once the ULT has unwound (or yielded
-        # again, if user code swallowed UltKilled).  OS-thread cleanup
-        # and leak detection happen in join_thread()/backend.reap so a
-        # wedged stack is reported exactly once.
+        # again, if user code swallowed UltKilled).  Leak detection
+        # happens in join_thread()/backend.reap so a wedged stack is
+        # reported exactly once.
         self._runner.resume()
 
-    def join_thread(self, timeout: float | None = None) -> bool:
-        """Release the ULT's OS resources; True if a thread leaked."""
-        if self._runner is None:
-            return False
-        return self.backend.reap(self, timeout=timeout)
+    def join_thread(self) -> bool:
+        """Check the ULT gave its pool worker back; True if it leaked."""
+        return self.backend.reap(self)
 
     # -- ULT side -----------------------------------------------------------------
 
@@ -179,9 +176,9 @@ class UserLevelThread:
         self.block_reason = ""
 
     def _main(self) -> None:
-        """Body executed on the backing OS stack (backend-invoked).
+        """Body executed on the backing OS stack (worker-invoked).
 
-        The first wake has already been consumed by the backend
+        The first wake has already been consumed by the pool worker
         before this runs.  Never raises: all outcomes are captured in
         ``state``/``result``/``exception`` for the scheduler.
         """

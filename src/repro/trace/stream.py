@@ -9,8 +9,8 @@ re-derives and compares its digest, and ``repro diff`` bisects two
 streams for the first divergent event.
 
 This module fixes the canonical encoding once so every consumer (the
-bench determinism contract, the provenance store, the pin gate) hashes
-the same bytes: one ``pe,vp,start`` line per event, ``\\n``-joined.
+provenance store, the pin gate) hashes the same bytes: one
+``pe,vp,start`` line per event, ``\\n``-joined.
 """
 
 from __future__ import annotations

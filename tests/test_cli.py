@@ -175,27 +175,3 @@ class TestFaultsCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "UnsupportedToolchain" in err
 
-
-class TestBench:
-    def test_bench_json_payload(self, capsys, tmp_path):
-        import json
-
-        out = tmp_path / "BENCH_scale.json"
-        assert main(["bench", "--quick", "--json", "--out", str(out)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["bench"] == "scale_smoke" and payload["quick"]
-        assert [s["name"] for s in payload["stages"]] == \
-            ["ult_churn", "jacobi", "ctx_sweep"]
-        jacobi = payload["stages"][1]
-        assert jacobi["trace_identical"] is True
-        assert set(jacobi["backends"]) == {"thread", "pooled"}
-        # the file and stdout carry the same payload
-        assert json.loads(out.read_text()) == payload
-
-    def test_bench_table_output(self, capsys, tmp_path):
-        out = tmp_path / "b.json"
-        assert main(["bench", "--quick", "--nvp", "8",
-                     "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "ult_churn" in text and "timelines identical" in text
-        assert f"wrote {out}" in text

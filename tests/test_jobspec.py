@@ -268,9 +268,3 @@ class TestCodeVersion:
 
         rows = fault_overhead_experiment(kmax=0)
         assert all(r.code_version == code_version() for r in rows)
-
-    def test_bench_payload_carries_code_version(self):
-        from repro.harness.bench import run_bench
-
-        payload = run_bench(quick=True, nvp=8, reps=1)
-        assert payload["code_version"] == code_version()

@@ -105,40 +105,13 @@ class TestRunSanitize:
         assert "sanitize" not in payload
 
 
-class TestBenchDeterminismGate:
-    def _patch(self, monkeypatch, identical):
-        payload = {
-            "bench": "scale_smoke", "quick": True, "python": "3",
-            "stages": [{"name": "jacobi", "unit": "q",
-                        "params": {"nvp": 4},
-                        "backends": {}, "speedup_pooled_vs_thread": 1.0,
-                        "trace_identical": identical}],
-        }
-        import repro.harness.bench as bench
-        monkeypatch.setattr(
-            bench, "run_bench",
-            lambda quick, nvp, reps, serve=False: payload)
-
-    def test_exit_zero_when_timelines_identical(
-            self, monkeypatch, capsys, tmp_path):
-        self._patch(monkeypatch, True)
-        out = str(tmp_path / "bench.json")
-        assert main(["bench", "--quick", "--json", "--out", out]) == 0
-
-    def test_exit_one_when_timelines_diverge(
-            self, monkeypatch, capsys, tmp_path):
-        self._patch(monkeypatch, False)
-        out = str(tmp_path / "bench.json")
-        assert main(["bench", "--quick", "--json", "--out", out]) == 1
-
-    def test_real_quick_bench_is_deterministic(self):
-        # Tiny end-to-end run: both backends must agree.
-        from repro.harness.bench import bench_jacobi
-        stage = bench_jacobi(nvp=8, n=8, iters=1, reps=2)
-        assert stage["trace_identical"] is True
-
-
 class TestParserSurface:
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_check_requires_target(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["check"])

@@ -3,14 +3,13 @@
 A quantum costs one OS-thread handoff (none when a rank succeeds
 itself); the loop body runs on the stack of the ULT whose quantum just
 ended, and everything that can unwind a stack still happens on the
-``run()`` caller's.  Every test runs under both execution backends.
+``run()`` caller's.  Every test runs on a private worker pool.
 """
 
 import threading
 
 import pytest
 
-import repro.threads.backend as backend_mod
 from repro.charm.node import JobLayout
 from repro.errors import DeadlockError
 from repro.ft import FaultPlan, NodeCrash
@@ -18,7 +17,6 @@ from repro.harness.jobspec import JobSpec, build_job
 from repro.perf.counters import EV_CTX_SWITCH
 from repro.threads import (
     PooledBackend,
-    ThreadBackend,
     consume_orphan_count,
     orphan_count,
 )
@@ -26,19 +24,18 @@ from repro.threads.ult import UltKilled
 from test_charm_scheduler import make_ranks
 
 
-@pytest.fixture(params=["thread", "pooled"])
-def backend(request):
+# One param, kept so the test ids stay ``...[pooled]``.
+@pytest.fixture(params=["pooled"])
+def backend():
     consume_orphan_count()
-    b = ThreadBackend() if request.param == "thread" else PooledBackend()
+    b = PooledBackend()
     yield b
-    if isinstance(b, PooledBackend):
-        b.close()
+    b.close()
     consume_orphan_count()
 
 
 def all_workers_idle(backend):
-    return (not isinstance(backend, PooledBackend)
-            or backend.idle_workers() == backend.created)
+    return backend.idle_workers() == backend.created
 
 
 def make_sched(backend, bodies):
@@ -128,9 +125,7 @@ class TestFailuresSurfaceOnTheCaller:
         assert ranks[1].finished and ranks[0].ult.finished
         assert all_workers_idle(backend)
 
-    def test_swallowed_kill_reported_once(self, backend, monkeypatch):
-        monkeypatch.setattr(backend_mod, "JOIN_TIMEOUT_S", 0.05)
-
+    def test_swallowed_kill_reported_once(self, backend):
         def stubborn():
             while True:
                 try:

@@ -79,7 +79,7 @@ class TestSubmit:
         _, client = serve
         spec = _spec("vs-fresh")
         served = client.submit(spec).run_record()
-        job, result = run_spec_job(spec, strict=False, ult_backend="thread")
+        job, result = run_spec_job(spec, strict=False)
         fresh = RunRecord.from_run(spec, job, result)
         assert served.run_id == fresh.run_id
         assert served.timeline_sha256 == fresh.timeline_sha256
