@@ -23,22 +23,27 @@ Quickstart
 [0, 1, 2, 3]
 """
 
-from repro.program import Program, ProgramSource, Compiler, CompileOptions
-from repro.ampi import AmpiJob, JobResult, Checkpoint
-from repro.charm.node import JobLayout
-from repro.machine import (
-    BRIDGES2,
-    BRIDGES2_PATCHED_GLIBC,
-    GENERIC_LINUX,
-    LEGACY_LINUX_OLD_LD,
-    MACOS_ARM,
-    STAMPEDE2_ICX,
-    TEST_MACHINE,
-    MachineModel,
-    Toolchain,
-    get_machine,
-)
-from repro.privatization import get_method, method_names
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.program import Program, ProgramSource, Compiler, CompileOptions
+    from repro.ampi import AmpiJob, JobResult, Checkpoint
+    from repro.charm.node import JobLayout
+    from repro.machine import (
+        BRIDGES2,
+        BRIDGES2_PATCHED_GLIBC,
+        GENERIC_LINUX,
+        LEGACY_LINUX_OLD_LD,
+        MACOS_ARM,
+        STAMPEDE2_ICX,
+        TEST_MACHINE,
+        MachineModel,
+        Toolchain,
+        get_machine,
+    )
+    from repro.privatization import get_method, method_names
 
 __version__ = "1.0.0"
 
@@ -65,3 +70,17 @@ __all__ = [
     "TEST_MACHINE",
     "__version__",
 ]
+
+# Importing ``repro`` (which ``python -m repro`` does before anything
+# else) loads none of the simulator; each name resolves on first use.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.program": ("Program", "ProgramSource", "Compiler",
+                      "CompileOptions"),
+    "repro.ampi": ("AmpiJob", "JobResult", "Checkpoint"),
+    "repro.charm.node": ("JobLayout",),
+    "repro.machine": ("BRIDGES2", "BRIDGES2_PATCHED_GLIBC", "GENERIC_LINUX",
+                      "LEGACY_LINUX_OLD_LD", "MACOS_ARM", "STAMPEDE2_ICX",
+                      "TEST_MACHINE", "MachineModel", "Toolchain",
+                      "get_machine"),
+    "repro.privatization": ("get_method", "method_names"),
+})

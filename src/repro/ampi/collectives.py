@@ -19,12 +19,10 @@ import copy
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.charm.reduction import reduce_over_pes, tree_depth
 from repro.errors import MpiError
 from repro.ampi.comm import Communicator
-from repro.ampi.datatypes import payload_nbytes
+from repro.ampi.datatypes import loaded_numpy, payload_nbytes
 from repro.ampi.ops import Op
 from repro.perf.counters import EV_REPLAYED
 
@@ -35,7 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 def _copy_payload(obj: Any) -> Any:
     """Receiver-side buffer copy (each rank owns its result)."""
-    if isinstance(obj, np.ndarray):
+    np = loaded_numpy()
+    if np is not None and isinstance(obj, np.ndarray):
         return obj.copy()
     if isinstance(obj, (int, float, complex, str, bytes, bool, type(None))):
         return obj

@@ -7,10 +7,21 @@ their *simulated byte size* to price transfers.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
+
+def loaded_numpy() -> Any:
+    """The numpy module if this process has imported it, else None.
+
+    The message path asks "is this payload an ndarray?" on every send.
+    No object can be one in a process that never imported numpy, so the
+    check reads ``sys.modules`` instead of importing numpy itself: jobs
+    whose apps compute without it (hello, pingpong, startup) never load
+    it, and the answer is the same either way.
+    """
+    return sys.modules.get("numpy")
 
 
 @dataclass(frozen=True)
@@ -40,9 +51,8 @@ def payload_nbytes(obj: Any) -> int:
     """
     if obj is None:
         return 0
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, np.generic):
+    np = loaded_numpy()
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.nbytes
     if isinstance(obj, (bytes, bytearray, memoryview)):
         return len(obj)

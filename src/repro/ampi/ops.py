@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
+from repro.ampi.datatypes import loaded_numpy
 from repro.errors import MpiError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,25 +44,27 @@ class BuiltinOp(Op):
         return self._fn(a, b)
 
 
-def _elementwise(np_fn, py_fn):
+def _elementwise(ufunc: str, py_fn):
+    """``numpy.<ufunc>`` when either operand is an ndarray, else ``py_fn``."""
     def fn(a, b):
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return np_fn(a, b)
+        np = loaded_numpy()
+        if np is not None and (isinstance(a, np.ndarray)
+                               or isinstance(b, np.ndarray)):
+            return getattr(np, ufunc)(a, b)
         return py_fn(a, b)
     return fn
 
 
-SUM = BuiltinOp("MPI_SUM", _elementwise(np.add, lambda a, b: a + b))
-PROD = BuiltinOp("MPI_PROD", _elementwise(np.multiply, lambda a, b: a * b))
-MAX = BuiltinOp("MPI_MAX", _elementwise(np.maximum, max))
-MIN = BuiltinOp("MPI_MIN", _elementwise(np.minimum, min))
-LAND = BuiltinOp("MPI_LAND", _elementwise(np.logical_and,
+SUM = BuiltinOp("MPI_SUM", _elementwise("add", lambda a, b: a + b))
+PROD = BuiltinOp("MPI_PROD", _elementwise("multiply", lambda a, b: a * b))
+MAX = BuiltinOp("MPI_MAX", _elementwise("maximum", max))
+MIN = BuiltinOp("MPI_MIN", _elementwise("minimum", min))
+LAND = BuiltinOp("MPI_LAND", _elementwise("logical_and",
                                           lambda a, b: bool(a) and bool(b)))
-LOR = BuiltinOp("MPI_LOR", _elementwise(np.logical_or,
+LOR = BuiltinOp("MPI_LOR", _elementwise("logical_or",
                                         lambda a, b: bool(a) or bool(b)))
-BAND = BuiltinOp("MPI_BAND", _elementwise(np.bitwise_and,
-                                          lambda a, b: a & b))
-BOR = BuiltinOp("MPI_BOR", _elementwise(np.bitwise_or, lambda a, b: a | b))
+BAND = BuiltinOp("MPI_BAND", _elementwise("bitwise_and", lambda a, b: a & b))
+BOR = BuiltinOp("MPI_BOR", _elementwise("bitwise_or", lambda a, b: a | b))
 #: (value, location) pairs
 MAXLOC = BuiltinOp("MPI_MAXLOC", lambda a, b: max(a, b))
 MINLOC = BuiltinOp("MPI_MINLOC", lambda a, b: min(a, b))

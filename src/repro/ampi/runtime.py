@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.ampi.api import MpiHandle
 from repro.ampi.collectives import CollectiveEngine
@@ -42,12 +42,7 @@ from repro.mem.address_space import MapKind
 from repro.mem.heap import RankHeap
 from repro.mem.isomalloc import IsomallocArena
 from repro.mem.layout import DEFAULT_SLOT_SIZE
-from repro.ft.buddy import BuddyCheckpointer, FtConfig
-from repro.ft.msglog import MessageLogger
-from repro.ft.plan import FaultInjector, FaultPlan
-from repro.ft.recovery import LocalRecoveryManager, RecoveryManager
 from repro.net.network import Network
-from repro.net.reliable import ReliableTransport
 from repro.perf.counters import (
     CounterSet,
     EV_DEDUP_DROP,
@@ -68,6 +63,15 @@ from repro.program.context import ExecutionContext, FetchTracer, GlobalsView
 from repro.program.source import ProgramSource
 from repro.threads.ult import UserLevelThread
 from repro.trace.recorder import TraceRecorder
+
+# Fault tolerance and the reliable transport are optional subsystems: a
+# job that arms neither never imports them (see __init__ and start()).
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.ft.buddy import BuddyCheckpointer, FtConfig
+    from repro.ft.msglog import MessageLogger
+    from repro.ft.plan import FaultPlan
+    from repro.ft.recovery import RecoveryManager
+    from repro.net.reliable import ReliableTransport
 
 _job_ids = itertools.count(0)
 
@@ -281,8 +285,11 @@ class AmpiJob:
         #: and the recovery manager are created by start() when enabled
         self.fault_plan = fault_plan
         self.ft = ft
-        self.fault_injector = (FaultInjector(fault_plan)
-                               if fault_plan is not None else None)
+        self.fault_injector = None
+        if fault_plan is not None:
+            from repro.ft.plan import FaultInjector
+
+            self.fault_injector = FaultInjector(fault_plan)
         self.buddy_ckpt: BuddyCheckpointer | None = None
         self.recovery: RecoveryManager | None = None
         #: message delivery discipline: "priced" charges faults as a flat
@@ -504,6 +511,8 @@ class AmpiJob:
             self.migration_engine.sanitizer = san
 
         if self.transport == "reliable":
+            from repro.net.reliable import ReliableTransport
+
             mf = (self.fault_plan.message_faults
                   if self.fault_plan is not None else None)
             self.reliable = ReliableTransport(
@@ -520,12 +529,21 @@ class AmpiJob:
             self.fault_plan is not None and self.fault_plan.node_crashes
         )
         if wants_ft:
+            from repro.ft.buddy import BuddyCheckpointer, FtConfig
+
             self.buddy_ckpt = BuddyCheckpointer(
                 self.ft or FtConfig(), self.network, self.costs,
                 self.counters, trace=tr, trace_pid_base=self._pe_pid_base,
             )
         if self.fault_plan is not None and self.fault_plan.node_crashes:
+            from repro.ft.recovery import (
+                LocalRecoveryManager,
+                RecoveryManager,
+            )
+
             if self.recovery_mode == "local":
+                from repro.ft.msglog import MessageLogger
+
                 # Sender-based message logging must exist before the
                 # baseline checkpoint below snapshots its cursors.
                 self.msglog = MessageLogger(self.counters)

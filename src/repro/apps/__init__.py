@@ -9,9 +9,14 @@
   the migration-cost experiment (Figure 8).
 """
 
-from repro.apps.jacobi3d import JacobiConfig, build_jacobi_program, run_jacobi
-from repro.apps.adcirc import AdcircConfig, build_adcirc_program, run_adcirc
-from repro.apps.memhog import MemhogConfig, build_memhog_program
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.apps.jacobi3d import JacobiConfig, build_jacobi_program, run_jacobi
+    from repro.apps.adcirc import AdcircConfig, build_adcirc_program, run_adcirc
+    from repro.apps.memhog import MemhogConfig, build_memhog_program
 
 __all__ = [
     "JacobiConfig",
@@ -23,3 +28,13 @@ __all__ = [
     "MemhogConfig",
     "build_memhog_program",
 ]
+
+# Each of these apps imports numpy; :mod:`repro.apps.micro` (hello,
+# pingpong, startup) does not, and importing it must not load them.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.apps.jacobi3d": ("JacobiConfig", "build_jacobi_program",
+                            "run_jacobi"),
+    "repro.apps.adcirc": ("AdcircConfig", "build_adcirc_program",
+                          "run_adcirc"),
+    "repro.apps.memhog": ("MemhogConfig", "build_memhog_program"),
+})

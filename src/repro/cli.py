@@ -12,6 +12,15 @@ Commands
     Regenerate the paper's Tables 1 and 3 from probes.
 ``run <experiment> [--json]``
     Run one experiment driver: fig5, fig6, fig7, fig8, icache, adcirc.
+``check <target> [--method M] [--static-only] [--json]``
+    Static binary lint and privatization-compatibility matrix for
+    hello, jacobi, probe, examples or ``fixture:<name>``, then (unless
+    ``--static-only``) a run under the shared-state race detector.
+``analyze <target> [--method M] [--suggest] [--json]``
+    Interprocedural static analysis of program sources (an app,
+    ``example:<name>``, ``fixture:<name>``, or ``self`` for the
+    determinism lint of ``src/repro``): privatization surface,
+    migration/checkpoint safety, communication shape.
 ``trace <experiment> [--out F]``
     Run an experiment with Projections-style tracing on; writes a Chrome
     trace-event JSON (open in Perfetto / about:tracing) and a plain-text
@@ -43,6 +52,11 @@ Commands
     concurrent JobSpec submissions over a local socket, executes
     misses on a worker pool, serves repeats straight from the store,
     and coalesces identical in-flight submissions onto one execution.
+``chaos {run,shrink,serve,replay} [--seed S] [--count N]``
+    Deterministic multi-fault campaigns: seeded scenarios over the job
+    matrix (``run``) or against a live ``repro serve`` (``serve``),
+    invariant-checked; ``shrink`` minimizes a violating fault plan and
+    ``replay`` re-executes a stored repro.
 
 ``run``, ``faults`` and ``hello`` accept ``--provenance
 [DIR]`` (or the ``REPRO_PROVENANCE`` environment variable) to record
@@ -413,6 +427,14 @@ def _open_store(args):
     return ProvenanceStore(getattr(args, "store", None) or None)
 
 
+def _load_manifest(args):
+    """(path, entries) of the pin manifest ``--manifest`` names."""
+    from repro.provenance import DEFAULT_MANIFEST, load_manifest
+
+    path = args.manifest or DEFAULT_MANIFEST
+    return path, load_manifest(path)
+
+
 def cmd_runs(args) -> int:
     store = _open_store(args)
     records = sorted(store.records(), key=lambda r: r.created_at)
@@ -504,14 +526,12 @@ def cmd_stats(args) -> int:
 def cmd_pin(args) -> int:
     from repro.provenance import (
         PinEntry,
-        load_manifest,
         repin,
         save_manifest,
         verify_manifest,
     )
 
-    manifest = args.manifest
-    entries = load_manifest(manifest)
+    manifest, entries = _load_manifest(args)
 
     if args.action == "list":
         if not entries:
@@ -585,9 +605,9 @@ def cmd_gc(args) -> int:
     store = _open_store(args)
     keep: frozenset[str] = frozenset()
     if args.keep_pinned:
-        from repro.provenance import load_manifest, pinned_spec_digests
+        from repro.provenance import pinned_spec_digests
 
-        keep = pinned_spec_digests(load_manifest(args.manifest))
+        keep = pinned_spec_digests(_load_manifest(args)[1])
     report = store.gc(
         keep=keep,
         max_age_s=(args.max_age_days * 86400.0
@@ -615,9 +635,9 @@ def cmd_serve(args) -> int:
 
     keep: frozenset[str] = frozenset()
     if args.keep_pinned:
-        from repro.provenance import load_manifest, pinned_spec_digests
+        from repro.provenance import pinned_spec_digests
 
-        keep = pinned_spec_digests(load_manifest(args.manifest))
+        keep = pinned_spec_digests(_load_manifest(args)[1])
     use_tcp = args.port is not None
     service = JobService(
         _open_store(args),
@@ -791,9 +811,16 @@ def _add_store_flag(parser: argparse.ArgumentParser) -> None:
              "$REPRO_PROVENANCE)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.provenance import DEFAULT_MANIFEST
+def _add_manifest_flag(parser: argparse.ArgumentParser, what: str) -> None:
+    # The default is resolved by _load_manifest, like --store's: reading
+    # DEFAULT_MANIFEST here would import the provenance tier to build
+    # the parser.
+    parser.add_argument(
+        "--manifest", default=None,
+        help=f"{what} (default benchmarks/pinned_scenarios.json)")
 
+
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="repro",
         description="Process-virtualization reproduction toolkit",
@@ -964,8 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     pin.add_argument("names", nargs="*",
                      help="scenario names (run/update/rm), or "
                           "<name> <record-id> for add")
-    pin.add_argument("--manifest", default=DEFAULT_MANIFEST,
-                     help=f"manifest path (default {DEFAULT_MANIFEST})")
+    _add_manifest_flag(pin, "manifest path")
     _add_store_flag(pin)
     pin.add_argument("--json", action="store_true")
     pin.set_defaults(fn=cmd_pin)
@@ -977,8 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--keep-pinned", action="store_true",
                     help="never collect records whose spec is pinned "
                          "in the manifest")
-    gc.add_argument("--manifest", default=DEFAULT_MANIFEST,
-                    help="pin manifest for --keep-pinned")
+    _add_manifest_flag(gc, "pin manifest for --keep-pinned")
     gc.add_argument("--max-age-days", type=float, default=None,
                     help="collect records older than this many days")
     gc.add_argument("--max-bytes", type=int, default=None,
@@ -1032,8 +1057,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "store fits")
     serve.add_argument("--keep-pinned", action="store_true",
                        help="janitor never collects pinned specs")
-    serve.add_argument("--manifest", default=DEFAULT_MANIFEST,
-                       help="pin manifest for --keep-pinned")
+    _add_manifest_flag(serve, "pin manifest for --keep-pinned")
     _add_store_flag(serve)
     serve.set_defaults(fn=cmd_serve)
 

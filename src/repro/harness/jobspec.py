@@ -33,9 +33,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator
 
 from repro.ampi.runtime import AmpiJob, JobResult
-from repro.apps.adcirc import AdcircConfig, build_adcirc_program
-from repro.apps.jacobi3d import JacobiConfig, build_jacobi_program
-from repro.apps.memhog import MemhogConfig, build_memhog_program
 from repro.apps.micro import (
     build_hello_program,
     build_pingpong_program,
@@ -43,8 +40,6 @@ from repro.apps.micro import (
 )
 from repro.charm.node import JobLayout
 from repro.errors import ReproError
-from repro.ft.buddy import FtConfig
-from repro.ft.plan import FaultPlan
 from repro.machine import PRESETS, MachineModel, get_machine
 from repro.mem.layout import DEFAULT_SLOT_SIZE
 from repro.program.source import ProgramSource
@@ -82,9 +77,30 @@ def build_app_source(app: str, config: dict) -> ProgramSource:
     return builder(dict(config))
 
 
-register_app("jacobi3d", lambda cfg: build_jacobi_program(JacobiConfig(**cfg)))
-register_app("adcirc", lambda cfg: build_adcirc_program(AdcircConfig(**cfg)))
-register_app("memhog", lambda cfg: build_memhog_program(MemhogConfig(**cfg)))
+# The numeric apps import numpy, so each module loads when its app is
+# first built; the micro programs above need nothing beyond the core.
+
+def _build_jacobi3d(cfg: dict) -> ProgramSource:
+    from repro.apps.jacobi3d import JacobiConfig, build_jacobi_program
+
+    return build_jacobi_program(JacobiConfig(**cfg))
+
+
+def _build_adcirc(cfg: dict) -> ProgramSource:
+    from repro.apps.adcirc import AdcircConfig, build_adcirc_program
+
+    return build_adcirc_program(AdcircConfig(**cfg))
+
+
+def _build_memhog(cfg: dict) -> ProgramSource:
+    from repro.apps.memhog import MemhogConfig, build_memhog_program
+
+    return build_memhog_program(MemhogConfig(**cfg))
+
+
+register_app("jacobi3d", _build_jacobi3d)
+register_app("adcirc", _build_adcirc)
+register_app("memhog", _build_memhog)
 register_app("startup", lambda cfg: build_startup_program(**cfg))
 register_app("pingpong", lambda cfg: build_pingpong_program(**cfg))
 register_app("hello", lambda cfg: build_hello_program(**cfg))
@@ -228,10 +244,15 @@ def build_job(
     """
     if sanitize is None and spec.sanitize:
         sanitize = True
-    plan = (FaultPlan.from_dict(spec.fault_plan)
-            if spec.fault_plan is not None else None)
-    ft = (FtConfig(ckpt_interval_ns=spec.ft_interval_ns)
-          if spec.ft_interval_ns is not None else None)
+    plan = ft = None
+    if spec.fault_plan is not None:
+        from repro.ft.plan import FaultPlan
+
+        plan = FaultPlan.from_dict(spec.fault_plan)
+    if spec.ft_interval_ns is not None:
+        from repro.ft.buddy import FtConfig
+
+        ft = FtConfig(ckpt_interval_ns=spec.ft_interval_ns)
     return AmpiJob(
         spec.build_source(), spec.nvp,
         method=spec.method,

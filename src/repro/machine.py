@@ -23,8 +23,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Any
 
-from repro.perf.costs import CostModel, TEST_COSTS
-from repro.perf.icache import CacheGeometry
+from repro.perf.costs import CacheGeometry, CostModel, TEST_COSTS
 
 
 class Arch(enum.Enum):

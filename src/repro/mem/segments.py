@@ -166,7 +166,9 @@ class SegmentInstance:
 
     def clone_at(self, base: int) -> "SegmentInstance":
         """A deep-enough copy at a new base (values copied, image shared)."""
-        inst = SegmentInstance(self.image, base)
+        inst = SegmentInstance.__new__(SegmentInstance)
+        inst.image = self.image
+        inst.base = base
         inst.values = dict(self.values)
         return inst
 

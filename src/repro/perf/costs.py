@@ -12,12 +12,40 @@ The defaults are calibrated to the paper's measured magnitudes:
 * startup overhead of the worst new method ~ 9 % over baseline at 8x
   virtualization (Figure 5);
 * migration dominated by payload bytes / network bandwidth (Figure 8).
+
+:class:`CacheGeometry` (the L1I shape a preset declares) sits here too:
+it is plain data, and :mod:`repro.perf.icache`, which simulates it,
+imports numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Any
+
+
+@dataclass(frozen=True)
+class CacheGeometry:
+    """Size/associativity/line description of one cache level."""
+
+    size_bytes: int
+    associativity: int
+    line_bytes: int = 64
+
+    def __post_init__(self) -> None:
+        if self.size_bytes <= 0 or self.associativity <= 0 or self.line_bytes <= 0:
+            raise ValueError("cache geometry fields must be positive")
+        if self.size_bytes % (self.associativity * self.line_bytes):
+            raise ValueError(
+                "size must be a multiple of associativity * line size"
+            )
+        n_sets = self.size_bytes // (self.associativity * self.line_bytes)
+        if n_sets & (n_sets - 1):
+            raise ValueError("number of sets must be a power of two")
+
+    @property
+    def n_sets(self) -> int:
+        return self.size_bytes // (self.associativity * self.line_bytes)
 
 
 @dataclass(frozen=True)

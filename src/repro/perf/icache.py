@@ -9,35 +9,12 @@ geometry, with true LRU replacement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# CacheGeometry lives with the cost model so a machine preset can name its
+# L1I without importing numpy; it stays importable from here.
+from repro.perf.costs import CacheGeometry
 from repro.perf.counters import CounterSet, PAPI_L1_ICA, PAPI_L1_ICM
-
-
-@dataclass(frozen=True)
-class CacheGeometry:
-    """Size/associativity/line description of one cache level."""
-
-    size_bytes: int
-    associativity: int
-    line_bytes: int = 64
-
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0 or self.associativity <= 0 or self.line_bytes <= 0:
-            raise ValueError("cache geometry fields must be positive")
-        if self.size_bytes % (self.associativity * self.line_bytes):
-            raise ValueError(
-                "size must be a multiple of associativity * line size"
-            )
-        n_sets = self.size_bytes // (self.associativity * self.line_bytes)
-        if n_sets & (n_sets - 1):
-            raise ValueError("number of sets must be a power of two")
-
-    @property
-    def n_sets(self) -> int:
-        return self.size_bytes // (self.associativity * self.line_bytes)
 
 
 class SetAssociativeCache:

@@ -9,6 +9,7 @@ from repro.mem.address_space import MapKind, Mapping
 from repro.mem.segments import SegmentInstance
 from repro.privatization.base import SetupEnv
 from repro.program.binary import Binary
+from repro.program.context import AccessKind, AccessRoute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.vrank import VirtualRank
@@ -61,21 +62,28 @@ def clone_instance_private(
     return inst, mapping
 
 
-def route_shared_from_linkmap(
-    lm: LinkMap, tls_shared: SegmentInstance | None
-) -> dict[str, "AccessRoute"]:
-    """Routes where every name resolves to the link map's single instances
-    (plus an optional shared TLS instance) — the unprivatized layout."""
-    from repro.program.context import AccessKind, AccessRoute
+def routes_for(
+    data: SegmentInstance,
+    rodata: SegmentInstance,
+    tls: SegmentInstance | None = None,
+    *,
+    tls_kind: AccessKind = AccessKind.TLS,
+) -> dict[str, AccessRoute]:
+    """A rank's routing table: every name of each instance's image
+    resolves to that instance (data and rodata directly, TLS by
+    ``tls_kind``).
 
+    A rank has at most three distinct routes however many names it has
+    (the function-pointer shim alone adds ~40 data slots), so one
+    immutable :class:`AccessRoute` is built per instance and shared by
+    its names.
+    """
     routes: dict[str, AccessRoute] = {}
-    for name in lm.data.image.var_names():
-        routes[name] = AccessRoute(lm.data, AccessKind.DIRECT)
-    for name in lm.rodata.image.var_names():
-        routes[name] = AccessRoute(lm.rodata, AccessKind.DIRECT)
-    if tls_shared is not None:
-        for name in tls_shared.image.var_names():
-            routes[name] = AccessRoute(tls_shared, AccessKind.TLS)
+    for inst, kind in ((data, AccessKind.DIRECT), (rodata, AccessKind.DIRECT),
+                       (tls, tls_kind)):
+        if inst is not None:
+            routes.update(dict.fromkeys(inst.image.vars,
+                                        AccessRoute(inst, kind)))
     return routes
 
 

@@ -24,9 +24,13 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import clone_instance_private, load_base
+from repro.privatization._util import (
+    clone_instance_private,
+    load_base,
+    routes_for,
+)
 from repro.program.binary import Binary
-from repro.program.context import AccessKind, AccessRoute
+from repro.program.context import AccessKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.vrank import VirtualRank
@@ -67,16 +71,11 @@ class ManualRefactoring(PrivatizationMethod):
                     env, rank, tls_shared, MapKind.DATA,
                     f"manual:tls[{rank.vp}]",
                 )
-            routes: dict[str, AccessRoute] = {}
-            for name in lm.data.image.var_names():
-                routes[name] = AccessRoute(data_priv, AccessKind.DIRECT)
-            for name in lm.rodata.image.var_names():
-                routes[name] = AccessRoute(lm.rodata, AccessKind.DIRECT)
-            for name in tls_shared.image.var_names():
-                routes[name] = AccessRoute(tls_priv or tls_shared,
-                                           AccessKind.DIRECT)
-            wirings[rank.vp] = RankWiring(routes=routes, code=lm.code,
-                                          tls_instance=tls_priv)
+            wirings[rank.vp] = RankWiring(
+                routes=routes_for(data_priv, lm.rodata,
+                                  tls_priv or tls_shared,
+                                  tls_kind=AccessKind.DIRECT),
+                code=lm.code, tls_instance=tls_priv)
         return wirings
 
 

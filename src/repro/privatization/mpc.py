@@ -25,7 +25,11 @@ from repro.mem.segments import SegmentImage, SegmentKind
 from repro.privatization.base import Capabilities, RankWiring, SetupEnv
 from repro.privatization.registry import register
 from repro.privatization.tlsglobals import TlsGlobals
-from repro.privatization._util import clone_instance_private, load_base
+from repro.privatization._util import (
+    clone_instance_private,
+    load_base,
+    routes_for,
+)
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
 from repro.program.context import AccessKind, AccessRoute
@@ -104,15 +108,15 @@ class MpcPrivatize(TlsGlobals):
                 env, rank, by_level["rank"].instantiate(0),
                 MapKind.TLS, f"mpc-hls:rank[{rank.vp}]",
             )
-            routes: dict[str, AccessRoute] = {}
-            for name in lm.data.image.var_names():
-                routes[name] = AccessRoute(lm.data, AccessKind.DIRECT)
-            for name in lm.rodata.image.var_names():
-                routes[name] = AccessRoute(lm.rodata, AccessKind.DIRECT)
+            routes = routes_for(lm.data, lm.rodata)
+            by_hls = {
+                level: AccessRoute(inst, AccessKind.TLS)
+                for level, inst in (("rank", rank_inst),
+                                    ("process", proc_inst),
+                                    ("node", node_inst))
+            }
             for v in tls_vars:
-                inst = {"rank": rank_inst, "process": proc_inst,
-                        "node": node_inst}[v.hls_level]
-                routes[v.name] = AccessRoute(inst, AccessKind.TLS)
+                routes[v.name] = by_hls[v.hls_level]
             wirings[rank.vp] = RankWiring(routes=routes, code=lm.code,
                                           tls_instance=rank_inst)
         return wirings

@@ -17,7 +17,7 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import load_base, route_shared_from_linkmap
+from repro.privatization._util import load_base, routes_for
 from repro.program.binary import Binary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +47,7 @@ class NoPrivatization(PrivatizationMethod):
         tls_shared = binary.image.tls.instantiate(lm.rodata.end)
         wirings: dict[int, RankWiring] = {}
         for rank in ranks:
-            routes = route_shared_from_linkmap(lm, tls_shared)
+            routes = routes_for(lm.data, lm.rodata, tls_shared)
             wirings[rank.vp] = RankWiring(
                 routes=routes, code=lm.code, tls_instance=None
             )

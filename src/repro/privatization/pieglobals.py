@@ -57,10 +57,13 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import clone_instance_private, unpack_funcptr_shim
+from repro.privatization._util import (
+    clone_instance_private,
+    routes_for,
+    unpack_funcptr_shim,
+)
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
-from repro.program.context import AccessKind, AccessRoute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.node import JobLayout, Pe
@@ -291,17 +294,9 @@ class PieGlobals(PrivatizationMethod):
 
         calltable = unpack_funcptr_shim(data_priv, env)
 
-        routes: dict[str, AccessRoute] = {}
-        for name in data_priv.image.var_names():
-            routes[name] = AccessRoute(data_priv, AccessKind.DIRECT)
-        for name in rodata_priv.image.var_names():
-            routes[name] = AccessRoute(rodata_priv, AccessKind.DIRECT)
-        if tls_priv is not None:
-            for name in tls_priv.image.var_names():
-                routes[name] = AccessRoute(tls_priv, AccessKind.TLS)
-
-        return RankWiring(routes=routes, code=code_priv,
-                          tls_instance=tls_priv, shim_calltable=calltable)
+        return RankWiring(
+            routes=routes_for(data_priv, rodata_priv, tls_priv),
+            code=code_priv, tls_instance=tls_priv, shim_calltable=calltable)
 
     def _replicate_ctor_allocations(self, env: SetupEnv,
                                     rank: "VirtualRank", lm) -> dict[int, int]:

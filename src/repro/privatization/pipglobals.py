@@ -30,10 +30,9 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import unpack_funcptr_shim
+from repro.privatization._util import routes_for, unpack_funcptr_shim
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
-from repro.program.context import AccessKind, AccessRoute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.node import JobLayout
@@ -92,17 +91,10 @@ class PipGlobals(PrivatizationMethod):
 
             calltable = unpack_funcptr_shim(lm.data, env)
 
-            routes: dict[str, AccessRoute] = {}
-            for name in lm.data.image.var_names():
-                routes[name] = AccessRoute(lm.data, AccessKind.DIRECT)
-            for name in lm.rodata.image.var_names():
-                routes[name] = AccessRoute(lm.rodata, AccessKind.DIRECT)
             tls_priv = binary.image.tls.instantiate(lm.rodata.end)
-            for name in tls_priv.image.var_names():
-                routes[name] = AccessRoute(tls_priv, AccessKind.TLS)
-
             wirings[rank.vp] = RankWiring(
-                routes=routes, code=lm.code, tls_instance=tls_priv,
+                routes=routes_for(lm.data, lm.rodata, tls_priv),
+                code=lm.code, tls_instance=tls_priv,
                 shim_calltable=calltable,
             )
         return wirings

@@ -29,7 +29,7 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import load_base
+from repro.privatization._util import load_base, routes_for
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
 from repro.program.context import AccessKind, AccessRoute
@@ -114,18 +114,11 @@ class Swapglobals(PrivatizationMethod):
             clk.advance(env.costs.reloc_ns_per_entry * len(got.template))
             rank.method_data["got"] = got
 
-            routes: dict[str, AccessRoute] = {}
-            for name in lm.data.image.var_names():
-                if name in priv_image:
-                    # global: one GOT hop to the rank-private copy
-                    routes[name] = AccessRoute(priv, AccessKind.GOT)
-                else:
-                    # static: NOT in the GOT -> still the shared copy (bug!)
-                    routes[name] = AccessRoute(lm.data, AccessKind.DIRECT)
-            for name in lm.rodata.image.var_names():
-                routes[name] = AccessRoute(lm.rodata, AccessKind.DIRECT)
-            for name in tls_shared.image.var_names():
-                routes[name] = AccessRoute(tls_shared, AccessKind.TLS)
+            # statics are NOT in the GOT -> still the shared copy (bug!);
+            # globals take one GOT hop to the rank-private copy
+            routes = routes_for(lm.data, lm.rodata, tls_shared)
+            routes.update(dict.fromkeys(
+                got_var_names, AccessRoute(priv, AccessKind.GOT)))
 
             wirings[rank.vp] = RankWiring(routes=routes, code=lm.code)
         return wirings

@@ -31,10 +31,13 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import clone_instance_private, load_base
+from repro.privatization._util import (
+    clone_instance_private,
+    load_base,
+    routes_for,
+)
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
-from repro.program.context import AccessKind, AccessRoute
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.node import JobLayout
@@ -91,16 +94,11 @@ class TlsGlobals(PrivatizationMethod):
             tls_priv, _ = clone_instance_private(
                 env, rank, tls_initial, MapKind.TLS, f"tls:seg[{rank.vp}]"
             )
-            routes: dict[str, AccessRoute] = {}
-            for name in lm.data.image.var_names():
-                # Untagged: still the shared copy — the tagging gap.
-                routes[name] = AccessRoute(lm.data, AccessKind.DIRECT)
-            for name in lm.rodata.image.var_names():
-                routes[name] = AccessRoute(lm.rodata, AccessKind.DIRECT)
-            for name in tls_priv.image.var_names():
-                routes[name] = AccessRoute(tls_priv, AccessKind.TLS)
-            wirings[rank.vp] = RankWiring(routes=routes, code=lm.code,
-                                          tls_instance=tls_priv)
+            # Untagged variables still resolve to the shared data copy —
+            # the tagging gap.
+            wirings[rank.vp] = RankWiring(
+                routes=routes_for(lm.data, lm.rodata, tls_priv),
+                code=lm.code, tls_instance=tls_priv)
         return wirings
 
 

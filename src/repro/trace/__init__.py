@@ -12,25 +12,30 @@ Export with :func:`write_chrome_trace` and open the file in Perfetto or
 ``about:tracing``, or render a terminal view with :func:`render_timeline`.
 """
 
-from repro.trace.export import (
-    chrome_trace,
-    dumps_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.trace.recorder import PE_TID, TraceEvent, TraceRecorder
-from repro.trace.stream import (
-    TimelineEvent,
-    compress_timeline,
-    decompress_timeline,
-    timeline_events,
-    timeline_sha,
-)
-from repro.trace.timeline import (
-    PeUtilization,
-    render_timeline,
-    utilization_profile,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.trace.export import (
+        chrome_trace,
+        dumps_chrome_trace,
+        validate_chrome_trace,
+        write_chrome_trace,
+    )
+    from repro.trace.recorder import PE_TID, TraceEvent, TraceRecorder
+    from repro.trace.stream import (
+        TimelineEvent,
+        compress_timeline,
+        decompress_timeline,
+        timeline_events,
+        timeline_sha,
+    )
+    from repro.trace.timeline import (
+        PeUtilization,
+        render_timeline,
+        utilization_profile,
+    )
 
 __all__ = [
     "TraceRecorder",
@@ -49,3 +54,17 @@ __all__ = [
     "utilization_profile",
     "PeUtilization",
 ]
+
+# The recorder is on every job's import path (the scheduler and loader
+# name its type); exporters, the timeline codec and the text renderer
+# load when a trace is actually written, hashed or rendered.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.trace.export": ("chrome_trace", "dumps_chrome_trace",
+                           "validate_chrome_trace", "write_chrome_trace"),
+    "repro.trace.recorder": ("PE_TID", "TraceEvent", "TraceRecorder"),
+    "repro.trace.stream": ("TimelineEvent", "compress_timeline",
+                           "decompress_timeline", "timeline_events",
+                           "timeline_sha"),
+    "repro.trace.timeline": ("PeUtilization", "render_timeline",
+                             "utilization_profile"),
+})

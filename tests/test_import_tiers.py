@@ -1,0 +1,251 @@
+"""The import-tier contract: a ``repro`` command imports the tier it
+executes and nothing above it (README, "Start-up and import tiers").
+
+Each tier is checked in a fresh interpreter, on ``sys.modules`` — a set,
+not a time, so the gate does not depend on how fast the machine is.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.ampi import ops
+from repro.ampi.collectives import _copy_payload
+from repro.ampi.datatypes import payload_nbytes
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def modules_after(code: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after it ran ``code``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_PROVENANCE", None)   # would turn auto-recording on
+    p = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys, json; print(json.dumps(sorted(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    return set(json.loads(p.stdout.splitlines()[-1]))
+
+
+def loaded(modules: set[str], *prefixes: str) -> list[str]:
+    """The modules at or under any of ``prefixes`` (dotted names)."""
+    return sorted(m for m in modules
+                  if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+
+#: tiers above the parser: nothing here may load to print ``--help``
+ABOVE_PARSER = ("numpy", "repro.ampi", "repro.provenance", "repro.serve",
+                "repro.chaos", "repro.analyze", "repro.sanitize",
+                "repro.harness.experiments")
+#: what a micro job (hello/pingpong/startup) additionally leaves alone
+ABOVE_MICRO_JOB = ("numpy", "repro.provenance", "repro.serve", "repro.chaos",
+                   "repro.analyze", "repro.sanitize",
+                   "repro.harness.experiments", "repro.harness.capabilities",
+                   "repro.apps.jacobi3d", "repro.apps.adcirc",
+                   "repro.apps.memhog", "repro.perf.icache", "repro.ft",
+                   "repro.net.reliable", "repro.trace.export",
+                   "repro.trace.stream", "repro.trace.timeline")
+
+
+class TestTiers:
+    def test_parser_tier(self):
+        mods = modules_after("import repro.cli; repro.cli.build_parser()")
+        assert loaded(mods, *ABOVE_PARSER) == []
+        # the whole tier: the package, its lazy-export helper, the CLI
+        # and the table formatter
+        assert len(loaded(mods, "repro")) <= 10
+
+    def test_hello_tier(self):
+        mods = modules_after(
+            "import repro.cli; assert repro.cli.main(['hello']) == 0")
+        assert loaded(mods, *ABOVE_MICRO_JOB) == []
+        assert "repro.ampi.runtime" in mods and "repro.apps.micro" in mods
+
+    def test_numeric_app_resolves_numpy(self):
+        mods = modules_after(
+            "from repro.harness import JobSpec\n"
+            "import sys; assert 'numpy' not in sys.modules\n"
+            "JobSpec(app='jacobi3d', nvp=8).build_source()")
+        assert "numpy" in mods and "repro.apps.jacobi3d" in mods
+        assert loaded(mods, "repro.apps.adcirc", "repro.apps.memhog") == []
+
+
+LAZY_PACKAGES = ("repro", "repro.harness", "repro.apps", "repro.perf",
+                 "repro.net", "repro.trace")
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+class TestLazyPackageSurface:
+    def test_every_public_name_resolves(self, package):
+        pkg = importlib.import_module(package)
+        listing = dir(pkg)
+        for name in pkg.__all__:
+            assert name in listing
+            assert getattr(pkg, name) is not None
+        star: dict = {}
+        exec(f"from {package} import *", star)
+        assert set(pkg.__all__) <= set(star)
+
+    def test_unknown_attribute_raises(self, package):
+        pkg = importlib.import_module(package)
+        with pytest.raises(AttributeError, match="no_such_name"):
+            pkg.no_such_name
+        with pytest.raises(ImportError):
+            exec(f"from {package} import no_such_name", {})
+
+
+def test_cache_geometry_importable_from_both_homes():
+    from repro.perf.costs import CacheGeometry
+    from repro.perf.icache import CacheGeometry as via_icache
+    from repro.perf.icache import SetAssociativeCache
+
+    assert via_icache is CacheGeometry
+    assert SetAssociativeCache(CacheGeometry(4096, 2, 64)).accesses == 0
+
+
+# ---------------------------------------------------------------------------
+# Equivalence: the sys.modules-routed ndarray checks against the direct-np
+# formulations they replaced, with numpy loaded.
+# ---------------------------------------------------------------------------
+
+def ref_payload_nbytes(obj):
+    if obj is None:
+        return 0
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, np.generic):
+        return obj.nbytes
+    if isinstance(obj, (bytes, bytearray, memoryview)):
+        return len(obj)
+    if isinstance(obj, str):
+        return len(obj.encode("utf-8", errors="replace"))
+    if isinstance(obj, bool):
+        return 1
+    if isinstance(obj, (int, float, complex)):
+        return 8
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return 8 + sum(ref_payload_nbytes(x) for x in obj)
+    if isinstance(obj, dict):
+        return 8 + sum(ref_payload_nbytes(k) + ref_payload_nbytes(v)
+                       for k, v in obj.items())
+    return 64
+
+
+def ref_copy_payload(obj):
+    import copy
+
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, (int, float, complex, str, bytes, bool, type(None))):
+        return obj
+    return copy.deepcopy(obj)
+
+
+def ref_elementwise(np_fn, py_fn):
+    def fn(a, b):
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return np_fn(a, b)
+        return py_fn(a, b)
+    return fn
+
+
+REF_OPS = {
+    ops.SUM: ref_elementwise(np.add, lambda a, b: a + b),
+    ops.PROD: ref_elementwise(np.multiply, lambda a, b: a * b),
+    ops.MAX: ref_elementwise(np.maximum, max),
+    ops.MIN: ref_elementwise(np.minimum, min),
+    ops.LAND: ref_elementwise(np.logical_and,
+                              lambda a, b: bool(a) and bool(b)),
+    ops.LOR: ref_elementwise(np.logical_or, lambda a, b: bool(a) or bool(b)),
+    ops.BAND: ref_elementwise(np.bitwise_and, lambda a, b: a & b),
+    ops.BOR: ref_elementwise(np.bitwise_or, lambda a, b: a | b),
+}
+
+
+def same(x, y) -> bool:
+    """Exactly equal, including container and dtype identity."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, np.ndarray):
+        return x.dtype == y.dtype and np.array_equal(x, y)
+    if isinstance(x, (list, tuple)):
+        return len(x) == len(y) and all(map(same, x, y))
+    if isinstance(x, dict):
+        return list(x) == list(y) and all(same(x[k], y[k]) for k in x)
+    return x == y
+
+
+def outcome(fn, *args):
+    try:
+        with np.errstate(all="ignore"):    # int64 products may wrap
+            return ("ok", fn(*args))
+    except Exception as e:     # both sides must fail the same way
+        return ("raised", type(e))
+
+
+def same_outcome(a, b) -> bool:
+    return a[0] == b[0] and (same(a[1], b[1]) if a[0] == "ok"
+                             else a[1] is b[1])
+
+
+numbers = st.one_of(
+    st.booleans(),
+    st.integers(-2**40, 2**40),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+)
+np_scalars = st.one_of(
+    st.integers(-2**40, 2**40).map(np.int64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float64),
+    st.booleans().map(np.bool_),
+)
+shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3)
+arrays = st.one_of(
+    hnp.arrays(np.int64, shapes, elements=st.integers(-2**40, 2**40)),
+    hnp.arrays(np.float64, shapes, elements=st.floats(
+        allow_nan=False, allow_infinity=False, width=32)),
+    hnp.arrays(np.bool_, shapes),
+)
+leaves = st.one_of(st.none(), numbers, np_scalars, arrays,
+                   st.text(max_size=5), st.binary(max_size=5))
+payloads = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        st.frozensets(st.integers(0, 9), max_size=3),
+    ),
+    max_leaves=8,
+)
+operands = st.one_of(numbers, np_scalars, arrays)
+
+
+class TestNumpyRoutingEquivalence:
+    @given(payloads)
+    def test_payload_nbytes(self, obj):
+        assert payload_nbytes(obj) == ref_payload_nbytes(obj)
+
+    @given(payloads)
+    def test_copy_payload(self, obj):
+        got = _copy_payload(obj)
+        assert same(got, ref_copy_payload(obj))
+        if isinstance(obj, np.ndarray):
+            assert got is not obj
+
+    @pytest.mark.parametrize("op", list(REF_OPS), ids=lambda op: op.name)
+    @given(a=operands, b=operands)
+    def test_builtin_ops(self, op, a, b):
+        assert same_outcome(outcome(op.apply, None, a, b),
+                            outcome(REF_OPS[op], a, b))

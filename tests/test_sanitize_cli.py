@@ -121,3 +121,31 @@ class TestParserSurface:
         assert args.method == "pieglobals"
         assert args.nvp == 8
         assert args.static_only is False
+
+    @staticmethod
+    def _commands() -> dict:
+        """Top-level subcommand name -> its parser."""
+        import argparse
+
+        (sub,) = (a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        return sub.choices
+
+    def test_module_docstring_lists_every_command(self):
+        import repro.cli
+
+        missing = [name for name in self._commands()
+                   if f"\n``{name}" not in repro.cli.__doc__]
+        assert not missing, f"repro.cli docstring omits: {missing}"
+
+    def test_manifest_help_names_the_real_default(self):
+        # The parser spells the default path out (it must not import
+        # the provenance tier to read it); the commands resolve it.
+        from repro.provenance import DEFAULT_MANIFEST
+
+        commands = self._commands()
+        for name in ("pin", "gc", "serve"):
+            parser = commands[name]
+            assert parser.get_default("manifest") is None
+            assert (f"(default {DEFAULT_MANIFEST})"
+                    in " ".join(parser.format_help().split()))

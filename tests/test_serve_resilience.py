@@ -369,7 +369,10 @@ class TestCrossServerLeases:
                         worker_mode="thread",
                         socket_path=tmp_path / "b.sock",
                         lease_poll_s=0.01)
-        spec = _spec("shared", yields=30)
+        # Long enough (~0.1 s) that the two submissions overlap: a 3 ms
+        # job can finish on one server before the other has looked the
+        # spec up, which is then a legitimate cache hit, not a lease wait.
+        spec = _spec("shared", yields=3000)
         replies = {}
 
         def ask(name, sock):
