@@ -35,14 +35,6 @@ class LbStrategy(abc.ABC):
     def assign(self, stats: list[RankStat], n_pes: int) -> dict[int, int]:
         ...
 
-    @staticmethod
-    def pe_loads(stats: list[RankStat], assignment: dict[int, int],
-                 n_pes: int) -> list[int]:
-        loads = [0] * n_pes
-        for s in stats:
-            loads[assignment[s.vp]] += s.load_ns
-        return loads
-
 
 class NullLB(LbStrategy):
     """Keep everything in place (measures LB overhead floor)."""

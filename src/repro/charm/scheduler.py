@@ -63,6 +63,13 @@ class JobScheduler:
         #: start time before it runs; returning True means a fault fired
         #: and rolled the job back — the popped quantum is stale
         self.fault_check: Callable[[int], bool] | None = None
+        #: side-effect-free peek set together with :attr:`fault_check`:
+        #: would it fire at this time?  A rollback unwinds stacks, so a
+        #: ULT running the loop asks this first and hands a due fault
+        #: back to the :meth:`run` caller instead of firing it
+        self.fault_due: Callable[[int], bool] | None = None
+        #: the live ring dispatcher while :meth:`run` is on the stack
+        self._dispatch: Callable[[], Wakeable] | None = None
         #: sanitizer epoch hook, called once per scheduling quantum;
         #: ``None`` (the default) keeps the hot loop untouched
         self.on_quantum: Callable[[], None] | None = None
@@ -100,6 +107,8 @@ class JobScheduler:
         self._tid_by_vp[rank.vp] = rank.ult.tid
         if rank.ult.state is UltState.NEW:
             rank.ult.start()
+        if self._dispatch is not None:
+            rank.ult.dispatcher = self._dispatch
         self.runq.push(rank.ult, start_time)
 
     def flush(self) -> None:
@@ -180,10 +189,12 @@ class JobScheduler:
         # directly — one OS-thread handoff per quantum instead of a round
         # trip through this thread, none when a rank succeeds itself.
         # This thread waits on ``hub`` and gets the baton back only for
-        # what may unwind a stack (shutdown, a deadlock report, re-raising
-        # an exception), which is never done on a ULT's stack.  A fault
-        # rollback kills ULTs too, so a job with a ``fault_check`` gets no
-        # dispatcher: every step of its loop stays on this thread.
+        # what may unwind a stack, which is never done on a ULT's stack:
+        # shutdown, a deadlock report, re-raising an exception — and
+        # firing a fault, whose rollback kills ULTs.  A ULT that finds a
+        # crash due before the quantum it popped leaves that quantum in
+        # ``carried`` and hands back; this thread re-enters the same
+        # ``next_quantum``, picks it up and fires the fault there.
         ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
         tr = self.trace
         pid_base = self.trace_pid_base
@@ -191,6 +202,7 @@ class JobScheduler:
         ranks_by_tid = self._ranks_by_tid
         incr_ctx = self.counters.incr
         fault_check = self.fault_check
+        fault_due = self.fault_due
         on_quantum = self.on_quantum
         record_timeline = self.record_timeline
         timeline_append = self.timeline.append
@@ -203,15 +215,26 @@ class JobScheduler:
         #: flight; a rank may migrate itself mid-quantum, and the quantum
         #: is charged to the PE that ran it
         running: tuple = ()
+        #: the popped ``(ult, ready_time)`` a ULT handed back unstarted
+        carried: tuple | None = None
         #: what ended the ring, raised again on this thread
         failure: BaseException | None = None
 
-        def next_quantum() -> UserLevelThread | None:
+        def next_quantum(
+            due: Callable[[int], bool] | None = None,
+        ) -> UserLevelThread | None:
             """Pop the next quantum, fire the timers due before it and do
-            its pre-switch accounting; None when nothing is runnable."""
-            nonlocal running
+            its pre-switch accounting; None when nothing is runnable —
+            or, on a ULT's stack (which passes ``due=fault_due``), when
+            a fault is due first.  One peek per iteration covers all
+            three ``fault_check`` sites: every time they are asked about
+            is at or before the time peeked at."""
+            nonlocal running, carried
             while True:
-                item = runq_pop()
+                if carried is None:
+                    item = runq_pop()
+                else:
+                    item, carried = carried, None
                 if item is None:
                     if timers:
                         # Nothing runnable but a timeout is pending (e.g.
@@ -223,6 +246,8 @@ class JobScheduler:
                         # first would silently drop it (a lost
                         # retransmission deadlocks its receiver).
                         at = timers[0][0]
+                        if due is not None and due(at):
+                            return None
                         if fault_check is not None and fault_check(at):
                             continue
                         at, _, fn = heappop(timers)
@@ -239,6 +264,9 @@ class JobScheduler:
                 busy_until = pe.busy_until
                 eff_start = ready_time if ready_time > busy_until \
                     else busy_until
+                if due is not None and due(eff_start):
+                    carried = item
+                    return None
 
                 if timers and timers[0][0] <= eff_start:
                     # Timers due before this quantum may deliver messages
@@ -327,7 +355,7 @@ class JobScheduler:
             prev = running[1]
             try:
                 account()
-                ult = next_quantum()
+                ult = next_quantum(fault_due)
                 if ult is not None:
                     if ult is not prev:
                         self.os_handoffs += 1
@@ -338,30 +366,25 @@ class JobScheduler:
             return hub
 
         try:
-            ring = fault_check is None
-            if ring:
-                for rank in self._all_ranks:
-                    if rank.ult is not None:
-                        rank.ult.dispatcher = dispatch
+            self._dispatch = dispatch
+            for rank in self._all_ranks:
+                if rank.ult is not None:
+                    rank.ult.dispatcher = dispatch
             while True:
                 ult = next_quantum()
                 if ult is None:
                     if all(r.finished for r in self._all_ranks):
                         return
                     self._report_deadlock()
-                if ring:
-                    # Start the ring; it hands the baton back when the
-                    # queue runs dry or something failed.
-                    self.os_handoffs += 1
-                    ult.activate().wake()
-                    hub.wait()
-                    if failure is not None:
-                        raise failure
-                else:
-                    self.os_handoffs += 2
-                    ult.switch_in()
-                    account()
+                # Start the ring; it hands the baton back when the queue
+                # runs dry, a fault is due or something failed.
+                self.os_handoffs += 1
+                ult.activate().wake()
+                hub.wait()
+                if failure is not None:
+                    raise failure
         finally:
+            self._dispatch = None
             # Leave no orphan OS threads behind on any exit path.
             self.shutdown()
 

@@ -78,13 +78,6 @@ class SharedFileSystem:
         clock.advance(self.costs.fs_read_ns(s.size, concurrent_clients))
         return self.write_file(dst, s.size, clock, concurrent_clients)
 
-    def read_file(
-        self, name: str, clock: SimClock, concurrent_clients: int = 1
-    ) -> FsFile:
-        f = self.stat(name)
-        clock.advance(self.costs.fs_read_ns(f.size, concurrent_clients))
-        return f
-
     def unlink(self, name: str, clock: SimClock | None = None) -> None:
         if name not in self._files:
             raise SharedFsError(f"no such file: {name}")

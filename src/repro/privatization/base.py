@@ -45,10 +45,7 @@ class Capabilities:
     portability: str
     smp_support: str         #: "Yes" / "No" / "Limited w/o patched glibc"
     migration: str           #: "Yes" / "No" / "Not implemented, but possible" / "Unknown"
-    handles_globals: bool = True
-    handles_statics: bool = True
     requires_source_changes: bool = False
-    is_runtime_method: bool = False
 
 
 @dataclass

@@ -47,7 +47,6 @@ class FsGlobals(PrivatizationMethod):
         portability="Shared file system needed",
         smp_support="Yes",
         migration="No",
-        is_runtime_method=True,
     )
     supports_migration = False
     migration_blocker = (

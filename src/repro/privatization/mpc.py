@@ -47,7 +47,6 @@ class MpcPrivatize(TlsGlobals):
         portability="Compiler-specific",
         smp_support="Yes",
         migration="Not implemented, but possible",
-        is_runtime_method=False,
     )
     supports_migration = False
     migration_blocker = (

@@ -32,9 +32,6 @@ class NoPrivatization(PrivatizationMethod):
         portability="Good",
         smp_support="Yes",
         migration="Yes",
-        handles_globals=False,
-        handles_statics=False,
-        is_runtime_method=True,
     )
     supports_migration = True
 

@@ -104,7 +104,6 @@ class PieGlobals(PrivatizationMethod):
         portability="Implemented w/ GNU libc extension",
         smp_support="Yes",
         migration="Yes",
-        is_runtime_method=True,
     )
     supports_migration = True
     uses_funcptr_shim = True

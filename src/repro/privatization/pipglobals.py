@@ -47,7 +47,6 @@ class PipGlobals(PrivatizationMethod):
         portability="Requires GNU libc extension",
         smp_support="Limited w/o patched glibc",
         migration="No",
-        is_runtime_method=True,
     )
     supports_migration = False
     migration_blocker = (

@@ -47,8 +47,6 @@ class Swapglobals(PrivatizationMethod):
         portability="Linker-specific",
         smp_support="No",
         migration="Yes",
-        handles_statics=False,
-        is_runtime_method=True,
     )
     supports_migration = True
 

@@ -52,7 +52,6 @@ class TlsGlobals(PrivatizationMethod):
         portability="Compiler-specific",
         smp_support="Yes",
         migration="Yes",
-        is_runtime_method=True,
     )
     supports_migration = True
 

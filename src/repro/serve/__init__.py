@@ -8,9 +8,8 @@ the content-addressed :class:`~repro.provenance.ProvenanceStore`, and
 coalesces identical *in-flight* submissions onto one execution
 (single-flight).  Architecture: a real asyncio edge
 (:class:`JobService`), a multiprocess :class:`WorkerPool` running each
-job in simulated time, and clients (:class:`ServeClient`,
-:class:`AsyncServeClient`) speaking a line-JSON protocol over a Unix
-socket or localhost TCP.
+job in simulated time, and a client (:class:`ServeClient`) speaking a
+line-JSON protocol over a Unix socket or localhost TCP.
 
 The service is built to *survive its own components dying*: worker
 crashes are retried and repeat offenders quarantined (``poison-job``),
@@ -23,7 +22,6 @@ store, and clients retry idempotently with jittered backoff.  See
 
 from repro.serve.cache import ResultCache
 from repro.serve.client import (
-    AsyncServeClient,
     ServeClient,
     ServeConnectionError,
     SubmitReply,
@@ -66,7 +64,6 @@ __all__ = [
     "REASON_POISON",
     "REASON_POOL_DEAD",
     "RETRYABLE_REASONS",
-    "AsyncServeClient",
     "JobService",
     "PoolStats",
     "ProtocolError",

@@ -1,4 +1,4 @@
-"""Clients for the ``repro serve`` job service.
+"""Client for the ``repro serve`` job service.
 
 :class:`ServeClient` is synchronous and holds one *persistent*
 connection per thread: requests reuse the socket, a dead peer is
@@ -11,12 +11,7 @@ Backoff between attempts uses decorrelated jitter so a thundering herd
 of clients re-approaching a restarted server spreads out instead of
 stampeding in lockstep.
 
-:class:`AsyncServeClient` is the asyncio twin; it deliberately opens
-one connection *per request* so thousands of submissions can be held
-open concurrently with ``asyncio.gather`` (a shared connection would
-serialize them), with the same retry/backoff envelope.
-
-Both speak :mod:`repro.serve.protocol` and return :class:`SubmitReply`
+It speaks :mod:`repro.serve.protocol` and returns :class:`SubmitReply`
 for the job-shaped verbs.
 
     >>> with ServeClient(socket_path=".repro/serve.sock") as c:
@@ -26,7 +21,6 @@ for the job-shaped verbs.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import socket
 import threading
@@ -333,172 +327,3 @@ class ServeClient:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-
-class AsyncServeClient:
-    """Asyncio client; one connection per request, so thousands of
-    submissions can be held open concurrently with ``asyncio.gather``.
-    Same retry/backoff envelope as :class:`ServeClient`."""
-
-    def __init__(self, socket_path: str | Path | None = None, *,
-                 host: str | None = None, port: int | None = None,
-                 retries: int = DEFAULT_RETRIES,
-                 backoff_base_s: float = BACKOFF_BASE_S,
-                 backoff_cap_s: float = BACKOFF_CAP_S):
-        if socket_path is None and host is None:
-            raise ReproError("need a socket_path or a host/port")
-        self.socket_path = str(socket_path) if socket_path else None
-        self.host, self.port = host, port
-        self.retries = retries
-        self._backoff_base_s = backoff_base_s
-        self._backoff_cap_s = backoff_cap_s
-
-    async def _open(self) -> tuple[asyncio.StreamReader,
-                                   asyncio.StreamWriter]:
-        try:
-            if self.socket_path is not None:
-                return await asyncio.open_unix_connection(
-                    self.socket_path, limit=protocol.MAX_LINE)
-            return await asyncio.open_connection(
-                self.host, self.port, limit=protocol.MAX_LINE)
-        except OSError as e:
-            raise ServeConnectionError(
-                f"cannot reach serve at "
-                f"{self.socket_path or f'{self.host}:{self.port}'}: {e}"
-            ) from None
-
-    async def _request_once(self, msg: dict[str, Any]) -> dict[str, Any]:
-        reader, writer = await self._open()
-        try:
-            try:
-                await protocol.write_message(writer, msg)
-                reply = await protocol.read_message(reader)
-            except OSError as e:
-                raise ServeConnectionError(
-                    f"serve connection lost: {e}") from None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
-        if reply is None:
-            raise ServeConnectionError("serve hung up without a reply")
-        return reply
-
-    async def _request(self, msg: dict[str, Any]) -> dict[str, Any]:
-        backoff = _Backoff(self._backoff_base_s, self._backoff_cap_s)
-        last: ServeConnectionError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                return await self._request_once(msg)
-            except ServeConnectionError as e:
-                last = e
-                if attempt < self.retries:
-                    await asyncio.sleep(backoff.next_delay())
-        assert last is not None
-        raise last
-
-    async def submit(self, spec: JobSpec | dict[str, Any], *,
-                     wait: bool = True,
-                     deadline_ms: float | None = None,
-                     chaos: dict[str, Any] | None = None) -> SubmitReply:
-        msg: dict[str, Any] = {"op": protocol.OP_SUBMIT,
-                               "spec": _spec_dict(spec), "wait": wait}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        if chaos is not None:
-            msg["chaos"] = chaos
-        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-        reply = await self._request(msg)
-        return SubmitReply.from_reply(reply, time.perf_counter() - t0)  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-
-    async def submit_many(self,
-                          specs: Sequence[JobSpec | dict[str, Any]], *,
-                          wait: bool = True,
-                          deadline_ms: float | None = None
-                          ) -> list[SubmitReply]:
-        """Batch submit over one streaming connection; results are
-        reordered into request order before returning."""
-        msg: dict[str, Any] = {"op": protocol.OP_SUBMIT_MANY,
-                               "specs": [_spec_dict(s) for s in specs],
-                               "wait": wait}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        n = len(specs)
-        backoff = _Backoff(self._backoff_base_s, self._backoff_cap_s)
-        last: ServeConnectionError | None = None
-        for attempt in range(self.retries + 1):
-            try:
-                return await self._submit_many_once(msg, n)
-            except ServeConnectionError as e:
-                last = e
-                if attempt < self.retries:
-                    await asyncio.sleep(backoff.next_delay())
-        assert last is not None
-        raise last
-
-    async def _submit_many_once(self, msg: dict[str, Any],
-                                n: int) -> list[SubmitReply]:
-        reader, writer = await self._open()
-        t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-        out: list[SubmitReply | None] = [None] * n
-        try:
-            try:
-                await protocol.write_message(writer, msg)
-                while True:
-                    reply = await protocol.read_message(reader)
-                    if reply is None:
-                        raise ServeConnectionError(
-                            "serve hung up mid-stream")
-                    if reply.get("op") == protocol.OP_SUBMIT_MANY_DONE:
-                        break
-                    wall = time.perf_counter() - t0  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-                    sr = SubmitReply.from_reply(reply, wall)
-                    if isinstance(sr.index, int) and 0 <= sr.index < n:
-                        out[sr.index] = sr
-            except OSError as e:
-                raise ServeConnectionError(
-                    f"serve connection lost: {e}") from None
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:
-                pass
-        return [r if r is not None
-                else SubmitReply(ok=False, index=i,
-                                 error="no reply for this index")
-                for i, r in enumerate(out)]
-
-    async def await_result(self, run_id: str, *,
-                           deadline_ms: float | None = None
-                           ) -> SubmitReply:
-        msg: dict[str, Any] = {"op": protocol.OP_AWAIT, "run_id": run_id}
-        if deadline_ms is not None:
-            msg["deadline_ms"] = deadline_ms
-        reply = await self._request(msg)
-        return SubmitReply.from_reply(reply)
-
-    async def status(self, run_id: str) -> str:
-        reply = await self._request({"op": protocol.OP_STATUS,
-                                     "run_id": run_id})
-        return reply.get("state", "unknown")
-
-    async def stats(self) -> dict[str, Any]:
-        reply = await self._request({"op": protocol.OP_STATS})
-        if not reply.get("ok"):
-            raise ReproError(f"stats failed: {reply.get('error')}")
-        return reply["stats"]
-
-    async def health(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_HEALTH})
-
-    async def ping(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_PING})
-
-    async def drain(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_DRAIN})
-
-    async def shutdown(self) -> dict[str, Any]:
-        return await self._request({"op": protocol.OP_SHUTDOWN})

@@ -9,22 +9,19 @@ job's high-water mark, running another job of the same scale performs
 **zero** thread creates/joins.  Baton handoff uses raw locks, the
 cheapest cross-thread wakeup CPython offers.
 
-The pool hands each ULT a *runner* (:class:`UltRunner`).  Its two
-primitives are one-way: ``wake()`` makes the ULT's stack runnable and
-returns at once, ``wait()`` parks the calling ULT until it is woken.
-They are all the baton ring needs — a ULT that stops running wakes its
-successor's runner (or the :class:`Baton` the ``JobScheduler.run``
-caller is parked on) and waits on its own.  The round-trip pair a
-stand-alone ULT is driven with, ``resume()`` (caller side) and
-``park()`` (ULT side), is the same two primitives plus a caller-side
-token.
+The pool hands each ULT a *runner*: a :class:`Wakeable`, whose two
+one-way primitives are the whole provider contract.  ``wake()`` makes
+the ULT's stack runnable and returns at once, ``wait()`` parks the
+calling ULT until it is woken.  A ULT that stops running wakes whoever
+its dispatcher names — another ULT's runner, or the :class:`Baton` a
+thread that is not a ULT (``JobScheduler.run``'s caller, a
+``switch_in()`` caller) is parked on — and waits on its own.
 
 :func:`get_backend` resolves ``None`` to the process-wide shared pool;
 tests and probes pass a private :class:`PooledBackend` instance instead
 (``UserLevelThread(backend=...)``, ``AmpiJob(ult_backend=...)``).  That
 is the whole seam: a different stack provider replaces the pool behind
-the :class:`Wakeable`/:class:`UltRunner` protocols, it is not selected
-beside it.
+:class:`Wakeable`, it is not selected beside it.
 
 Determinism contract: the pool only decides which OS stack runs a ULT's
 body; it never touches simulated clocks, the run queue, or scheduling
@@ -85,7 +82,7 @@ def _record_orphan(name: str) -> None:
 
 
 class Wakeable(Protocol):
-    """Something the baton can be handed to."""
+    """Something the baton can be handed to — the provider contract."""
 
     def wake(self) -> None:
         """Make the owner runnable; never blocks."""
@@ -94,27 +91,25 @@ class Wakeable(Protocol):
         """Owner side: block until the next :meth:`wake`."""
 
 
-class UltRunner(Wakeable, Protocol):
-    """The OS stack of one ULT, as :class:`UserLevelThread` drives it."""
-
-    def resume(self) -> None:
-        """Caller side: wake the ULT, block until it parks or finishes."""
-
-    def park(self) -> None:
-        """ULT side: release the :meth:`resume` caller, then wait."""
-
-
 class Baton:
-    """Where a thread that is not a ULT waits for the baton — the
-    ``JobScheduler.run`` caller, while its ULTs dispatch each other."""
+    """A raw lock, born held, that its owner waits on.
 
-    __slots__ = ("wake", "wait")
+    On its own it is where a thread that is not a ULT waits for the
+    baton: the ``JobScheduler.run`` caller while its ULTs dispatch each
+    other, a ``switch_in()``/``kill()`` caller until the ULT comes back.
+    """
+
+    __slots__ = ("_lock",)
 
     def __init__(self) -> None:
-        lock = allocate_lock()
-        lock.acquire()
-        self.wake = lock.release
-        self.wait = lock.acquire
+        self._lock = allocate_lock()
+        self._lock.acquire()
+
+    def wake(self) -> None:
+        self._lock.release()
+
+    def wait(self) -> None:
+        self._lock.acquire()
 
 
 # ---------------------------------------------------------------------------
@@ -122,22 +117,15 @@ class Baton:
 # ---------------------------------------------------------------------------
 
 
-class _PoolWorker:
-    """A persistent OS thread that hosts one ULT at a time.
+class _PoolWorker(Baton):
+    """A persistent OS thread that hosts one ULT at a time: a baton
+    with a stack behind it.  One worker services many ULT lifetimes;
+    binding costs two attribute writes."""
 
-    The two raw locks form the baton: ``_resume`` is the ULT side's
-    token, ``_yield`` the caller side's.  Both start held, so either
-    party blocks until the other hands over.  One worker services many
-    ULT lifetimes; binding costs two attribute writes.
-    """
-
-    __slots__ = ("_resume", "_yield", "_pool", "_ult", "thread")
+    __slots__ = ("_pool", "_ult", "thread")
 
     def __init__(self, pool: "PooledBackend", index: int):
-        self._resume = allocate_lock()
-        self._resume.acquire()
-        self._yield = allocate_lock()
-        self._yield.acquire()
+        super().__init__()
         self._pool = pool
         self._ult: "UserLevelThread | None" = None
         self.thread = threading.Thread(
@@ -159,27 +147,7 @@ class _PoolWorker:
             # thread without any OS handoff.
             self._ult = None
             self._pool._recycle(self)
-            dispatch = ult.dispatcher
-            if dispatch is None:
-                self._yield.release()  # resume() returns with DONE/ERROR
-            else:
-                dispatch().wake()
-
-    # -- runner protocol -----------------------------------------------------
-
-    def wake(self) -> None:
-        self._resume.release()
-
-    def wait(self) -> None:
-        self._resume.acquire()
-
-    def resume(self) -> None:
-        self.wake()
-        self._yield.acquire()
-
-    def park(self) -> None:
-        self._yield.release()
-        self.wait()
+            ult.dispatcher().wake()
 
 
 class PooledBackend:
@@ -192,8 +160,7 @@ class PooledBackend:
 
     A ULT takes a worker with :meth:`bind` the first time it is given
     the baton — never-run ULTs cost nothing.  The worker, once
-    ``ult._main()`` returns, hands the baton to ``ult.dispatcher()`` if
-    the ULT has a dispatcher and to the ``resume()`` caller otherwise.
+    ``ult._main()`` returns, hands the baton to ``ult.dispatcher()``.
     """
 
     def __init__(self, prewarm: int = 0):
@@ -222,7 +189,7 @@ class PooledBackend:
         with self._lock:
             if self.closed:
                 worker._ult = None
-                worker._resume.release()   # let the loop exit
+                worker.wake()              # let the loop exit
                 return
             self._free.append(worker)
 
@@ -249,8 +216,8 @@ class PooledBackend:
         code swallowed UltKilled and wedged the worker — surface it.
         """
         runner = ult._runner
-        if (runner is not None and runner._ult is ult and not ult.finished
-                and not ult._orphan_recorded):
+        if (isinstance(runner, _PoolWorker) and runner._ult is ult
+                and not ult.finished and not ult._orphan_recorded):
             ult._orphan_recorded = True
             _record_orphan(runner.thread.name)
             return True
@@ -269,7 +236,7 @@ class PooledBackend:
             self._free = []
         for w in idle:
             w._ult = None
-            w._resume.release()
+            w.wake()
         for w in idle:
             w.thread.join(timeout=JOIN_TIMEOUT_S)
         return len(idle)

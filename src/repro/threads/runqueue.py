@@ -25,7 +25,7 @@ import heapq
 import itertools
 from typing import Callable, Iterable
 
-from repro.threads.ult import UserLevelThread, UltState
+from repro.threads.ult import UserLevelThread
 
 
 class RunQueue:
@@ -199,13 +199,3 @@ class RunQueue:
         self._global.clear()
         self._bucket_ver.clear()
         return out
-
-    def blocked_elsewhere(self, all_ults: Iterable[UserLevelThread]) -> list[UserLevelThread]:
-        """ULTs alive but neither queued here nor finished (deadlock report)."""
-        return [
-            u
-            for u in all_ults
-            if not u.finished
-            and u.tid not in self._ready_time
-            and u.state is UltState.BLOCKED
-        ]

@@ -7,21 +7,18 @@ instant exactly one thread holds the baton and is runnable, so no
 user-visible locking is needed and execution is fully deterministic
 whatever state the pool is in.
 
-The baton moves in one of two ways:
-
-*Hub* — a stand-alone ULT (probes, tests, forced shutdown) is driven by
-a caller: :meth:`UserLevelThread.switch_in` wakes the ULT and blocks the
-caller until the ULT *yields* or finishes.  Two OS-thread handoffs per
-quantum.
-
-*Ring* — a ULT that has a :attr:`~UserLevelThread.dispatcher` asks it,
-on its own stack, who runs next whenever it yields or finishes, wakes
-that successor directly and parks: one handoff per quantum, none when
-the ULT is its own successor.  ``JobScheduler.run`` installs its loop
-body as the dispatcher of every rank; its caller waits on a
-:class:`~repro.threads.backend.Baton` until the ring hands it back.
-:meth:`UserLevelThread.kill` takes a ULT out of the ring, so unwinding
-a stack is always a hub operation, done by the thread that asked for it.
+The baton moves in one way.  A ULT that yields or finishes asks its
+:attr:`~UserLevelThread.dispatcher`, on its own stack, who runs next,
+wakes that successor directly and parks: one OS-thread handoff per
+quantum, none when the ULT is its own successor.  ``JobScheduler.run``
+installs its loop body as the dispatcher of every rank; its caller waits
+on a :class:`~repro.threads.backend.Baton` until the ring hands it back.
+A stand-alone ULT (probes, tests, forced shutdown) rides the same ring
+with a one-party successor: :meth:`UserLevelThread.switch_in` and
+:meth:`UserLevelThread.kill` install a dispatcher that names the
+caller's own ``Baton``, wake the ULT and wait there.  ``kill`` thereby
+takes a ULT out of whatever ring it was in, so unwinding a stack is
+always done by — and returns to — the thread that asked for it.
 
 Simulated time lives in ``ult.clock`` (a :class:`~repro.perf.clock.SimClock`);
 the real threads exist only to give user code an ordinary blocking call
@@ -36,8 +33,8 @@ from typing import Any, Callable
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
 from repro.threads.backend import (
+    Baton,
     PooledBackend,
-    UltRunner,
     Wakeable,
     get_backend,
 )
@@ -86,15 +83,17 @@ class UserLevelThread:
         self.result: Any = None
         self.exception: BaseException | None = None
 
-        #: ring dispatch: called on this ULT's stack when it yields or
-        #: finishes; returns whom to wake next — a ULT's runner (this
-        #: ULT's own: keep running) or the waiting owner's baton.  Must
-        #: not raise.  ``None``: hand back to the ``switch_in`` caller.
-        self.dispatcher: Callable[[], Wakeable] | None = None
+        #: called on this ULT's stack when it yields or finishes;
+        #: returns whom to wake next — a ULT's runner (this ULT's own:
+        #: keep running) or a waiting thread's baton.  Must not raise.
+        #: Installed by whoever gives this ULT the baton, before it does
+        #: (``switch_in``/``kill``, ``JobScheduler.run``): there is no
+        #: default, a ULT never runs without one.
+        self.dispatcher: Callable[[], Wakeable]
 
         self._kill = False
-        #: the pool worker hosting this ULT, bound at its first quantum
-        self._runner: UltRunner | None = None
+        #: the provider's stack for this ULT, bound at its first quantum
+        self._runner: Wakeable | None = None
         #: set once the pool has reported this ULT's worker as wedged
         self._orphan_recorded = False
 
@@ -110,10 +109,10 @@ class UserLevelThread:
             raise ReproError(f"ULT {self.name} already started")
         self.state = UltState.READY
 
-    def activate(self) -> UltRunner:
+    def activate(self) -> Wakeable:
         """Mark the ULT running and return the runner that will run it
-        (bound on first use).  Whoever holds the baton then passes it
-        with ``wake()`` (one way) or ``resume()`` (and back)."""
+        (bound on first use); whoever holds the baton passes it with
+        ``wake()``."""
         if self.state not in (UltState.READY, UltState.BLOCKED):
             raise ReproError(
                 f"cannot switch to ULT {self.name} in state {self.state.value}"
@@ -124,9 +123,17 @@ class UserLevelThread:
         self.state = UltState.RUNNING
         return runner
 
+    def _run_until_back(self, runner: Wakeable) -> None:
+        """Pass the baton to ``runner`` (this ULT's) and wait for it:
+        the ring with the calling thread as the only successor."""
+        back = Baton()
+        self.dispatcher = lambda: back
+        runner.wake()
+        back.wait()
+
     def switch_in(self) -> UltState:
         """Hand the baton to this ULT; returns when it yields or finishes."""
-        self.activate().resume()
+        self._run_until_back(self.activate())
         return self.state
 
     def kill(self) -> None:
@@ -140,17 +147,17 @@ class UserLevelThread:
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
         self._kill = True
-        self.dispatcher = None  # unwinds back to this caller, not onward
         if self._runner is None:
             # Started but never ran: no user stack exists to unwind.
             self.state = UltState.ERROR
             self.exception = UltKilled(self.name)
             return
-        # resume() returns only once the ULT has unwound (or yielded
-        # again, if user code swallowed UltKilled).  Leak detection
-        # happens in join_thread()/backend.reap so a wedged stack is
-        # reported exactly once.
-        self._runner.resume()
+        # Returns only once the ULT has unwound (or yielded again, if
+        # user code swallowed UltKilled) — to this caller, not onward
+        # round whatever ring the ULT was in.  Leak detection happens in
+        # join_thread()/backend.reap so a wedged stack is reported
+        # exactly once.
+        self._run_until_back(self._runner)
 
     def join_thread(self) -> bool:
         """Check the ULT gave its pool worker back; True if it leaked."""
@@ -163,14 +170,11 @@ class UserLevelThread:
         self.block_reason = reason
         self.state = UltState.BLOCKED
         runner = self._runner
-        dispatch = self.dispatcher
-        if dispatch is None:
-            runner.park()
-        else:
-            successor = dispatch()
-            if successor is not runner:
-                successor.wake()
-                runner.wait()
+        assert runner is not None  # yield_ is called on the runner's stack
+        successor = self.dispatcher()
+        if successor is not runner:
+            successor.wake()
+            runner.wait()
         if self._kill:
             raise UltKilled(self.name)
         self.block_reason = ""

@@ -1,9 +1,10 @@
 """Direct ULT->ULT dispatch in ``JobScheduler.run`` (the baton ring).
 
 A quantum costs one OS-thread handoff (none when a rank succeeds
-itself); the loop body runs on the stack of the ULT whose quantum just
-ended, and everything that can unwind a stack still happens on the
-``run()`` caller's.  Every test runs on a private worker pool.
+itself), fault-injected jobs included; the loop body runs on the stack
+of the ULT whose quantum just ended, and everything that can unwind a
+stack — a fault's rollback too — still happens on the ``run()``
+caller's.  Every test runs on a private worker pool.
 """
 
 import threading
@@ -54,6 +55,21 @@ def pingpong(nvp, **kw):
                    slot_size=1 << 26, **kw)
 
 
+def crashing_jacobi(iters, crash_at, recovery="global"):
+    """8 ranks on 4 nodes; ``crash_at[i]`` kills node 2, then node 0.
+    Start-up ends at ~61.07 ms, the fault-free 12-iteration job at
+    ~61.36 ms."""
+    crashes = tuple(NodeCrash(at_ns=at, node=node)
+                    for at, node in zip(crash_at, (2, 0)))
+    return JobSpec(app="jacobi3d", nvp=8,
+                   app_config={"n": 12, "iters": iters, "reduce_every": 2,
+                               "ckpt_period": 2},
+                   layout=(4, 1, 2), ft_interval_ns=0, recovery=recovery,
+                   transport="reliable" if recovery == "local" else "priced",
+                   fault_plan=FaultPlan(seed=3,
+                                        node_crashes=crashes).to_dict())
+
+
 def run_spec(spec, backend):
     job = build_job(spec, ult_backend=backend)
     job.run()
@@ -78,20 +94,81 @@ class TestHandoffCount:
         assert len(sched.timeline) == 201
         assert sched.os_handoffs == 2       # into the ring and out of it
 
-    def test_fault_checked_job_keeps_the_round_trip(self, backend):
-        """A rollback kills ULTs, so with a fault_check every loop step
-        stays on the caller's stack: two handoffs per quantum."""
-        spec = JobSpec(app="jacobi3d", nvp=8,
-                       app_config={"n": 12, "iters": 4, "reduce_every": 2,
-                                   "ckpt_period": 2},
-                       layout=(4, 1, 2), ft_interval_ns=0,
-                       fault_plan=FaultPlan(seed=3, node_crashes=(
-                           NodeCrash(at_ns=10**12, node=2),)).to_dict())
-        sched = run_spec(spec, backend)
+    def test_fault_checked_job_rides_the_ring(self, backend):
+        """A node-crash plan does not take the job off the ring: while
+        no crash is due, every loop step runs on a ULT's stack."""
+        sched = run_spec(crashing_jacobi(iters=4, crash_at=(10**12,)),
+                         backend)
         assert sched.fault_check is not None
         quanta = sched.counters.snapshot()[EV_CTX_SWITCH]
         assert quanta > 8
-        assert sched.os_handoffs == 2 * quanta
+        assert sched.os_handoffs == quanta + 1
+
+
+@pytest.mark.parametrize("recovery", ["global", "local"])
+class TestFaultsFireOnTheCaller:
+    """Two crashes land mid-run.  A rollback unwinds stacks, so the ULT
+    that finds one due hands the baton back and ``run()``'s caller fires
+    it; the respawned ranks then ride the ring like the first ones."""
+
+    CRASH_AT = (61_100_000, 61_800_000)
+
+    def _run(self, backend, recovery):
+        job = build_job(crashing_jacobi(12, self.CRASH_AT, recovery),
+                        ult_backend=backend)
+        job.start()
+        sched = job.scheduler
+        poll, fired = sched.fault_check, []
+
+        def recording_poll(at_ns):
+            hit = poll(at_ns)
+            if hit:
+                fired.append((threading.get_ident(), len(sched.timeline),
+                              sched.os_handoffs))
+            return hit
+
+        sched.fault_check = recording_poll
+        return job, job.run(), fired
+
+    def test_handed_back_fired_and_recovered(self, backend, recovery):
+        job, result, fired = self._run(backend, recovery)
+        sched = job.scheduler
+        assert result.recoveries == 2 and len(fired) == 2
+        assert all(r.finished for r in sched.ranks())
+        assert {ident for ident, _, _ in fired} == {threading.get_ident()}
+        # Both were handed back by a ULT mid-ring: quanta had run, and at
+        # the firing every one of them had cost one pass (the last one's
+        # being the pass back to the caller) on top of the hop in and one
+        # restart of the ring per earlier firing.
+        for nth, (_, quanta_so_far, handoffs) in enumerate(fired):
+            assert quanta_so_far > 0
+            assert handoffs == quanta_so_far + 1 + nth
+        # A hand-back is two passes (ULT -> caller -> ULT) where the
+        # uninterrupted ring pays one; the respawned generation is back
+        # to one pass per quantum.
+        quanta = len(sched.timeline)
+        assert quanta > fired[-1][1] + 8
+        assert sched.os_handoffs == quanta + 1 + len(fired)
+        assert sched.orphaned == 0 and orphan_count() == 0
+        assert all_workers_idle(backend)
+
+    def test_timeline_independent_of_pool_state(self, backend, recovery):
+        def history(pool):
+            job, result, _ = self._run(pool, recovery)
+            return (job.scheduler.timeline, result.makespan_ns,
+                    result.exit_values)
+
+        fresh = history(backend)
+        run_spec(pingpong(5), backend)          # recycle with another shape
+        used = history(backend)
+        warm = PooledBackend(prewarm=32)
+        try:
+            prewarmed = history(warm)
+            assert warm.created == 32           # never grew
+        finally:
+            warm.close()
+        assert len(fresh[0]) > 100
+        assert fresh == used == prewarmed
 
 
 class TestFailuresSurfaceOnTheCaller:

@@ -7,6 +7,7 @@ must not depend on the state of the pool it runs on.
 """
 
 import time
+from _thread import LockType
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from repro.threads import (
     get_backend,
     orphan_count,
 )
+from repro.threads.backend import Baton
 from repro.threads.ult import UltKilled, UltState, UserLevelThread
 from test_sched_dispatch import pingpong
 
@@ -160,6 +162,18 @@ class TestPooledReuse:
         finally:
             pool.close()
 
+    def test_worker_owns_one_lock(self):
+        """wake()/wait() is the whole provider contract: one raw lock."""
+        pool = PooledBackend(prewarm=1)
+        (worker,) = pool._free
+        slots = [name for cls in type(worker).__mro__
+                 for name in getattr(cls, "__slots__", ())]
+        locks = [name for name in slots
+                 if isinstance(getattr(worker, name), LockType)]
+        assert len(locks) == 1
+        assert not hasattr(worker, "resume") and not hasattr(worker, "park")
+        pool.close()
+
     def test_close_returns_idle_worker_count(self):
         pool = PooledBackend(prewarm=3)
         assert pool.close() == 3
@@ -202,6 +216,26 @@ class TestOrphanSurfacing:
         assert consume_orphan_count() == 1
         assert u.join_thread() is False     # recorded exactly once
         assert pool.idle_workers() == 0     # the worker is lost, not reused
+        pool.close()
+
+    def test_swallowed_kill_comes_back_through_the_killers_baton(self):
+        """A killed ULT is taken out of whatever ring it was in: when it
+        swallows the kill and yields again, that yield asks a dispatcher
+        naming the killer's baton — never ``None``, never the ring's."""
+        pool = PooledBackend()
+        ring, asked = Baton(), []
+        u = UserLevelThread("wedge", stubborn_body, backend=pool)
+        u.args = (u,)
+        u.start()
+        u.switch_in()
+        u.dispatcher = lambda: asked.append(u) or ring  # a scheduler's
+        u.kill()                            # returns: not parked on `ring`
+        assert not asked and not u.finished
+        assert isinstance(u.dispatcher(), Baton) and u.dispatcher() is not ring
+        with pytest.warns(ResourceWarning, match="did not terminate"):
+            assert u.join_thread() is True
+        assert u.join_thread() is False
+        assert consume_orphan_count() == 1
         pool.close()
 
     def test_clean_exit_records_nothing(self):
