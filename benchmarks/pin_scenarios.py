@@ -15,7 +15,10 @@ The corpus deliberately spans the runtime's feature surface: both
 evaluation apps, every-day privatization plus TLS with round-robin
 placement, the reliable transport, message-logging local recovery, wire
 noise, and a sanitized run — so a drift in any subsystem trips at least
-one scenario.
+one scenario.  The ``startup-*`` entries run Figure 5's probe through
+every method's start-up path (and each PIEglobals option that branches
+inside it): ranks enter the run queue at their process's start-up clock,
+so the timeline digest pins each method's simulated start-up time.
 """
 
 from __future__ import annotations
@@ -54,9 +57,28 @@ def _crash_spec() -> JobSpec:
                    fault_plan=plan.to_dict())
 
 
+def _startup_scenarios() -> dict[str, JobSpec]:
+    def spec(method: str, machine: str = "bridges2",
+             layout: tuple[int, int, int] = (1, 2, 4)) -> JobSpec:
+        return JobSpec(app="startup", nvp=32, method=method,
+                       machine=machine, layout=layout)
+
+    out = {f"startup-{m}": spec(m) for m in (
+        "none", "tlsglobals", "fsglobals", "pieglobals",
+        "pieglobals-shared-rodata", "pieglobals-robust-scan",
+        "pieglobals-mmap-code")}
+    # stock glibc: ~12 dlmopen namespaces, so one rank per process
+    out["startup-pipglobals"] = spec("pipglobals", layout=(1, 32, 1))
+    # needs ld <= 2.23 and one scheduler per process (no SMP mode)
+    out["startup-swapglobals"] = spec(
+        "swapglobals", machine="legacy-linux-old-ld", layout=(1, 2, 1))
+    return out
+
+
 def scenarios() -> dict[str, JobSpec]:
     noise = FaultPlan(seed=11, message_faults=MessageFaults(drop=0.05))
     return {
+        **_startup_scenarios(),
         "jacobi3d-default": JobSpec(
             app="jacobi3d", nvp=8, app_config=_JACOBI, layout=(1, 1, 4)),
         "jacobi3d-tls-roundrobin": JobSpec(
