@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class MpiHandle:
     """Per-rank MPI entry object."""
 
+    __slots__ = ("_rank", "_calltable", "via_shim")
+
     def __init__(self, rank: "VirtualRank",
                  calltable: dict[str, Callable],
                  via_shim: bool = False):

@@ -407,6 +407,7 @@ class AmpiJob:
             proc.startup_clock.advance(self.costs.ampi_init_base_ns)
 
         # Place ranks and create their ULTs/heaps/stacks.
+        entry = self._rank_entry    # one bound method, not one per rank
         for vp in range(self.nvp):
             pe = self.pes[self._pe_for_vp(vp)]
             rank = VirtualRank(vp, pe)
@@ -420,7 +421,7 @@ class AmpiJob:
                 vp, self.stack_bytes, MapKind.STACK, tag=f"stack[{vp}]"
             )
             rank.ult = UserLevelThread(
-                f"vp{vp}", self._rank_entry, (rank,),
+                f"vp{vp}", entry, (rank,),
                 stack_bytes=self.stack_bytes,
                 backend=self.ult_backend,
             )
@@ -429,9 +430,9 @@ class AmpiJob:
             )
 
         # Privatization setup, per process.
-        transport = (pack_transport(self)
-                     if self.method.uses_funcptr_shim else None)
         default_calltable = pack_transport(self)
+        transport = (default_calltable
+                     if self.method.uses_funcptr_shim else None)
         for proc in self.processes:
             ranks_here = sorted(proc.resident_ranks(), key=lambda r: r.vp)
             env = SetupEnv(

@@ -76,6 +76,17 @@ def _row_bounds(height: int, parts: int, idx: int) -> tuple[int, int]:
     return start, start + base + (1 if idx < extra else 0)
 
 
+def _laplacian(eta: np.ndarray) -> np.ndarray:
+    """5-point Laplacian of the interior rows (zero beyond the side
+    columns), each cell summing up, down, left, right, centre in that
+    order."""
+    lap = eta[:-2] + eta[2:]
+    lap[:, 1:] += eta[1:-1, :-1]
+    lap[:, :-1] += eta[1:-1, 1:]
+    lap -= 4.0 * eta[1:-1]
+    return lap
+
+
 def build_adcirc_program(cfg: AdcircConfig) -> ProgramSource:
     p = Program("adcirc_mini", language="fortran", code_bytes=cfg.code_bytes)
 
@@ -135,12 +146,7 @@ def build_adcirc_program(cfg: AdcircConfig) -> ProgramSource:
         wet_cells = int(np.count_nonzero(wet[1:-1, :]))
         g.wet_count = wet_cells
 
-        lap = (
-            eta[:-2, :] + eta[2:, :]
-            + np.pad(eta[1:-1, :-1], ((0, 0), (1, 0)))
-            + np.pad(eta[1:-1, 1:], ((0, 0), (0, 1)))
-            - 4.0 * eta[1:-1, :]
-        )
+        lap = _laplacian(eta)
         new_interior = eta[1:-1, :] + dt * (D * lap - dec * eta[1:-1, :])
         # Dry cells don't evolve (wetting happens via forcing/diffusion
         # raising neighbours above threshold).

@@ -52,6 +52,8 @@ class Mailbox:
     each sender's clock is monotone — preserves MPI's non-overtaking rule.
     """
 
+    __slots__ = ("_messages",)
+
     def __init__(self) -> None:
         self._messages: list[Message] = []
 

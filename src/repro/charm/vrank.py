@@ -24,6 +24,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class VirtualRank:
     """One virtual MPI rank (an AMPI "VP")."""
 
+    __slots__ = ("vp", "pe", "ult", "ctx", "heap", "stack_mapping",
+                 "counters", "code", "tls_instance", "method_data",
+                 "load_ns", "total_cpu_ns", "migrations", "finished",
+                 "exit_value")
+
     def __init__(self, vp: int, pe: "Pe"):
         self.vp = vp
         self.pe = pe

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.elf.got import GotTemplate
 from repro.elf.relocation import Relocation
 from repro.elf.symbols import SymbolTable
 from repro.mem.segments import CodeImage, SegmentImage
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.elf.loader import RelocPlan
 
 
 class ElfType(enum.Enum):
@@ -19,12 +23,26 @@ class ElfType(enum.Enum):
 ELF_HEADER_BYTES = 4096  #: headers + phdrs + misc sections, rounded up
 
 
+class LoadPlans:
+    """What the loader works out from an image at its first load and
+    applies at every later one.  The image holds it, so no plan outlives
+    the image — or the job that built it."""
+
+    __slots__ = ("runtime_relocs", "reloc")
+
+    def __init__(self) -> None:
+        self.runtime_relocs: int | None = None
+        self.reloc: RelocPlan | None = None
+
+
 @dataclass
 class ElfImage:
     """The static linker's output: segment layouts + tables.
 
     Instances of the segments are created at load time (by the dynamic
-    loader) or by privatization methods making extra copies.
+    loader) or by privatization methods making extra copies.  Tables may
+    be edited until the image is first loaded; ``plans`` is derived from
+    them then.
     """
 
     name: str
@@ -44,6 +62,10 @@ class ElfImage:
     #: (`int *p = &x;`): var name -> symbol name.  These land as ABS64
     #: relocations and are what the PIEglobals pointer scan must find.
     addr_inits: dict[str, str] = field(default_factory=dict)
+    #: shared by ``dataclasses.replace`` copies: FSglobals' per-rank
+    #: renamed images are one image under many paths
+    plans: LoadPlans = field(default_factory=LoadPlans, repr=False,
+                             compare=False)
 
     @property
     def is_pie(self) -> bool:
@@ -61,7 +83,11 @@ class ElfImage:
 
     @property
     def runtime_reloc_count(self) -> int:
-        return sum(1 for r in self.relocations if r.needs_runtime_work)
+        n = self.plans.runtime_relocs
+        if n is None:
+            n = self.plans.runtime_relocs = sum(
+                1 for r in self.relocations if r.needs_runtime_work)
+        return n
 
     def describe(self) -> str:
         return (

@@ -51,6 +51,30 @@ LM_ID_NEWLM = -1
 #: where the loader's pseudo-heap for static-constructor allocations lives
 _CTOR_HEAP_BASE = LOADER_AREA_END - (1 << 32)
 
+#: what a :class:`RelocPlan` address is relative to: an index into
+#: :meth:`LinkMap.segments`, or ``_ABSOLUTE`` (base 0) — a GOT slot no
+#: relocation resolves is ``(_ABSOLUTE, 0)`` and stays 0
+_CODE, _DATA, _RODATA, _ABSOLUTE = range(4)
+#: the segment a GOT slot's symbol lives in, by relocation kind
+_GOT_SEGMENT = {RelocKind.GOT_ENTRY: _DATA, RelocKind.PLT_CALL: _CODE}
+
+
+class RelocPlan:
+    """Relocating one image, as ``segment base + offset``.
+
+    Which symbol lands in which GOT slot or data word, and where it sits
+    inside its segment, is the same for every load of an image; only the
+    three bases differ.  Built (every relocation checked) at the image's
+    first load, kept in ``image.plans``, applied to each link map.
+    """
+
+    __slots__ = ("got", "abs64")
+
+    def __init__(self, got: tuple[tuple[int, int], ...],
+                 abs64: tuple[tuple[str, int, int], ...]):
+        self.got = got        #: per GOT slot: (segment, offset)
+        self.abs64 = abs64    #: (data variable, segment, offset)
+
 
 @dataclass
 class LinkMap:
@@ -74,6 +98,9 @@ class LinkMap:
     def segment_span(self) -> tuple[int, int]:
         """(start, end) covering code+data+rodata, in load order."""
         return self.code.base, self.rodata.end
+
+    def segments(self) -> tuple[CodeInstance, SegmentInstance, SegmentInstance]:
+        return self.code, self.data, self.rodata
 
 
 @dataclass(frozen=True)
@@ -216,28 +243,57 @@ class DynamicLoader:
         return lm
 
     def _process_relocations(self, lm: LinkMap) -> None:
-        image = lm.image
-        for reloc in image.relocations:
-            if reloc.kind is RelocKind.GOT_ENTRY:
-                lm.got.resolve(reloc.symbol, lm.data.addr_of(reloc.symbol))
-            elif reloc.kind is RelocKind.PLT_CALL:
-                lm.got.resolve(reloc.symbol, lm.code.addr_of(reloc.symbol))
-            elif reloc.kind is RelocKind.ABS64:
-                # Patch the address of `symbol` into the data slot named in
-                # `where` ("data:<var>").
-                _, _, var = reloc.where.partition(":")
-                lm.data.write(var, self._symbol_address(lm, reloc.symbol))
-            # PC_REL and TPOFF need no load-time patching here.
+        plans = lm.image.plans
+        plan = plans.reloc
+        if plan is None:
+            plan = plans.reloc = self._plan_relocations(lm)
+        bases = (lm.code.base, lm.data.base, lm.rodata.base, 0)
+        lm.got.addresses = [bases[seg] + off for seg, off in plan.got]
+        values = lm.data.values
+        for var, seg, off in plan.abs64:
+            values[var] = bases[seg] + off
 
-    def _symbol_address(self, lm: LinkMap, name: str) -> int:
+    def _plan_relocations(self, lm: LinkMap) -> RelocPlan:
+        """Resolve ``lm.image``'s relocations once, in order, through the
+        checked lookups of ``lm``'s own segments: a malformed image
+        raises what patching it slot by slot would, and — a plan being
+        kept only for an image that loads — raises it at every load."""
+        image = lm.image
+        segments = lm.segments()
+
+        def locate(seg: int, symbol: str) -> tuple[int, int]:
+            inst = segments[seg]
+            return seg, inst.addr_of(symbol) - inst.base
+
+        got = [(_ABSOLUTE, 0)] * len(image.got)
+        abs64: list[tuple[str, int, int]] = []
+        for reloc in image.relocations:
+            if reloc.kind in _GOT_SEGMENT:
+                where = locate(_GOT_SEGMENT[reloc.kind], reloc.symbol)
+                got[image.got.index_of(reloc.symbol)] = where
+            elif reloc.kind is RelocKind.ABS64:
+                # The address of `symbol` goes into the data slot named
+                # in `where` ("data:<var>").
+                _, _, var = reloc.where.partition(":")
+                where = locate(self._symbol_segment(lm, reloc.symbol),
+                               reloc.symbol)
+                lm.data.check_writable(var)
+                abs64.append((var, *where))
+            # PC_REL and TPOFF need no load-time patching here.
+        return RelocPlan(tuple(got), tuple(abs64))
+
+    def _symbol_segment(self, lm: LinkMap, name: str) -> int:
         sym = lm.image.symbols.lookup(name)
         if sym is None:
             raise SymbolNotFound(f"{lm.image.name}: no symbol {name!r}")
         if sym.kind is SymbolKind.FUNC:
-            return lm.code.addr_of(name)
+            return _CODE
         if sym.section == "rodata":
-            return lm.rodata.addr_of(name)
-        return lm.data.addr_of(name)
+            return _RODATA
+        return _DATA
+
+    def _symbol_address(self, lm: LinkMap, name: str) -> int:
+        return lm.segments()[self._symbol_segment(lm, name)].addr_of(name)
 
     def _run_static_ctors(self, lm: LinkMap) -> None:
         ctx = LoaderCtx(self, lm)

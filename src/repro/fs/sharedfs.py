@@ -33,6 +33,7 @@ class SharedFileSystem:
         self.costs = costs
         self.capacity_bytes = capacity_bytes
         self._files: dict[str, FsFile] = {}
+        self._used_bytes = 0   #: sum of the sizes in ``_files``
 
     # -- queries ---------------------------------------------------------------
 
@@ -46,7 +47,7 @@ class SharedFileSystem:
             raise SharedFsError(f"no such file: {name}") from None
 
     def used_bytes(self) -> int:
-        return sum(f.size for f in self._files.values())
+        return self._used_bytes
 
     def file_count(self) -> int:
         return len(self._files)
@@ -59,15 +60,16 @@ class SharedFileSystem:
         if size < 0:
             raise SharedFsError(f"negative file size for {name}")
         old = self._files.get(name)
-        freed = old.size if old else 0
-        if self.used_bytes() - freed + size > self.capacity_bytes:
+        used = self._used_bytes - (old.size if old else 0) + size
+        if used > self.capacity_bytes:
             raise SharedFsError(
                 f"shared filesystem full: cannot write {size} bytes "
-                f"({self.used_bytes()} of {self.capacity_bytes} used)"
+                f"({self._used_bytes} of {self.capacity_bytes} used)"
             )
         clock.advance(self.costs.fs_write_ns(size, concurrent_clients))
         f = FsFile(name, size)
         self._files[name] = f
+        self._used_bytes = used
         return f
 
     def copy_file(
@@ -83,11 +85,11 @@ class SharedFileSystem:
             raise SharedFsError(f"no such file: {name}")
         if clock is not None:
             clock.advance(self.costs.fs_open_ns)
-        del self._files[name]
+        self._used_bytes -= self._files.pop(name).size
 
     def cleanup_prefix(self, prefix: str) -> int:
         """Remove all files under a prefix (job teardown); returns count."""
         victims = [n for n in self._files if n.startswith(prefix)]
         for n in victims:
-            del self._files[n]
+            self._used_bytes -= self._files.pop(n).size
         return len(victims)

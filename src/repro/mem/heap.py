@@ -41,6 +41,9 @@ class RankHeap:
     (plain bookkeeping) for programs run without a runtime underneath.
     """
 
+    __slots__ = ("rank", "isomalloc", "allocations", "_mappings",
+                 "_detached_next", "bytes_allocated", "alloc_count")
+
     def __init__(self, rank: int, isomalloc: Isomalloc | None = None):
         self.rank = rank
         self.isomalloc = isomalloc

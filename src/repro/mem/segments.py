@@ -99,6 +99,8 @@ class SegmentImage:
         self.kind = kind
         self.offsets: dict[str, int] = {}
         self.vars: dict[str, VarDef] = {}
+        #: every instance's starting values (copied, never handed out)
+        self.initial: dict[str, Any] = {}
         off = 0
         for v in variables:
             if v.name in self.vars:
@@ -107,6 +109,7 @@ class SegmentImage:
             off = (off + POINTER_SIZE - 1) & ~(POINTER_SIZE - 1)
             self.offsets[v.name] = off
             self.vars[v.name] = v
+            self.initial[v.name] = v.init
             off += v.size
         self.size = max(off, pad_to, POINTER_SIZE)
 
@@ -133,9 +136,7 @@ class SegmentInstance:
     def __init__(self, image: SegmentImage, base: int):
         self.image = image
         self.base = base
-        self.values: dict[str, Any] = {
-            name: v.init for name, v in image.vars.items()
-        }
+        self.values: dict[str, Any] = dict(image.initial)
 
     @property
     def end(self) -> int:
@@ -150,13 +151,20 @@ class SegmentInstance:
         except KeyError:
             raise SegFault(self.base, f"no variable {name!r} in segment") from None
 
-    def write(self, name: str, value: Any) -> None:
+    def check_writable(self, name: str) -> None:
+        """Raise the fault a write to ``name`` would.
+
+        A start-up plan asks once per image and then stores into
+        ``values`` directly for every instance of it.
+        """
         if name not in self.values:
             raise SegFault(self.base, f"no variable {name!r} in segment")
-        var = self.image.vars[name]
-        if var.const:
+        if self.image.vars[name].const:
             raise SegFault(self.addr_of(name),
                            f"write to const variable {name!r}")
+
+    def write(self, name: str, value: Any) -> None:
+        self.check_writable(name)
         self.values[name] = value
 
     def slots(self) -> Iterator[tuple[int, str, Any]]:

@@ -7,7 +7,6 @@ event counts that subsystems increment as they run.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
 # Canonical event names used across the simulator (PAPI-flavoured).
@@ -57,12 +56,14 @@ class CounterSet:
     __slots__ = ("_counts",)
 
     def __init__(self, initial: dict[str, int] | None = None):
-        self._counts: Counter[str] = Counter(initial or {})
+        # A plain dict: one is made per rank, per process and per job.
+        self._counts: dict[str, int] = dict(initial) if initial else {}
 
     def incr(self, event: str, n: int = 1) -> None:
         if n < 0:
             raise ValueError("counter increments must be non-negative")
-        self._counts[event] += n
+        counts = self._counts
+        counts[event] = counts.get(event, 0) + n
 
     def __getitem__(self, event: str) -> int:
         return self._counts.get(event, 0)
@@ -78,7 +79,9 @@ class CounterSet:
 
     def merge(self, other: "CounterSet") -> None:
         """Add all of ``other``'s counts into this set."""
-        self._counts.update(other._counts)
+        counts = self._counts
+        for event, n in other._counts.items():
+            counts[event] = counts.get(event, 0) + n
 
     def __add__(self, other: "CounterSet") -> "CounterSet":
         out = CounterSet(dict(self._counts))
@@ -98,7 +101,10 @@ class CounterSet:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CounterSet):
-            return self._counts == other._counts
+            # an event never counted equals one counted zero times
+            mine, theirs = self._counts, other._counts
+            return all(mine.get(e, 0) == theirs.get(e, 0)
+                       for e in mine.keys() | theirs.keys())
         return NotImplemented
 
     def snapshot(self) -> dict[str, int]:

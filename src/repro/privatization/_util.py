@@ -96,20 +96,31 @@ def unpack_funcptr_shim(
     transport struct of pointers into the single runtime; the shim stores
     them in its per-instance globals.  Returns the resulting calltable, or
     None when the binary was not built with the shim.
+
+    Which slots exist, that each may be written and what goes in it are
+    the same for every instance of an image under one transport: worked
+    out at the process's first unpack (``env.shim_plan``), stored into
+    each instance in one ``update``, one calltable for all its ranks.
     """
     transport = env.funcptr_transport
     if transport is None:
         return None
-    calltable: dict[str, object] = {}
-    found = False
-    for api_name, fn in transport.items():
-        slot = SHIM_PREFIX + api_name
-        if slot in data_instance.image:
-            data_instance.write(slot, fn)
-            calltable[api_name] = fn
-            found = True
-    if not found:
+    plan = env.shim_plan
+    if (plan is None or plan[0] is not data_instance.image
+            or plan[1] is not transport):
+        stores: dict[str, object] = {}
+        calltable: dict[str, object] = {}
+        for api_name, fn in transport.items():
+            slot = SHIM_PREFIX + api_name
+            if slot in data_instance.image:
+                data_instance.check_writable(slot)
+                stores[slot] = calltable[api_name] = fn
+        plan = env.shim_plan = (
+            data_instance.image, transport, stores, calltable)
+    _, _, stores, calltable = plan
+    if not stores:
         return None
+    data_instance.values.update(stores)
     clk = env.process.startup_clock
     t0 = clk.now
     clk.advance(env.costs.dlsym_ns * 2)

@@ -18,7 +18,7 @@ A method participates at three points in a job's life:
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import MigrationUnsupportedError
@@ -81,6 +81,9 @@ class SetupEnv:
     trace: Any = None
     #: pid of this process's startup track in the trace
     trace_pid: int = 0
+    #: ``unpack_funcptr_shim``'s plan for this process: (data segment
+    #: image, transport, slot -> pointer, calltable); dropped with the env
+    shim_plan: tuple | None = field(default=None, init=False, repr=False)
 
 
 class PrivatizationMethod(abc.ABC):

@@ -96,6 +96,30 @@ class ScanReport:
     got_entries_fixed: int = 0
 
 
+class ScanPlan:
+    """One process's pointer scan, made once.
+
+    Every rank's data copy, GOT clone and constructor replicas start out
+    equal to the loader's own post-constructor instance, so scanning that
+    finds what scanning each copy would; a rank differs only in its copy
+    ``delta`` and its ``heap_map``.  Pairs are ``(slot, value found)``.
+    """
+
+    __slots__ = ("slots_scanned", "segment_ptrs", "heap_ptrs", "got_hits",
+                 "interiors")
+
+    def __init__(self, slots_scanned: int, segment_ptrs: tuple,
+                 heap_ptrs: tuple, got_hits: tuple, interiors: tuple):
+        self.slots_scanned = slots_scanned
+        self.segment_ptrs = segment_ptrs    #: data slots into the image
+        self.heap_ptrs = heap_ptrs          #: ... at a ctor allocation
+        self.got_hits = got_hits            #: GOT indices into the image
+        #: per constructor allocation: (address, pointer slots it holds,
+        #: ptr_slots into the image, ptr_slots at a ctor allocation,
+        #: fn_ptr_slots into the image)
+        self.interiors = interiors
+
+
 class PieGlobals(PrivatizationMethod):
     name = "pieglobals"
     capabilities = Capabilities(
@@ -190,17 +214,20 @@ class PieGlobals(PrivatizationMethod):
         self._binary_code_bytes = image.code.size + image.rodata.size
         self._code_only_bytes = image.code.size
         tls_initial = image.tls.instantiate(lm.rodata.end)
+        scan = self._plan_scan(binary, lm, orig_base, orig_end)
 
         wirings: dict[int, RankWiring] = {}
         for rank in ranks:
             wirings[rank.vp] = self._setup_rank(
-                env, binary, rank, lm, orig_base, copy_span, tls_initial
+                env, binary, rank, lm, orig_base, copy_span, tls_initial,
+                scan,
             )
         return wirings
 
     def _setup_rank(self, env: SetupEnv, binary: Binary,
                     rank: "VirtualRank", lm, orig_base: int,
-                    copy_span: int, tls_initial) -> RankWiring:
+                    copy_span: int, tls_initial,
+                    scan: ScanPlan) -> RankWiring:
         image = binary.image
         clk = env.process.startup_clock
         iso = env.process.isomalloc
@@ -266,9 +293,7 @@ class PieGlobals(PrivatizationMethod):
         t_scan = clk.now
         got_priv = lm.got.clone()
         report = self._scan_and_fixup(
-            env, binary, rank, data_priv, got_priv, orig_base,
-            orig_base + copy_span, delta, heap_map,
-        )
+            env, rank, scan, data_priv, got_priv, delta, heap_map)
         if env.trace is not None:
             env.trace.span(
                 "pie:pointer-scan", "priv", t_scan, clk.now - t_scan,
@@ -317,64 +342,89 @@ class PieGlobals(PrivatizationMethod):
             clk.advance(env.costs.memcpy_ns(alloc.nbytes))
         return heap_map
 
-    def _scan_and_fixup(self, env: SetupEnv, binary: Binary,
-                        rank: "VirtualRank", data_priv,
-                        got_priv, orig_start: int, orig_end: int,
-                        delta: int, heap_map: dict[int, int]) -> ScanReport:
-        """Rebase pointers into the original image found in the rank's
-        private data segment, GOT, and replicated constructor allocations.
+    def _plan_scan(self, binary: Binary, lm, orig_start: int,
+                   orig_end: int) -> ScanPlan:
+        """Find the pointers into the original image held by the loader's
+        data segment, GOT and constructor allocations.
 
         The default mode mirrors the paper: *scan for anything that looks
         like a pointer* into [orig_start, orig_end).  ``robust_scan``
         instead trusts relocation records only (no false positives).
         """
-        report = ScanReport()
-        clk = env.process.startup_clock
-        costs = env.costs
-
         known_slots: set[str] | None = None
         if self.robust_scan:
             known_slots = set(binary.image.addr_inits)
+        heap_addrs = {alloc.addr for alloc in lm.ctor_allocations}
 
-        scan_ns = costs.pointer_scan_ns_per_slot
-        for addr, name, value in data_priv.slots():
-            report.slots_scanned += 1
+        def in_image(value: int) -> bool:
+            return orig_start <= value < orig_end
+
+        slots_scanned = 0
+        segment_ptrs, heap_ptrs = [], []
+        for _addr, name, value in lm.data.slots():
+            slots_scanned += 1
             if not isinstance(value, int) or isinstance(value, bool):
                 continue
             if known_slots is not None and name not in known_slots:
                 continue
-            if orig_start <= value < orig_end:
-                data_priv.values[name] = value + delta
-                report.segment_pointers_fixed += 1
-            elif value in heap_map:
-                data_priv.values[name] = heap_map[value]
-                report.heap_pointers_fixed += 1
+            if in_image(value):
+                segment_ptrs.append((name, value))
+            elif value in heap_addrs:
+                heap_ptrs.append((name, value))
 
-        # One batched advance — charging per slot inside the loop summed
-        # to the identical simulated time but cost a clock call per slot.
-        clk.advance(scan_ns * report.slots_scanned)
-        report.got_entries_fixed = got_priv.rebase(orig_start, orig_end, delta)
-        clk.advance(scan_ns * len(got_priv.template))
+        # Interior pointers of constructor allocations: data pointers may
+        # reference the original segments or *other* ctor allocations;
+        # function pointers (vtables) reference original code.
+        interiors = tuple(
+            (alloc.addr, len(alloc.ptr_slots) + len(alloc.fn_ptr_slots),
+             tuple(p for p in alloc.ptr_slots.items() if in_image(p[1])),
+             tuple(p for p in alloc.ptr_slots.items()
+                   if not in_image(p[1]) and p[1] in heap_addrs),
+             tuple(p for p in alloc.fn_ptr_slots.items() if in_image(p[1])))
+            for alloc in lm.ctor_allocations)
+        got_hits = tuple(i for i, addr in enumerate(lm.got.addresses)
+                         if in_image(addr))
+        return ScanPlan(slots_scanned, tuple(segment_ptrs), tuple(heap_ptrs),
+                        got_hits, interiors)
 
-        # Interior pointers of replicated constructor allocations: data
-        # pointers may reference the original segments or *other* ctor
-        # allocations; function pointers (vtables) reference original code.
-        if heap_map and rank.heap is not None:
-            for new_addr in heap_map.values():
-                alloc = rank.heap.allocations[new_addr]
-                for slot, value in list(alloc.ptr_slots.items()):
-                    clk.advance(costs.pointer_scan_ns_per_slot)
-                    if orig_start <= value < orig_end:
-                        alloc.ptr_slots[slot] = value + delta
-                        report.heap_pointers_fixed += 1
-                    elif value in heap_map:
-                        alloc.ptr_slots[slot] = heap_map[value]
-                        report.heap_pointers_fixed += 1
-                for slot, value in list(alloc.fn_ptr_slots.items()):
-                    clk.advance(costs.pointer_scan_ns_per_slot)
-                    if orig_start <= value < orig_end:
-                        alloc.fn_ptr_slots[slot] = value + delta
-                        report.heap_pointers_fixed += 1
+    def _scan_and_fixup(self, env: SetupEnv, rank: "VirtualRank",
+                        scan: ScanPlan, data_priv, got_priv, delta: int,
+                        heap_map: dict[int, int]) -> ScanReport:
+        """Apply the process's scan to one rank's private data segment,
+        GOT and replicated constructor allocations, and charge the rank
+        for scanning them (every slot of every copy is read)."""
+        clk = env.process.startup_clock
+        scan_ns = env.costs.pointer_scan_ns_per_slot
+        report = ScanReport(
+            slots_scanned=scan.slots_scanned,
+            segment_pointers_fixed=len(scan.segment_ptrs),
+            got_entries_fixed=len(scan.got_hits),
+        )
+        values = data_priv.values
+        for name, value in scan.segment_ptrs:
+            values[name] = value + delta
+        addresses = got_priv.addresses
+        for i in scan.got_hits:
+            addresses[i] += delta
+        clk.advance(scan_ns * (scan.slots_scanned + len(addresses)))
+
+        # An empty heap_map (no rank heap, or no constructor allocated)
+        # leaves pointers at constructor allocations alone.
+        if heap_map:
+            fixed = len(scan.heap_ptrs)
+            for name, value in scan.heap_ptrs:
+                values[name] = heap_map[value]
+            for old, slots, rebase, remap, fn_rebase in scan.interiors:
+                alloc = rank.heap.allocations[heap_map[old]]
+                clk.advance(scan_ns * slots)
+                for slot, value in rebase:
+                    alloc.ptr_slots[slot] = value + delta
+                for slot, value in remap:
+                    alloc.ptr_slots[slot] = heap_map[value]
+                for slot, value in fn_rebase:
+                    alloc.fn_ptr_slots[slot] = value + delta
+                fixed += len(rebase) + len(remap) + len(fn_rebase)
+            report.heap_pointers_fixed = fixed
         return report
 
     # -- differential migration (Section 6 future work) ------------------------------

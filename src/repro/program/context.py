@@ -167,6 +167,9 @@ class FetchTracer:
 class ExecutionContext:
     """Everything a program function can touch while running on a rank."""
 
+    __slots__ = ("vp", "view", "code", "clock", "costs", "heap", "counters",
+                 "mpi", "tracer", "argv", "g")
+
     def __init__(
         self,
         *,

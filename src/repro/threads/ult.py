@@ -60,6 +60,10 @@ class UltKilled(BaseException):
 class UserLevelThread:
     """One cooperative thread of execution with its own simulated clock."""
 
+    __slots__ = ("tid", "name", "target", "args", "stack_bytes", "backend",
+                 "clock", "state", "block_reason", "result", "exception",
+                 "dispatcher", "_kill", "_runner", "_orphan_recorded")
+
     _id_counter = 0
 
     def __init__(

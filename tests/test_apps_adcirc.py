@@ -1,11 +1,13 @@
 """Tests for the ADCIRC-mini storm-surge workload."""
 
+import numpy as np
 import pytest
 
 from repro.apps.adcirc import (
     ADCIRC_CODE_BYTES,
     N_COEFFICIENT_GLOBALS,
     AdcircConfig,
+    _laplacian,
     _row_bounds,
     build_adcirc_program,
     run_adcirc,
@@ -40,6 +42,29 @@ class TestProgramShape:
             AdcircConfig(width=1)
         with pytest.raises(ReproError):
             AdcircConfig(steps=0)
+
+
+class TestKernel:
+    def test_laplacian_is_the_padded_sum_bit_for_bit(self):
+        """The kernel accumulates in place; the ``np.pad`` formulation it
+        replaced is the reference — same additions in the same order, so
+        the bytes are equal, dry (zero) cells and side columns included."""
+        def padded(eta):
+            return (
+                eta[:-2, :] + eta[2:, :]
+                + np.pad(eta[1:-1, :-1], ((0, 0), (1, 0)))
+                + np.pad(eta[1:-1, 1:], ((0, 0), (0, 1)))
+                - 4.0 * eta[1:-1, :]
+            )
+
+        rng = np.random.default_rng(17)
+        for rows, cols in ((3, 4), (18, 128), (6, 5), (34, 16)):
+            for scale in (1.0, 1e-9, 1e6):
+                eta = rng.random((rows, cols)) * scale
+                eta[rng.random(eta.shape) < 0.3] = 0.0   # dry cells
+                before = eta.copy()
+                assert _laplacian(eta).tobytes() == padded(eta).tobytes()
+                assert np.array_equal(eta, before)       # input untouched
 
 
 class TestRuns:

@@ -234,10 +234,11 @@ class TestMigrationFailureRecovery:
         src, dst = job.processes
         before = src.vm.mappings_of_rank(0)
 
-        def boom(pe):
+        def boom(self, pe):
             raise RuntimeError("move_to failed")
 
-        monkeypatch.setattr(rank, "move_to", boom)
+        # on the class: a rank has __slots__, no per-instance methods
+        monkeypatch.setattr(type(rank), "move_to", boom)
         with pytest.raises(RuntimeError, match="move_to failed"):
             job.migration_engine.migrate(rank, job.pes[1])
 

@@ -79,6 +79,74 @@ class TestFiles:
             fs.write_file("a", -1, clk)
 
 
+class TestRunningTotal:
+    """``used_bytes()`` is a running total; the sum over the files it
+    replaced is the oracle."""
+
+    @staticmethod
+    def summed(fs):
+        return sum(f.size for f in fs._files.values())
+
+    def test_overwrite_unlink_and_prefix_cleanup(self):
+        fs, clk = make()
+        assert fs.used_bytes() == 0
+        for step in (
+            lambda: fs.write_file("job0/bin", 700, clk),
+            lambda: fs.copy_file("job0/bin", "job0/bin.vp0", clk),
+            lambda: fs.copy_file("job0/bin", "job0/bin.vp1", clk),
+            lambda: fs.write_file("job0/bin.vp0", 50, clk),    # shrink
+            lambda: fs.write_file("job0/bin.vp0", 5000, clk),  # grow
+            lambda: fs.write_file("job1/bin", 0, clk),         # empty file
+            lambda: fs.unlink("job0/bin.vp1", clk),
+            lambda: fs.write_file("job1/out", 33, clk),
+            lambda: fs.cleanup_prefix("job0/"),
+            lambda: fs.cleanup_prefix("nothing-here/"),
+            lambda: fs.unlink("job1/out"),
+        ):
+            step()
+            assert fs.used_bytes() == self.summed(fs)
+        assert fs.used_bytes() == 0 and fs.file_count() == 1
+
+    def test_failed_operations_leave_the_total_alone(self):
+        fs, clk = make(capacity=1000)
+        fs.write_file("a", 600, clk)
+        with pytest.raises(SharedFsError, match="full"):
+            fs.write_file("b", 401, clk)
+        with pytest.raises(SharedFsError):
+            fs.write_file("c", -1, clk)
+        with pytest.raises(SharedFsError):
+            fs.unlink("ghost")
+        with pytest.raises(SharedFsError):
+            fs.copy_file("ghost", "d", clk)
+        assert fs.used_bytes() == self.summed(fs) == 600
+
+    def test_capacity_boundary(self):
+        fs, clk = make(capacity=1000)
+        fs.write_file("a", 600, clk)
+        fs.write_file("b", 400, clk)             # exactly full: allowed
+        assert fs.used_bytes() == 1000
+        with pytest.raises(SharedFsError) as full:
+            fs.write_file("c", 1, clk)
+        assert str(full.value) == ("shared filesystem full: cannot write "
+                                   "1 bytes (1000 of 1000 used)")
+        fs.write_file("b", 400, clk)             # same-size overwrite
+        with pytest.raises(SharedFsError, match="1000 of 1000 used"):
+            fs.write_file("b", 401, clk)         # one byte over
+        fs.unlink("a")
+        fs.write_file("c", 600, clk)
+        assert fs.used_bytes() == self.summed(fs) == 1000
+
+    def test_many_copies_stay_consistent(self):
+        """The FSglobals pattern: one original, one copy per rank."""
+        fs, clk = make()
+        fs.write_file("job7/app", 12_345, clk)
+        for vp in range(300):
+            fs.copy_file("job7/app", f"job7/app.vp{vp}", clk)
+        assert fs.used_bytes() == self.summed(fs) == 301 * 12_345
+        assert fs.cleanup_prefix("job7/") == 301
+        assert fs.used_bytes() == 0
+
+
 class TestCosts:
     def test_write_charges_clock(self):
         fs, clk = make()

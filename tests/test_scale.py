@@ -1,9 +1,11 @@
 """Moderate-scale smoke tests: many ranks, many PEs, many messages —
 catching bookkeeping that only breaks past toy sizes."""
 
+import gc
 
 from repro.ampi.runtime import AmpiJob
 from repro.charm.node import JobLayout
+from repro.harness.jobspec import JobSpec, build_job
 from repro.machine import TEST_MACHINE
 from repro.program.source import Program
 
@@ -82,3 +84,41 @@ class TestManyRanks:
         result = job.run()
         assert len(result.lb_reports) == 4
         assert sorted(result.exit_values.values()) == list(range(64))
+
+
+class TestStartupAllocations:
+    """Allocation count at start-up is a first-class host cost: a
+    per-name or per-slot structure per rank (49 152 ``AccessRoute``s
+    once) costs a generation-2 collection at 1024 ranks long before any
+    single call looks slow."""
+
+    #: GC-tracked objects ``build_job`` + ``start()`` add per rank of a
+    #: ``pieglobals`` Jacobi job (was 32), with 10 % headroom
+    PER_RANK = 29
+    BUDGET = PER_RANK * 1.1
+
+    @staticmethod
+    def _tracked_objects_added(nvp: int) -> int:
+        spec = JobSpec(app="jacobi3d", nvp=nvp,
+                       app_config={"n": 16, "iters": 1, "reduce_every": 1},
+                       method="pieglobals", layout=(2, 2, 4))
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            job = build_job(spec)
+            job.start()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        job.scheduler.shutdown()
+        return added
+
+    def test_gc_tracked_objects_per_rank(self):
+        self._tracked_objects_added(8)     # imports, lazy module state
+        small, large = map(self._tracked_objects_added, (128, 256))
+        per_rank = (large - small) / 128   # per-job constants cancel
+        assert per_rank <= self.BUDGET, (
+            f"start-up now builds {per_rank:.1f} GC-tracked objects per "
+            f"rank (budget {self.BUDGET:.0f}): something is being made "
+            f"per rank that is a property of the image or the process")
