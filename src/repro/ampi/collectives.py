@@ -420,22 +420,7 @@ class CollectiveEngine:
 
     def _finish_exscan(self, state: CollectiveState) -> None:
         """Exclusive prefix reduction: rank 0 receives None."""
-        comm = state.comm
-        op: Op = state.params["op"]
-        depth = tree_depth(comm.size)
-        step = self._step_ns(comm)
-        state.releases = {}
-        acc = None
-        prefix_max_t = 0
-        for r in range(comm.size):
-            t, v = state.arrivals[r]
-            prefix_max_t = max(prefix_max_t, t)
-            state.releases[r] = (
-                prefix_max_t + depth * step,
-                _copy_payload(acc) if acc is not None else None,
-            )
-            pe = self.job.rank_of(comm.vp_of_rank(r)).pe
-            acc = _copy_payload(v) if acc is None else op.apply(pe, acc, v)
+        self._finish_scan(state, inclusive=False)
 
     def _finish_reduce_scatter(self, state: CollectiveState) -> None:
         """Elementwise reduce of per-rank vectors; rank i keeps item i."""
@@ -466,7 +451,10 @@ class CollectiveEngine:
                 acc,
             )
 
-    def _finish_scan(self, state: CollectiveState) -> None:
+    def _finish_scan(self, state: CollectiveState,
+                     inclusive: bool = True) -> None:
+        """Prefix reduction: rank r is released with the reduction over
+        ranks 0..r (``inclusive``) or 0..r-1, once all of them arrived."""
         comm = state.comm
         op: Op = state.params["op"]
         depth = tree_depth(comm.size)
@@ -477,8 +465,9 @@ class CollectiveEngine:
         for r in range(comm.size):
             t, v = state.arrivals[r]
             prefix_max_t = max(prefix_max_t, t)
+            out = None if inclusive or acc is None else _copy_payload(acc)
             pe = self.job.rank_of(comm.vp_of_rank(r)).pe
             acc = _copy_payload(v) if acc is None else op.apply(pe, acc, v)
-            state.releases[r] = (
-                prefix_max_t + depth * step, _copy_payload(acc)
-            )
+            if inclusive:
+                out = _copy_payload(acc)
+            state.releases[r] = (prefix_max_t + depth * step, out)

@@ -10,7 +10,7 @@ for every figure in the paper.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.ampi.api import MpiHandle
@@ -76,6 +76,13 @@ if TYPE_CHECKING:  # pragma: no cover
 _job_ids = itertools.count(0)
 
 
+def jsonable(v: Any) -> Any:
+    """A rank exit value as JSON: native scalars pass, the rest ``repr``."""
+    if isinstance(v, (int, float, str, bool)) or v is None:
+        return v
+    return repr(v)
+
+
 @dataclass(frozen=True)
 class PeStat:
     index: int
@@ -83,6 +90,11 @@ class PeStat:
     idle_ns: int
     ctx_switches: int
     final_ranks: tuple[int, ...]
+
+    def to_dict(self) -> dict[str, Any]:
+        return {"pe": self.index, "busy_ns": self.busy_ns,
+                "idle_ns": self.idle_ns, "ctx_switches": self.ctx_switches,
+                "final_ranks": list(self.final_ranks)}
 
 
 @dataclass(frozen=True)
@@ -159,44 +171,19 @@ class JobResult:
         Everything is plain JSON-able data; rank exit values that are not
         JSON-native are stringified.
         """
-        def _jsonable(v: Any) -> Any:
-            if isinstance(v, (int, float, str, bool)) or v is None:
-                return v
-            return repr(v)
-
         return {
             "method": self.method,
             "nvp": self.nvp,
             "machine": self.machine,
-            "layout": {
-                "nodes": self.layout.nodes,
-                "processes_per_node": self.layout.processes_per_node,
-                "pes_per_process": self.layout.pes_per_process,
-            },
+            "layout": asdict(self.layout),
             "makespan_ns": self.makespan_ns,
             "startup_ns": self.startup_ns,
             "app_ns": self.app_ns,
             "startup_per_process_ns": list(self.startup_per_process),
             "counters": dict(sorted(self.counters.snapshot().items())),
-            "pe_stats": [
-                {"pe": p.index, "busy_ns": p.busy_ns, "idle_ns": p.idle_ns,
-                 "ctx_switches": p.ctx_switches,
-                 "final_ranks": list(p.final_ranks)}
-                for p in self.pe_stats
-            ],
-            "migrations": [
-                {"vp": m.vp, "src_pe": m.src_pe, "dst_pe": m.dst_pe,
-                 "nbytes": m.nbytes, "ns": m.ns,
-                 "cross_process": m.cross_process}
-                for m in self.migrations
-            ],
-            "lb_reports": [
-                {"at_ns": r.at_ns, "strategy": r.strategy, "moves": r.moves,
-                 "bytes_moved": r.bytes_moved,
-                 "imbalance_before": r.imbalance_before,
-                 "imbalance_after": r.imbalance_after}
-                for r in self.lb_reports
-            ],
+            "pe_stats": [p.to_dict() for p in self.pe_stats],
+            "migrations": [asdict(m) for m in self.migrations],
+            "lb_reports": [asdict(r) for r in self.lb_reports],
             "forwarded_messages": self.forwarded_messages,
             "collectives_completed": self.collectives_completed,
             "recoveries": self.recoveries,
@@ -212,7 +199,7 @@ class JobResult:
             "sanitize_findings": [f.to_dict() for f in self.sanitize_findings],
             "rank_cpu_ns": {str(vp): ns
                             for vp, ns in sorted(self.rank_cpu_ns.items())},
-            "exit_values": {str(vp): _jsonable(v)
+            "exit_values": {str(vp): jsonable(v)
                             for vp, v in sorted(self.exit_values.items())},
         }
 
@@ -220,6 +207,44 @@ class JobResult:
 @dataclass
 class _PostedRecv:
     request: Request
+
+
+#: the legal values of a job's enumerated options, default first
+PLACEMENTS = ("block", "roundrobin")
+TRANSPORTS = ("priced", "reliable")
+RECOVERIES = ("global", "local")
+
+
+def check_job_options(placement: str, transport: str, recovery: str) -> None:
+    """The one checker of the enumerated options and their one
+    cross-constraint (``JobSpec.validate`` and ``AmpiJob`` both call it)."""
+    for what, value, legal in (("placement", placement, PLACEMENTS),
+                               ("transport", transport, TRANSPORTS),
+                               ("recovery mode", recovery, RECOVERIES)):
+        if value not in legal:
+            raise ReproError(f"unknown {what} {value!r}; have {legal}")
+    if recovery == "local" and transport != "reliable":
+        raise ReproError(
+            'recovery="local" requires transport="reliable": message '
+            "logging and replay suppression key off the reliable "
+            "transport's channel sequence numbers"
+        )
+
+
+def build_binary(source: ProgramSource, method: "str | Any" = "pieglobals",
+                 machine: MachineModel = GENERIC_LINUX,
+                 optimize: int = 2) -> Binary:
+    """The build recipe, written once: everything follows from the
+    method's name — its compile flags (PIE, TLS tagging, GOT refs), the
+    Figure 4 function-pointer shim iff its code is duplicated per rank,
+    the machine's toolchain checks, and its own check of the product."""
+    method = get_method(method)
+    opts = method.compile_options(CompileOptions(optimize=optimize), machine)
+    shim = [shim_compile_unit()] if method.uses_funcptr_shim else []
+    binary = Compiler(machine.toolchain).compile(source, opts,
+                                                 extra_units=shim)
+    method.validate_binary(binary)
+    return binary
 
 
 class AmpiJob:
@@ -267,8 +292,7 @@ class AmpiJob:
         #: "pooled") for the process-wide shared pool, or a private
         #: PooledBackend instance — no effect on simulated timelines
         self.ult_backend = ult_backend
-        if placement not in ("block", "roundrobin"):
-            raise ReproError(f"unknown placement {placement!r}")
+        check_job_options(placement, transport, recovery)
         self.placement = placement
         self.trace_fetches = trace_fetches
         #: Projections-style tracing: off unless a recorder is attached.
@@ -295,25 +319,13 @@ class AmpiJob:
         #: message delivery discipline: "priced" charges faults as a flat
         #: latency lump; "reliable" runs the real seq/ack/retransmit
         #: protocol (repro.net.reliable)
-        if transport not in ("priced", "reliable"):
-            raise ReproError(f"unknown transport {transport!r}")
-        if recovery not in ("global", "local"):
-            raise ReproError(f"unknown recovery mode {recovery!r}")
-        if recovery == "local" and transport != "reliable":
-            raise ReproError(
-                'recovery="local" requires transport="reliable": message '
-                "logging and replay suppression key off the reliable "
-                "transport's channel sequence numbers"
-            )
         self.transport = transport
         self.recovery_mode = recovery
         self.reliable: ReliableTransport | None = None
         self.msglog: MessageLogger | None = None
 
         self.method.check_supported(machine, self.layout)
-        self.binary = (source if isinstance(source, Binary)
-                       else self._build(source))
-        self.method.validate_binary(self.binary)
+        self.binary = self._build(source)
 
         # Populated by start():
         self.started = False
@@ -356,15 +368,11 @@ class AmpiJob:
 
     # -- build ---------------------------------------------------------------------
 
-    def _build(self, source: ProgramSource) -> Binary:
-        base = CompileOptions(optimize=self.optimize)
-        opts = self.method.compile_options(base, self.machine)
-        extra_units = []
-        if self.method.uses_funcptr_shim:
-            extra_units.append(shim_compile_unit())
-        return Compiler(self.machine.toolchain).compile(
-            source, opts, extra_units=extra_units
-        )
+    def _build(self, source: ProgramSource | Binary) -> Binary:
+        if isinstance(source, Binary):   # built elsewhere: admit it only
+            self.method.validate_binary(source)
+            return source
+        return build_binary(source, self.method, self.machine, self.optimize)
 
     # -- startup -----------------------------------------------------------------------
 

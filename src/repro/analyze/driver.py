@@ -55,9 +55,6 @@ class AnalysisReport:
     def ok(self) -> bool:
         return not self.findings
 
-    def codes(self) -> list[str]:
-        return sorted({f.code for f in self.findings})
-
     def to_dict(self) -> dict:
         return {
             "target": self.target,

@@ -1,10 +1,11 @@
 """Seeded-violation fixtures for the static analyzer.
 
 One tiny program per analyzer rule, each exhibiting exactly one defect.
-They serve the same three masters as the sanitizer's fixtures
-(:mod:`repro.sanitize.fixtures`): ``repro analyze fixture:<name>`` demos
-each diagnostic, the test suite asserts exact finding codes, and CI's
-analyze-smoke step keeps the catalog honest.
+They serve the same three masters as the sanitizer's fixtures and live
+in the same registry (:data:`repro.sanitize.fixtures.FIXTURES`, phase
+``"source"``): ``repro analyze fixture:<name>`` demos each diagnostic,
+the test suite asserts exact finding codes, and CI's diagnostics-smoke
+job keeps the catalog honest.
 
 Each fixture also declares what *running* the same program does
 (``runtime`` field), so the agreement tests can show where static
@@ -26,7 +27,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.ampi.runtime import AmpiJob
+from repro.charm.node import JobLayout
 from repro.program.source import Program, ProgramSource
+from repro.sanitize.fixtures import FIXTURES, Fixture
+from repro.sanitize.runtime import RaceDetector
 
 #: host interpreter state for the module-global-write fixture
 _MODULE_STATE = 0
@@ -39,10 +44,10 @@ RUNTIME_SILENT = "silent"        #: run completes, no runtime finding
 
 
 @dataclass(frozen=True)
-class AnalyzeFixture:
-    name: str
+class AnalyzeFixture(Fixture):
+    """A source-phase fixture: the defect lives in the function bodies."""
+
     build: Callable[[], ProgramSource]
-    expected: frozenset[str]       #: exactly these finding codes
     runtime: str                   #: RUNTIME_* outcome when executed
     #: extra keyword arguments for :func:`repro.analyze.analyze_source`
     analyze_kwargs: dict = field(default_factory=dict)
@@ -51,33 +56,26 @@ class AnalyzeFixture:
     nvp: int = 4
 
 
-_FIXTURES: dict[str, AnalyzeFixture] = {}
-
-#: fixture name -> exactly the finding codes it must produce
-EXPECTED: dict[str, frozenset[str]] = {}
-
-
 def fixture_names() -> list[str]:
-    return sorted(_FIXTURES)
+    """This module's fixtures (the analyzer's set)."""
+    return sorted(EXPECTED)
 
 
 def get_fixture(name: str) -> AnalyzeFixture:
-    try:
-        return _FIXTURES[name]
-    except KeyError:
+    fx = FIXTURES.get(name)
+    if not isinstance(fx, AnalyzeFixture):
         raise ValueError(
             f"unknown analyze fixture {name!r}; "
             f"have: {', '.join(fixture_names())}"
-        ) from None
+        )
+    return fx
 
 
 def _fixture(name: str, expected: set[str], runtime: str, **kw):
     def deco(build: Callable[[], ProgramSource]):
-        fx = AnalyzeFixture(name=name, build=build,
-                            expected=frozenset(expected),
-                            runtime=runtime, **kw)
-        _FIXTURES[name] = fx
-        EXPECTED[name] = fx.expected
+        FIXTURES[name] = AnalyzeFixture(
+            name, "source", frozenset(expected),
+            lambda: analyze_fixture(name).findings, build, runtime, **kw)
         return build
     return deco
 
@@ -92,25 +90,15 @@ def analyze_fixture(name: str):
 
 
 def run_fixture_job(name: str):
-    """Compile and execute one fixture under the runtime sanitizer.
+    """Execute one fixture's program under the runtime sanitizer.
 
     Returns ``(result, detector)``; raises whatever the run raises
     (SegFault, DeadlockError) — the agreement tests assert on exactly
     that contrast with the static expectation.
     """
-    from repro.ampi.runtime import AmpiJob
-    from repro.charm.node import JobLayout
-    from repro.machine import GENERIC_LINUX
-    from repro.privatization.registry import get_method
-    from repro.program.compiler import CompileOptions, Compiler
-    from repro.sanitize.runtime import RaceDetector
-
     fx = get_fixture(name)
-    m = get_method(fx.run_method)
-    opts = m.compile_options(CompileOptions(optimize=1), GENERIC_LINUX)
-    binary = Compiler(GENERIC_LINUX.toolchain).compile(fx.build(), opts)
     det = RaceDetector()
-    job = AmpiJob(binary, fx.nvp, method=m, machine=GENERIC_LINUX,
+    job = AmpiJob(fx.build(), fx.nvp, method=fx.run_method,
                   layout=JobLayout.single(2), sanitize=det)
     return job.run(), det
 
@@ -355,3 +343,10 @@ def _id_key() -> ProgramSource:
         return len(table)
 
     return p.build()
+
+
+#: analyzer fixture name -> exactly the finding codes it must produce
+EXPECTED: dict[str, frozenset[str]] = {
+    n: fx.expected for n, fx in FIXTURES.items()
+    if isinstance(fx, AnalyzeFixture)
+}

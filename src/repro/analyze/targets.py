@@ -49,18 +49,6 @@ def _load_example(stem: str):
     return mod
 
 
-def _jacobi_example() -> ProgramSource:
-    from repro.apps import JacobiConfig, build_jacobi_program
-
-    return build_jacobi_program(JacobiConfig(n=24, iters=12, reduce_every=3))
-
-
-def _adcirc_example() -> ProgramSource:
-    from repro.apps import AdcircConfig, build_adcirc_program
-
-    return build_adcirc_program(AdcircConfig(steps=100, lb_period=5))
-
-
 #: example name -> builder for the program that example drives
 EXAMPLE_BUILDERS: dict[str, Callable[[], ProgramSource]] = {
     "quickstart": lambda: _load_example("quickstart").build_hello(),
@@ -69,8 +57,10 @@ EXAMPLE_BUILDERS: dict[str, Callable[[], ProgramSource]] = {
             crash_after_checkpoint=False),
     "cloud_elasticity": lambda: _load_example("cloud_elasticity").build(),
     "method_tour": lambda: _load_example("method_tour").build_probe(),
-    "jacobi3d_overdecomposition": _jacobi_example,
-    "storm_surge_load_balancing": _adcirc_example,
+    "jacobi3d_overdecomposition": lambda: _registered(
+        "jacobi3d", n=24, iters=12, reduce_every=3),
+    "storm_surge_load_balancing": lambda: _registered(
+        "adcirc", steps=100, lb_period=5),
 }
 
 
@@ -88,10 +78,14 @@ def build_example(name: str) -> ProgramSource:
     return builder()
 
 
-def app_source(app: str) -> ProgramSource:
+def _registered(app: str, **config) -> ProgramSource:
     from repro.harness.jobspec import build_app_source
 
-    return build_app_source(app, dict(APP_CONFIGS.get(app, {})))
+    return build_app_source(app, config)
+
+
+def app_source(app: str) -> ProgramSource:
+    return _registered(app, **APP_CONFIGS.get(app, {}))
 
 
 def resolve_targets(target: str) -> list[tuple[str, ProgramSource, dict]]:
@@ -111,23 +105,16 @@ def resolve_targets(target: str) -> list[tuple[str, ProgramSource, dict]]:
     if target == "examples":
         return [(f"example:{n}", build_example(n), {})
                 for n in example_names()]
-    if target == "fixtures":
+    if target == "fixtures" or target.startswith("fixture:"):
         from repro.analyze.fixtures import fixture_names, get_fixture
 
-        out = []
-        for n in fixture_names():
-            fx = get_fixture(n)
-            out.append((f"fixture:{n}", fx.build(),
-                        dict(fx.analyze_kwargs)))
-        return out
+        names = (fixture_names() if target == "fixtures"
+                 else [target.partition(":")[2]])
+        return [(f"fixture:{fx.name}", fx.build(), dict(fx.analyze_kwargs))
+                for fx in map(get_fixture, names)]
     if target.startswith("example:"):
         name = target.partition(":")[2]
         return [(target, build_example(name), {})]
-    if target.startswith("fixture:"):
-        from repro.analyze.fixtures import get_fixture
-
-        fx = get_fixture(target.partition(":")[2])
-        return [(target, fx.build(), dict(fx.analyze_kwargs))]
     if target in app_names():
         return [(target, app_source(target), {})]
     raise ValueError(

@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro.ampi.ops import SUM as MPI_SUM
-from repro.ampi.runtime import AmpiJob, JobResult
+from repro.ampi.runtime import JobResult
 from repro.charm.node import JobLayout
 from repro.errors import ReproError
 from repro.machine import GENERIC_LINUX, MachineModel
@@ -233,12 +233,12 @@ def run_adcirc(
     optimize: int = 2,
 ) -> JobResult:
     """Build + run the surge model; rank exit values are the final global
-    wet-cell count (identical on every rank)."""
-    cfg = AdcircConfig(**{**cfg.__dict__,
-                          "l2_bytes": machine.l2_per_core_bytes})
-    source = build_adcirc_program(cfg)
-    job = AmpiJob(
-        source, nvp, method=method, machine=machine, layout=layout,
-        lb_strategy=lb_strategy, optimize=optimize,
-    )
-    return job.run()
+    wet-cell count (identical on every rank).  A thin caller of
+    :func:`repro.harness.jobspec.run_app`."""
+    # Lazy import: jobspec's app registry imports this module.
+    from repro.harness.jobspec import run_app
+
+    cfg_dict = {**cfg.__dict__, "l2_bytes": machine.l2_per_core_bytes}
+    return run_app("adcirc", cfg_dict, nvp, method=method, machine=machine,
+                   layout=layout, lb_strategy=lb_strategy,
+                   optimize=optimize)[1]

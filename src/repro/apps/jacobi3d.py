@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 
 from repro.ampi.ops import MAX as MPI_MAX
-from repro.ampi.runtime import AmpiJob, JobResult
+from repro.ampi.runtime import JobResult
 from repro.charm.node import JobLayout
 from repro.errors import ReproError
 from repro.machine import GENERIC_LINUX, MachineModel
@@ -261,39 +261,15 @@ def run_jacobi(
     strict: bool = True,
 ) -> JobResult:
     """Build + run Jacobi-3D; returns the job result (exit value of each
-    rank is the final global residual).
-
-    Runs through the canonical :class:`repro.harness.jobspec.JobSpec`
-    whenever the arguments are spec-able (preset machine, named method
-    and LB strategy), so ``--provenance`` records these runs too; a
-    custom machine model or method/strategy *instance* falls back to
-    direct :class:`AmpiJob` construction and is not recordable.
-    """
+    rank is the final global residual).  A thin caller of
+    :func:`repro.harness.jobspec.run_app`."""
     # Lazy import: jobspec's app registry imports this module.
-    from repro.harness import jobspec as _js
+    from repro.harness.jobspec import run_app
 
-    preset = _js.machine_preset_name(machine)
-    if preset is not None and isinstance(method, str) \
-            and isinstance(lb_strategy, str):
-        lay = layout or JobLayout.single(min(nvp, machine.cores_per_node))
-        spec = _js.JobSpec(
-            app="jacobi3d", nvp=nvp, app_config=dict(cfg.__dict__),
-            method=method, machine=preset,
-            layout=(lay.nodes, lay.processes_per_node, lay.pes_per_process),
-            lb_strategy=lb_strategy, optimize=optimize,
-            fault_plan=fault_plan.to_dict() if fault_plan is not None
-            else None,
-            ft_interval_ns=ft.ckpt_interval_ns if ft is not None else None,
-            transport=transport, recovery=recovery,
-        )
-        return _js.run_spec(spec, trace=trace, sanitize=sanitize,
-                            trace_fetches=trace_fetches, strict=strict)
-    source = build_jacobi_program(cfg)
-    job = AmpiJob(
-        source, nvp, method=method, machine=machine, layout=layout,
-        optimize=optimize, lb_strategy=lb_strategy,
-        trace_fetches=trace_fetches, trace=trace,
-        fault_plan=fault_plan, ft=ft, transport=transport,
-        recovery=recovery, sanitize=sanitize,
-    )
-    return job.run(strict=strict)
+    return run_app(
+        "jacobi3d", dict(cfg.__dict__), nvp, method=method, machine=machine,
+        layout=layout, optimize=optimize, lb_strategy=lb_strategy,
+        trace_fetches=trace_fetches, trace=trace, fault_plan=fault_plan,
+        ft=ft, transport=transport, recovery=recovery, sanitize=sanitize,
+        strict=strict,
+    )[1]

@@ -25,7 +25,6 @@ campaign, which is what makes a CI gate out of it.
 
 from __future__ import annotations
 
-import json
 import os
 import socket as socketlib
 import subprocess
@@ -523,7 +522,3 @@ def _resolve_crashed(client: ServeClient, spec: JobSpec,
         out.status = "unresolved"
         out.detail = (f"post-restart resubmit failed: "
                       f"error={reply.error!r} reason={reply.reason!r}")
-
-
-def report_to_json(report: ServeCampaignReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2)

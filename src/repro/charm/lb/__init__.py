@@ -11,6 +11,7 @@ from repro.charm.lb.strategies import (
     RankStat,
     RotateLB,
     get_strategy,
+    strategy_names,
 )
 from repro.charm.lb.instrumentation import LoadSummary, summarize_loads
 
@@ -23,6 +24,7 @@ __all__ = [
     "NullLB",
     "RankStat",
     "get_strategy",
+    "strategy_names",
     "LoadSummary",
     "summarize_loads",
 ]

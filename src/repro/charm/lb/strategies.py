@@ -160,13 +160,15 @@ _STRATEGIES = {
 }
 
 
+def strategy_names() -> list[str]:
+    return sorted(_STRATEGIES)
+
+
 def get_strategy(name_or_obj: "str | LbStrategy") -> LbStrategy:
     if isinstance(name_or_obj, LbStrategy):
         return name_or_obj
     try:
         return _STRATEGIES[name_or_obj.lower()]()
     except KeyError:
-        known = ", ".join(sorted(_STRATEGIES))
-        raise ReproError(
-            f"unknown LB strategy {name_or_obj!r}; known: {known}"
-        ) from None
+        raise ReproError(f"unknown LB strategy {name_or_obj!r}; known: "
+                         f"{', '.join(strategy_names())}") from None

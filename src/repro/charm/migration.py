@@ -143,9 +143,3 @@ class MigrationEngine:
         if self.sanitizer is not None and cross:
             self.sanitizer.on_migrate(rank, src_proc, dst_proc, rec)
         return rec
-
-    def total_bytes(self) -> int:
-        return sum(r.nbytes for r in self.records)
-
-    def count(self) -> int:
-        return sum(1 for r in self.records if r.src_pe != r.dst_pe)

@@ -33,7 +33,6 @@ class JobScheduler:
     """Runs all virtual ranks of a job to completion."""
 
     def __init__(self, costs: CostModel, ctx_switch_extra_ns: int = 0,
-                 record_timeline: bool = True,
                  trace: TraceRecorder | None = None,
                  trace_pid_base: int = 0, trace_label: str = ""):
         self.costs = costs
@@ -55,7 +54,6 @@ class JobScheduler:
         #: (pe index, vp, start ns) per scheduling quantum, in order —
         #: consumed by the instruction-cache study to reconstruct the
         #: interleaving of rank code on each PE.
-        self.record_timeline = record_timeline
         self.timeline: list[tuple[int, int, int]] = []
         #: called after each rank finishes (runtime hooks e.g. finalize)
         self.on_rank_done: Callable[["VirtualRank"], None] | None = None
@@ -204,7 +202,6 @@ class JobScheduler:
         fault_check = self.fault_check
         fault_due = self.fault_due
         on_quantum = self.on_quantum
-        record_timeline = self.record_timeline
         timeline_append = self.timeline.append
         timers = self._timers
         heappop = heapq.heappop
@@ -312,8 +309,7 @@ class JobScheduler:
                             args={"method": self.trace_label,
                                   "surcharge_ns": self.ctx_switch_extra_ns})
 
-                if record_timeline:
-                    timeline_append((pe.index, rank.vp, start))
+                timeline_append((pe.index, rank.vp, start))
                 if on_quantum is not None:
                     on_quantum()
                 self.current = rank

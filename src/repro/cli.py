@@ -337,16 +337,21 @@ def cmd_check(args) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
-    if args.json:
+    return _print_reports(reports, args.json, lambda r, verdict: (
+        f"== check {r.target} method={r.method} nvp={r.nvp}"
+        f"{' (executed)' if r.executed else ''}: {verdict}"))
+
+
+def _print_reports(reports, as_json: bool, headline) -> int:
+    """Print `check`/`analyze` reports (one JSON object for a single
+    report, a list for several); exit status 1 unless all are ok."""
+    if as_json:
         payload = [r.to_dict() for r in reports]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
                          sort_keys=True, indent=2))
     else:
         for r in reports:
-            verdict = "clean" if r.ok else "FAILED"
-            ran = " (executed)" if r.executed else ""
-            print(f"== check {r.target} method={r.method} "
-                  f"nvp={r.nvp}{ran}: {verdict}")
+            print(headline(r, "clean" if r.ok else "FAILED"))
             for f in r.findings:
                 print(f.format())
             if r.findings:
@@ -386,22 +391,10 @@ def cmd_analyze(args) -> int:
         if args.suggest:
             kw = {**kw, "suggest": True}
         reports.append(analyze_source(source, target=label, **kw))
-    if args.json:
-        payload = [r.to_dict() for r in reports]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         sort_keys=True, indent=2))
-    else:
-        for r in reports:
-            verdict = "clean" if r.ok else "FAILED"
-            method = f" method={r.method}" if r.method else ""
-            print(f"== analyze {r.target}{method}: {verdict} "
-                  f"(predicted min method: {r.predicted_method}, "
-                  f"{len(r.functions)} function(s), {r.elapsed_ms:.1f} ms)")
-            for f in r.findings:
-                print(f.format())
-            if r.findings:
-                print(f"{len(r.findings)} finding(s)")
-    return 0 if all(r.ok for r in reports) else 1
+    return _print_reports(reports, args.json, lambda r, verdict: (
+        f"== analyze {r.target}{f' method={r.method}' if r.method else ''}: "
+        f"{verdict} (predicted min method: {r.predicted_method}, "
+        f"{len(r.functions)} function(s), {r.elapsed_ms:.1f} ms)"))
 
 
 def cmd_hello(args) -> int:

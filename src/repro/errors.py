@@ -101,7 +101,13 @@ class MigrationUnsupportedError(PrivatizationError):
 
     PIPglobals and FSglobals cannot intercept the loader's internal mmap
     calls, leaving their code/data segments outside Isomalloc.
+    ``possible`` marks the other case (Table 1's "Not implemented, but
+    possible"): nothing in the design forbids it, it was never built.
     """
+
+    def __init__(self, message: str = "", *, possible: bool = False):
+        self.possible = possible
+        super().__init__(message)
 
 
 class ReductionOffsetError(ReproError):

@@ -136,10 +136,6 @@ class BuddyCheckpointer:
         return self.current.holders if self.current is not None else {}
 
     @staticmethod
-    def buddy_of(proc_index: int, nprocs: int) -> int:
-        return (proc_index + 1) % nprocs
-
-    @staticmethod
     def _live_buddy_of(job: "AmpiJob", proc_index: int) -> int:
         """The next process ring-wise that still has live PEs.
 

@@ -241,6 +241,34 @@ class RecoveryManager:
             )
         return resume_at
 
+    def _evacuate(self, dead: list, survivors: list) -> int:
+        """Move each dead rank (given in vp order) to the least-loaded
+        surviving PE; returns the slowest move's cost."""
+        move_ns = 0
+        for rank in dead:
+            target = min(survivors,
+                         key=lambda pe: (len(pe.resident), pe.index))
+            move_ns = max(move_ns,
+                          self.job.migration_engine.migrate(rank, target).ns)
+        return move_ns
+
+    def _restart(self, rank, ckpt) -> None:
+        """Restart ``rank`` from its snapshot on a fresh ULT that keeps
+        the old SimClock object (contexts hold references to it)."""
+        job, old = self.job, rank.ult
+        if not old.finished:
+            old.kill()
+        old.join_thread()
+        rank.ult = UserLevelThread(
+            f"vp{rank.vp}", job._rank_entry, (rank,),
+            stack_bytes=job.stack_bytes, backend=job.ult_backend,
+        )
+        rank.ult.clock = old.clock
+        rank.finished = False
+        rank.exit_value = None
+        ckpt.restore_rank(rank, reset_heap=True)
+        self.rollback_counts[rank.vp] += 1
+
     def _rollback(self, crash: NodeCrash, survivors: list, ckpt,
                   resume_floor: int = 0) -> tuple[int, int]:
         """Global rollback to checkpoint ``ckpt``; returns (cost,
@@ -259,33 +287,13 @@ class RecoveryManager:
 
         # 2. Dead ranks move to the least-loaded surviving PE, in vp
         #    order — the same deterministic tie-break the LB uses.
-        move_ns = 0
-        for rank in sorted((r for r in job.ranks() if r.pe.failed),
-                           key=lambda r: r.vp):
-            target = min(survivors,
-                         key=lambda pe: (len(pe.resident), pe.index))
-            rec = job.migration_engine.migrate(rank, target)
-            move_ns = max(move_ns, rec.ns)
+        move_ns = self._evacuate(
+            sorted((r for r in job.ranks() if r.pe.failed),
+                   key=lambda r: r.vp), survivors)
 
-        # 3. Every rank restarts from its snapshot on a fresh ULT that
-        #    keeps the old SimClock object (contexts hold references).
+        # 3. Every rank restarts from its snapshot.
         for rank in job.ranks():
-            old = rank.ult
-            clock = old.clock
-            if not old.finished:
-                old.kill()
-            old.join_thread()
-            ult = UserLevelThread(
-                f"vp{rank.vp}", job._rank_entry, (rank,),
-                stack_bytes=job.stack_bytes,
-                backend=job.ult_backend,
-            )
-            ult.clock = clock
-            rank.ult = ult
-            rank.finished = False
-            rank.exit_value = None
-            ckpt.restore_rank(rank, reset_heap=True)
-            self.rollback_counts[rank.vp] += 1
+            self._restart(rank, ckpt)
 
         # 4. Price the restart: a job-wide barrier, unpacking the
         #    checkpoint state, and the slowest snapshot retrieval/move.
@@ -353,36 +361,15 @@ class LocalRecoveryManager(RecoveryManager):
 
         # 2. Dead ranks move to the least-loaded surviving PE, in vp
         #    order — the same deterministic tie-break the LB uses.
-        move_ns = 0
-        for rank in recovering:
-            target = min(survivors,
-                         key=lambda pe: (len(pe.resident), pe.index))
-            rec = job.migration_engine.migrate(rank, target)
-            move_ns = max(move_ns, rec.ns)
+        move_ns = self._evacuate(recovering, survivors)
 
-        # 3. Only the recovering ranks restart from their snapshots, on
-        #    fresh ULTs keeping the old SimClock objects.
+        # 3. Only the recovering ranks restart from their snapshots.
         restored_bytes = 0
         for rank in recovering:
-            old = rank.ult
-            clock = old.clock
-            if not old.finished:
-                old.kill()
-            old.join_thread()
-            ult = UserLevelThread(
-                f"vp{rank.vp}", job._rank_entry, (rank,),
-                stack_bytes=job.stack_bytes,
-                backend=job.ult_backend,
-            )
-            ult.clock = clock
-            rank.ult = ult
-            rank.finished = False
-            rank.exit_value = None
-            ckpt.restore_rank(rank, reset_heap=True)
+            self._restart(rank, ckpt)
             snap = ckpt.snapshots.get(rank.vp)
             if snap is not None:
                 restored_bytes += snap.nbytes
-            self.rollback_counts[rank.vp] += 1
 
         # 4. Price the restart over the recovering set only: its restart
         #    barrier, its snapshot bytes, its slowest retrieval/move.

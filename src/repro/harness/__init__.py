@@ -18,6 +18,7 @@ if TYPE_CHECKING:  # pragma: no cover
         code_version,
         register_app,
         remove_result_hook,
+        run_app,
         run_spec,
         run_spec_job,
     )
@@ -43,6 +44,7 @@ __all__ = [
     "code_version",
     "register_app",
     "remove_result_hook",
+    "run_app",
     "run_spec",
     "run_spec_job",
     "CapabilityRow",
@@ -68,7 +70,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "repro.harness.jobspec": (
         "JobSpec", "add_result_hook", "app_names", "build_app_source",
         "build_job", "code_version", "register_app", "remove_result_hook",
-        "run_spec", "run_spec_job"),
+        "run_app", "run_spec", "run_spec_job"),
     "repro.harness.experiments": (
         "FaultRow", "adcirc_scaling_experiment", "context_switch_experiment",
         "fault_overhead_experiment", "icache_experiment",

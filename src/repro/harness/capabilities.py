@@ -20,35 +20,19 @@ from dataclasses import dataclass
 from repro.ampi.runtime import AmpiJob
 from repro.charm.node import JobLayout
 from repro.errors import (
-    CompileError,
-    LoaderError,
     MigrationUnsupportedError,
     NamespaceLimitError,
     PrivatizationError,
     ReproError,
-    SmpUnsupportedError,
     UnsupportedToolchain,
 )
-from repro.machine import (
-    BRIDGES2,
-    BRIDGES2_PATCHED_GLIBC,
-    LEGACY_LINUX_OLD_LD,
-    MACOS_ARM,
-    STAMPEDE2_ICX,
-    MachineModel,
-    TEST_MACHINE,
-)
-from repro.privatization import get_method
+from repro.machine import TEST_MACHINE, MachineModel, get_machine
+from repro.privatization import PrivatizationMethod, get_method
 from repro.program.source import Program, ProgramSource
 
 #: presets the portability probe tries, in order
-PORTABILITY_MACHINES: tuple[MachineModel, ...] = (
-    BRIDGES2,
-    LEGACY_LINUX_OLD_LD,
-    STAMPEDE2_ICX,
-    MACOS_ARM,
-    BRIDGES2_PATCHED_GLIBC,
-)
+PORTABILITY_MACHINES = ("bridges2", "legacy-linux-old-ld", "stampede2-icx",
+                        "macos-arm", "bridges2-patched-glibc")
 
 
 def correctness_program(language: str = "c") -> ProgramSource:
@@ -89,79 +73,10 @@ class CapabilityRow:
     works_on: tuple[str, ...]
 
 
-def _probe_machine(method_name: str, language: str) -> MachineModel:
-    """A machine each method can run on for the correctness probe."""
-    if method_name == "swapglobals":
-        return TEST_MACHINE.copy_with(toolchain=LEGACY_LINUX_OLD_LD.toolchain)
-    if method_name == "mpc":
-        return TEST_MACHINE.copy_with(toolchain=STAMPEDE2_ICX.toolchain)
-    return TEST_MACHINE
-
-
-def probe_correctness(method_name: str) -> dict:
-    """Which variable classes does the method actually privatize?"""
-    method = get_method(method_name)
-    language = "fortran" if method_name == "photran" else "c"
-    machine = _probe_machine(method_name, language)
-    layout = (JobLayout(1, 2, 1) if method_name == "swapglobals"
-              else JobLayout.single(2))
-    job = AmpiJob(correctness_program(language), nvp=4, method=method,
-                  machine=machine, layout=layout)
-    result = job.run()
-    verdict = {"global": True, "static": True, "tls": True, "const": True}
-    for flags in result.exit_values.values():
-        for k, ok in flags.items():
-            verdict[k] = verdict[k] and ok
-    return verdict
-
-
-def probe_portability(method_name: str) -> tuple[str, ...]:
-    """Machine presets on which the method builds and starts."""
-    works = []
-    language = "fortran" if method_name == "photran" else "c"
-    for machine in PORTABILITY_MACHINES:
-        method = get_method(method_name)
-        layout = (JobLayout(1, 2, 1) if method_name == "swapglobals"
-                  else JobLayout.single(2))
-        try:
-            job = AmpiJob(correctness_program(language), nvp=2,
-                          method=method, machine=machine, layout=layout)
-            job.start()
-            job.scheduler.shutdown()
-        except (UnsupportedToolchain, PrivatizationError, LoaderError,
-                CompileError, SmpUnsupportedError, ReproError):
-            continue
-        works.append(machine.name)
-    return tuple(works)
-
-
-def probe_smp(method_name: str) -> str:
-    """Can the method run many scheduler threads per process?"""
-    method = get_method(method_name)
-    language = "fortran" if method_name == "photran" else "c"
-    machine = _probe_machine(method_name, language)
-    try:
-        # SMP mode with enough virtualization to exceed stock glibc's
-        # dlmopen namespace budget in one process (the PIP pain point).
-        job = AmpiJob(correctness_program(language), nvp=16, method=method,
-                      machine=machine, layout=JobLayout.single(4))
-        job.start()
-        job.scheduler.shutdown()
-        return "Yes"
-    except SmpUnsupportedError:
-        return "No"
-    except NamespaceLimitError:
-        return "Limited w/o patched glibc"
-    except (UnsupportedToolchain, PrivatizationError):
-        return "No"
-
-
-def probe_migration(method_name: str) -> str:
-    """Actually migrate a rank between OS processes."""
-    method = get_method(method_name)
-    language = "fortran" if method_name == "photran" else "c"
-    machine = _probe_machine(method_name, language)
-    p = Program("migprobe", language=language)
+def migration_program(language: str = "c",
+                      name: str = "migprobe") -> ProgramSource:
+    """Write a global, move rank 0 to the other process, read it back."""
+    p = Program(name, language=language)
     p.add_global("x", 0)
 
     @p.function()
@@ -173,14 +88,79 @@ def probe_migration(method_name: str) -> str:
         ctx.mpi.barrier()
         return ctx.g.x == ctx.mpi.rank() * 10
 
+    return p.build()
+
+
+def _probe_machine(method: PrivatizationMethod) -> MachineModel:
+    """The test machine, with the toolchain the method needs (if any)."""
+    if method.toolchain_preset is None:
+        return TEST_MACHINE
+    return TEST_MACHINE.copy_with(
+        toolchain=get_machine(method.toolchain_preset).toolchain)
+
+
+def _probe_job(method_name: str, nvp: int, *, program=correctness_program,
+               machine: MachineModel | None = None,
+               layout: JobLayout | None = None, **options) -> AmpiJob:
+    """Every probe's job: the program in the method's source language,
+    on a machine it can build on, two PEs in the shape it can run."""
+    method = get_method(method_name)
+    if layout is None:
+        layout = (JobLayout.single(2) if method.smp_capable
+                  else JobLayout(1, 2, 1))
+    return AmpiJob(program(method.source_language), nvp, method=method,
+                   machine=machine or _probe_machine(method), layout=layout,
+                   **options)
+
+
+def _starts(job: AmpiJob) -> None:
+    job.start()
+    job.scheduler.shutdown()
+
+
+def probe_correctness(method_name: str) -> dict:
+    """Which variable classes does the method actually privatize?"""
+    result = _probe_job(method_name, 4).run()
+    verdict = {"global": True, "static": True, "tls": True, "const": True}
+    for flags in result.exit_values.values():
+        for k, ok in flags.items():
+            verdict[k] = verdict[k] and ok
+    return verdict
+
+
+def probe_portability(method_name: str) -> tuple[str, ...]:
+    """Machine presets on which the method builds and starts."""
+    works = []
+    for machine in PORTABILITY_MACHINES:
+        try:
+            _starts(_probe_job(method_name, 2, machine=get_machine(machine)))
+        except ReproError:
+            continue
+        works.append(machine)
+    return tuple(works)
+
+
+def probe_smp(method_name: str) -> str:
+    """Can the method run many scheduler threads per process?"""
     try:
-        job = AmpiJob(p.build(), nvp=2, method=method, machine=machine,
-                      layout=JobLayout(1, 2, 1), slot_size=1 << 26)
-        result = job.run()
-    except MigrationUnsupportedError as e:
-        if "never built" in str(e) or "possible" in str(e):
-            return "Not implemented, but possible"
+        # SMP mode with enough virtualization to exceed stock glibc's
+        # dlmopen namespace budget in one process (the PIP pain point).
+        _starts(_probe_job(method_name, 16, layout=JobLayout.single(4)))
+        return "Yes"
+    except NamespaceLimitError:
+        return "Limited w/o patched glibc"
+    except (UnsupportedToolchain, PrivatizationError):
         return "No"
+
+
+def probe_migration(method_name: str) -> str:
+    """Actually migrate a rank between OS processes."""
+    try:
+        result = _probe_job(method_name, 2, program=migration_program,
+                            layout=JobLayout(1, 2, 1),
+                            slot_size=1 << 26).run()
+    except MigrationUnsupportedError as e:
+        return "Not implemented, but possible" if e.possible else "No"
     ok = all(result.exit_values.values())
     moved = any(m.cross_process for m in result.migrations)
     return "Yes" if (ok and moved) else "No"

@@ -13,23 +13,26 @@ paper's tables and tests assert on the shapes:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.ampi.runtime import AmpiJob, JobResult
 from repro.apps.adcirc import AdcircConfig
-from repro.apps.jacobi3d import JacobiConfig
+from repro.apps.jacobi3d import JacobiConfig, run_jacobi
 from repro.apps.memhog import MemhogConfig
 from repro.charm.node import JobLayout
-from repro.harness.jobspec import (
-    JobSpec,
-    build_app_source,
-    machine_preset_name,
-    run_spec_job,
+from repro.harness.jobspec import code_version, run_app
+from repro.machine import BRIDGES2, GENERIC_LINUX, STAMPEDE2_ICX, MachineModel
+from repro.perf.counters import (
+    EV_CKPT,
+    EV_CKPT_BYTES,
+    EV_CTX_SWITCH,
+    EV_FAULT,
+    EV_RECOVERY_NS,
+    EV_REPLAYED,
+    EV_RETRANS,
 )
-from repro.machine import BRIDGES2, STAMPEDE2_ICX, MachineModel
-from repro.mem.layout import DEFAULT_SLOT_SIZE
-from repro.perf.counters import EV_CTX_SWITCH
 from repro.perf.icache import SetAssociativeCache
 from repro.trace.recorder import TraceRecorder
 
@@ -37,48 +40,6 @@ from repro.trace.recorder import TraceRecorder
 #: working on this system", exactly as on Bridges-2)
 FIGURE_METHODS = ("none", "tlsglobals", "pipglobals", "fsglobals",
                   "pieglobals")
-
-
-def _spec_run(
-    app: str,
-    app_config: dict,
-    nvp: int,
-    *,
-    machine: MachineModel,
-    layout: JobLayout,
-    method: str | Any = "pieglobals",
-    lb_strategy: str | Any = "greedyrefine",
-    optimize: int = 2,
-    slot_size: int = DEFAULT_SLOT_SIZE,
-    trace: TraceRecorder | None = None,
-    sanitize: Any = None,
-    trace_fetches: bool = False,
-) -> tuple[AmpiJob, JobResult]:
-    """Run one experiment data point through the canonical spec.
-
-    Every driver funnels through here so that ``--provenance`` records
-    each point of a sweep.  A non-preset machine model or a method /
-    strategy passed as an instance is not spec-able; those fall back to
-    direct :class:`AmpiJob` construction (same timeline, no record).
-    """
-    preset = machine_preset_name(machine)
-    if preset is not None and isinstance(method, str) \
-            and isinstance(lb_strategy, str):
-        spec = JobSpec(
-            app=app, nvp=nvp, app_config=app_config, method=method,
-            machine=preset,
-            layout=(layout.nodes, layout.processes_per_node,
-                    layout.pes_per_process),
-            lb_strategy=lb_strategy, optimize=optimize,
-            slot_size=slot_size,
-        )
-        return run_spec_job(spec, trace=trace, sanitize=sanitize,
-                            trace_fetches=trace_fetches)
-    job = AmpiJob(build_app_source(app, app_config), nvp, method=method,
-                  machine=machine, layout=layout, lb_strategy=lb_strategy,
-                  optimize=optimize, slot_size=slot_size, trace=trace,
-                  sanitize=sanitize, trace_fetches=trace_fetches)
-    return job, job.run()
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +71,7 @@ def startup_experiment(
     rows: list[StartupRow] = []
     baseline = None
     for method in methods:
-        _, result = _spec_run(
+        _, result = run_app(
             "startup", {"code_bytes": code_bytes}, nvp, method=method,
             machine=machine, layout=layout, slot_size=1 << 26,
             trace=trace, sanitize=sanitize)
@@ -151,7 +112,7 @@ def context_switch_experiment(
     rows: list[SwitchRow] = []
     baseline = None
     for method in methods:
-        _, result = _spec_run(
+        _, result = run_app(
             "pingpong", {"yields_per_rank": yields_per_rank}, 2,
             method=method, machine=machine, layout=JobLayout.single(1),
             slot_size=1 << 26, trace=trace, sanitize=sanitize)
@@ -199,7 +160,7 @@ def jacobi_access_experiment(
     baseline = None
     for method in methods:
         tagged = method in ("tlsglobals",)
-        _, result = _spec_run(
+        _, result = run_app(
             "jacobi3d", {**cfg.__dict__, "tag_tls": tagged}, nvp,
             method=method, machine=machine,
             layout=JobLayout.single(min(nvp, 8)), optimize=optimize,
@@ -243,7 +204,7 @@ def migration_experiment(
     for heap_mb in heap_mbs:
         cfg = MemhogConfig(heap_mb=heap_mb, code_bytes=code_bytes)
         for method in methods:
-            _, result = _spec_run(
+            _, result = run_app(
                 "memhog", dict(cfg.__dict__), 2, method=method,
                 machine=machine,
                 layout=JobLayout(nodes=2, processes_per_node=1,
@@ -331,7 +292,7 @@ def icache_experiment(
     rows: list[IcacheRow] = []
     for machine in machines:
         for method in methods:
-            job, _ = _spec_run(
+            job, _ = run_app(
                 "jacobi3d", dict(cfg.__dict__), nvp, method=method,
                 machine=machine, layout=JobLayout.single(1),
                 slot_size=1 << 27, trace_fetches=True)
@@ -376,9 +337,6 @@ class AdcircSummary:
         return round(100.0 * (self.baseline_ns - self.best_ns) / self.best_ns)
 
 
-_ADCIRC_CACHE: dict = {}
-
-
 def adcirc_scaling_experiment(
     cores_list: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     ratios: Sequence[int] = (1, 2, 4, 8),
@@ -389,20 +347,14 @@ def adcirc_scaling_experiment(
     lb_strategy: str = "greedyrefine",
 ) -> tuple[list[AdcircRow], list[AdcircSummary]]:
     """Memoized front-end: Table 2 and Figure 9 share one sweep."""
-    key = (tuple(cores_list), tuple(ratios), cfg, machine.name, method,
-           lb_strategy)
-    if key not in _ADCIRC_CACHE:
-        _ADCIRC_CACHE[key] = _adcirc_scaling_experiment(
-            cores_list, ratios, cfg=cfg, machine=machine, method=method,
-            lb_strategy=lb_strategy,
-        )
-    return _ADCIRC_CACHE[key]
+    return _adcirc_scaling_experiment(tuple(cores_list), tuple(ratios), cfg,
+                                      machine, method, lb_strategy)
 
 
+@functools.lru_cache(maxsize=None)
 def _adcirc_scaling_experiment(
-    cores_list: Sequence[int],
-    ratios: Sequence[int],
-    *,
+    cores_list: tuple[int, ...],
+    ratios: tuple[int, ...],
     cfg: AdcircConfig,
     machine: MachineModel,
     method: str,
@@ -430,7 +382,7 @@ def _adcirc_scaling_experiment(
                 "l2_bytes": machine.l2_per_core_bytes,
             })
             layout = _square_layout(cores, machine)
-            _, result = _spec_run(
+            _, result = run_app(
                 "adcirc", dict(run_cfg.__dict__), nvp, method=method,
                 machine=machine, layout=layout, lb_strategy=lb_strategy,
                 slot_size=1 << 26)
@@ -528,17 +480,7 @@ def fault_overhead_experiment(
     including the failure-free baseline, so overhead is measured against
     the same wire conditions.
     """
-    from repro.apps.jacobi3d import run_jacobi
     from repro.ft import FaultPlan, FtConfig
-    from repro.machine import GENERIC_LINUX
-    from repro.perf.counters import (
-        EV_CKPT,
-        EV_CKPT_BYTES,
-        EV_FAULT,
-        EV_RECOVERY_NS,
-        EV_REPLAYED,
-        EV_RETRANS,
-    )
 
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
@@ -572,8 +514,6 @@ def fault_overhead_experiment(
     hi = base.startup_ns + (base.app_ns * 8) // 10
     if hi <= lo:
         hi = lo + 1
-
-    from repro.harness.jobspec import code_version
 
     code_ver = code_version()
 
@@ -647,10 +587,7 @@ def recovery_comparison_experiment(
     rollback scheme.  The failure-free run rides along as the baseline;
     all three produce identical numerics.
     """
-    from repro.apps.jacobi3d import run_jacobi
     from repro.ft import FaultPlan, NodeCrash
-    from repro.machine import GENERIC_LINUX
-    from repro.perf.counters import EV_RECOVERY_NS, EV_REPLAYED
 
     machine = machine or GENERIC_LINUX
     cfg = cfg or JacobiConfig(n=12, iters=8, reduce_every=2,

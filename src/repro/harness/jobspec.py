@@ -12,12 +12,21 @@ ULT worker pool, tracing, and fetch tracing are runtime options of
 :func:`build_job`, because none of them may change simulated timelines
 (the repo-wide zero-overhead-when-off contract).
 
-The provenance store (:mod:`repro.provenance`) keys run records by
-``spec.digest()``; the future ``repro serve`` result cache will use the
-same key.  :func:`run_spec` is the chokepoint every spec-built job runs
-through — result hooks registered with :func:`add_result_hook` see
-``(spec, job, result)`` for every run, which is how ``--provenance``
-records runs without the harness importing the store.
+This module is the one road from a program to a running job: a caller
+holding a spec runs it with :func:`run_spec_job`; a caller holding an app
+name and the objects :class:`AmpiJob` takes (experiment drivers,
+``run_jacobi``/``run_adcirc``) calls :func:`run_app`, the only place
+that decides whether those can be written down as a spec.
+:meth:`JobSpec.validate` refuses a spec that names something unknown;
+:func:`build_job` turns a valid one into an :class:`AmpiJob`, whose
+binary comes from :func:`repro.ampi.runtime.build_binary`.
+
+The provenance store (:mod:`repro.provenance`) and the ``repro serve``
+result cache key run records by ``spec.digest()``.  :func:`run_spec_job`
+is the chokepoint every spec-built job runs through — result hooks
+registered with :func:`add_result_hook` see ``(spec, job, result)`` for
+every run, which is how ``--provenance`` records runs without the
+harness importing the store.
 """
 
 from __future__ import annotations
@@ -32,16 +41,18 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
-from repro.ampi.runtime import AmpiJob, JobResult
+from repro.ampi.runtime import AmpiJob, JobResult, check_job_options
 from repro.apps.micro import (
     build_hello_program,
     build_pingpong_program,
     build_startup_program,
 )
+from repro.charm.lb import strategy_names
 from repro.charm.node import JobLayout
 from repro.errors import ReproError
-from repro.machine import PRESETS, MachineModel, get_machine
+from repro.machine import GENERIC_LINUX, PRESETS, MachineModel, get_machine
 from repro.mem.layout import DEFAULT_SLOT_SIZE
+from repro.privatization import method_names
 from repro.program.source import ProgramSource
 
 # ---------------------------------------------------------------------------
@@ -116,9 +127,8 @@ class JobSpec:
 
     ``app`` names a registered program builder and ``app_config`` holds
     its keyword arguments (JSON-able scalars only).  ``machine`` is a
-    preset name (:data:`repro.machine.PRESETS`); custom machine models
-    are not spec-able — callers with one fall back to constructing
-    :class:`AmpiJob` directly and lose recordability.
+    preset name (:data:`repro.machine.PRESETS`); a custom machine model
+    cannot be written down as a spec (see :func:`run_app`).
     """
 
     app: str
@@ -155,39 +165,21 @@ class JobSpec:
     # -- encoding -----------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        d = {
-            "app": self.app,
-            "app_config": dict(self.app_config),
-            "nvp": self.nvp,
-            "method": self.method,
-            "machine": self.machine,
-            "layout": list(self.layout),
-            "lb_strategy": self.lb_strategy,
-            "optimize": self.optimize,
-            "stack_bytes": self.stack_bytes,
-            "slot_size": self.slot_size,
-            "placement": self.placement,
-            "argv": list(self.argv),
-            "fault_plan": self.fault_plan,
-            "ft_interval_ns": self.ft_interval_ns,
-            "transport": self.transport,
-            "recovery": self.recovery,
-            "sanitize": self.sanitize,
-        }
+        """Every field, by name: a field added to the dataclass is in the
+        canonical encoding, hence the digest, without being listed here."""
+        d = {name: getattr(self, name) for name in _FIELDS}
+        d.update(app_config=dict(self.app_config), layout=list(self.layout),
+                 argv=list(self.argv))
         return d
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "JobSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
+        """Decode without :meth:`validate`: a stored record or an old
+        manifest loads whatever it names."""
+        unknown = set(d).difference(_FIELDS)
         if unknown:
             raise ReproError(f"unknown JobSpec fields: {sorted(unknown)}")
-        kw = dict(d)
-        if "layout" in kw:
-            kw["layout"] = tuple(kw["layout"])
-        if "argv" in kw:
-            kw["argv"] = tuple(kw["argv"])
-        return cls(**kw)
+        return cls(**d)     # __post_init__ re-tuples layout and argv
 
     def canonical(self) -> str:
         """The canonical encoding the digest is computed over: JSON with
@@ -201,15 +193,30 @@ class JobSpec:
         """SHA-256 of the canonical encoding — the content address."""
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
+    def validate(self) -> None:
+        """Refuse a spec that names something unknown — registry and enum
+        membership only, cheap enough for :func:`build_job` and ``repro
+        serve``'s submit path to call first, before the spec is keyed."""
+        for what, value, known in (
+            ("app", self.app, _APPS),
+            ("privatization method", self.method, method_names()),
+            ("machine preset", self.machine, PRESETS),
+            ("LB strategy", str(self.lb_strategy).lower(), strategy_names()),
+        ):
+            if value not in known:
+                raise ReproError(f"unknown {what} {value!r}; known: "
+                                 f"{', '.join(sorted(known))}")
+        check_job_options(self.placement, self.transport, self.recovery)
+
     # -- materialization ----------------------------------------------------
 
     def build_source(self) -> ProgramSource:
         return build_app_source(self.app, self.app_config)
 
-    def job_layout(self) -> JobLayout:
-        n, ppn, pes = self.layout
-        return JobLayout(nodes=n, processes_per_node=ppn,
-                         pes_per_process=pes)
+
+#: every spec field, read off the dataclass: encoder, decoder and
+#: :func:`build_job` walk this list, none carries its own
+_FIELDS = tuple(f.name for f in dataclasses.fields(JobSpec))
 
 
 def machine_preset_name(machine: MachineModel) -> str | None:
@@ -228,6 +235,12 @@ def default_layout(nvp: int, machine: MachineModel) -> tuple[int, int, int]:
 # Execution
 # ---------------------------------------------------------------------------
 
+#: the spec fields :class:`AmpiJob` takes in another form; every other
+#: field is handed over under its own name
+_CONVERTED_FIELDS = frozenset({"app", "app_config", "machine", "layout",
+                               "fault_plan", "ft_interval_ns", "sanitize"})
+
+
 def build_job(
     spec: JobSpec,
     *,
@@ -242,6 +255,7 @@ def build_job(
     them may change the simulated timeline.  ``sanitize`` overrides the
     spec's flag when given (e.g. to share one detector across a sweep).
     """
+    spec.validate()
     if sanitize is None and spec.sanitize:
         sanitize = True
     plan = ft = None
@@ -254,24 +268,17 @@ def build_job(
 
         ft = FtConfig(ckpt_interval_ns=spec.ft_interval_ns)
     return AmpiJob(
-        spec.build_source(), spec.nvp,
-        method=spec.method,
+        spec.build_source(),
         machine=get_machine(spec.machine),
-        layout=spec.job_layout(),
-        lb_strategy=spec.lb_strategy,
-        optimize=spec.optimize,
-        stack_bytes=spec.stack_bytes,
-        slot_size=spec.slot_size,
-        placement=spec.placement,
-        argv=spec.argv,
+        layout=JobLayout(*spec.layout),
         fault_plan=plan,
         ft=ft,
-        transport=spec.transport,
-        recovery=spec.recovery,
         trace=trace,
         sanitize=sanitize,
         ult_backend=ult_backend,
         trace_fetches=trace_fetches,
+        **{name: getattr(spec, name) for name in _FIELDS
+           if name not in _CONVERTED_FIELDS},
     )
 
 
@@ -354,6 +361,53 @@ def run_spec_job(spec: JobSpec, **runtime: Any) -> tuple[AmpiJob, JobResult]:
 def run_spec(spec: JobSpec, **runtime: Any) -> JobResult:
     """Build and run a spec; returns the result."""
     return run_spec_job(spec, **runtime)[1]
+
+
+def run_app(
+    app: str,
+    config: dict,
+    nvp: int,
+    *,
+    machine: MachineModel = GENERIC_LINUX,
+    layout: JobLayout | None = None,
+    method: "str | Any" = "pieglobals",
+    lb_strategy: "str | Any" = "greedyrefine",
+    optimize: int = 2,
+    slot_size: int = DEFAULT_SLOT_SIZE,
+    fault_plan: Any = None,
+    ft: Any = None,
+    transport: str = "priced",
+    recovery: str = "global",
+    **runtime: Any,
+) -> tuple[AmpiJob, JobResult]:
+    """Run a registered app from the objects :class:`AmpiJob` takes —
+    the one spec-or-direct decision.
+
+    A preset machine with a named method and LB strategy is written down
+    as a :class:`JobSpec` and run through :func:`run_spec_job`, so the
+    result hooks (``--provenance``) see it.  A ``copy_with`` machine or a
+    method / strategy *instance* has no name to record: the same job is
+    built directly — same timeline, no record.  ``runtime`` is
+    :func:`run_spec_job`'s non-spec options.
+    """
+    same = dict(method=method, lb_strategy=lb_strategy, optimize=optimize,
+                slot_size=slot_size, transport=transport, recovery=recovery)
+    preset = machine_preset_name(machine)
+    if (preset is not None and isinstance(method, str)
+            and isinstance(lb_strategy, str)):
+        spec = JobSpec(
+            app=app, nvp=nvp, app_config=config, machine=preset,
+            layout=(default_layout(nvp, machine) if layout is None
+                    else dataclasses.astuple(layout)),
+            fault_plan=None if fault_plan is None else fault_plan.to_dict(),
+            ft_interval_ns=None if ft is None else ft.ckpt_interval_ns,
+            **same)
+        return run_spec_job(spec, **runtime)
+    strict = runtime.pop("strict", True)
+    job = AmpiJob(build_app_source(app, config), nvp, machine=machine,
+                  layout=layout, fault_plan=fault_plan, ft=ft, **same,
+                  **runtime)
+    return job, job.run(strict=strict)
 
 
 # ---------------------------------------------------------------------------

@@ -197,9 +197,6 @@ class CodeImage:
             off += f.code_bytes
         self.size = max(off, pad_to, 16)
 
-    def func_names(self) -> list[str]:
-        return list(self.funcs)
-
     def __contains__(self, name: str) -> bool:
         return name in self.funcs
 

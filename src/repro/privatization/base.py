@@ -21,7 +21,7 @@ import abc
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.errors import MigrationUnsupportedError
+from repro.errors import MigrationUnsupportedError, UnsupportedToolchain
 from repro.machine import MachineModel
 from repro.mem.segments import CodeInstance, SegmentInstance
 from repro.perf.costs import CostModel
@@ -94,13 +94,21 @@ class PrivatizationMethod(abc.ABC):
     #: whether the program must be linked against the AMPI function-pointer
     #: shim (Figure 4) because its code is duplicated per rank
     uses_funcptr_shim: bool = False
+    #: what a caller with no program or machine of its own (the capability
+    #: probes) needs to build a job of this method: the source language its
+    #: tooling accepts, a preset whose toolchain has what it requires
+    #: (None: any), and whether one OS process may run several PEs
+    source_language: str = "c"
+    toolchain_preset: str | None = None
+    smp_capable: bool = True
 
     # -- build time ---------------------------------------------------------------
 
     def compile_options(self, base: CompileOptions,
                         machine: MachineModel) -> CompileOptions:
-        """Adjust build flags (default: unchanged)."""
-        return base
+        """Adjust build flags.  Code that is duplicated per rank (the
+        shim methods) must be position-independent; nothing else is."""
+        return base.with_(pie=True) if self.uses_funcptr_shim else base
 
     def check_supported(self, machine: MachineModel,
                         layout: "JobLayout") -> None:
@@ -109,6 +117,10 @@ class PrivatizationMethod(abc.ABC):
 
     def validate_binary(self, binary: Binary) -> None:
         """Raise if the build product is unusable with this method."""
+        if self.uses_funcptr_shim and not binary.is_pie:
+            raise UnsupportedToolchain(
+                f"{self.capabilities.method} requires the program to be "
+                "built as a PIE")
 
     # -- startup --------------------------------------------------------------------
 
@@ -129,11 +141,14 @@ class PrivatizationMethod(abc.ABC):
     supports_migration: bool = True
     #: human-readable reason when it cannot
     migration_blocker: str = ""
+    #: ... and whether that reason is only that nobody built it
+    migration_possible: bool = False
 
     def check_migratable(self, rank: "VirtualRank") -> None:
         if not self.supports_migration:
             raise MigrationUnsupportedError(
-                f"{self.name}: {self.migration_blocker or 'migration unsupported'}"
+                f"{self.name}: {self.migration_blocker or 'migration unsupported'}",
+                possible=self.migration_possible,
             )
 
     def migration_discount_bytes(self, rank: "VirtualRank",

@@ -32,7 +32,6 @@ from repro.privatization.registry import register
 from repro.privatization._util import routes_for, unpack_funcptr_shim
 from repro.machine import MachineModel
 from repro.program.binary import Binary
-from repro.program.compiler import CompileOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.node import JobLayout
@@ -55,10 +54,6 @@ class FsGlobals(PrivatizationMethod):
     )
     uses_funcptr_shim = True
 
-    def compile_options(self, base: CompileOptions,
-                        machine: MachineModel) -> CompileOptions:
-        return base.with_(pie=True)
-
     def check_supported(self, machine: MachineModel,
                         layout: "JobLayout") -> None:
         if not machine.has_shared_fs:
@@ -67,10 +62,7 @@ class FsGlobals(PrivatizationMethod):
             )
 
     def validate_binary(self, binary: Binary) -> None:
-        if not binary.is_pie:
-            raise UnsupportedToolchain(
-                "FSglobals requires the program to be built as a PIE"
-            )
+        super().validate_binary(binary)
         if binary.image.needed:
             raise PrivatizationError(
                 "FSglobals does not support shared-object dependencies "

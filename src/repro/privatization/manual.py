@@ -46,7 +46,6 @@ class ManualRefactoring(PrivatizationMethod):
         migration="Yes",
         requires_source_changes=True,
     )
-    supports_migration = True
 
     @staticmethod
     def refactoring_effort(binary: Binary) -> int:
@@ -91,9 +90,10 @@ class Photran(ManualRefactoring):
         migration="Yes",
         requires_source_changes=True,
     )
+    source_language = "fortran"
 
     def validate_binary(self, binary: Binary) -> None:
-        if binary.source.language != "fortran":
+        if binary.source.language != self.source_language:
             raise PrivatizationError(
                 f"photran only refactors Fortran sources; "
                 f"{binary.source.name!r} is {binary.source.language}"

@@ -53,6 +53,8 @@ class MpcPrivatize(TlsGlobals):
         "MPC's -fmpc-privatize has no rank-migration implementation "
         "(possible in principle, never built)"
     )
+    migration_possible = True
+    toolchain_preset = "stampede2-icx"   # -fmpc-privatize support
 
     def privatizes_var(self, var) -> bool:
         # The compiler pass tags everything unsafe, statics included.

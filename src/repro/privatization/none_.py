@@ -33,7 +33,6 @@ class NoPrivatization(PrivatizationMethod):
         smp_support="Yes",
         migration="Yes",
     )
-    supports_migration = True
 
     def privatizes_var(self, var) -> bool:
         return False

@@ -129,7 +129,6 @@ class PieGlobals(PrivatizationMethod):
         smp_support="Yes",
         migration="Yes",
     )
-    supports_migration = True
     uses_funcptr_shim = True
 
     def __init__(self, *, share_rodata: bool = False,
@@ -171,12 +170,6 @@ class PieGlobals(PrivatizationMethod):
         if not machine.toolchain.has_dl_iterate_phdr:
             raise UnsupportedToolchain(
                 "PIEglobals requires dl_iterate_phdr"
-            )
-
-    def validate_binary(self, binary: Binary) -> None:
-        if not binary.is_pie:
-            raise UnsupportedToolchain(
-                "PIEglobals requires building with -pieglobals (PIE mode)"
             )
 
     def context_switch_extra_ns(self, costs) -> int:

@@ -32,7 +32,6 @@ from repro.privatization.base import (
 from repro.privatization.registry import register
 from repro.privatization._util import routes_for, unpack_funcptr_shim
 from repro.program.binary import Binary
-from repro.program.compiler import CompileOptions
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.node import JobLayout
@@ -55,21 +54,11 @@ class PipGlobals(PrivatizationMethod):
     )
     uses_funcptr_shim = True
 
-    def compile_options(self, base: CompileOptions,
-                        machine: MachineModel) -> CompileOptions:
-        return base.with_(pie=True)
-
     def check_supported(self, machine: MachineModel,
                         layout: "JobLayout") -> None:
         if machine.os is not Os.LINUX or not machine.toolchain.has_dlmopen:
             raise UnsupportedToolchain(
                 "PIPglobals requires glibc's dlmopen (GNU/Linux only)"
-            )
-
-    def validate_binary(self, binary: Binary) -> None:
-        if not binary.is_pie:
-            raise UnsupportedToolchain(
-                "PIPglobals requires the program to be built as a PIE"
             )
 
     def setup_process(self, env: SetupEnv, binary: Binary,

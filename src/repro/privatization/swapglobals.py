@@ -48,7 +48,8 @@ class Swapglobals(PrivatizationMethod):
         smp_support="No",
         migration="Yes",
     )
-    supports_migration = True
+    toolchain_preset = "legacy-linux-old-ld"   # ld <= 2.23 keeps GOT refs
+    smp_capable = False
 
     def privatizes_var(self, var) -> bool:
         # Only GOT-addressed symbols: global, non-TLS, mutable data.

@@ -53,7 +53,6 @@ class TlsGlobals(PrivatizationMethod):
         smp_support="Yes",
         migration="Yes",
     )
-    supports_migration = True
 
     def privatizes_var(self, var) -> bool:
         return var.tls

@@ -36,9 +36,6 @@ class Binary:
         """Variables the build placed in the TLS segment."""
         return list(self.image.tls.vars.values())
 
-    def data_vars(self) -> list[VarDef]:
-        return list(self.image.data.vars.values())
-
     def unsafe_shared_vars(self) -> list[VarDef]:
         """Unsafe variables that are *not* in TLS — i.e. still vulnerable
         under a TLS-only privatization scheme (the TLSglobals tagging gap)."""

@@ -10,7 +10,7 @@ accordingly when copied or migrated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.errors import CompileError
@@ -48,9 +48,6 @@ class ProgramSource:
     def unsafe_vars(self) -> list[VarDef]:
         """Variables whose sharing across ranks is incorrect (Section 2.2)."""
         return [v for v in self.variables if v.unsafe]
-
-    def with_variables(self, variables: tuple[VarDef, ...]) -> "ProgramSource":
-        return replace(self, variables=variables)
 
 
 class Program:

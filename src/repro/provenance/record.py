@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.ampi.runtime import AmpiJob, JobResult
+from repro.ampi.runtime import AmpiJob, JobResult, jsonable
 from repro.harness.jobspec import JobSpec, code_version
 from repro.trace.stream import timeline_sha
 
@@ -67,12 +67,6 @@ class RunRecord:
                  result: JobResult) -> "RunRecord":
         """Capture a finished run.  The job's scheduler timeline must
         still be live (it always is right after ``run()``)."""
-
-        def _jsonable(v: Any) -> Any:
-            if isinstance(v, (int, float, str, bool)) or v is None:
-                return v
-            return repr(v)
-
         code_ver = code_version()
         return cls(
             spec=spec,
@@ -84,19 +78,14 @@ class RunRecord:
             makespan_ns=result.makespan_ns,
             startup_ns=result.startup_ns,
             counters=dict(sorted(result.counters.snapshot().items())),
-            pe_stats=[
-                {"pe": p.index, "busy_ns": p.busy_ns, "idle_ns": p.idle_ns,
-                 "ctx_switches": p.ctx_switches,
-                 "final_ranks": list(p.final_ranks)}
-                for p in result.pe_stats
-            ],
+            pe_stats=[p.to_dict() for p in result.pe_stats],
             rollbacks=dict(sorted(result.rollbacks.items())),
             recoveries=result.recoveries,
             unrecoverable_reason=result.unrecoverable_reason,
             migrations=sum(1 for m in result.migrations
                            if m.src_pe != m.dst_pe),
             lb_moves=sum(r.moves for r in result.lb_reports),
-            exit_values={vp: _jsonable(v)
+            exit_values={vp: jsonable(v)
                          for vp, v in sorted(result.exit_values.items())},
         )
 

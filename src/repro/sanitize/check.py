@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro.ampi.runtime import AmpiJob, build_binary
+from repro.charm.node import JobLayout
 from repro.machine import GENERIC_LINUX, MachineModel
-from repro.program.binary import Binary
-from repro.program.compiler import CompileOptions, Compiler
-from repro.program.source import Program, ProgramSource
+from repro.privatization import get_method
+from repro.program.source import ProgramSource
 from repro.sanitize.findings import Finding, Severity, sort_findings
+from repro.sanitize.runtime import RaceDetector
 from repro.sanitize.static import (
     StaticLinter,
     compat_findings,
@@ -23,8 +25,10 @@ from repro.sanitize.static import (
     project_isomalloc,
 )
 
+#: the registered app behind each target word that names one
+_EXAMPLE_APPS = {"hello": "hello", "jacobi": "jacobi3d"}
 #: targets `repro check` accepts besides ``fixture:<name>``
-EXAMPLE_TARGETS = ("hello", "jacobi", "probe")
+EXAMPLE_TARGETS = (*_EXAMPLE_APPS, "probe")
 
 
 @dataclass
@@ -59,31 +63,16 @@ class CheckReport:
         }
 
 
-def _hello_program() -> ProgramSource:
-    p = Program("hello_world")
-    p.add_global("my_rank", -1)
-
-    @p.function()
-    def main(ctx):
-        ctx.g.my_rank = ctx.mpi.rank()
-        ctx.mpi.barrier()
-        return f"rank: {ctx.g.my_rank}"
-
-    return p.build()
-
-
 def _target_source(target: str) -> ProgramSource:
-    if target == "hello":
-        return _hello_program()
-    if target == "jacobi":
-        from repro.apps import JacobiConfig, build_jacobi_program
-
-        # Small instance: the lint is layout-driven, not scale-driven.
-        return build_jacobi_program(JacobiConfig(n=12, iters=4))
     if target == "probe":
         from repro.harness.capabilities import correctness_program
 
         return correctness_program()
+    if target in _EXAMPLE_APPS:
+        from repro.analyze.targets import app_source
+
+        # Analysis-sized config: the lint is layout-driven, not scale-driven.
+        return app_source(_EXAMPLE_APPS[target])
     raise ValueError(
         f"unknown check target {target!r}; have "
         f"{', '.join(EXAMPLE_TARGETS)} or fixture:<name>"
@@ -101,38 +90,18 @@ def run_check(
 ) -> CheckReport:
     """Lint ``target`` (and run it under the detector unless
     ``static_only``); returns the combined report."""
-    from repro.privatization.registry import get_method
-
     if target.startswith("fixture:"):
-        name = target.partition(":")[2]
-        if name.startswith("ana-"):
-            # Analyzer fixtures are source-phase only: no binary to
-            # lint, no execution — the defect lives in the bodies.
-            from repro.analyze.fixtures import analyze_fixture
+        from repro.sanitize.fixtures import get_fixture
 
-            return CheckReport(
-                target=target, method=method, nvp=nvp,
-                findings=analyze_fixture(name).findings,
-            )
-        from repro.sanitize.fixtures import run_fixture
-
+        fx = get_fixture(target.partition(":")[2])
         return CheckReport(
             target=target, method=method, nvp=nvp,
-            findings=sort_findings(
-                _tag_phase(run_fixture(name), _fixture_phase)),
+            findings=sort_findings(_tag_phase(fx.run(), fx.phase)),
         )
 
     m = get_method(method)
     source = _target_source(target)
-    opts = m.compile_options(CompileOptions(optimize=1), machine)
-    extra = []
-    if m.uses_funcptr_shim:
-        from repro.ampi.funcptr import shim_compile_unit
-
-        extra.append(shim_compile_unit())
-    binary: Binary = Compiler(machine.toolchain).compile(
-        source, opts, extra_units=extra
-    )
+    binary = build_binary(source, m, machine, optimize=1)
 
     findings: list[Finding] = []
     findings += _tag_phase(StaticLinter().lint_images([binary.image]),
@@ -161,30 +130,15 @@ def run_check(
     return report
 
 
-def _tag_phase(findings, phase) -> list[Finding]:
-    """Stamp a pipeline phase on findings that don't carry one.
-
-    ``phase`` is either the phase string or a ``code -> phase`` callable
-    (fixture findings mix detector families).
-    """
-    pick = phase if callable(phase) else (lambda _code: phase)
-    return [f if f.phase else replace(f, phase=pick(f.code)) for f in findings]
-
-
-def _fixture_phase(code: str) -> str:
-    """Sanitizer fixtures mix static and runtime detectors; map by code."""
-    head = code.split("-")[0]
-    return "runtime" if head in ("race", "stale", "foreign", "use") else "static"
+def _tag_phase(findings, phase: str) -> list[Finding]:
+    """Stamp a pipeline phase on findings that don't carry one."""
+    return [f if f.phase else replace(f, phase=phase) for f in findings]
 
 
 def _execute(binary, method, nvp, slot_size, machine,
              report: CheckReport) -> list[Finding]:
     """Run the target with the race detector on, then lint the live
     loaders for dangling GOT state the run left behind."""
-    from repro.ampi.runtime import AmpiJob
-    from repro.charm.node import JobLayout
-    from repro.sanitize.runtime import RaceDetector
-
     det = RaceDetector()
     # Two PEs in one process: enough concurrency for cross-rank
     # interleaving, and shared segments are genuinely shared.

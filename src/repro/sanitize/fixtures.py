@@ -8,8 +8,13 @@ its findings.  They serve three masters:
 * the test suite — asserts each fixture yields exactly its
   :data:`EXPECTED` codes (and that the same program is *clean* under a
   real privatization method where that contrast is meaningful);
-* CI's check-smoke step — the end-to-end "the sanitizer still catches
-  what it claims to catch" gate.
+* CI's diagnostics-smoke job — the end-to-end "every detector still
+  catches what it claims to catch" gate.
+
+This module also holds the one fixture registry (:data:`FIXTURES`): the
+analyzer's source-phase fixtures (:mod:`repro.analyze.fixtures`)
+register into it, and ``repro check fixture:<name>`` and CI look a
+fixture up here whichever set it belongs to.
 
 Violations are seeded the way real corruption arrives: images are
 mutated post-link (relocation tables and segment layouts disagreeing is
@@ -20,42 +25,74 @@ findings come from actually running unprivatized jobs.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable
 
+from repro.ampi.runtime import AmpiJob, build_binary
+from repro.charm.node import JobLayout
+from repro.elf.got import GotTemplate
 from repro.elf.image import ElfType
+from repro.elf.loader import DynamicLoader
 from repro.elf.relocation import Relocation, RelocKind
 from repro.elf.symbols import Symbol, SymbolBinding, SymbolKind
+from repro.harness.capabilities import migration_program
 from repro.machine import GENERIC_LINUX
+from repro.mem.address_space import VirtualMemory
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions, Compiler
-from repro.program.source import Program
+from repro.program.context import AccessRoute
+from repro.program.source import Program, ProgramSource
 from repro.sanitize.findings import Finding
 from repro.sanitize.runtime import RaceDetector
-from repro.sanitize.static import StaticLinter, project_isomalloc
+from repro.sanitize.static import (
+    StaticLinter,
+    compat_findings,
+    project_isomalloc,
+)
 
-#: fixture name -> exactly the finding codes it must produce
-EXPECTED: dict[str, set[str]] = {}
-_FIXTURES: dict[str, Callable[[], list[Finding]]] = {}
+
+@dataclass(frozen=True)
+class Fixture:
+    """One seeded violation, sanitizer's or analyzer's."""
+
+    name: str
+    phase: str                         #: "static" | "runtime" | "source"
+    expected: frozenset[str]           #: exactly these finding codes
+    run: Callable[[], list[Finding]]   #: seed the defect, run its detector
+
+
+#: the one registry: this module's fixtures, and the analyzer's once
+#: :mod:`repro.analyze.fixtures` is imported (:func:`all_fixtures` does)
+FIXTURES: dict[str, Fixture] = {}
+
+
+def all_fixtures() -> dict[str, Fixture]:
+    import repro.analyze.fixtures  # noqa: F401 -- registers its set
+
+    return FIXTURES
+
+
+def get_fixture(name: str) -> Fixture:
+    try:
+        return all_fixtures()[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown fixture {name!r}; have: {', '.join(sorted(FIXTURES))}"
+        ) from None
 
 
 def fixture_names() -> list[str]:
-    return sorted(_FIXTURES)
+    """This module's fixtures (the sanitizer's set)."""
+    return sorted(EXPECTED)
 
 
 def run_fixture(name: str) -> list[Finding]:
-    try:
-        fn = _FIXTURES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown fixture {name!r}; have: {', '.join(fixture_names())}"
-        ) from None
-    return fn()
+    return get_fixture(name).run()
 
 
-def _fixture(name: str, expected: set[str]):
+def _fixture(name: str, phase: str, expected: set[str]):
     def deco(fn: Callable[[], list[Finding]]):
-        _FIXTURES[name] = fn
-        EXPECTED[name] = expected
+        FIXTURES[name] = Fixture(name, phase, frozenset(expected), fn)
         return fn
     return deco
 
@@ -63,11 +100,7 @@ def _fixture(name: str, expected: set[str]):
 # -- building blocks --------------------------------------------------------
 
 def _compile(program: Program, method: str = "pieglobals") -> Binary:
-    from repro.privatization.registry import get_method
-
-    m = get_method(method)
-    opts = m.compile_options(CompileOptions(optimize=1), GENERIC_LINUX)
-    return Compiler(GENERIC_LINUX.toolchain).compile(program.build(), opts)
+    return build_binary(program.build(), method, GENERIC_LINUX, optimize=1)
 
 
 def _app() -> Binary:
@@ -91,7 +124,11 @@ def _shared_lib() -> Binary:
     def lib_touch(ctx):
         return ctx.g.shared_counter
 
-    return _compile(p)
+    # A library is not an AMPI program: it is compiled outside the
+    # recipe, without the function-pointer shim — given one, it and the
+    # app would both define every __ampi_fp_* slot strongly.
+    return Compiler(GENERIC_LINUX.toolchain).compile(
+        p.build(), CompileOptions(optimize=1))
 
 
 def _racy_program() -> Program:
@@ -112,26 +149,9 @@ def _racy_program() -> Program:
     return p
 
 
-def _mig_program() -> Program:
-    """Write a global, migrate cross-process, read it back."""
-    p = Program("migfix")
-    p.add_global("x", 0)
-
-    @p.function()
-    def main(ctx):
-        ctx.g.x = ctx.mpi.rank() * 10
-        ctx.mpi.barrier()
-        if ctx.mpi.rank() == 0:
-            ctx.mpi.migrate_to(1)
-        ctx.mpi.barrier()
-        return ctx.g.x == ctx.mpi.rank() * 10
-
-    return p
-
-
 # -- static linter fixtures -------------------------------------------------
 
-@_fixture("reloc-unresolved", {"reloc-unresolved"})
+@_fixture("reloc-unresolved", "static", {"reloc-unresolved"})
 def _fx_reloc_unresolved() -> list[Finding]:
     b = _app()
     # A relocation against a symbol no image ever defined: the classic
@@ -143,7 +163,7 @@ def _fx_reloc_unresolved() -> list[Finding]:
     return StaticLinter().lint_images([b.image])
 
 
-@_fixture("reloc-dangling", {"reloc-dangling"})
+@_fixture("reloc-dangling", "static", {"reloc-dangling"})
 def _fx_reloc_dangling() -> list[Finding]:
     b = _app()
     # Symbol exists, but the GOT has no slot for the relocation to
@@ -157,7 +177,7 @@ def _fx_reloc_dangling() -> list[Finding]:
     return StaticLinter().lint_images([b.image])
 
 
-@_fixture("copy-reloc-writable", {"copy-reloc-writable"})
+@_fixture("copy-reloc-writable", "static", {"copy-reloc-writable"})
 def _fx_copy_reloc() -> list[Finding]:
     app, lib = _app(), _shared_lib()
     # Fixed-address executable taking a load-time copy of the library's
@@ -173,7 +193,7 @@ def _fx_copy_reloc() -> list[Finding]:
     return StaticLinter().lint_images([app.image, lib.image])
 
 
-@_fixture("dup-strong-def", {"dup-strong-def"})
+@_fixture("dup-strong-def", "static", {"dup-strong-def"})
 def _fx_dup_strong() -> list[Finding]:
     app, lib = _app(), _shared_lib()
     # Both images export a strong definition of the same object.
@@ -183,7 +203,7 @@ def _fx_dup_strong() -> list[Finding]:
     return StaticLinter().lint_images([app.image, lib.image])
 
 
-@_fixture("textrel-pie", {"textrel-pie"})
+@_fixture("textrel-pie", "static", {"textrel-pie"})
 def _fx_textrel() -> list[Finding]:
     b = _app()
     # An absolute patch inside .text of a PIE image — the relocation the
@@ -194,11 +214,8 @@ def _fx_textrel() -> list[Finding]:
     return StaticLinter().lint_images([b.image])
 
 
-@_fixture("got-dangling", {"got-dangling"})
+@_fixture("got-dangling", "static", {"got-dangling"})
 def _fx_got_dangling() -> list[Finding]:
-    from repro.elf.loader import DynamicLoader
-    from repro.mem.address_space import VirtualMemory
-
     loader = DynamicLoader(VirtualMemory(), GENERIC_LINUX.toolchain,
                            GENERIC_LINUX.costs)
     app = loader.dlopen(_app().image)
@@ -212,31 +229,28 @@ def _fx_got_dangling() -> list[Finding]:
     return StaticLinter().lint_loader(loader)
 
 
-@_fixture("iso-overlap", {"iso-overlap"})
+@_fixture("iso-overlap", "static", {"iso-overlap"})
 def _fx_iso_overlap() -> list[Finding]:
     # 2^20 ranks x 1 GiB slots: the arena runs past its reserved VA end.
     return project_isomalloc(_app(), "none", nvp=1 << 20, slot_size=1 << 30)
 
 
-@_fixture("iso-exhaustion", {"iso-exhaustion"})
+@_fixture("iso-exhaustion", "static", {"iso-exhaustion"})
 def _fx_iso_exhaustion() -> list[Finding]:
     # PIEglobals copies the whole load segment per rank; a 64 KiB slot
     # cannot hold stack + segment copies.
     return project_isomalloc(_app(), "pieglobals", nvp=4, slot_size=1 << 16)
 
 
-@_fixture("compat-none", {"compat-shared-tls", "compat-unprivatized-static",
-                          "compat-unprivatized-global"})
+@_fixture("compat-none", "static",
+          {"compat-shared-tls", "compat-unprivatized-static",
+           "compat-unprivatized-global"})
 def _fx_compat_none() -> list[Finding]:
-    from repro.sanitize.static import compat_findings
-
     return compat_findings(_compile(_racy_program(), "none"), "none")
 
 
-@_fixture("compat-binary", {"compat-binary"})
+@_fixture("compat-binary", "static", {"compat-binary"})
 def _fx_compat_binary() -> list[Finding]:
-    from repro.sanitize.static import compat_findings
-
     # Photran rewrites Fortran COMMON blocks; a C binary is structurally
     # incompatible no matter what it contains.
     return compat_findings(_compile(_racy_program(), "none"), "photran")
@@ -244,46 +258,38 @@ def _fx_compat_binary() -> list[Finding]:
 
 # -- runtime detector fixtures ----------------------------------------------
 
-def _run_sanitized(program: Program, method: str, *, nvp: int = 4,
-                   layout=None, slot_size: int = 1 << 26) -> list[Finding]:
-    from repro.ampi.runtime import AmpiJob
-    from repro.charm.node import JobLayout
+def _job(source: ProgramSource | None = None, nvp: int = 2,
+         layout: JobLayout = JobLayout(1, 2, 1), sanitize=True,
+         **options) -> AmpiJob:
+    """An unprivatized job under the detector — by default the migration
+    probe (write a global, move vp 0 cross-process, read it back) on two
+    OS processes, so the move crosses address spaces."""
+    return AmpiJob(source or migration_program(name="migfix"), nvp,
+                   method="none", layout=layout, slot_size=1 << 26,
+                   sanitize=sanitize, **options)
 
-    job = AmpiJob(program.build(), nvp, method=method,
-                  layout=layout or JobLayout.single(2),
-                  slot_size=slot_size, sanitize=True)
-    return job.run().sanitize_findings
 
-
-@_fixture("race-shared-globals", {"race-write-read", "race-write-write"})
+@_fixture("race-shared-globals", "runtime",
+          {"race-write-read", "race-write-write"})
 def _fx_races() -> list[Finding]:
-    return _run_sanitized(_racy_program(), "none")
+    return _job(_racy_program().build(), 4,
+                JobLayout.single(2)).run().sanitize_findings
 
 
-@_fixture("use-after-migrate", {"use-after-migrate"})
+@_fixture("use-after-migrate", "runtime", {"use-after-migrate"})
 def _fx_use_after_migrate() -> list[Finding]:
-    from repro.charm.node import JobLayout
-
-    return _run_sanitized(_mig_program(), "none", nvp=2,
-                          layout=JobLayout(1, 2, 1))
+    return _job().run().sanitize_findings
 
 
-def _migrating_job(detector: RaceDetector):
+def _migrating_job(detector: RaceDetector) -> AmpiJob:
     """A started 2-process job about to migrate vp 0 cross-process."""
-    from repro.ampi.runtime import AmpiJob
-    from repro.charm.node import JobLayout
-
-    job = AmpiJob(_mig_program().build(), 2, method="none",
-                  layout=JobLayout(1, 2, 1), slot_size=1 << 26,
-                  sanitize=detector)
+    job = _job(sanitize=detector)
     job.start()
     return job
 
 
-@_fixture("stale-got", {"stale-got"})
+@_fixture("stale-got", "runtime", {"stale-got"})
 def _fx_stale_got() -> list[Finding]:
-    from repro.elf.got import GotTemplate
-
     det = RaceDetector()
     job = _migrating_job(det)
     rank = job.rank_of(0)
@@ -299,7 +305,7 @@ def _fx_stale_got() -> list[Finding]:
     return det.sorted_findings()
 
 
-@_fixture("stale-tls", {"stale-tls"})
+@_fixture("stale-tls", "runtime", {"stale-tls"})
 def _fx_stale_tls() -> list[Finding]:
     det = RaceDetector()
     job = _migrating_job(det)
@@ -316,10 +322,8 @@ def _fx_stale_tls() -> list[Finding]:
     return [f for f in findings if f.code == "stale-tls"]
 
 
-@_fixture("stale-endpoint-delivery", {"stale-endpoint-delivery"})
+@_fixture("stale-endpoint-delivery", "runtime", {"stale-endpoint-delivery"})
 def _fx_stale_endpoint() -> list[Finding]:
-    from repro.ampi.runtime import AmpiJob
-    from repro.charm.node import JobLayout
     from repro.ft.plan import FaultPlan, MessageFaults
     from repro.ft.prng import CounterRng
 
@@ -349,19 +353,15 @@ def _fx_stale_endpoint() -> list[Finding]:
                 if CounterRng(s, "msg").uniform(0) < drop
                 and CounterRng(s, "msg").uniform(1) >= drop)
     plan = FaultPlan(seed=seed, message_faults=MessageFaults(drop=drop))
-    job = AmpiJob(p.build(), 2, method="none", layout=JobLayout(1, 2, 1),
-                  slot_size=1 << 26, sanitize=True,
-                  fault_plan=plan, transport="reliable")
-    findings = job.run().sanitize_findings
+    findings = _job(p.build(), fault_plan=plan,
+                    transport="reliable").run().sanitize_findings
     # Running unprivatized also surfaces shared-global noise on some
     # platforms; only the transport diagnosis is this fixture's subject.
     return [f for f in findings if f.code == "stale-endpoint-delivery"]
 
 
-@_fixture("foreign-write", {"foreign-write"})
+@_fixture("foreign-write", "runtime", {"foreign-write"})
 def _fx_foreign_write() -> list[Finding]:
-    from repro.program.context import AccessRoute
-
     det = RaceDetector()
     job = _migrating_job(det)
     rank = job.rank_of(0)
@@ -375,3 +375,9 @@ def _fx_foreign_write() -> list[Finding]:
     )
     job.run()
     return [f for f in det.sorted_findings() if f.code == "foreign-write"]
+
+
+#: sanitizer fixture name -> exactly the finding codes it must produce
+EXPECTED: dict[str, set[str]] = {
+    n: set(fx.expected) for n, fx in FIXTURES.items() if fx.phase != "source"
+}

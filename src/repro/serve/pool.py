@@ -60,8 +60,8 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Iterator
 
 from repro.harness.jobspec import JobSpec, result_hook_scope, run_spec_job
 from repro.provenance.record import RunRecord
@@ -316,11 +316,10 @@ class WorkerPool:
                 self._idle.append(slot.wid)
             self._cond.notify_all()
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._backlog.get()
-            if item is None:
-                return
+    def _runnable_tasks(self) -> Iterator[_Task]:
+        """Backlog entries still worth a worker, until the close
+        sentinel: resolved-while-queued and past-deadline ones drop."""
+        while (item := self._backlog.get()) is not None:
             with self._lock:
                 task = self._tasks.get(item)
             if task is None:
@@ -331,6 +330,10 @@ class WorkerPool:
                 self._resolve(task.task_id,
                               _deadline_reply(task.deadline_ts))
                 continue
+            yield task
+
+    def _dispatch_loop(self) -> None:
+        for task in self._runnable_tasks():
             with self._cond:
                 while not self._idle and not self._closed \
                         and not self._pool_dead:
@@ -419,20 +422,7 @@ class WorkerPool:
     # -- thread mode --------------------------------------------------------
 
     def _thread_worker(self) -> None:
-        while True:
-            item = self._backlog.get()
-            if item is None:
-                return
-            with self._lock:
-                task = self._tasks.get(item)
-            if task is None:
-                continue
-            if (task.deadline_ts is not None
-                    and time.time() > task.deadline_ts):  # repro: allow(det-wallclock) client deadlines are host wall-clock by definition
-                self.stats.deadline_drops += 1
-                self._resolve(task.task_id,
-                              _deadline_reply(task.deadline_ts))
-                continue
+        for task in self._runnable_tasks():
             with _THREAD_EXEC_LOCK:
                 out = execute_spec(task.spec_dict)
             self._resolve(task.task_id, out)

@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.harness.jobspec import JobSpec, app_names
+from repro.harness.jobspec import JobSpec
 from repro.provenance.record import RunRecord
 from repro.provenance.store import LEASE_TTL_S, ProvenanceStore
 from repro.serve import protocol
@@ -392,14 +392,10 @@ class JobService:
                 "chaos hooks")
         try:
             spec = JobSpec.from_dict(dict(spec_dict))
+            spec.validate()     # before it is keyed, admitted or leased
         except (ReproError, TypeError, ValueError) as e:
             self.stats.invalid += 1
             return protocol.error_reply(f"bad spec: {e}")
-        if spec.app not in app_names():
-            self.stats.invalid += 1
-            return protocol.error_reply(
-                f"bad spec: unknown app {spec.app!r}; "
-                f"registered: {app_names()}")
         run_id = self.cache.key(spec)
 
         poison = self._poison.get(run_id)

@@ -147,7 +147,14 @@ class _PoolWorker(Baton):
             # thread without any OS handoff.
             self._ult = None
             self._pool._recycle(self)
-            ult.dispatcher().wake()
+            successor = ult.dispatcher()
+            # Park holding nothing: a local left bound here would keep the
+            # finished ULT — its rank, job, heaps and segments — reachable
+            # until this worker's next bind, so the previous job's memory
+            # would overlap the next job's start-up.
+            del ult
+            successor.wake()
+            del successor
 
 
 class PooledBackend:

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.ampi.runtime import build_binary
 from repro.harness.capabilities import (
     _probe_machine,
     correctness_program,
     probe_correctness,
 )
 from repro.privatization.registry import get_method, method_names
-from repro.program.compiler import CompileOptions, Compiler
 from repro.sanitize import compat_findings, predict_privatization
 
 #: probe variable -> verdict key of probe_correctness
@@ -30,12 +30,8 @@ FEATURE_VARS = {
 
 def _probe_binary(method_name: str):
     method = get_method(method_name)
-    language = "fortran" if method_name == "photran" else "c"
-    machine = _probe_machine(method_name, language)
-    opts = method.compile_options(CompileOptions(optimize=1), machine)
-    return Compiler(machine.toolchain).compile(
-        correctness_program(language), opts
-    )
+    return build_binary(correctness_program(method.source_language), method,
+                        _probe_machine(method), optimize=1)
 
 
 @pytest.mark.parametrize("method_name", method_names())

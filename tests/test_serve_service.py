@@ -25,6 +25,7 @@ from repro.serve import (
     ServiceThread,
 )
 from repro.serve import protocol
+from test_one_road import BAD_SPECS
 
 
 def _spec(name: str, nvp: int = 2, yields: int = 20) -> JobSpec:
@@ -150,6 +151,21 @@ class TestErrors:
         reply = client.submit({"app": "no-such-app", "nvp": 2})
         assert not reply.ok and "unknown app" in reply.error
         assert service.stats.executed == 0
+
+    @pytest.mark.parametrize("bad", BAD_SPECS.values(), ids=list(BAD_SPECS))
+    def test_unknown_name_is_invalid_before_it_is_keyed(self, serve, bad):
+        """A spec that can never run is refused where the app name is
+        checked: not keyed, not admitted, not leased, not executed."""
+        service, client = serve
+        keyed = []
+        key = service.cache.key
+        service.cache.key = lambda spec: keyed.append(spec) or key(spec)
+        reply = client.submit({"app": "hello", "nvp": 2, **bad})
+        assert not reply.ok and "bad spec" in reply.error
+        stats = service.stats
+        assert (stats.invalid, stats.executed, stats.errors) == (1, 0, 0)
+        assert not keyed and service.inflight == 0
+        assert not list(service.cache.store.root.rglob("*.lease"))
 
     def test_connection_error_is_typed(self, tmp_path):
         client = ServeClient(socket_path=tmp_path / "nowhere.sock")

@@ -6,12 +6,15 @@ surfacing, and the determinism contract: a job's simulated timeline
 must not depend on the state of the pool it runs on.
 """
 
+import gc
 import time
+import weakref
 from _thread import LockType
 from pathlib import Path
 
 import pytest
 
+from repro.harness.jobspec import build_job
 from repro.threads import (
     PooledBackend,
     consume_orphan_count,
@@ -179,6 +182,22 @@ class TestPooledReuse:
         assert pool.close() == 3
         with pytest.raises(RuntimeError, match="closed"):
             pool.bind(UserLevelThread("x", lambda: None, backend=pool))
+
+
+class TestParkedWorkersHoldNothing:
+    def test_finished_job_dies_with_its_last_reference(self):
+        """A parked worker keeps no reference to the ULT it last hosted,
+        so a finished job — ranks, heaps, segments — is collectable while
+        the pool's workers sit idle, not only at their next bind."""
+        pool = PooledBackend()
+        job = build_job(pingpong(4), ult_backend=pool)
+        job.run()
+        assert pool.idle_workers() == 4
+        ref = weakref.ref(job)
+        del job
+        gc.collect()
+        assert ref() is None
+        pool.close()
 
 
 def stubborn_body(u):
