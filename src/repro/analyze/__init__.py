@@ -20,9 +20,9 @@ model (global accesses, rank-dependence taint, MPI call shapes, the
 """
 
 from repro.analyze.driver import (
-    COST_ORDER,
     AnalysisReport,
     analyze_source,
+    cost_order,
     method_sufficient,
     predict_min_method,
 )
@@ -36,13 +36,13 @@ from repro.analyze.rules import classify_globals, inferred_unsafe
 from repro.analyze.selflint import lint_file, lint_paths, lint_tree
 
 __all__ = [
-    "COST_ORDER",
     "AnalysisReport",
     "ProgramModel",
     "SourceUnavailable",
     "analyze_source",
     "build_model",
     "classify_globals",
+    "cost_order",
     "inferred_unsafe",
     "lint_file",
     "lint_paths",

@@ -24,15 +24,21 @@ from repro.analyze.rules import (
     privatization_findings,
 )
 from repro.privatization.base import PrivatizationMethod
-from repro.privatization.registry import get_method
+from repro.privatization.registry import get_method, method_names
 from repro.program.source import ProgramSource
 from repro.sanitize.findings import Finding, Severity, sort_findings
 
-#: methods from cheapest to most heavyweight machinery; the predicted
-#: minimal method is the first one that privatizes every variable the
-#: analysis inferred as rank-varying.
-COST_ORDER = ("none", "swapglobals", "tlsglobals", "mpc",
-              "pipglobals", "fsglobals", "pieglobals")
+
+def cost_order() -> list[str]:
+    """Methods from cheapest to most heavyweight machinery (the method
+    classes' ``cost_rank``); the predicted minimal method is the first
+    one that privatizes every variable the analysis inferred as
+    rank-varying."""
+    methods = {name: get_method(name) for name in method_names()}
+    return sorted(
+        (name for name, m in methods.items()
+         if m.cost_rank is not None and m.name == name),
+        key=lambda name: methods[name].cost_rank)
 
 
 @dataclass
@@ -138,7 +144,7 @@ def predict_min_method(source: ProgramSource, *,
     classes = classes if classes is not None else classify_globals(model)
     need = set(inferred_unsafe(model, classes))
     by_name = {v.name: v for v in source.variables}
-    for name in COST_ORDER:
+    for name in cost_order():
         m = get_method(name)
         if all(m.privatizes_var(by_name[n]) for n in need):
             return name

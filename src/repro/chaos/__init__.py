@@ -17,7 +17,6 @@ from repro.chaos.engine import (
     run_scenario,
 )
 from repro.chaos.invariants import (
-    INVARIANTS,
     Violation,
     check_fault_draws,
     check_replay,
@@ -29,11 +28,9 @@ from repro.chaos.scenario import (
     generate_scenarios,
 )
 from repro.chaos.serve_faults import (
-    ServeCampaignReport,
     ServeFaultOutcome,
     ServeFaultScenario,
     generate_serve_scenario,
-    generate_serve_scenarios,
     run_serve_campaign,
 )
 from repro.chaos.shrink import ShrinkResult, shrink_plan
@@ -42,9 +39,7 @@ __all__ = [
     "CampaignReport",
     "ChaosScenario",
     "DrillReport",
-    "INVARIANTS",
     "ScenarioOutcome",
-    "ServeCampaignReport",
     "ServeFaultOutcome",
     "ServeFaultScenario",
     "ShrinkResult",
@@ -56,7 +51,6 @@ __all__ = [
     "generate_scenario",
     "generate_scenarios",
     "generate_serve_scenario",
-    "generate_serve_scenarios",
     "run_campaign",
     "run_drill",
     "run_scenario",

@@ -13,16 +13,22 @@ One scenario's lifecycle:
    machinery;
 4. on violation, minimize the plan with the delta-debugging shrinker
    (:mod:`repro.chaos.shrink`) and persist the shrunk repro in the
-   provenance store, where ``repro replay <id>`` / ``repro chaos
-   replay <id>`` can re-execute it byte-identically.
+   provenance store, where ``repro replay <id>`` re-executes it.
 
-The whole campaign is a pure function of ``(campaign_seed, count)`` —
-see :mod:`repro.chaos.scenario` — so a red campaign in CI is a repro
-recipe by itself.
+The whole campaign is a pure function of ``(seed, count)`` — see
+:mod:`repro.chaos.scenario` — so a red campaign in CI is a repro recipe
+by itself.
+
+:class:`CampaignReport` and :func:`campaign` (the seeded loop) also
+serve the service-layer campaign (:mod:`repro.chaos.serve_faults`): an
+engine supplies a scenario generator and an executor whose outcomes have
+``ok``, ``status``, ``scenario``, ``failure()`` and ``to_dict()``.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,9 +46,7 @@ from repro.chaos.shrink import ShrinkResult, shrink_plan
 from repro.ft.plan import FaultPlan, MessageFaults
 from repro.harness.jobspec import JobSpec, run_spec_job
 from repro.perf.counters import EV_CASCADE, EV_CKPT_FALLBACK
-from repro.provenance.record import RunRecord
-from repro.provenance.runner import replay_record
-from repro.trace.stream import timeline_sha
+from repro.provenance.runner import file_run, record_run, replay_record
 
 #: an extra per-scenario check: result -> violations (the drill plants
 #: its known bug through this hook)
@@ -70,6 +74,13 @@ class ScenarioOutcome:
     def ok(self) -> bool:
         return not self.violations
 
+    def failure(self) -> list[str]:
+        """What a red campaign's summary says under this scenario."""
+        lines = [f"- {v}" for v in self.violations]
+        if self.run_id:
+            lines.append(f"repro: repro replay {self.run_id[:12]}")
+        return lines
+
     def to_dict(self) -> dict:
         return {
             "scenario": self.scenario.to_dict(),
@@ -88,65 +99,90 @@ class ScenarioOutcome:
         }
 
 
+def _count(keys: Any) -> dict[str, int]:
+    return dict(sorted(Counter(keys).items()))
+
+
 @dataclass
 class CampaignReport:
-    """The campaign's aggregate verdict."""
+    """A seeded campaign's aggregate verdict (either engine's)."""
 
-    campaign_seed: int
+    title: str                     #: "chaos" | "serve chaos"
+    seed: int
     count: int
-    outcomes: list[ScenarioOutcome] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[ScenarioOutcome]:
-        return [o for o in self.outcomes if o.violations]
+    outcomes: list[Any] = field(default_factory=list)
+    #: campaign-specific totals derived from the outcomes (the serve
+    #: campaign's accepted/resolved/lost/... account); may be empty
+    ledger: dict[str, int] = field(default_factory=dict)
+    wall_s: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return all(o.ok for o in self.outcomes)
 
     def tally(self) -> dict[str, int]:
-        t: dict[str, int] = {}
-        for o in self.outcomes:
-            t[o.status] = t.get(o.status, 0) + 1
-        return t
+        """Outcomes by status."""
+        return _count(o.status for o in self.outcomes)
+
+    @property
+    def kinds(self) -> dict[str, int]:
+        """Outcomes by scenario kind (the campaign's mix)."""
+        return _count(o.scenario.kind for o in self.outcomes)
 
     def to_dict(self) -> dict:
         return {
-            "campaign_seed": self.campaign_seed,
+            "seed": self.seed,
             "count": self.count,
             "ok": self.ok,
             "tally": self.tally(),
+            "kinds": self.kinds,
+            "ledger": self.ledger,
+            "wall_s": round(self.wall_s, 3),
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
 
     def summary(self) -> str:
-        t = self.tally()
-        kinds: dict[str, int] = {}
-        for o in self.outcomes:
-            kinds[o.scenario.kind] = kinds.get(o.scenario.kind, 0) + 1
+        def counts(d: dict[str, int]) -> str:
+            return ", ".join(f"{n} {k}" for k, n in d.items())
+
         lines = [
-            f"chaos campaign seed={self.campaign_seed} "
-            f"count={self.count}: "
-            + ", ".join(f"{n} {s}" for s, n in sorted(t.items())),
-            "  kinds: " + ", ".join(f"{n} {k}"
-                                    for k, n in sorted(kinds.items())),
+            f"{self.title} campaign seed={self.seed} count={self.count}: "
+            f"{counts(self.tally())} [{self.wall_s:.1f}s wall]",
+            f"  kinds: {counts(self.kinds)}",
         ]
-        for o in self.violations:
-            lines.append(f"  VIOLATION {o.scenario.label()}")
-            for v in o.violations:
-                lines.append(f"    - {v}")
-            if o.run_id:
-                lines.append(f"    repro: repro chaos replay {o.run_id[:12]}")
+        if self.ledger:
+            lines.append("  ledger: " + ", ".join(
+                f"{k}={n}" for k, n in self.ledger.items()))
+        for o in self.outcomes:
+            if not o.ok:
+                lines.append(f"  FAIL {o.scenario.label()}")
+                lines += [f"    {line}" for line in o.failure()]
         return "\n".join(lines)
+
+
+def campaign(
+    report: CampaignReport,
+    generate: Callable[[int, int], Any],
+    execute: Callable[[Any], Any],
+    progress: Callable[[str], None] | None = None,
+) -> CampaignReport:
+    """The one seeded loop: scenario ``i`` of ``report.seed`` is
+    generated, executed and appended, ``report.count`` times."""
+    t0 = time.monotonic()  # repro: allow(det-wallclock) campaign wall-clock reporting, host-side
+    for i in range(report.count):
+        sc = generate(report.seed, i)
+        outcome = execute(sc)
+        report.outcomes.append(outcome)
+        if progress is not None:
+            progress(f"[{i + 1}/{report.count}] {outcome.status:<13} "
+                     f"{sc.label()}")
+    report.wall_s = time.monotonic() - t0  # repro: allow(det-wallclock) campaign wall-clock reporting, host-side
+    return report
 
 
 # ---------------------------------------------------------------------------
 # Scenario execution
 # ---------------------------------------------------------------------------
-
-def _run_faulted(spec: JobSpec) -> tuple[Any, JobResult]:
-    return run_spec_job(spec, strict=False)
-
 
 def run_scenario(
     sc: ChaosScenario,
@@ -179,20 +215,16 @@ def run_scenario(
     # 2. the faulted run
     plan = sc.plan(base)
     spec = sc.spec(plan)
-    job, result = _run_faulted(spec)
+    job, result = run_spec_job(spec, strict=False)
 
     # 3. invariants
     violations = check_run(spec, job, result, base)
     if extra_check is not None:
         violations += list(extra_check(result))
 
-    record = RunRecord.from_run(spec, job, result)
-    sha = timeline_sha(job.scheduler.timeline)
-    if store is not None:
-        store.put(record, job.scheduler.timeline)
+    record = file_run(spec, job, result, store).record
     if replay:
-        report = replay_record(record)
-        v = check_replay(report)
+        v = check_replay(replay_record(record))
         if v is not None:
             violations.append(v)
 
@@ -214,7 +246,7 @@ def run_scenario(
         violations=violations,
         plan=plan.to_dict() if plan is not None else None,
         run_id=run_id,
-        timeline_sha256=sha,
+        timeline_sha256=record.timeline_sha256,
         makespan_ns=result.makespan_ns,
         recoveries=result.recoveries,
         cascades=result.counters[EV_CASCADE],
@@ -240,27 +272,21 @@ def _shrink_and_record(
 
     def fails(candidate: FaultPlan) -> bool:
         spec_c = sc.spec(candidate)
-        job_c, res_c = _run_faulted(spec_c)
+        job_c, res_c = run_spec_job(spec_c, strict=False)
         v = check_run(spec_c, job_c, res_c, base)
         if extra_check is not None:
             v += list(extra_check(res_c))
-        if replay_only and not v:
-            rec = RunRecord.from_run(spec_c, job_c, res_c)
-            if check_replay(replay_record(rec)) is not None:
-                return True
-        return bool(v)
+        return bool(v) or (replay_only and not replay_record(
+            file_run(spec_c, job_c, res_c, None).record).ok)
 
     shrunk = shrink_plan(plan, fails, budget=budget)
 
     run_id = None
     if store is not None:
         # One final run of the minimal plan, recorded with its event
-        # stream: the repro `repro chaos replay` re-executes.
-        spec_m = sc.spec(shrunk.plan)
-        job_m, _ = _run_faulted(spec_m)
-        rec = RunRecord.from_run(spec_m, job_m, _)
-        store.put(rec, job_m.scheduler.timeline)
-        run_id = rec.run_id
+        # stream: the repro `repro replay` re-executes.
+        run_id = record_run(sc.spec(shrunk.plan), store,
+                            strict=False).record.run_id
     return shrunk, run_id
 
 
@@ -280,19 +306,13 @@ def run_campaign(
 ) -> CampaignReport:
     """Run ``count`` seeded scenarios; the campaign's shared baseline
     cache means matrix collisions (same fault-free twin) run once."""
-    report = CampaignReport(campaign_seed=campaign_seed, count=count)
     baselines: dict[str, JobResult] = {}
-    for i in range(count):
-        sc = generate_scenario(campaign_seed, i)
-        outcome = run_scenario(
+    return campaign(
+        CampaignReport("chaos", campaign_seed, count), generate_scenario,
+        lambda sc: run_scenario(
             sc, store=store, baselines=baselines, replay=replay,
-            shrink=shrink, shrink_budget=shrink_budget,
-        )
-        report.outcomes.append(outcome)
-        if progress is not None:
-            mark = "FAIL" if outcome.violations else outcome.status
-            progress(f"[{i + 1}/{count}] {mark:<13} {sc.label()}")
-    return report
+            shrink=shrink, shrink_budget=shrink_budget),
+        progress)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +326,7 @@ class DrillReport:
     converged: bool          #: shrunk to <= max_faults faults
     n_faults: int            #: faults left in the minimal plan
     evaluations: int         #: predicate runs the shrinker spent
-    replay_ok: bool          #: stored repro replayed byte-identically
+    replay_ok: bool          #: stored repro reproduced (no drift)
     run_id: str | None       #: the stored repro
     plan: dict | None        #: the minimal plan
     steps: list[dict] = field(default_factory=list)
@@ -371,11 +391,8 @@ def run_drill(seed: int, store: Any, *, budget: int = 32,
     n_faults = shrunk.get("n_faults", -1)
     converged = bool(outcome.violations) and 0 <= n_faults <= max_faults
 
-    replay_ok = False
-    if outcome.run_id is not None:
-        record = store.get(outcome.run_id)
-        report = replay_record(record)
-        replay_ok = report.ok and report.reason_match
+    replay_ok = (outcome.run_id is not None
+                 and replay_record(store.get(outcome.run_id)).ok)
     return DrillReport(
         converged=converged,
         n_faults=n_faults,

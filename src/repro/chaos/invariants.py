@@ -22,8 +22,9 @@ particular workload:
   completed run finished every rank;
 * **replay** (checked by the engine via
   :func:`repro.provenance.replay_record`): re-executing the recorded
-  spec reproduces the timeline SHA, counters, rollbacks and — for
-  unrecoverable runs — the same classification.
+  spec reproduces every recorded observable
+  (:func:`repro.provenance.diff.drift` is empty) — the timeline SHA,
+  counters, rollbacks and, for unrecoverable runs, the classification.
 
 Checks return :class:`Violation` values instead of raising so the
 campaign engine can shrink the offending fault plan and persist a repro.
@@ -44,20 +45,10 @@ from repro.perf.counters import (
     EV_MSG_FAULT_DROP,
     EV_MSG_SENT,
 )
+from repro.provenance.diff import describe_drift
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.provenance.runner import ReplayReport
-
-#: invariant names, stable identifiers for reports and shrink predicates
-INVARIANTS = (
-    "numerics",
-    "rollback-accounting",
-    "survivor-rollbacks",
-    "orphans",
-    "fault-draws",
-    "taxonomy",
-    "replay",
-)
 
 
 @dataclass(frozen=True)
@@ -223,24 +214,10 @@ def check_taxonomy(result: JobResult) -> Violation | None:
 
 
 def check_replay(report: "ReplayReport") -> Violation | None:
-    """Recorded provenance replays byte-identically, same classification."""
-    problems = []
-    if not report.ok:
-        problems.append(
-            f"timeline {report.expected_sha[:12]} -> "
-            f"{report.actual_sha[:12]}")
-    if not report.counters_match:
-        drift = dict(sorted(report.counter_drift.items())[:4])
-        problems.append(f"counters drifted {drift}")
-    if not report.rollbacks_match:
-        problems.append("rollback counts drifted")
-    if not report.makespan_match:
-        problems.append("makespan drifted")
-    if not report.reason_match:
-        problems.append("unrecoverable classification drifted")
-    if problems:
-        return Violation("replay", "; ".join(problems))
-    return None
+    """Recorded provenance reproduces: no observable drifted."""
+    if report.ok:
+        return None
+    return Violation("replay", describe_drift(report.drift))
 
 
 # ---------------------------------------------------------------------------

@@ -31,15 +31,18 @@ from repro.ampi.runtime import JobResult
 from repro.ft.plan import FaultPlan, MessageFaults
 from repro.ft.prng import CounterRng
 from repro.harness.jobspec import JobSpec
+from repro.privatization import get_method
 
 #: scenario buckets, in draw order (see :func:`generate_scenario`)
 KINDS = ("clean", "noise", "crash", "hostile")
 
-#: privatization methods whose state the buddy checkpointer can capture
-CHECKPOINTABLE_METHODS = ("pieglobals", "tlsglobals")
-
 #: methods for fault-free / wire-noise scenarios (no checkpoint needed)
 SAFE_METHODS = ("pieglobals", "tlsglobals", "fsglobals", "pipglobals")
+
+#: ... of which the buddy checkpointer can capture the ones whose ranks
+#: can migrate (the method classes' own fact; draw order is SAFE_METHODS')
+CHECKPOINTABLE_METHODS = tuple(
+    m for m in SAFE_METHODS if get_method(m).supports_migration)
 
 LB_STRATEGIES = ("greedy", "greedyrefine")
 
@@ -98,14 +101,10 @@ class ChaosScenario:
 
     def crash_window(self, base: JobResult) -> tuple[int, int]:
         """Crash instants live in the middle of the application phase
-        of the fault-free baseline (same calibration the fault sweep
-        uses); a cascade scenario compresses the window so the crashes
-        overlap one outage."""
-        app_ns = max(1, base.makespan_ns - base.startup_ns)
-        lo = base.startup_ns + app_ns // 10
-        hi = base.startup_ns + (app_ns * 8) // 10
-        if hi <= lo:
-            hi = lo + 1
+        of the fault-free baseline (the fault sweep's calibration); a
+        cascade scenario compresses the window so the crashes overlap
+        one outage."""
+        lo, hi = FaultPlan.mid_app_window(base.startup_ns, base.app_ns)
         if self.cascade_window:
             hi = lo + max(1, (hi - lo) // 16)
         return lo, hi
@@ -256,7 +255,8 @@ def generate_scenario(campaign_seed: int, index: int) -> ChaosScenario:
         elif hostile == 2:
             # Non-checkpointable method meets a crash: the baseline
             # checkpoint fails, structured and early.
-            method = d.pick(("fsglobals", "pipglobals"))
+            method = d.pick(tuple(m for m in SAFE_METHODS
+                                  if m not in CHECKPOINTABLE_METHODS))
             n_crashes = 1
         else:
             # Total packet loss: the reliable sender exhausts its

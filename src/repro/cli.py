@@ -33,8 +33,9 @@ Commands
 ``runs [--store DIR]``
     List the provenance store's run records.
 ``replay <id> [--store DIR]``
-    Re-execute a stored run under the current sources and verify the
-    timeline is byte-identical (plus counters/makespan/rollbacks).
+    Re-execute a stored run under the current sources; exits nonzero if
+    any recorded observable drifted (timeline, counters, makespan,
+    rollbacks, the unrecoverable classification, ...).
 ``diff <id> <id> [--store DIR]``
     Timeline forensics between two stored runs: spec diff, first
     divergent event (index, PE, kind), counter and metric deltas.
@@ -52,11 +53,11 @@ Commands
     concurrent JobSpec submissions over a local socket, executes
     misses on a worker pool, serves repeats straight from the store,
     and coalesces identical in-flight submissions onto one execution.
-``chaos {run,shrink,serve,replay} [--seed S] [--count N]``
+``chaos {run,shrink,serve} [--seed S] [--count N]``
     Deterministic multi-fault campaigns: seeded scenarios over the job
     matrix (``run``) or against a live ``repro serve`` (``serve``),
-    invariant-checked; ``shrink`` minimizes a violating fault plan and
-    ``replay`` re-executes a stored repro.
+    invariant-checked; ``shrink`` minimizes a violating fault plan into
+    a stored repro that ``repro replay`` re-executes.
 
 ``run``, ``faults`` and ``hello`` accept ``--provenance
 [DIR]`` (or the ``REPRO_PROVENANCE`` environment variable) to record
@@ -463,23 +464,12 @@ def cmd_replay(args) -> int:
     record = store.get(args.id)
     report = replay_record(record, store=store)
     if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-        return 0 if report.ok else 1
-    s = record.spec
-    verdict = "byte-identical" if report.ok else "DIVERGED"
-    print(f"replay {record.run_id[:12]} ({s.app}, nvp={s.nvp}, {s.method}, "
-          f"{s.transport}/{s.recovery}): {verdict}")
-    print(f"  recorded sha256 : {report.expected_sha}")
-    print(f"  replayed sha256 : {report.actual_sha}")
-    print(f"  events          : {report.expected_events} -> "
-          f"{report.actual_events}")
-    print(f"  makespan match  : {report.makespan_match}")
-    print(f"  counters match  : {report.counters_match}")
-    print(f"  rollbacks match : {report.rollbacks_match}")
-    for name, (rec, rep) in sorted(report.counter_drift.items()):
-        print(f"    {name}: {rec} -> {rep}")
-    if report.code_version_changed:
-        print("  note: sources changed since this record was written")
+        print(json.dumps({"run_id": record.run_id, **report.to_dict()},
+                         sort_keys=True, indent=2))
+    else:
+        print(report.format())
+        if report.code_version_changed:
+            print("  note: sources changed since this record was written")
     return 0 if report.ok else 1
 
 
@@ -676,16 +666,11 @@ def cmd_serve(args) -> int:
 # Chaos commands
 # ---------------------------------------------------------------------------
 
-def cmd_chaos_run(args) -> int:
-    from repro.chaos import run_campaign
-
-    store = None if args.no_store else _open_store(args)
+def _run_campaign(args, run, **where) -> int:
+    """Run a seeded campaign with the ``--quiet``/``--json`` progress
+    policy, print its report, exit nonzero unless every scenario is ok."""
     progress = None if (args.json or args.quiet) else print
-    report = run_campaign(
-        args.seed, args.count, store=store,
-        replay=not args.no_replay, shrink=not args.no_shrink,
-        shrink_budget=args.shrink_budget, progress=progress,
-    )
+    report = run(args.seed, args.count, progress=progress, **where)
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
     else:
@@ -693,6 +678,14 @@ def cmd_chaos_run(args) -> int:
             print()
         print(report.summary())
     return 0 if report.ok else 1
+
+
+def cmd_chaos_run(args) -> int:
+    from repro.chaos import run_campaign
+
+    return _run_campaign(
+        args, run_campaign,
+        store=None if args.no_store else _open_store(args))
 
 
 def cmd_chaos_shrink(args) -> int:
@@ -701,93 +694,47 @@ def cmd_chaos_shrink(args) -> int:
     store = _open_store(args)
     if args.drill:
         # CI gate: plant a known bug and prove the shrinker converges on
-        # a tiny plan whose stored repro replays byte-identically.
-        report = run_drill(args.seed, store, budget=args.budget,
-                           max_faults=args.max_faults)
+        # a tiny plan whose stored repro reproduces.
+        report = run_drill(args.seed, store)
         if args.json:
             print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
         else:
             verdict = "converged" if report.ok else "FAILED"
             print(f"shrinker drill (seed={args.seed}): {verdict}")
-            print(f"  faults in minimal plan : {report.n_faults} "
-                  f"(target <= {args.max_faults})")
+            print(f"  faults in minimal plan : {report.n_faults}")
             print(f"  predicate evaluations  : {report.evaluations}")
             print(f"  repro replay           : "
-                  f"{'byte-identical' if report.replay_ok else 'DIVERGED'}")
+                  f"{'reproduced' if report.replay_ok else 'DRIFTED'}")
             for step in report.steps:
                 print(f"    {step}")
             if report.run_id:
-                print(f"  repro: repro chaos replay {report.run_id[:12]}")
+                print(f"  repro: repro replay {report.run_id[:12]}")
         return 0 if report.ok else 1
 
     # Re-run one campaign scenario and minimize it if it violates.
     sc = generate_scenario(args.seed, args.index)
-    outcome = run_scenario(sc, store=store, shrink=True,
-                           shrink_budget=args.budget)
+    # One scenario, not a campaign: a larger budget than the per-scenario
+    # default a campaign shrinks with.
+    outcome = run_scenario(sc, store=store, shrink_budget=32)
     if args.json:
         print(json.dumps(outcome.to_dict(), sort_keys=True, indent=2))
         return 1 if outcome.violations else 0
     print(outcome.scenario.label(), "->", outcome.status)
-    for v in outcome.violations:
-        print(f"  - {v}")
     if outcome.shrunk is not None:
         sh = outcome.shrunk
         print(f"  shrunk to {sh['n_faults']} fault(s) in "
               f"{sh['evaluations']} evaluations:")
         print(f"    {sh['plan']}")
-    if outcome.run_id and outcome.violations:
-        print(f"  repro: repro chaos replay {outcome.run_id[:12]}")
-    elif not outcome.violations:
-        print("  no invariant violation: nothing to shrink")
+    for line in (outcome.failure() if outcome.violations
+                 else ["no invariant violation: nothing to shrink"]):
+        print(f"  {line}")
     return 1 if outcome.violations else 0
 
 
 def cmd_chaos_serve(args) -> int:
     from repro.chaos import run_serve_campaign
 
-    progress = None if (args.json or args.quiet) else print
-    report = run_serve_campaign(
-        args.seed, args.count,
-        root=args.root,
-        workers=args.workers,
-        lease_ttl_s=args.lease_ttl,
-        max_queue=args.max_queue,
-        verify_twins=not args.no_twins,
-        progress=progress,
-    )
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-    else:
-        if progress is not None:
-            print()
-        print(report.summary())
-    return 0 if report.ok else 1
-
-
-def cmd_chaos_replay(args) -> int:
-    from repro.provenance import replay_record
-
-    store = _open_store(args)
-    record = store.get(args.id)
-    report = replay_record(record, store=store)
-    ok = report.ok and report.reason_match
-    if args.json:
-        print(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-        return 0 if ok else 1
-    s = record.spec
-    verdict = "byte-identical" if ok else "DIVERGED"
-    print(f"chaos replay {record.run_id[:12]} ({s.app}, nvp={s.nvp}, "
-          f"{s.method}, {s.transport}/{s.recovery}): {verdict}")
-    print(f"  recorded sha256 : {report.expected_sha}")
-    print(f"  replayed sha256 : {report.actual_sha}")
-    print(f"  outcome match   : {report.reason_match} "
-          f"(recorded reason: {record.unrecoverable_reason})")
-    print(f"  counters match  : {report.counters_match}")
-    for name, (rec, rep) in sorted(report.counter_drift.items()):
-        print(f"    {name}: {rec} -> {rep}")
-    if report.code_version_changed:
-        print("  note: sources changed since this record was written")
-    return 0 if ok else 1
+    return _run_campaign(args, run_serve_campaign, root=args.root)
 
 
 def _add_provenance_flag(parser: argparse.ArgumentParser) -> None:
@@ -811,6 +758,17 @@ def _add_manifest_flag(parser: argparse.ArgumentParser, what: str) -> None:
     parser.add_argument(
         "--manifest", default=None,
         help=f"{what} (default benchmarks/pinned_scenarios.json)")
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign seed (the scenario sequence is a "
+                             "pure function of seed and count)")
+    parser.add_argument("--count", type=int, default=50,
+                        help="number of scenarios to run")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress per-scenario progress lines")
+    parser.add_argument("--json", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -947,8 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser(
         "replay",
-        help="re-execute a stored run and verify the timeline is "
-             "byte-identical under the current sources")
+        help="re-execute a stored run under the current sources; exits "
+             "nonzero if any recorded observable drifted")
     replay.add_argument("id", help="record id (or unique prefix)")
     _add_store_flag(replay)
     replay.add_argument("--json", action="store_true")
@@ -1069,16 +1027,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "pure function of seed and count)")
     crun.add_argument("--count", type=int, default=50,
                       help="number of scenarios to run")
-    crun.add_argument("--no-replay", action="store_true",
-                      help="skip the record-and-replay determinism audit "
-                           "per scenario")
-    crun.add_argument("--no-shrink", action="store_true",
-                      help="report violations without minimizing them")
     crun.add_argument("--no-store", action="store_true",
                       help="do not persist scenario records (violating "
                            "repros then have no replay id)")
-    crun.add_argument("--shrink-budget", type=int, default=24,
-                      help="max predicate evaluations per shrink")
     crun.add_argument("--quiet", action="store_true",
                       help="suppress per-scenario progress lines")
     _add_store_flag(crun)
@@ -1095,10 +1046,6 @@ def build_parser() -> argparse.ArgumentParser:
     cshrink.add_argument("--drill", action="store_true",
                          help="run the seeded known-bug drill instead "
                               "(the CI gate for the shrinker itself)")
-    cshrink.add_argument("--budget", type=int, default=32,
-                         help="max predicate evaluations")
-    cshrink.add_argument("--max-faults", type=int, default=2,
-                         help="drill: required size of the minimal plan")
     _add_store_flag(cshrink)
     cshrink.add_argument("--json", action="store_true")
     cshrink.set_defaults(fn=cmd_chaos_shrink)
@@ -1110,36 +1057,12 @@ def build_parser() -> argparse.ArgumentParser:
                       "frames, server SIGKILL+restart; verifies no "
                       "accepted submission is lost and every completed "
                       "record matches a fault-free twin")
-    cserve.add_argument("--seed", type=int, default=0,
-                        help="campaign seed (scenarios are a pure "
-                             "function of seed and count)")
-    cserve.add_argument("--count", type=int, default=50,
-                        help="number of scenarios to run")
-    cserve.add_argument("--workers", type=int, default=2,
-                        help="server worker pool size")
-    cserve.add_argument("--lease-ttl", type=float, default=5.0,
-                        help="server lease TTL (short = fast crash "
-                             "takeover in the campaign)")
-    cserve.add_argument("--max-queue", type=int, default=64,
-                        help="server admission watermark")
+    _add_campaign_flags(cserve)
     cserve.add_argument("--root", default=None, metavar="DIR",
                         help="keep the campaign store/socket under DIR "
                              "(default: a temp dir, deleted after)")
-    cserve.add_argument("--no-twins", action="store_true",
-                        help="skip the byte-identical twin audit of "
-                             "completed records")
-    cserve.add_argument("--quiet", action="store_true",
-                        help="suppress per-scenario progress lines")
-    cserve.add_argument("--json", action="store_true")
     cserve.set_defaults(fn=cmd_chaos_serve)
 
-    creplay = chaos_sub.add_parser(
-        "replay", help="re-execute a stored chaos repro and verify both "
-                       "the timeline and the structured outcome")
-    creplay.add_argument("id", help="record id (or unique prefix)")
-    _add_store_flag(creplay)
-    creplay.add_argument("--json", action="store_true")
-    creplay.set_defaults(fn=cmd_chaos_replay)
     return ap
 
 

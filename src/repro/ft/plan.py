@@ -119,6 +119,16 @@ class FaultPlan:
                                key=lambda c: (c.at_ns, c.node)))
         object.__setattr__(self, "node_crashes", crashes)
 
+    @staticmethod
+    def mid_app_window(startup_ns: int, app_ns: int) -> tuple[int, int]:
+        """The ``window`` calibrated on a fault-free baseline run: the
+        middle of its application phase, ``[startup + app/10, startup +
+        8*app/10)``, never empty.  The fault sweep and the chaos
+        scenarios both place their crashes here."""
+        lo = startup_ns + app_ns // 10
+        hi = startup_ns + (app_ns * 8) // 10
+        return lo, max(hi, lo + 1)
+
     @classmethod
     def random_crashes(cls, seed: int, k: int, nodes: int,
                        window: tuple[int, int],

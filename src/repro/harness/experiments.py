@@ -509,11 +509,7 @@ def fault_overhead_experiment(
                  if mf is not None and mf.any else None)
     base = one(base_plan)
     base_span = base.makespan_ns
-    # Crash window: the middle of the application phase.
-    lo = base.startup_ns + base.app_ns // 10
-    hi = base.startup_ns + (base.app_ns * 8) // 10
-    if hi <= lo:
-        hi = lo + 1
+    window = FaultPlan.mid_app_window(base.startup_ns, base.app_ns)
 
     code_ver = code_version()
 
@@ -547,7 +543,7 @@ def fault_overhead_experiment(
 
     rows = [row(0, base, base_plan)]
     for k in range(1, kmax + 1):
-        plan = FaultPlan.random_crashes(seed, k, nodes, (lo, hi),
+        plan = FaultPlan.random_crashes(seed, k, nodes, window,
                                         message_faults=mf)
         rows.append(row(k, one(plan), plan))
     return rows

@@ -26,7 +26,9 @@ result cache key run records by ``spec.digest()``.  :func:`run_spec_job`
 is the chokepoint every spec-built job runs through — result hooks
 registered with :func:`add_result_hook` see ``(spec, job, result)`` for
 every run, which is how ``--provenance`` records runs without the
-harness importing the store.
+harness importing the store.  ``repro serve``'s workers do not come
+through it: they :func:`build_job` and run the job themselves, so a
+recorder in their process never sees a tenant's job.
 """
 
 from __future__ import annotations
@@ -35,11 +37,9 @@ import dataclasses
 import hashlib
 import json
 import logging
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro.ampi.runtime import AmpiJob, JobResult, check_job_options
 from repro.apps.micro import (
@@ -288,12 +288,6 @@ ResultHook = Callable[[JobSpec, AmpiJob, JobResult], None]
 #: process-global hooks fired after every spec-built run
 _result_hooks: list[ResultHook] = []
 
-#: (hooks, exclusive) visible only to the current thread/task — the
-#: scoped alternative the serve worker pool uses so one tenant's
-#: recording hooks never fire for another tenant's jobs
-_hook_scope: ContextVar[tuple[tuple[ResultHook, ...], bool]] = ContextVar(
-    "repro_result_hook_scope", default=((), False))
-
 _log = logging.getLogger(__name__)
 
 
@@ -306,28 +300,6 @@ def remove_result_hook(fn: ResultHook) -> None:
         _result_hooks.remove(fn)
     except ValueError:
         pass
-
-
-@contextmanager
-def result_hook_scope(*fns: ResultHook,
-                      exclusive: bool = False) -> Iterator[None]:
-    """Fire ``fns`` for spec-built runs inside this context only.
-
-    Scoped hooks are carried in a :class:`~contextvars.ContextVar`, so
-    they are invisible to other threads and asyncio tasks — two tenants
-    recording into different stores cannot cross-contaminate the way
-    they would through the process-global :func:`add_result_hook` list.
-    ``exclusive=True`` additionally suppresses the process-global hooks
-    for runs inside the scope (the serve workers run with an exclusive
-    scope so a ``--provenance`` auto-recorder in the same process never
-    double-records service jobs).
-    """
-    hooks, excl = _hook_scope.get()
-    token = _hook_scope.set((hooks + fns, excl or exclusive))
-    try:
-        yield
-    finally:
-        _hook_scope.reset(token)
 
 
 def run_spec_job(spec: JobSpec, **runtime: Any) -> tuple[AmpiJob, JobResult]:
@@ -347,9 +319,7 @@ def run_spec_job(spec: JobSpec, **runtime: Any) -> tuple[AmpiJob, JobResult]:
     strict = runtime.pop("strict", True)
     job = build_job(spec, **runtime)
     result = job.run(strict=strict)
-    scoped, exclusive = _hook_scope.get()
-    hooks = scoped if exclusive else (*_result_hooks, *scoped)
-    for fn in hooks:
+    for fn in tuple(_result_hooks):
         try:
             fn(spec, job, result)
         except Exception:

@@ -94,6 +94,11 @@ class PrivatizationMethod(abc.ABC):
     #: whether the program must be linked against the AMPI function-pointer
     #: shim (Figure 4) because its code is duplicated per rank
     uses_funcptr_shim: bool = False
+    #: place among the automatic runtime methods, cheapest machinery
+    #: first: the order ``repro analyze`` tries them in when it predicts
+    #: the minimal sufficient method (None: never predicted — a source
+    #: refactoring, or an option variant registered under a second name)
+    cost_rank: int | None = None
     #: what a caller with no program or machine of its own (the capability
     #: probes) needs to build a job of this method: the source language its
     #: tooling accepts, a preset whose toolchain has what it requires

@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class FsGlobals(PrivatizationMethod):
     name = "fsglobals"
+    cost_rank = 5
     capabilities = Capabilities(
         method="FSglobals",
         automation="Good",

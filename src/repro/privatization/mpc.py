@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class MpcPrivatize(TlsGlobals):
     name = "mpc"
+    cost_rank = 3
     capabilities = Capabilities(
         method="-fmpc-privatize",
         automation="Good",

@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class NoPrivatization(PrivatizationMethod):
     name = "none"
+    cost_rank = 0
     capabilities = Capabilities(
         method="none (baseline)",
         automation="n/a",

@@ -122,6 +122,7 @@ class ScanPlan:
 
 class PieGlobals(PrivatizationMethod):
     name = "pieglobals"
+    cost_rank = 6
     capabilities = Capabilities(
         method="PIEglobals",
         automation="Good",

@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class PipGlobals(PrivatizationMethod):
     name = "pipglobals"
+    cost_rank = 4
     capabilities = Capabilities(
         method="PIPglobals",
         automation="Good",

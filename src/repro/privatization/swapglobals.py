@@ -41,6 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class Swapglobals(PrivatizationMethod):
     name = "swapglobals"
+    cost_rank = 1
     capabilities = Capabilities(
         method="Swapglobals",
         automation="No static vars",

@@ -46,6 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class TlsGlobals(PrivatizationMethod):
     name = "tlsglobals"
+    cost_rank = 2
     capabilities = Capabilities(
         method="TLSglobals",
         automation="Mediocre",

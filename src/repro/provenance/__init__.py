@@ -4,8 +4,9 @@ Every simulated run can be captured as a :class:`RunRecord` — the full
 job spec plus every observable the runtime produces (timeline digest,
 counter totals, per-PE stats, rollbacks) — and filed in an append-only
 :class:`ProvenanceStore` keyed by ``sha256(spec, code version)``.  On
-top of the store sit the forensics tools: :func:`replay_record`
-(re-execute and verify byte-identical timelines),
+top of the store sit the forensics tools: :func:`drift` (the one
+definition of "reproduced": which recorded observables differ),
+:func:`replay_record` (re-execute and report the drift),
 :func:`diff_records` (first-divergent-event localization between two
 runs), :class:`RunMetrics` (Projections-style per-PE reports), and the
 pinned-scenario regression gate in :mod:`repro.provenance.pin`.
@@ -15,6 +16,7 @@ from repro.provenance.diff import (
     DiffReport,
     Divergence,
     diff_records,
+    drift,
     first_divergence,
     spec_diff,
 )
@@ -22,7 +24,6 @@ from repro.provenance.metrics import PeMetrics, RunMetrics, compare_metrics
 from repro.provenance.pin import (
     DEFAULT_MANIFEST,
     PinEntry,
-    PinResult,
     load_manifest,
     pinned_spec_digests,
     repin,
@@ -58,7 +59,6 @@ __all__ = [
     "GcReport",
     "PeMetrics",
     "PinEntry",
-    "PinResult",
     "ProvenanceStore",
     "RecordedRun",
     "ReplayReport",
@@ -68,6 +68,7 @@ __all__ = [
     "compare_metrics",
     "default_store_dir",
     "diff_records",
+    "drift",
     "enable_auto_record",
     "first_divergence",
     "load_manifest",

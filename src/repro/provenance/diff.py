@@ -13,6 +13,12 @@ streams are already materialized, "bisect" refers to what it does to
 the debugging search space).  :func:`diff_records` wraps it with spec
 diffing, counter/metric deltas, and per-PE activity summaries at the
 split, producing the ``repro diff`` report.
+
+:func:`drift` is the one definition of "did this run reproduce?": every
+tool that compares one run's observables with another's — ``repro
+replay``, ``repro pin run``, ``repro diff``'s deltas, the chaos replay
+invariant, the serve campaign's twin audit — reads that map, and
+"reproduced" means it is empty.
 """
 
 from __future__ import annotations
@@ -82,14 +88,56 @@ def _flatten(d: dict, prefix: str = "") -> dict[str, Any]:
     return out
 
 
+def _differing(fa: dict[str, Any],
+               fb: dict[str, Any]) -> dict[str, tuple[Any, Any]]:
+    """Flattened paths whose values differ: path -> (a, b), sorted.  A
+    counter absent on one side reads as 0, anything else as None."""
+    out = {}
+    for path in sorted(set(fa) | set(fb)):
+        absent = 0 if path.startswith("counters.") else None
+        pair = (fa.get(path, absent), fb.get(path, absent))
+        if pair[0] != pair[1]:
+            out[path] = pair
+    return out
+
+
 def spec_diff(a: RunRecord, b: RunRecord) -> dict[str, tuple[Any, Any]]:
     """Dotted-path spec fields whose values differ: path -> (a, b)."""
-    fa, fb = _flatten(a.spec.to_dict()), _flatten(b.spec.to_dict())
-    return {
-        path: (fa.get(path), fb.get(path))
-        for path in sorted(set(fa) | set(fb))
-        if fa.get(path) != fb.get(path)
-    }
+    return _differing(_flatten(a.spec.to_dict()), _flatten(b.spec.to_dict()))
+
+
+#: identity and wall-clock: what a record *is*, not what its run *did*
+_NOT_OBSERVED = frozenset(
+    {"run_id", "spec", "spec_digest", "code_version", "created_at"})
+
+
+def drift(expected: Any, actual: Any) -> dict[str, tuple[Any, Any]]:
+    """Recorded observables that differ: dotted path -> (expected, actual).
+
+    Each side is a :class:`RunRecord`, a :class:`~repro.provenance.pin
+    .PinEntry` or the ``to_dict()`` form of either.  Every observable the
+    expectation records is compared — the timeline digest, event count,
+    makespan, start-up, each counter (absent reads as 0), per-PE stats,
+    rollbacks, recoveries, the unrecoverable classification, migrations,
+    LB moves, exit values — and nothing it does not record: a pin carries
+    four of them and is judged on those four.
+    """
+    exp = expected if isinstance(expected, dict) else expected.to_dict()
+    act = actual if isinstance(actual, dict) else actual.to_dict()
+    return _differing(
+        _flatten({k: v for k, v in exp.items() if k not in _NOT_OBSERVED}),
+        _flatten({k: v for k, v in act.items()
+                  if k in exp and k not in _NOT_OBSERVED}))
+
+
+def describe_drift(d: dict[str, tuple[Any, Any]]) -> str:
+    """One line of prose for a :func:`drift` map: the first six paths,
+    long values (digests, per-PE tables) cut to 24 characters."""
+    parts = [f"{path} {a!s:.24} -> {b!s:.24}"
+             for path, (a, b) in list(d.items())[:6]]
+    if len(d) > 6:
+        parts.append(f"(+{len(d) - 6} more)")
+    return "; ".join(parts)
 
 
 def _pe_activity(timeline: Sequence[tuple[int, int, int]],
@@ -191,6 +239,12 @@ class DiffReport:
         return "\n".join(lines)
 
 
+#: the ``metric deltas`` block of ``repro diff`` (``rollbacks`` is the
+#: total over ranks; :func:`drift` reports it per rank)
+_HEADLINE_METRICS = ("makespan_ns", "startup_ns", "events", "migrations",
+                     "recoveries", "rollbacks")
+
+
 def diff_records(
     a: RunRecord, b: RunRecord,
     timeline_a: Sequence[tuple[int, int, int]] | None,
@@ -211,23 +265,17 @@ def diff_records(
             a_suffix = _pe_activity(timeline_a, divergence.index)
             b_suffix = _pe_activity(timeline_b, divergence.index)
 
+    moved = drift(a, b)
+    moved["rollbacks"] = (sum(a.rollbacks.values()),   # total, not per rank
+                          sum(b.rollbacks.values()))
     counter_deltas = {
-        name: (a.counters.get(name, 0), b.counters.get(name, 0),
-               b.counters.get(name, 0) - a.counters.get(name, 0))
-        for name in sorted(set(a.counters) | set(b.counters))
-        if a.counters.get(name, 0) != b.counters.get(name, 0)
-    }
-    metric_pairs = {
-        "makespan_ns": (a.makespan_ns, b.makespan_ns),
-        "startup_ns": (a.startup_ns, b.startup_ns),
-        "events": (a.events, b.events),
-        "migrations": (a.migrations, b.migrations),
-        "recoveries": (a.recoveries, b.recoveries),
-        "rollbacks": (sum(a.rollbacks.values()), sum(b.rollbacks.values())),
+        path.removeprefix("counters."): (va, vb, vb - va)
+        for path, (va, vb) in moved.items() if path.startswith("counters.")
     }
     metric_deltas = {
         name: (va, vb, vb - va)
-        for name, (va, vb) in metric_pairs.items() if va != vb
+        for name, (va, vb) in moved.items()
+        if name in _HEADLINE_METRICS and va != vb
     }
     return DiffReport(
         a_id=a.run_id, b_id=b.run_id,

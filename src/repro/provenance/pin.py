@@ -4,24 +4,24 @@ A pin manifest is a JSON file (committed to the repo, default
 ``benchmarks/pinned_scenarios.json``) mapping scenario names to a full
 :class:`~repro.harness.jobspec.JobSpec` plus the expected observables —
 timeline SHA-256, event count, makespan, and every counter total.
-``repro pin run`` re-executes each spec under the current sources and
-fails on *any* drift, so a PR that silently changes the timeline of a
-pinned scenario turns CI red instead of shipping a behaviour change
-nobody asked for.  Intentional changes are re-pinned explicitly with
+``repro pin run`` re-executes each spec under the current sources (the
+same re-execution as ``repro replay``) and fails on *any* drift of
+those, so a PR that silently changes the timeline of a pinned scenario
+turns CI red instead of shipping a behaviour change nobody asked for.  Intentional changes are re-pinned explicitly with
 ``repro pin update`` and reviewed as a manifest diff.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
 from repro.errors import ReproError
-from repro.harness.jobspec import JobSpec, code_version, run_spec_job
+from repro.harness.jobspec import JobSpec
 from repro.provenance.record import RunRecord
-from repro.trace.stream import timeline_sha
+from repro.provenance.runner import ReplayReport, reexecute
 
 #: default manifest location (committed; CI runs it)
 DEFAULT_MANIFEST = "benchmarks/pinned_scenarios.json"
@@ -77,61 +77,6 @@ class PinEntry:
         )
 
 
-@dataclass
-class PinResult:
-    """Verification outcome for one pinned scenario."""
-
-    name: str
-    sha_ok: bool
-    counters_ok: bool
-    makespan_ok: bool
-    expected_sha: str
-    actual_sha: str
-    expected_makespan: int
-    actual_makespan: int
-    #: name -> (pinned, measured) for drifted counters
-    counter_drift: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: the fresh record, for re-pinning on intentional change
-    record: RunRecord | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.sha_ok and self.counters_ok and self.makespan_ok
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "sha_ok": self.sha_ok,
-            "counters_ok": self.counters_ok,
-            "makespan_ok": self.makespan_ok,
-            "expected_sha256": self.expected_sha,
-            "actual_sha256": self.actual_sha,
-            "expected_makespan_ns": self.expected_makespan,
-            "actual_makespan_ns": self.actual_makespan,
-            "counter_drift": {k: list(v) for k, v in
-                              sorted(self.counter_drift.items())},
-        }
-
-    def format(self) -> str:
-        if self.ok:
-            return (f"ok   {self.name}: timeline {self.actual_sha[:12]} "
-                    f"({self.actual_makespan} ns)")
-        parts = []
-        if not self.sha_ok:
-            parts.append(f"timeline {self.expected_sha[:12]} -> "
-                         f"{self.actual_sha[:12]}")
-        if not self.makespan_ok:
-            parts.append(f"makespan {self.expected_makespan} -> "
-                         f"{self.actual_makespan} ns")
-        if self.counter_drift:
-            drift = ", ".join(
-                f"{k} {a}->{b}"
-                for k, (a, b) in sorted(self.counter_drift.items())[:6])
-            parts.append(f"counters: {drift}")
-        return f"DRIFT {self.name}: " + "; ".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # Manifest I/O
 # ---------------------------------------------------------------------------
@@ -171,33 +116,14 @@ def pinned_spec_digests(entries: dict[str, PinEntry]) -> frozenset[str]:
 # Verification
 # ---------------------------------------------------------------------------
 
-def verify_pin(entry: PinEntry) -> PinResult:
-    """Re-execute one pinned scenario and compare observables."""
-    job, result = run_spec_job(entry.spec)
-    record = RunRecord.from_run(entry.spec, job, result)
-    actual_sha = timeline_sha(job.scheduler.timeline)
-    measured = record.counters
-    drift = {
-        name: (entry.counters.get(name, 0), measured.get(name, 0))
-        for name in sorted(set(entry.counters) | set(measured))
-        if entry.counters.get(name, 0) != measured.get(name, 0)
-    }
-    return PinResult(
-        name=entry.name,
-        sha_ok=actual_sha == entry.timeline_sha256,
-        counters_ok=not drift,
-        makespan_ok=result.makespan_ns == entry.makespan_ns,
-        expected_sha=entry.timeline_sha256,
-        actual_sha=actual_sha,
-        expected_makespan=entry.makespan_ns,
-        actual_makespan=result.makespan_ns,
-        counter_drift=drift,
-        record=record,
-    )
+def verify_pin(entry: PinEntry) -> ReplayReport:
+    """Re-execute one pinned scenario; it is judged on the observables
+    the pin records (see :func:`repro.provenance.diff.drift`)."""
+    return reexecute(entry.name, entry)
 
 
 def verify_manifest(entries: dict[str, PinEntry],
-                    names: list[str] | None = None) -> list[PinResult]:
+                    names: list[str] | None = None) -> list[ReplayReport]:
     """Verify all (or the named) scenarios, sorted by name."""
     if names:
         unknown = [n for n in names if n not in entries]
@@ -212,11 +138,8 @@ def verify_manifest(entries: dict[str, PinEntry],
 
 
 def repin(entries: dict[str, PinEntry],
-          results: list[PinResult]) -> dict[str, PinEntry]:
+          results: list[ReplayReport]) -> dict[str, PinEntry]:
     """Fold fresh measurements back into the manifest (``pin update``)."""
-    out = dict(entries)
-    for r in results:
-        if r.record is not None:
-            out[r.name] = PinEntry.from_record(r.name, r.record)
-            out[r.name].code_version = code_version()
-    return out
+    return {**entries,
+            **{r.name: PinEntry.from_record(r.name, r.record)
+               for r in results}}

@@ -1,25 +1,28 @@
 """Recording and replaying runs against the provenance store.
 
 :func:`record_run` executes a spec and stores its record + event
-stream.  :func:`enable_auto_record` hooks the harness chokepoint
-(:func:`repro.harness.jobspec.run_spec`) so *every* spec-built run — a
-``repro run`` experiment sweep, a ``repro faults`` row — is recorded as
-a side effect; this is what ``--provenance`` / ``$REPRO_PROVENANCE``
-turn on.
+stream; :func:`file_run`, its filing half, is the one place a finished
+run becomes a (stored) :class:`RunRecord`.  :func:`enable_auto_record`
+hooks the harness chokepoint (:func:`repro.harness.jobspec.run_spec`)
+so *every* spec-built run — a ``repro run`` experiment sweep, a ``repro
+faults`` row — is recorded as a side effect; this is what
+``--provenance`` / ``$REPRO_PROVENANCE`` turn on.
 
-:func:`replay_record` is the determinism audit: re-execute a stored
-spec under the current sources and verify the timeline digest (and the
-secondary observables — counters, rollbacks, makespan) match what was
-recorded.
+:func:`reexecute` is the determinism audit: run a recorded spec again
+under the current sources and report the :func:`~repro.provenance.diff
+.drift` of every observable the expectation recorded — a stored record
+for ``repro replay`` (:func:`replay_record`), a pinned entry for ``repro
+pin run`` (:func:`~repro.provenance.pin.verify_pin`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.harness import jobspec as _jobspec
 from repro.harness.jobspec import JobSpec, code_version, run_spec_job
+from repro.provenance.diff import describe_drift, drift
 from repro.provenance.record import RunRecord
 from repro.provenance.store import ProvenanceStore
 
@@ -31,14 +34,21 @@ class RecordedRun:
     cache_hit: bool               #: an identical record already existed
 
 
-def record_run(spec: JobSpec, store: ProvenanceStore,
-               *, events: bool = True, **runtime: Any) -> RecordedRun:
-    """Run a spec and persist its provenance; returns the record."""
-    job, result = run_spec_job(spec, **runtime)
+def file_run(spec: JobSpec, job: Any, result: Any,
+             store: ProvenanceStore | None) -> RecordedRun:
+    """Capture a finished run and, given a store, file the record with
+    its event stream.  The job's scheduler timeline must still be live
+    (it always is right after ``run()``)."""
     record = RunRecord.from_run(spec, job, result)
-    _, hit = store.put(record,
-                       job.scheduler.timeline if events else None)
+    hit = (store is not None
+           and store.put(record, job.scheduler.timeline)[1])
     return RecordedRun(record=record, result=result, cache_hit=hit)
+
+
+def record_run(spec: JobSpec, store: ProvenanceStore,
+               **runtime: Any) -> RecordedRun:
+    """Run a spec and persist its provenance; returns the record."""
+    return file_run(spec, *run_spec_job(spec, **runtime), store)
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +58,6 @@ def record_run(spec: JobSpec, store: ProvenanceStore,
 def enable_auto_record(
     store: ProvenanceStore,
     *,
-    events: bool = True,
     notify: Callable[[str], None] | None = None,
 ) -> Callable[[], None]:
     """Record every spec-built run into ``store`` until disabled.
@@ -59,12 +68,10 @@ def enable_auto_record(
     """
 
     def hook(spec: JobSpec, job: Any, result: Any) -> None:
-        record = RunRecord.from_run(spec, job, result)
-        _, hit = store.put(record,
-                           job.scheduler.timeline if events else None)
+        filed = file_run(spec, job, result, store)
         if notify is not None:
-            verb = "cache hit" if hit else "recorded"
-            notify(f"provenance: {verb} {record.run_id[:12]} "
+            verb = "cache hit" if filed.cache_hit else "recorded"
+            notify(f"provenance: {verb} {filed.record.run_id[:12]} "
                    f"({spec.app}, nvp={spec.nvp}, {spec.method})")
 
     _jobspec.add_result_hook(hook)
@@ -81,81 +88,68 @@ def enable_auto_record(
 
 @dataclass
 class ReplayReport:
-    """Outcome of re-executing a stored record under current sources."""
+    """Outcome of re-executing a recorded spec under current sources."""
 
-    run_id: str
-    expected_sha: str
-    actual_sha: str
-    expected_events: int
-    actual_events: int
-    makespan_match: bool
-    counters_match: bool
-    rollbacks_match: bool
-    #: an unrecoverable record must replay to the *same* structured
-    #: classification (deterministic unrecoverability)
-    reason_match: bool = True
-    #: counters whose totals changed: name -> (recorded, replayed)
-    counter_drift: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: the record was produced by different sources than are running now
-    code_version_changed: bool = False
-    #: the fresh record of the replay execution
-    replayed: RunRecord | None = None
+    name: str                     #: record id prefix / pinned scenario
+    expected_sha256: str
+    #: observables that moved: dotted path -> (recorded, re-executed);
+    #: empty means the run reproduced
+    drift: dict[str, tuple[Any, Any]]
+    #: the expectation was produced by different sources than are
+    #: running now (context, not proof: the verdict is the drift)
+    code_version_changed: bool
+    #: the fresh record of the re-execution
+    record: RunRecord
 
     @property
     def ok(self) -> bool:
-        """Byte-identical timeline — the replay contract."""
-        return self.expected_sha == self.actual_sha
+        """Reproduced: no recorded observable moved."""
+        return not self.drift
 
-    def to_dict(self) -> dict:
+    @property
+    def actual_sha256(self) -> str:
+        return self.record.timeline_sha256
+
+    def to_dict(self) -> dict[str, Any]:
         return {
-            "run_id": self.run_id,
+            "name": self.name,
             "ok": self.ok,
-            "expected_sha256": self.expected_sha,
-            "actual_sha256": self.actual_sha,
-            "expected_events": self.expected_events,
-            "actual_events": self.actual_events,
-            "makespan_match": self.makespan_match,
-            "counters_match": self.counters_match,
-            "rollbacks_match": self.rollbacks_match,
-            "reason_match": self.reason_match,
-            "counter_drift": {k: list(v)
-                              for k, v in sorted(self.counter_drift.items())},
+            "expected_sha256": self.expected_sha256,
+            "actual_sha256": self.actual_sha256,
+            "drift": {k: list(v) for k, v in self.drift.items()},
             "code_version_changed": self.code_version_changed,
         }
 
+    def format(self) -> str:
+        if self.ok:
+            return (f"ok   {self.name}: timeline {self.actual_sha256[:12]} "
+                    f"({self.record.makespan_ns} ns)")
+        return f"DRIFT {self.name}: {describe_drift(self.drift)}"
 
-def replay_record(record: RunRecord, *, store: ProvenanceStore | None = None,
-                  **runtime: Any) -> ReplayReport:
-    """Re-execute a stored record's spec and audit the outcome.
 
-    When ``store`` is given the replay's own record is written back
-    (append-only: a replay under unchanged sources is a cache hit; a
-    replay under changed sources creates the new code version's record).
+def reexecute(name: str, expected: Any, *,
+              store: ProvenanceStore | None = None) -> ReplayReport:
+    """Run ``expected.spec`` again and compare with ``expected`` (a
+    :class:`RunRecord` or :class:`~repro.provenance.pin.PinEntry`).
+
+    Never strict: a recorded unrecoverable run re-executes to a
+    structured result whose classification is compared, not to an
+    exception.  When ``store`` is given the fresh record is written back
+    (append-only: under unchanged sources that is a cache hit; under
+    changed sources it creates the new code version's record).
     """
-    # Never strict: a recorded unrecoverable run replays to a structured
-    # result whose classification is compared, not to an exception.
-    runtime.setdefault("strict", False)
-    job, result = run_spec_job(record.spec, **runtime)
-    fresh = RunRecord.from_run(record.spec, job, result)
-    if store is not None:
-        store.put(fresh, job.scheduler.timeline)
-    drift = {
-        name: (record.counters.get(name, 0), fresh.counters.get(name, 0))
-        for name in sorted(set(record.counters) | set(fresh.counters))
-        if record.counters.get(name, 0) != fresh.counters.get(name, 0)
-    }
+    spec = expected.spec
+    fresh = file_run(spec, *run_spec_job(spec, strict=False), store).record
     return ReplayReport(
-        run_id=record.run_id,
-        expected_sha=record.timeline_sha256,
-        actual_sha=fresh.timeline_sha256,
-        expected_events=record.events,
-        actual_events=fresh.events,
-        makespan_match=record.makespan_ns == fresh.makespan_ns,
-        counters_match=not drift,
-        rollbacks_match=record.rollbacks == fresh.rollbacks,
-        reason_match=(record.unrecoverable_reason
-                      == fresh.unrecoverable_reason),
-        counter_drift=drift,
-        code_version_changed=record.code_version != code_version(),
-        replayed=fresh,
+        name=name,
+        expected_sha256=expected.timeline_sha256,
+        drift=drift(expected, fresh),
+        code_version_changed=expected.code_version != code_version(),
+        record=fresh,
     )
+
+
+def replay_record(record: RunRecord, *,
+                  store: ProvenanceStore | None = None) -> ReplayReport:
+    """Re-execute a stored record's spec and audit the outcome."""
+    return reexecute(record.run_id[:12], record, store=store)

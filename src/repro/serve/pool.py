@@ -30,13 +30,13 @@ Crash resilience (the serving-layer contract: every submitted future
   dispatch with a ``deadline-exceeded`` failure instead of wasting a
   worker on a result nobody is waiting for.
 
-Workers execute through :func:`repro.harness.jobspec.run_spec_job`
-under an *exclusive* :func:`~repro.harness.jobspec.result_hook_scope`,
-so recording is explicit per job — a process-global ``--provenance``
-auto-recorder in the host process can never double-record (or
-cross-record) service jobs.  ``strict=False``: a deterministic
-unrecoverable run is a *result* (with ``unrecoverable_reason`` set),
-and results are cacheable.
+Workers :func:`~repro.harness.jobspec.build_job` and run a job
+themselves rather than through ``run_spec_job``, so its result hooks
+never fire for a service job: recording is explicit per job, and a
+process-global ``--provenance`` auto-recorder in the host process can
+never double-record (or cross-record) one.  ``strict=False``: a
+deterministic unrecoverable run is a *result* (with
+``unrecoverable_reason`` set), and results are cacheable.
 
 ``mode="thread"`` trades parallelism for startup cost: workers are
 threads in the current process, execution is serialized by a
@@ -63,7 +63,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.harness.jobspec import JobSpec, result_hook_scope, run_spec_job
+from repro.harness.jobspec import JobSpec, build_job
 from repro.provenance.record import RunRecord
 from repro.trace.stream import compress_timeline
 
@@ -85,9 +85,8 @@ def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
     """
     try:
         spec = JobSpec.from_dict(dict(spec_dict))
-        with result_hook_scope(exclusive=True):
-            job, result = run_spec_job(spec, strict=False)
-        record = RunRecord.from_run(spec, job, result)
+        job = build_job(spec)
+        record = RunRecord.from_run(spec, job, job.run(strict=False))
         return {"record": record.to_dict(),
                 "timeline_z": compress_timeline(job.scheduler.timeline),
                 "error": None}

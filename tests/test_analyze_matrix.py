@@ -9,9 +9,9 @@ actually exercises rank-divergently.
 import pytest
 
 from repro.analyze import (
-    COST_ORDER,
     analyze_source,
     build_model,
+    cost_order,
     inferred_unsafe,
     method_sufficient,
     predict_min_method,
@@ -65,7 +65,8 @@ class TestPrediction:
         assert predicted is not None
         assert method_sufficient(src, predicted, model=model)
         # Everything cheaper must be insufficient — minimality.
-        for name in COST_ORDER[:COST_ORDER.index(predicted)]:
+        order = cost_order()
+        for name in order[:order.index(predicted)]:
             assert not method_sufficient(src, name, model=model)
 
     def test_prediction_vs_declared_surface(self):

@@ -175,3 +175,43 @@ class TestFaultsCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "UnsupportedToolchain" in err
 
+
+
+class TestChaosCommands:
+    #: what both campaign engines' ``--json`` reports spell the same way
+    SHARED_KEYS = {"seed", "count", "ok", "tally", "kinds", "ledger",
+                   "outcomes"}
+
+    def _report(self, capsys, argv, count):
+        import json
+
+        assert main(argv + ["--seed", "0", "--count", str(count),
+                            "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert self.SHARED_KEYS <= set(obj)
+        assert obj["ok"] is True
+        assert (obj["seed"], obj["count"]) == (0, count)
+        assert len(obj["outcomes"]) == count
+        # by status, and by scenario kind: two views of the same outcomes
+        assert sum(obj["tally"].values()) == count
+        assert sum(obj["kinds"].values()) == count
+        return obj
+
+    def test_chaos_run_json(self, capsys):
+        obj = self._report(
+            capsys, ["chaos", "run", "--no-store", "--quiet"], 3)
+        assert set(obj["tally"]) <= {"ok", "unrecoverable"}
+        assert obj["ledger"] == {}
+        assert all(o["timeline_sha256"] for o in obj["outcomes"])
+
+    def test_chaos_serve_json(self, capsys, tmp_path):
+        obj = self._report(
+            capsys, ["chaos", "serve", "--root", str(tmp_path)], 2)
+        assert obj["tally"] == {"ok": 2}
+        assert obj["kinds"] == {"clean": 1, "server-crash": 1}
+        assert obj["ledger"]["accepted"] == obj["ledger"]["resolved"] == 2
+        assert obj["ledger"]["server_restarts"] == 1
+
+    def test_replay_is_the_one_reexecution_command(self):
+        with pytest.raises(SystemExit):
+            main(["chaos", "replay", "feedface"])

@@ -93,15 +93,17 @@ class TestReplayCommand:
     def test_replay_ok(self, store_dir, capsys):
         ids = _record_two(store_dir, capsys)
         assert main(["replay", ids[0][:10], "--store", store_dir]) == 0
-        assert "byte-identical" in capsys.readouterr().out
+        assert capsys.readouterr().out.startswith(f"ok   {ids[0][:12]}: ")
 
     def test_replay_json(self, store_dir, capsys):
         ids = _record_two(store_dir, capsys)
         assert main(["replay", ids[0], "--store", store_dir,
                      "--json"]) == 0
         obj = json.loads(capsys.readouterr().out)
-        assert obj["ok"] is True
+        assert obj["ok"] is True and obj["drift"] == {}
+        assert obj["run_id"] == ids[0]
         assert obj["expected_sha256"] == obj["actual_sha256"]
+        assert obj["code_version_changed"] is False
 
     def test_unknown_id_exits_1(self, store_dir, capsys):
         _record_two(store_dir, capsys)

@@ -216,45 +216,6 @@ class TestResultHooks:
         assert seen == ["hello"]           # later hooks still fired
         assert any("result hook" in r.message for r in caplog.records)
 
-    def test_scoped_hooks_fire_only_inside_the_scope(self):
-        seen = []
-        spec = JobSpec(app="hello", nvp=1, method="pieglobals")
-        with js.result_hook_scope(
-                lambda s, j, r: seen.append("scoped")):
-            run_spec(spec)
-        run_spec(spec)
-        assert seen == ["scoped"]
-
-    def test_exclusive_scope_suppresses_global_hooks(self):
-        seen = []
-        hook = lambda s, j, r: seen.append("global")  # noqa: E731
-        js.add_result_hook(hook)
-        try:
-            spec = JobSpec(app="hello", nvp=1, method="pieglobals")
-            with js.result_hook_scope(
-                    lambda s, j, r: seen.append("tenant"),
-                    exclusive=True):
-                run_spec(spec)
-            run_spec(spec)
-        finally:
-            js.remove_result_hook(hook)
-        assert seen == ["tenant", "global"]
-
-    def test_scoped_hooks_are_thread_local(self):
-        import threading
-
-        seen = []
-        spec = JobSpec(app="hello", nvp=1, method="pieglobals")
-
-        def other_thread():
-            run_spec(spec)                # no scope in this thread
-
-        with js.result_hook_scope(lambda s, j, r: seen.append("scoped")):
-            t = threading.Thread(target=other_thread)
-            t.start()
-            t.join()
-        assert seen == []                 # tenant hooks never crossed
-
 
 class TestCodeVersion:
     def test_stable_hex(self):

@@ -62,9 +62,8 @@ class TestVerify:
     def test_unchanged_sources_pass(self, store):
         entry = _pin(store)
         result = verify_pin(entry)
-        assert result.ok
-        assert result.sha_ok and result.counters_ok and result.makespan_ok
-        assert result.actual_sha == entry.timeline_sha256
+        assert result.ok and result.drift == {}
+        assert result.actual_sha256 == entry.timeline_sha256
         assert "ok " in result.format()
 
     def test_scheduler_perturbation_fails_the_gate(self, store,
@@ -80,9 +79,9 @@ class TestVerify:
         monkeypatch.setattr(JobScheduler, "wake", perturbed)
         result = verify_pin(entry)
         assert not result.ok
-        assert not result.sha_ok
-        assert result.actual_sha != entry.timeline_sha256
-        assert "DRIFT" in result.format()
+        assert "timeline_sha256" in result.drift
+        assert result.actual_sha256 != entry.timeline_sha256
+        assert result.format().startswith(f"DRIFT {entry.name}: ")
 
     def test_replay_also_catches_the_perturbation(self, store,
                                                   monkeypatch):

@@ -16,7 +16,6 @@ import pytest
 from repro.harness.jobspec import JobSpec, code_version, run_spec_job
 from repro.provenance import ProvenanceStore, RunRecord, run_id_for
 from repro.serve import (
-    CACHE_HIT,
     CACHE_INFLIGHT,
     CACHE_MISS,
     JobService,
@@ -60,6 +59,32 @@ class TestProtocol:
     def test_error_reply_shape(self):
         reply = protocol.error_reply("boom", run_id="ab")
         assert reply == {"ok": False, "error": "boom", "run_id": "ab"}
+
+
+class TestServiceJobsFireNoHooks:
+    def test_global_observer_sees_run_spec_but_no_service_job(self, serve):
+        """What ``--provenance`` installs is a process-global result
+        hook; a job the service executes in the same process (thread
+        workers, or ``execute_spec`` called directly) must never reach
+        it — a tenant's job is recorded by the service, once — while a
+        ``run_spec_job`` in that process still does."""
+        from repro.harness import jobspec as js
+        from repro.serve.pool import execute_spec
+
+        _, client = serve
+        seen = []
+
+        def observer(spec, job, result):
+            seen.append(spec.app_config["name"])
+
+        js.add_result_hook(observer)
+        try:
+            assert client.submit(_spec("tenant")).ok
+            assert execute_spec(_spec("direct").to_dict())["error"] is None
+            run_spec_job(_spec("mine"))
+        finally:
+            js.remove_result_hook(observer)
+        assert seen == ["mine"]
 
 
 class TestSubmit:
