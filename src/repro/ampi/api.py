@@ -46,7 +46,7 @@ class MpiHandle:
                 "(shim not unpacked?)"
             ) from None
         if self.via_shim:
-            self._rank.counters.incr(EV_SHIM_DISPATCH)
+            self._rank.ctx.counters.incr(EV_SHIM_DISPATCH)
         return fn(self._rank, *args, **kw)
 
     # -- setup / teardown ------------------------------------------------------
@@ -124,52 +124,54 @@ class MpiHandle:
         return self._call("iprobe", source, tag, comm)
 
     # -- collectives -----------------------------------------------------------------------
+    # A collective's transport entry is ``CollectiveEngine.enter`` with
+    # its kind bound: ``(rank, comm, contribution, **params)``.
 
     def barrier(self, comm: Communicator | None = None) -> None:
         self._call("barrier", comm)
 
     def bcast(self, value: Any = None, root: int = 0,
               comm: Communicator | None = None) -> Any:
-        return self._call("bcast", value, root, comm)
+        return self._call("bcast", comm, value, root=root)
 
     def reduce(self, value: Any, op: Op = SUM, root: int = 0,
                comm: Communicator | None = None) -> Any:
-        return self._call("reduce", value, op, root, comm)
+        return self._call("reduce", comm, value, root=root, op=op)
 
     def allreduce(self, value: Any, op: Op = SUM,
                   comm: Communicator | None = None) -> Any:
-        return self._call("allreduce", value, op, comm)
+        return self._call("allreduce", comm, value, op=op)
 
     def gather(self, value: Any, root: int = 0,
                comm: Communicator | None = None) -> list[Any] | None:
-        return self._call("gather", value, root, comm)
+        return self._call("gather", comm, value, root=root)
 
     def allgather(self, value: Any,
                   comm: Communicator | None = None) -> list[Any]:
-        return self._call("allgather", value, comm)
+        return self._call("allgather", comm, value)
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0,
                 comm: Communicator | None = None) -> Any:
-        return self._call("scatter", values, root, comm)
+        return self._call("scatter", comm, values, root=root)
 
     def alltoall(self, values: Sequence[Any],
                  comm: Communicator | None = None) -> list[Any]:
-        return self._call("alltoall", values, comm)
+        return self._call("alltoall", comm, values)
 
     def scan(self, value: Any, op: Op = SUM,
              comm: Communicator | None = None) -> Any:
-        return self._call("scan", value, op, comm)
+        return self._call("scan", comm, value, op=op)
 
     def exscan(self, value: Any, op: Op = SUM,
                comm: Communicator | None = None) -> Any:
         """MPI_Exscan: exclusive prefix reduction (rank 0 gets None)."""
-        return self._call("exscan", value, op, comm)
+        return self._call("exscan", comm, value, op=op)
 
     def reduce_scatter(self, values: Sequence[Any], op: Op = SUM,
                        comm: Communicator | None = None) -> Any:
         """MPI_Reduce_scatter_block: reduce vectors elementwise, rank i
         keeps element i."""
-        return self._call("reduce_scatter", values, op, comm)
+        return self._call("reduce_scatter", comm, values, op=op)
 
     def waitany(self, requests: Sequence[Request]) -> tuple[int, Any]:
         """MPI_Waitany: (index of the first completion, its payload)."""
@@ -193,7 +195,7 @@ class MpiHandle:
 
     def comm_split(self, color: int, key: int = 0,
                    comm: Communicator | None = None) -> Communicator:
-        return self._call("comm_split", color, key, comm)
+        return self._call("comm_split", comm, (color, key))
 
     # -- AMPI extensions ------------------------------------------------------------------------
 

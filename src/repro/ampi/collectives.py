@@ -51,7 +51,6 @@ class CollectiveState:
     blocked: set[int] = field(default_factory=set)
     #: comm rank -> (release time, result); filled by the last arriver
     releases: dict[int, tuple[int, Any]] = field(default_factory=dict)
-    done: bool = False
 
 
 class CollectiveEngine:
@@ -89,9 +88,16 @@ class CollectiveEngine:
 
     # -- entry point -------------------------------------------------------------
 
-    def enter(self, rank: "VirtualRank", comm: Communicator, kind: str,
-              contribution: Any = None, **params: Any) -> Any:
-        """Called by the MPI layer from the rank's ULT; blocks as needed."""
+    def enter(self, kind: str, rank: "VirtualRank",
+              comm: Communicator | None = None, contribution: Any = None,
+              **params: Any) -> Any:
+        """The one way into a collective; called from the rank's ULT,
+        blocks as needed.  ``kind`` comes first so that the transport
+        entry of a synchronising entry point is this method with its kind
+        bound (:func:`repro.ampi.funcptr.pack_transport`); no
+        communicator means MPI_COMM_WORLD."""
+        if comm is None:
+            comm = self.job.world
         my = comm.rank_of_vp(rank.vp)
         key = (rank.vp, comm.cid)
         seq = self._seq.get(key, 0)
@@ -151,7 +157,6 @@ class CollectiveEngine:
 
         # Last arriver completes the operation and wakes everyone.
         self._finish(state)
-        state.done = True
         self.completed += 1
         del self._states[skey]
         if ml is not None:
@@ -355,7 +360,6 @@ class CollectiveEngine:
     def _finish_comm_dup(self, state: CollectiveState) -> None:
         comm = state.comm
         dup = comm.derive(comm.group, f"{comm.name}+dup")
-        self.job.register_comm(dup)
         depth = tree_depth(comm.size)
         release_base = self._max_arrival(state) + depth * self._step_ns(comm)
         state.releases = {r: (release_base, dup) for r in state.arrivals}
@@ -372,7 +376,6 @@ class CollectiveEngine:
             members.sort()
             group = tuple(comm.vp_of_rank(r) for _, r in members)
             comms[color] = comm.derive(group, f"{comm.name}/split{color}")
-            self.job.register_comm(comms[color])
         depth = tree_depth(comm.size)
         release = self._max_arrival(state) + depth * self._step_ns(comm)
         state.releases = {}

@@ -16,56 +16,94 @@ runtime object even though the slots themselves are privatized.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable
 
 from repro.elf.linker import CompileUnit
 from repro.mem.segments import FuncDef, VarDef
 from repro.privatization._util import SHIM_PREFIX
 
-#: The AMPI API surface carried through the shim (names as exposed on
-#: :class:`~repro.ampi.api.MpiHandle`).
-AMPI_API_NAMES: tuple[str, ...] = (
-    "init",
-    "initialized",
-    "finalize",
-    "rank",
-    "size",
-    "send",
-    "recv",
-    "sendrecv",
-    "isend",
-    "irecv",
-    "wait",
-    "test",
-    "waitall",
-    "waitany",
-    "testall",
-    "probe",
-    "iprobe",
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "allgather",
-    "scatter",
-    "alltoall",
-    "scan",
-    "exscan",
-    "reduce_scatter",
-    "op_create",
-    "comm_dup",
-    "comm_split",
-    "comm_world",
-    "migrate",
-    "migrate_to",
-    "resize",
-    "num_pes",
-    "checkpoint",
-    "yield",
-    "wtime",
-    "abort",
+
+class EntryPoint:
+    """One MPI entry point: the single statement of the API surface.
+
+    The shim's slots, the transport, :class:`~repro.ampi.api.MpiHandle`
+    (held equal by test) and the analyzer's operation classes
+    (:mod:`repro.analyze.model`) are all read off :data:`ENTRY_POINTS`.
+    """
+
+    __slots__ = ("name", "slot", "collective", "sync", "role", "result")
+
+    def __init__(self, name: str, slot: str | None = "", *,
+                 collective: str | None = None, sync: bool = False,
+                 role: str = "", result: str = ""):
+        #: the :class:`~repro.ampi.api.MpiHandle` method (or property)
+        self.name = name
+        #: its shim slot — the handle's name unless given; None for an
+        #: entry point the handle answers itself, without the runtime
+        self.slot = name if slot == "" else slot
+        #: the :meth:`CollectiveEngine.enter` kind, when entering the
+        #: rendezvous is its whole implementation
+        self.collective = collective
+        #: must every rank of the communicator enter it?
+        self.sync = sync or collective is not None
+        #: "send", "recv", "wait" or "" — its point-to-point role
+        self.role = role
+        #: "rank" (the caller's identity), "uniform" (the same on every
+        #: rank whatever the arguments) or "" (neither)
+        self.result = result
+
+
+_E = EntryPoint
+#: The AMPI API surface, in shim-slot order.
+ENTRY_POINTS: tuple[EntryPoint, ...] = (
+    _E("init"),
+    _E("initialized"),
+    _E("finalize", sync=True),
+    _E("rank", result="rank"),
+    _E("size", result="uniform"),
+    _E("send", role="send"),
+    _E("recv", role="recv"),
+    _E("sendrecv"),
+    _E("isend", role="send"),
+    _E("irecv", role="recv"),
+    _E("wait", role="wait"),
+    _E("test", role="wait"),
+    _E("waitall", role="wait"),
+    _E("waitany", role="wait"),
+    _E("testall", role="wait"),
+    _E("probe"),
+    _E("iprobe"),
+    _E("barrier", collective="barrier"),
+    _E("bcast", collective="bcast", result="uniform"),
+    _E("reduce", collective="reduce"),
+    _E("allreduce", collective="allreduce", result="uniform"),
+    _E("gather", collective="gather"),
+    _E("allgather", collective="allgather", result="uniform"),
+    _E("scatter", collective="scatter"),
+    _E("alltoall", collective="alltoall"),
+    _E("scan", collective="scan"),
+    _E("exscan", collective="exscan"),
+    _E("reduce_scatter", collective="reduce_scatter"),
+    _E("op_create"),
+    _E("comm_dup", collective="comm_dup"),
+    _E("comm_split", collective="comm_split"),
+    _E("world", "comm_world"),
+    _E("migrate", collective="lb_sync"),
+    _E("migrate_to"),
+    _E("resize", sync=True),
+    _E("num_pes", result="uniform"),
+    _E("checkpoint", collective="checkpoint"),
+    _E("yield_", "yield"),
+    _E("wtime", result="uniform"),
+    _E("abort"),
+    _E("my_pe", None, result="rank"),
 )
+del _E
+
+#: The shim's slot names (what the calltable is keyed by).
+AMPI_API_NAMES: tuple[str, ...] = tuple(
+    e.slot for e in ENTRY_POINTS if e.slot is not None)
 
 
 def _unpack_body(loader_ctx: Any) -> None:
@@ -94,15 +132,13 @@ def shim_compile_unit() -> CompileUnit:
 def pack_transport(runtime: Any) -> dict[str, Callable]:
     """``AMPI_FuncPtr_Pack``: gather the runtime's API entry points.
 
-    Returns name -> bound method on the *single* runtime instance; each
-    callable takes the acting rank as its first argument.
+    Returns slot name -> callable on the *single* runtime instance, each
+    taking the acting rank first: the one collective entry with its kind
+    bound where the table names one, a bound ``_api_<name>`` otherwise.
     """
-    transport: dict[str, Callable] = {}
-    for name in AMPI_API_NAMES:
-        impl = getattr(runtime, f"_api_{name}".replace("yield", "yield_"), None)
-        if impl is None:
-            raise AttributeError(
-                f"runtime lacks API implementation _api_{name}"
-            )
-        transport[name] = impl
-    return transport
+    enter = runtime.collectives.enter
+    return {
+        e.slot: (partial(enter, e.collective) if e.collective is not None
+                 else getattr(runtime, "_api_" + e.name))
+        for e in ENTRY_POINTS if e.slot is not None
+    }

@@ -3,11 +3,8 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import Any
-
-_req_ids = itertools.count(1)
 
 
 class RequestKind(enum.Enum):
@@ -24,16 +21,16 @@ class Status:
     nbytes: int = 0
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Request:
-    """Handle for an in-flight isend/irecv."""
+    """Handle for an in-flight isend/irecv (compared by identity: two
+    receives with one signature are still two receives)."""
 
     kind: RequestKind
     vp: int                      #: owning rank (vp)
     comm_id: int
     src: int = -1                #: recv: requested source (comm rank)
     tag: int = -1
-    rid: int = field(default_factory=lambda: next(_req_ids))
     completed: bool = False
     completion_time: int = 0     #: simulated ns at which it completed
     payload: Any = None          #: recv: delivered data

@@ -18,11 +18,11 @@ from repro.ampi.collectives import CollectiveEngine
 from repro.ampi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.ampi.datatypes import payload_nbytes
 from repro.ampi.funcptr import pack_transport, shim_compile_unit
-from repro.ampi.ops import Op, UserOp
+from repro.ampi.ops import UserOp
 from repro.ampi.requests import Request, RequestKind, Status
 from repro.charm.lb import RankStat, get_strategy, summarize_loads
 from repro.charm.locmgr import LocationManager
-from repro.charm.messages import Mailbox, Message
+from repro.charm.messages import Message
 from repro.charm.migration import MigrationEngine, MigrationRecord
 from repro.charm.node import JobLayout, build_topology
 from repro.charm.reduction import tree_depth
@@ -46,11 +46,7 @@ from repro.net.network import Network
 from repro.perf.counters import (
     CounterSet,
     EV_DEDUP_DROP,
-    EV_FAULT,
     EV_MSG_BYTES,
-    EV_MSG_FAULT_CORRUPT,
-    EV_MSG_FAULT_DROP,
-    EV_MSG_FAULT_DUP,
     EV_MSG_SENT,
     EV_REPLAYED,
 )
@@ -204,11 +200,6 @@ class JobResult:
         }
 
 
-@dataclass
-class _PostedRecv:
-    request: Request
-
-
 #: the legal values of a job's enumerated options, default first
 PLACEMENTS = ("block", "roundrobin")
 TRANSPORTS = ("priced", "reliable")
@@ -330,7 +321,6 @@ class AmpiJob:
         # Populated by start():
         self.started = False
         self.world = Communicator.world(nvp)
-        self._comms: dict[int, Communicator] = {self.world.cid: self.world}
         self.nodes: list = []
         self.processes: list = []
         self.pes: list = []
@@ -354,17 +344,6 @@ class AmpiJob:
         self.collectives = CollectiveEngine(self)
         self.lb_reports: list[LbReport] = []
         self.checkpoints: list = []
-        #: PEs currently hosting ranks (shrink/expand); all at start
-        self.active_pes: int = self.layout.total_pes
-
-        self._mailboxes: dict[int, Mailbox] = {}
-        self._posted: dict[int, list[_PostedRecv]] = {}
-        self._waiting: dict[int, Request] = {}
-        self._waiting_any: dict[int, set[int]] = {}
-        self._probing: dict[int, tuple[int, int, int]] = {}
-        self._initialized: set[int] = set()
-        self._finalized: set[int] = set()
-        self._user_ops: list[UserOp] = []
 
     # -- build ---------------------------------------------------------------------
 
@@ -409,7 +388,7 @@ class AmpiJob:
         for proc in self.processes:
             proc.loader = DynamicLoader(
                 proc.vm, self.machine.toolchain, self.costs,
-                counters=proc.counters,
+                counters=proc.counters, clock=proc.startup_clock,
                 trace=tr, trace_pid=self._proc_pid_base + proc.index,
             )
             proc.startup_clock.advance(self.costs.ampi_init_base_ns)
@@ -421,8 +400,6 @@ class AmpiJob:
             rank = VirtualRank(vp, pe)
             self._ranks[vp] = rank
             self.locmgr.register(rank)
-            self._mailboxes[vp] = Mailbox()
-            self._posted[vp] = []
             proc = pe.process
             rank.heap = RankHeap(vp, proc.isomalloc)
             rank.stack_mapping = proc.isomalloc.alloc(
@@ -471,14 +448,14 @@ class AmpiJob:
                 if san is None:
                     view = GlobalsView(
                         wiring.routes, self.costs, rank.ult.clock,
-                        counters=rank.counters,
+                        counters=self.counters,
                         optimized=self.optimize >= 1,
                     )
                 else:
                     from repro.sanitize.runtime import SanitizedGlobalsView
                     view = SanitizedGlobalsView(
                         wiring.routes, self.costs, rank.ult.clock,
-                        counters=rank.counters,
+                        counters=self.counters,
                         optimized=self.optimize >= 1,
                         probe=san.bind(rank.vp, rank.ult.clock),
                     )
@@ -493,7 +470,7 @@ class AmpiJob:
                     clock=rank.ult.clock,
                     costs=self.costs,
                     heap=rank.heap,
-                    counters=rank.counters,
+                    counters=self.counters,
                     tracer=tracer,
                     argv=self.argv,
                 )
@@ -513,7 +490,7 @@ class AmpiJob:
         self.scheduler = JobScheduler(
             self.costs, self.method.context_switch_extra_ns(self.costs),
             trace=tr, trace_pid_base=self._pe_pid_base,
-            trace_label=self.method.name,
+            trace_label=self.method.name, counters=self.counters,
         )
         if san is not None:
             self.scheduler.on_quantum = san.on_quantum
@@ -583,23 +560,6 @@ class AmpiJob:
                 rank, rank.pe.process.startup_clock.now
             )
 
-    def _ft_reset_mpi_state(self) -> None:
-        """Roll the MPI layer back to pristine (crash recovery).
-
-        Messages in flight, posted receives, wait/probe registrations
-        and in-progress collectives all belong to the timeline the crash
-        destroyed; ranks replay from MPI_Init.
-        """
-        for vp in range(self.nvp):
-            self._mailboxes[vp] = Mailbox()
-            self._posted[vp] = []
-        self._waiting.clear()
-        self._waiting_any.clear()
-        self._probing.clear()
-        self._initialized.clear()
-        self._finalized.clear()
-        self.collectives.reset()
-
     def _rank_entry(self, rank: VirtualRank) -> Any:
         ctx = rank.ctx
         entry = self.binary.image.entry
@@ -653,11 +613,8 @@ class AmpiJob:
     def _result(self) -> JobResult:
         counters = CounterSet()
         counters.merge(self.counters)
-        counters.merge(self.scheduler.counters)
         for proc in self.processes:
             counters.merge(proc.counters)
-        for rank in self._ranks.values():
-            counters.merge(rank.counters)
         startup_each = [p.startup_clock.now for p in self.processes]
         return JobResult(
             method=self.method.name,
@@ -714,19 +671,19 @@ class AmpiJob:
     # -- lifecycle ---------------------------------------------------------------
 
     def _api_init(self, rank: VirtualRank) -> None:
-        if rank.vp in self._initialized:
+        if rank.mailbox.initialized:
             raise MpiError(f"vp {rank.vp}: MPI_Init called twice")
-        self._initialized.add(rank.vp)
+        rank.mailbox.initialized = True
         rank.clock.advance(self.costs.msg_overhead_ns)
 
     def _api_initialized(self, rank: VirtualRank) -> bool:
-        return rank.vp in self._initialized
+        return rank.mailbox.initialized
 
     def _api_finalize(self, rank: VirtualRank) -> None:
-        if rank.vp in self._finalized:
+        if rank.mailbox.finalized:
             raise MpiError(f"vp {rank.vp}: MPI_Finalize called twice")
-        self._finalized.add(rank.vp)
-        self.collectives.enter(rank, self.world, "barrier")
+        rank.mailbox.finalized = True
+        self.collectives.enter("barrier", rank)
 
     def _api_rank(self, rank: VirtualRank,
                   comm: Communicator | None = None) -> int:
@@ -736,7 +693,7 @@ class AmpiJob:
                   comm: Communicator | None = None) -> int:
         return self._resolve_comm(comm).size
 
-    def _api_comm_world(self, rank: VirtualRank) -> Communicator:
+    def _api_world(self, rank: VirtualRank) -> Communicator:
         return self.world
 
     def _api_num_pes(self, rank: VirtualRank) -> int:
@@ -762,8 +719,8 @@ class AmpiJob:
             ns += self.costs.msg_overhead_ns + self.costs.net_latency_intra_ns
         return ns, dest_pe
 
-    def _do_send(self, rank: VirtualRank, payload: Any, dest: int, tag: int,
-                 comm: Communicator | None) -> None:
+    def _api_send(self, rank: VirtualRank, payload: Any, dest: int,
+                  tag: int = 0, comm: Communicator | None = None) -> None:
         comm = self._resolve_comm(comm)
         src_cr = comm.rank_of_vp(rank.vp)
         dst_vp = comm.vp_of_rank(dest)
@@ -775,24 +732,14 @@ class AmpiJob:
             # is charged as a flat latency lump on the one-and-only
             # delivery.  The reliable path never takes this branch — it
             # pays for faults through actual retransmissions instead.
-            fault = self.fault_injector.next_message_fault()
+            fault = self.fault_injector.draw_message_fault(
+                self.counters, self.trace, now,
+                self.trace_pid_of(rank.pe), rank.vp,
+                {"dst_vp": dst_vp, "tag": tag, "nbytes": nbytes})
             if fault is not None:
                 ns += self.fault_injector.message_penalty_ns(
                     fault, ns, self.costs.msg_overhead_ns
                 )
-                self.counters.incr(EV_FAULT)
-                self.counters.incr({
-                    "drop": EV_MSG_FAULT_DROP,
-                    "duplicate": EV_MSG_FAULT_DUP,
-                    "corrupt": EV_MSG_FAULT_CORRUPT,
-                }[fault])
-                if self.trace is not None:
-                    self.trace.instant(
-                        f"fault:msg-{fault}", "ft", now,
-                        pid=self.trace_pid_of(rank.pe), tid=rank.vp,
-                        args={"dst_vp": dst_vp, "tag": tag,
-                              "nbytes": nbytes},
-                    )
         msg = Message(
             src=src_cr, dst=dest, tag=tag, comm_id=comm.cid,
             payload=payload, nbytes=nbytes, sent_at=now, arrival=now + ns,
@@ -819,7 +766,7 @@ class AmpiJob:
             if delivered and self.msglog is not None:
                 self.msglog.log_send(msg)
         else:
-            self._deliver(dst_vp, msg)
+            self._deliver(msg)
 
     def _deliver_frame(self, msg: Message) -> None:
         """Reliable-transport delivery hook: the final, checksum-clean
@@ -830,9 +777,10 @@ class AmpiJob:
         if (san is not None and msg.dest_endpoint is not None
                 and dst_rank.pe.endpoint != msg.dest_endpoint):
             san.on_stale_delivery(dst_rank, msg)
-        self._deliver(msg.dst_vp, msg)
+        self._deliver(msg)
 
-    def _deliver(self, dst_vp: int, msg: Message) -> None:
+    def _deliver(self, msg: Message) -> None:
+        dst_vp = msg.dst_vp
         dst_rank = self._ranks[dst_vp]
         ml = self.msglog
         if ml is not None and ml.already_consumed(dst_vp, msg.src_vp,
@@ -850,49 +798,38 @@ class AmpiJob:
                     args={"src_vp": msg.src_vp, "chan_seq": msg.chan_seq},
                 )
             return
-        for i, posted in enumerate(self._posted[dst_vp]):
-            req = posted.request
-            if msg.matches(src=req.src, tag=req.tag, comm_id=req.comm_id):
-                del self._posted[dst_vp][i]
-                req.complete(
-                    when=msg.arrival, payload=msg.payload,
-                    source=msg.src, tag=msg.tag, nbytes=msg.nbytes,
+        req, wake = dst_rank.mailbox.deliver(msg)
+        if req is not None:
+            self._consume(req, msg)
+            if self.trace is not None:
+                self.trace.instant(
+                    "recv-match", "msg", msg.arrival,
+                    pid=self.trace_pid_of(dst_rank.pe), tid=dst_vp,
+                    args={"src": msg.src, "tag": msg.tag,
+                          "nbytes": msg.nbytes},
                 )
-                if self.msglog is not None:
-                    self.msglog.on_consume(dst_vp, msg.src_vp, msg.chan_seq)
-                if self.trace is not None:
-                    self.trace.instant(
-                        "recv-match", "msg", msg.arrival,
-                        pid=self.trace_pid_of(dst_rank.pe), tid=dst_vp,
-                        args={"src": msg.src, "tag": msg.tag,
-                              "nbytes": msg.nbytes},
-                    )
-                if self._waiting.get(dst_vp) is req:
-                    self.scheduler.wake(dst_rank, msg.arrival)
-                elif req.rid in self._waiting_any.get(dst_vp, ()):
-                    self.scheduler.wake(dst_rank, msg.arrival)
-                return
-        self._mailboxes[dst_vp].deliver(msg)
-        probe = self._probing.get(dst_vp)
-        if probe is not None and msg.matches(*probe):
-            del self._probing[dst_vp]
+        if wake:
             self.scheduler.wake(dst_rank, msg.arrival)
 
-    def _api_send(self, rank: VirtualRank, payload: Any, dest: int,
-                  tag: int = 0, comm: Communicator | None = None) -> None:
-        self._do_send(rank, payload, dest, tag, comm)
+    def _consume(self, req: Request, msg: Message) -> None:
+        """Receive ``req`` takes ``msg``."""
+        req.complete(when=msg.arrival, payload=msg.payload,
+                     source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+        if self.msglog is not None:
+            self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
 
     def _api_isend(self, rank: VirtualRank, payload: Any, dest: int,
                    tag: int = 0, comm: Communicator | None = None) -> Request:
         comm_r = self._resolve_comm(comm)
         req = Request(kind=RequestKind.SEND, vp=rank.vp, comm_id=comm_r.cid,
                       tag=tag)
-        self._do_send(rank, payload, dest, tag, comm)
+        self._api_send(rank, payload, dest, tag, comm)
         req.complete(when=rank.clock.now)
         return req
 
-    def _post_recv(self, rank: VirtualRank, source: int, tag: int,
-                   comm: Communicator | None) -> Request:
+    def _api_irecv(self, rank: VirtualRank, source: int = ANY_SOURCE,
+                   tag: int = ANY_TAG,
+                   comm: Communicator | None = None) -> Request:
         comm = self._resolve_comm(comm)
         req = Request(kind=RequestKind.RECV, vp=rank.vp, comm_id=comm.cid,
                       src=source, tag=tag)
@@ -926,32 +863,22 @@ class AmpiJob:
                     )
                 return req
         while True:
-            msg = self._mailboxes[rank.vp].match(source, tag, comm.cid)
+            msg = rank.mailbox.post(req)
             if msg is None or ml is None or not ml.already_consumed(
                     rank.vp, msg.src_vp, msg.chan_seq):
                 break
             # A duplicate copy of a seq this rank already replayed from
-            # the message log (see _deliver): discard and keep matching.
+            # the message log (see _deliver): discard and post again.
             self.counters.incr(EV_DEDUP_DROP)
         if msg is not None:
-            req.complete(when=msg.arrival, payload=msg.payload,
-                         source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
-            if ml is not None:
-                ml.on_consume(rank.vp, msg.src_vp, msg.chan_seq)
-        else:
-            self._posted[rank.vp].append(_PostedRecv(req))
+            self._consume(req, msg)
         return req
 
     def _api_recv(self, rank: VirtualRank, source: int = ANY_SOURCE,
                   tag: int = ANY_TAG, comm: Communicator | None = None,
                   status: Status | None = None) -> Any:
-        req = self._post_recv(rank, source, tag, comm)
+        req = self._api_irecv(rank, source, tag, comm)
         return self._api_wait(rank, req, status)
-
-    def _api_irecv(self, rank: VirtualRank, source: int = ANY_SOURCE,
-                   tag: int = ANY_TAG,
-                   comm: Communicator | None = None) -> Request:
-        return self._post_recv(rank, source, tag, comm)
 
     def _api_wait(self, rank: VirtualRank, request: Request,
                   status: Status | None = None) -> Any:
@@ -961,9 +888,9 @@ class AmpiJob:
             )
         if not request.completed:
             t_block = rank.clock.now
-            self._waiting[rank.vp] = request
+            rank.mailbox.awaiting = (request,)
             self.scheduler.block_current("MPI_Wait")
-            self._waiting.pop(rank.vp, None)
+            rank.mailbox.awaiting = ()
             if not request.completed:
                 raise MpiError("woken before request completion")
             if self.trace is not None:
@@ -1001,16 +928,11 @@ class AmpiJob:
             done = [(i, r) for i, r in enumerate(requests) if r.completed]
             if done:
                 idx, req = min(done, key=lambda t: t[1].completion_time)
-                payload = self._api_wait(rank, req)
-                return idx, payload
-            # Block on whichever completes first: register every pending
-            # recv as the waited request in turn is not expressible, so
-            # wait via the scheduler with a multi-request marker.
-            pending = [r for r in requests if not r.completed]
-            for r in pending:
-                self._waiting_any.setdefault(rank.vp, set()).add(r.rid)
+                return idx, self._api_wait(rank, req)
+            # Block on whichever completes first.
+            rank.mailbox.awaiting = tuple(requests)
             self.scheduler.block_current("MPI_Waitany")
-            self._waiting_any.pop(rank.vp, None)
+            rank.mailbox.awaiting = ()
 
     def _api_testall(self, rank: VirtualRank,
                      requests: Sequence[Request]) -> tuple[bool, list[Any]]:
@@ -1025,11 +947,11 @@ class AmpiJob:
                    comm: Communicator | None = None) -> Status:
         comm = self._resolve_comm(comm)
         while True:
-            msg = self._mailboxes[rank.vp].peek(source, tag, comm.cid)
+            msg = rank.mailbox.peek(source, tag, comm.cid)
             if msg is not None:
                 rank.clock.advance_to(msg.arrival)
                 return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
-            self._probing[rank.vp] = (source, tag, comm.cid)
+            rank.mailbox.probing = (source, tag, comm.cid)
             self.scheduler.block_current("MPI_Probe")
 
     def _api_iprobe(self, rank: VirtualRank, source: int = ANY_SOURCE,
@@ -1037,7 +959,7 @@ class AmpiJob:
                     comm: Communicator | None = None) -> Status | None:
         comm = self._resolve_comm(comm)
         rank.clock.advance(self.costs.scheduler_poll_ns)
-        msg = self._mailboxes[rank.vp].peek(source, tag, comm.cid)
+        msg = rank.mailbox.peek(source, tag, comm.cid)
         if msg is not None and msg.arrival <= rank.clock.now:
             return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
         return None
@@ -1046,75 +968,9 @@ class AmpiJob:
                       source: int = ANY_SOURCE, sendtag: int = 0,
                       recvtag: int = ANY_TAG,
                       comm: Communicator | None = None) -> Any:
-        req = self._post_recv(rank, source, recvtag, comm)
-        self._do_send(rank, payload, dest, sendtag, comm)
+        req = self._api_irecv(rank, source, recvtag, comm)
+        self._api_send(rank, payload, dest, sendtag, comm)
         return self._api_wait(rank, req)
-
-    # -- collectives --------------------------------------------------------------------
-
-    def _api_barrier(self, rank: VirtualRank,
-                     comm: Communicator | None = None) -> None:
-        self.collectives.enter(rank, self._resolve_comm(comm), "barrier")
-
-    def _api_bcast(self, rank: VirtualRank, value: Any = None, root: int = 0,
-                   comm: Communicator | None = None) -> Any:
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "bcast", value, root=root
-        )
-
-    def _api_reduce(self, rank: VirtualRank, value: Any, op: Op,
-                    root: int = 0, comm: Communicator | None = None) -> Any:
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "reduce", value, root=root, op=op
-        )
-
-    def _api_allreduce(self, rank: VirtualRank, value: Any, op: Op,
-                       comm: Communicator | None = None) -> Any:
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "allreduce", value, op=op
-        )
-
-    def _api_gather(self, rank: VirtualRank, value: Any, root: int = 0,
-                    comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "gather", value, root=root
-        )
-
-    def _api_allgather(self, rank: VirtualRank, value: Any,
-                       comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "allgather", value
-        )
-
-    def _api_scatter(self, rank: VirtualRank, values, root: int = 0,
-                     comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "scatter", values, root=root
-        )
-
-    def _api_alltoall(self, rank: VirtualRank, values,
-                      comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "alltoall", values
-        )
-
-    def _api_scan(self, rank: VirtualRank, value: Any, op: Op,
-                  comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "scan", value, op=op
-        )
-
-    def _api_exscan(self, rank: VirtualRank, value: Any, op: Op,
-                    comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "exscan", value, op=op
-        )
-
-    def _api_reduce_scatter(self, rank: VirtualRank, values, op: Op,
-                            comm: Communicator | None = None):
-        return self.collectives.enter(
-            rank, self._resolve_comm(comm), "reduce_scatter", values, op=op
-        )
 
     # -- operators -------------------------------------------------------------------------
 
@@ -1122,17 +978,14 @@ class AmpiJob:
                        commute: bool = True) -> UserOp:
         addr = rank.ctx.addr_of(fn_name)
         if isinstance(self.method, PieGlobals):
-            op = UserOp(
+            return UserOp(
                 name=fn_name, commutative=commute,
                 fn_offset=self.method.fnptr_to_offset(rank, addr),
                 rebase=self.method.offset_to_fnptr,
                 invoke=self._invoke_user_op,
             )
-        else:
-            op = UserOp(name=fn_name, commutative=commute, fn_addr=addr,
-                        invoke=self._invoke_user_op)
-        self._user_ops.append(op)
-        return op
+        return UserOp(name=fn_name, commutative=commute, fn_addr=addr,
+                      invoke=self._invoke_user_op)
 
     def _invoke_user_op(self, pe, addr: int, a: Any, b: Any) -> Any:
         host = pe.any_resident()
@@ -1149,33 +1002,29 @@ class AmpiJob:
             host = ranks[0]
         return host.ctx.call_addr(addr, a, b)
 
-    # -- communicator management ----------------------------------------------------------------
-
-    def _api_comm_dup(self, rank: VirtualRank,
-                      comm: Communicator | None = None) -> Communicator:
-        comm = self._resolve_comm(comm)
-        return self.collectives.enter(rank, comm, "comm_dup")
-
-    def _api_comm_split(self, rank: VirtualRank, color: int, key: int = 0,
-                        comm: Communicator | None = None):
-        comm = self._resolve_comm(comm)
-        return self.collectives.enter(
-            rank, comm, "comm_split", (color, key)
-        )
-
-    def register_comm(self, comm: Communicator) -> None:
-        self._comms[comm.cid] = comm
-
     # -- AMPI extensions ---------------------------------------------------------------------------
 
-    def _api_migrate(self, rank: VirtualRank) -> None:
-        """AMPI_Migrate: collective LB sync over MPI_COMM_WORLD."""
-        self.collectives.enter(rank, self.world, "lb_sync")
+    def _apply_assignment(
+            self, targets: dict[int, int]) -> tuple[dict[int, int], int]:
+        """Migrate every rank whose target PE (``targets``: vp -> PE
+        index) is a live PE other than its own, in vp order; returns
+        (vp -> migration ns of the ranks that moved, bytes moved)."""
+        move_ns: dict[int, int] = {}
+        bytes_moved = 0
+        for rank in self.ranks():
+            target = self.pes[targets[rank.vp]]
+            if target is not rank.pe and not target.failed:
+                rec = self.migration_engine.migrate(rank, target)
+                move_ns[rank.vp] = rec.ns
+                bytes_moved += rec.nbytes
+        return move_ns, bytes_moved
 
     def _lb_finish(self, state) -> None:
-        """Runs in the last arriver's ULT: decide + migrate + release."""
+        """AMPI_Migrate's completion rule (the ``lb_sync`` collective
+        over MPI_COMM_WORLD); runs in the last arriver's ULT: decide +
+        migrate + release."""
         comm = state.comm
-        T = max(t for t, _ in state.arrivals.values())
+        T = self.collectives._max_arrival(state)
         stats = [
             RankStat(vp=r.vp, load_ns=r.load_ns, pe=r.pe.index)
             for r in self.ranks()
@@ -1185,17 +1034,8 @@ class AmpiJob:
         assignment = self.lb_strategy.assign(stats, n_pes)
         decision_ns = self.costs.scheduler_poll_ns * max(1, len(stats))
 
-        move_ns: dict[int, int] = {}
-        moved = bytes_moved = 0
-        for s in stats:
-            target = assignment.get(s.vp, s.pe)
-            if target != s.pe and not self.pes[target].failed:
-                rec = self.migration_engine.migrate(
-                    self._ranks[s.vp], self.pes[target]
-                )
-                move_ns[s.vp] = rec.ns
-                moved += 1
-                bytes_moved += rec.nbytes
+        move_ns, bytes_moved = self._apply_assignment(
+            {s.vp: assignment.get(s.vp, s.pe) for s in stats})
 
         after_stats = [
             RankStat(vp=r.vp, load_ns=r.load_ns, pe=r.pe.index)
@@ -1214,7 +1054,7 @@ class AmpiJob:
         self.lb_reports.append(LbReport(
             at_ns=base,
             strategy=self.lb_strategy.name,
-            moves=moved,
+            moves=len(move_ns),
             bytes_moved=bytes_moved,
             imbalance_before=before.imbalance,
             imbalance_after=after.imbalance,
@@ -1232,8 +1072,7 @@ class AmpiJob:
                 f"cannot resize to {n_active_pes} PEs (job has "
                 f"{len(self.pes)})"
             )
-        self.collectives.enter(rank, self.world, "resize",
-                               n_active_pes)
+        self.collectives.enter("resize", rank, None, n_active_pes)
 
     def _resize_finish(self, state) -> None:
         """Runs in the last arriver's ULT (like _lb_finish)."""
@@ -1244,7 +1083,7 @@ class AmpiJob:
                 f"resize: ranks disagree on the target PE count {targets}"
             )
         n_active = targets.pop()
-        T = max(t for t, _ in state.arrivals.values())
+        T = self.collectives._max_arrival(state)
         stats = [
             RankStat(vp=r.vp, load_ns=max(r.load_ns, 1), pe=r.pe.index)
             for r in self.ranks()
@@ -1255,15 +1094,8 @@ class AmpiJob:
              for s in stats],
             n_active,
         )
-        move_ns: dict[int, int] = {}
-        for s in stats:
-            target = assignment.get(s.vp, s.vp % n_active)
-            if target != s.pe and not self.pes[target].failed:
-                rec = self.migration_engine.migrate(
-                    self._ranks[s.vp], self.pes[target]
-                )
-                move_ns[s.vp] = rec.ns
-        self.active_pes = n_active
+        move_ns, _ = self._apply_assignment(
+            {s.vp: assignment.get(s.vp, s.vp % n_active) for s in stats})
         depth = tree_depth(comm.size)
         base = T + depth * self.collectives._step_ns(comm)
         state.releases = {
@@ -1282,7 +1114,3 @@ class AmpiJob:
     def _api_yield_(self, rank: VirtualRank) -> None:
         """AMPI_Yield: cooperative yield to the PE scheduler."""
         self.scheduler.yield_current(rank.clock.now)
-
-    def _api_checkpoint(self, rank: VirtualRank) -> None:
-        """Collective in-memory/shared-FS checkpoint."""
-        self.collectives.enter(rank, self.world, "checkpoint")

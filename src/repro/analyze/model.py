@@ -24,24 +24,22 @@ import textwrap
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro.ampi.funcptr import ENTRY_POINTS
 from repro.mem.segments import FuncDef
 from repro.program.source import ProgramSource
 
-#: MPI facade operations every rank must enter (deadlock if divergent).
-COLLECTIVE_OPS = frozenset({
-    "barrier", "bcast", "reduce", "allreduce", "gather", "allgather",
-    "scatter", "alltoall", "scan", "exscan", "reduce_scatter",
-    "migrate", "checkpoint", "resize",
-})
-SEND_OPS = frozenset({"send", "isend"})
-RECV_OPS = frozenset({"recv", "irecv"})
-WAIT_OPS = frozenset({"wait", "test", "waitall", "waitany", "testall"})
+# The analyzer's classes of MPI facade operations, read off the one
+# table of entry points (:data:`repro.ampi.funcptr.ENTRY_POINTS`).
+#: operations every rank must enter (deadlock if divergent)
+COLLECTIVE_OPS = frozenset(e.name for e in ENTRY_POINTS if e.sync)
+SEND_OPS = frozenset(e.name for e in ENTRY_POINTS if e.role == "send")
+RECV_OPS = frozenset(e.name for e in ENTRY_POINTS if e.role == "recv")
+WAIT_OPS = frozenset(e.name for e in ENTRY_POINTS if e.role == "wait")
 #: taint seeds: per-rank identity
-RANK_OPS = frozenset({"rank", "my_pe"})
+RANK_OPS = frozenset(e.name for e in ENTRY_POINTS if e.result == "rank")
 #: rank-uniform results no matter the arguments
-UNIFORM_OPS = frozenset({
-    "size", "num_pes", "allreduce", "bcast", "allgather", "wtime",
-})
+UNIFORM_OPS = frozenset(
+    e.name for e in ENTRY_POINTS if e.result == "uniform")
 
 
 @dataclass(frozen=True)

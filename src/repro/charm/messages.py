@@ -46,19 +46,73 @@ class Message:
 
 
 class Mailbox:
-    """Unexpected-message queue for one rank.
+    """One rank's MPI endpoint: its unexpected-message queue, its posted
+    receives, what it is blocked on, and its init/finalize marks.
 
-    Messages are kept in send order per (source, tag, comm), which — since
-    each sender's clock is monotone — preserves MPI's non-overtaking rule.
+    Both queues are scanned linearly in arrival/post order.  Messages
+    are kept in send order per (source, tag, comm), which — since each
+    sender's clock is monotone — preserves MPI's non-overtaking rule.
+    A receive is anything with ``src``, ``tag`` and ``comm_id``
+    (:class:`repro.ampi.requests.Request`); completing it, logging,
+    tracing and waking the rank are the runtime's business.
     """
 
-    __slots__ = ("_messages",)
+    __slots__ = ("_messages", "_receives", "awaiting", "probing",
+                 "initialized", "finalized")
 
     def __init__(self) -> None:
-        self._messages: list[Message] = []
+        self.reset()
 
-    def deliver(self, msg: Message) -> None:
-        self._messages.append(msg)
+    def reset(self) -> None:
+        """Back to pristine (crash recovery): queued messages, posted
+        receives and wait/probe registrations all belong to the timeline
+        the crash destroyed, and the rank replays from MPI_Init."""
+        # Shared empty tuples until first use: start-up builds one
+        # endpoint per rank, the lists come with the first message.
+        self._messages: Any = ()
+        self._receives: Any = ()
+        #: the requests the rank is blocked on (MPI_Wait: one,
+        #: MPI_Waitany: several) — completing any of them wakes it
+        self.awaiting: tuple = ()
+        #: the (src, tag, comm_id) signature a blocked MPI_Probe waits for
+        self.probing: tuple[int, int, int] | None = None
+        self.initialized = False
+        self.finalized = False
+
+    def deliver(self, msg: Message) -> tuple[Any, bool]:
+        """An arriving message goes to the earliest-posted receive it
+        matches, else onto the unexpected queue.  Returns ``(receive,
+        wake)``: the receive it completes (None when queued) and whether
+        the rank is blocked on exactly that — or on a probe this message
+        answers, which is then cleared."""
+        receives = self._receives
+        for i, req in enumerate(receives):
+            if msg.matches(req.src, req.tag, req.comm_id):
+                del receives[i]
+                for awaited in self.awaiting:
+                    if awaited is req:
+                        return req, True
+                return req, False
+        if self._messages:
+            self._messages.append(msg)
+        else:
+            self._messages = [msg]
+        probe = self.probing
+        if probe is not None and msg.matches(*probe):
+            self.probing = None
+            return None, True
+        return None, False
+
+    def post(self, req: Any) -> Message | None:
+        """A new receive takes the earliest-arrived unexpected message it
+        matches (returned, removed); otherwise it is posted."""
+        msg = self.match(req.src, req.tag, req.comm_id)
+        if msg is None:
+            if self._receives:
+                self._receives.append(req)
+            else:
+                self._receives = [req]
+        return msg
 
     def match(self, src: int, tag: int, comm_id: int) -> Message | None:
         """Remove and return the first matching message (None if absent)."""
@@ -79,3 +133,6 @@ class Mailbox:
 
     def pending(self) -> list[Message]:
         return list(self._messages)
+
+    def posted(self) -> list[Any]:
+        return list(self._receives)

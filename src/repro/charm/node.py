@@ -71,7 +71,6 @@ class Pe:
         self.failed = False               #: set when the PE's node crashed
         self.last_rank: "VirtualRank | None" = None
         self.resident: dict[int, "VirtualRank"] = {}  #: vp -> rank
-        self.counters = CounterSet()
         #: cached — identical for every PE of the process, read on every
         #: message transfer
         self.endpoint = process.endpoint

@@ -34,13 +34,16 @@ class JobScheduler:
 
     def __init__(self, costs: CostModel, ctx_switch_extra_ns: int = 0,
                  trace: TraceRecorder | None = None,
-                 trace_pid_base: int = 0, trace_label: str = ""):
+                 trace_pid_base: int = 0, trace_label: str = "",
+                 counters: CounterSet | None = None):
         self.costs = costs
         self.ctx_switch_extra_ns = ctx_switch_extra_ns
         self.trace = trace
         self.trace_pid_base = trace_pid_base
         self.trace_label = trace_label
-        self.counters = CounterSet()
+        #: the job's set when the runtime passes one (there is one
+        #: tally per job, not one per component to merge afterwards)
+        self.counters = counters if counters is not None else CounterSet()
         self.current: "VirtualRank | None" = None
         self._ranks_by_tid: dict[int, "VirtualRank"] = {}
         self._tid_by_vp: dict[int, int] = {}

@@ -3,17 +3,19 @@
 A :class:`VirtualRank` bundles everything one virtualized MPI rank owns:
 its user-level thread (and hence its simulated clock), its heap and stack
 (Isomalloc-backed), its globals view and code-segment instance (whatever
-the privatization method decided), and load-balancing instrumentation.
+the privatization method decided), its MPI endpoint
+(:class:`~repro.charm.messages.Mailbox`), and load-balancing
+instrumentation.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.charm.messages import Mailbox
 from repro.mem.address_space import Mapping
 from repro.mem.heap import RankHeap
 from repro.mem.segments import CodeInstance, SegmentInstance
-from repro.perf.counters import CounterSet
 from repro.program.context import ExecutionContext
 from repro.threads.ult import UserLevelThread
 
@@ -25,9 +27,9 @@ class VirtualRank:
     """One virtual MPI rank (an AMPI "VP")."""
 
     __slots__ = ("vp", "pe", "ult", "ctx", "heap", "stack_mapping",
-                 "counters", "code", "tls_instance", "method_data",
+                 "code", "tls_instance", "method_data",
                  "load_ns", "total_cpu_ns", "migrations", "finished",
-                 "exit_value")
+                 "exit_value", "mailbox")
 
     def __init__(self, vp: int, pe: "Pe"):
         self.vp = vp
@@ -38,7 +40,6 @@ class VirtualRank:
         self.ctx: ExecutionContext | None = None
         self.heap: RankHeap | None = None
         self.stack_mapping: Mapping | None = None
-        self.counters = CounterSet()
 
         # Set by the privatization method during setup:
         self.code: CodeInstance | None = None          #: code this rank executes
@@ -53,6 +54,7 @@ class VirtualRank:
         # MPI progress bookkeeping (owned by the AMPI layer):
         self.finished = False
         self.exit_value: Any = None
+        self.mailbox = Mailbox()
 
     @property
     def clock(self):

@@ -15,9 +15,20 @@ the messages so each send's fault decision is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
 from repro.ft.prng import CounterRng
+from repro.perf.counters import (
+    CounterSet,
+    EV_FAULT,
+    EV_MSG_FAULT_CORRUPT,
+    EV_MSG_FAULT_DROP,
+    EV_MSG_FAULT_DUP,
+)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.trace.recorder import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -183,6 +194,8 @@ class FaultPlan:
 
 #: message fault kinds in draw order (drop | duplicate | corrupt)
 MSG_FAULT_KINDS = ("drop", "duplicate", "corrupt")
+_MSG_FAULT_EVENTS = dict(zip(MSG_FAULT_KINDS, (
+    EV_MSG_FAULT_DROP, EV_MSG_FAULT_DUP, EV_MSG_FAULT_CORRUPT)))
 
 
 @dataclass
@@ -251,6 +264,23 @@ class FaultInjector:
             if r < acc:
                 return kind
         return None
+
+    def draw_message_fault(self, counters: CounterSet,
+                           trace: "TraceRecorder | None", at_ns: int,
+                           pid: int, tid: int,
+                           args: dict[str, Any]) -> str | None:
+        """:meth:`next_message_fault`, accounted for: a fault is counted
+        (``EV_FAULT`` + its kind's counter) and leaves a
+        ``fault:msg-<kind>`` instant on the sender's trace track.  Both
+        transports draw through here."""
+        fault = self.next_message_fault()
+        if fault is not None:
+            counters.incr(EV_FAULT)
+            counters.incr(_MSG_FAULT_EVENTS[fault])
+            if trace is not None:
+                trace.instant(f"fault:msg-{fault}", "ft", at_ns,
+                              pid=pid, tid=tid, args=args)
+        return fault
 
     def message_penalty_ns(self, kind: str, transfer_ns: int,
                            msg_overhead_ns: int) -> int:

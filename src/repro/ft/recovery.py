@@ -6,8 +6,8 @@ in-memory restart protocol: *all* ranks (not just the dead ones) roll
 back to the last buddy checkpoint, because messages sent after it are
 gone with the node that acknowledged them.  Concretely:
 
-1. flush the run queue and reset the MPI layer (mailboxes, posted
-   receives, wait/probe registrations, in-flight collectives);
+1. flush the run queue and reset the MPI layer (every rank's
+   :class:`~repro.charm.messages.Mailbox`, in-flight collectives);
 2. re-map dead-node ranks onto surviving PEs through the existing
    :class:`~repro.charm.migration.MigrationEngine` (least-loaded
    surviving PE, deterministic vp order) — recovery migrations show up
@@ -54,7 +54,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Any
 
-from repro.charm.messages import Mailbox
 from repro.charm.reduction import tree_depth
 from repro.errors import FaultUnrecoverableError, ReproError
 from repro.ft.plan import FaultInjector, NodeCrash
@@ -269,44 +268,55 @@ class RecoveryManager:
         ckpt.restore_rank(rank, reset_heap=True)
         self.rollback_counts[rank.vp] += 1
 
-    def _rollback(self, crash: NodeCrash, survivors: list, ckpt,
-                  resume_floor: int = 0) -> tuple[int, int]:
-        """Global rollback to checkpoint ``ckpt``; returns (cost,
-        resume instant)."""
+    def _quiesce(self, dead: list) -> list:
+        """Step 1 of a rollback — retract the lost timeline; returns the
+        ranks that restart, in vp order.  Globally that is every rank:
+        nothing queued or half-communicated survives the rollback
+        horizon.  The transport's receive cursors must resync to its
+        send cursors: the flush kills any in-flight retransmission
+        mid-chain, so its seq will never complete, and the replayed
+        ranks re-send with fresh seqs above it."""
         job = self.job
-
-        # 1. Quiesce: nothing queued or half-communicated survives the
-        #    rollback horizon.  The transport's receive cursors must
-        #    resync to its send cursors: the flush kills any in-flight
-        #    retransmission mid-chain, so its seq will never complete,
-        #    and the replayed ranks re-send with fresh seqs above it.
         job.scheduler.flush()
-        job._ft_reset_mpi_state()
+        for rank in job.ranks():
+            rank.mailbox.reset()
+        job.collectives.reset()
         if job.reliable is not None:
             job.reliable.resync()
+        return job.ranks()
+
+    def _rollback(self, crash: NodeCrash, survivors: list, ckpt,
+                  resume_floor: int = 0) -> tuple[int, int]:
+        """Roll back to checkpoint ``ckpt``; returns (cost, resume
+        instant)."""
+        job = self.job
+        dead = sorted((r for r in job.ranks() if r.pe.failed),
+                      key=lambda r: r.vp)
+        restarting = self._quiesce(dead)
+        if not restarting:
+            return 0, crash.at_ns
 
         # 2. Dead ranks move to the least-loaded surviving PE, in vp
         #    order — the same deterministic tie-break the LB uses.
-        move_ns = self._evacuate(
-            sorted((r for r in job.ranks() if r.pe.failed),
-                   key=lambda r: r.vp), survivors)
+        move_ns = self._evacuate(dead, survivors)
 
-        # 3. Every rank restarts from its snapshot.
-        for rank in job.ranks():
+        # 3. The rolled-back ranks restart from their snapshots.
+        for rank in restarting:
             self._restart(rank, ckpt)
 
-        # 4. Price the restart: a job-wide barrier, unpacking the
-        #    checkpoint state, and the slowest snapshot retrieval/move.
+        # 4. Price the restart over the restarting set: its barrier,
+        #    unpacking its snapshot bytes, its slowest retrieval/move.
         costs = job.costs
         recovery_ns = (
-            tree_depth(job.nvp) * costs.collective_step_ns
-            + costs.memcpy_ns(ckpt.nbytes)
+            tree_depth(len(restarting)) * costs.collective_step_ns
+            + costs.memcpy_ns(sum(ckpt.snapshots[r.vp].nbytes
+                                  for r in restarting))
             + move_ns
         )
         # A cascade never resumes before the recovery it interrupted
         # would have (the outage window only ever extends).
         resume_at = max(crash.at_ns + recovery_ns, resume_floor)
-        for rank in job.ranks():
+        for rank in restarting:
             # A rank can never run before its process finished AMPI
             # startup, even when the crash struck mid-initialization.
             job.scheduler.reregister(
@@ -334,55 +344,15 @@ class LocalRecoveryManager(RecoveryManager):
 
     supports_ckpt_fallback = False
 
-    def _rollback(self, crash: NodeCrash, survivors: list, ckpt,
-                  resume_floor: int = 0) -> tuple[int, int]:
+    def _quiesce(self, dead: list) -> list:
+        """Retract exactly the lost timeline — survivors' run-queue
+        entries, mailboxes and half-built collectives stay live — so
+        only the dead ranks restart."""
         job = self.job
-        recovering = sorted((r for r in job.ranks() if r.pe.failed),
-                            key=lambda r: r.vp)
-        if not recovering:
-            return 0, crash.at_ns
-        vps = {r.vp for r in recovering}
-
-        # 1. Retract exactly the lost timeline.  Survivors' run-queue
-        #    entries, mailboxes and half-built collectives stay live.
-        for rank in recovering:
+        for rank in dead:
             job.scheduler.runq.discard(rank.ult)
-            job._mailboxes[rank.vp] = Mailbox()
-            job._posted[rank.vp] = []
-            job._waiting.pop(rank.vp, None)
-            job._waiting_any.pop(rank.vp, None)
-            job._probing.pop(rank.vp, None)
-            # The rank re-executes from MPI_Init; its lifecycle markers
-            # belong to the timeline that just died.
-            job._initialized.discard(rank.vp)
-            job._finalized.discard(rank.vp)
+            rank.mailbox.reset()
+        vps = {r.vp for r in dead}
         job.collectives.purge_ranks(vps)
         job.msglog.rollback(vps, job)
-
-        # 2. Dead ranks move to the least-loaded surviving PE, in vp
-        #    order — the same deterministic tie-break the LB uses.
-        move_ns = self._evacuate(recovering, survivors)
-
-        # 3. Only the recovering ranks restart from their snapshots.
-        restored_bytes = 0
-        for rank in recovering:
-            self._restart(rank, ckpt)
-            snap = ckpt.snapshots.get(rank.vp)
-            if snap is not None:
-                restored_bytes += snap.nbytes
-
-        # 4. Price the restart over the recovering set only: its restart
-        #    barrier, its snapshot bytes, its slowest retrieval/move.
-        costs = job.costs
-        recovery_ns = (
-            tree_depth(len(recovering)) * costs.collective_step_ns
-            + costs.memcpy_ns(restored_bytes)
-            + move_ns
-        )
-        resume_at = max(crash.at_ns + recovery_ns, resume_floor)
-        for rank in recovering:
-            job.scheduler.reregister(
-                rank,
-                max(resume_at, rank.pe.process.startup_clock.now),
-            )
-        return recovery_ns, resume_at
+        return dead

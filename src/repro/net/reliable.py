@@ -44,10 +44,6 @@ from repro.perf.counters import (
     EV_ACK,
     EV_CKSUM_FAIL,
     EV_DEDUP_DROP,
-    EV_FAULT,
-    EV_MSG_FAULT_CORRUPT,
-    EV_MSG_FAULT_DROP,
-    EV_MSG_FAULT_DUP,
     EV_REORDER_HOLD,
     EV_RETRANS,
     EV_RTO_CANCEL,
@@ -212,7 +208,12 @@ class ReliableTransport:
                 f"{attempt} attempts",
                 reason="retrans-exhausted",
             )
-        fault = (self.injector.next_message_fault()
+        counters = self.counters
+        tr = self.trace
+        fault = (self.injector.draw_message_fault(
+                     counters, tr, at_ns, trace_pid, msg.src_vp,
+                     {"dst_vp": msg.dst_vp, "seq": msg.chan_seq,
+                      "attempt": attempt})
                  if self.injector is not None else None)
         good_sum = header_checksum(msg.src_vp, msg.dst_vp, msg.chan_seq,
                                    msg.tag, msg.nbytes)
@@ -223,22 +224,6 @@ class ReliableTransport:
             else good_sum,
             attempt=attempt, sent_at=at_ns,
         )
-        counters = self.counters
-        tr = self.trace
-        if fault is not None:
-            counters.incr(EV_FAULT)
-            counters.incr({
-                "drop": EV_MSG_FAULT_DROP,
-                "duplicate": EV_MSG_FAULT_DUP,
-                "corrupt": EV_MSG_FAULT_CORRUPT,
-            }[fault])
-            if tr is not None:
-                tr.instant(
-                    f"fault:msg-{fault}", "ft", at_ns, pid=trace_pid,
-                    tid=msg.src_vp,
-                    args={"dst_vp": msg.dst_vp, "seq": msg.chan_seq,
-                          "attempt": attempt},
-                )
 
         if fault == "drop":
             self._schedule_retransmit(ch, msg, transfer_ns, deliver,

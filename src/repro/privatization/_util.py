@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.elf.loader import LinkMap
 from repro.mem.address_space import MapKind, Mapping
 from repro.mem.segments import SegmentInstance
 from repro.privatization.base import SetupEnv
-from repro.program.binary import Binary
 from repro.program.context import AccessKind, AccessRoute
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -16,18 +14,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: data-segment variables the AMPI function-pointer shim injects
 SHIM_PREFIX = "__ampi_fp_"
-
-
-def load_base(env: SetupEnv, binary: Binary) -> LinkMap:
-    """dlopen the program once per process (refcounted across methods).
-
-    The loader runs on its own clock; the elapsed time is transferred to
-    the process startup clock so Figure 5 accounting sees it.
-    """
-    t0 = env.loader.clock.now
-    lm = env.loader.dlopen(binary.image)
-    env.process.startup_clock.advance(env.loader.clock.now - t0)
-    return lm
 
 
 def clone_instance_private(

@@ -91,9 +91,7 @@ class FsGlobals(PrivatizationMethod):
             # path distinction with a renamed (otherwise identical) image.
             per_rank_image = dc_replace(binary.image,
                                         name=f"{binary.name}.vp{rank.vp}")
-            t0 = env.loader.clock.now
             lm = env.loader.dlopen(per_rank_image)
-            clk.advance(env.loader.clock.now - t0)
             rank.method_data["linkmap"] = lm
             rank.method_data["fs_copy"] = copy_name
             for m in lm.mappings:

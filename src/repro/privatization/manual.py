@@ -26,7 +26,6 @@ from repro.privatization.base import (
 from repro.privatization.registry import register
 from repro.privatization._util import (
     clone_instance_private,
-    load_base,
     routes_for,
 )
 from repro.program.binary import Binary
@@ -54,7 +53,7 @@ class ManualRefactoring(PrivatizationMethod):
 
     def setup_process(self, env: SetupEnv, binary: Binary,
                       ranks: list["VirtualRank"]) -> dict[int, RankWiring]:
-        lm = load_base(env, binary)
+        lm = env.loader.dlopen(binary.image)
         tls_shared = binary.image.tls.instantiate(lm.rodata.end)
         wirings: dict[int, RankWiring] = {}
         for rank in ranks:

@@ -27,7 +27,6 @@ from repro.privatization.registry import register
 from repro.privatization.tlsglobals import TlsGlobals
 from repro.privatization._util import (
     clone_instance_private,
-    load_base,
     routes_for,
 )
 from repro.program.binary import Binary
@@ -85,7 +84,7 @@ class MpcPrivatize(TlsGlobals):
                         ranks: list["VirtualRank"], tls_vars
                         ) -> dict[int, RankWiring]:
         """Wire each HLS level to its own storage granularity."""
-        lm = load_base(env, binary)
+        lm = env.loader.dlopen(binary.image)
         by_level = {
             level: SegmentImage(
                 SegmentKind.TLS,

@@ -17,7 +17,7 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import load_base, routes_for
+from repro.privatization._util import routes_for
 from repro.program.binary import Binary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,7 +40,7 @@ class NoPrivatization(PrivatizationMethod):
 
     def setup_process(self, env: SetupEnv, binary: Binary,
                       ranks: list["VirtualRank"]) -> dict[int, RankWiring]:
-        lm = load_base(env, binary)
+        lm = env.loader.dlopen(binary.image)
         tls_shared = binary.image.tls.instantiate(lm.rodata.end)
         wirings: dict[int, RankWiring] = {}
         for rank in ranks:

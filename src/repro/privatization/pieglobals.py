@@ -183,17 +183,14 @@ class PieGlobals(PrivatizationMethod):
     def setup_process(self, env: SetupEnv, binary: Binary,
                       ranks: list["VirtualRank"]) -> dict[int, RankWiring]:
         loader = env.loader
-        clk = env.process.startup_clock
 
         # dl_iterate_phdr diff around a single dlopen finds the segments.
-        t0 = loader.clock.now
         before = {(i.name, i.lmid) for i in loader.dl_iterate_phdr()}
         lm = loader.dlopen(binary.image)
         new_infos = [
             i for i in loader.dl_iterate_phdr()
             if (i.name, i.lmid) not in before
         ]
-        clk.advance(loader.clock.now - t0)
         if new_infos:
             info = new_infos[0]
             orig_base, orig_end = info.code_start, (

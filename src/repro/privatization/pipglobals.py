@@ -65,13 +65,10 @@ class PipGlobals(PrivatizationMethod):
     def setup_process(self, env: SetupEnv, binary: Binary,
                       ranks: list["VirtualRank"]) -> dict[int, RankWiring]:
         wirings: dict[int, RankWiring] = {}
-        clk = env.process.startup_clock
         for rank in ranks:
             # One dlmopen per rank; raises NamespaceLimitError past the
-            # glibc cap.  Time is charged by the loader onto its clock.
-            t0 = env.loader.clock.now
+            # glibc cap.  The loader charges the start-up clock.
             lm = env.loader.dlmopen(binary.image)
-            clk.advance(env.loader.clock.now - t0)
             rank.method_data["linkmap"] = lm
             # Mark the loader-mapped segments as logically belonging to
             # this rank: exactly the mappings migration will choke on.

@@ -29,7 +29,7 @@ from repro.privatization.base import (
     SetupEnv,
 )
 from repro.privatization.registry import register
-from repro.privatization._util import load_base, routes_for
+from repro.privatization._util import routes_for
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
 from repro.program.context import AccessKind, AccessRoute
@@ -85,7 +85,7 @@ class Swapglobals(PrivatizationMethod):
 
     def setup_process(self, env: SetupEnv, binary: Binary,
                       ranks: list["VirtualRank"]) -> dict[int, RankWiring]:
-        lm = load_base(env, binary)
+        lm = env.loader.dlopen(binary.image)
         tls_shared = binary.image.tls.instantiate(lm.rodata.end)
 
         # Layout of the per-rank privatized storage: only GOT-covered vars.

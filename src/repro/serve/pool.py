@@ -186,8 +186,7 @@ class WorkerPool:
     """
 
     def __init__(self, workers: int = 2, *, mode: str = "process",
-                 mp_context: str = "spawn", retries: int = 2,
-                 max_respawns: int | None = None):
+                 retries: int = 2, max_respawns: int | None = None):
         if workers < 1:
             raise ValueError("need at least one worker")
         if mode not in ("process", "thread"):
@@ -206,7 +205,9 @@ class WorkerPool:
         self._closed = False
         self._pool_dead = False
         if mode == "process":
-            self._ctx = multiprocessing.get_context(mp_context)
+            # Only "spawn" is safe: a fork()ed worker would inherit a
+            # ULT pool without its threads.
+            self._ctx = multiprocessing.get_context("spawn")
             self._results = self._ctx.Queue()
             self._slots = [_Slot(wid=i) for i in range(workers)]
             self._idle: list[int] = []

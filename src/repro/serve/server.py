@@ -138,7 +138,6 @@ class JobService:
                  host: str | None = None,
                  port: int = 0,
                  worker_mode: str = "process",
-                 mp_context: str = "spawn",
                  max_queue: int | None = 256,
                  retries: int = 2,
                  lease_ttl_s: float | None = LEASE_TTL_S,
@@ -153,7 +152,6 @@ class JobService:
         self.cache = ResultCache(self.store)
         self.workers = workers
         self.worker_mode = worker_mode
-        self.mp_context = mp_context
         self.max_queue = max_queue
         self.retries = retries
         self.lease_ttl_s = lease_ttl_s
@@ -196,7 +194,6 @@ class JobService:
     async def start(self) -> None:
         self._shutdown = asyncio.Event()
         self._pool = WorkerPool(self.workers, mode=self.worker_mode,
-                                mp_context=self.mp_context,
                                 retries=self.retries)
         if self.socket_path is not None:
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)

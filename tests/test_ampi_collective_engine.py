@@ -89,7 +89,7 @@ class TestSequencing:
             job.collectives._states[(job.world.cid, 0)] = state
             job.collectives._seq[(0, job.world.cid)] = 0
             with pytest.raises(MpiError, match="twice"):
-                job.collectives.enter(rank, job.world, "barrier")
+                job.collectives.enter("barrier", rank, job.world)
         finally:
             job.scheduler.shutdown()
 
@@ -97,8 +97,8 @@ class TestSequencing:
         job = started_job(1, JobLayout(1, 1, 1))
         try:
             with pytest.raises(MpiError, match="unknown collective"):
-                job.collectives.enter(job.rank_of(0), job.world,
-                                      "teleport")
+                job.collectives.enter("teleport", job.rank_of(0),
+                                      job.world)
         finally:
             job.scheduler.shutdown()
 

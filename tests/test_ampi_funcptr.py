@@ -8,8 +8,10 @@ privatized.
 
 import pytest
 
+from repro.ampi.api import MpiHandle
 from repro.ampi.funcptr import (
     AMPI_API_NAMES,
+    ENTRY_POINTS,
     pack_transport,
     shim_compile_unit,
 )
@@ -35,6 +37,47 @@ class TestShimUnit:
         for required in ("send", "recv", "barrier", "bcast", "reduce",
                          "migrate", "finalize"):
             assert required in AMPI_API_NAMES
+
+
+class TestOneSurface:
+    """The table, the handle, the shim unit and the transport are four
+    views of one surface: an entry point cannot be added to one only."""
+
+    def test_four_views_agree(self):
+        names = {e.name for e in ENTRY_POINTS}
+        assert len(names) == len(ENTRY_POINTS)
+        public = {n for n in vars(MpiHandle)
+                  if not n.startswith("_") and n != "via_shim"}
+        assert public == names
+
+        local = {e.name for e in ENTRY_POINTS if e.slot is None}
+        assert local == {"my_pe"}
+        slots = [e.slot for e in ENTRY_POINTS if e.slot is not None]
+        assert tuple(slots) == AMPI_API_NAMES
+        assert len(set(slots)) == len(slots)
+        unit = shim_compile_unit()
+        assert [v.name for v in unit.variables] == [
+            SHIM_PREFIX + s for s in slots]
+        job = AmpiJob(make_hello(), 2, method="pieglobals",
+                      machine=TEST_MACHINE, slot_size=1 << 24)
+        assert set(pack_transport(job)) == set(slots)
+
+    def test_a_collective_slot_is_the_one_entry_with_its_kind_bound(self):
+        job = AmpiJob(make_hello(), 2, method="pieglobals",
+                      machine=TEST_MACHINE, slot_size=1 << 24)
+        transport = pack_transport(job)
+        for e in ENTRY_POINTS:
+            if e.collective is not None:
+                entry = transport[e.slot]
+                assert entry.func == job.collectives.enter
+                assert entry.args == (e.collective,)
+                assert not entry.keywords
+            elif e.slot is not None:
+                assert transport[e.slot].__self__ is job
+        # every kind the table binds has a completion rule
+        for e in ENTRY_POINTS:
+            if e.collective is not None:
+                assert hasattr(job.collectives, "_finish_" + e.collective)
 
 
 class TestTransport:
@@ -71,6 +114,11 @@ class TestShimWiring:
             fns = [i.read(slot) for i in instances]
             assert all(f == fns[0] for f in fns)
             assert fns[0].__self__ is job
+            # ...and a collective's slot holds the one engine's entry:
+            # the same object in every rank's copy.
+            entries = [i.read(SHIM_PREFIX + "barrier") for i in instances]
+            assert all(e is entries[0] for e in entries)
+            assert entries[0].func.__self__ is job.collectives
         finally:
             job.scheduler.shutdown()
 

@@ -1,8 +1,12 @@
 """Rule-family tests: seeded fixtures report exactly their codes, and
 every bundled app and example analyzes clean."""
 
+import importlib.util
+
 import pytest
 
+from repro.ampi.funcptr import ENTRY_POINTS
+from repro.ampi.runtime import AmpiJob
 from repro.analyze import analyze_source, classify_globals, build_model
 from repro.analyze.fixtures import (
     EXPECTED,
@@ -16,6 +20,8 @@ from repro.analyze.targets import (
     build_example,
     example_names,
 )
+from repro.charm.node import JobLayout
+from repro.errors import DeadlockError
 from repro.program.source import Program
 from repro.sanitize.findings import Severity
 
@@ -120,6 +126,55 @@ class TestSeverities:
         report = analyze_fixture("ana-collective-divergent")
         (f,) = report.findings
         assert f.severity is Severity.ERROR
+
+
+#: arguments that make ``mpi.<op>(...)`` a runnable call, per
+#: synchronising entry point (a new one must be added here to pass)
+SYNC_CALL_ARGS = {
+    "barrier": "", "bcast": "1", "reduce": "1", "allreduce": "1",
+    "gather": "1", "allgather": "1", "scatter": "[1, 2]",
+    "alltoall": "[1, 2]", "scan": "1", "exscan": "1",
+    "reduce_scatter": "[1, 2]", "comm_dup": "", "comm_split": "0",
+    "migrate": "", "checkpoint": "", "resize": "1", "finalize": "",
+}
+
+
+def divergent_program(tmp_path, op):
+    """``if mpi.rank() == 0: mpi.<op>(...)`` as a real module: the
+    analyzer reads function source from its file."""
+    path = tmp_path / f"divergent_{op}.py"
+    path.write_text(
+        "def main(ctx):\n"
+        "    if ctx.mpi.rank() == 0:\n"
+        f"        ctx.mpi.{op}({SYNC_CALL_ARGS[op]})\n"
+        "    return 0\n")
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    p = Program(f"divergent_{op}")
+    p.add_function(module.main, name="main")
+    return p.build()
+
+
+class TestEverySynchronisingEntryPoint:
+    """The analyzer's collective set is the table's: whatever every rank
+    must enter is flagged when only rank 0 enters it (``comm_dup``,
+    ``comm_split`` and ``finalize`` were missing from the hand-kept set
+    and analyzed clean while deadlocking at run time)."""
+
+    @pytest.mark.parametrize(
+        "op", [e.name for e in ENTRY_POINTS if e.sync])
+    def test_rank_divergent_entry_is_flagged(self, tmp_path, op):
+        report = analyze_source(divergent_program(tmp_path, op))
+        assert [f.code for f in report.findings] == [
+            "comm-collective-divergent"]
+        assert f"mpi.{op}()" in report.findings[0].message
+
+    def test_runtime_agrees_on_comm_split(self, tmp_path):
+        job = AmpiJob(divergent_program(tmp_path, "comm_split"), 2,
+                      method="tlsglobals", layout=JobLayout.single(2))
+        with pytest.raises(DeadlockError, match="MPI_comm_split"):
+            job.run()
 
 
 class TestTagMatching:

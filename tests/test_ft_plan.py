@@ -10,6 +10,15 @@ from repro.ft import (
     MessageFaults,
     NodeCrash,
 )
+from repro.ft.plan import MSG_FAULT_KINDS
+from repro.perf.counters import (
+    CounterSet,
+    EV_FAULT,
+    EV_MSG_FAULT_CORRUPT,
+    EV_MSG_FAULT_DROP,
+    EV_MSG_FAULT_DUP,
+)
+from repro.trace import TraceRecorder
 
 
 class TestCounterRng:
@@ -117,6 +126,34 @@ class TestFaultInjector:
         assert seq_a[0] == seq1[0]
         kinds = {k for k in seq_a if k is not None}
         assert kinds == {"drop", "duplicate", "corrupt"}
+
+    def test_accounted_draw_is_the_same_draw_counted_and_traced(self):
+        """Both transports draw through ``draw_message_fault``: the same
+        decisions as the bare draw, each fault counted once under
+        ``EV_FAULT`` and once under its kind, and one trace instant."""
+        plan = FaultPlan(seed=9, message_faults=MessageFaults(
+            drop=0.3, duplicate=0.2, corrupt=0.1))
+        bare = FaultInjector(plan)
+        want = [bare.next_message_fault() for _ in range(200)]
+        inj, counters, rec = FaultInjector(plan), CounterSet(), TraceRecorder()
+        got = [inj.draw_message_fault(counters, rec, 10 * i, 3, 4, {"i": i})
+               for i in range(200)]
+        assert got == want and inj.draws == 200
+        faults = [k for k in want if k is not None]
+        assert counters[EV_FAULT] == len(faults)
+        assert {k: counters[ev] for k, ev in (
+            ("drop", EV_MSG_FAULT_DROP), ("duplicate", EV_MSG_FAULT_DUP),
+            ("corrupt", EV_MSG_FAULT_CORRUPT))} == {
+                k: faults.count(k) for k in MSG_FAULT_KINDS}
+        assert [(e.name, e.ts, e.pid, e.tid, e.args) for e in rec.events()] \
+            == [(f"fault:msg-{k}", 10 * i, 3, 4, {"i": i})
+                for i, k in enumerate(want) if k is not None]
+        # untraced: counted all the same
+        quiet = CounterSet()
+        inj = FaultInjector(plan)
+        for _ in range(200):
+            inj.draw_message_fault(quiet, None, 0, 0, 0, {})
+        assert quiet == counters
 
     def test_no_message_faults_when_unconfigured(self):
         inj = FaultInjector(FaultPlan(seed=1))

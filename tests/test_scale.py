@@ -93,8 +93,8 @@ class TestStartupAllocations:
     single call looks slow."""
 
     #: GC-tracked objects ``build_job`` + ``start()`` add per rank of a
-    #: ``pieglobals`` Jacobi job (was 32), with 10 % headroom
-    PER_RANK = 29
+    #: ``pieglobals`` Jacobi job (was 32, then 29), with 10 % headroom
+    PER_RANK = 26
     BUDGET = PER_RANK * 1.1
 
     @staticmethod

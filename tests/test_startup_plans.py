@@ -14,6 +14,7 @@ and the same fault on a malformed image.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import inspect
 import weakref
@@ -280,9 +281,12 @@ def build_program(spec):
 # ---------------------------------------------------------------------------
 
 def norm(value):
-    """A bound method of a job is that job's; compare which method."""
+    """A bound method of a job is that job's; compare which method
+    (and, for a collective's entry, which kind is bound to it)."""
     if inspect.ismethod(value):
         return ("method", value.__func__.__qualname__)
+    if isinstance(value, functools.partial):
+        return ("partial", norm(value.func), value.args)
     if isinstance(value, dict):
         return {k: norm(v) for k, v in value.items()}
     return value

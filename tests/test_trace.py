@@ -148,6 +148,21 @@ class TestJobTracing:
         assert "pie:pointer-scan" in names
         assert "pie:image-copy" in names
 
+    @pytest.mark.parametrize("method", ["none", "tlsglobals", "pipglobals",
+                                        "fsglobals", "pieglobals"])
+    def test_loader_spans_lie_inside_their_setup_span(self, method):
+        """The loader runs on the process's start-up clock: what it did
+        during privatization set-up is stamped when it happened, not on
+        a private clock that started at zero."""
+        rec, _ = self.traced_hello(method=method)
+        setup = {s.pid: s for s in rec.spans(name=f"setup:{method}")}
+        loads = rec.spans(cat="loader")
+        assert setup and loads
+        assert {e.name.split(":")[0] for e in loads} <= {
+            "dlopen", "dlmopen", "ctors"}
+        for e in loads:
+            assert setup[e.pid].ts <= e.ts and e.end <= setup[e.pid].end, e
+
     def test_collective_spans(self):
         rec, _ = self.traced_hello()
         colls = rec.spans(cat="coll")
