@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import startup_experiment
-from repro.harness.tables import format_table
+from repro.harness.tables import EXPERIMENTS, format_table
 
 from conftest import report_table
 
@@ -29,11 +29,7 @@ def _run():
 def test_fig5_startup(benchmark):
     rows, fs_scaling = benchmark.pedantic(_run, rounds=1, iterations=1)
 
-    table = format_table(
-        ["Method", "Startup (ms)", "Overhead vs baseline (%)"],
-        [[r.method, r.startup_ns / 1e6, r.overhead_pct] for r in rows],
-        title="Figure 5: startup overhead, 8x virtualization, Bridges-2",
-    )
+    table = EXPERIMENTS["fig5"].table(rows)
     table += "\n" + format_table(
         ["Nodes", "FSglobals startup (ms)", "Overhead (%)"],
         [[r.nodes, r.startup_ns / 1e6, r.overhead_pct] for r in fs_scaling],

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import context_switch_experiment
-from repro.harness.tables import format_table
+from repro.harness.tables import EXPERIMENTS
 
 from conftest import report_table
 
@@ -25,13 +25,7 @@ def _run():
 @pytest.mark.benchmark(group="fig6")
 def test_fig6_context_switch(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    table = format_table(
-        ["Method", "Switches", "ns/switch", "Delta vs baseline (ns)"],
-        [[r.method, r.switches, r.ns_per_switch, r.delta_vs_baseline_ns]
-         for r in rows],
-        title="Figure 6: ULT context-switch time (ns)",
-    )
-    report_table("fig6_context_switch", table)
+    report_table("fig6_context_switch", EXPERIMENTS["fig6"].table(rows))
 
     by = {r.method: r for r in rows}
     base = by["none"].ns_per_switch

@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps.jacobi3d import JacobiConfig
 from repro.harness.experiments import jacobi_access_experiment
-from repro.harness.tables import format_table
+from repro.harness.tables import EXPERIMENTS
 
 from conftest import report_table
 
@@ -28,12 +28,7 @@ def _run():
 @pytest.mark.benchmark(group="fig7")
 def test_fig7_jacobi_access_overhead(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    table = format_table(
-        ["Method", "Exec (ms)", "Relative to baseline"],
-        [[r.method, r.exec_ns / 1e6, r.rel_to_baseline] for r in rows],
-        title="Figure 7: Jacobi-3D with privatized inner-loop globals (-O2)",
-    )
-    report_table("fig7_jacobi_access", table)
+    report_table("fig7_jacobi_access", EXPERIMENTS["fig7"].table(rows))
 
     # No hidden per-access cost: every method within 3% of baseline.
     for r in rows:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import migration_experiment
-from repro.harness.tables import format_table
+from repro.harness.tables import EXPERIMENTS
 
 from conftest import report_table
 
@@ -25,14 +25,7 @@ def _run():
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_migration_vs_heap(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    table = format_table(
-        ["Method", "Heap (MB)", "Migration (ms)", "Payload (MB)"],
-        [[r.method, r.heap_mb, r.migrate_ns / 1e6, r.bytes_moved / 2**20]
-         for r in rows],
-        title="Figure 8: migration time vs per-rank memory "
-              "(14 MB ADCIRC-sized code segment)",
-    )
-    report_table("fig8_migration", table)
+    report_table("fig8_migration", EXPERIMENTS["fig8"].table(rows))
 
     tls = {r.heap_mb: r for r in rows if r.method == "tlsglobals"}
     pie = {r.heap_mb: r for r in rows if r.method == "pieglobals"}

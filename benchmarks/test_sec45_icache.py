@@ -19,7 +19,7 @@ import pytest
 
 from repro.apps.jacobi3d import JacobiConfig
 from repro.harness.experiments import icache_experiment
-from repro.harness.tables import format_table
+from repro.harness.tables import EXPERIMENTS, format_table
 
 from conftest import report_table
 
@@ -33,15 +33,12 @@ def _run():
 @pytest.mark.benchmark(group="sec45")
 def test_sec45_icache_misses(benchmark):
     rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    table_rows = []
     verdicts = []
     for machine in ("bridges2", "stampede2-icx"):
         tls = next(r for r in rows
                    if r.machine == machine and r.method == "tlsglobals")
         pie = next(r for r in rows
                    if r.machine == machine and r.method == "pieglobals")
-        table_rows += [[machine, r.method, r.accesses, r.misses,
-                        f"{100 * r.miss_rate:.1f}%"] for r in (tls, pie)]
         if pie.misses < tls.misses:
             verdicts.append(
                 (machine, "pieglobals",
@@ -52,12 +49,7 @@ def test_sec45_icache_misses(benchmark):
                 (machine, "tlsglobals",
                  100.0 * (pie.misses - tls.misses) / pie.misses)
             )
-    table = format_table(
-        ["Machine", "Method", "Line fetches", "L1i misses", "Miss rate"],
-        table_rows,
-        title="Section 4.5: L1 icache misses (PAPI stand-in)",
-    )
-    table += "\n" + format_table(
+    table = EXPERIMENTS["icache"].table(rows) + "\n" + format_table(
         ["Machine", "Fewer misses with", "By (%)"],
         [[m, w, f"{p:.0f}"] for m, w, p in verdicts],
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.harness.experiments import adcirc_scaling_experiment
-from repro.harness.tables import format_table
+from repro.harness.tables import EXPERIMENTS
 
 from conftest import report_table
 
@@ -26,16 +26,8 @@ def _run():
 @pytest.mark.benchmark(group="table2")
 def test_table2_adcirc_speedup(benchmark):
     rows, summaries = benchmark.pedantic(_run, rounds=1, iterations=1)
-    paper = {1: 13, 2: 59, 4: 79, 8: 70, 16: 43, 32: 24, 64: 17}
-    table = format_table(
-        ["Cores", "Best ratio", "Baseline (ms)", "Best (ms)",
-         "Speedup %", "Paper %"],
-        [[s.cores, s.best_ratio, s.baseline_ns / 1e6, s.best_ns / 1e6,
-          s.speedup_pct, paper[s.cores]] for s in summaries],
-        title="Table 2: ADCIRC speedup of best virtualization ratio "
-              "over baseline",
-    )
-    report_table("table2_adcirc_speedup", table)
+    report_table("table2_adcirc_speedup",
+                 EXPERIMENTS["adcirc"].table(summaries))
 
     by = {s.cores: s for s in summaries}
     assert set(by) == set(CORES)

@@ -47,33 +47,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Program",
-    "ProgramSource",
-    "Compiler",
-    "CompileOptions",
-    "AmpiJob",
-    "JobResult",
-    "Checkpoint",
-    "JobLayout",
-    "MachineModel",
-    "Toolchain",
-    "get_machine",
-    "get_method",
-    "method_names",
-    "BRIDGES2",
-    "BRIDGES2_PATCHED_GLIBC",
-    "GENERIC_LINUX",
-    "LEGACY_LINUX_OLD_LD",
-    "MACOS_ARM",
-    "STAMPEDE2_ICX",
-    "TEST_MACHINE",
-    "__version__",
-]
-
 # Importing ``repro`` (which ``python -m repro`` does before anything
 # else) loads none of the simulator; each name resolves on first use.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.program": ("Program", "ProgramSource", "Compiler",
                       "CompileOptions"),
     "repro.ampi": ("AmpiJob", "JobResult", "Checkpoint"),

@@ -15,15 +15,14 @@ from typing import Any, Callable, Mapping, Sequence
 
 def lazy_exports(
     namespace: dict[str, Any], homes: Mapping[str, Sequence[str]],
-) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
-    """Module-level ``__getattr__`` and ``__dir__`` for a package whose
-    ``globals()`` is ``namespace`` and whose public names live in
-    ``homes`` (``{home module: names}``)::
+) -> tuple[Callable[[str], Any], Callable[[], list[str]], list[str]]:
+    """Module-level ``__getattr__``, ``__dir__`` and ``__all__`` for a
+    package whose ``globals()`` is ``namespace`` and whose public names
+    live in ``homes`` (``{home module: names}``)::
 
         if TYPE_CHECKING:                 # what type checkers/IDEs read
             from repro.perf.clock import SimClock
-        __all__ = ["SimClock"]
-        __getattr__, __dir__ = lazy_exports(
+        __getattr__, __dir__, __all__ = lazy_exports(
             globals(), {"repro.perf.clock": ("SimClock",)})
     """
     home_of = {name: module for module, names in homes.items()
@@ -43,4 +42,4 @@ def lazy_exports(
     def __dir__() -> list[str]:
         return sorted({*namespace, *home_of})
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, list(home_of)

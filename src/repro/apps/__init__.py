@@ -18,20 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.adcirc import AdcircConfig, build_adcirc_program, run_adcirc
     from repro.apps.memhog import MemhogConfig, build_memhog_program
 
-__all__ = [
-    "JacobiConfig",
-    "build_jacobi_program",
-    "run_jacobi",
-    "AdcircConfig",
-    "build_adcirc_program",
-    "run_adcirc",
-    "MemhogConfig",
-    "build_memhog_program",
-]
-
 # Each of these apps imports numpy; :mod:`repro.apps.micro` (hello,
 # pingpong, startup) does not, and importing it must not load them.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.apps.jacobi3d": ("JacobiConfig", "build_jacobi_program",
                             "run_jacobi"),
     "repro.apps.adcirc": ("AdcircConfig", "build_adcirc_program",

@@ -345,11 +345,6 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
             _submit(client, sc.spec, out, deadline_ms=1.0)
             if out.resolution == f"reason:{protocol.REASON_DEADLINE}":
                 settled = client.submit(sc.spec)   # no deadline: await it
-                if settled.reason == protocol.REASON_DEADLINE:
-                    # Still queued when its deadline passed, the task was
-                    # dropped at dispatch and took this coalesced waiter
-                    # with it: nothing ran, so a resubmit executes it.
-                    settled = client.submit(sc.spec)
                 if classify(settled) != "record":
                     out.resolution = ""
                     _fail(out, "unresolved", f"post-deadline settle "

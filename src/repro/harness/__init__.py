@@ -33,37 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover
         startup_experiment,
     )
 
-__all__ = [
-    "format_table",
-    "format_markdown_table",
-    "JobSpec",
-    "add_result_hook",
-    "app_names",
-    "build_app_source",
-    "build_job",
-    "code_version",
-    "register_app",
-    "remove_result_hook",
-    "run_app",
-    "run_spec",
-    "run_spec_job",
-    "CapabilityRow",
-    "probe_method",
-    "capability_table",
-    "startup_experiment",
-    "FaultRow",
-    "fault_overhead_experiment",
-    "context_switch_experiment",
-    "jacobi_access_experiment",
-    "migration_experiment",
-    "icache_experiment",
-    "adcirc_scaling_experiment",
-]
-
 # The experiment drivers and capability probes import every app (and so
 # numpy); a caller that wants ``format_table`` or ``JobSpec`` pays for
 # neither.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.harness.tables": ("format_table", "format_markdown_table"),
     "repro.harness.capabilities": ("CapabilityRow", "probe_method",
                                    "capability_table"),

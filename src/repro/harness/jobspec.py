@@ -384,27 +384,52 @@ def run_app(
 # Code version
 # ---------------------------------------------------------------------------
 
+#: The tool tiers: code no job execution can load, so an edit there
+#: cannot change what a spec computes and must not move a cache key
+#: (package-relative paths; a directory covers everything under it).
+#: An exclude-list, so a new simulator module is keyed by default;
+#: ``tests/test_jobspec.py`` holds it to what a job actually imports.
+UNKEYED_SOURCES = (
+    "__main__.py", "cli/", "analyze/", "chaos/", "serve/",
+    "harness/capabilities.py", "harness/experiments.py", "harness/tables.py",
+    "sanitize/check.py", "sanitize/fixtures.py",
+    "trace/export.py", "trace/timeline.py",
+)
+
+
+def keyed_sources(root: Path) -> list[str]:
+    """The ``.py`` files under package root ``root`` that
+    :func:`code_version` covers: sorted ``/``-separated relative paths."""
+    names = (p.relative_to(root).as_posix() for p in sorted(root.rglob("*.py")))
+    return [name for name in names if not name.startswith(UNKEYED_SOURCES)]
+
+
+def source_digest(root: Path) -> str:
+    """SHA-256 over the relative path and bytes of every keyed source."""
+    h = hashlib.sha256()
+    for name in keyed_sources(root):
+        h.update(name.encode())
+        h.update(b"\0")
+        h.update((root / name).read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 _code_version_cache: str | None = None
 
 
 def code_version() -> str:
-    """Digest of the installed ``repro`` source tree.
+    """:func:`source_digest` of the installed ``repro``: the simulator's
+    sources, without the tool tiers.
 
     Stored in every provenance record, fault-sweep row, and host
-    benchmark result so results are attributable to the code that produced them.
-    Computed over the relative path and bytes of every ``.py`` file
-    under the package root, in sorted order.
+    benchmark result so results are attributable to the code that
+    produced them, and part of every cache key.
     """
     global _code_version_cache
     if _code_version_cache is None:
         import repro
 
-        root = Path(repro.__file__).resolve().parent
-        h = hashlib.sha256()
-        for p in sorted(root.rglob("*.py")):
-            h.update(p.relative_to(root).as_posix().encode())
-            h.update(b"\0")
-            h.update(p.read_bytes())
-            h.update(b"\0")
-        _code_version_cache = h.hexdigest()
+        _code_version_cache = source_digest(
+            Path(repro.__file__).resolve().parent)
     return _code_version_cache

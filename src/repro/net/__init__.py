@@ -8,12 +8,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network, Endpoint
     from repro.net.reliable import ChannelState, Frame, ReliableTransport
 
-__all__ = ["Network", "Endpoint", "ChannelState", "Frame",
-           "ReliableTransport"]
-
 # Every job prices transfers with the Network oracle; only
 # ``transport="reliable"`` jobs run the ack/retransmit protocol.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.net.network": ("Network", "Endpoint"),
     "repro.net.reliable": ("ChannelState", "Frame", "ReliableTransport"),
 })

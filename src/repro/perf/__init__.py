@@ -11,11 +11,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.perf.counters import CounterSet
     from repro.perf.icache import SetAssociativeCache
 
-__all__ = ["SimClock", "CostModel", "CounterSet", "SetAssociativeCache"]
-
 # The icache simulator is the one numpy user here; clocks, costs and
 # counters are on every job's path and must not pull it in.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.perf.clock": ("SimClock",),
     "repro.perf.costs": ("CostModel",),
     "repro.perf.counters": ("CounterSet",),

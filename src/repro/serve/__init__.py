@@ -13,10 +13,11 @@ line-JSON protocol over a Unix socket or localhost TCP.
 
 The service is built to *survive its own components dying*: worker
 crashes are retried and repeat offenders quarantined (``poison-job``),
-load past the queue watermark is shed (``busy``), client deadlines are
-honored edge-to-pool (``deadline-exceeded``), crash-expiring file
-leases make execution exactly-once across multiple servers on one
-store, and clients retry idempotently with jittered backoff.  See
+load past the queue watermark is shed (``busy``), a client's deadline
+ends its own wait and nobody else's (``deadline-exceeded``),
+crash-expiring file leases make execution exactly-once across multiple
+servers on one store, and clients retry idempotently with jittered
+backoff.  See
 ``docs/ARCHITECTURE.md`` §16 and §18.
 """
 

@@ -26,9 +26,6 @@ Crash resilience (the serving-layer contract: every submitted future
   spawn bootstrap cannot re-import the host program), all pending
   futures fail with a typed ``pool-dead`` reply — a hung client is
   worse than an error.
-- A queued task whose deadline has already passed is dropped at
-  dispatch with a ``deadline-exceeded`` failure instead of wasting a
-  worker on a result nobody is waiting for.
 
 Workers :func:`~repro.harness.jobspec.build_job` and run a job
 themselves rather than through ``run_spec_job``, so its result hooks
@@ -43,7 +40,7 @@ threads in the current process, execution is serialized by a
 process-wide lock (the simulator's state is not reentrant — the lock
 is module-level so even two pools in one process never interleave).
 Threads cannot be killed, so the crash-retry machinery is process-mode
-only; deadlines are honored in both modes.
+only.
 
 Chaos hook: a task may carry ``chaos={"kill_worker_attempts": N}``
 (injected via the server's ``enable_chaos`` flag, never from specs) —
@@ -60,7 +57,7 @@ import queue
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator
 
 from repro.harness.jobspec import JobSpec, build_job
@@ -69,6 +66,9 @@ from repro.trace.stream import compress_timeline
 
 #: exit status a worker uses when the chaos kill hook fires
 CHAOS_EXIT = 86
+
+#: how often an idle process worker checks that its parent is alive
+IDLE_POLL_S = 2.0
 
 #: simulator state is process-wide; thread-mode pools in one process
 #: must never run two jobs at once, even across pool instances
@@ -95,15 +95,7 @@ def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
                 "error": f"{type(e).__name__}: {e}"}
 
 
-def _deadline_reply(deadline_ts: float) -> dict[str, Any]:
-    return {"record": None, "timeline_z": None,
-            "error": "deadline exceeded before execution started",
-            "unrecoverable_reason": "deadline-exceeded",
-            "reason": "deadline-exceeded",
-            "deadline_ts": deadline_ts}
-
-
-def _worker_main(wid: int, inbox: Any, results: Any) -> None:
+def _worker_main(wid: int, inbox: Any, results: Any, parent: int) -> None:
     """Process-mode worker loop: drain the inbox until the sentinel.
 
     Each item is ``(task_id, spec_dict, attempt, chaos)``; the chaos
@@ -114,12 +106,14 @@ def _worker_main(wid: int, inbox: Any, results: Any) -> None:
     (SIGKILLed server: workers are reparented to init) and exits
     instead of blocking on the inbox forever — a leaked worker holds
     inherited pipes open, which can hang the parent's own parent (CI
-    steps, shells) waiting for EOF.
+    steps, shells) waiting for EOF.  ``parent`` is the spawning
+    process's pid, passed in by it: read here, after the ~1 s spawn
+    bootstrap, ``os.getppid()`` is already init's for a worker whose
+    parent died in that window, and the check would never fire.
     """
-    parent = os.getppid()
     while True:
         try:
-            item = inbox.get(timeout=2.0)
+            item = inbox.get(timeout=IDLE_POLL_S)
         except queue.Empty:
             if os.getppid() != parent:
                 os._exit(0)
@@ -139,7 +133,6 @@ class _Task:
     task_id: int
     spec_dict: dict[str, Any]
     fut: Future
-    deadline_ts: float | None = None
     chaos: dict[str, Any] | None = None
     attempts: int = 0       #: dispatches so far (== worker deaths + 1)
 
@@ -166,12 +159,9 @@ class PoolStats:
     retries: int = 0        #: jobs re-dispatched after a worker death
     quarantined: int = 0    #: jobs resolved as poison after max retries
     respawns: int = 0       #: replacement workers spawned
-    deadline_drops: int = 0  #: queued jobs dropped past their deadline
 
     def to_dict(self) -> dict[str, int]:
-        return {"retries": self.retries, "quarantined": self.quarantined,
-                "respawns": self.respawns,
-                "deadline_drops": self.deadline_drops}
+        return asdict(self)
 
 
 class WorkerPool:
@@ -275,7 +265,6 @@ class WorkerPool:
     # -- submission ---------------------------------------------------------
 
     def submit(self, spec_dict: dict[str, Any], *,
-               deadline_ts: float | None = None,
                chaos: dict[str, Any] | None = None) -> Future:
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -286,7 +275,7 @@ class WorkerPool:
         with self._lock:
             self._seq += 1
             task = _Task(task_id=self._seq, spec_dict=spec_dict, fut=fut,
-                         deadline_ts=deadline_ts, chaos=chaos)
+                         chaos=chaos)
             self._tasks[task.task_id] = task
         self._backlog.put(task.task_id)
         return fut
@@ -306,7 +295,8 @@ class WorkerPool:
         slot.inbox = self._ctx.Queue()
         slot.proc = self._ctx.Process(
             target=_worker_main,
-            args=(slot.wid, slot.inbox, self._results), daemon=True)
+            args=(slot.wid, slot.inbox, self._results, os.getpid()),
+            daemon=True)
         slot.proc.start()
         slot.dead = False
         if respawn:
@@ -317,20 +307,13 @@ class WorkerPool:
             self._cond.notify_all()
 
     def _runnable_tasks(self) -> Iterator[_Task]:
-        """Backlog entries still worth a worker, until the close
-        sentinel: resolved-while-queued and past-deadline ones drop."""
+        """Backlog entries still worth a worker (not resolved while
+        queued), until the close sentinel."""
         while (item := self._backlog.get()) is not None:
             with self._lock:
                 task = self._tasks.get(item)
-            if task is None:
-                continue            # resolved while queued
-            if (task.deadline_ts is not None
-                    and time.time() > task.deadline_ts):  # repro: allow(det-wallclock) client deadlines are host wall-clock by definition
-                self.stats.deadline_drops += 1
-                self._resolve(task.task_id,
-                              _deadline_reply(task.deadline_ts))
-                continue
-            yield task
+            if task is not None:
+                yield task
 
     def _dispatch_loop(self) -> None:
         for task in self._runnable_tasks():

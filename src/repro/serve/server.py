@@ -26,11 +26,11 @@ components dying):
   in flight; past the watermark new work is shed with a retryable
   ``busy`` reply instead of building an unbounded backlog (hits and
   coalesced attaches are always admitted — they cost no queue slot).
-- **Deadlines**: a submission may carry ``deadline_ms``; it is honored
-  edge-to-pool — the awaiting client gets a structured
-  ``deadline-exceeded`` reply when the clock runs out, and a queued
-  job whose deadline passed is dropped before wasting a worker.  The
-  execution itself is shielded, so a late result still fills the cache.
+- **Deadlines**: a submission may carry ``deadline_ms``; it is the
+  waiter's own — the awaiting client gets a structured
+  ``deadline-exceeded`` reply when its clock runs out, and nobody
+  else does.  The execution itself is shielded, so a late result still
+  fills the cache and reaches every other waiter coalesced onto it.
 - **Worker-crash retry / poison quarantine** (in the pool): a job
   whose worker dies is retried on a fresh worker; a repeat offender
   resolves as a ``poison-job`` structured failure, which the service
@@ -422,9 +422,7 @@ class JobService:
                     f"queue full ({depth} in flight >= "
                     f"watermark {self.max_queue})",
                     queue_depth=depth)
-            deadline_ts = (time.time() + deadline_ms / 1000.0  # repro: allow(det-wallclock) client deadlines are host wall-clock by definition
-                           if deadline_ms else None)
-            fut = self._launch(run_id, spec, deadline_ts, chaos)
+            fut = self._launch(run_id, spec, chaos)
             cache = protocol.CACHE_MISS
         if not wait:
             return {"ok": True, "run_id": run_id,
@@ -455,19 +453,16 @@ class JobService:
         return reply
 
     def _launch(self, run_id: str, spec: JobSpec,
-                deadline_ts: float | None,
                 chaos: dict[str, Any] | None) -> asyncio.Future:
         """Register the single-flight future and start the execution
         task (lease acquisition + pool dispatch + settlement)."""
         loop = asyncio.get_running_loop()
         fut: asyncio.Future = loop.create_future()
         self._inflight[run_id] = fut
-        loop.create_task(self._execute(run_id, spec, deadline_ts,
-                                       chaos, fut))
+        loop.create_task(self._execute(run_id, spec, chaos, fut))
         return fut
 
     async def _execute(self, run_id: str, spec: JobSpec,
-                       deadline_ts: float | None,
                        chaos: dict[str, Any] | None,
                        fut: asyncio.Future) -> None:
         lease = None
@@ -477,8 +472,7 @@ class JobService:
                 if lease is None:
                     return      # resolved from a peer's execution
             self.stats.executed += 1
-            out = await self._run_on_pool(run_id, spec, deadline_ts,
-                                          chaos, lease)
+            out = await self._run_on_pool(run_id, spec, chaos, lease)
             self._settle(run_id, fut, self._reply_from_pool(run_id, out))
         finally:
             if lease is not None:
@@ -513,16 +507,13 @@ class JobService:
                 return None
 
     async def _run_on_pool(self, run_id: str, spec: JobSpec,
-                           deadline_ts: float | None,
                            chaos: dict[str, Any] | None,
                            lease) -> dict[str, Any]:
         loop = asyncio.get_running_loop()
         assert self._pool is not None
         try:
             pool_fut = asyncio.wrap_future(
-                self._pool.submit(spec.to_dict(),
-                                  deadline_ts=deadline_ts, chaos=chaos),
-                loop=loop)
+                self._pool.submit(spec.to_dict(), chaos=chaos), loop=loop)
         except RuntimeError as e:
             return {"record": None, "timeline_z": None, "error": str(e)}
         hb: asyncio.Task | None = None
@@ -569,8 +560,6 @@ class JobService:
                 # are answered from quarantine, not retried on workers.
                 self.stats.quarantined += 1
                 self._poison[run_id] = {**reply, "quarantined": True}
-            elif reason == protocol.REASON_DEADLINE:
-                self.stats.deadline_exceeded += 1
             else:
                 self.stats.errors += 1
             return reply

@@ -37,28 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
         utilization_profile,
     )
 
-__all__ = [
-    "TraceRecorder",
-    "TraceEvent",
-    "TimelineEvent",
-    "timeline_events",
-    "timeline_sha",
-    "compress_timeline",
-    "decompress_timeline",
-    "PE_TID",
-    "chrome_trace",
-    "dumps_chrome_trace",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "render_timeline",
-    "utilization_profile",
-    "PeUtilization",
-]
-
 # The recorder is on every job's import path (the scheduler and loader
 # name its type); exporters, the timeline codec and the text renderer
 # load when a trace is actually written, hashed or rendered.
-__getattr__, __dir__ = lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.trace.export": ("chrome_trace", "dumps_chrome_trace",
                            "validate_chrome_trace", "write_chrome_trace"),
     "repro.trace.recorder": ("PE_TID", "TraceEvent", "TraceRecorder"),

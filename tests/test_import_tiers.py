@@ -64,7 +64,8 @@ class TestTiers:
         mods = modules_after("import repro.cli; repro.cli.build_parser()")
         assert loaded(mods, *ABOVE_PARSER) == []
         # the whole tier: the package, its lazy-export helper, the CLI
-        # and the table formatter
+        # (command table + five family modules) and the table formatter
+        # with the experiment catalogue
         assert len(loaded(mods, "repro")) <= 10
 
     def test_hello_tier(self):
@@ -97,6 +98,24 @@ class TestLazyPackageSurface:
         star: dict = {}
         exec(f"from {package} import *", star)
         assert set(pkg.__all__) <= set(star)
+
+    def test_type_checking_block_names_the_map(self, package):
+        """A public name is written twice, never three times: in the
+        ``lazy_exports`` map (which is ``__all__``) and in the
+        ``TYPE_CHECKING`` import that type checkers read."""
+        import ast
+
+        pkg = importlib.import_module(package)
+        (block,) = (node for node in ast.parse(
+            open(pkg.__file__).read()).body
+            if isinstance(node, ast.If)
+            and ast.unparse(node.test) == "TYPE_CHECKING")
+        declared = {alias.asname or alias.name: imp.module
+                    for imp in block.body for alias in imp.names}
+        assert sorted(declared) == sorted(pkg.__all__)
+        for name, home in declared.items():
+            assert getattr(importlib.import_module(home), name) \
+                is getattr(pkg, name)
 
     def test_unknown_attribute_raises(self, package):
         pkg = importlib.import_module(package)

@@ -1,6 +1,7 @@
 """Tests for the canonical job spec (repro.harness.jobspec)."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +224,74 @@ class TestCodeVersion:
         assert len(v) == 64
         int(v, 16)
         assert code_version() == v
+
+    def test_every_module_a_job_can_load_is_keyed(self):
+        """The exclude-list is safe: whatever building, running and
+        recording a job imports — every registered app, plain,
+        sanitized, crashed-and-recovered, on the reliable transport with
+        local recovery — is covered by the digest."""
+        import json
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        from repro.harness.jobspec import keyed_sources
+
+        code = """
+import json, os, sys
+import repro
+from repro.harness.jobspec import JobSpec, app_names, build_job
+from repro.provenance.record import RunRecord
+crash = {"seed": 1, "node_crashes": [{"at_ns": 1000, "node": 1}],
+         "message_faults": None}
+for app in app_names():
+    for extra in ({}, {"sanitize": True},
+                  {"fault_plan": crash, "ft_interval_ns": 1000},
+                  {"transport": "reliable", "recovery": "local"}):
+        spec = JobSpec(app=app, nvp=4, layout=(2, 1, 2), **extra)
+        job = build_job(spec)
+        RunRecord.from_run(spec, job, job.run(strict=False))
+root = os.path.dirname(repro.__file__)
+print(json.dumps(sorted(
+    os.path.relpath(m.__file__, root).replace(os.sep, "/")
+    for name, m in sys.modules.items()
+    if name == "repro" or name.startswith("repro."))))
+"""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("REPRO_PROVENANCE", None)
+        p = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=120)
+        assert p.returncode == 0, p.stderr
+        loaded = set(json.loads(p.stdout.splitlines()[-1]))
+        root = Path(repro.__file__).resolve().parent
+        assert "ft/recovery.py" in loaded and "sanitize/runtime.py" in loaded
+        assert loaded <= set(keyed_sources(root))
+
+    def test_tool_code_does_not_move_the_digest(self, tmp_path):
+        import shutil
+
+        import repro
+        from repro.harness.jobspec import source_digest
+
+        tree = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, tree,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        assert source_digest(tree) == code_version()
+        for tool in ("cli/__init__.py", "analyze/model.py", "chaos/engine.py",
+                     "serve/pool.py", "harness/tables.py",
+                     "sanitize/check.py", "trace/export.py"):
+            with open(tree / tool, "a") as f:
+                f.write("# an edit\n")
+        assert source_digest(tree) == code_version()
+        with open(tree / "charm" / "scheduler.py", "a") as f:
+            f.write("# an edit\n")
+        moved = source_digest(tree)
+        assert moved != code_version()
+        # an exclude-list: a module nobody listed is keyed
+        (tree / "charm" / "brand_new.py").write_text("")
+        assert source_digest(tree) != moved
 
     def test_faults_rows_carry_code_version(self):
         from repro.harness.experiments import fault_overhead_experiment

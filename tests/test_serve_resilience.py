@@ -53,7 +53,7 @@ def _client(tmp_path, **kw) -> ServeClient:
 
 
 # ---------------------------------------------------------------------------
-# worker pool: crash retry, quarantine, pool death, deadline drops
+# worker pool: crash retry, quarantine, pool death, orphaned workers
 # ---------------------------------------------------------------------------
 
 @pytest.mark.slow
@@ -102,15 +102,25 @@ class TestPoolCrashRecovery:
             pool.close()
 
 
-class TestPoolDeadlines:
-    def test_expired_deadline_dropped_at_dispatch(self):
-        with WorkerPool(1, mode="thread") as pool:
-            fut = pool.submit(_spec("late").to_dict(),
-                              deadline_ts=time.time() - 1.0)
-            out = fut.result(timeout=30)
-        assert out["reason"] == protocol.REASON_DEADLINE
-        assert out["record"] is None
-        assert pool.stats.deadline_drops == 1
+class TestOrphanedWorker:
+    def test_worker_exits_when_its_parent_is_not_the_spawner(self):
+        """A worker compares ``os.getppid()`` against the pid its
+        spawner handed it, not against what it reads after the spawn
+        bootstrap — by then a SIGKILLed server's worker already belongs
+        to init, and the comparison would hold forever."""
+        import subprocess
+        import sys
+
+        code = (
+            "import queue\n"
+            "from repro.serve import pool\n"
+            "pool.IDLE_POLL_S = 0.05\n"
+            # no process has parent pid -1: the spawner is 'gone'
+            "pool._worker_main(0, queue.Queue(), queue.Queue(), -1)\n"
+            "raise SystemExit('worker kept serving a dead parent')\n")
+        p = subprocess.run([sys.executable, "-c", code], timeout=60,
+                           capture_output=True, text=True)
+        assert p.returncode == 0, p.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +185,43 @@ class TestServiceDeadlines:
             assert reply.reason == protocol.REASON_DEADLINE
             assert not reply.retryable
             assert service.stats.deadline_exceeded >= 1
-            # Shielded execution: the record still lands for the next
-            # caller (poll briefly; the run finishes in the background).
-            deadline = time.time() + 60
+            # Shielded execution: the next caller, with no deadline of
+            # its own, coalesces onto the run (or hits its record).
             settled = client.submit(_spec("slowpoke", yields=40))
-            while not settled.ok and time.time() < deadline:
-                time.sleep(0.05)
-                settled = client.submit(_spec("slowpoke", yields=40))
             assert settled.ok and settled.record is not None
+
+
+    def test_a_waiters_deadline_is_its_own(self, tmp_path):
+        """A (1 ms deadline) launches the execution and gives up while
+        the task is still queued behind a busy worker; B, coalesced
+        onto it with no deadline, must get the record."""
+        import asyncio
+
+        from repro.serve import pool
+
+        service = _service(tmp_path)
+        spec = _spec("shared").to_dict()
+
+        async def scenario():
+            await service.start()
+            try:
+                # Thread-mode execution is serialized by this lock:
+                # holding it parks the one worker on the blocker job.
+                with pool._THREAD_EXEC_LOCK:
+                    await service.submit(_spec("blocker").to_dict(),
+                                         wait=False)
+                    a = await service.submit(spec, deadline_ms=1.0)
+                    b = asyncio.ensure_future(service.submit(spec))
+                    await asyncio.sleep(0)      # B attaches
+                return a, await b
+            finally:
+                await service.close()
+
+        a, b = asyncio.run(scenario())
+        assert a["reason"] == protocol.REASON_DEADLINE
+        assert b["ok"] and b["cache"] == protocol.CACHE_COALESCED
+        assert b["record"]["spec"]["app_config"]["name"] == "shared"
+        assert service.stats.deadline_exceeded == 1
 
 
 # ---------------------------------------------------------------------------
