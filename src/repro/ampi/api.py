@@ -7,10 +7,20 @@ pointer shim (PIP/FS/PIEglobals) the table was populated by
 ``AMPI_FuncPtr_Unpack`` from the rank's privatized shim slots, and points
 at the single per-job runtime — calling through it exercises the Figure 4
 machinery for real.
+
+An entry point that can block (``blocking`` in
+:data:`repro.ampi.funcptr.ENTRY_POINTS`) is a generator function in the
+runtime.  A generator-form caller gets that generator to delegate to —
+``yield from mpi.wait(req)``; for a plain caller the handle runs it to
+completion (:func:`repro.threads.ult.drive`).  One handed out and never
+started is a forgotten ``yield from``: the rank's next MPI call, or its
+exit, raises instead of silently skipping the operation.
 """
 
 from __future__ import annotations
 
+from inspect import GEN_CREATED, getgeneratorstate
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.ampi.comm import ANY_SOURCE, ANY_TAG, Communicator
@@ -18,6 +28,7 @@ from repro.ampi.ops import Op, SUM
 from repro.ampi.requests import Request, Status
 from repro.errors import MpiError
 from repro.perf.counters import EV_SHIM_DISPATCH
+from repro.threads.ult import drive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.vrank import VirtualRank
@@ -26,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class MpiHandle:
     """Per-rank MPI entry object."""
 
-    __slots__ = ("_rank", "_calltable", "via_shim")
+    __slots__ = ("_rank", "_calltable", "via_shim", "_handed", "_handed_op")
 
     def __init__(self, rank: "VirtualRank",
                  calltable: dict[str, Callable],
@@ -36,8 +47,38 @@ class MpiHandle:
         #: True when the calltable was unpacked from the rank's privatized
         #: function-pointer shim slots (PIP/FS/PIEglobals builds)
         self.via_shim = via_shim
+        #: the last generator handed out, until seen started, and its op
+        self._handed: GeneratorType | None = None
+        self._handed_op = ""
+
+    def _check_delegated(self) -> None:
+        """Raise if the last generator handed out was never started."""
+        gen, self._handed = self._handed, None
+        # finished, or running (we are inside it): the two usual answers
+        if (gen is not None and gen.gi_frame is not None
+                and not gen.gi_running
+                and getgeneratorstate(gen) == GEN_CREATED):
+            raise MpiError(
+                f"vp {self._rank.vp}: {self._handed_op} was called but not "
+                "delegated to (missing 'yield from')"
+            )
+
+    def _blocking(self, op: str, gen: GeneratorType) -> Any:
+        """A blocking operation, as its caller takes it: the generator
+        to delegate to when the caller is generator-form (somebody steps
+        or drives the ULT's ``gen``), its result otherwise."""
+        ult = self._rank.ult
+        if ult.gen is None:
+            return drive(ult, gen)
+        if self._handed is not None:
+            self._check_delegated()
+        self._handed = gen
+        self._handed_op = op
+        return gen
 
     def _call(self, name: str, *args: Any, **kw: Any) -> Any:
+        if self._handed is not None:
+            self._check_delegated()
         try:
             fn = self._calltable[name]
         except KeyError:
@@ -47,7 +88,10 @@ class MpiHandle:
             ) from None
         if self.via_shim:
             self._rank.ctx.counters.incr(EV_SHIM_DISPATCH)
-        return fn(self._rank, *args, **kw)
+        result = fn(self._rank, *args, **kw)
+        if type(result) is GeneratorType:
+            return self._blocking("MPI_" + name, result)
+        return result
 
     # -- setup / teardown ------------------------------------------------------
 
@@ -60,7 +104,7 @@ class MpiHandle:
 
     def finalize(self) -> None:
         """MPI_Finalize (synchronizing, like a final barrier)."""
-        self._call("finalize")
+        return self._call("finalize")
 
     # -- identity -----------------------------------------------------------------
 
@@ -128,7 +172,7 @@ class MpiHandle:
     # its kind bound: ``(rank, comm, contribution, **params)``.
 
     def barrier(self, comm: Communicator | None = None) -> None:
-        self._call("barrier", comm)
+        return self._call("barrier", comm)
 
     def bcast(self, value: Any = None, root: int = 0,
               comm: Communicator | None = None) -> Any:
@@ -201,21 +245,21 @@ class MpiHandle:
 
     def migrate(self) -> None:
         """AMPI_Migrate: collective load-balancing sync point."""
-        self._call("migrate")
+        return self._call("migrate")
 
     def migrate_to(self, pe_index: int) -> None:
         """AMPI_Migrate_to: move this rank to a specific PE."""
-        self._call("migrate_to", pe_index)
+        return self._call("migrate_to", pe_index)
 
     def yield_(self) -> None:
         """AMPI_Yield: give up the PE to the next ready rank (the
         Figure 6 context-switch microbenchmark primitive)."""
-        self._call("yield")
+        return self._call("yield")
 
     def resize(self, n_active_pes: int) -> None:
         """AMPI shrink/expand: collectively repack ranks onto the first
         ``n_active_pes`` PEs (or spread back out when growing)."""
-        self._call("resize", n_active_pes)
+        return self._call("resize", n_active_pes)
 
     def my_pe(self) -> int:
         """CkMyPe analogue: the PE this rank currently runs on."""
@@ -226,7 +270,7 @@ class MpiHandle:
 
     def checkpoint(self) -> None:
         """Collective in-memory checkpoint of all rank state."""
-        self._call("checkpoint")
+        return self._call("checkpoint")
 
     # -- misc ---------------------------------------------------------------------------------------
 

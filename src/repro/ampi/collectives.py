@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Generator
 
 from repro.charm.reduction import reduce_over_pes, tree_depth
 from repro.errors import MpiError
@@ -90,12 +90,13 @@ class CollectiveEngine:
 
     def enter(self, kind: str, rank: "VirtualRank",
               comm: Communicator | None = None, contribution: Any = None,
-              **params: Any) -> Any:
+              **params: Any) -> Generator[str, None, Any]:
         """The one way into a collective; called from the rank's ULT,
-        blocks as needed.  ``kind`` comes first so that the transport
-        entry of a synchronising entry point is this method with its kind
-        bound (:func:`repro.ampi.funcptr.pack_transport`); no
-        communicator means MPI_COMM_WORLD."""
+        a generator that blocks as needed (delegate with ``yield from``).
+        ``kind`` comes first so that the transport entry of a
+        synchronising entry point is this method with its kind bound
+        (:func:`repro.ampi.funcptr.pack_transport`); no communicator
+        means MPI_COMM_WORLD."""
         if comm is None:
             comm = self.job.world
         my = comm.rank_of_vp(rank.vp)
@@ -148,7 +149,7 @@ class CollectiveEngine:
 
         if len(state.arrivals) < comm.size:
             state.blocked.add(my)
-            self.job.scheduler.block_current(f"MPI_{kind}")
+            yield from self.job.scheduler.block_current(f"MPI_{kind}")
             # woken: releases has our slot now
             release, result = state.releases[my]
             rank.clock.advance_to(release)

@@ -32,11 +32,12 @@ class EntryPoint:
     (:mod:`repro.analyze.model`) are all read off :data:`ENTRY_POINTS`.
     """
 
-    __slots__ = ("name", "slot", "collective", "sync", "role", "result")
+    __slots__ = ("name", "slot", "collective", "sync", "blocking", "role",
+                 "result")
 
     def __init__(self, name: str, slot: str | None = "", *,
                  collective: str | None = None, sync: bool = False,
-                 role: str = "", result: str = ""):
+                 blocking: bool = False, role: str = "", result: str = ""):
         #: the :class:`~repro.ampi.api.MpiHandle` method (or property)
         self.name = name
         #: its shim slot — the handle's name unless given; None for an
@@ -47,6 +48,9 @@ class EntryPoint:
         self.collective = collective
         #: must every rank of the communicator enter it?
         self.sync = sync or collective is not None
+        #: can it suspend the caller?  Then its transport entry is a
+        #: generator function, to be delegated to with ``yield from``
+        self.blocking = blocking or self.sync
         #: "send", "recv", "wait" or "" — its point-to-point role
         self.role = role
         #: "rank" (the caller's identity), "uniform" (the same on every
@@ -63,16 +67,16 @@ ENTRY_POINTS: tuple[EntryPoint, ...] = (
     _E("rank", result="rank"),
     _E("size", result="uniform"),
     _E("send", role="send"),
-    _E("recv", role="recv"),
-    _E("sendrecv"),
+    _E("recv", blocking=True, role="recv"),
+    _E("sendrecv", blocking=True),
     _E("isend", role="send"),
     _E("irecv", role="recv"),
-    _E("wait", role="wait"),
+    _E("wait", blocking=True, role="wait"),
     _E("test", role="wait"),
-    _E("waitall", role="wait"),
-    _E("waitany", role="wait"),
+    _E("waitall", blocking=True, role="wait"),
+    _E("waitany", blocking=True, role="wait"),
     _E("testall", role="wait"),
-    _E("probe"),
+    _E("probe", blocking=True),
     _E("iprobe"),
     _E("barrier", collective="barrier"),
     _E("bcast", collective="bcast", result="uniform"),
@@ -90,11 +94,11 @@ ENTRY_POINTS: tuple[EntryPoint, ...] = (
     _E("comm_split", collective="comm_split"),
     _E("world", "comm_world"),
     _E("migrate", collective="lb_sync"),
-    _E("migrate_to"),
+    _E("migrate_to", blocking=True),
     _E("resize", sync=True),
     _E("num_pes", result="uniform"),
     _E("checkpoint", collective="checkpoint"),
-    _E("yield_", "yield"),
+    _E("yield_", "yield", blocking=True),
     _E("wtime", result="uniform"),
     _E("abort"),
     _E("my_pe", None, result="rank"),

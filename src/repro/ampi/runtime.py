@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Any, Sequence
+from inspect import isgeneratorfunction
+from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from repro.ampi.api import MpiHandle
 from repro.ampi.collectives import CollectiveEngine
@@ -70,6 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.reliable import ReliableTransport
 
 _job_ids = itertools.count(0)
+
+#: an entry point that can block: yields its reasons, ``yield from`` it
+Blocking = Generator[str, None, Any]
 
 
 def jsonable(v: Any) -> Any:
@@ -317,6 +321,13 @@ class AmpiJob:
 
         self.method.check_supported(machine, self.layout)
         self.binary = self._build(source)
+        image = self.binary.image
+        #: what a rank's ULT runs: the entry function's shape selects
+        #: the target's, and so the rank's stack (:mod:`repro.threads.ult`)
+        self._rank_target = (
+            self._rank_steps
+            if isgeneratorfunction(image.code.funcs[image.entry].fn)
+            else self._rank_entry)
 
         # Populated by start():
         self.started = False
@@ -394,7 +405,6 @@ class AmpiJob:
             proc.startup_clock.advance(self.costs.ampi_init_base_ns)
 
         # Place ranks and create their ULTs/heaps/stacks.
-        entry = self._rank_entry    # one bound method, not one per rank
         for vp in range(self.nvp):
             pe = self.pes[self._pe_for_vp(vp)]
             rank = VirtualRank(vp, pe)
@@ -405,11 +415,7 @@ class AmpiJob:
             rank.stack_mapping = proc.isomalloc.alloc(
                 vp, self.stack_bytes, MapKind.STACK, tag=f"stack[{vp}]"
             )
-            rank.ult = UserLevelThread(
-                f"vp{vp}", entry, (rank,),
-                stack_bytes=self.stack_bytes,
-                backend=self.ult_backend,
-            )
+            rank.ult = self.new_ult(rank)
             proc.startup_clock.advance(
                 self.costs.ult_create_ns + self.costs.ampi_rank_setup_ns
             )
@@ -492,6 +498,9 @@ class AmpiJob:
             trace=tr, trace_pid_base=self._pe_pid_base,
             trace_label=self.method.name, counters=self.counters,
         )
+        # a generator handed out in a rank's last quantum: see MpiHandle
+        self.scheduler.on_rank_done = \
+            lambda rank: rank.ctx.mpi._check_delegated()
         if san is not None:
             self.scheduler.on_quantum = san.on_quantum
             self.migration_engine.sanitizer = san
@@ -560,14 +569,18 @@ class AmpiJob:
                 rank, rank.pe.process.startup_clock.now
             )
 
+    def new_ult(self, rank: VirtualRank) -> UserLevelThread:
+        """A fresh ULT for ``rank`` (start-up and every restart)."""
+        return UserLevelThread(
+            f"vp{rank.vp}", self._rank_target, (rank,),
+            stack_bytes=self.stack_bytes, backend=self.ult_backend,
+        )
+
     def _rank_entry(self, rank: VirtualRank) -> Any:
-        ctx = rank.ctx
-        entry = self.binary.image.entry
-        if ctx.tracer is not None:
-            fdef = self.binary.image.code.funcs[entry]
-            ctx.tracer.record(ctx.code.addr_of(entry), fdef.code_bytes)
-        fn = ctx.code.fn(entry)
-        return fn(ctx)
+        return rank.ctx.call(self.binary.image.entry)
+
+    def _rank_steps(self, rank: VirtualRank) -> Blocking:
+        return (yield from self._rank_entry(rank))
 
     # -- run --------------------------------------------------------------------------------
 
@@ -679,11 +692,11 @@ class AmpiJob:
     def _api_initialized(self, rank: VirtualRank) -> bool:
         return rank.mailbox.initialized
 
-    def _api_finalize(self, rank: VirtualRank) -> None:
+    def _api_finalize(self, rank: VirtualRank) -> Blocking:
         if rank.mailbox.finalized:
             raise MpiError(f"vp {rank.vp}: MPI_Finalize called twice")
         rank.mailbox.finalized = True
-        self.collectives.enter("barrier", rank)
+        yield from self.collectives.enter("barrier", rank)
 
     def _api_rank(self, rank: VirtualRank,
                   comm: Communicator | None = None) -> int:
@@ -876,12 +889,12 @@ class AmpiJob:
 
     def _api_recv(self, rank: VirtualRank, source: int = ANY_SOURCE,
                   tag: int = ANY_TAG, comm: Communicator | None = None,
-                  status: Status | None = None) -> Any:
+                  status: Status | None = None) -> Blocking:
         req = self._api_irecv(rank, source, tag, comm)
-        return self._api_wait(rank, req, status)
+        return (yield from self._api_wait(rank, req, status))
 
     def _api_wait(self, rank: VirtualRank, request: Request,
-                  status: Status | None = None) -> Any:
+                  status: Status | None = None) -> Blocking:
         if request.vp != rank.vp:
             raise MpiError(
                 f"vp {rank.vp} cannot wait on vp {request.vp}'s request"
@@ -889,7 +902,7 @@ class AmpiJob:
         if not request.completed:
             t_block = rank.clock.now
             rank.mailbox.awaiting = (request,)
-            self.scheduler.block_current("MPI_Wait")
+            yield from self.scheduler.block_current("MPI_Wait")
             rank.mailbox.awaiting = ()
             if not request.completed:
                 raise MpiError("woken before request completion")
@@ -915,11 +928,14 @@ class AmpiJob:
         return False, None
 
     def _api_waitall(self, rank: VirtualRank,
-                     requests: Sequence[Request]) -> list[Any]:
-        return [self._api_wait(rank, r) for r in requests]
+                     requests: Sequence[Request]) -> Blocking:
+        payloads = []
+        for r in requests:
+            payloads.append((yield from self._api_wait(rank, r)))
+        return payloads
 
     def _api_waitany(self, rank: VirtualRank,
-                     requests: Sequence[Request]) -> tuple[int, Any]:
+                     requests: Sequence[Request]) -> Blocking:
         """MPI_Waitany: block until one request completes; returns
         (index, payload)."""
         if not requests:
@@ -928,10 +944,10 @@ class AmpiJob:
             done = [(i, r) for i, r in enumerate(requests) if r.completed]
             if done:
                 idx, req = min(done, key=lambda t: t[1].completion_time)
-                return idx, self._api_wait(rank, req)
+                return idx, (yield from self._api_wait(rank, req))
             # Block on whichever completes first.
             rank.mailbox.awaiting = tuple(requests)
-            self.scheduler.block_current("MPI_Waitany")
+            yield from self.scheduler.block_current("MPI_Waitany")
             rank.mailbox.awaiting = ()
 
     def _api_testall(self, rank: VirtualRank,
@@ -944,7 +960,7 @@ class AmpiJob:
 
     def _api_probe(self, rank: VirtualRank, source: int = ANY_SOURCE,
                    tag: int = ANY_TAG,
-                   comm: Communicator | None = None) -> Status:
+                   comm: Communicator | None = None) -> Blocking:
         comm = self._resolve_comm(comm)
         while True:
             msg = rank.mailbox.peek(source, tag, comm.cid)
@@ -952,7 +968,7 @@ class AmpiJob:
                 rank.clock.advance_to(msg.arrival)
                 return Status(source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
             rank.mailbox.probing = (source, tag, comm.cid)
-            self.scheduler.block_current("MPI_Probe")
+            yield from self.scheduler.block_current("MPI_Probe")
 
     def _api_iprobe(self, rank: VirtualRank, source: int = ANY_SOURCE,
                     tag: int = ANY_TAG,
@@ -967,10 +983,10 @@ class AmpiJob:
     def _api_sendrecv(self, rank: VirtualRank, payload: Any, dest: int,
                       source: int = ANY_SOURCE, sendtag: int = 0,
                       recvtag: int = ANY_TAG,
-                      comm: Communicator | None = None) -> Any:
+                      comm: Communicator | None = None) -> Blocking:
         req = self._api_irecv(rank, source, recvtag, comm)
         self._api_send(rank, payload, dest, sendtag, comm)
-        return self._api_wait(rank, req)
+        return (yield from self._api_wait(rank, req))
 
     # -- operators -------------------------------------------------------------------------
 
@@ -1060,7 +1076,7 @@ class AmpiJob:
             imbalance_after=after.imbalance,
         ))
 
-    def _api_resize(self, rank: VirtualRank, n_active_pes: int) -> None:
+    def _api_resize(self, rank: VirtualRank, n_active_pes: int) -> Blocking:
         """AMPI shrink/expand: collectively evacuate (or repopulate) PEs.
 
         After the call only PEs ``0..n_active_pes-1`` host ranks; the
@@ -1072,7 +1088,7 @@ class AmpiJob:
                 f"cannot resize to {n_active_pes} PEs (job has "
                 f"{len(self.pes)})"
             )
-        self.collectives.enter("resize", rank, None, n_active_pes)
+        yield from self.collectives.enter("resize", rank, None, n_active_pes)
 
     def _resize_finish(self, state) -> None:
         """Runs in the last arriver's ULT (like _lb_finish)."""
@@ -1103,14 +1119,14 @@ class AmpiJob:
             for cr in state.arrivals
         }
 
-    def _api_migrate_to(self, rank: VirtualRank, pe_index: int) -> None:
+    def _api_migrate_to(self, rank: VirtualRank, pe_index: int) -> Blocking:
         """AMPI_Migrate_to: explicit self-migration."""
         if not 0 <= pe_index < len(self.pes):
             raise MpiError(f"no such PE {pe_index}")
         rec = self.migration_engine.migrate(rank, self.pes[pe_index])
         if rec.ns:
-            self.scheduler.yield_current(rank.clock.now + rec.ns)
+            yield from self.scheduler.yield_current(rank.clock.now + rec.ns)
 
-    def _api_yield_(self, rank: VirtualRank) -> None:
+    def _api_yield_(self, rank: VirtualRank) -> Blocking:
         """AMPI_Yield: cooperative yield to the PE scheduler."""
-        self.scheduler.yield_current(rank.clock.now)
+        yield from self.scheduler.yield_current(rank.clock.now)

@@ -551,10 +551,12 @@ class _BodyScan(ast.NodeVisitor):
                                            "the return value")
 
     def visit_Expr(self, node: ast.Expr) -> None:
-        op = self._mpi_op(node.value)
+        # ``yield from mpi.barrier()`` is the call, in generator form
+        call = (node.value.value if isinstance(node.value, ast.YieldFrom)
+                else node.value)
+        op = self._mpi_op(call)
         if op is not None:
-            self._record_mpi(node.value, op, bound=None, standalone=True)  # type: ignore[arg-type]
-            call = node.value
+            self._record_mpi(call, op, bound=None, standalone=True)  # type: ignore[arg-type]
             assert isinstance(call, ast.Call)
             for arg in call.args:
                 self.visit(arg)

@@ -205,18 +205,18 @@ def build_adcirc_program(cfg: AdcircConfig) -> ProgramSource:
                 rq_dn = mpi.irecv(source=me + 1, tag=2)
                 mpi.isend(eta[-2, :].copy(), dest=me + 1, tag=1)
             if rq_up is not None:
-                eta[0, :] = mpi.wait(rq_up)
+                eta[0, :] = yield from mpi.wait(rq_up)
             if rq_dn is not None:
-                eta[-1, :] = mpi.wait(rq_dn)
+                eta[-1, :] = yield from mpi.wait(rq_dn)
 
             wet = ctx.call("step_kernel", eta, ground, step)
 
             if (step + 1) % reduce_every == 0 or step == steps - 1:
-                total_wet = mpi.allreduce(wet, op=MPI_SUM)
+                total_wet = yield from mpi.allreduce(wet, op=MPI_SUM)
                 total_wet_history.append(total_wet)
             if lb_period and (step + 1) % lb_period == 0:
-                mpi.migrate()
-        mpi.finalize()
+                yield from mpi.migrate()
+        yield from mpi.finalize()
         return total_wet_history[-1] if total_wet_history else 0
 
     return p.build()

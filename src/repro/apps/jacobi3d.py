@@ -147,7 +147,7 @@ def build_jacobi_program(cfg: JacobiConfig) -> ProgramSource:
                 mpi.isend(_face(u, axis, direction, interior=True).copy(),
                           dest=nbr, tag=send_tag, comm=comm)
         for axis, direction, req in recvs:
-            _set_face(u, axis, direction, mpi.wait(req))
+            _set_face(u, axis, direction, (yield from mpi.wait(req)))
 
     @p.function(code_bytes=24576)
     def relax(ctx, u):
@@ -205,21 +205,21 @@ def build_jacobi_program(cfg: JacobiConfig) -> ProgramSource:
         resid = float("inf")
         for it in range(start_iter, iters):
             ctx.g.cur_iter = it
-            ctx.call("exchange_halos", u, coords, dims, comm)
+            yield from ctx.call("exchange_halos", u, coords, dims, comm)
             u, local_resid = ctx.call("relax", u)
             if x0 == 0:
                 u[1, 1:-1, 1:-1] = 100.0  # Dirichlet boundary reasserted
             if (it + 1) % reduce_every == 0 or it == iters - 1:
-                resid = mpi.allreduce(local_resid, op=MPI_MAX)
+                resid = yield from mpi.allreduce(local_resid, op=MPI_MAX)
                 ctx.g.residual = resid
             if lb_period and (it + 1) % lb_period == 0:
-                mpi.migrate()
+                yield from mpi.migrate()
             if ckpt_period and (it + 1) % ckpt_period == 0 \
                     and (it + 1) < iters:
                 ctx.g.ublock = u
                 ctx.g.next_iter = it + 1
-                mpi.checkpoint()
-        mpi.finalize()
+                yield from mpi.checkpoint()
+        yield from mpi.finalize()
         return resid
 
     return p.build()

@@ -49,13 +49,13 @@ def build_memhog_program(cfg: MemhogConfig) -> ProgramSource:
             ctx.malloc(data.nbytes, data=data, tag="memhog")
             remaining -= mb
             ctx.g.allocated_mb = heap_mb - remaining
-        mpi.barrier()
+        yield from mpi.barrier()
         t0 = ctx.clock.now
         if me == 0:
-            mpi.migrate_to(target_pe)
+            yield from mpi.migrate_to(target_pe)
         migrate_ns = ctx.clock.now - t0
-        mpi.barrier()
-        mpi.finalize()
+        yield from mpi.barrier()
+        yield from mpi.finalize()
         return migrate_ns
 
     return p.build()

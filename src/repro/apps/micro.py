@@ -9,7 +9,9 @@ replayable, and pinnable by :mod:`repro.provenance`).
 
 Every builder is a pure function of its keyword arguments, so a
 ``JobSpec`` that stores the app name plus those arguments rebuilds a
-bit-identical program.
+bit-identical program.  Like every in-tree app the bodies are written in
+generator form (``yield from`` at each blocking call), so the scheduler
+steps them on its own stack.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def build_startup_program(code_bytes: int = 256 * 1024,
     @p.function()
     def main(ctx):
         ctx.g.x = ctx.mpi.rank()
-        ctx.mpi.barrier()
+        yield from ctx.mpi.barrier()
         return ctx.g.x
 
     return p.build()
@@ -41,7 +43,7 @@ def build_pingpong_program(yields_per_rank: int = 1000,
     @p.function()
     def main(ctx):
         for _ in range(yields_per_rank):
-            ctx.mpi.yield_()
+            yield from ctx.mpi.yield_()
         return ctx.mpi.rank()
 
     return p.build()
@@ -56,7 +58,7 @@ def build_hello_program(name: str = "hello_world") -> ProgramSource:
     @p.function()
     def main(ctx):
         ctx.g.my_rank = ctx.mpi.rank()
-        ctx.mpi.barrier()
+        yield from ctx.mpi.barrier()
         return f"rank: {ctx.g.my_rank}"
 
     return p.build()

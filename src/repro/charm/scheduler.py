@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Generator
 
 from repro.errors import DeadlockError, ReproError
 from repro.perf.costs import CostModel
@@ -142,8 +142,9 @@ class JobScheduler:
 
     # -- blocking / waking (called by the MPI layer) ---------------------------------
 
-    def block_current(self, reason: str) -> None:
-        """Suspend the running rank (must be called from its ULT)."""
+    def block_current(self, reason: str) -> Generator[str, None, None]:
+        """Suspend the running rank: a generator that yields the reason
+        to whoever steps the rank's ULT (delegate with ``yield from``)."""
         rank = self.current
         if rank is None or rank.ult is None:
             raise ReproError("block_current outside a running rank")
@@ -151,7 +152,7 @@ class JobScheduler:
         if tr is not None:
             tr.instant(f"block:{reason}", "sched", rank.clock.now,
                        pid=self.trace_pid_base + rank.pe.index, tid=rank.vp)
-        rank.ult.yield_(reason)
+        yield reason
 
     def wake(self, rank: "VirtualRank", at_time: int) -> None:
         """Make a blocked rank runnable no earlier than ``at_time``."""
@@ -164,14 +165,15 @@ class JobScheduler:
             return
         self.runq.push(rank.ult, max(at_time, rank.clock.now))
 
-    def yield_current(self, resume_at: int) -> None:
+    def yield_current(self, resume_at: int) -> Generator[str, None, None]:
         """Suspend the running rank and requeue it at ``resume_at`` —
-        used after self-migration so it resumes on its *new* PE."""
+        used after self-migration so it resumes on its *new* PE.
+        Delegate with ``yield from``, like :meth:`block_current`."""
         rank = self.current
         if rank is None or rank.ult is None:
             raise ReproError("yield_current outside a running rank")
         self.runq.push(rank.ult, max(resume_at, rank.clock.now))
-        rank.ult.yield_("reschedule")
+        yield "reschedule"
 
     # -- the event loop ------------------------------------------------------------------
 
@@ -185,7 +187,11 @@ class JobScheduler:
         # The body is two closures, ``account`` (the quantum that just
         # ended) and ``next_quantum`` (pop + pre-switch accounting of the
         # one to run), executed by whichever OS thread holds the baton.
-        # Normally that is the ULT whose quantum ended: ``dispatch`` runs
+        # When every rank body is a generator that is this thread, from
+        # start to end: ``step()`` resumes the rank between the two, a
+        # due fault fires in place and nothing is ever handed anywhere.
+        # Ranks with plain bodies live on OS stacks of their own, and
+        # there it is the ULT whose quantum ended: ``dispatch`` runs
         # both on its stack and names the successor, which the ULT wakes
         # directly — one OS-thread handoff per quantum instead of a round
         # trip through this thread, none when a rank succeeds itself.
@@ -369,19 +375,22 @@ class JobScheduler:
             for rank in self._all_ranks:
                 if rank.ult is not None:
                     rank.ult.dispatcher = dispatch
-            while True:
-                ult = next_quantum()
-                if ult is None:
-                    if all(r.finished for r in self._all_ranks):
-                        return
-                    self._report_deadlock()
-                # Start the ring; it hands the baton back when the queue
-                # runs dry, a fault is due or something failed.
-                self.os_handoffs += 1
-                ult.activate().wake()
-                hub.wait()
-                if failure is not None:
-                    raise failure
+            if all(r.ult is None or r.ult.stackless
+                   for r in self._all_ranks):
+                while (ult := next_quantum()) is not None:
+                    ult.step()
+                    account()
+            else:
+                while (ult := next_quantum()) is not None:
+                    # Start the ring; it hands the baton back when the
+                    # queue runs dry, a fault is due or something failed.
+                    self.os_handoffs += 1
+                    ult.activate().wake()
+                    hub.wait()
+                    if failure is not None:
+                        raise failure
+            if not all(r.finished for r in self._all_ranks):
+                self._report_deadlock()
         finally:
             self._dispatch = None
             # Leave no orphan OS threads behind on any exit path.

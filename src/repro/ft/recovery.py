@@ -63,7 +63,6 @@ from repro.perf.counters import (
     EV_FAULT,
     EV_RECOVERY_NS,
 )
-from repro.threads.ult import UserLevelThread
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ampi.runtime import AmpiJob
@@ -258,10 +257,7 @@ class RecoveryManager:
         if not old.finished:
             old.kill()
         old.join_thread()
-        rank.ult = UserLevelThread(
-            f"vp{rank.vp}", job._rank_entry, (rank,),
-            stack_bytes=job.stack_bytes, backend=job.ult_backend,
-        )
+        rank.ult = job.new_ult(rank)
         rank.ult.clock = old.clock
         rank.finished = False
         rank.exit_value = None

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any
 
 from repro.errors import ReproError, SegFault
@@ -200,14 +201,19 @@ class ExecutionContext:
 
     def call(self, func_name: str, *args: Any) -> Any:
         """Call another program function by name (through this rank's code
-        segment — under PIE methods, its private copy)."""
+        segment — under PIE methods, its private copy).  A generator
+        function is a blocking operation like an MPI one: a generator-form
+        caller delegates to it (``yield from ctx.call(...)``), a plain
+        caller gets its result."""
         fdef = self.code.image.funcs.get(func_name)
         if fdef is None:
             raise SegFault(0, f"call to unknown function {func_name!r}")
         if self.tracer is not None:
             self.tracer.record(self.code.addr_of(func_name), fdef.code_bytes)
-        fn = self.code.fn(func_name)
-        return fn(self, *args)
+        result = self.code.fn(func_name)(self, *args)
+        if type(result) is GeneratorType and self.mpi is not None:
+            return self.mpi._blocking(func_name + "()", result)
+        return result
 
     def call_addr(self, addr: int, *args: Any) -> Any:
         """Indirect call through a function pointer (simulated address)."""

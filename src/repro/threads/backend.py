@@ -1,8 +1,10 @@
-"""The OS stacks user-level threads run on: one persistent worker pool.
+"""The OS stacks plain-function ULTs run on: one persistent worker pool.
 
-A :class:`UserLevelThread` needs a real OS stack to park blocked user
-code on.  :class:`PooledBackend` provides it: a pool of persistent
-worker threads, one bound to a ULT lazily at its first quantum and
+A :class:`UserLevelThread` whose target is a plain function needs a real
+OS stack to park blocked user code on (a generator target is stepped on
+its caller's and needs none).  :class:`PooledBackend` provides it: a pool
+of persistent worker threads, one bound to a ULT lazily at its first
+quantum and
 recycled the moment the ULT finishes or is killed, so ranks and whole
 jobs reuse the same OS threads — after the pool has warmed up to a
 job's high-water mark, running another job of the same scale performs
@@ -20,8 +22,8 @@ thread that is not a ULT (``JobScheduler.run``'s caller, a
 :func:`get_backend` resolves ``None`` to the process-wide shared pool;
 tests and probes pass a private :class:`PooledBackend` instance instead
 (``UserLevelThread(backend=...)``, ``AmpiJob(ult_backend=...)``).  That
-is the whole seam: a different stack provider replaces the pool behind
-:class:`Wakeable`, it is not selected beside it.
+is the whole seam: the target's shape decides whether a ULT takes a
+stack at all, and nothing selects a provider beside this one.
 
 Determinism contract: the pool only decides which OS stack runs a ULT's
 body; it never touches simulated clocks, the run queue, or scheduling

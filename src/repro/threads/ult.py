@@ -1,11 +1,20 @@
-"""Baton-passing user-level threads.
+"""User-level threads: generator targets stepped in place, plain targets
+passing a baton between OS stacks.
 
-Each :class:`UserLevelThread` runs its user code on a real OS stack: a
-recycled worker of a :class:`~repro.threads.backend.PooledBackend`.  The
-stack spends almost all of its life blocked on a private baton.  At any
-instant exactly one thread holds the baton and is runnable, so no
-user-visible locking is needed and execution is fully deterministic
-whatever state the pool is in.
+A target that is a *generator function* suspends by yielding the reason
+it blocks on, so it needs no stack of its own:
+:meth:`UserLevelThread.step` resumes it on the caller's (a job of such
+ULTs never leaves ``JobScheduler.run``'s thread) and ``kill()`` throws
+:class:`UltKilled` in at the ``yield``.  The generator is made at the
+first quantum and never copied: a restarted rank gets a fresh ULT.
+
+A *plain function* blocks in the middle of an ordinary call stack, so it
+runs on a real OS stack: a recycled worker of a
+:class:`~repro.threads.backend.PooledBackend`.  The stack spends almost
+all of its life blocked on a private baton.  At any instant exactly one
+thread holds the baton and is runnable, so no user-visible locking is
+needed and execution is fully deterministic whatever state the pool is
+in.  :func:`drive` adapts the first shape to the second.
 
 The baton moves in one way.  A ULT that yields or finishes asks its
 :attr:`~UserLevelThread.dispatcher`, on its own stack, who runs next,
@@ -28,7 +37,8 @@ stack, like AMPI gives legacy MPI code.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable
+from inspect import isgeneratorfunction
+from typing import Any, Callable, Generator
 
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
@@ -62,7 +72,8 @@ class UserLevelThread:
 
     __slots__ = ("tid", "name", "target", "args", "stack_bytes", "backend",
                  "clock", "state", "block_reason", "result", "exception",
-                 "dispatcher", "_kill", "_runner", "_orphan_recorded")
+                 "dispatcher", "stackless", "gen", "_kill", "_runner",
+                 "_orphan_recorded")
 
     _id_counter = 0
 
@@ -95,6 +106,12 @@ class UserLevelThread:
         #: default, a ULT never runs without one.
         self.dispatcher: Callable[[], Wakeable]
 
+        #: the target is a generator function (:meth:`start` looks)
+        self.stackless = False
+        #: the generator whose ``yield from`` chain the code on this ULT
+        #: blocks through: the target's, once :meth:`step` has made it,
+        #: else the one :func:`drive` is running; None under plain code
+        self.gen: Generator[str, None, Any] | None = None
         self._kill = False
         #: the provider's stack for this ULT, bound at its first quantum
         self._runner: Wakeable | None = None
@@ -111,21 +128,48 @@ class UserLevelThread:
         """
         if self.state is not UltState.NEW:
             raise ReproError(f"ULT {self.name} already started")
+        self.stackless = isgeneratorfunction(self.target)
         self.state = UltState.READY
+
+    def _enter(self) -> None:
+        if self.state not in (UltState.READY, UltState.BLOCKED):
+            raise ReproError(
+                f"cannot switch to ULT {self.name} in state {self.state.value}"
+            )
+        self.state = UltState.RUNNING
 
     def activate(self) -> Wakeable:
         """Mark the ULT running and return the runner that will run it
         (bound on first use); whoever holds the baton passes it with
         ``wake()``."""
-        if self.state not in (UltState.READY, UltState.BLOCKED):
-            raise ReproError(
-                f"cannot switch to ULT {self.name} in state {self.state.value}"
-            )
+        self._enter()
         runner = self._runner
         if runner is None:
             runner = self._runner = self.backend.bind(self)
-        self.state = UltState.RUNNING
         return runner
+
+    def step(self) -> None:
+        """One quantum of a stackless ULT, on the calling stack: resume
+        its generator until it yields the next reason or finishes.  Never
+        raises; the outcome is in ``state`` and what goes with it."""
+        self._enter()
+        try:
+            gen = self.gen
+            if gen is None:
+                gen = self.gen = self.target(*self.args)
+            if self._kill:
+                reason = gen.throw(UltKilled(self.name))
+            else:
+                reason = gen.send(None)
+        except StopIteration as stop:
+            self.result = stop.value
+            self.state = UltState.DONE
+        except BaseException as e:  # noqa: BLE001 - reported to the scheduler
+            self.state = UltState.ERROR
+            self.exception = e
+        else:
+            self.block_reason = reason
+            self.state = UltState.BLOCKED
 
     def _run_until_back(self, runner: Wakeable) -> None:
         """Pass the baton to ``runner`` (this ULT's) and wait for it:
@@ -146,22 +190,32 @@ class UserLevelThread:
         The unwound ULT's pool worker is recycled; a ULT whose user code
         swallowed :class:`UltKilled` keeps its worker, which
         :meth:`join_thread` surfaces through the orphan counter instead
-        of silently ignoring it.
+        of silently ignoring it.  A stepped generator gets the same
+        :class:`UltKilled` at its ``yield``; one that swallows it and
+        yields again is closed — there is no worker to wedge.
         """
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
         self._kill = True
-        if self._runner is None:
-            # Started but never ran: no user stack exists to unwind.
-            self.state = UltState.ERROR
-            self.exception = UltKilled(self.name)
+        if self._runner is not None:
+            # Returns only once the ULT has unwound (or yielded again, if
+            # user code swallowed UltKilled) — to this caller, not onward
+            # round whatever ring the ULT was in.  Leak detection happens
+            # in join_thread()/backend.reap so a wedged stack is reported
+            # exactly once.
+            self._run_until_back(self._runner)
             return
-        # Returns only once the ULT has unwound (or yielded again, if
-        # user code swallowed UltKilled) — to this caller, not onward
-        # round whatever ring the ULT was in.  Leak detection happens in
-        # join_thread()/backend.reap so a wedged stack is reported
-        # exactly once.
-        self._run_until_back(self._runner)
+        if self.gen is not None:
+            self.step()
+            if self.finished:
+                return
+            try:
+                self.gen.close()
+            except RuntimeError:    # swallowed GeneratorExit as well
+                pass
+        # Else started but never ran: no user stack exists to unwind.
+        self.state = UltState.ERROR
+        self.exception = UltKilled(self.name)
 
     def join_thread(self) -> bool:
         """Check the ULT gave its pool worker back; True if it leaked."""
@@ -195,7 +249,10 @@ class UserLevelThread:
             self.exception = UltKilled(self.name)
             return
         try:
-            self.result = self.target(*self.args)
+            result = self.target(*self.args)
+            if self.stackless:
+                result = drive(self, result)
+            self.result = result
             self.state = UltState.DONE
         except UltKilled as e:
             self.state = UltState.ERROR
@@ -216,3 +273,24 @@ class UserLevelThread:
             + (f", blocked on {self.block_reason}" if self.block_reason else "")
             + ")"
         )
+
+
+def drive(ult: UserLevelThread, gen: Generator[str, None, Any]) -> Any:
+    """The one adapter from generator-form code to a plain caller: run
+    ``gen`` to completion on ``ult``'s own OS stack, parking in
+    :meth:`UserLevelThread.yield_` at each reason it yields (the kill
+    that raises is thrown in there).  Returns what ``gen`` returns."""
+    outer, ult.gen = ult.gen, gen
+    try:
+        reason = gen.send(None)
+        while True:
+            try:
+                ult.yield_(reason)
+            except BaseException as e:  # noqa: BLE001 - the generator's to handle
+                reason = gen.throw(e)
+            else:
+                reason = gen.send(None)
+    except StopIteration as stop:
+        return stop.value
+    finally:
+        ult.gen = outer

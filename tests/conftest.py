@@ -7,6 +7,9 @@ preset's toolchain is grafted onto the test machine.
 
 from __future__ import annotations
 
+import dataclasses
+from inspect import isgeneratorfunction
+
 import pytest
 
 from repro.ampi.runtime import AmpiJob
@@ -50,6 +53,31 @@ def make_hello(language: str = "c") -> ProgramSource:
         return ctx.g.my_rank
 
     return p.build()
+
+
+def on_pool_threads(source: ProgramSource) -> ProgramSource:
+    """The same program with its generator-form entry behind a plain
+    function: the body's shape selects the stack, so this twin runs on
+    pool threads and rides the baton ring, ``ctx.call`` driving the
+    unchanged body to completion on each rank's own stack."""
+    def plain(fn):
+        return lambda ctx: fn(ctx)
+
+    return dataclasses.replace(source, functions=tuple(
+        dataclasses.replace(f, fn=plain(f.fn))
+        if f.name == source.entry and isgeneratorfunction(f.fn) else f
+        for f in source.functions))
+
+
+@pytest.fixture
+def plain_bodies(monkeypatch):
+    """Every spec-built program in this test is its :func:`on_pool_threads`
+    twin (the in-tree apps are written in generator form)."""
+    from repro.harness.jobspec import JobSpec
+
+    build_source = JobSpec.build_source
+    monkeypatch.setattr(JobSpec, "build_source",
+                        lambda spec: on_pool_threads(build_source(spec)))
 
 
 @pytest.fixture

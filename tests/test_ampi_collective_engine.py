@@ -8,6 +8,7 @@ from repro.charm.node import JobLayout
 from repro.errors import MpiError
 from repro.machine import TEST_MACHINE
 from repro.program.source import Program
+from repro.threads.ult import drive
 
 from conftest import make_hello, run_job
 
@@ -89,7 +90,8 @@ class TestSequencing:
             job.collectives._states[(job.world.cid, 0)] = state
             job.collectives._seq[(0, job.world.cid)] = 0
             with pytest.raises(MpiError, match="twice"):
-                job.collectives.enter("barrier", rank, job.world)
+                drive(rank.ult, job.collectives.enter("barrier", rank,
+                                                      job.world))
         finally:
             job.scheduler.shutdown()
 
@@ -97,8 +99,9 @@ class TestSequencing:
         job = started_job(1, JobLayout(1, 1, 1))
         try:
             with pytest.raises(MpiError, match="unknown collective"):
-                job.collectives.enter("teleport", job.rank_of(0),
-                                      job.world)
+                rank = job.rank_of(0)
+                drive(rank.ult, job.collectives.enter("teleport", rank,
+                                                      job.world))
         finally:
             job.scheduler.shutdown()
 

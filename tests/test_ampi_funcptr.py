@@ -6,6 +6,8 @@ them point at the *single* per-job runtime — the runtime itself is never
 privatized.
 """
 
+from inspect import isgeneratorfunction
+
 import pytest
 
 from repro.ampi.api import MpiHandle
@@ -60,7 +62,12 @@ class TestOneSurface:
             SHIM_PREFIX + s for s in slots]
         job = AmpiJob(make_hello(), 2, method="pieglobals",
                       machine=TEST_MACHINE, slot_size=1 << 24)
-        assert set(pack_transport(job)) == set(slots)
+        transport = pack_transport(job)
+        assert set(transport) == set(slots)
+        # what can block is what the runtime wrote as a generator
+        assert {e.slot for e in ENTRY_POINTS if e.blocking} == {
+            slot for slot, fn in transport.items()
+            if isgeneratorfunction(fn)}
 
     def test_a_collective_slot_is_the_one_entry_with_its_kind_bound(self):
         job = AmpiJob(make_hello(), 2, method="pieglobals",

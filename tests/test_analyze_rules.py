@@ -139,14 +139,15 @@ SYNC_CALL_ARGS = {
 }
 
 
-def divergent_program(tmp_path, op):
+def divergent_program(tmp_path, op, delegate=""):
     """``if mpi.rank() == 0: mpi.<op>(...)`` as a real module: the
-    analyzer reads function source from its file."""
+    analyzer reads function source from its file.  ``delegate="yield
+    from "`` writes the body in generator form."""
     path = tmp_path / f"divergent_{op}.py"
     path.write_text(
         "def main(ctx):\n"
         "    if ctx.mpi.rank() == 0:\n"
-        f"        ctx.mpi.{op}({SYNC_CALL_ARGS[op]})\n"
+        f"        {delegate}ctx.mpi.{op}({SYNC_CALL_ARGS[op]})\n"
         "    return 0\n")
     spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
@@ -175,6 +176,28 @@ class TestEverySynchronisingEntryPoint:
                       method="tlsglobals", layout=JobLayout.single(2))
         with pytest.raises(DeadlockError, match="MPI_comm_split"):
             job.run()
+
+    @pytest.mark.parametrize(
+        "op", [e.name for e in ENTRY_POINTS if e.sync])
+    def test_generator_form_gets_the_same_summary(self, tmp_path, op):
+        """The analyzer sees through ``yield from``: same finding, same
+        record of the call."""
+        plain = divergent_program(tmp_path, op)
+        twin = divergent_program(tmp_path, op, delegate="yield from ")
+        report = analyze_source(twin)
+        assert [f.code for f in report.findings] == [
+            "comm-collective-divergent"]
+        assert f"mpi.{op}()" in report.findings[0].message
+        assert (build_model(twin).summaries["main"].mpi
+                == build_model(plain).summaries["main"].mpi)
+
+    def test_runtime_agrees_on_generator_form_too(self, tmp_path):
+        job = AmpiJob(divergent_program(tmp_path, "comm_split",
+                                        delegate="yield from "), 2,
+                      method="tlsglobals", layout=JobLayout.single(2))
+        with pytest.raises(DeadlockError, match="MPI_comm_split"):
+            job.run()
+        assert job.scheduler.os_handoffs == 0
 
 
 class TestTagMatching:

@@ -100,7 +100,7 @@ class TestBlockingAndWaking:
 
         def blocker():
             log.append("blocking")
-            sched.block_current("wait-x")
+            yield from sched.block_current("wait-x")
             log.append("resumed")
             return "ok"
 
@@ -122,7 +122,7 @@ class TestBlockingAndWaking:
 
         def blocker():
             ranks[0].ult.clock.advance(1000)
-            sched.block_current("x")
+            yield from sched.block_current("x")
 
         def waker():
             sched.wake(ranks[0], at_time=5)
@@ -140,7 +140,7 @@ class TestBlockingAndWaking:
 
         def body():
             hits.append(ranks[0].clock.now)
-            sched.yield_current(ranks[0].clock.now + 100)
+            yield from sched.yield_current(ranks[0].clock.now + 100)
             hits.append(ranks[0].clock.now)
 
         ranks[0].ult.target = body
@@ -194,7 +194,7 @@ class TestFailureModes:
         sched, ranks, _ = make_ranks(1)
 
         def forever():
-            sched.block_current("never woken")
+            yield from sched.block_current("never woken")
 
         ranks[0].ult.target = forever
         sched.register(ranks[0], 0)
@@ -208,7 +208,7 @@ class TestFailureModes:
             raise ValueError("app bug")
 
         def innocent():
-            sched.block_current("waiting")
+            yield from sched.block_current("waiting")
 
         ranks[0].ult.target = innocent
         ranks[1].ult.target = boom

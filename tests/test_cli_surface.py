@@ -208,6 +208,7 @@ INVOCATIONS = {
     "faults": ["faults", "jacobi", "--kmax", "1", "--json"],
     "check-static": ["check", "fixture:got-dangling", "--json"],
     "check-runtime": ["check", "fixture:race-shared-globals", "--json"],
+    "analyze-apps": ["analyze", "apps", "--json"],
     "runs": ["runs", "--store", "{store}", "--json"],
     "stats": ["stats", "{a}", "--store", "{store}", "--json"],
     "stats-compare": ["stats", "{a}", "--compare", "{b}", "--store",
@@ -247,7 +248,7 @@ def observe(name: str, where: dict[str, str]) -> dict:
                         (where["store"], "<store>"),
                         (code_version(), "<code-version>")):
         out = out.replace(value, mask)
-    out = re.sub(r'"created_at": [0-9.e+]+', '"created_at": 0', out)
+    out = re.sub(r'"(created_at|elapsed_ms)": [0-9.e+]+', r'"\1": 0', out)
     return {"exit": status, "stdout": out}
 
 

@@ -1,10 +1,13 @@
-"""Direct ULT->ULT dispatch in ``JobScheduler.run`` (the baton ring).
+"""Who runs ``JobScheduler.run``'s loop: the caller, or the baton ring.
 
-A quantum costs one OS-thread handoff (none when a rank succeeds
-itself), fault-injected jobs included; the loop body runs on the stack
-of the ULT whose quantum just ended, and everything that can unwind a
-stack — a fault's rollback too — still happens on the ``run()``
-caller's.  Every test runs on a private worker pool.
+Plain-function bodies ride the ring: a quantum costs one OS-thread
+handoff (none when a rank succeeds itself), fault-injected jobs
+included; the loop body runs on the stack of the ULT whose quantum just
+ended, and everything that can unwind a stack — a fault's rollback too —
+still happens on the ``run()`` caller's.  The in-tree apps are written in
+generator form, so the ring tests run their ``plain_bodies`` twins.  A
+generator job never leaves the caller's stack: no handoff, no worker.
+Every test runs on a private worker pool.
 """
 
 import threading
@@ -21,7 +24,7 @@ from repro.threads import (
     consume_orphan_count,
     orphan_count,
 )
-from repro.threads.ult import UltKilled
+from repro.threads.ult import UltKilled, drive
 from test_charm_scheduler import make_ranks
 
 
@@ -76,7 +79,17 @@ def run_spec(spec, backend):
     return job.scheduler
 
 
+def block(sched, reason):
+    """A plain body blocking: the driver parks its ULT at the reason."""
+    drive(sched.current.ult, sched.block_current(reason))
+
+
+#: the test runs the in-tree apps' plain twins, on the baton ring
+on_the_ring = pytest.mark.usefixtures("plain_bodies")
+
+
 class TestHandoffCount:
+    @on_the_ring
     def test_one_handoff_per_quantum(self, backend):
         """64 ranks x 200 yields on one PE: every quantum hands the baton
         to a different rank, plus one hop into and one out of the ring
@@ -89,11 +102,13 @@ class TestHandoffCount:
         assert again.os_handoffs == first.os_handoffs
         assert again.timeline == first.timeline
 
+    @on_the_ring
     def test_rank_that_succeeds_itself_pays_nothing(self, backend):
         sched = run_spec(pingpong(1), backend)
         assert len(sched.timeline) == 201
         assert sched.os_handoffs == 2       # into the ring and out of it
 
+    @on_the_ring
     def test_fault_checked_job_rides_the_ring(self, backend):
         """A node-crash plan does not take the job off the ring: while
         no crash is due, every loop step runs on a ULT's stack."""
@@ -104,12 +119,23 @@ class TestHandoffCount:
         assert quanta > 8
         assert sched.os_handoffs == quanta + 1
 
+    def test_generator_job_pays_no_handoff(self, backend):
+        """The same 64 x 200 pingpong in the form it is written in:
+        stepped on this thread from start to end."""
+        threads = threading.active_count()
+        sched = run_spec(pingpong(64), backend)
+        assert len(sched.timeline) == 64 * 201
+        assert sched.os_handoffs == 0
+        assert backend.created == backend.binds == 0
+        assert threading.active_count() == threads
+
 
 @pytest.mark.parametrize("recovery", ["global", "local"])
 class TestFaultsFireOnTheCaller:
     """Two crashes land mid-run.  A rollback unwinds stacks, so the ULT
     that finds one due hands the baton back and ``run()``'s caller fires
-    it; the respawned ranks then ride the ring like the first ones."""
+    it; the respawned ranks then ride the ring like the first ones.  A
+    generator job's caller is already the one running the loop."""
 
     CRASH_AT = (61_100_000, 61_800_000)
 
@@ -130,6 +156,22 @@ class TestFaultsFireOnTheCaller:
         sched.fault_check = recording_poll
         return job, job.run(), fired
 
+    def test_generator_job_fires_in_place_and_recovers(self, backend,
+                                                       recovery):
+        """The respawned ranks are fresh ULTs with fresh generators, and
+        nothing ever leaves this thread."""
+        threads = threading.active_count()
+        job, result, fired = self._run(backend, recovery)
+        sched = job.scheduler
+        assert result.recoveries == 2 and len(fired) == 2
+        assert all(r.finished for r in sched.ranks())
+        assert {ident for ident, _, _ in fired} == {threading.get_ident()}
+        assert all(quanta_so_far > 0 for _, quanta_so_far, _ in fired)
+        assert sched.os_handoffs == 0 and backend.binds == 0
+        assert sched.orphaned == 0 and orphan_count() == 0
+        assert threading.active_count() == threads
+
+    @on_the_ring
     def test_handed_back_fired_and_recovered(self, backend, recovery):
         job, result, fired = self._run(backend, recovery)
         sched = job.scheduler
@@ -152,6 +194,7 @@ class TestFaultsFireOnTheCaller:
         assert sched.orphaned == 0 and orphan_count() == 0
         assert all_workers_idle(backend)
 
+    @on_the_ring
     def test_timeline_independent_of_pool_state(self, backend, recovery):
         def history(pool):
             job, result, _ = self._run(pool, recovery)
@@ -177,7 +220,7 @@ class TestFailuresSurfaceOnTheCaller:
             raise ValueError("app bug")
 
         def waits():
-            sched.block_current("waiting")
+            block(sched, "waiting")
 
         sched, ranks = make_sched(backend, [waits, waits, boom])
         with pytest.raises(ValueError, match="app bug"):
@@ -190,7 +233,7 @@ class TestFailuresSurfaceOnTheCaller:
     def test_deadlock_message_unchanged(self, backend):
         def recv():
             ranks[0].ult.clock.advance(40)
-            sched.block_current("recv from 1")
+            block(sched, "recv from 1")
 
         sched, ranks = make_sched(backend, [recv, lambda: None])
         with pytest.raises(DeadlockError) as exc:
@@ -219,6 +262,27 @@ class TestFailuresSurfaceOnTheCaller:
         assert sched.orphaned == 1
         assert consume_orphan_count() == 1
 
+    def test_generator_that_swallows_the_kill_has_no_worker_to_wedge(
+            self, backend):
+        def stubborn():
+            while True:
+                try:
+                    yield "stuck"
+                except UltKilled:
+                    pass
+
+        def done():
+            return
+            yield
+
+        sched, ranks = make_sched(backend, [stubborn, done])
+        with pytest.raises(DeadlockError, match=r"vp 0 \(stuck\)"):
+            sched.run()
+        assert isinstance(ranks[0].ult.exception, UltKilled)
+        assert all(r.ult.finished for r in ranks)
+        assert sched.orphaned == 0 and orphan_count() == 0
+        assert sched.os_handoffs == 0 and backend.binds == 0
+
     def test_timer_error_never_reaches_user_code(self, backend):
         caller = threading.current_thread()
         fired_on = []
@@ -232,7 +296,8 @@ class TestFailuresSurfaceOnTheCaller:
             try:
                 # the timer is due before this rank's next quantum, so it
                 # fires from this rank's own yield, on this stack
-                sched.yield_current(ranks[0].clock.now + 1000)
+                drive(ranks[0].ult,
+                      sched.yield_current(ranks[0].clock.now + 1000))
             except BaseException as e:
                 seen_by_user.append(e)
                 raise
@@ -257,7 +322,7 @@ class TestFailuresSurfaceOnTheCaller:
 
         def waits():
             try:
-                sched.block_current("waiting")
+                block(sched, "waiting")
             except BaseException as e:
                 seen_by_user.append(e)
                 raise

@@ -3,7 +3,9 @@
 Covers ``get_backend`` resolution, pooled-worker reuse/recycling — by
 stand-alone ULTs, whole jobs and serve workers — orphan (thread-leak)
 surfacing, and the determinism contract: a job's simulated timeline
-must not depend on the state of the pool it runs on.
+must not depend on the state of the pool it runs on.  Only plain-function
+bodies take a worker, so the job-level tests run the ``plain_bodies`` /
+``on_pool_threads`` twins of the (generator-form) in-tree apps.
 """
 
 import gc
@@ -23,6 +25,7 @@ from repro.threads import (
 )
 from repro.threads.backend import Baton
 from repro.threads.ult import UltKilled, UltState, UserLevelThread
+from conftest import on_pool_threads
 from test_sched_dispatch import pingpong
 
 #: the selector variable the deleted ``thread`` provider was chosen with
@@ -184,6 +187,7 @@ class TestPooledReuse:
             pool.bind(UserLevelThread("x", lambda: None, backend=pool))
 
 
+@pytest.mark.usefixtures("plain_bodies")
 class TestParkedWorkersHoldNothing:
     def test_finished_job_dies_with_its_last_reference(self):
         """A parked worker keeps no reference to the ULT it last hosted,
@@ -266,6 +270,7 @@ class TestOrphanSurfacing:
         pool.close()
 
 
+@pytest.mark.usefixtures("plain_bodies")
 class TestServeWorkersReuseSharedPool:
     """Serve workers run on the shared pool, so the second same-shaped
     job a worker executes creates no OS thread."""
@@ -298,6 +303,7 @@ class TestServeWorkersReuseSharedPool:
                 lambda spec_dict: workers.submit(spec_dict).result(timeout=60))
 
 
+@pytest.mark.usefixtures("plain_bodies")
 class TestDeterminismContract:
     """Same workload, any pool state => byte-identical simulated history."""
 
@@ -308,8 +314,8 @@ class TestDeterminismContract:
         from repro.apps.jacobi3d import JacobiConfig, build_jacobi_program
         from repro.charm.node import JobLayout
 
-        source = build_jacobi_program(JacobiConfig(n=8, iters=3,
-                                                   reduce_every=2))
+        source = on_pool_threads(build_jacobi_program(
+            JacobiConfig(n=8, iters=3, reduce_every=2)))
         job = AmpiJob(source, self.NVP, method="pieglobals",
                       layout=JobLayout(1, 2, 2), ult_backend=backend)
         result = job.run()

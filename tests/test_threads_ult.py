@@ -1,4 +1,7 @@
-"""Tests for baton-passing user-level threads."""
+"""Tests for user-level threads: plain targets passing a baton between
+pool stacks, generator targets stepped on the caller's."""
+
+import threading
 
 import pytest
 
@@ -145,6 +148,105 @@ class TestKill:
 
     def test_kill_unstarted_is_noop(self):
         UserLevelThread("t", lambda: 1).kill()
+
+
+class TestGeneratorTarget:
+    """A generator function needs no stack of its own: ``step`` runs it
+    right here, and ``kill`` throws in at its ``yield``."""
+
+    @staticmethod
+    def make(body, *args):
+        ult = UserLevelThread("g", body, args)
+        ult.start()
+        assert ult.stackless and ult.gen is None    # made at first quantum
+        return ult
+
+    def test_stepped_on_the_callers_thread(self):
+        ran_on = []
+
+        def body(n):
+            for i in range(n):
+                ran_on.append(threading.get_ident())
+                yield f"wait-{i}"
+            return "done"
+
+        ult = self.make(body, 2)
+        binds = ult.backend.binds
+        ult.step()
+        assert ult.state is UltState.BLOCKED
+        assert ult.block_reason == "wait-0" and ult.gen is not None
+        ult.step()
+        ult.step()
+        assert ult.state is UltState.DONE and ult.result == "done"
+        assert set(ran_on) == {threading.get_ident()}
+        assert ult.backend.binds == binds and not ult.join_thread()
+        with pytest.raises(ReproError):
+            ult.step()
+
+    def test_switch_in_drives_it_on_a_pool_stack(self):
+        ran_on = []
+
+        def body():
+            ran_on.append(threading.get_ident())
+            yield "once"
+            return "done"
+
+        ult = self.make(body)
+        assert ult.switch_in() is UltState.BLOCKED
+        assert ult.block_reason == "once"
+        assert ult.switch_in() is UltState.DONE and ult.result == "done"
+        assert ran_on != [threading.get_ident()]
+
+    def test_exception_captured(self):
+        def boom():
+            yield "once"
+            raise ValueError("nope")
+
+        ult = self.make(boom)
+        ult.step()
+        ult.step()
+        assert ult.state is UltState.ERROR
+        assert isinstance(ult.exception, ValueError)
+
+    def test_kill_throws_at_the_suspension_point(self):
+        seen = []
+
+        def body():
+            try:
+                yield "blocked"
+            except Exception:                   # must not catch the kill
+                seen.append("except Exception")
+            finally:
+                seen.append("finally")
+
+        ult = self.make(body)
+        ult.step()
+        ult.kill()
+        assert seen == ["finally"]
+        assert ult.state is UltState.ERROR
+        assert isinstance(ult.exception, UltKilled)
+        assert not ult.join_thread()
+
+    def test_swallowed_kill_ends_in_error_with_nothing_to_leak(self):
+        def stubborn():
+            for _ in "the kill", "the close() after it":
+                try:
+                    yield "stuck"
+                except BaseException:
+                    pass
+            yield "stuck"
+
+        ult = self.make(stubborn)
+        ult.step()
+        ult.kill()
+        assert ult.state is UltState.ERROR
+        assert isinstance(ult.exception, UltKilled)
+        assert not ult.join_thread()
+
+    def test_kill_before_the_first_quantum_creates_no_generator(self):
+        ult = self.make(lambda: (yield "never"))
+        ult.kill()
+        assert ult.state is UltState.ERROR and ult.gen is None
 
 
 class TestIds:
