@@ -546,7 +546,6 @@ class AmpiJob:
             else:
                 self.recovery = RecoveryManager(self, self.fault_injector)
             self.scheduler.fault_check = self.recovery.poll
-            self.scheduler.fault_due = self.fault_injector.crash_due
         if self.buddy_ckpt is not None:
             # Baseline checkpoint at startup: a crash before the first
             # application checkpoint restarts from the initial state, and

@@ -20,7 +20,6 @@ from typing import TYPE_CHECKING, Callable, Generator
 from repro.errors import DeadlockError, ReproError
 from repro.perf.costs import CostModel
 from repro.perf.counters import CounterSet, EV_CTX_SWITCH
-from repro.threads.backend import Baton, Wakeable
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UltState, UserLevelThread
 from repro.trace.recorder import PE_TID, TraceRecorder
@@ -50,9 +49,6 @@ class JobScheduler:
         self._all_ranks: list["VirtualRank"] = []
         #: ULTs that kept their pool worker past the kill at shutdown
         self.orphaned = 0
-        #: times :meth:`run` passed the baton between two parties (ULTs,
-        #: or a ULT and the caller) — the OS-thread wakeups it paid for
-        self.os_handoffs = 0
         self.runq = RunQueue(self._pe_busy_of, pe_of=self._pe_of)
         #: (pe index, vp, start ns) per scheduling quantum, in order —
         #: consumed by the instruction-cache study to reconstruct the
@@ -64,13 +60,6 @@ class JobScheduler:
         #: start time before it runs; returning True means a fault fired
         #: and rolled the job back — the popped quantum is stale
         self.fault_check: Callable[[int], bool] | None = None
-        #: side-effect-free peek set together with :attr:`fault_check`:
-        #: would it fire at this time?  A rollback unwinds stacks, so a
-        #: ULT running the loop asks this first and hands a due fault
-        #: back to the :meth:`run` caller instead of firing it
-        self.fault_due: Callable[[int], bool] | None = None
-        #: the live ring dispatcher while :meth:`run` is on the stack
-        self._dispatch: Callable[[], Wakeable] | None = None
         #: sanitizer epoch hook, called once per scheduling quantum;
         #: ``None`` (the default) keeps the hot loop untouched
         self.on_quantum: Callable[[], None] | None = None
@@ -108,8 +97,6 @@ class JobScheduler:
         self._tid_by_vp[rank.vp] = rank.ult.tid
         if rank.ult.state is UltState.NEW:
             rank.ult.start()
-        if self._dispatch is not None:
-            rank.ult.dispatcher = self._dispatch
         self.runq.push(rank.ult, start_time)
 
     def flush(self) -> None:
@@ -184,24 +171,15 @@ class JobScheduler:
         # trace/timeline/fault guards (all decided before run() and fixed
         # for its duration).
         #
-        # The body is two closures, ``account`` (the quantum that just
-        # ended) and ``next_quantum`` (pop + pre-switch accounting of the
-        # one to run), executed by whichever OS thread holds the baton.
-        # When every rank body is a generator that is this thread, from
-        # start to end: ``step()`` resumes the rank between the two, a
-        # due fault fires in place and nothing is ever handed anywhere.
-        # Ranks with plain bodies live on OS stacks of their own, and
-        # there it is the ULT whose quantum ended: ``dispatch`` runs
-        # both on its stack and names the successor, which the ULT wakes
-        # directly — one OS-thread handoff per quantum instead of a round
-        # trip through this thread, none when a rank succeeds itself.
-        # This thread waits on ``hub`` and gets the baton back only for
-        # what may unwind a stack, which is never done on a ULT's stack:
-        # shutdown, a deadlock report, re-raising an exception — and
-        # firing a fault, whose rollback kills ULTs.  A ULT that finds a
-        # crash due before the quantum it popped leaves that quantum in
-        # ``carried`` and hands back; this thread re-enters the same
-        # ``next_quantum``, picks it up and fires the fault there.
+        # The body is two closures, ``next_quantum`` (pop + pre-switch
+        # accounting of the quantum to run) and ``account`` (the one that
+        # just ended), with ``step()`` between them.  ``step()`` returns
+        # when the rank has yielded or finished — resumed right here if
+        # its body is a generator, on its pool worker while this thread
+        # waits if it is a plain function — so both closures only ever
+        # run on this thread with every rank parked: a fault's rollback,
+        # a timer, ``on_rank_done``, ``on_quantum``, a deadlock report
+        # and a rank's re-raised exception all happen in place.
         ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
         tr = self.trace
         pid_base = self.trace_pid_base
@@ -209,38 +187,23 @@ class JobScheduler:
         ranks_by_tid = self._ranks_by_tid
         incr_ctx = self.counters.incr
         fault_check = self.fault_check
-        fault_due = self.fault_due
         on_quantum = self.on_quantum
         timeline_append = self.timeline.append
         timers = self._timers
         heappop = heapq.heappop
         DONE = UltState.DONE
         ERROR = UltState.ERROR
-        hub = Baton()
         #: (rank, ult, the PE it started on, start ns) of the quantum in
         #: flight; a rank may migrate itself mid-quantum, and the quantum
         #: is charged to the PE that ran it
         running: tuple = ()
-        #: the popped ``(ult, ready_time)`` a ULT handed back unstarted
-        carried: tuple | None = None
-        #: what ended the ring, raised again on this thread
-        failure: BaseException | None = None
 
-        def next_quantum(
-            due: Callable[[int], bool] | None = None,
-        ) -> UserLevelThread | None:
+        def next_quantum() -> UserLevelThread | None:
             """Pop the next quantum, fire the timers due before it and do
-            its pre-switch accounting; None when nothing is runnable —
-            or, on a ULT's stack (which passes ``due=fault_due``), when
-            a fault is due first.  One peek per iteration covers all
-            three ``fault_check`` sites: every time they are asked about
-            is at or before the time peeked at."""
-            nonlocal running, carried
+            its pre-switch accounting; None when nothing is runnable."""
+            nonlocal running
             while True:
-                if carried is None:
-                    item = runq_pop()
-                else:
-                    item, carried = carried, None
+                item = runq_pop()
                 if item is None:
                     if timers:
                         # Nothing runnable but a timeout is pending (e.g.
@@ -252,8 +215,6 @@ class JobScheduler:
                         # first would silently drop it (a lost
                         # retransmission deadlocks its receiver).
                         at = timers[0][0]
-                        if due is not None and due(at):
-                            return None
                         if fault_check is not None and fault_check(at):
                             continue
                         at, _, fn = heappop(timers)
@@ -270,9 +231,6 @@ class JobScheduler:
                 busy_until = pe.busy_until
                 eff_start = ready_time if ready_time > busy_until \
                     else busy_until
-                if due is not None and due(eff_start):
-                    carried = item
-                    return None
 
                 if timers and timers[0][0] <= eff_start:
                     # Timers due before this quantum may deliver messages
@@ -351,48 +309,13 @@ class JobScheduler:
             elif state is ERROR:
                 raise ult.exception
 
-        def dispatch() -> Wakeable:
-            """The loop body on the stack of the ULT whose quantum just
-            ended (its ``yield_`` or its runner, after ``_main``).
-            Whatever goes wrong here is this thread's to raise, not the
-            user code's above us on that stack."""
-            nonlocal failure
-            prev = running[1]
-            try:
-                account()
-                ult = next_quantum(fault_due)
-                if ult is not None:
-                    if ult is not prev:
-                        self.os_handoffs += 1
-                    return ult.activate()
-            except BaseException as e:  # noqa: BLE001 - re-raised by run()
-                failure = e
-            self.os_handoffs += 1
-            return hub
-
         try:
-            self._dispatch = dispatch
-            for rank in self._all_ranks:
-                if rank.ult is not None:
-                    rank.ult.dispatcher = dispatch
-            if all(r.ult is None or r.ult.stackless
-                   for r in self._all_ranks):
-                while (ult := next_quantum()) is not None:
-                    ult.step()
-                    account()
-            else:
-                while (ult := next_quantum()) is not None:
-                    # Start the ring; it hands the baton back when the
-                    # queue runs dry, a fault is due or something failed.
-                    self.os_handoffs += 1
-                    ult.activate().wake()
-                    hub.wait()
-                    if failure is not None:
-                        raise failure
+            while (ult := next_quantum()) is not None:
+                ult.step()
+                account()
             if not all(r.finished for r in self._all_ranks):
                 self._report_deadlock()
         finally:
-            self._dispatch = None
             # Leave no orphan OS threads behind on any exit path.
             self.shutdown()
 
@@ -409,7 +332,6 @@ class JobScheduler:
             else:
                 reason = r.ult.block_reason or "blocked"
                 blocked.append(f"vp {r.vp} ({reason}) at t={r.clock.now}")
-        self.shutdown()
         raise DeadlockError(
             "no runnable rank but the job is not finished; blocked: "
             + "; ".join(blocked)

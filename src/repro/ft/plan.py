@@ -212,19 +212,15 @@ class FaultInjector:
 
     # -- node crashes -----------------------------------------------------------
 
-    def crash_due(self, now_ns: int) -> bool:
-        """Would :meth:`next_crash` pop one at ``now_ns``?  (A peek.)"""
-        crashes = self.plan.node_crashes
-        return (self._crash_idx < len(crashes)
-                and crashes[self._crash_idx].at_ns <= now_ns)
-
     def next_crash(self, now_ns: int) -> NodeCrash | None:
         """Pop the next crash due at or before ``now_ns``, if any."""
-        if not self.crash_due(now_ns):
-            return None
-        crash = self.plan.node_crashes[self._crash_idx]
-        self._crash_idx += 1
-        return crash
+        crashes = self.plan.node_crashes
+        if (self._crash_idx < len(crashes)
+                and crashes[self._crash_idx].at_ns <= now_ns):
+            crash = crashes[self._crash_idx]
+            self._crash_idx += 1
+            return crash
+        return None
 
     @property
     def pending_crashes(self) -> int:

@@ -2,10 +2,10 @@
 
 Virtual MPI ranks run as ULTs, exactly as in AMPI: blocking communication
 suspends the ULT and the processing element's scheduler switches to
-another ready rank.  A generator body is stepped on the scheduler's own
-stack; a plain-function body runs on a baton-passing OS thread — only one
-ever runs at a time, handed off explicitly.  All *reported* time comes
-from per-ULT simulated clocks.
+another ready rank.  A quantum is one ``step()``: a generator body is
+resumed on the scheduler's own stack, a plain-function body on a pool
+worker while the scheduler waits — only one thread ever runs at a time.
+All *reported* time comes from per-ULT simulated clocks.
 """
 
 from repro.threads.ult import UserLevelThread, UltState, UltKilled

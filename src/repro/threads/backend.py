@@ -4,20 +4,19 @@ A :class:`UserLevelThread` whose target is a plain function needs a real
 OS stack to park blocked user code on (a generator target is stepped on
 its caller's and needs none).  :class:`PooledBackend` provides it: a pool
 of persistent worker threads, one bound to a ULT lazily at its first
-quantum and
-recycled the moment the ULT finishes or is killed, so ranks and whole
-jobs reuse the same OS threads — after the pool has warmed up to a
-job's high-water mark, running another job of the same scale performs
-**zero** thread creates/joins.  Baton handoff uses raw locks, the
+quantum and recycled the moment the ULT finishes or is killed, so ranks
+and whole jobs reuse the same OS threads — after the pool has warmed up
+to a job's high-water mark, running another job of the same scale
+performs **zero** thread creates/joins.  Handoff uses raw locks, the
 cheapest cross-thread wakeup CPython offers.
 
 The pool hands each ULT a *runner*: a :class:`Wakeable`, whose two
 one-way primitives are the whole provider contract.  ``wake()`` makes
 the ULT's stack runnable and returns at once, ``wait()`` parks the
-calling ULT until it is woken.  A ULT that stops running wakes whoever
-its dispatcher names — another ULT's runner, or the :class:`Baton` a
-thread that is not a ULT (``JobScheduler.run``'s caller, a
-``switch_in()`` caller) is parked on — and waits on its own.
+calling ULT until it is woken.  A quantum is a round trip:
+``UserLevelThread.step`` wakes the runner and waits on the ULT's own
+:class:`Baton`; the ULT, when it yields, wakes that baton and waits on
+its runner — and when its body returns, the worker wakes it instead.
 
 :func:`get_backend` resolves ``None`` to the process-wide shared pool;
 tests and probes pass a private :class:`PooledBackend` instance instead
@@ -96,9 +95,8 @@ class Wakeable(Protocol):
 class Baton:
     """A raw lock, born held, that its owner waits on.
 
-    On its own it is where a thread that is not a ULT waits for the
-    baton: the ``JobScheduler.run`` caller while its ULTs dispatch each
-    other, a ``switch_in()``/``kill()`` caller until the ULT comes back.
+    On its own it is where the caller of ``UserLevelThread.step`` waits
+    for a plain-function ULT's quantum to end.
     """
 
     __slots__ = ("_lock",)
@@ -142,21 +140,16 @@ class _PoolWorker(Baton):
             if ult is None:            # shutdown sentinel
                 return
             ult._main()
-            # Unbind and recycle BEFORE passing the baton on: whoever
-            # holds it next may rebind this worker immediately.  That
-            # includes the dispatcher below — a successor that has no
-            # stack yet gets this one, and its body starts on this very
-            # thread without any OS handoff.
+            # Unbind and recycle BEFORE waking whoever stepped the ULT:
+            # they may rebind this worker immediately.  And park holding
+            # nothing: a local left bound here would keep the finished
+            # ULT — its rank, job, heaps and segments — reachable until
+            # this worker's next bind, so the previous job's memory
+            # would overlap the next job's start-up.
             self._ult = None
             self._pool._recycle(self)
-            successor = ult.dispatcher()
-            # Park holding nothing: a local left bound here would keep the
-            # finished ULT — its rank, job, heaps and segments — reachable
-            # until this worker's next bind, so the previous job's memory
-            # would overlap the next job's start-up.
-            del ult
-            successor.wake()
-            del successor
+            back, ult = ult._back, None
+            back.wake()
 
 
 class PooledBackend:
@@ -167,9 +160,9 @@ class PooledBackend:
     destroyed until :meth:`close`.  ``kill()`` on a ULT unwinds its user
     stack and recycles the worker instead of joining an OS thread.
 
-    A ULT takes a worker with :meth:`bind` the first time it is given
-    the baton — never-run ULTs cost nothing.  The worker, once
-    ``ult._main()`` returns, hands the baton to ``ult.dispatcher()``.
+    A plain-function ULT takes a worker with :meth:`bind` at its first
+    quantum — never-run ULTs cost nothing.  The worker, once
+    ``ult._main()`` returns, wakes the ``step()`` caller.
     """
 
     def __init__(self, prewarm: int = 0):
@@ -197,8 +190,7 @@ class PooledBackend:
     def _recycle(self, worker: _PoolWorker) -> None:
         with self._lock:
             if self.closed:
-                worker._ult = None
-                worker.wake()              # let the loop exit
+                worker.wake()              # unbound: lets the loop exit
                 return
             self._free.append(worker)
 

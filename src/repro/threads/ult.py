@@ -1,33 +1,24 @@
-"""User-level threads: generator targets stepped in place, plain targets
-passing a baton between OS stacks.
+"""User-level threads: one ``step()`` per quantum, whatever the body.
 
-A target that is a *generator function* suspends by yielding the reason
-it blocks on, so it needs no stack of its own:
-:meth:`UserLevelThread.step` resumes it on the caller's (a job of such
-ULTs never leaves ``JobScheduler.run``'s thread) and ``kill()`` throws
-:class:`UltKilled` in at the ``yield``.  The generator is made at the
-first quantum and never copied: a restarted rank gets a fresh ULT.
+:meth:`UserLevelThread.step` runs one quantum and returns to its caller
+with the outcome in ``state``; the target's shape decides how.
+
+A *generator function* suspends by yielding the reason it blocks on, so
+it needs no stack of its own: ``step()`` resumes it on the calling stack
+and ``kill()`` throws :class:`UltKilled` in at the ``yield``.  The
+generator is made at the first quantum and never copied: a restarted
+rank gets a fresh ULT.
 
 A *plain function* blocks in the middle of an ordinary call stack, so it
-runs on a real OS stack: a recycled worker of a
-:class:`~repro.threads.backend.PooledBackend`.  The stack spends almost
-all of its life blocked on a private baton.  At any instant exactly one
-thread holds the baton and is runnable, so no user-visible locking is
-needed and execution is fully deterministic whatever state the pool is
-in.  :func:`drive` adapts the first shape to the second.
-
-The baton moves in one way.  A ULT that yields or finishes asks its
-:attr:`~UserLevelThread.dispatcher`, on its own stack, who runs next,
-wakes that successor directly and parks: one OS-thread handoff per
-quantum, none when the ULT is its own successor.  ``JobScheduler.run``
-installs its loop body as the dispatcher of every rank; its caller waits
-on a :class:`~repro.threads.backend.Baton` until the ring hands it back.
-A stand-alone ULT (probes, tests, forced shutdown) rides the same ring
-with a one-party successor: :meth:`UserLevelThread.switch_in` and
-:meth:`UserLevelThread.kill` install a dispatcher that names the
-caller's own ``Baton``, wake the ULT and wait there.  ``kill`` thereby
-takes a ULT out of whatever ring it was in, so unwinding a stack is
-always done by — and returns to — the thread that asked for it.
+runs on a real OS stack: a worker of the
+:class:`~repro.threads.backend.PooledBackend`, bound at the first
+quantum.  ``step()`` wakes the worker and waits on the ULT's own
+:class:`~repro.threads.backend.Baton`, which :meth:`~UserLevelThread.yield_`
+and the worker (once the body has returned) wake: a round trip, two OS
+handoffs per quantum.  Exactly one thread is runnable at any instant, so
+no user-visible locking is needed and execution is deterministic
+whatever state the pool is in.  :func:`drive` lets plain code call
+generator-form code.
 
 Simulated time lives in ``ult.clock`` (a :class:`~repro.perf.clock.SimClock`);
 the real threads exist only to give user code an ordinary blocking call
@@ -42,12 +33,7 @@ from typing import Any, Callable, Generator
 
 from repro.errors import ReproError
 from repro.perf.clock import SimClock
-from repro.threads.backend import (
-    Baton,
-    PooledBackend,
-    Wakeable,
-    get_backend,
-)
+from repro.threads.backend import Baton, PooledBackend, Wakeable, get_backend
 
 
 class UltState(enum.Enum):
@@ -72,7 +58,7 @@ class UserLevelThread:
 
     __slots__ = ("tid", "name", "target", "args", "stack_bytes", "backend",
                  "clock", "state", "block_reason", "result", "exception",
-                 "dispatcher", "stackless", "gen", "_kill", "_runner",
+                 "stackless", "gen", "_kill", "_runner", "_back",
                  "_orphan_recorded")
 
     _id_counter = 0
@@ -98,14 +84,6 @@ class UserLevelThread:
         self.result: Any = None
         self.exception: BaseException | None = None
 
-        #: called on this ULT's stack when it yields or finishes;
-        #: returns whom to wake next — a ULT's runner (this ULT's own:
-        #: keep running) or a waiting thread's baton.  Must not raise.
-        #: Installed by whoever gives this ULT the baton, before it does
-        #: (``switch_in``/``kill``, ``JobScheduler.run``): there is no
-        #: default, a ULT never runs without one.
-        self.dispatcher: Callable[[], Wakeable]
-
         #: the target is a generator function (:meth:`start` looks)
         self.stackless = False
         #: the generator whose ``yield from`` chain the code on this ULT
@@ -113,8 +91,10 @@ class UserLevelThread:
         #: else the one :func:`drive` is running; None under plain code
         self.gen: Generator[str, None, Any] | None = None
         self._kill = False
-        #: the provider's stack for this ULT, bound at its first quantum
+        #: the provider's stack for a plain target, bound at its first
+        #: quantum together with the baton ``step()``'s caller waits on
         self._runner: Wakeable | None = None
+        self._back: Baton
         #: set once the pool has reported this ULT's worker as wedged
         self._orphan_recorded = False
 
@@ -124,35 +104,32 @@ class UserLevelThread:
         """Make the ULT runnable, paused before user code runs.
 
         No OS resource is taken here: a pool worker is bound at the
-        first :meth:`activate`, so never-run ULTs cost nothing.
+        first :meth:`step`, so never-run ULTs cost nothing.
         """
         if self.state is not UltState.NEW:
             raise ReproError(f"ULT {self.name} already started")
         self.stackless = isgeneratorfunction(self.target)
         self.state = UltState.READY
 
-    def _enter(self) -> None:
+    def step(self) -> None:
+        """One quantum, back on the calling stack when it is over: a
+        generator target is resumed right here until it yields the next
+        reason or finishes, a plain one is woken on its pool worker
+        while the caller waits.  Never raises what the body raised; the
+        outcome is in ``state`` and what goes with it."""
         if self.state not in (UltState.READY, UltState.BLOCKED):
             raise ReproError(
                 f"cannot switch to ULT {self.name} in state {self.state.value}"
             )
         self.state = UltState.RUNNING
-
-    def activate(self) -> Wakeable:
-        """Mark the ULT running and return the runner that will run it
-        (bound on first use); whoever holds the baton passes it with
-        ``wake()``."""
-        self._enter()
-        runner = self._runner
-        if runner is None:
-            runner = self._runner = self.backend.bind(self)
-        return runner
-
-    def step(self) -> None:
-        """One quantum of a stackless ULT, on the calling stack: resume
-        its generator until it yields the next reason or finishes.  Never
-        raises; the outcome is in ``state`` and what goes with it."""
-        self._enter()
+        if not self.stackless:
+            runner = self._runner
+            if runner is None:
+                self._back = Baton()
+                runner = self._runner = self.backend.bind(self)
+            runner.wake()
+            self._back.wait()
+            return
         try:
             gen = self.gen
             if gen is None:
@@ -171,43 +148,28 @@ class UserLevelThread:
             self.block_reason = reason
             self.state = UltState.BLOCKED
 
-    def _run_until_back(self, runner: Wakeable) -> None:
-        """Pass the baton to ``runner`` (this ULT's) and wait for it:
-        the ring with the calling thread as the only successor."""
-        back = Baton()
-        self.dispatcher = lambda: back
-        runner.wake()
-        back.wait()
-
     def switch_in(self) -> UltState:
-        """Hand the baton to this ULT; returns when it yields or finishes."""
-        self._run_until_back(self.activate())
+        """:meth:`step`, returning the state it left the ULT in."""
+        self.step()
         return self.state
 
     def kill(self) -> None:
-        """Force the ULT to unwind (used at abnormal shutdown).
+        """Force the ULT to unwind (used at abnormal shutdown): one more
+        :meth:`step`, in which the body gets :class:`UltKilled` where it
+        is suspended — raised by ``yield_`` or thrown in at the ``yield``.
 
-        The unwound ULT's pool worker is recycled; a ULT whose user code
-        swallowed :class:`UltKilled` keeps its worker, which
+        The unwound ULT's pool worker is recycled; a plain body that
+        swallowed the kill and yielded again keeps its worker, which
         :meth:`join_thread` surfaces through the orphan counter instead
-        of silently ignoring it.  A stepped generator gets the same
-        :class:`UltKilled` at its ``yield``; one that swallows it and
-        yields again is closed — there is no worker to wedge.
+        of silently ignoring it.  A generator that does so is closed —
+        there is no worker to wedge.
         """
         if self.state in (UltState.DONE, UltState.ERROR, UltState.NEW):
             return
         self._kill = True
-        if self._runner is not None:
-            # Returns only once the ULT has unwound (or yielded again, if
-            # user code swallowed UltKilled) — to this caller, not onward
-            # round whatever ring the ULT was in.  Leak detection happens
-            # in join_thread()/backend.reap so a wedged stack is reported
-            # exactly once.
-            self._run_until_back(self._runner)
-            return
-        if self.gen is not None:
+        if self._runner is not None or self.gen is not None:
             self.step()
-            if self.finished:
+            if self.finished or not self.stackless:
                 return
             try:
                 self.gen.close()
@@ -224,39 +186,27 @@ class UserLevelThread:
     # -- ULT side -----------------------------------------------------------------
 
     def yield_(self, reason: str = "yield") -> None:
-        """Suspend; returns when this ULT is given the baton again."""
+        """Suspend (plain targets; called on the runner's stack): hand
+        back to :meth:`step`'s caller, return at the next ``step()``."""
         self.block_reason = reason
         self.state = UltState.BLOCKED
-        runner = self._runner
-        assert runner is not None  # yield_ is called on the runner's stack
-        successor = self.dispatcher()
-        if successor is not runner:
-            successor.wake()
-            runner.wait()
+        self._back.wake()
+        self._runner.wait()
         if self._kill:
             raise UltKilled(self.name)
         self.block_reason = ""
 
     def _main(self) -> None:
-        """Body executed on the backing OS stack (worker-invoked).
+        """A plain target's body, executed on the backing OS stack
+        (worker-invoked; the worker wakes ``_back`` afterwards).
 
         The first wake has already been consumed by the pool worker
         before this runs.  Never raises: all outcomes are captured in
         ``state``/``result``/``exception`` for the scheduler.
         """
-        if self._kill:
-            self.state = UltState.ERROR
-            self.exception = UltKilled(self.name)
-            return
         try:
-            result = self.target(*self.args)
-            if self.stackless:
-                result = drive(self, result)
-            self.result = result
+            self.result = self.target(*self.args)
             self.state = UltState.DONE
-        except UltKilled as e:
-            self.state = UltState.ERROR
-            self.exception = e
         except BaseException as e:  # noqa: BLE001 - reported to the scheduler
             self.state = UltState.ERROR
             self.exception = e

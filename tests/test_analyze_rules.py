@@ -24,6 +24,7 @@ from repro.charm.node import JobLayout
 from repro.errors import DeadlockError
 from repro.program.source import Program
 from repro.sanitize.findings import Severity
+from repro.threads import PooledBackend
 
 
 class TestFixtures:
@@ -192,12 +193,15 @@ class TestEverySynchronisingEntryPoint:
                 == build_model(plain).summaries["main"].mpi)
 
     def test_runtime_agrees_on_generator_form_too(self, tmp_path):
+        pool = PooledBackend()
         job = AmpiJob(divergent_program(tmp_path, "comm_split",
                                         delegate="yield from "), 2,
-                      method="tlsglobals", layout=JobLayout.single(2))
+                      method="tlsglobals", layout=JobLayout.single(2),
+                      ult_backend=pool)
         with pytest.raises(DeadlockError, match="MPI_comm_split"):
             job.run()
-        assert job.scheduler.os_handoffs == 0
+        assert pool.binds == 0
+        pool.close()
 
 
 class TestTagMatching:

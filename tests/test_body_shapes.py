@@ -2,7 +2,7 @@
 
 A generator-form rank body is stepped on the ``JobScheduler.run``
 caller's stack; the same body behind a plain function
-(:func:`conftest.on_pool_threads`) rides the baton ring on pool threads.
+(:func:`conftest.on_pool_threads`) runs on a pool worker per rank.
 The differential holds the two to one simulated history — the
 transparency oracle applied to *how a body is run* — and the rest pins
 what each shape costs and how a forgotten ``yield from`` fails.
@@ -17,14 +17,11 @@ from repro.charm.node import JobLayout
 from repro.errors import MpiError
 from repro.harness.jobspec import JobSpec, build_job
 from repro.machine import TEST_MACHINE
-from repro.perf.counters import EV_CTX_SWITCH
 from repro.program.source import Program
 from repro.threads import PooledBackend, consume_orphan_count
 
 from conftest import run_job
-from test_sched_dispatch import crashing_jacobi, pingpong
-
-CRASH_AT = (61_100_000, 61_800_000)
+from test_sched_dispatch import CRASH_AT, crashing_jacobi, pingpong
 
 SPECS = {
     "startup": JobSpec(app="startup", nvp=8, method="pieglobals",
@@ -57,29 +54,24 @@ def pool():
 
 
 def history(spec, pool):
-    """(job, threads it left behind, everything it simulated): the
-    report carries makespan, exit values, counters, per-PE stats,
-    migrations, LB steps, rollbacks and crashes."""
+    """(threads it left behind, everything it simulated): the report
+    carries makespan, exit values, counters, per-PE stats, migrations,
+    LB steps, rollbacks and crashes."""
     threads = threading.active_count()
     job = build_job(spec, ult_backend=pool)
     report = job.run().to_dict()
-    return (job, threading.active_count() - threads,
+    return (threading.active_count() - threads,
             (job.scheduler.timeline, report))
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_same_history_on_either_stack(name, pool, request):
-    stepped_job, grew, stepped = history(SPECS[name], pool)
-    assert stepped_job.scheduler.os_handoffs == 0 and grew == 0
-    assert pool.binds == pool.created == 0
+    grew, stepped = history(SPECS[name], pool)
+    assert grew == 0 and pool.binds == pool.created == 0
 
     request.getfixturevalue("plain_bodies")     # from here on: the twin
-    ring_job, _, ring = history(SPECS[name], pool)
-    assert ring == stepped
-    report = ring[1]
-    quanta = report["counters"][EV_CTX_SWITCH]
-    handoffs = ring_job.scheduler.os_handoffs
-    assert quanta + 1 + len(report["crashes"]) >= handoffs > quanta // 2
+    _, pooled = history(SPECS[name], pool)
+    assert pooled == stepped
     assert pool.binds >= SPECS[name].nvp
 
 
@@ -151,7 +143,7 @@ class TestForgottenYieldFrom:
 
 
 class TestMixedShapes:
-    def test_plain_body_calls_a_generator_helper(self):
+    def test_plain_body_calls_a_generator_helper(self, pool):
         """``ctx.call`` of a generator function from plain code returns
         its result: the same driver as a blocking MPI call."""
         def main(ctx):
@@ -162,6 +154,6 @@ class TestMixedShapes:
 
         job = AmpiJob(generator_program(main, irecv_then_wait), 2,
                       machine=TEST_MACHINE, layout=JobLayout(1, 1, 2),
-                      slot_size=1 << 24)
+                      slot_size=1 << 24, ult_backend=pool)
         assert job.run().exit_values == {0: "x", 1: None}
-        assert job.scheduler.os_handoffs > 0
+        assert pool.binds == 2

@@ -1,12 +1,10 @@
-"""Who runs ``JobScheduler.run``'s loop: the caller, or the baton ring.
-
-Plain-function bodies ride the ring: a quantum costs one OS-thread
-handoff (none when a rank succeeds itself), fault-injected jobs
-included; the loop body runs on the stack of the ULT whose quantum just
-ended, and everything that can unwind a stack — a fault's rollback too —
-still happens on the ``run()`` caller's.  The in-tree apps are written in
-generator form, so the ring tests run their ``plain_bodies`` twins.  A
-generator job never leaves the caller's stack: no handoff, no worker.
+"""``JobScheduler.run``'s loop runs on its caller's thread, whatever the
+bodies: a quantum is one ``step()`` — a generator body resumed right
+there (no worker, no OS thread), a plain body woken on its pool worker
+while the caller waits.  So every hook of the loop fires on the caller's
+thread with all ranks parked, and what a hook raises surfaces from
+``run()``, never inside user code.  The in-tree apps are written in
+generator form; their ``plain_bodies`` twins are the plain case.
 Every test runs on a private worker pool.
 """
 
@@ -18,13 +16,12 @@ from repro.charm.node import JobLayout
 from repro.errors import DeadlockError
 from repro.ft import FaultPlan, NodeCrash
 from repro.harness.jobspec import JobSpec, build_job
-from repro.perf.counters import EV_CTX_SWITCH
 from repro.threads import (
     PooledBackend,
     consume_orphan_count,
     orphan_count,
 )
-from repro.threads.ult import UltKilled, drive
+from repro.threads.ult import UltKilled, UltState, drive
 from test_charm_scheduler import make_ranks
 
 
@@ -58,6 +55,10 @@ def pingpong(nvp, **kw):
                    slot_size=1 << 26, **kw)
 
 
+#: both land mid-run (see :func:`crashing_jacobi`)
+CRASH_AT = (61_100_000, 61_800_000)
+
+
 def crashing_jacobi(iters, crash_at, recovery="global"):
     """8 ranks on 4 nodes; ``crash_at[i]`` kills node 2, then node 0.
     Start-up ends at ~61.07 ms, the fault-free 12-iteration job at
@@ -79,68 +80,57 @@ def run_spec(spec, backend):
     return job.scheduler
 
 
+def done_generator():
+    """A generator body that finishes in its first quantum."""
+    return
+    yield
+
+
 def block(sched, reason):
     """A plain body blocking: the driver parks its ULT at the reason."""
     drive(sched.current.ult, sched.block_current(reason))
 
 
-#: the test runs the in-tree apps' plain twins, on the baton ring
-on_the_ring = pytest.mark.usefixtures("plain_bodies")
-
-
 class TestHandoffCount:
-    @on_the_ring
-    def test_one_handoff_per_quantum(self, backend):
-        """64 ranks x 200 yields on one PE: every quantum hands the baton
-        to a different rank, plus one hop into and one out of the ring
-        (the first quantum's is the hop in)."""
-        first = run_spec(pingpong(64), backend)
-        quanta = len(first.timeline)
-        assert quanta == 64 * 201
-        assert first.os_handoffs == quanta + 1
-        again = run_spec(pingpong(64), backend)
-        assert again.os_handoffs == first.os_handoffs
-        assert again.timeline == first.timeline
-
-    @on_the_ring
-    def test_rank_that_succeeds_itself_pays_nothing(self, backend):
-        sched = run_spec(pingpong(1), backend)
-        assert len(sched.timeline) == 201
-        assert sched.os_handoffs == 2       # into the ring and out of it
-
-    @on_the_ring
-    def test_fault_checked_job_rides_the_ring(self, backend):
-        """A node-crash plan does not take the job off the ring: while
-        no crash is due, every loop step runs on a ULT's stack."""
-        sched = run_spec(crashing_jacobi(iters=4, crash_at=(10**12,)),
-                         backend)
-        assert sched.fault_check is not None
-        quanta = sched.counters.snapshot()[EV_CTX_SWITCH]
-        assert quanta > 8
-        assert sched.os_handoffs == quanta + 1
-
     def test_generator_job_pays_no_handoff(self, backend):
-        """The same 64 x 200 pingpong in the form it is written in:
-        stepped on this thread from start to end."""
+        """64 ranks x 200 yields on one PE, in the form the app is
+        written in: stepped on this thread from start to end."""
         threads = threading.active_count()
         sched = run_spec(pingpong(64), backend)
         assert len(sched.timeline) == 64 * 201
-        assert sched.os_handoffs == 0
         assert backend.created == backend.binds == 0
         assert threading.active_count() == threads
+
+    def test_each_rank_runs_its_own_shapes_way(self, backend):
+        """One generator body and one plain body in one job: only the
+        plain one takes a worker."""
+        ran_on = {}
+
+        def stepped():
+            ran_on["generator"] = threading.get_ident()
+            yield from sched.yield_current(ranks[0].clock.now)
+            return "g"
+
+        def pooled():
+            ran_on["plain"] = threading.get_ident()
+            drive(ranks[1].ult, sched.yield_current(ranks[1].clock.now))
+            return "p"
+
+        sched, ranks = make_sched(backend, [stepped, pooled])
+        sched.run()
+        assert [r.exit_value for r in ranks] == ["g", "p"]
+        assert len(sched.timeline) == 4
+        assert ran_on["generator"] == threading.get_ident() != ran_on["plain"]
+        assert backend.binds == 1 and all_workers_idle(backend)
 
 
 @pytest.mark.parametrize("recovery", ["global", "local"])
 class TestFaultsFireOnTheCaller:
-    """Two crashes land mid-run.  A rollback unwinds stacks, so the ULT
-    that finds one due hands the baton back and ``run()``'s caller fires
-    it; the respawned ranks then ride the ring like the first ones.  A
-    generator job's caller is already the one running the loop."""
-
-    CRASH_AT = (61_100_000, 61_800_000)
+    """Two crashes land mid-run and ``run()``'s caller fires both: it is
+    the one running the loop, and the ranks a rollback kills are parked."""
 
     def _run(self, backend, recovery):
-        job = build_job(crashing_jacobi(12, self.CRASH_AT, recovery),
+        job = build_job(crashing_jacobi(12, CRASH_AT, recovery),
                         ult_backend=backend)
         job.start()
         sched = job.scheduler
@@ -149,8 +139,7 @@ class TestFaultsFireOnTheCaller:
         def recording_poll(at_ns):
             hit = poll(at_ns)
             if hit:
-                fired.append((threading.get_ident(), len(sched.timeline),
-                              sched.os_handoffs))
+                fired.append((threading.get_ident(), len(sched.timeline)))
             return hit
 
         sched.fault_check = recording_poll
@@ -165,36 +154,13 @@ class TestFaultsFireOnTheCaller:
         sched = job.scheduler
         assert result.recoveries == 2 and len(fired) == 2
         assert all(r.finished for r in sched.ranks())
-        assert {ident for ident, _, _ in fired} == {threading.get_ident()}
-        assert all(quanta_so_far > 0 for _, quanta_so_far, _ in fired)
-        assert sched.os_handoffs == 0 and backend.binds == 0
+        assert {ident for ident, _ in fired} == {threading.get_ident()}
+        assert all(quanta_so_far > 0 for _, quanta_so_far in fired)
+        assert backend.binds == 0
         assert sched.orphaned == 0 and orphan_count() == 0
         assert threading.active_count() == threads
 
-    @on_the_ring
-    def test_handed_back_fired_and_recovered(self, backend, recovery):
-        job, result, fired = self._run(backend, recovery)
-        sched = job.scheduler
-        assert result.recoveries == 2 and len(fired) == 2
-        assert all(r.finished for r in sched.ranks())
-        assert {ident for ident, _, _ in fired} == {threading.get_ident()}
-        # Both were handed back by a ULT mid-ring: quanta had run, and at
-        # the firing every one of them had cost one pass (the last one's
-        # being the pass back to the caller) on top of the hop in and one
-        # restart of the ring per earlier firing.
-        for nth, (_, quanta_so_far, handoffs) in enumerate(fired):
-            assert quanta_so_far > 0
-            assert handoffs == quanta_so_far + 1 + nth
-        # A hand-back is two passes (ULT -> caller -> ULT) where the
-        # uninterrupted ring pays one; the respawned generation is back
-        # to one pass per quantum.
-        quanta = len(sched.timeline)
-        assert quanta > fired[-1][1] + 8
-        assert sched.os_handoffs == quanta + 1 + len(fired)
-        assert sched.orphaned == 0 and orphan_count() == 0
-        assert all_workers_idle(backend)
-
-    @on_the_ring
+    @pytest.mark.usefixtures("plain_bodies")
     def test_timeline_independent_of_pool_state(self, backend, recovery):
         def history(pool):
             job, result, _ = self._run(pool, recovery)
@@ -271,67 +237,86 @@ class TestFailuresSurfaceOnTheCaller:
                 except UltKilled:
                     pass
 
-        def done():
-            return
-            yield
-
-        sched, ranks = make_sched(backend, [stubborn, done])
+        sched, ranks = make_sched(backend, [stubborn, done_generator])
         with pytest.raises(DeadlockError, match=r"vp 0 \(stuck\)"):
             sched.run()
         assert isinstance(ranks[0].ult.exception, UltKilled)
         assert all(r.ult.finished for r in ranks)
         assert sched.orphaned == 0 and orphan_count() == 0
-        assert sched.os_handoffs == 0 and backend.binds == 0
+        assert backend.binds == 0
 
-    def test_timer_error_never_reaches_user_code(self, backend):
-        caller = threading.current_thread()
-        fired_on = []
-        seen_by_user = []
 
-        def timer():
-            fired_on.append(threading.current_thread())
-            raise RuntimeError("timer boom")
+#: scheduler-level hooks: which call of each is the first that finds a
+#: rank suspended mid-body
+RAISES_AT = {"timer": 1, "on_rank_done": 1, "on_quantum": 2}
 
-        def body():
-            try:
-                # the timer is due before this rank's next quantum, so it
-                # fires from this rank's own yield, on this stack
-                drive(ranks[0].ult,
-                      sched.yield_current(ranks[0].clock.now + 1000))
-            except BaseException as e:
-                seen_by_user.append(e)
-                raise
 
-        sched, ranks = make_sched(backend, [body])
-        sched.add_timer(500, timer)
-        with pytest.raises(RuntimeError, match="timer boom"):
-            sched.run()
-        assert fired_on and fired_on[0] is not caller
-        # user code saw only the forced unwind of shutdown()
-        assert [type(e) for e in seen_by_user] == [UltKilled]
-        assert all_workers_idle(backend)
+@pytest.mark.parametrize(
+    "hook", ["fault_check-global", "fault_check-local", *RAISES_AT])
+@pytest.mark.parametrize("shape", ["generator", "plain"])
+def test_hook_fires_on_the_run_caller(backend, shape, hook, request):
+    """And what it raises surfaces from ``run()``; user code sees only
+    the forced unwind of the shutdown that follows."""
+    called_on = []
+    seen_by_user = []
 
-    def test_on_rank_done_error_raised_from_run(self, backend):
-        caller = threading.current_thread()
-        called_on = []
-        seen_by_user = []
+    def boom(*_):
+        called_on.append(threading.get_ident())
+        if len(called_on) == raises_at:
+            raise RuntimeError("hook boom")
 
-        def on_rank_done(rank):
-            called_on.append(threading.current_thread())
-            raise RuntimeError(f"hook boom vp{rank.vp}")
+    def waits_plain():
+        try:
+            block(sched, "waiting")
+        except BaseException as e:
+            seen_by_user.append(e)
+            raise
 
-        def waits():
-            try:
-                block(sched, "waiting")
-            except BaseException as e:
-                seen_by_user.append(e)
-                raise
+    def waits_generator():
+        try:
+            yield from sched.block_current("waiting")
+        except BaseException as e:
+            seen_by_user.append(e)
+            raise
 
-        sched, ranks = make_sched(backend, [waits, lambda: None])
-        sched.on_rank_done = on_rank_done
-        with pytest.raises(RuntimeError, match="hook boom vp1"):
-            sched.run()
-        assert called_on and called_on[0] is not caller
-        assert [type(e) for e in seen_by_user] == [UltKilled]
-        assert sched.orphaned == 0
-        assert all_workers_idle(backend)
+    if hook in RAISES_AT:
+        raises_at = RAISES_AT[hook]
+        sched, _ = make_sched(backend, {
+            "generator": [waits_generator, done_generator],
+            "plain": [waits_plain, lambda: None]}[shape])
+        if hook == "timer":
+            sched.add_timer(5, boom)
+        else:
+            setattr(sched, hook, boom)
+        run = sched.run
+    else:
+        # a real job: the second crash fires among respawned ranks
+        if shape == "plain":
+            request.getfixturevalue("plain_bodies")
+        job = build_job(crashing_jacobi(12, CRASH_AT,
+                                        hook.split("-")[1]),
+                        ult_backend=backend)
+        job.start()
+        sched, run, raises_at = job.scheduler, job.run, 2
+        poll = sched.fault_check
+
+        def fires(at_ns):
+            hit = poll(at_ns)
+            if hit:
+                boom()
+            return hit
+
+        sched.fault_check = fires
+
+    with pytest.raises(RuntimeError, match="hook boom"):
+        run()
+    assert called_on == [threading.get_ident()] * raises_at
+    assert [type(e) for e in seen_by_user] == (
+        [UltKilled] if hook in RAISES_AT else [])
+    assert all(r.ult.state is UltState.DONE
+               or isinstance(r.ult.exception, UltKilled)
+               for r in sched.ranks())
+    assert sched.orphaned == 0 and orphan_count() == 0
+    assert all_workers_idle(backend)
+    if shape == "generator":
+        assert backend.binds == 0

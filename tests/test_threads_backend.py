@@ -23,7 +23,6 @@ from repro.threads import (
     get_backend,
     orphan_count,
 )
-from repro.threads.backend import Baton
 from repro.threads.ult import UltKilled, UltState, UserLevelThread
 from conftest import on_pool_threads
 from test_sched_dispatch import pingpong
@@ -242,19 +241,17 @@ class TestOrphanSurfacing:
         pool.close()
 
     def test_swallowed_kill_comes_back_through_the_killers_baton(self):
-        """A killed ULT is taken out of whatever ring it was in: when it
-        swallows the kill and yields again, that yield asks a dispatcher
-        naming the killer's baton — never ``None``, never the ring's."""
+        """A ULT that swallows the kill and yields again ends that
+        quantum like any other — by waking whoever stepped it — so
+        ``kill()`` returns to the killer, every time it is tried."""
         pool = PooledBackend()
-        ring, asked = Baton(), []
         u = UserLevelThread("wedge", stubborn_body, backend=pool)
         u.args = (u,)
         u.start()
         u.switch_in()
-        u.dispatcher = lambda: asked.append(u) or ring  # a scheduler's
-        u.kill()                            # returns: not parked on `ring`
-        assert not asked and not u.finished
-        assert isinstance(u.dispatcher(), Baton) and u.dispatcher() is not ring
+        u.kill()
+        u.kill()                            # both returned: not parked
+        assert u.state is UltState.BLOCKED and u.block_reason == "stuck"
         with pytest.warns(ResourceWarning, match="did not terminate"):
             assert u.join_thread() is True
         assert u.join_thread() is False

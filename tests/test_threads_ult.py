@@ -1,11 +1,12 @@
-"""Tests for user-level threads: plain targets passing a baton between
-pool stacks, generator targets stepped on the caller's."""
+"""Tests for user-level threads: one ``step()`` per quantum — plain
+targets on a pool stack, generator targets on the caller's."""
 
 import threading
 
 import pytest
 
 from repro.errors import ReproError
+from repro.threads import PooledBackend
 from repro.threads.ult import UltKilled, UltState, UserLevelThread
 
 
@@ -183,7 +184,7 @@ class TestGeneratorTarget:
         with pytest.raises(ReproError):
             ult.step()
 
-    def test_switch_in_drives_it_on_a_pool_stack(self):
+    def test_switch_in_steps_it_on_the_callers_stack(self):
         ran_on = []
 
         def body():
@@ -191,11 +192,15 @@ class TestGeneratorTarget:
             yield "once"
             return "done"
 
-        ult = self.make(body)
+        pool = PooledBackend()
+        ult = UserLevelThread("g", body, backend=pool)
+        ult.start()
         assert ult.switch_in() is UltState.BLOCKED
         assert ult.block_reason == "once"
         assert ult.switch_in() is UltState.DONE and ult.result == "done"
-        assert ran_on != [threading.get_ident()]
+        assert ran_on == [threading.get_ident()]
+        assert pool.binds == 0
+        pool.close()
 
     def test_exception_captured(self):
         def boom():
