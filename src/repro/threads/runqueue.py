@@ -12,20 +12,30 @@ The queue is two-level: a per-PE min-heap of ``(ready_time, seq, ult)``
 plus one global min-heap over PEs keyed by each PE's effective start
 (``max(pe busy_until, its earliest ready time)``).  Since every rank on
 a PE shares the same ``busy_until``, a PE getting busier invalidates
-exactly one global entry instead of every queued entry of that PE — the
-single-heap predecessor re-pushed the whole resident set each quantum,
-which at 64 ranks/PE meant ~45 stale heap operations per pop.  Both
-levels are lazy: stale entries (superseded wake times, migrated ranks,
-outdated PE keys) are dropped or re-routed at pop time.
+exactly one global entry instead of every queued entry of that PE.  Both
+levels are lazy: stale entries (superseded wake times, discarded or
+migrated ranks, outdated PE keys) are dropped or re-routed at pop time.
+
+The tie-break is behaviour.  A global entry is ``(effective start,
+version, PE)`` with the version drawn from one sequence, so among PEs
+with equal effective start the PE re-keyed earliest runs first.  Every
+push, commit, stale refresh and migration reroute re-keys its PE — even
+when the key's value does not change — and changing when a re-key
+happens changes timelines.  The hot paths re-key inline from a bucket
+top they have checked is live on its PE; ``_clean_top``/``_repost`` are
+only the slow path for superseded, discarded and migrated entries.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from typing import Callable, Iterable
+from heapq import heappop, heappush
+from typing import Callable
 
 from repro.threads.ult import UserLevelThread
+
+#: a bucket entry: (ready time, sequence number, ULT)
+_Entry = tuple[int, int, UserLevelThread]
 
 
 class RunQueue:
@@ -49,13 +59,12 @@ class RunQueue:
         #: authoritative ready time per queued ULT (tid -> time); a ULT not
         #: present here is not ready, whatever stale heap entries say.
         self._ready_time: dict[int, int] = {}
-        self._ults: dict[int, UserLevelThread] = {}
-        #: bucket key -> heap of (ready_time, seq, ult)
-        self._buckets: dict = {}
+        #: bucket key -> heap of entries; never left empty
+        self._buckets: dict[object, list[_Entry]] = {}
         #: heap of (effective_start, version, key); one *live* entry per
         #: non-empty bucket, identified by ``_bucket_ver[key]``
         self._global: list[tuple[int, int, object]] = []
-        self._bucket_ver: dict = {}
+        self._bucket_ver: dict[object, int] = {}
 
     def __len__(self) -> int:
         return len(self._ready_time)
@@ -63,47 +72,58 @@ class RunQueue:
     def __contains__(self, ult: UserLevelThread) -> bool:
         return ult.tid in self._ready_time
 
-    def _key_of(self, ult: UserLevelThread):
-        return self._pe_of(ult) if self._pe_of is not None else ult.tid
-
     def push(self, ult: UserLevelThread, ready_time: int) -> None:
         """Mark ``ult`` ready at ``ready_time`` (idempotent; earliest wins)."""
-        prev = self._ready_time.get(ult.tid)
+        ready_times = self._ready_time
+        prev = ready_times.get(ult.tid)
         if prev is not None and prev <= ready_time:
             return
-        self._ready_time[ult.tid] = ready_time
-        self._ults[ult.tid] = ult
-        key = self._key_of(ult)
+        ready_times[ult.tid] = ready_time
+        pe_of = self._pe_of
+        key = ult.tid if pe_of is None else pe_of(ult)
         bucket = self._buckets.get(key)
         if bucket is None:
             bucket = self._buckets[key] = []
-        heapq.heappush(bucket, (ready_time, next(self._seq), ult))
-        self._repost(key)
+        entry = (ready_time, next(self._seq), ult)
+        heappush(bucket, entry)
+        ready, _, top = bucket[0]
+        # Re-key from the new entry or from an older top still live on
+        # this PE; any other top needs the cleanup first.
+        if bucket[0] is not entry and (
+                ready_times.get(top.tid) != ready
+                or (pe_of is not None and pe_of(top) != key)):
+            self._repost(key)
+            return
+        eff = self._pe_busy_until(top)
+        if ready > eff:
+            eff = ready
+        ver = next(self._seq)
+        self._bucket_ver[key] = ver
+        heappush(self._global, (eff, ver, key))
 
-    # -- bucket maintenance ------------------------------------------------------
+    # -- the slow path -----------------------------------------------------------
 
-    def _clean_top(self, key):
+    def _clean_top(self, key: object) -> _Entry | None:
         """Drop stale entries off bucket ``key``'s top; return the live
         top ``(ready, seq, ult)`` or None if the bucket emptied."""
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return None
+        bucket = self._buckets[key]
         ready_times = self._ready_time
+        pe_of = self._pe_of
         while bucket:
             top = bucket[0]
             ready, _, ult = top
             current = ready_times.get(ult.tid)
             if current is None or current != ready:
-                heapq.heappop(bucket)      # popped or re-pushed earlier
+                heappop(bucket)  # popped or re-pushed earlier
                 continue
-            actual_key = self._key_of(ult)
+            actual_key = ult.tid if pe_of is None else pe_of(ult)
             if actual_key != key:
                 # Rank migrated while queued: route to its current PE.
-                heapq.heappop(bucket)
+                heappop(bucket)
                 nb = self._buckets.get(actual_key)
                 if nb is None:
                     nb = self._buckets[actual_key] = []
-                heapq.heappush(nb, top)
+                heappush(nb, top)
                 self._repost(actual_key)
                 continue
             return top
@@ -111,7 +131,7 @@ class RunQueue:
         self._bucket_ver.pop(key, None)
         return None
 
-    def _repost(self, key) -> None:
+    def _repost(self, key: object) -> None:
         """Refresh bucket ``key``'s single live entry in the global heap."""
         top = self._clean_top(key)
         if top is None:
@@ -122,7 +142,7 @@ class RunQueue:
             eff = ready
         ver = next(self._seq)
         self._bucket_ver[key] = ver
-        heapq.heappush(self._global, (eff, ver, key))
+        heappush(self._global, (eff, ver, key))
 
     # -- consuming ---------------------------------------------------------------
 
@@ -130,53 +150,54 @@ class RunQueue:
         """Remove and return (ULT, ready_time) with the smallest effective
         start, or None when empty."""
         g = self._global
+        ready_times = self._ready_time
+        pe_of = self._pe_of
         while g:
             eff, ver, key = g[0]
             if self._bucket_ver.get(key) != ver:
-                heapq.heappop(g)           # superseded by a newer repost
+                heappop(g)  # superseded by a newer re-key
                 continue
-            top = self._clean_top(key)
-            if top is None:
-                heapq.heappop(g)
-                continue
-            ready, _, ult = top
+            bucket = self._buckets[key]
+            ready, _, ult = bucket[0]
+            if ready_times.get(ult.tid) != ready or (
+                    pe_of is not None and pe_of(ult) != key):
+                # A superseded, discarded or migrated top.
+                top = self._clean_top(key)
+                if top is None:
+                    heappop(g)
+                    continue
+                ready, _, ult = top
             true_eff = self._pe_busy_until(ult)
             if ready > true_eff:
                 true_eff = ready
+            heappop(g)
             if true_eff > eff:
-                # PE got busier since this entry was posted; refresh.
-                heapq.heappop(g)
+                # PE got busier since this entry was posted: re-key it.  Its
+                # version is the newest, so unless another entry starts no
+                # later it would be the next one popped: commit it unpushed.
+                ver = next(self._seq)
+                self._bucket_ver[key] = ver
+                if g and g[0][0] <= true_eff:
+                    heappush(g, (true_eff, ver, key))
+                    continue
+            heappop(bucket)
+            del ready_times[ult.tid]
+            if not bucket:
+                del self._buckets[key]
+                self._bucket_ver.pop(key, None)
+                return ult, ready
+            nready, _, top_ult = bucket[0]
+            if ready_times.get(top_ult.tid) != nready or (
+                    pe_of is not None and pe_of(top_ult) != key):
                 self._repost(key)
-                continue
-            heapq.heappop(g)
-            heapq.heappop(self._buckets[key])
-            del self._ready_time[ult.tid]
-            del self._ults[ult.tid]
-            self._repost(key)
+                return ult, ready
+            eff = self._pe_busy_until(top_ult)
+            if nready > eff:
+                eff = nready
+            ver = next(self._seq)
+            self._bucket_ver[key] = ver
+            heappush(g, (eff, ver, key))
             return ult, ready
-        return None
-
-    def peek_effective(self) -> int | None:
-        """Smallest effective start currently queued (None when empty)."""
-        g = self._global
-        while g:
-            eff, ver, key = g[0]
-            if self._bucket_ver.get(key) != ver:
-                heapq.heappop(g)
-                continue
-            top = self._clean_top(key)
-            if top is None:
-                heapq.heappop(g)
-                continue
-            ready, _, ult = top
-            true_eff = self._pe_busy_until(ult)
-            if ready > true_eff:
-                true_eff = ready
-            if true_eff > eff:
-                heapq.heappop(g)
-                self._repost(key)
-                continue
-            return eff
         return None
 
     def discard(self, ult: UserLevelThread) -> None:
@@ -188,14 +209,15 @@ class RunQueue:
         queues stay intact.
         """
         self._ready_time.pop(ult.tid, None)
-        self._ults.pop(ult.tid, None)
 
-    def drain(self) -> Iterable[UserLevelThread]:
-        """Remove and yield everything (shutdown / fault rollback)."""
-        out = list(self._ults.values())
-        self._ready_time.clear()
-        self._ults.clear()
+    def drain(self) -> list[UserLevelThread]:
+        """Remove and return every queued ULT, in bucket order (shutdown /
+        fault rollback)."""
+        ready_times = self._ready_time
+        live = {ult.tid: ult for bucket in self._buckets.values()
+                for ready, _, ult in bucket if ready_times.get(ult.tid) == ready}
+        ready_times.clear()
         self._buckets.clear()
         self._global.clear()
         self._bucket_ver.clear()
-        return out
+        return list(live.values())

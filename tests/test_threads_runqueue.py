@@ -1,9 +1,15 @@
 """Tests for the discrete-event run queue."""
 
-from hypothesis import given, settings, strategies as st
+import heapq
+import itertools
+from typing import Callable, Iterable
 
+from hypothesis import Phase, find, given, settings, strategies as st
+
+from repro.harness.jobspec import JobSpec, build_job
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UserLevelThread
+from test_sched_dispatch import pingpong
 
 
 class FakePe:
@@ -69,13 +75,6 @@ class TestOrdering:
         q.pop()
         assert len(q) == 0
 
-    def test_peek_effective(self):
-        q, (a, _, _), pes = make()
-        assert q.peek_effective() is None
-        pes[a.tid].busy_until = 40
-        q.push(a, 10)
-        assert q.peek_effective() == 40
-
     def test_drain(self):
         q, (a, b, _), _ = make()
         q.push(a, 1)
@@ -116,22 +115,6 @@ class TestProperties:
 class TestStalePaths:
     """Lazy-invalidation branches of the two-level queue."""
 
-    def test_peek_effective_reposts_when_pe_got_busier(self):
-        q, (a, _, _), pes = make()
-        q.push(a, 10)
-        pes[a.tid].busy_until = 500   # PE got busy after the push
-        assert q.peek_effective() == 500
-        ult, ready = q.pop()
-        assert ult is a and ready == 10
-
-    def test_peek_effective_skips_superseded_wake(self):
-        q, (a, b, _), _ = make()
-        q.push(a, 50)
-        q.push(a, 20)   # supersedes; the 50-entry is now stale
-        q.push(b, 30)
-        assert q.peek_effective() == 20
-        assert q.pop()[0] is a
-
     def test_drain_during_in_flight_pops(self):
         q, (a, b, c), _ = make()
         for u, t in ((a, 10), (b, 20), (c, 30)):
@@ -143,7 +126,7 @@ class TestStalePaths:
         # the queue stays usable after a drain (fault rollback reuses it)
         q.push(b, 5)
         assert q.pop() == (b, 5)
-        assert q.peek_effective() is None
+        assert q.pop() is None and len(q) == 0
 
     def test_contains_tracks_pop_and_drain(self):
         q, (a, b, _), _ = make()
@@ -174,14 +157,329 @@ class TestStalePaths:
         assert q.pop() == (a, 10)       # a pops with effective start 1000
         assert q.pop() is None
 
-    def test_migrated_ult_found_by_peek(self):
-        pes = {"p0": FakePe(), "p1": FakePe(busy=300)}
-        where = {}
-        a = UserLevelThread("mc", lambda: 0)
-        where[a.tid] = "p0"
-        q = RunQueue(lambda u: pes[where[u.tid]].busy_until,
-                     pe_of=lambda u: where[u.tid])
-        q.push(a, 10)
-        where[a.tid] = "p1"
-        assert q.peek_effective() == 300
-        assert q.pop() == (a, 10)
+
+# -- the reference -----------------------------------------------------------------
+
+
+class ReferenceRunQueue:
+    """The two-level lazy queue as it was before its hot paths re-keyed
+    inline: every re-key goes through ``_repost`` → ``_clean_top``.  Kept
+    verbatim as the oracle, less a peek method that had no caller; the
+    tie order among PEs is behaviour, so ``RunQueue`` must agree with it
+    on every pop, not just on effective starts."""
+
+    def __init__(
+        self,
+        pe_busy_until: Callable[[UserLevelThread], int],
+        pe_of: Callable[[UserLevelThread], object] | None = None,
+    ):
+        self._pe_busy_until = pe_busy_until
+        self._pe_of = pe_of
+        self._seq = itertools.count()
+        #: authoritative ready time per queued ULT (tid -> time); a ULT not
+        #: present here is not ready, whatever stale heap entries say.
+        self._ready_time: dict[int, int] = {}
+        self._ults: dict[int, UserLevelThread] = {}
+        #: bucket key -> heap of (ready_time, seq, ult)
+        self._buckets: dict = {}
+        #: heap of (effective_start, version, key); one *live* entry per
+        #: non-empty bucket, identified by ``_bucket_ver[key]``
+        self._global: list[tuple[int, int, object]] = []
+        self._bucket_ver: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._ready_time)
+
+    def __contains__(self, ult: UserLevelThread) -> bool:
+        return ult.tid in self._ready_time
+
+    def _key_of(self, ult: UserLevelThread):
+        return self._pe_of(ult) if self._pe_of is not None else ult.tid
+
+    def push(self, ult: UserLevelThread, ready_time: int) -> None:
+        """Mark ``ult`` ready at ``ready_time`` (idempotent; earliest wins)."""
+        prev = self._ready_time.get(ult.tid)
+        if prev is not None and prev <= ready_time:
+            return
+        self._ready_time[ult.tid] = ready_time
+        self._ults[ult.tid] = ult
+        key = self._key_of(ult)
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            bucket = self._buckets[key] = []
+        heapq.heappush(bucket, (ready_time, next(self._seq), ult))
+        self._repost(key)
+
+    # -- bucket maintenance ------------------------------------------------------
+
+    def _clean_top(self, key):
+        """Drop stale entries off bucket ``key``'s top; return the live
+        top ``(ready, seq, ult)`` or None if the bucket emptied."""
+        bucket = self._buckets.get(key)
+        if bucket is None:
+            return None
+        ready_times = self._ready_time
+        while bucket:
+            top = bucket[0]
+            ready, _, ult = top
+            current = ready_times.get(ult.tid)
+            if current is None or current != ready:
+                heapq.heappop(bucket)      # popped or re-pushed earlier
+                continue
+            actual_key = self._key_of(ult)
+            if actual_key != key:
+                # Rank migrated while queued: route to its current PE.
+                heapq.heappop(bucket)
+                nb = self._buckets.get(actual_key)
+                if nb is None:
+                    nb = self._buckets[actual_key] = []
+                heapq.heappush(nb, top)
+                self._repost(actual_key)
+                continue
+            return top
+        del self._buckets[key]
+        self._bucket_ver.pop(key, None)
+        return None
+
+    def _repost(self, key) -> None:
+        """Refresh bucket ``key``'s single live entry in the global heap."""
+        top = self._clean_top(key)
+        if top is None:
+            return
+        ready, _, ult = top
+        eff = self._pe_busy_until(ult)
+        if ready > eff:
+            eff = ready
+        ver = next(self._seq)
+        self._bucket_ver[key] = ver
+        heapq.heappush(self._global, (eff, ver, key))
+
+    # -- consuming ---------------------------------------------------------------
+
+    def pop(self) -> tuple[UserLevelThread, int] | None:
+        """Remove and return (ULT, ready_time) with the smallest effective
+        start, or None when empty."""
+        g = self._global
+        while g:
+            eff, ver, key = g[0]
+            if self._bucket_ver.get(key) != ver:
+                heapq.heappop(g)           # superseded by a newer repost
+                continue
+            top = self._clean_top(key)
+            if top is None:
+                heapq.heappop(g)
+                continue
+            ready, _, ult = top
+            true_eff = self._pe_busy_until(ult)
+            if ready > true_eff:
+                true_eff = ready
+            if true_eff > eff:
+                # PE got busier since this entry was posted; refresh.
+                heapq.heappop(g)
+                self._repost(key)
+                continue
+            heapq.heappop(g)
+            heapq.heappop(self._buckets[key])
+            del self._ready_time[ult.tid]
+            del self._ults[ult.tid]
+            self._repost(key)
+            return ult, ready
+        return None
+
+    def discard(self, ult: UserLevelThread) -> None:
+        """Forget ``ult`` if queued (no-op otherwise).
+
+        Heap entries are left behind and dropped lazily at pop time, the
+        same way superseded wake times are.  Local fault recovery uses
+        this to retract exactly the dead ranks' quanta while survivors'
+        queues stay intact.
+        """
+        self._ready_time.pop(ult.tid, None)
+        self._ults.pop(ult.tid, None)
+
+    def drain(self) -> Iterable[UserLevelThread]:
+        """Remove and yield everything (shutdown / fault rollback)."""
+        out = list(self._ults.values())
+        self._ready_time.clear()
+        self._ults.clear()
+        self._buckets.clear()
+        self._global.clear()
+        self._bucket_ver.clear()
+        return out
+
+
+class SkipUnchangedTopRekey(RunQueue):
+    """The mutant: ``push`` leaves the PE's global entry as it was when the
+    bucket's top did not change (restoring the old version supersedes the
+    new entry), instead of re-keying the PE as every push must."""
+
+    def push(self, ult, ready_time):
+        key = self._pe_of(ult) if self._pe_of is not None else ult.tid
+        bucket = self._buckets.get(key)
+        top = bucket[0] if bucket else None
+        ver = self._bucket_ver.get(key)
+        super().push(ult, ready_time)
+        if top is not None and ver is not None and bucket and bucket[0] is top:
+            self._bucket_ver[key] = ver
+
+
+#: operation kinds, weighted: pops and pushes dominate, as in a job
+KINDS = ("push",) * 6 + ("pop",) * 6 + ("busy", "discard", "migrate", "drain")
+
+
+@st.composite
+def scenarios(draw):
+    """(PE of each ULT, bucketed?, operations) on 1–6 PEs.  Ready times
+    and every business increment are 0 or 10 ns, so equal effective
+    starts — ties — are the common case.  The operations come from a
+    Random that hypothesis controls (and shrinks): its list strategies
+    favour runs of one operation, and a tie needs interleavings."""
+    rng = draw(st.randoms(use_true_random=False))
+    npes, nults = rng.randint(1, 6), rng.randint(1, 8)
+    ops: list[tuple] = []
+    for _ in range(rng.randint(8, 60)):
+        kind = rng.choice(KINDS)
+        if kind == "push":
+            ops.append((kind, rng.randrange(nults), rng.choice((0, 10))))
+        elif kind == "pop":
+            ops.append((kind, rng.choice((0, 10)), rng.random() < 0.8))
+        elif kind == "busy":
+            ops.append((kind, rng.randrange(npes), 10))
+        elif kind == "discard":
+            ops.append((kind, rng.randrange(nults)))
+        elif kind == "migrate":
+            ops.append((kind, rng.randrange(nults), rng.randrange(npes)))
+        else:
+            ops.append((kind,))
+    return ([rng.randrange(npes) for _ in range(nults)],
+            rng.random() < 0.5, ops)
+
+
+def replay(queue_cls, scenario):
+    """Run ``scenario`` on a fresh ``queue_cls``; return every result of
+    ``pop``, ``drain``, ``len`` and ``in``, ULTs as their indices.
+
+    ``("pop", run_ns, requeue)`` is a quantum: its PE's ``busy_until``
+    becomes the effective start plus ``run_ns``, and with ``requeue`` the
+    ULT is pushed again at that time.  ``busy`` adds to one PE (so
+    business only grows), ``migrate`` re-maps a ULT — queued or not — to
+    another PE, and the queue is popped empty at the end."""
+    placement, bucketed, ops = scenario
+    where = list(placement)
+    busy = [0] * 6
+    ults = [UserLevelThread(f"o{i}", int) for i in range(len(where))]
+    index = {u.tid: i for i, u in enumerate(ults)}
+    q = queue_cls(lambda u: busy[where[index[u.tid]]],
+                  pe_of=(lambda u: where[index[u.tid]]) if bucketed else None)
+    seen: list = []
+
+    def pop(run_ns=0, requeue=False):
+        item = q.pop()
+        if item is not None:
+            i, ready = index[item[0].tid], item[1]
+            busy[where[i]] = max(busy[where[i]], ready) + run_ns
+            if requeue:
+                q.push(ults[i], busy[where[i]])
+            item = (i, ready)
+        seen.append(("pop", item))
+        return item
+
+    for op in ops:
+        if op[0] == "push":
+            q.push(ults[op[1]], op[2])
+        elif op[0] == "pop":
+            pop(op[1], op[2])
+        elif op[0] == "busy":
+            busy[op[1]] += op[2]
+        elif op[0] == "discard":
+            q.discard(ults[op[1]])
+        elif op[0] == "migrate":
+            where[op[1]] = op[2]
+        else:
+            seen.append(("drain", sorted(index[u.tid] for u in q.drain())))
+        seen.append(("state", len(q), [u in q for u in ults]))
+    while pop() is not None:
+        pass
+    return seen
+
+
+def pops(seen):
+    return [s[1] for s in seen if s[0] == "pop"]
+
+
+class TestAgainstReference:
+    """``RunQueue`` and the verbatim reference give the same answers to
+    the same operations — the tie order included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scenarios())
+    def test_same_results_as_the_reference(self, scenario):
+        assert replay(RunQueue, scenario) == replay(ReferenceRunQueue, scenario)
+
+    def test_ties_go_to_the_pe_rekeyed_earliest(self):
+        """PE 0 and PE 1 both start at 10.  ULT 2's push re-keys PE 0
+        after PE 1 was keyed, so PE 1 runs first — although PE 0's top
+        (ULT 0) was keyed before it and did not change."""
+        scenario = ([0, 1, 0], True, [("push", 0, 10), ("push", 1, 10),
+                                      ("push", 2, 20)])
+        seen = replay(RunQueue, scenario)
+        assert seen == replay(ReferenceRunQueue, scenario)
+        assert pops(seen) == [(1, 10), (0, 10), (2, 20), None]
+        assert pops(replay(SkipUnchangedTopRekey, scenario))[0] == (0, 10)
+
+    def test_migrated_while_queued(self):
+        """ULT 0, queued on PE 0 at t=10, moves to PE 1, busy until 300:
+        it is found there and starts at 300, after ULT 1 (PE 0, t=200)."""
+        scenario = ([0, 0], True, [("push", 0, 10), ("push", 1, 200),
+                                   ("busy", 1, 300), ("migrate", 0, 1)])
+        seen = replay(RunQueue, scenario)
+        assert seen == replay(ReferenceRunQueue, scenario)
+        assert pops(seen) == [(1, 200), (0, 10), None]
+
+    def test_the_oracle_catches_a_skipped_rekey(self):
+        """Skipping ``push``'s re-key when the bucket's top is unchanged
+        keeps every effective start right and only moves ties — the
+        oracle must still tell."""
+        find(scenarios(),
+             lambda s: replay(SkipUnchangedTopRekey, s)
+             != replay(ReferenceRunQueue, s),
+             settings=settings(max_examples=300, derandomize=True,
+                               database=None, phases=[Phase.generate]))
+
+
+# -- the slow path stays cold -------------------------------------------------------
+
+
+def slow_path_entries(monkeypatch, spec):
+    """Run ``spec``; return the quantum index at each ``_clean_top`` call
+    and the number of quanta."""
+    job = build_job(spec)
+    job.start()
+    at = []
+    clean_top = RunQueue._clean_top
+
+    def counted(q, key):
+        at.append(len(job.scheduler.timeline))
+        return clean_top(q, key)
+
+    monkeypatch.setattr(RunQueue, "_clean_top", counted)
+    job.run()
+    return at, len(job.scheduler.timeline)
+
+
+class TestSlowPathStaysCold:
+    """Structural, not timed: a steady-state quantum re-keys inline and
+    never enters ``_clean_top``."""
+
+    def test_switch_storm_shape(self, monkeypatch):
+        at, quanta = slow_path_entries(monkeypatch, pingpong(64))
+        assert quanta == 64 * 201
+        assert [i for i in at if i >= 64] == []
+
+    def test_jacobi_1k_shape(self, monkeypatch):
+        at, quanta = slow_path_entries(monkeypatch, JobSpec(
+            app="jacobi3d", nvp=1024,
+            app_config={"n": 16, "iters": 1, "reduce_every": 1},
+            method="pieglobals", machine="generic-linux", layout=(2, 2, 4)))
+        assert quanta > 1024
+        assert len(at) <= 0.05 * quanta
