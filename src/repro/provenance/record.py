@@ -18,11 +18,11 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.ampi.runtime import AmpiJob, JobResult, jsonable
 from repro.harness.jobspec import JobSpec, code_version
-from repro.trace.stream import timeline_sha
+from repro.trace.stream import encode_timeline, timeline_sha
 
 
 def run_id_for(spec: JobSpec, code_ver: str) -> str:
@@ -57,6 +57,9 @@ class RunRecord:
     #: wall-clock creation time (epoch seconds) — used only by ``repro
     #: gc --max-age``; never part of any digest
     created_at: float = field(default_factory=time.time)
+    #: (live timeline, its encoding) from :meth:`from_run` until filed
+    _encoding: tuple[list, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def app_ns(self) -> int:
@@ -68,13 +71,15 @@ class RunRecord:
         """Capture a finished run.  The job's scheduler timeline must
         still be live (it always is right after ``run()``)."""
         code_ver = code_version()
-        return cls(
+        timeline = job.scheduler.timeline
+        encoded = encode_timeline(timeline)
+        record = cls(
             spec=spec,
             run_id=run_id_for(spec, code_ver),
             spec_digest=spec.digest(),
             code_version=code_ver,
-            timeline_sha256=timeline_sha(job.scheduler.timeline),
-            events=len(job.scheduler.timeline),
+            timeline_sha256=timeline_sha(encoded),
+            events=len(timeline),
             makespan_ns=result.makespan_ns,
             startup_ns=result.startup_ns,
             counters=dict(sorted(result.counters.snapshot().items())),
@@ -88,6 +93,17 @@ class RunRecord:
             exit_values={vp: jsonable(v)
                          for vp, v in sorted(result.exit_values.items())},
         )
+        record._encoding = (timeline, encoded)
+        return record
+
+    def _take_encoding(self, timeline: Iterable[tuple[int, int, int]] | None
+                       ) -> bytes | Iterable[tuple[int, int, int]] | None:
+        """The bytes :meth:`from_run` made of ``timeline`` if it is still
+        that list, ungrown, else ``timeline``; drops the bytes."""
+        carried, self._encoding = self._encoding, None
+        fresh = (carried is not None and carried[0] is timeline
+                 and len(carried[0]) == self.events)
+        return carried[1] if fresh else timeline
 
     def to_dict(self) -> dict[str, Any]:
         return {

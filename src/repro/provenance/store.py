@@ -121,14 +121,16 @@ class ProvenanceStore:
         nothing was written — the hit refreshes the record's last-used
         time instead.  ``compressed_timeline`` accepts an already
         zlib-compressed stream (the serve workers compress in-process
-        before shipping results over the queue).
+        before shipping results over the queue).  ``timeline`` is not
+        re-encoded while it is the list ``record`` was taken from.
         """
         path = self._record_path(record.run_id)
+        source = record._take_encoding(timeline)
         if path.exists():
             self.touch(record.run_id)
             return record.run_id, True
-        if compressed_timeline is None and timeline is not None:
-            compressed_timeline = compress_timeline(timeline)
+        if compressed_timeline is None and source is not None:
+            compressed_timeline = compress_timeline(source)
         if compressed_timeline is not None:
             self._atomic_write(self._timeline_path(record.run_id),
                                compressed_timeline)

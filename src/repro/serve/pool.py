@@ -87,8 +87,9 @@ def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
         spec = JobSpec.from_dict(dict(spec_dict))
         job = build_job(spec)
         record = RunRecord.from_run(spec, job, job.run(strict=False))
+        encoded = record._take_encoding(job.scheduler.timeline)
         return {"record": record.to_dict(),
-                "timeline_z": compress_timeline(job.scheduler.timeline),
+                "timeline_z": compress_timeline(encoded),
                 "error": None}
     except Exception as e:
         return {"record": None, "timeline_z": None,

@@ -10,7 +10,11 @@ streams for the first divergent event.
 
 This module fixes the canonical encoding once so every consumer (the
 provenance store, the pin gate) hashes the same bytes: one
-``pe,vp,start`` line per event, ``\\n``-joined.
+``pe,vp,start`` line per event, ``\\n``-joined.  A run is encoded once:
+``RunRecord.from_run`` hashes the bytes and carries them to the zlib of
+``ProvenanceStore.put`` (``.timeline.zz``) or of the serve worker
+(``timeline_z``), so :func:`timeline_sha` and :func:`compress_timeline`
+take the bytes as well as the entries.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 #: one scheduler quantum: (pe, vp, start_ns)
@@ -47,10 +52,10 @@ def timeline_events(
 
 
 def encode_timeline(timeline: Iterable[tuple[int, int, int]]) -> bytes:
-    """The canonical byte encoding every timeline digest is taken over."""
-    return "\n".join(
-        f"{pe},{vp},{start}" for pe, vp, start in timeline
-    ).encode()
+    """The canonical byte encoding every timeline digest is taken over
+    (``%s`` is ``str()``; ``%d`` would truncate a float start)."""
+    flat = tuple(chain.from_iterable(timeline))
+    return ("%s,%s,%s\n" * (len(flat) // 3) % flat)[:-1].encode()
 
 
 def decode_timeline(data: bytes) -> list[tuple[int, int, int]]:
@@ -64,14 +69,20 @@ def decode_timeline(data: bytes) -> list[tuple[int, int, int]]:
     return out
 
 
-def timeline_sha(timeline: Iterable[tuple[int, int, int]]) -> str:
-    """SHA-256 of the canonical timeline encoding."""
-    return hashlib.sha256(encode_timeline(timeline)).hexdigest()
+def _encoded(timeline: bytes | Iterable[tuple[int, int, int]]) -> bytes:
+    return (timeline if isinstance(timeline, bytes)
+            else encode_timeline(timeline))
 
 
-def compress_timeline(timeline: Iterable[tuple[int, int, int]]) -> bytes:
-    """Canonical encoding, zlib-compressed (the store's on-disk form)."""
-    return zlib.compress(encode_timeline(timeline), level=6)
+def timeline_sha(timeline: bytes | Iterable[tuple[int, int, int]]) -> str:
+    """SHA-256 of the canonical timeline encoding (or of its bytes)."""
+    return hashlib.sha256(_encoded(timeline)).hexdigest()
+
+
+def compress_timeline(timeline: bytes | Iterable[tuple[int, int, int]]
+                      ) -> bytes:
+    """Canonical encoding (or its bytes), zlib'd: the on-disk form."""
+    return zlib.compress(_encoded(timeline), level=6)
 
 
 def decompress_timeline(data: bytes) -> list[tuple[int, int, int]]:

@@ -1,17 +1,28 @@
 """Tests for the provenance store, records, and the event stream codec."""
 
+import hashlib
 import json
+import random
+import sys
+import zlib
+from itertools import chain
+from typing import Iterable
 
+import numpy as np
 import pytest
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from repro.errors import ReproError
-from repro.harness.jobspec import JobSpec, code_version, run_spec_job
+from repro.harness.jobspec import JobSpec, build_job, code_version, run_spec_job
 from repro.provenance import (
     ProvenanceStore,
     RunRecord,
     record_run,
     run_id_for,
 )
+from repro.provenance.runner import file_run
+from repro.serve.pool import execute_spec
+from repro.trace import stream
 from repro.trace.stream import (
     compress_timeline,
     decode_timeline,
@@ -55,6 +66,84 @@ class TestStream:
     def test_empty_timeline(self):
         assert decode_timeline(encode_timeline([])) == []
         assert len(timeline_sha([])) == 64
+
+
+# -- the encoding against the previous encoder ------------------------------
+
+
+def reference_encode_timeline(timeline: Iterable[tuple[int, int, int]]) -> bytes:
+    """The canonical byte encoding every timeline digest is taken over."""
+    return "\n".join(
+        f"{pe},{vp},{start}" for pe, vp, start in timeline
+    ).encode()
+
+
+def reference_timeline_sha(timeline: Iterable[tuple[int, int, int]]) -> str:
+    """SHA-256 of the canonical timeline encoding."""
+    return hashlib.sha256(reference_encode_timeline(timeline)).hexdigest()
+
+
+def reference_compress_timeline(timeline: Iterable[tuple[int, int, int]]) -> bytes:
+    """Canonical encoding, zlib-compressed (the store's on-disk form)."""
+    return zlib.compress(reference_encode_timeline(timeline), level=6)
+
+
+def percent_d_encode_timeline(timeline):
+    """The mutant: ``%d`` truncates a float start."""
+    flat = tuple(chain.from_iterable(timeline))
+    return ("%d,%d,%d\n" * (len(flat) // 3) % flat)[:-1].encode()
+
+
+VALUE = st.integers(0, 2**62)
+START = st.one_of(VALUE, VALUE.map(np.int64),
+                  st.floats(0, 2**62, allow_nan=False))
+FEW = st.lists(st.tuples(VALUE, VALUE, START), max_size=12)
+
+
+@st.composite
+def timelines(draw):
+    """Up to a dozen drawn entries, or thousands from a seeded Random."""
+    if not draw(st.booleans()):
+        return draw(FEW)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return [(rng.randrange(64), rng.randrange(1 << 16),
+             rng.choice((rng.randrange(1 << 62), rng.random() * 1e9)))
+            for _ in range(rng.randint(1000, 5000))]
+
+
+def same_as_reference(encode, timeline):
+    data = encode(timeline)
+    return (data == reference_encode_timeline(timeline)
+            and hashlib.sha256(data).hexdigest()
+            == reference_timeline_sha(timeline)
+            and zlib.compress(data, level=6)
+            == reference_compress_timeline(timeline))
+
+
+class TestEncodingAgainstReference:
+    """The encoder, the digest and the on-disk bytes are the previous
+    encoder's, byte for byte, for every value type a start can take."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(timelines())
+    @example([])
+    @example([(0, 0, 0)])
+    @example([(3, 2**62, 2.5), (1, 0, np.int64(2**62))])
+    def test_same_bytes_digest_and_compression(self, timeline):
+        assert same_as_reference(encode_timeline, timeline)
+        assert timeline_sha(timeline) == reference_timeline_sha(timeline)
+        assert compress_timeline(timeline) == \
+            reference_compress_timeline(timeline)
+        encoded = encode_timeline(timeline)
+        assert timeline_sha(encoded) == timeline_sha(timeline)
+        assert compress_timeline(encoded) == compress_timeline(timeline)
+
+    def test_the_oracle_catches_percent_d(self):
+        caught = find(
+            FEW, lambda tl: not same_as_reference(percent_d_encode_timeline, tl),
+            settings=settings(max_examples=300, derandomize=True,
+                              database=None, phases=[Phase.generate]))
+        assert any(isinstance(start, float) for _, _, start in caught)
 
 
 class TestRecord:
@@ -109,6 +198,7 @@ class TestStore:
         record = RunRecord.from_run(SPEC, *run_spec_job(SPEC))
         store.put(record, None)
         assert store.load_timeline(record) is None
+        assert record._encoding is None
         # ...but the digest is still there for pin/replay verification.
         assert len(store.get(record.run_id).timeline_sha256) == 64
 
@@ -138,6 +228,96 @@ class TestStore:
         assert store.size_bytes() == 0
         with pytest.raises(ReproError):
             store.get("deadbeef")
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Calls of the canonical encoder, under every name a ``repro``
+    module holds it by."""
+    calls = []
+    original = stream.encode_timeline
+
+    def counted(timeline):
+        calls.append(timeline)
+        return original(timeline)
+
+    for name, module in list(sys.modules.items()):
+        if (name.partition(".")[0] == "repro"
+                and getattr(module, "encode_timeline", None) is original):
+            monkeypatch.setattr(module, "encode_timeline", counted)
+    return calls
+
+
+def finished_job():
+    job = build_job(SPEC)
+    return job, job.run()
+
+
+class TestOneEncodingPerRun:
+    """A filed run is encoded once; bytes that no longer describe the
+    timeline being filed are never filed."""
+
+    def test_file_run(self, store, encodes):
+        filed = file_run(SPEC, *finished_job(), store)
+        assert len(encodes) == 1
+        assert timeline_sha(store.load_timeline(filed.record)) == \
+            filed.record.timeline_sha256
+
+    def test_from_run_then_put(self, store, encodes):
+        job, result = finished_job()
+        record = RunRecord.from_run(SPEC, job, result)
+        store.put(record, job.scheduler.timeline)
+        assert len(encodes) == 1
+        assert record._encoding is None
+        assert store.load_timeline(record) == job.scheduler.timeline
+
+    def test_execute_spec(self, encodes):
+        out = execute_spec(SPEC.to_dict())
+        assert len(encodes) == 1
+        assert timeline_sha(decompress_timeline(out["timeline_z"])) == \
+            out["record"]["timeline_sha256"]
+
+    def test_appended_timeline_is_encoded_again(self, store, encodes):
+        job, result = finished_job()
+        record = RunRecord.from_run(SPEC, job, result)
+        job.scheduler.timeline.append((0, 0, 10**9))
+        store.put(record, job.scheduler.timeline)
+        assert len(encodes) == 2
+        assert store.load_timeline(record) == job.scheduler.timeline
+        assert len(job.scheduler.timeline) == record.events + 1
+
+    def test_other_list_is_encoded_again(self, store, encodes):
+        job, result = finished_job()
+        record = RunRecord.from_run(SPEC, job, result)
+        other = job.scheduler.timeline[:-1]
+        store.put(record, other)
+        assert len(encodes) == 2
+        assert store.load_timeline(record) == other
+
+    def test_put_after_a_cache_hit(self, store):
+        first = record_run(SPEC, store).record
+        written = store._timeline_path(first.run_id).read_bytes()
+        job, result = finished_job()
+        again = RunRecord.from_run(SPEC, job, result)
+        assert store.put(again, job.scheduler.timeline) == \
+            (again.run_id, True)
+        assert store.put(again, job.scheduler.timeline) == \
+            (again.run_id, True)
+        assert again._encoding is None
+        # With the record gone, a put encodes afresh: the same bytes.
+        store.delete(again.run_id)
+        assert store.put(again, job.scheduler.timeline) == \
+            (again.run_id, False)
+        assert store._timeline_path(again.run_id).read_bytes() == written
+
+    def test_carried_bytes_are_not_part_of_the_record(self):
+        record = RunRecord.from_run(SPEC, *finished_job())
+        back = RunRecord.from_dict(record.to_dict())
+        assert record._encoding is not None and back._encoding is None
+        assert record == back
+        assert repr(record) == repr(back)
+        assert record.to_dict() == back.to_dict()
+        assert "_encoding" not in repr(record)
 
 
 class TestGc:
