@@ -86,9 +86,13 @@ class MpiHandle:
                 f"MPI entry point {name!r} missing from the calltable "
                 "(shim not unpacked?)"
             ) from None
+        rank = self._rank
         if self.via_shim:
-            self._rank.ctx.counters.incr(EV_SHIM_DISPATCH)
-        result = fn(self._rank, *args, **kw)
+            # CounterSet.incr without the call (a count of one is never
+            # negative): every MPI call of a shim build passes here
+            counts = rank.ctx.counters._counts
+            counts[EV_SHIM_DISPATCH] = counts.get(EV_SHIM_DISPATCH, 0) + 1
+        result = fn(rank, *args, **kw)
         if type(result) is GeneratorType:
             return self._blocking("MPI_" + name, result)
         return result

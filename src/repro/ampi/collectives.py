@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.charm.reduction import reduce_over_pes, tree_depth
 from repro.errors import MpiError
@@ -212,12 +212,21 @@ class CollectiveEngine:
         return 0
 
     def _step_ns(self, comm: Communicator, nbytes: int = 0) -> int:
+        return self._stepper(comm)(nbytes)
+
+    def _stepper(self, comm: Communicator) -> Callable[..., int]:
+        """Price of one tree step on ``comm`` by payload bytes, with the
+        regime scanned once: placement cannot change inside a completion
+        rule, so a rule pricing a step per rank prices them all here."""
         costs = self.job.costs
         lat = self._regime_latency(comm)
         bw = (costs.net_bandwidth_inter_bpns if lat >= costs.net_latency_inter_ns
               else costs.net_bandwidth_intra_bpns)
-        ser = int(nbytes / bw) if nbytes else 0
-        return costs.collective_step_ns + lat + ser
+        base = costs.collective_step_ns + lat
+
+        def step(nbytes: int = 0) -> int:
+            return base + (int(nbytes / bw) if nbytes else 0)
+        return step
 
     @staticmethod
     def _max_arrival(state: CollectiveState) -> int:
@@ -267,15 +276,17 @@ class CollectiveEngine:
         nbytes = payload_nbytes(result)
         depth = tree_depth(len(self.job.pes))
         T = self._max_arrival(state)
-        root_release = (T + depth * self._step_ns(comm, nbytes)
+        step = self._stepper(comm)
+        root_release = (T + depth * step(nbytes)
                         + ops * self.job.costs.reduction_op_ns)
+        leave = step()
         state.releases = {}
         for r, (t, _) in state.arrivals.items():
             if r == root:
                 state.releases[r] = (root_release, result)
             else:
                 # Non-roots contribute and leave.
-                state.releases[r] = (t + self._step_ns(comm), None)
+                state.releases[r] = (t + leave, None)
 
     def _finish_allreduce(self, state: CollectiveState) -> None:
         comm = state.comm
@@ -296,7 +307,8 @@ class CollectiveEngine:
         total = sum(payload_nbytes(v) for v in values)
         depth = tree_depth(comm.size)
         T = self._max_arrival(state)
-        root_release = T + depth * self._step_ns(comm) + int(
+        step = self._step_ns(comm)
+        root_release = T + depth * step + int(
             total / self.job.costs.net_bandwidth_inter_bpns
         )
         state.releases = {}
@@ -305,7 +317,7 @@ class CollectiveEngine:
                 state.releases[r] = (root_release,
                                      [_copy_payload(v) for v in values])
             else:
-                state.releases[r] = (t + self._step_ns(comm), None)
+                state.releases[r] = (t + step, None)
 
     def _finish_allgather(self, state: CollectiveState) -> None:
         comm = state.comm
@@ -327,12 +339,11 @@ class CollectiveEngine:
                 f"scatter root must contribute exactly {comm.size} items"
             )
         depth = tree_depth(comm.size)
+        step = self._stepper(comm)
         state.releases = {}
         for r, (t, _) in state.arrivals.items():
             chunk = seq[r]
-            ready = root_time + depth * self._step_ns(
-                comm, payload_nbytes(chunk)
-            )
+            ready = root_time + depth * step(payload_nbytes(chunk))
             if r == root:
                 state.releases[r] = (max(t, root_time), _copy_payload(chunk))
             else:

@@ -47,7 +47,7 @@ class Communicator:
             ) from None
 
     def vp_of_rank(self, rank: int) -> int:
-        if not 0 <= rank < self.size:
+        if not 0 <= rank < len(self.group):
             raise MpiError(
                 f"rank {rank} out of range for {self.name} (size {self.size})"
             )

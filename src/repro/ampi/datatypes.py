@@ -51,7 +51,7 @@ def payload_nbytes(obj: Any) -> int:
     """
     if obj is None:
         return 0
-    np = loaded_numpy()
+    np = sys.modules.get("numpy")   # loaded_numpy() inline: every send
     if np is not None and isinstance(obj, (np.ndarray, np.generic)):
         return obj.nbytes
     if isinstance(obj, (bytes, bytearray, memoryview)):

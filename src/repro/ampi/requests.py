@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -34,11 +34,11 @@ class Request:
     completed: bool = False
     completion_time: int = 0     #: simulated ns at which it completed
     payload: Any = None          #: recv: delivered data
-    status: Status = field(default_factory=Status)
+    status: Status | None = None  #: set at completion
 
     def complete(self, when: int, payload: Any = None,
                  source: int = -1, tag: int = -1, nbytes: int = 0) -> None:
         self.completed = True
         self.completion_time = when
         self.payload = payload
-        self.status = Status(source=source, tag=tag, nbytes=nbytes)
+        self.status = Status(source, tag, nbytes)

@@ -23,7 +23,7 @@ from repro.ampi.ops import UserOp
 from repro.ampi.requests import Request, RequestKind, Status
 from repro.charm.lb import RankStat, get_strategy, summarize_loads
 from repro.charm.locmgr import LocationManager
-from repro.charm.messages import Message
+from repro.charm.messages import Message, next_seq
 from repro.charm.migration import MigrationEngine, MigrationRecord
 from repro.charm.node import JobLayout, build_topology
 from repro.charm.reduction import tree_depth
@@ -719,26 +719,22 @@ class AmpiJob:
 
     # -- point-to-point -------------------------------------------------------------
 
-    def _transfer_plan(self, rank: VirtualRank, dst_vp: int,
-                       nbytes: int) -> tuple[int, Any]:
-        """Transfer duration and destination PE for a send to ``dst_vp``."""
-        dest_pe, forwarded = self.locmgr.lookup_for_send(rank.vp, dst_vp)
-        ns = self.network.transfer_ns(
-            nbytes, rank.pe.endpoint, dest_pe.endpoint
-        )
-        if forwarded:
-            # Stale location cache: one extra forwarding hop.
-            ns += self.costs.msg_overhead_ns + self.costs.net_latency_intra_ns
-        return ns, dest_pe
-
-    def _api_send(self, rank: VirtualRank, payload: Any, dest: int,
-                  tag: int = 0, comm: Communicator | None = None) -> None:
-        comm = self._resolve_comm(comm)
+    def _send(self, rank: VirtualRank, payload: Any, dest: int, tag: int,
+              comm: Communicator) -> None:
+        """The one send body (MPI_Send, MPI_Isend, MPI_Sendrecv's send
+        half), on an already resolved communicator."""
         src_cr = comm.rank_of_vp(rank.vp)
         dst_vp = comm.vp_of_rank(dest)
         nbytes = payload_nbytes(payload)
-        now = rank.clock.now
-        ns, dest_pe = self._transfer_plan(rank, dst_vp, nbytes)
+        clock = rank.ult.clock
+        now = clock.now
+        costs = self.costs
+        dest_pe, forwarded = self.locmgr.lookup_for_send(rank.vp, dst_vp)
+        ns = self.network.transfer_ns(nbytes, rank.pe.endpoint,
+                                      dest_pe.endpoint)
+        if forwarded:
+            # Stale location cache: one extra forwarding hop.
+            ns += costs.msg_overhead_ns + costs.net_latency_intra_ns
         if self.reliable is None and self.fault_injector is not None:
             # Priced transport: the protocol is not modelled, so a fault
             # is charged as a flat latency lump on the one-and-only
@@ -750,17 +746,16 @@ class AmpiJob:
                 {"dst_vp": dst_vp, "tag": tag, "nbytes": nbytes})
             if fault is not None:
                 ns += self.fault_injector.message_penalty_ns(
-                    fault, ns, self.costs.msg_overhead_ns
+                    fault, ns, costs.msg_overhead_ns
                 )
-        msg = Message(
-            src=src_cr, dst=dest, tag=tag, comm_id=comm.cid,
-            payload=payload, nbytes=nbytes, sent_at=now, arrival=now + ns,
-            src_vp=rank.vp, dst_vp=dst_vp,
-        )
-        rank.clock.advance(self.costs.msg_overhead_ns)
-        if nbytes > self.costs.eager_threshold_bytes:
-            rank.clock.advance(self.costs.rendezvous_handshake_ns)
-        self.counters.incr(EV_MSG_SENT)
+        msg = Message(src_cr, dest, tag, comm.cid, payload, nbytes, now,
+                      now + ns, next_seq(), rank.vp, dst_vp)
+        clock.advance(costs.msg_overhead_ns)
+        if nbytes > costs.eager_threshold_bytes:
+            clock.advance(costs.rendezvous_handshake_ns)
+        # CounterSet.incr without the call: a count of one is never negative
+        counts = self.counters._counts
+        counts[EV_MSG_SENT] = counts.get(EV_MSG_SENT, 0) + 1
         self.counters.incr(EV_MSG_BYTES, nbytes)
         if self.trace is not None:
             self.trace.instant(
@@ -825,26 +820,30 @@ class AmpiJob:
 
     def _consume(self, req: Request, msg: Message) -> None:
         """Receive ``req`` takes ``msg``."""
-        req.complete(when=msg.arrival, payload=msg.payload,
-                     source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+        req.complete(msg.arrival, msg.payload, msg.src, msg.tag, msg.nbytes)
         if self.msglog is not None:
             self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
 
+    def _api_send(self, rank: VirtualRank, payload: Any, dest: int,
+                  tag: int = 0, comm: Communicator | None = None) -> None:
+        self._send(rank, payload, dest, tag,
+                   comm if comm is not None else self.world)
+
     def _api_isend(self, rank: VirtualRank, payload: Any, dest: int,
                    tag: int = 0, comm: Communicator | None = None) -> Request:
-        comm_r = self._resolve_comm(comm)
-        req = Request(kind=RequestKind.SEND, vp=rank.vp, comm_id=comm_r.cid,
-                      tag=tag)
-        self._api_send(rank, payload, dest, tag, comm)
-        req.complete(when=rank.clock.now)
-        return req
+        if comm is None:
+            comm = self.world
+        self._send(rank, payload, dest, tag, comm)
+        # complete on return: a send never waits for its receiver
+        return Request(RequestKind.SEND, rank.vp, comm.cid, -1, tag, True,
+                       rank.ult.clock.now, None, Status())
 
     def _api_irecv(self, rank: VirtualRank, source: int = ANY_SOURCE,
                    tag: int = ANY_TAG,
                    comm: Communicator | None = None) -> Request:
-        comm = self._resolve_comm(comm)
-        req = Request(kind=RequestKind.RECV, vp=rank.vp, comm_id=comm.cid,
-                      src=source, tag=tag)
+        if comm is None:
+            comm = self.world
+        req = Request(RequestKind.RECV, rank.vp, comm.cid, source, tag)
         ml = self.msglog
         if ml is not None and ml.is_replaying(rank.vp):
             # A recovering rank re-executes: serve its receives from the
@@ -859,16 +858,16 @@ class AmpiJob:
                 fetch_ns = self.network.transfer_ns(
                     entry.nbytes, sender.pe.endpoint, rank.pe.endpoint
                 )
-                entry.sent_at = rank.clock.now
-                entry.arrival = rank.clock.now + fetch_ns
-                req.complete(when=entry.arrival, payload=entry.payload,
-                             source=entry.src, tag=entry.tag,
-                             nbytes=entry.nbytes)
+                now = rank.ult.clock.now
+                entry.sent_at = now
+                entry.arrival = now + fetch_ns
+                req.complete(entry.arrival, entry.payload, entry.src,
+                             entry.tag, entry.nbytes)
                 ml.on_consume(rank.vp, entry.src_vp, entry.chan_seq)
                 self.counters.incr(EV_REPLAYED)
                 if self.trace is not None:
                     self.trace.instant(
-                        "replay:msg", "ft", rank.clock.now,
+                        "replay:msg", "ft", now,
                         pid=self.trace_pid_of(rank.pe), tid=rank.vp,
                         args={"src_vp": entry.src_vp,
                               "chan_seq": entry.chan_seq},
@@ -898,8 +897,9 @@ class AmpiJob:
             raise MpiError(
                 f"vp {rank.vp} cannot wait on vp {request.vp}'s request"
             )
+        clock = rank.ult.clock
         if not request.completed:
-            t_block = rank.clock.now
+            t_block = clock.now
             rank.mailbox.awaiting = (request,)
             yield from self.scheduler.block_current("MPI_Wait")
             rank.mailbox.awaiting = ()
@@ -911,8 +911,8 @@ class AmpiJob:
                     max(0, request.completion_time - t_block),
                     pid=self.trace_pid_of(rank.pe), tid=rank.vp,
                 )
-        rank.clock.advance_to(request.completion_time)
-        rank.clock.advance(self.costs.msg_overhead_ns)
+        clock.advance_to(request.completion_time)
+        clock.advance(self.costs.msg_overhead_ns)
         if status is not None:
             status.source = request.status.source
             status.tag = request.status.tag
@@ -983,8 +983,10 @@ class AmpiJob:
                       source: int = ANY_SOURCE, sendtag: int = 0,
                       recvtag: int = ANY_TAG,
                       comm: Communicator | None = None) -> Blocking:
+        if comm is None:
+            comm = self.world
         req = self._api_irecv(rank, source, recvtag, comm)
-        self._api_send(rank, payload, dest, sendtag, comm)
+        self._send(rank, payload, dest, sendtag, comm)
         return (yield from self._api_wait(rank, req))
 
     # -- operators -------------------------------------------------------------------------

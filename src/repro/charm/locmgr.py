@@ -60,7 +60,9 @@ class LocationManager:
         forwarding hop, after which the cache is updated — mirroring
         Charm++'s location-update protocol.
         """
-        current = self.pe_of(target_vp)
+        current = self._home.get(target_vp)
+        if current is None:
+            current = self.pe_of(target_vp)   # raises: unknown rank
         key = (sender_vp, target_vp)
         cached = self._caches.get(key)
         self._caches[key] = current

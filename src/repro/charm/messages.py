@@ -9,7 +9,9 @@ from typing import Any
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-_msg_seq = itertools.count()
+#: draws :attr:`Message.seq`: one count over every message, in creation
+#: order (a C-level callable, so a send pays no Python call for it)
+next_seq = itertools.count().__next__
 
 
 @dataclass(slots=True)
@@ -24,7 +26,7 @@ class Message:
     nbytes: int
     sent_at: int          #: sender's simulated send time
     arrival: int          #: earliest time the receiver can consume it
-    seq: int = field(default_factory=lambda: next(_msg_seq))
+    seq: int = field(default_factory=next_seq)
     #: sender/receiver virtual ranks — stable across migration, used by
     #: the reliable transport's per-channel state and the message log
     src_vp: int = -1

@@ -145,12 +145,14 @@ class JobScheduler:
         """Make a blocked rank runnable no earlier than ``at_time``."""
         if rank is self.current or rank.finished:
             return
-        if rank.ult is None:
+        ult = rank.ult
+        if ult is None:
             # Post-recovery window: the rank's dead ULT is gone and its
             # replacement has not been reregistered yet.  Recovery will
             # requeue it; waking a ghost here would be an AttributeError.
             return
-        self.runq.push(rank.ult, max(at_time, rank.clock.now))
+        now = ult.clock.now
+        self.runq.push(ult, at_time if at_time > now else now)
 
     def yield_current(self, resume_at: int) -> Generator[str, None, None]:
         """Suspend the running rank and requeue it at ``resume_at`` —

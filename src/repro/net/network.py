@@ -43,17 +43,13 @@ class Network:
         """Time for one message of ``nbytes`` between two endpoints."""
         if nbytes < 0:
             raise ValueError("negative byte count")
-        reg = self.regime(src, dst)
-        if reg == "intraprocess":
+        # regime() written out: this runs once per message
+        if src.process == dst.process:
             # In-process delivery: software overhead only; payload moves by
             # reference between ULTs sharing the address space.
             return self.costs.msg_overhead_ns
-        if reg == "intranode":
-            return self.costs.msg_overhead_ns + self.costs.net_transfer_ns(
-                nbytes, inter_node=False
-            )
         return self.costs.msg_overhead_ns + self.costs.net_transfer_ns(
-            nbytes, inter_node=True
+            nbytes, inter_node=src.node != dst.node
         )
 
     def migration_ns(self, nbytes: int, src: Endpoint, dst: Endpoint) -> int:

@@ -1,0 +1,666 @@
+"""The point-to-point path, one pass per message.
+
+``AmpiJob._send`` is the one send body and a message's facts are
+computed once per call.  The previous path — ``_api_send`` with its own
+body, ``_transfer_plan``, a ``Request`` that built a default ``Status``
+for ``complete()`` to replace — is kept here verbatim as a reference job
+(:class:`ReferenceJob`; ``pack_transport`` picks the overrides up by
+name).  Hypothesis-generated deadlock-free point-to-point programs must
+give the same timeline, counters and per-rank received payloads on both,
+and two known-bad mutants must fail that comparison.  The rest is
+structural, not timed: Python calls per ``isend``/``irecv`` on the
+``jacobi_1k`` shape, and the seams the host benchmark wraps by name.
+"""
+
+from __future__ import annotations
+
+import __future__
+import importlib.util
+import itertools
+import inspect
+import sys
+import textwrap
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Any
+
+import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
+
+from repro.ampi.api import MpiHandle
+from repro.ampi.comm import ANY_SOURCE, ANY_TAG, Communicator
+from repro.ampi.datatypes import payload_nbytes
+from repro.ampi.requests import RequestKind, Status
+from repro.ampi.runtime import AmpiJob, Blocking
+from repro.charm.messages import Mailbox, Message
+from repro.charm.node import JobLayout
+from repro.charm.vrank import VirtualRank
+from repro.errors import MpiError, ReproError
+from repro.ft.plan import FaultPlan, MessageFaults
+from repro.harness.jobspec import JobSpec, build_job
+from repro.machine import TEST_MACHINE
+from repro.net.network import Network
+from repro.perf.counters import (
+    EV_DEDUP_DROP,
+    EV_MSG_BYTES,
+    EV_MSG_SENT,
+    EV_REPLAYED,
+)
+from repro.program.source import Program
+from repro.trace.stream import timeline_sha
+
+
+# -- the previous path, verbatim -----------------------------------------------------
+
+
+@dataclass(slots=True, eq=False)
+class Request:
+    """Handle for an in-flight isend/irecv (compared by identity: two
+    receives with one signature are still two receives)."""
+
+    kind: RequestKind
+    vp: int                      #: owning rank (vp)
+    comm_id: int
+    src: int = -1                #: recv: requested source (comm rank)
+    tag: int = -1
+    completed: bool = False
+    completion_time: int = 0     #: simulated ns at which it completed
+    payload: Any = None          #: recv: delivered data
+    status: Status = field(default_factory=Status)
+
+    def complete(self, when: int, payload: Any = None,
+                 source: int = -1, tag: int = -1, nbytes: int = 0) -> None:
+        self.completed = True
+        self.completion_time = when
+        self.payload = payload
+        self.status = Status(source=source, tag=tag, nbytes=nbytes)
+
+
+class ReferenceJob(AmpiJob):
+    """An :class:`AmpiJob` whose point-to-point entries are the previous
+    path's: ``_api_send`` with its own body (``_transfer_plan``), the
+    ``_api_isend`` that resolved the communicator twice, ``_api_irecv``,
+    ``_api_wait``, ``_api_sendrecv``, ``_deliver``, ``_consume`` and the
+    :class:`Request` above."""
+
+    def _transfer_plan(self, rank: VirtualRank, dst_vp: int,
+                       nbytes: int) -> tuple[int, Any]:
+        """Transfer duration and destination PE for a send to ``dst_vp``."""
+        dest_pe, forwarded = self.locmgr.lookup_for_send(rank.vp, dst_vp)
+        ns = self.network.transfer_ns(
+            nbytes, rank.pe.endpoint, dest_pe.endpoint
+        )
+        if forwarded:
+            # Stale location cache: one extra forwarding hop.
+            ns += self.costs.msg_overhead_ns + self.costs.net_latency_intra_ns
+        return ns, dest_pe
+
+    def _api_send(self, rank: VirtualRank, payload: Any, dest: int,
+                  tag: int = 0, comm: Communicator | None = None) -> None:
+        comm = self._resolve_comm(comm)
+        src_cr = comm.rank_of_vp(rank.vp)
+        dst_vp = comm.vp_of_rank(dest)
+        nbytes = payload_nbytes(payload)
+        now = rank.clock.now
+        ns, dest_pe = self._transfer_plan(rank, dst_vp, nbytes)
+        if self.reliable is None and self.fault_injector is not None:
+            # Priced transport: the protocol is not modelled, so a fault
+            # is charged as a flat latency lump on the one-and-only
+            # delivery.  The reliable path never takes this branch — it
+            # pays for faults through actual retransmissions instead.
+            fault = self.fault_injector.draw_message_fault(
+                self.counters, self.trace, now,
+                self.trace_pid_of(rank.pe), rank.vp,
+                {"dst_vp": dst_vp, "tag": tag, "nbytes": nbytes})
+            if fault is not None:
+                ns += self.fault_injector.message_penalty_ns(
+                    fault, ns, self.costs.msg_overhead_ns
+                )
+        msg = Message(
+            src=src_cr, dst=dest, tag=tag, comm_id=comm.cid,
+            payload=payload, nbytes=nbytes, sent_at=now, arrival=now + ns,
+            src_vp=rank.vp, dst_vp=dst_vp,
+        )
+        rank.clock.advance(self.costs.msg_overhead_ns)
+        if nbytes > self.costs.eager_threshold_bytes:
+            rank.clock.advance(self.costs.rendezvous_handshake_ns)
+        self.counters.incr(EV_MSG_SENT)
+        self.counters.incr(EV_MSG_BYTES, nbytes)
+        if self.trace is not None:
+            self.trace.instant(
+                "send", "msg", now, pid=self.trace_pid_of(rank.pe),
+                tid=rank.vp,
+                args={"dst_vp": dst_vp, "tag": tag, "nbytes": nbytes,
+                      "arrival": now + ns},
+            )
+        if self.reliable is not None:
+            msg.dest_endpoint = dest_pe.endpoint
+            delivered = self.reliable.send(
+                msg, ns, self._deliver_frame,
+                trace_pid=self.trace_pid_of(rank.pe),
+            )
+            if delivered and self.msglog is not None:
+                self.msglog.log_send(msg)
+        else:
+            self._deliver(msg)
+
+    def _deliver(self, msg: Message) -> None:
+        dst_vp = msg.dst_vp
+        dst_rank = self._ranks[dst_vp]
+        ml = self.msglog
+        if ml is not None and ml.already_consumed(dst_vp, msg.src_vp,
+                                                  msg.chan_seq):
+            # Local-recovery duplicate: this rank already consumed the
+            # channel seq from the message log while the sender's
+            # re-executed copy was still in flight.  Matching it against
+            # a posted receive would hand a *later* receive this stale
+            # payload.
+            self.counters.incr(EV_DEDUP_DROP)
+            if self.trace is not None:
+                self.trace.instant(
+                    "replay:dedup-drop", "ft", msg.arrival,
+                    pid=self.trace_pid_of(dst_rank.pe), tid=dst_vp,
+                    args={"src_vp": msg.src_vp, "chan_seq": msg.chan_seq},
+                )
+            return
+        req, wake = dst_rank.mailbox.deliver(msg)
+        if req is not None:
+            self._consume(req, msg)
+            if self.trace is not None:
+                self.trace.instant(
+                    "recv-match", "msg", msg.arrival,
+                    pid=self.trace_pid_of(dst_rank.pe), tid=dst_vp,
+                    args={"src": msg.src, "tag": msg.tag,
+                          "nbytes": msg.nbytes},
+                )
+        if wake:
+            self.scheduler.wake(dst_rank, msg.arrival)
+
+    def _consume(self, req: Request, msg: Message) -> None:
+        """Receive ``req`` takes ``msg``."""
+        req.complete(when=msg.arrival, payload=msg.payload,
+                     source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+        if self.msglog is not None:
+            self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
+
+    def _api_isend(self, rank: VirtualRank, payload: Any, dest: int,
+                   tag: int = 0, comm: Communicator | None = None) -> Request:
+        comm_r = self._resolve_comm(comm)
+        req = Request(kind=RequestKind.SEND, vp=rank.vp, comm_id=comm_r.cid,
+                      tag=tag)
+        self._api_send(rank, payload, dest, tag, comm)
+        req.complete(when=rank.clock.now)
+        return req
+
+    def _api_irecv(self, rank: VirtualRank, source: int = ANY_SOURCE,
+                   tag: int = ANY_TAG,
+                   comm: Communicator | None = None) -> Request:
+        comm = self._resolve_comm(comm)
+        req = Request(kind=RequestKind.RECV, vp=rank.vp, comm_id=comm.cid,
+                      src=source, tag=tag)
+        ml = self.msglog
+        if ml is not None and ml.is_replaying(rank.vp):
+            # A recovering rank re-executes: serve its receives from the
+            # message log first.  Anything in the mailbox is a *fresh*
+            # post-crash delivery with a higher channel seq — consuming
+            # it before the logged history would break non-overtaking.
+            src_vp = (None if source == ANY_SOURCE
+                      else comm.vp_of_rank(source))
+            entry = ml.replay_match(rank.vp, src_vp, tag, comm.cid)
+            if entry is not None:
+                sender = self._ranks[entry.src_vp]
+                fetch_ns = self.network.transfer_ns(
+                    entry.nbytes, sender.pe.endpoint, rank.pe.endpoint
+                )
+                entry.sent_at = rank.clock.now
+                entry.arrival = rank.clock.now + fetch_ns
+                req.complete(when=entry.arrival, payload=entry.payload,
+                             source=entry.src, tag=entry.tag,
+                             nbytes=entry.nbytes)
+                ml.on_consume(rank.vp, entry.src_vp, entry.chan_seq)
+                self.counters.incr(EV_REPLAYED)
+                if self.trace is not None:
+                    self.trace.instant(
+                        "replay:msg", "ft", rank.clock.now,
+                        pid=self.trace_pid_of(rank.pe), tid=rank.vp,
+                        args={"src_vp": entry.src_vp,
+                              "chan_seq": entry.chan_seq},
+                    )
+                return req
+        while True:
+            msg = rank.mailbox.post(req)
+            if msg is None or ml is None or not ml.already_consumed(
+                    rank.vp, msg.src_vp, msg.chan_seq):
+                break
+            # A duplicate copy of a seq this rank already replayed from
+            # the message log (see _deliver): discard and post again.
+            self.counters.incr(EV_DEDUP_DROP)
+        if msg is not None:
+            self._consume(req, msg)
+        return req
+
+    def _api_wait(self, rank: VirtualRank, request: Request,
+                  status: Status | None = None) -> Blocking:
+        if request.vp != rank.vp:
+            raise MpiError(
+                f"vp {rank.vp} cannot wait on vp {request.vp}'s request"
+            )
+        if not request.completed:
+            t_block = rank.clock.now
+            rank.mailbox.awaiting = (request,)
+            yield from self.scheduler.block_current("MPI_Wait")
+            rank.mailbox.awaiting = ()
+            if not request.completed:
+                raise MpiError("woken before request completion")
+            if self.trace is not None:
+                self.trace.span(
+                    "MPI_Wait", "msg", t_block,
+                    max(0, request.completion_time - t_block),
+                    pid=self.trace_pid_of(rank.pe), tid=rank.vp,
+                )
+        rank.clock.advance_to(request.completion_time)
+        rank.clock.advance(self.costs.msg_overhead_ns)
+        if status is not None:
+            status.source = request.status.source
+            status.tag = request.status.tag
+            status.nbytes = request.status.nbytes
+        return request.payload
+
+    def _api_sendrecv(self, rank: VirtualRank, payload: Any, dest: int,
+                      source: int = ANY_SOURCE, sendtag: int = 0,
+                      recvtag: int = ANY_TAG,
+                      comm: Communicator | None = None) -> Blocking:
+        req = self._api_irecv(rank, source, recvtag, comm)
+        self._api_send(rank, payload, dest, sendtag, comm)
+        return (yield from self._api_wait(rank, req))
+
+
+# -- the two mutants the oracle must catch ---------------------------------------------
+
+
+def _without_line(fn: Any, marker: str) -> Any:
+    """``fn`` recompiled in its module without its one line naming
+    ``marker``."""
+    lines = textwrap.dedent(inspect.getsource(fn)).splitlines()
+    kept = [ln for ln in lines if marker not in ln]
+    assert len(kept) == len(lines) - 1, f"want one line naming {marker}"
+    code = compile("\n".join(kept), "<mutant>", "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    scope: dict[str, Any] = {}
+    exec(code, vars(sys.modules[fn.__module__]), scope)
+    return scope[fn.__name__]
+
+
+class NoByteCountJob(AmpiJob):
+    """Mutant: ``_send`` forgets the ``EV_MSG_BYTES`` bump."""
+
+    _send = _without_line(AmpiJob._send, "EV_MSG_BYTES")
+
+
+_deliver = Mailbox.deliver
+
+
+def deliver_to_last_posted(self: Mailbox, msg: Message) -> tuple[Any, bool]:
+    """Mutant ``Mailbox.deliver``: the *last*-posted matching receive
+    takes the message (an unmatched one is queued as before)."""
+    receives = self._receives
+    for i in range(len(receives) - 1, -1, -1):
+        req = receives[i]
+        if msg.matches(req.src, req.tag, req.comm_id):
+            del receives[i]
+            return req, any(a is req for a in self.awaiting)
+    return _deliver(self, msg)
+
+
+# -- generated deadlock-free point-to-point programs ---------------------------------
+
+#: how a rank's receives of one round name their messages
+MODES = ("exact", "exact", "any_source", "any_tag", "any")
+#: payload body above the test machine's eager threshold (rendezvous)
+BIG = bytes((1 << 20) + 1)
+
+
+@st.composite
+def programs(draw):
+    """``(nranks, rounds)``; ``rounds[k][rank]`` is that rank's script.
+
+    Deadlock-free by construction: in a round every rank posts some
+    receives (``irecv``), sends everything (``send``/``isend``, the last
+    one possibly as a ``sendrecv``), and only then blocks — on its other
+    receives (``recv``, or ``irecv`` + ``wait``), then on its requests
+    (``wait``/``waitall``/``waitany``/``test``).  Sends never block.  A
+    receiver's wildcards are uniform over its round (``MODES``), so
+    receives that can take the same messages are interchangeable; tags
+    are disjoint per round and a round with a wildcard ends in a
+    barrier, so no receive takes another round's message.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    n = rng.randint(2, 6)
+    rounds = []
+    for k in range(rng.randint(1, 4)):
+        msgs = [(rng.randrange(n), rng.randrange(n), 10 * k + rng.randrange(3),
+                 rng.randrange(2), rng.random() < 0.1)
+                for _ in range(rng.randint(1, 3 * n))]
+        mode = [rng.choice(MODES) for _ in range(n)]
+        keys = itertools.count()
+        scripts: list[list[tuple]] = []
+        for me in range(n):
+            recvs = []
+            for src, dst, tag, c, _ in msgs:
+                if dst == me:
+                    recvs.append(
+                        (ANY_SOURCE if mode[me] in ("any_source", "any")
+                         else src,
+                         ANY_TAG if mode[me] in ("any_tag", "any") else tag, c))
+            sends = [(j, m) for j, m in enumerate(msgs) if m[0] == me]
+            rng.shuffle(recvs)
+            rng.shuffle(sends)
+            script: list[tuple] = []
+            pending = []
+            late = []
+            for src, tag, c in recvs:
+                if rng.random() < 0.5:
+                    key = next(keys)
+                    script.append(("irecv", key, src, tag, c))
+                    pending.append(key)
+                else:
+                    late.append((src, tag, c))
+            sr = None
+            if sends and rng.random() < 0.5:
+                same_comm = [r for r in late if r[2] == sends[-1][1][3]]
+                if same_comm:
+                    sr = same_comm[0]
+                    late.remove(sr)
+            for i, (j, (_, dst, tag, c, big)) in enumerate(sends):
+                body = (k, j, big)
+                if sr is not None and i == len(sends) - 1:
+                    script.append(("sendrecv", dst, tag, sr[0], sr[1], c, body))
+                elif rng.random() < 0.5:
+                    script.append(("send", None, dst, tag, c, body))
+                else:
+                    key = next(keys)
+                    script.append(("send", key, dst, tag, c, body))
+                    pending.append(key)
+            for src, tag, c in late:
+                if rng.random() < 0.5:
+                    script.append(("recv", src, tag, c))
+                else:
+                    key = next(keys)
+                    script += [("irecv", key, src, tag, c), ("wait", key)]
+            rng.shuffle(pending)
+            how = rng.choice(("wait", "waitall", "waitany", "test"))
+            if how in ("waitall", "waitany"):
+                script += [(how, tuple(pending))] if pending else []
+            else:
+                script += [(how, key) for key in pending]
+            scripts.append(script)
+        if any(m != "exact" for m in mode) or rng.random() < 0.3:
+            for script in scripts:
+                script.append(("barrier",))
+        rounds.append(scripts)
+    return n, tuple(rounds)
+
+
+def seen(x: Any) -> Any:
+    """A received payload as recorded: (sender, round, message, big?)."""
+    return x if x is None else (x[0], x[1], x[2], len(x) > 3)
+
+
+def build(program) -> Any:
+    n, rounds = program
+    p = Program("p2p_rounds")
+    p.add_global("pad", 0)
+
+    @p.function()
+    def main(ctx):
+        mpi = ctx.mpi
+        mpi.init()
+        me = mpi.rank()
+        comms = (None, (yield from mpi.comm_dup()))
+        got: list = []
+        for scripts in rounds:
+            reqs: dict = {}
+            for op in scripts[me]:
+                kind = op[0]
+                if kind == "irecv":
+                    _, key, src, tag, c = op
+                    reqs[key] = mpi.irecv(source=src, tag=tag, comm=comms[c])
+                elif kind == "send":
+                    _, key, dst, tag, c, (k, j, big) = op
+                    body = (me, k, j, BIG) if big else (me, k, j)
+                    if key is None:
+                        mpi.send(body, dest=dst, tag=tag, comm=comms[c])
+                    else:
+                        reqs[key] = mpi.isend(body, dest=dst, tag=tag,
+                                              comm=comms[c])
+                elif kind == "sendrecv":
+                    _, dst, tag, src, rtag, c, (k, j, big) = op
+                    body = (me, k, j, BIG) if big else (me, k, j)
+                    got.append(seen((yield from mpi.sendrecv(
+                        body, dst, src, tag, rtag, comms[c]))))
+                elif kind == "recv":
+                    _, src, tag, c = op
+                    status = Status()
+                    got.append(seen((yield from mpi.recv(src, tag, comms[c],
+                                                         status))))
+                    got.append((status.source, status.tag, status.nbytes))
+                elif kind == "wait":
+                    got.append(seen((yield from mpi.wait(reqs.pop(op[1])))))
+                elif kind == "waitall":
+                    done = yield from mpi.waitall([reqs.pop(k) for k in op[1]])
+                    got.append([seen(x) for x in done])
+                elif kind == "waitany":
+                    left = [reqs.pop(k) for k in op[1]]
+                    while left:
+                        i, x = yield from mpi.waitany(left)
+                        left.pop(i)
+                        got.append((i, seen(x)))
+                elif kind == "test":
+                    req = reqs.pop(op[1])
+                    flag, x = mpi.test(req)
+                    if not flag:
+                        x = yield from mpi.wait(req)
+                    got.append((flag, seen(x)))
+                else:
+                    yield from mpi.barrier()
+        yield from mpi.finalize()
+        return got
+
+    return p.build()
+
+
+LAYOUTS = (JobLayout.single(2), JobLayout(1, 2, 1), JobLayout(2, 1, 2))
+
+
+@st.composite
+def cases(draw):
+    """A program and the job it runs in: method (``pieglobals`` routes
+    every call through the shim), layout, transport and wire faults."""
+    return (draw(programs()), draw(st.sampled_from(("none", "pieglobals"))),
+            draw(st.sampled_from(LAYOUTS)),
+            draw(st.sampled_from(("priced", "reliable"))), draw(st.booleans()))
+
+
+def history(job_cls: type, case, source=None) -> tuple:
+    """Timeline digest, counters, makespan and per-rank received payloads
+    of ``case`` run as a ``job_cls``."""
+    program, method, layout, transport, faults = case
+    plan = (FaultPlan(seed=7, message_faults=MessageFaults(
+        drop=0.1, duplicate=0.1, corrupt=0.1)) if faults else None)
+    job = job_cls(source or build(program), program[0], method=method,
+                  machine=TEST_MACHINE, layout=layout, transport=transport,
+                  fault_plan=plan, slot_size=1 << 24)
+    result = job.run()
+    return (timeline_sha(job.scheduler.timeline), result.counters.snapshot(),
+            result.makespan_ns, result.exit_values)
+
+
+class TestAgainstReference:
+    """``AmpiJob`` and the verbatim previous path give one history."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cases())
+    def test_same_history_as_the_reference(self, case):
+        source = build(case[0])
+        assert history(AmpiJob, case, source) == \
+            history(ReferenceJob, case, source)
+
+    def test_the_reference_is_the_previous_path(self):
+        """The overrides are what the calltable reaches."""
+        job = ReferenceJob(build((2, ())), 2, machine=TEST_MACHINE,
+                           slot_size=1 << 24)
+        job.start()
+        try:
+            table = job.rank_of(0).ctx.mpi._calltable
+            for name in ("send", "isend", "irecv", "wait", "sendrecv"):
+                assert table[name].__func__ is \
+                    vars(ReferenceJob)["_api_" + name]
+        finally:
+            job.scheduler.shutdown()
+
+    def test_requests_carry_no_throwaway_status(self):
+        """A receive's ``status`` is unset until it completes; a send's
+        request is born complete with the status the old path gave it."""
+        p = Program("req")
+        p.add_global("pad", 0)
+
+        @p.function()
+        def main(ctx):
+            mpi = ctx.mpi
+            peer = 1 - mpi.rank()
+            req = mpi.irecv(source=peer, tag=3)
+            before = req.status
+            sreq = mpi.isend(7, dest=peer, tag=3)
+            x = yield from mpi.wait(req)
+            return (before, x, req.status, sreq.completed, sreq.status)
+
+        result = AmpiJob(p.build(), 2, machine=TEST_MACHINE,
+                         slot_size=1 << 24).run()
+        # vp 0 posts first (nothing has arrived); vp 1's message is queued
+        assert [result.exit_values[vp][0] for vp in (0, 1)] == [
+            None, Status(0, 3, 8)]
+        for vp in (0, 1):
+            assert result.exit_values[vp][1:] == (
+                7, Status(1 - vp, 3, 8), True, Status(-1, -1, 0))
+
+    def test_wait_on_another_ranks_request_is_refused(self):
+        """Kept check: a rank cannot wait on a request it does not own."""
+        p = Program("steal")
+        p.add_global("pad", 0)
+        shared: dict = {}
+
+        @p.function()
+        def main(ctx):
+            mpi = ctx.mpi
+            if mpi.rank() == 0:
+                shared["req"] = mpi.irecv(source=1)
+                yield from mpi.barrier()
+                mpi.send(0, dest=1)
+                return (yield from mpi.wait(shared["req"]))
+            yield from mpi.barrier()
+            yield from mpi.wait(shared["req"])
+
+        with pytest.raises(MpiError, match="cannot wait on vp 0's request"):
+            AmpiJob(p.build(), 2, machine=TEST_MACHINE,
+                    slot_size=1 << 24).run()
+
+
+def caught(mutant: Any) -> Any:
+    """The first generated case on which ``mutant`` (a job class, or a
+    ``(job class, Mailbox.deliver)`` pair) and the reference disagree."""
+    job_cls, deliver = mutant if isinstance(mutant, tuple) else (mutant, None)
+
+    def differs(case) -> bool:
+        source = build(case[0])
+        want = history(ReferenceJob, case, source)
+        real = Mailbox.deliver
+        Mailbox.deliver = deliver or real
+        try:
+            return history(job_cls, case, source) != want
+        except ReproError:   # e.g. a receive left waiting: DeadlockError
+            return True
+        finally:
+            Mailbox.deliver = real
+
+    return find(cases(), differs,
+                settings=settings(max_examples=300, derandomize=True,
+                                  database=None, phases=[Phase.generate]))
+
+
+class TestTheOracleHasTeeth:
+    def test_a_dropped_byte_count_is_caught(self):
+        assert caught(NoByteCountJob)
+
+    def test_last_posted_matching_is_caught(self):
+        assert caught((AmpiJob, deliver_to_last_posted))
+
+
+# -- structural guards on the jacobi_1k shape ----------------------------------------
+
+JACOBI_1K = JobSpec(app="jacobi3d", nvp=1024,
+                    app_config={"n": 16, "iters": 1, "reduce_every": 1},
+                    method="pieglobals", machine="generic-linux",
+                    layout=(2, 2, 4))
+
+#: Python calls inside one ``MpiHandle.isend``/``irecv`` on the
+#: ``jacobi_1k`` shape, measured plus one (the previous path: 33.5/10.8)
+CALL_BUDGET = {"isend": 19, "irecv": 8}
+
+
+def calls_inside(spec: JobSpec, entries: dict) -> tuple[dict, dict, Any, Any]:
+    """Run ``spec`` under ``sys.setprofile``.  Per entry: how often it
+    was called from outside every entry, and the Python ``call`` events
+    inside those calls.  Also: calls per code object, and the result."""
+    job = build_job(spec)
+    job.start()
+    names = {fn.__code__: name for name, fn in entries.items()}
+    entered = dict.fromkeys(entries, 0)
+    inside = dict.fromkeys(entries, 0)
+    called: Counter = Counter()
+    open_: list = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called[frame.f_code] += 1
+            if open_:
+                inside[open_[-1][0]] += 1
+            else:
+                name = names.get(frame.f_code)
+                if name is not None:
+                    entered[name] += 1
+                    open_.append((name, frame))
+        elif event == "return" and open_ and open_[-1][1] is frame:
+            open_.pop()
+
+    sys.setprofile(profile)
+    try:
+        result = job.run()
+    finally:
+        sys.setprofile(None)
+    return entered, inside, called, result
+
+
+class TestStructuralGuards:
+    """Counted, not timed: the budget fails on the previous path."""
+
+    def test_call_budget_and_seams_on_the_jacobi_1k_shape(self):
+        entered, inside, called, result = calls_inside(JACOBI_1K, {
+            "isend": MpiHandle.isend, "irecv": MpiHandle.irecv})
+        sent = result.counters[EV_MSG_SENT]
+        assert entered["isend"] == entered["irecv"] == sent == 5504
+        per_call = {name: inside[name] / entered[name] for name in entered}
+        assert all(per_call[name] <= CALL_BUDGET[name] for name in entered), \
+            per_call
+        # the seam bench.py wraps as ``net``: once per send
+        assert called[Network.transfer_ns.__code__] == sent
+
+    def test_the_benchmark_wraps_existing_handle_methods(self):
+        path = Path(__file__).parents[1] / "benchmarks" / "host" / "spans.py"
+        spec = importlib.util.spec_from_file_location("hostbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        for group in (spans.MPI_P2P, spans.MPI_COLL, spans.MPI_MISC,
+                      spans.MPI_LB):
+            for name in group:
+                assert callable(vars(MpiHandle).get(name)), name
