@@ -76,157 +76,171 @@ class MpiHandle:
         self._handed_op = op
         return gen
 
-    def _call(self, name: str, *args: Any, **kw: Any) -> Any:
-        if self._handed is not None:
-            self._check_delegated()
+    def _entry(self, slot: str) -> Callable:
+        """The calltable entry for ``slot``, after what every MPI call
+        pays (a ``blocking`` one's result then goes to ``_blocking``)."""
+        gen = self._handed
+        if gen is not None and gen.gi_frame is not None and not gen.gi_running:
+            self._check_delegated()     # neither finished nor running
+        self._handed = None
         try:
-            fn = self._calltable[name]
+            fn = self._calltable[slot]
         except KeyError:
             raise MpiError(
-                f"MPI entry point {name!r} missing from the calltable "
+                f"MPI entry point {slot!r} missing from the calltable "
                 "(shim not unpacked?)"
             ) from None
-        rank = self._rank
         if self.via_shim:
             # CounterSet.incr without the call (a count of one is never
             # negative): every MPI call of a shim build passes here
-            counts = rank.ctx.counters._counts
+            counts = self._rank.ctx.counters._counts
             counts[EV_SHIM_DISPATCH] = counts.get(EV_SHIM_DISPATCH, 0) + 1
-        result = fn(rank, *args, **kw)
-        if type(result) is GeneratorType:
-            return self._blocking("MPI_" + name, result)
-        return result
+        return fn
 
     # -- setup / teardown ------------------------------------------------------
 
     def init(self) -> None:
         """MPI_Init."""
-        self._call("init")
+        self._entry("init")(self._rank)
 
     def initialized(self) -> bool:
-        return self._call("initialized")
+        return self._entry("initialized")(self._rank)
 
     def finalize(self) -> None:
         """MPI_Finalize (synchronizing, like a final barrier)."""
-        return self._call("finalize")
+        return self._blocking("MPI_finalize", self._entry("finalize")(self._rank))
 
     # -- identity -----------------------------------------------------------------
 
     def rank(self, comm: Communicator | None = None) -> int:
         """MPI_Comm_rank."""
-        return self._call("rank", comm)
+        return self._entry("rank")(self._rank, comm)
 
     def size(self, comm: Communicator | None = None) -> int:
         """MPI_Comm_size."""
-        return self._call("size", comm)
+        return self._entry("size")(self._rank, comm)
 
     @property
     def world(self) -> Communicator:
-        return self._call("comm_world")
+        return self._entry("comm_world")(self._rank)
 
     # -- point-to-point ---------------------------------------------------------------
 
     def send(self, payload: Any, dest: int, tag: int = 0,
              comm: Communicator | None = None) -> None:
         """Blocking (eager) send."""
-        self._call("send", payload, dest, tag, comm)
+        self._entry("send")(self._rank, payload, dest, tag, comm)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
              comm: Communicator | None = None,
              status: Status | None = None) -> Any:
         """Blocking receive; returns the payload."""
-        return self._call("recv", source, tag, comm, status)
+        return self._blocking("MPI_recv", self._entry("recv")(
+            self._rank, source, tag, comm, status))
 
     def sendrecv(self, payload: Any, dest: int, source: int = ANY_SOURCE,
                  sendtag: int = 0, recvtag: int = ANY_TAG,
                  comm: Communicator | None = None) -> Any:
-        return self._call("sendrecv", payload, dest, source, sendtag,
-                          recvtag, comm)
+        return self._blocking("MPI_sendrecv", self._entry("sendrecv")(
+            self._rank, payload, dest, source, sendtag, recvtag, comm))
 
     def isend(self, payload: Any, dest: int, tag: int = 0,
               comm: Communicator | None = None) -> Request:
-        return self._call("isend", payload, dest, tag, comm)
+        return self._entry("isend")(self._rank, payload, dest, tag, comm)
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               comm: Communicator | None = None) -> Request:
-        return self._call("irecv", source, tag, comm)
+        return self._entry("irecv")(self._rank, source, tag, comm)
 
     def wait(self, request: Request) -> Any:
         """Block until the request completes; returns recv payload."""
-        return self._call("wait", request)
+        return self._blocking("MPI_wait", self._entry("wait")(self._rank, request))
 
     def test(self, request: Request) -> tuple[bool, Any]:
-        return self._call("test", request)
+        return self._entry("test")(self._rank, request)
 
     def waitall(self, requests: Sequence[Request]) -> list[Any]:
-        return self._call("waitall", requests)
+        return self._blocking("MPI_waitall",
+                              self._entry("waitall")(self._rank, requests))
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
               comm: Communicator | None = None) -> Status:
         """Blocking probe."""
-        return self._call("probe", source, tag, comm)
+        return self._blocking("MPI_probe", self._entry("probe")(
+            self._rank, source, tag, comm))
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
                comm: Communicator | None = None) -> Status | None:
         """Nonblocking probe; None when no matching message is queued."""
-        return self._call("iprobe", source, tag, comm)
+        return self._entry("iprobe")(self._rank, source, tag, comm)
 
     # -- collectives -----------------------------------------------------------------------
     # A collective's transport entry is ``CollectiveEngine.enter`` with
     # its kind bound: ``(rank, comm, contribution, **params)``.
 
     def barrier(self, comm: Communicator | None = None) -> None:
-        return self._call("barrier", comm)
+        return self._blocking("MPI_barrier", self._entry("barrier")(self._rank, comm))
 
     def bcast(self, value: Any = None, root: int = 0,
               comm: Communicator | None = None) -> Any:
-        return self._call("bcast", comm, value, root=root)
+        return self._blocking("MPI_bcast", self._entry("bcast")(
+            self._rank, comm, value, root=root))
 
     def reduce(self, value: Any, op: Op = SUM, root: int = 0,
                comm: Communicator | None = None) -> Any:
-        return self._call("reduce", comm, value, root=root, op=op)
+        return self._blocking("MPI_reduce", self._entry("reduce")(
+            self._rank, comm, value, root=root, op=op))
 
     def allreduce(self, value: Any, op: Op = SUM,
                   comm: Communicator | None = None) -> Any:
-        return self._call("allreduce", comm, value, op=op)
+        return self._blocking("MPI_allreduce", self._entry("allreduce")(
+            self._rank, comm, value, op=op))
 
     def gather(self, value: Any, root: int = 0,
                comm: Communicator | None = None) -> list[Any] | None:
-        return self._call("gather", comm, value, root=root)
+        return self._blocking("MPI_gather", self._entry("gather")(
+            self._rank, comm, value, root=root))
 
     def allgather(self, value: Any,
                   comm: Communicator | None = None) -> list[Any]:
-        return self._call("allgather", comm, value)
+        return self._blocking("MPI_allgather", self._entry("allgather")(
+            self._rank, comm, value))
 
     def scatter(self, values: Sequence[Any] | None, root: int = 0,
                 comm: Communicator | None = None) -> Any:
-        return self._call("scatter", comm, values, root=root)
+        return self._blocking("MPI_scatter", self._entry("scatter")(
+            self._rank, comm, values, root=root))
 
     def alltoall(self, values: Sequence[Any],
                  comm: Communicator | None = None) -> list[Any]:
-        return self._call("alltoall", comm, values)
+        return self._blocking("MPI_alltoall", self._entry("alltoall")(
+            self._rank, comm, values))
 
     def scan(self, value: Any, op: Op = SUM,
              comm: Communicator | None = None) -> Any:
-        return self._call("scan", comm, value, op=op)
+        return self._blocking("MPI_scan", self._entry("scan")(
+            self._rank, comm, value, op=op))
 
     def exscan(self, value: Any, op: Op = SUM,
                comm: Communicator | None = None) -> Any:
         """MPI_Exscan: exclusive prefix reduction (rank 0 gets None)."""
-        return self._call("exscan", comm, value, op=op)
+        return self._blocking("MPI_exscan", self._entry("exscan")(
+            self._rank, comm, value, op=op))
 
     def reduce_scatter(self, values: Sequence[Any], op: Op = SUM,
                        comm: Communicator | None = None) -> Any:
         """MPI_Reduce_scatter_block: reduce vectors elementwise, rank i
         keeps element i."""
-        return self._call("reduce_scatter", comm, values, op=op)
+        return self._blocking("MPI_reduce_scatter", self._entry("reduce_scatter")(
+            self._rank, comm, values, op=op))
 
     def waitany(self, requests: Sequence[Request]) -> tuple[int, Any]:
         """MPI_Waitany: (index of the first completion, its payload)."""
-        return self._call("waitany", requests)
+        return self._blocking("MPI_waitany",
+                              self._entry("waitany")(self._rank, requests))
 
     def testall(self, requests: Sequence[Request]) -> tuple[bool, list[Any]]:
-        return self._call("testall", requests)
+        return self._entry("testall")(self._rank, requests)
 
     # -- operators / communicators -------------------------------------------------------------
 
@@ -236,51 +250,54 @@ class MpiHandle:
         Under PIEglobals the function's address differs per rank, so the
         op records an offset from this rank's code base (Section 3.3).
         """
-        return self._call("op_create", fn_name, commute)
+        return self._entry("op_create")(self._rank, fn_name, commute)
 
     def comm_dup(self, comm: Communicator | None = None) -> Communicator:
-        return self._call("comm_dup", comm)
+        return self._blocking("MPI_comm_dup", self._entry("comm_dup")(self._rank, comm))
 
     def comm_split(self, color: int, key: int = 0,
                    comm: Communicator | None = None) -> Communicator:
-        return self._call("comm_split", comm, (color, key))
+        return self._blocking("MPI_comm_split", self._entry("comm_split")(
+            self._rank, comm, (color, key)))
 
     # -- AMPI extensions ------------------------------------------------------------------------
 
     def migrate(self) -> None:
         """AMPI_Migrate: collective load-balancing sync point."""
-        return self._call("migrate")
+        return self._blocking("MPI_migrate", self._entry("migrate")(self._rank))
 
     def migrate_to(self, pe_index: int) -> None:
         """AMPI_Migrate_to: move this rank to a specific PE."""
-        return self._call("migrate_to", pe_index)
+        return self._blocking("MPI_migrate_to", self._entry("migrate_to")(
+            self._rank, pe_index))
 
     def yield_(self) -> None:
         """AMPI_Yield: give up the PE to the next ready rank (the
         Figure 6 context-switch microbenchmark primitive)."""
-        return self._call("yield")
+        return self._blocking("MPI_yield", self._entry("yield")(self._rank))
 
     def resize(self, n_active_pes: int) -> None:
         """AMPI shrink/expand: collectively repack ranks onto the first
         ``n_active_pes`` PEs (or spread back out when growing)."""
-        return self._call("resize", n_active_pes)
+        return self._blocking("MPI_resize", self._entry("resize")(
+            self._rank, n_active_pes))
 
     def my_pe(self) -> int:
         """CkMyPe analogue: the PE this rank currently runs on."""
         return self._rank.pe.index
 
     def num_pes(self) -> int:
-        return self._call("num_pes")
+        return self._entry("num_pes")(self._rank)
 
     def checkpoint(self) -> None:
         """Collective in-memory checkpoint of all rank state."""
-        return self._call("checkpoint")
+        return self._blocking("MPI_checkpoint", self._entry("checkpoint")(self._rank))
 
     # -- misc ---------------------------------------------------------------------------------------
 
     def wtime(self) -> float:
         """MPI_Wtime in simulated seconds."""
-        return self._call("wtime")
+        return self._entry("wtime")(self._rank)
 
     def abort(self, errorcode: int = 1) -> None:
-        self._call("abort", errorcode)
+        self._entry("abort")(self._rank, errorcode)

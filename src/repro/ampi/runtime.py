@@ -894,9 +894,7 @@ class AmpiJob:
     def _api_wait(self, rank: VirtualRank, request: Request,
                   status: Status | None = None) -> Blocking:
         if request.vp != rank.vp:
-            raise MpiError(
-                f"vp {rank.vp} cannot wait on vp {request.vp}'s request"
-            )
+            self._own(rank, (request,))
         clock = rank.ult.clock
         if not request.completed:
             t_block = clock.now
@@ -919,12 +917,17 @@ class AmpiJob:
             status.nbytes = request.status.nbytes
         return request.payload
 
+    @staticmethod
+    def _own(rank: VirtualRank, requests: Sequence[Request]) -> None:
+        """Refuse another rank's request (wait, waitany, test, testall)."""
+        for r in requests:
+            if r.vp != rank.vp:
+                raise MpiError(f"vp {rank.vp} cannot wait on vp {r.vp}'s request")
+
     def _api_test(self, rank: VirtualRank,
                   request: Request) -> tuple[bool, Any]:
-        rank.clock.advance(self.costs.scheduler_poll_ns)
-        if request.completed and request.completion_time <= rank.clock.now:
-            return True, request.payload
-        return False, None
+        done, payloads = self._api_testall(rank, (request,))
+        return (True, payloads[0]) if done else (False, None)
 
     def _api_waitall(self, rank: VirtualRank,
                      requests: Sequence[Request]) -> Blocking:
@@ -939,6 +942,7 @@ class AmpiJob:
         (index, payload)."""
         if not requests:
             raise MpiError("waitany on an empty request list")
+        self._own(rank, requests)
         while True:
             done = [(i, r) for i, r in enumerate(requests) if r.completed]
             if done:
@@ -951,6 +955,7 @@ class AmpiJob:
 
     def _api_testall(self, rank: VirtualRank,
                      requests: Sequence[Request]) -> tuple[bool, list[Any]]:
+        self._own(rank, requests)
         rank.clock.advance(self.costs.scheduler_poll_ns)
         if all(r.completed and r.completion_time <= rank.clock.now
                for r in requests):
@@ -1130,4 +1135,4 @@ class AmpiJob:
 
     def _api_yield_(self, rank: VirtualRank) -> Blocking:
         """AMPI_Yield: cooperative yield to the PE scheduler."""
-        yield from self.scheduler.yield_current(rank.clock.now)
+        yield from self.scheduler.yield_current(rank.ult.clock.now)

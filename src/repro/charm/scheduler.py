@@ -161,7 +161,7 @@ class JobScheduler:
         rank = self.current
         if rank is None or rank.ult is None:
             raise ReproError("yield_current outside a running rank")
-        self.runq.push(rank.ult, max(resume_at, rank.clock.now))
+        self.runq.push(rank.ult, max(resume_at, rank.ult.clock.now))
         yield "reschedule"
 
     # -- the event loop ------------------------------------------------------------------
@@ -187,7 +187,7 @@ class JobScheduler:
         pid_base = self.trace_pid_base
         runq_pop = self.runq.pop
         ranks_by_tid = self._ranks_by_tid
-        incr_ctx = self.counters.incr
+        counts = self.counters._counts
         fault_check = self.fault_check
         on_quantum = self.on_quantum
         timeline_append = self.timeline.append
@@ -269,8 +269,10 @@ class JobScheduler:
                     switch_at = busy_until
                 start = switch_at + ctx_switch_ns
                 pe.ctx_switches += 1
-                incr_ctx(EV_CTX_SWITCH)
-                ult.clock.advance_to(start)
+                # CounterSet.incr and SimClock.advance_to, inline
+                counts[EV_CTX_SWITCH] = counts.get(EV_CTX_SWITCH, 0) + 1
+                if start > ult.clock.now:
+                    ult.clock.now = start
                 if tr is not None:
                     tr.span("ctx-switch", "sched-overhead", switch_at,
                             ctx_switch_ns,
@@ -294,7 +296,8 @@ class JobScheduler:
             ran_ns = now - start
             if ran_ns < 0:
                 ran_ns = 0
-            rank.record_run(ran_ns)
+            rank.load_ns += ran_ns          # VirtualRank.record_run, inline
+            rank.total_cpu_ns += ran_ns
             pe.busy_ns += ran_ns
             pe.busy_until = now
             pe.last_rank = rank

@@ -29,6 +29,10 @@ class AccessKind(enum.Enum):
     GOT = "got"         #: one extra hop through the active GOT
     TLS = "tls"         #: through the TLS segment pointer
 
+    # members are singletons: hashing by identity keeps a lookup keyed by
+    # kind in C (Enum.__hash__ is a Python call)
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class AccessRoute:
@@ -47,7 +51,8 @@ class GlobalsView:
     the paper's Figure 7 observation.
     """
 
-    __slots__ = ("routes", "costs", "clock", "counters", "optimized")
+    __slots__ = ("routes", "costs", "clock", "counters", "optimized",
+                 "_price")
 
     def __init__(
         self,
@@ -62,6 +67,14 @@ class GlobalsView:
         self.clock = clock
         self.counters = counters
         self.optimized = optimized
+        #: ns of one access by kind (``costs``/``optimized`` never change)
+        d = costs.direct_access_ns
+        self._price = {AccessKind.DIRECT: d,
+                       AccessKind.GOT: d + costs.got_indirect_extra_ns,
+                       AccessKind.TLS: d if optimized
+                       else d + costs.tls_indirect_extra_ns}
+        if min(self._price.values()) < 0:
+            raise ValueError("negative global access cost")
 
     def _route(self, name: str) -> AccessRoute:
         try:
@@ -69,26 +82,20 @@ class GlobalsView:
         except KeyError:
             raise SegFault(0, f"undeclared global {name!r}") from None
 
-    def _charge(self, route: AccessRoute) -> None:
-        ns = self.costs.direct_access_ns
-        if route.kind is AccessKind.GOT:
-            ns += self.costs.got_indirect_extra_ns
-        elif route.kind is AccessKind.TLS and not self.optimized:
-            ns += self.costs.tls_indirect_extra_ns
-        self.clock.advance(ns)
-
     def read(self, name: str) -> Any:
-        route = self._route(name)
-        self._charge(route)
+        route = self.routes.get(name) or self._route(name)
+        self.clock.now += self._price[route.kind]
         if self.counters is not None:
-            self.counters.incr(EV_GLOBAL_READ)
+            counts = self.counters._counts
+            counts[EV_GLOBAL_READ] = counts.get(EV_GLOBAL_READ, 0) + 1
         return route.instance.read(name)
 
     def write(self, name: str, value: Any) -> None:
-        route = self._route(name)
-        self._charge(route)
+        route = self.routes.get(name) or self._route(name)
+        self.clock.now += self._price[route.kind]
         if self.counters is not None:
-            self.counters.incr(EV_GLOBAL_WRITE)
+            counts = self.counters._counts
+            counts[EV_GLOBAL_WRITE] = counts.get(EV_GLOBAL_WRITE, 0) + 1
         route.instance.write(name, value)
 
     def address_of(self, name: str) -> int:
@@ -96,13 +103,7 @@ class GlobalsView:
 
     def access_ns(self, name: str) -> int:
         """Cost of one access to ``name`` under the current routing."""
-        route = self._route(name)
-        ns = self.costs.direct_access_ns
-        if route.kind is AccessKind.GOT:
-            ns += self.costs.got_indirect_extra_ns
-        elif route.kind is AccessKind.TLS and not self.optimized:
-            ns += self.costs.tls_indirect_extra_ns
-        return ns
+        return self._price[self._route(name).kind]
 
     def charge_bulk(self, name: str, count: int) -> int:
         """Charge ``count`` accesses to ``name`` in one step.
@@ -114,7 +115,7 @@ class GlobalsView:
         """
         if count < 0:
             raise ValueError("negative access count")
-        ns = self.access_ns(name) * count
+        ns = self._price[self._route(name).kind] * count
         self.clock.advance(ns)
         if self.counters is not None:
             self.counters.incr(EV_GLOBAL_READ, count)
@@ -133,16 +134,13 @@ class GlobalsProxy:
         object.__setattr__(self, "_view", view)
 
     def __getattr__(self, name: str) -> Any:
-        return object.__getattribute__(self, "_view").read(name)
+        return self._view.read(name)    # the _view slot never gets here
 
     def __setattr__(self, name: str, value: Any) -> None:
-        object.__getattribute__(self, "_view").write(name, value)
+        self._view.write(name, value)
 
-    def __getitem__(self, name: str) -> Any:
-        return object.__getattribute__(self, "_view").read(name)
-
-    def __setitem__(self, name: str, value: Any) -> None:
-        object.__getattribute__(self, "_view").write(name, value)
+    __getitem__ = __getattr__
+    __setitem__ = __setattr__
 
 
 class FetchTracer:
@@ -210,7 +208,7 @@ class ExecutionContext:
             raise SegFault(0, f"call to unknown function {func_name!r}")
         if self.tracer is not None:
             self.tracer.record(self.code.addr_of(func_name), fdef.code_bytes)
-        result = self.code.fn(func_name)(self, *args)
+        result = (fdef.fn or self.code.fn(func_name))(self, *args)  # no body: fault
         if type(result) is GeneratorType and self.mpi is not None:
             return self.mpi._blocking(func_name + "()", result)
         return result

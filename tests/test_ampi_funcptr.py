@@ -6,7 +6,8 @@ them point at the *single* per-job runtime — the runtime itself is never
 privatized.
 """
 
-from inspect import isgeneratorfunction
+from inspect import Parameter, isgeneratorfunction, signature
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.ampi.runtime import AmpiJob
 from repro.charm.node import JobLayout
 from repro.machine import TEST_MACHINE
 from repro.privatization._util import SHIM_PREFIX
+from repro.program.context import GlobalsView
 
 from conftest import make_hello
 
@@ -68,6 +70,55 @@ class TestOneSurface:
         assert {e.slot for e in ENTRY_POINTS if e.blocking} == {
             slot for slot, fn in transport.items()
             if isgeneratorfunction(fn)}
+
+    def test_the_handle_hands_off_exactly_what_can_block(self):
+        """Each method calls its entry once, with the rank first, and
+        passes the result through ``_blocking`` (op ``"MPI_" + slot``)
+        if and only if the table marks it ``blocking``."""
+        handed: list = []
+
+        class Spy(MpiHandle):
+            __slots__ = ()
+
+            def _blocking(self, op, gen):
+                handed.append((op, gen))
+                return ("handed", gen)
+
+        rank = SimpleNamespace(vp=0, pe=SimpleNamespace(index=3))
+        called: list = []
+
+        def stub(slot):
+            def entry(*args, **kw):
+                called.append((slot, args[0]))
+                return ("result", slot)
+            return entry
+
+        handle = Spy(rank, {s: stub(s) for s in AMPI_API_NAMES})
+        for e in ENTRY_POINTS:
+            handed.clear()
+            called.clear()
+            if e.name == "world":
+                got = handle.world
+            else:
+                params = signature(getattr(MpiHandle, e.name)).parameters
+                got = getattr(handle, e.name)(*(
+                    object() for p in list(params.values())[1:]
+                    if p.default is Parameter.empty))
+            if e.slot is None:
+                assert called == handed == [] and got == 3
+                continue
+            assert called == [(e.slot, rank)], e.name
+            result = ("result", e.slot)
+            if e.blocking:
+                assert handed == [("MPI_" + e.slot, result)], e.name
+                assert got == ("handed", result)
+            else:
+                assert handed == [], e.name
+                assert got in (result, None), e.name
+        # one dispatch path: the old repacking one and the per-access
+        # charge hop are gone
+        assert "_call" not in vars(MpiHandle)
+        assert "_charge" not in vars(GlobalsView)
 
     def test_a_collective_slot_is_the_one_entry_with_its_kind_bound(self):
         job = AmpiJob(make_hello(), 2, method="pieglobals",

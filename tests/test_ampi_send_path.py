@@ -42,11 +42,13 @@ from repro.harness.jobspec import JobSpec, build_job
 from repro.machine import TEST_MACHINE
 from repro.net.network import Network
 from repro.perf.counters import (
+    EV_CTX_SWITCH,
     EV_DEDUP_DROP,
     EV_MSG_BYTES,
     EV_MSG_SENT,
     EV_REPLAYED,
 )
+from repro.program.context import GlobalsProxy
 from repro.program.source import Program
 from repro.trace.stream import timeline_sha
 
@@ -565,6 +567,35 @@ class TestAgainstReference:
             AmpiJob(p.build(), 2, machine=TEST_MACHINE,
                     slot_size=1 << 24).run()
 
+    @pytest.mark.parametrize("entry", ["test", "testall", "waitany"])
+    def test_no_entry_takes_another_ranks_request(self, entry):
+        """vp 1 finds vp 0's receive in an unprivatized global.  Testing
+        it handed over vp 0's message, and waiting on any of it blocked
+        on a request vp 1 can never complete (a deadlock): each entry
+        refuses it up front, as ``wait`` does."""
+        p = Program("steal_" + entry)
+        p.add_global("req", None)
+
+        @p.function()
+        def main(ctx):
+            mpi = ctx.mpi
+            if mpi.rank() == 0:
+                ctx.g.req = mpi.irecv(source=1)
+                yield from mpi.barrier()
+                return (yield from mpi.wait(ctx.g.req))
+            if entry != "waitany":
+                mpi.send("hello", dest=0)
+            yield from mpi.barrier()
+            if entry == "test":
+                return mpi.test(ctx.g.req)
+            if entry == "testall":
+                return mpi.testall([ctx.g.req])
+            return (yield from mpi.waitany([ctx.g.req]))
+
+        with pytest.raises(MpiError, match="vp 1 cannot wait on vp 0's request"):
+            AmpiJob(p.build(), 2, method="none", machine=TEST_MACHINE,
+                    slot_size=1 << 24).run()
+
 
 def caught(mutant: Any) -> Any:
     """The first generated case on which ``mutant`` (a job class, or a
@@ -607,6 +638,19 @@ JACOBI_1K = JobSpec(app="jacobi3d", nvp=1024,
 #: ``jacobi_1k`` shape, measured plus one (the previous path: 33.5/10.8)
 CALL_BUDGET = {"isend": 19, "irecv": 8}
 
+SWITCH_STORM = JobSpec(app="pingpong", nvp=64,
+                       app_config={"yields_per_rank": 200}, method="none",
+                       machine="generic-linux", layout=(1, 1, 1),
+                       slot_size=1 << 26)
+
+#: Python calls per quantum of the whole run (the facade that repacked
+#: every call through ``MpiHandle._call``: 27.0 and 112.1)
+QUANTUM_BUDGET = {"switch_storm": 23, "jacobi_1k": 102}
+#: ... and inside one call of each entry: the dispatch part of
+#: ``yield_``/``wait`` (before the generator is handed out) and one
+#: ``ctx.g`` read/write (previously 3, 2.81, 6 and 7)
+ENTRY_BUDGET = {"yield_": 2, "wait": 2, "g_read": 3, "g_write": 4}
+
 
 def calls_inside(spec: JobSpec, entries: dict) -> tuple[dict, dict, Any, Any]:
     """Run ``spec`` under ``sys.setprofile``.  Per entry: how often it
@@ -641,19 +685,42 @@ def calls_inside(spec: JobSpec, entries: dict) -> tuple[dict, dict, Any, Any]:
     return entered, inside, called, result
 
 
+@pytest.fixture(scope="module")
+def jacobi_1k_calls():
+    return calls_inside(JACOBI_1K, {
+        "isend": MpiHandle.isend, "irecv": MpiHandle.irecv,
+        "wait": MpiHandle.wait, "g_read": GlobalsProxy.__getattr__,
+        "g_write": GlobalsProxy.__setattr__})
+
+
 class TestStructuralGuards:
     """Counted, not timed: the budget fails on the previous path."""
 
-    def test_call_budget_and_seams_on_the_jacobi_1k_shape(self):
-        entered, inside, called, result = calls_inside(JACOBI_1K, {
-            "isend": MpiHandle.isend, "irecv": MpiHandle.irecv})
+    def test_call_budget_and_seams_on_the_jacobi_1k_shape(self, jacobi_1k_calls):
+        entered, inside, called, result = jacobi_1k_calls
         sent = result.counters[EV_MSG_SENT]
         assert entered["isend"] == entered["irecv"] == sent == 5504
-        per_call = {name: inside[name] / entered[name] for name in entered}
-        assert all(per_call[name] <= CALL_BUDGET[name] for name in entered), \
+        per_call = {name: inside[name] / entered[name] for name in CALL_BUDGET}
+        assert all(per_call[name] <= CALL_BUDGET[name] for name in CALL_BUDGET), \
             per_call
         # the seam bench.py wraps as ``net``: once per send
         assert called[Network.transfer_ns.__code__] == sent
+
+    def test_calls_per_quantum_and_per_entry(self, jacobi_1k_calls):
+        storm = calls_inside(SWITCH_STORM, {"yield_": MpiHandle.yield_})
+        per_quantum, per_call = {}, {}
+        for shape, (entered, inside, called, result) in (
+                ("switch_storm", storm), ("jacobi_1k", jacobi_1k_calls)):
+            per_quantum[shape] = (sum(called.values())
+                                  / result.counters[EV_CTX_SWITCH])
+            per_call.update((name, inside[name] / entered[name])
+                            for name in entered if name in ENTRY_BUDGET)
+        assert storm[3].counters[EV_CTX_SWITCH] == 12864
+        assert all(per_quantum[s] <= QUANTUM_BUDGET[s]
+                   for s in QUANTUM_BUDGET), per_quantum
+        assert set(per_call) == set(ENTRY_BUDGET)
+        assert all(per_call[n] <= ENTRY_BUDGET[n] for n in ENTRY_BUDGET), \
+            per_call
 
     def test_the_benchmark_wraps_existing_handle_methods(self):
         path = Path(__file__).parents[1] / "benchmarks" / "host" / "spans.py"
