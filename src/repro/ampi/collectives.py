@@ -126,12 +126,12 @@ class CollectiveEngine:
             state = CollectiveState(kind=kind, comm=comm, seq=seq,
                                     params=dict(params))
             self._states[skey] = state
-        else:
-            if state.kind != kind:
-                raise MpiError(
-                    f"collective mismatch on {comm.name} (call #{seq}): "
-                    f"rank {my} called {kind} but others called {state.kind}"
-                )
+        elif state.kind != kind:
+            raise MpiError(
+                f"collective mismatch on {comm.name} (call #{seq}): "
+                f"rank {my} called {kind} but others called {state.kind}"
+            )
+        elif params:
             for k, v in params.items():
                 if k in ("root", "op") and state.params.get(k) is not v \
                         and state.params.get(k) != v:
@@ -152,8 +152,11 @@ class CollectiveEngine:
             yield from self.job.scheduler.block_current(f"MPI_{kind}")
             # woken: releases has our slot now
             release, result = state.releases[my]
-            rank.clock.advance_to(release)
-            self._trace_phase(rank, comm, kind, seq, t_arrive, release)
+            clock = rank.clock            # SimClock.advance_to, inline
+            if release > clock.now:
+                clock.now = int(release)
+            if self.job.trace is not None:
+                self._trace_phase(rank, comm, kind, seq, t_arrive, release)
             return result
 
         # Last arriver completes the operation and wakes everyone.
@@ -167,10 +170,13 @@ class CollectiveEngine:
             for r, (rel, res) in state.releases.items():
                 ml.log_collective(comm.vp_of_rank(r), comm.cid, seq,
                                   rel, res)
-        for r in state.blocked:
-            vp = comm.vp_of_rank(r)
-            release, _ = state.releases[r]
-            self.job.scheduler.wake(self.job.rank_of(vp), release)
+        # one global-heap entry per PE, not per rank (threads/runqueue.py)
+        sched = self.job.scheduler
+        with sched.runq.batch():
+            for r in state.blocked:
+                vp = comm.vp_of_rank(r)
+                release, _ = state.releases[r]
+                sched.wake(self.job.rank_of(vp), release)
         release, result = state.releases[my]
         rank.clock.advance_to(release)
         self._trace_phase(rank, comm, kind, seq, t_arrive, release)

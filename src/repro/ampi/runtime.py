@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass, field
 from inspect import isgeneratorfunction
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Generator, Sequence
 
 from repro.ampi.api import MpiHandle
@@ -366,12 +367,6 @@ class AmpiJob:
 
     # -- startup -----------------------------------------------------------------------
 
-    def _pe_for_vp(self, vp: int) -> int:
-        npes = self.layout.total_pes
-        if self.placement == "roundrobin":
-            return vp % npes
-        return vp * npes // self.nvp
-
     def start(self) -> None:
         """Bring the job up: topology, privatization setup, ULTs."""
         if self.started:
@@ -404,28 +399,32 @@ class AmpiJob:
             )
             proc.startup_clock.advance(self.costs.ampi_init_base_ns)
 
-        # Place ranks and create their ULTs/heaps/stacks.
-        for vp in range(self.nvp):
-            pe = self.pes[self._pe_for_vp(vp)]
-            rank = VirtualRank(vp, pe)
-            self._ranks[vp] = rank
+        # Place ranks (block or round-robin) and create their
+        # ULTs/heaps/stacks.
+        nvp, pes, npes = self.nvp, self.pes, self.layout.total_pes
+        roundrobin = self.placement == "roundrobin"
+        stack_bytes = self.stack_bytes
+        rank_ns = self.costs.ult_create_ns + self.costs.ampi_rank_setup_ns
+        for vp in range(nvp):
+            pe = pes[vp % npes if roundrobin else vp * npes // nvp]
+            rank = self._ranks[vp] = VirtualRank(vp, pe)
             self.locmgr.register(rank)
             proc = pe.process
-            rank.heap = RankHeap(vp, proc.isomalloc)
-            rank.stack_mapping = proc.isomalloc.alloc(
-                vp, self.stack_bytes, MapKind.STACK, tag=f"stack[{vp}]"
-            )
+            iso = proc.isomalloc
+            rank.heap = RankHeap(vp, iso)
+            rank.stack_mapping = iso.alloc(
+                vp, stack_bytes, MapKind.STACK, tag=f"stack[{vp}]")
             rank.ult = self.new_ult(rank)
-            proc.startup_clock.advance(
-                self.costs.ult_create_ns + self.costs.ampi_rank_setup_ns
-            )
+            proc.startup_clock.advance(rank_ns)
 
         # Privatization setup, per process.
         default_calltable = pack_transport(self)
         transport = (default_calltable
                      if self.method.uses_funcptr_shim else None)
+        optimized = self.optimize >= 1
+        costs, counters, argv = self.costs, self.counters, self.argv
         for proc in self.processes:
-            ranks_here = sorted(proc.resident_ranks(), key=lambda r: r.vp)
+            ranks_here = sorted(proc.resident_ranks(), key=attrgetter("vp"))
             env = SetupEnv(
                 process=proc,
                 loader=proc.loader,
@@ -435,7 +434,7 @@ class AmpiJob:
                 sharedfs=self.sharedfs,
                 concurrent_procs=self.layout.total_processes,
                 job_tag=f"job{self.job_id}",
-                optimized=self.optimize >= 1,
+                optimized=optimized,
                 funcptr_transport=transport,
                 trace=tr,
                 trace_pid=self._proc_pid_base + proc.index,
@@ -451,40 +450,28 @@ class AmpiJob:
                 )
             for rank in ranks_here:
                 wiring = wirings[rank.vp]
+                clock = rank.ult.clock
                 if san is None:
-                    view = GlobalsView(
-                        wiring.routes, self.costs, rank.ult.clock,
-                        counters=self.counters,
-                        optimized=self.optimize >= 1,
-                    )
+                    view = GlobalsView(wiring.routes, costs, clock,
+                                       counters=counters, optimized=optimized)
                 else:
                     from repro.sanitize.runtime import SanitizedGlobalsView
                     view = SanitizedGlobalsView(
-                        wiring.routes, self.costs, rank.ult.clock,
-                        counters=self.counters,
-                        optimized=self.optimize >= 1,
-                        probe=san.bind(rank.vp, rank.ult.clock),
+                        wiring.routes, costs, clock,
+                        counters=counters, optimized=optimized,
+                        probe=san.bind(rank.vp, clock),
                     )
                 tracer = FetchTracer() if self.trace_fetches else None
                 rank.code = wiring.code
                 rank.tls_instance = wiring.tls_instance
-                calltable = wiring.shim_calltable or default_calltable
-                ctx = ExecutionContext(
-                    vp=rank.vp,
-                    view=view,
-                    code=wiring.code,
-                    clock=rank.ult.clock,
-                    costs=self.costs,
-                    heap=rank.heap,
-                    counters=self.counters,
-                    tracer=tracer,
-                    argv=self.argv,
+                shim = wiring.shim_calltable
+                ctx = rank.ctx = ExecutionContext(
+                    vp=rank.vp, view=view, code=wiring.code, clock=clock,
+                    costs=costs, heap=rank.heap, counters=counters,
+                    tracer=tracer, argv=argv,
                 )
-                ctx.mpi = MpiHandle(
-                    rank, calltable,
-                    via_shim=wiring.shim_calltable is not None,
-                )
-                rank.ctx = ctx
+                ctx.mpi = MpiHandle(rank, shim or default_calltable,
+                                    via_shim=shim is not None)
 
         if self.restore_from is not None:
             self.restore_from.apply_to(self)
@@ -562,11 +549,12 @@ class AmpiJob:
                         pid=self._proc_pid_base + proc.index,
                         args={"method": self.method.name,
                               "ranks": len(proc.resident_ranks())})
-        for vp in range(self.nvp):
-            rank = self._ranks[vp]
-            self.scheduler.register(
-                rank, rank.pe.process.startup_clock.now
-            )
+        # one global-heap entry per PE, not per rank (threads/runqueue.py)
+        register = self.scheduler.register
+        with self.scheduler.runq.batch():
+            for vp in range(nvp):
+                rank = self._ranks[vp]
+                register(rank, rank.pe.process.startup_clock.now)
 
     def new_ult(self, rank: VirtualRank) -> UserLevelThread:
         """A fresh ULT for ``rank`` (start-up and every restart)."""

@@ -43,6 +43,7 @@ from repro.chaos.scenario import (
     generate_scenario,
 )
 from repro.chaos.shrink import ShrinkResult, shrink_plan
+from repro.errors import ReproError
 from repro.ft.plan import FaultPlan, MessageFaults
 from repro.harness.jobspec import JobSpec, run_spec_job
 from repro.perf.counters import EV_CASCADE, EV_CKPT_FALLBACK
@@ -199,7 +200,10 @@ def run_scenario(
     base_key = sc.base_spec.digest()
     base = baselines.get(base_key) if baselines is not None else None
     if base is None:
-        _, base = run_spec_job(sc.base_spec, strict=False)
+        try:
+            _, base = run_spec_job(sc.base_spec, strict=False)
+        except ReproError as e:
+            return _liveness(sc, e)
         if baselines is not None:
             baselines[base_key] = base
     if base.unrecoverable_reason is not None:
@@ -215,7 +219,17 @@ def run_scenario(
     # 2. the faulted run
     plan = sc.plan(base)
     spec = sc.spec(plan)
-    job, result = run_spec_job(spec, strict=False)
+    try:
+        job, result = run_spec_job(spec, strict=False)
+    except ReproError as e:
+        outcome = _liveness(sc, e, plan)
+        if shrink and plan is not None:
+            shrunk, _ = _shrink_and_record(
+                sc, plan, base, outcome.violations, None,
+                extra_check=extra_check, budget=shrink_budget,
+            )
+            outcome.shrunk = shrunk.to_dict()
+        return outcome
 
     # 3. invariants
     violations = check_run(spec, job, result, base)
@@ -255,6 +269,18 @@ def run_scenario(
     )
 
 
+def _liveness(sc: ChaosScenario, error: ReproError,
+              plan: FaultPlan | None = None) -> ScenarioOutcome:
+    """A run that raised instead of finishing (a deadlock, say): there is
+    no record to file, so the scenario and its plan are the repro."""
+    return ScenarioOutcome(
+        scenario=sc, status="violation", reason=None,
+        violations=[Violation("liveness", f"{type(error).__name__}: {error}")],
+        plan=plan.to_dict() if plan is not None else None,
+        run_id=None, timeline_sha256=None,
+    )
+
+
 def _shrink_and_record(
     sc: ChaosScenario,
     plan: FaultPlan,
@@ -272,7 +298,10 @@ def _shrink_and_record(
 
     def fails(candidate: FaultPlan) -> bool:
         spec_c = sc.spec(candidate)
-        job_c, res_c = run_spec_job(spec_c, strict=False)
+        try:
+            job_c, res_c = run_spec_job(spec_c, strict=False)
+        except ReproError:
+            return True             # a liveness violation
         v = check_run(spec_c, job_c, res_c, base)
         if extra_check is not None:
             v += list(extra_check(res_c))
@@ -284,9 +313,13 @@ def _shrink_and_record(
     run_id = None
     if store is not None:
         # One final run of the minimal plan, recorded with its event
-        # stream: the repro `repro replay` re-executes.
-        run_id = record_run(sc.spec(shrunk.plan), store,
-                            strict=False).record.run_id
+        # stream: the repro `repro replay` re-executes.  A minimal plan
+        # whose run never finishes has no record; its plan is the repro.
+        try:
+            run_id = record_run(sc.spec(shrunk.plan), store,
+                                strict=False).record.run_id
+        except ReproError:
+            pass
     return shrunk, run_id
 
 

@@ -62,8 +62,8 @@ class ElfImage:
     #: (`int *p = &x;`): var name -> symbol name.  These land as ABS64
     #: relocations and are what the PIEglobals pointer scan must find.
     addr_inits: dict[str, str] = field(default_factory=dict)
-    #: shared by ``dataclasses.replace`` copies: FSglobals' per-rank
-    #: renamed images are one image under many paths
+    #: shared by shallow copies: FSglobals' per-rank renamed images are
+    #: one image under many paths
     plans: LoadPlans = field(default_factory=LoadPlans, repr=False,
                              compare=False)
 

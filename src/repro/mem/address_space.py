@@ -155,13 +155,18 @@ class VirtualMemory:
         if size <= 0:
             raise MapError(f"bad map size {size}")
         size = page_align_up(size)
-        if self.overlaps(start, size):
+        # overlaps() and insort() with one bisect
+        starts = self._starts
+        i = bisect.bisect_right(starts, start)
+        prev = self._maps[starts[i - 1]] if i else None
+        if (prev is not None and prev.start + prev.size > start
+                or i < len(starts) and starts[i] < start + size):
             raise MapError(
                 f"{self.name}: mapping {start:#x}+{size:#x} overlaps an "
                 f"existing region"
             )
         m = Mapping(start=start, size=size, kind=kind, **attrs)
-        bisect.insort(self._starts, start)
+        starts.insert(i, start)
         self._maps[start] = m
         return m
 

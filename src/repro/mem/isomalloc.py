@@ -106,14 +106,18 @@ class Isomalloc:
         if nbytes <= 0:
             raise IsomallocError(f"bad allocation size {nbytes}")
         size = page_align_up(nbytes)
-        slot = self.arena.slot(rank)
+        arena = self.arena
+        if not 0 <= rank < arena.max_ranks:
+            arena.slot(rank)        # raises the out-of-arena error
+        # IsomallocArena.slot, by arithmetic
+        slot_start = ISOMALLOC_BASE + rank * arena.slot_size
 
         # First-fit from the free list, else bump.
         start = None
         freelist = self._free.get(rank, [])
         for i, (off, fsize) in enumerate(freelist):
             if fsize >= size:
-                start = slot.start + off
+                start = slot_start + off
                 if fsize > size:
                     freelist[i] = (off + size, fsize - size)
                 else:
@@ -121,12 +125,12 @@ class Isomalloc:
                 break
         if start is None:
             off = self._bump.get(rank, 0)
-            if off + size > slot.size:
+            if off + size > arena.slot_size:
                 raise IsomallocError(
                     f"rank {rank}: Isomalloc slot exhausted "
-                    f"({off + size:#x} > {slot.size:#x})"
+                    f"({off + size:#x} > {arena.slot_size:#x})"
                 )
-            start = slot.start + off
+            start = slot_start + off
             self._bump[rank] = off + size
 
         return self.vm.map_at(

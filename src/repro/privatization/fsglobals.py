@@ -18,7 +18,7 @@ Trade-offs reproduced:
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
+import copy
 from typing import TYPE_CHECKING
 
 from repro.errors import PrivatizationError, UnsupportedToolchain
@@ -89,8 +89,8 @@ class FsGlobals(PrivatizationMethod):
             fs.copy_file(original, copy_name, clk, env.concurrent_procs)
             # dlopen of a distinct path -> a distinct link map.  Model the
             # path distinction with a renamed (otherwise identical) image.
-            per_rank_image = dc_replace(binary.image,
-                                        name=f"{binary.name}.vp{rank.vp}")
+            per_rank_image = copy.copy(binary.image)
+            per_rank_image.name = f"{binary.name}.vp{rank.vp}"
             lm = env.loader.dlopen(per_rank_image)
             rank.method_data["linkmap"] = lm
             rank.method_data["fs_copy"] = copy_name

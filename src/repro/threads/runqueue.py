@@ -24,18 +24,38 @@ when the key's value does not change — and changing when a re-key
 happens changes timelines.  The hot paths re-key inline from a bucket
 top they have checked is live on its PE; ``_clean_top``/``_repost`` are
 only the slow path for superseded, discarded and migrated entries.
+
+The batch rule: where start-up or a collective's release admits N ranks
+at once (:meth:`RunQueue.batch`), the global heap gets one entry per PE.
+Pushes inside a batch re-key exactly as outside it — the same keys, the
+same versions, drawn in the same order — but post to a side list, and on
+exit only the entries still live (each PE's last re-key) enter the heap:
+the others would only have been popped as stale.  A batch must end
+before the next pop, which it asserts: a PE whose quantum just ended
+gets busier and is re-keyed lazily at that pop, so it must find every
+PE woken during the quantum already in the heap.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.threads.ult import UserLevelThread
 
 #: a bucket entry: (ready time, sequence number, ULT)
 _Entry = tuple[int, int, UserLevelThread]
+
+
+class _Posted(list):
+    """Where a batch's pushes post their global entries.  ``pop`` starts
+    with ``while g:``, so popping inside a batch asks this for its truth
+    value — and fails."""
+
+    def __bool__(self) -> bool:
+        raise AssertionError("pop inside a run-queue batch")
 
 
 class RunQueue:
@@ -100,6 +120,22 @@ class RunQueue:
         ver = next(self._seq)
         self._bucket_ver[key] = ver
         heappush(self._global, (eff, ver, key))
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Admit many pushes with one global-heap entry per PE (the batch
+        rule, module docstring); nothing may pop inside."""
+        heap = self._global
+        assert type(heap) is list, "run-queue batches do not nest"
+        self._global = posted = _Posted()
+        try:
+            yield
+        finally:
+            self._global = heap
+            live = set(self._bucket_ver.values())   # versions are unique
+            for entry in posted:
+                if entry[1] in live:
+                    heappush(heap, entry)
 
     # -- the slow path -----------------------------------------------------------
 

@@ -28,7 +28,7 @@ stack, like AMPI gives legacy MPI code.
 from __future__ import annotations
 
 import enum
-from inspect import isgeneratorfunction
+from inspect import CO_GENERATOR, isgeneratorfunction
 from typing import Any, Callable, Generator
 
 from repro.errors import ReproError
@@ -108,7 +108,12 @@ class UserLevelThread:
         """
         if self.state is not UltState.NEW:
             raise ReproError(f"ULT {self.name} already started")
-        self.stackless = isgeneratorfunction(self.target)
+        # isgeneratorfunction's answer, read off the code object (a bound
+        # method forwards ``__code__``); inspect unwraps anything else
+        try:
+            self.stackless = self.target.__code__.co_flags & CO_GENERATOR != 0
+        except AttributeError:
+            self.stackless = isgeneratorfunction(self.target)
         self.state = UltState.READY
 
     def step(self) -> None:

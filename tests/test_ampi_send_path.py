@@ -9,15 +9,18 @@ name).  Hypothesis-generated deadlock-free point-to-point programs must
 give the same timeline, counters and per-rank received payloads on both,
 and two known-bad mutants must fail that comparison.  The rest is
 structural, not timed: Python calls per ``isend``/``irecv`` on the
-``jacobi_1k`` shape, and the seams the host benchmark wraps by name.
+``jacobi_1k`` shape, per rank of ``AmpiJob.start`` on ``method_sweep``
+shapes, and the seams the host benchmark wraps by name.
 """
 
 from __future__ import annotations
 
 import __future__
+import cProfile
 import importlib.util
 import itertools
 import inspect
+import pstats
 import sys
 import textwrap
 from collections import Counter
@@ -650,6 +653,11 @@ QUANTUM_BUDGET = {"switch_storm": 23, "jacobi_1k": 102}
 #: ``yield_``/``wait`` (before the generator is handed out) and one
 #: ``ctx.g`` read/write (previously 3, 2.81, 6 and 7)
 ENTRY_BUDGET = {"yield_": 2, "wait": 2, "g_read": 3, "g_write": 4}
+#: calls per rank inside ``AmpiJob.start`` on ``method_sweep``'s shape of
+#: each method, as cProfile counts them (C functions included; before
+#: ranks were admitted in bulk and a rank's start-up paid only for
+#: itself: 67.2, 110.3 and 184.7)
+STARTUP_BUDGET = {"none": 55, "pieglobals": 92, "fsglobals": 160}
 
 
 def calls_inside(spec: JobSpec, entries: dict) -> tuple[dict, dict, Any, Any]:
@@ -721,6 +729,17 @@ class TestStructuralGuards:
         assert set(per_call) == set(ENTRY_BUDGET)
         assert all(per_call[n] <= ENTRY_BUDGET[n] for n in ENTRY_BUDGET), \
             per_call
+
+    def test_startup_calls_per_rank(self):
+        per_rank = {}
+        for method in STARTUP_BUDGET:
+            job = build_job(JobSpec(app="startup", nvp=256, method=method,
+                                    machine="bridges2", layout=(1, 2, 4)))
+            profile = cProfile.Profile()
+            profile.runcall(job.start)
+            per_rank[method] = pstats.Stats(profile).total_calls / 256
+        assert all(per_rank[m] <= STARTUP_BUDGET[m] for m in STARTUP_BUDGET), \
+            per_rank
 
     def test_the_benchmark_wraps_existing_handle_methods(self):
         path = Path(__file__).parents[1] / "benchmarks" / "host" / "spans.py"

@@ -131,3 +131,17 @@ class TestCampaignRegressions:
                            shrink=False)
         assert out.ok, [str(v) for v in out.violations]
         assert out.status == "ok"
+
+    def test_a_run_that_never_finishes_is_a_liveness_violation(self, store):
+        # Seed-2 scenario 25 deadlocks (local recovery of a cascade under
+        # wire noise; still open).  It must be reported, not raised: no
+        # record exists for a run that never finished, so the scenario
+        # and its plan are the repro, and its shrunk plan still hangs.
+        out = run_scenario(generate_scenario(2, 25), store=store,
+                           replay=False, shrink_budget=8)
+        assert out.status == "violation"
+        assert [v.invariant for v in out.violations] == ["liveness"]
+        assert "DeadlockError" in out.violations[0].detail
+        assert out.plan["node_crashes"] and out.shrunk is not None
+        assert out.run_id is None and out.timeline_sha256 is None
+        assert store.ids() == []

@@ -2,6 +2,7 @@
 
 import heapq
 import itertools
+from contextlib import contextmanager, nullcontext
 from typing import Callable, Iterable
 
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -9,6 +10,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from repro.harness.jobspec import JobSpec, build_job
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UserLevelThread
+from test_ampi_send_path import JACOBI_1K
 from test_sched_dispatch import pingpong
 
 
@@ -323,8 +325,33 @@ class SkipUnchangedTopRekey(RunQueue):
             self._bucket_ver[key] = ver
 
 
+class FlushInFirstPushOrder(RunQueue):
+    """The mutant: a batch re-keys each PE once on exit, with its last
+    push's effective start but in the order of the PE's *first* push
+    into the batch, instead of posting the pushes' own live entries."""
+
+    @contextmanager
+    def batch(self):
+        heap, self._global = self._global, []
+        try:
+            yield
+        finally:
+            posted, self._global = self._global, heap
+            posted.sort(key=lambda entry: entry[1])     # push order
+            live = {key: eff for eff, ver, key in posted
+                    if self._bucket_ver.get(key) == ver}
+            for key in dict.fromkeys(key for _, _, key in posted
+                                     if key in live):
+                ver = self._bucket_ver[key] = next(self._seq)
+                heapq.heappush(heap, (live[key], ver, key))
+
+
 #: operation kinds, weighted: pops and pushes dominate, as in a job
-KINDS = ("push",) * 6 + ("pop",) * 6 + ("busy", "discard", "migrate", "drain")
+KINDS = ("push",) * 6 + ("pop",) * 6 + ("busy", "discard", "migrate", "drain",
+                                        "batch", "batch")
+#: what a batch is made of: a run of pushes, some superseding, with
+#: discards and migrations among them (no pop, no PE getting busier)
+BATCH_KINDS = ("push",) * 6 + ("discard", "migrate")
 
 
 @st.composite
@@ -336,21 +363,24 @@ def scenarios(draw):
     favour runs of one operation, and a tie needs interleavings."""
     rng = draw(st.randoms(use_true_random=False))
     npes, nults = rng.randint(1, 6), rng.randint(1, 8)
-    ops: list[tuple] = []
-    for _ in range(rng.randint(8, 60)):
-        kind = rng.choice(KINDS)
+
+    def op(kind):
         if kind == "push":
-            ops.append((kind, rng.randrange(nults), rng.choice((0, 10))))
-        elif kind == "pop":
-            ops.append((kind, rng.choice((0, 10)), rng.random() < 0.8))
-        elif kind == "busy":
-            ops.append((kind, rng.randrange(npes), 10))
-        elif kind == "discard":
-            ops.append((kind, rng.randrange(nults)))
-        elif kind == "migrate":
-            ops.append((kind, rng.randrange(nults), rng.randrange(npes)))
-        else:
-            ops.append((kind,))
+            return (kind, rng.randrange(nults), rng.choice((0, 10)))
+        if kind == "pop":
+            return (kind, rng.choice((0, 10)), rng.random() < 0.8)
+        if kind == "busy":
+            return (kind, rng.randrange(npes), 10)
+        if kind == "discard":
+            return (kind, rng.randrange(nults))
+        if kind == "migrate":
+            return (kind, rng.randrange(nults), rng.randrange(npes))
+        if kind == "batch":
+            return (kind, tuple(op(rng.choice(BATCH_KINDS))
+                                for _ in range(rng.randint(1, 10))))
+        return (kind,)
+
+    ops = [op(rng.choice(KINDS)) for _ in range(rng.randint(8, 60))]
     return ([rng.randrange(npes) for _ in range(nults)],
             rng.random() < 0.5, ops)
 
@@ -363,7 +393,9 @@ def replay(queue_cls, scenario):
     becomes the effective start plus ``run_ns``, and with ``requeue`` the
     ULT is pushed again at that time.  ``busy`` adds to one PE (so
     business only grows), ``migrate`` re-maps a ULT — queued or not — to
-    another PE, and the queue is popped empty at the end."""
+    another PE, ``batch`` runs its operations inside ``q.batch()`` (as
+    plain operations on a queue without one), and the queue is popped
+    empty at the end."""
     placement, bucketed, ops = scenario
     where = list(placement)
     busy = [0] * 6
@@ -384,7 +416,7 @@ def replay(queue_cls, scenario):
         seen.append(("pop", item))
         return item
 
-    for op in ops:
+    def apply(op):
         if op[0] == "push":
             q.push(ults[op[1]], op[2])
         elif op[0] == "pop":
@@ -395,8 +427,15 @@ def replay(queue_cls, scenario):
             q.discard(ults[op[1]])
         elif op[0] == "migrate":
             where[op[1]] = op[2]
+        elif op[0] == "batch":
+            with getattr(q, "batch", nullcontext)():
+                for inner in op[1]:
+                    apply(inner)
         else:
             seen.append(("drain", sorted(index[u.tid] for u in q.drain())))
+
+    for op in ops:
+        apply(op)
         seen.append(("state", len(q), [u in q for u in ults]))
     while pop() is not None:
         pass
@@ -436,15 +475,33 @@ class TestAgainstReference:
         assert seen == replay(ReferenceRunQueue, scenario)
         assert pops(seen) == [(1, 200), (0, 10), None]
 
+    def test_a_batch_rekeys_in_last_push_order(self):
+        """In one batch PE 0 is pushed (ULT 0), then PE 1 (ULT 2), then
+        PE 0 again (ULT 1), all at 10: PE 1's last push comes first, so
+        it runs first — as when the three are pushed one by one."""
+        scenario = ([0, 0, 1], True, [("batch", (
+            ("push", 0, 10), ("push", 2, 10), ("push", 1, 10)))])
+        seen = replay(RunQueue, scenario)
+        assert seen == replay(ReferenceRunQueue, scenario)
+        assert pops(seen) == [(2, 10), (0, 10), (1, 10), None]
+        assert pops(replay(FlushInFirstPushOrder, scenario))[0] == (0, 10)
+
+    @staticmethod
+    def caught(mutant):
+        find(scenarios(),
+             lambda s: replay(mutant, s) != replay(ReferenceRunQueue, s),
+             settings=settings(max_examples=300, derandomize=True,
+                               database=None, phases=[Phase.generate]))
+
     def test_the_oracle_catches_a_skipped_rekey(self):
         """Skipping ``push``'s re-key when the bucket's top is unchanged
         keeps every effective start right and only moves ties — the
-        oracle must still tell."""
-        find(scenarios(),
-             lambda s: replay(SkipUnchangedTopRekey, s)
-             != replay(ReferenceRunQueue, s),
-             settings=settings(max_examples=300, derandomize=True,
-                               database=None, phases=[Phase.generate]))
+        oracle must still tell (the scenarios hold batches too)."""
+        self.caught(SkipUnchangedTopRekey)
+
+    def test_the_oracle_catches_a_first_push_order_flush(self):
+        """Flushing a batch in first-push order also only moves ties."""
+        self.caught(FlushInFirstPushOrder)
 
 
 # -- the slow path stays cold -------------------------------------------------------
@@ -477,9 +534,51 @@ class TestSlowPathStaysCold:
         assert [i for i in at if i >= 64] == []
 
     def test_jacobi_1k_shape(self, monkeypatch):
-        at, quanta = slow_path_entries(monkeypatch, JobSpec(
-            app="jacobi3d", nvp=1024,
-            app_config={"n": 16, "iters": 1, "reduce_every": 1},
-            method="pieglobals", machine="generic-linux", layout=(2, 2, 4)))
+        at, quanta = slow_path_entries(monkeypatch, JACOBI_1K)
         assert quanta > 1024
         assert len(at) <= 0.05 * quanta
+
+
+# -- ranks enter and leave in bulk -------------------------------------------------
+
+#: the host benchmark's ``method_sweep`` shapes and their PEs holding ranks
+METHOD_SWEEP = [(JobSpec(app="startup", nvp=256, method=m, machine="bridges2",
+                         layout=(1, 32, 1) if m == "pipglobals" else (1, 2, 4)),
+                 npes)
+                for m, npes in (("none", 8), ("tlsglobals", 8), ("pipglobals", 32),
+                                ("fsglobals", 8), ("pieglobals", 8))]
+
+
+class TestBulkAdmission:
+    """Structural, not timed: start-up and a collective's release push
+    one global-heap entry per PE, not one per rank."""
+
+    def test_startup_pushes_one_global_entry_per_pe(self):
+        for spec, npes in METHOD_SWEEP + [(JACOBI_1K, 16)]:
+            job = build_job(spec)
+            job.start()
+            holding = {rank.pe.index for rank in job.scheduler.ranks()}
+            # nothing has been popped yet: every push is still in the heap
+            assert len(job.scheduler.runq._global) == len(holding) == npes
+
+    def test_a_256_rank_barrier_releases_one_entry_per_pe(self, monkeypatch):
+        spec, npes = METHOD_SWEEP[0]
+        job = build_job(spec)
+        job.start()
+        g = job.scheduler.runq._global
+        pushed = []
+        step = UserLevelThread.step
+
+        def counted(ult):
+            # no pop inside a quantum: the heap only grows by its pushes
+            n = len(g)
+            step(ult)
+            pushed.append(len(g) - n)
+
+        monkeypatch.setattr(UserLevelThread, "step", counted)
+        job.run()
+        # a quantum to the barrier and one from it, but the last arriver
+        # runs on: its quantum wakes the other 255
+        assert len(pushed) == 2 * 256 - 1
+        assert 0 < max(pushed) <= npes
+
