@@ -1,6 +1,6 @@
 """The content-addressed result cache the job service fronts.
 
-A thin, counting layer over :class:`~repro.provenance.ProvenanceStore`:
+A thin layer over :class:`~repro.provenance.ProvenanceStore`:
 the cache *is* the store — ``repro serve`` results are ordinary
 provenance records, so everything recorded by ``--provenance`` runs,
 chaos campaigns, or another server sharing the root is a potential hit,
@@ -16,10 +16,27 @@ construction; restart the service after changing sources.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec, code_version
 from repro.provenance.record import RunRecord, run_id_for
 from repro.provenance.store import ProvenanceStore
+from repro.serve.protocol import EncodedRecord
+
+#: encoded bytes the hit memo may hold; past it the least recently
+#: served records are dropped first
+MEMO_BYTES = 16 << 20
+
+
+def _identity(path: Path) -> tuple[int, int, int] | None:
+    """What a replaced or rewritten record file changes; None if gone."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns  # repro: allow(det-wallclock) identifies a record file's version, never simulation state
 
 
 class ResultCache:
@@ -28,27 +45,40 @@ class ResultCache:
     def __init__(self, store: ProvenanceStore):
         self.store = store
         self.code_version = code_version()
-        self.hits = 0
-        self.misses = 0
+        #: run_id -> (record file, its identity, encoded record), least
+        #: recently served first; kept while the file's identity holds
+        self._memo: dict[str, tuple] = {}
+        self._memo_bytes = 0
 
     def key(self, spec: JobSpec) -> str:
         return run_id_for(spec, self.code_version)
 
-    def get(self, run_id: str) -> RunRecord | None:
-        """The stored record, or None.  A hit counts as *use* (the
-        store refreshes the record's eviction age); a record deleted by
-        a concurrent gc between the membership check and the read is a
-        miss, not a crash."""
-        if run_id not in self.store:
-            self.misses += 1
+    def get(self, run_id: str) -> EncodedRecord | None:
+        """The stored record's ``to_dict()``, or None.  A hit counts as
+        *use* (the store refreshes the record's eviction age); a record
+        missing, unreadable or corrupt — a concurrent gc deleted it — is
+        a miss, not a crash.  Each hit gets its own shallow copy."""
+        entry = self._memo.pop(run_id, None)
+        if entry is not None:
+            self._memo_bytes -= len(entry[2].json)
+        path = entry[0] if entry else self.store._record_path(run_id)
+        ident = _identity(path)
+        if ident is None:
             return None
-        try:
-            record = self.store.get(run_id)
-        except (OSError, ValueError, KeyError, ReproError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return record
+        if entry is not None and entry[1] == ident:
+            self.store.touch(run_id)
+            record = entry[2]
+        else:
+            try:
+                record = EncodedRecord(self.store.get(run_id).to_dict())
+            except (OSError, ValueError, KeyError, ReproError):
+                return None
+        self._memo[run_id] = (path, ident, record)
+        self._memo_bytes += len(record.json)
+        while self._memo_bytes > MEMO_BYTES:
+            *_, dropped = self._memo.pop(next(iter(self._memo)))
+            self._memo_bytes -= len(dropped.json)
+        return record.copy()
 
     def put(self, record: RunRecord,
             compressed_timeline: bytes | None = None) -> tuple[str, bool]:
@@ -58,11 +88,7 @@ class ResultCache:
                               compressed_timeline=compressed_timeline)
 
     def stats(self) -> dict:
-        total = self.hits + self.misses
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hits / total, 4) if total else 0.0,
             "records": len(self.store),
             "store_bytes": self.store.size_bytes(),
             "store_root": str(self.store.root),

@@ -40,7 +40,9 @@ the protocol over thousands of specs.
 The protocol is deliberately line-based: every message is valid JSON on
 one line, so ``socat``/``nc`` sessions and log captures stay readable.
 Timelines never cross the wire — they live in the store; replies carry
-only the record (spec, digests, counters, per-PE stats).
+only the record (spec, digests, counters, per-PE stats).  A record
+served from the store is an :class:`EncodedRecord`, whose JSON is
+spliced into the reply line as it was encoded once, not encoded again.
 """
 
 from __future__ import annotations
@@ -97,10 +99,31 @@ class ProtocolError(ReproError):
     """Malformed frame or message on the serve protocol."""
 
 
+_compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+class EncodedRecord(dict):
+    """A stored ``RunRecord.to_dict()`` that carries its own compact
+    sorted-key JSON; :meth:`copy` shares the JSON, not the dict."""
+
+    __slots__ = ("json",)
+
+    def __init__(self, record: dict[str, Any], json_text: str | None = None):
+        super().__init__(record)
+        self.json = _compact(record) if json_text is None else json_text
+
+    def copy(self) -> "EncodedRecord":
+        return EncodedRecord(self, self.json)
+
+
 def encode(msg: dict[str, Any]) -> bytes:
     """One message -> one JSON line (sorted keys, compact)."""
-    return (json.dumps(msg, sort_keys=True,
-                       separators=(",", ":")) + "\n").encode()
+    record = msg.get("record")
+    if not isinstance(record, EncodedRecord):
+        return (_compact(msg) + "\n").encode()
+    return ("{" + ",".join(
+        f"{_compact(k)}:{record.json if k == 'record' else _compact(msg[k])}"
+        for k in sorted(msg)) + "}\n").encode()
 
 
 def decode(line: bytes) -> dict[str, Any]:

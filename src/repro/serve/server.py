@@ -83,7 +83,8 @@ class ServeStats:
     """Service-lifetime counters (``stats`` op / load-gen reporting)."""
 
     submissions: int = 0
-    hits: int = 0           #: served straight from the store
+    hits: int = 0           #: submit/await replies served from the store
+    misses: int = 0         #: other submit/await replies that looked there
     executed: int = 0       #: dispatched to the worker pool
     coalesced: int = 0      #: attached to an identical in-flight run
     errors: int = 0         #: executions that died unstructured
@@ -98,9 +99,12 @@ class ServeStats:
     started_at: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict[str, Any]:
+        looked = self.hits + self.misses
         return {
             "submissions": self.submissions,
             "hits": self.hits,
+            "misses": self.misses,
+            "hit_rate": round(self.hits / looked, 4) if looked else 0.0,
             "executed": self.executed,
             "coalesced": self.coalesced,
             "errors": self.errors,
@@ -400,12 +404,9 @@ class JobService:
             # Quarantined: answer from memory, never feed it workers.
             return dict(poison)
 
-        record = self.cache.get(run_id)
-        if record is not None:
-            self.stats.hits += 1
-            return {"ok": True, "run_id": run_id,
-                    "cache": protocol.CACHE_HIT,
-                    "record": record.to_dict()}
+        reply = self._stored_reply(run_id)
+        if reply is not None:
+            return reply
 
         fut = self._inflight.get(run_id)
         if fut is not None:
@@ -499,11 +500,9 @@ class JobService:
                 waited = True
                 self.stats.lease_waits += 1
             await asyncio.sleep(self.lease_poll_s)
-            record = self.cache.get(run_id)
-            if record is not None:
-                self._settle(run_id, fut, {
-                    "ok": True, "run_id": run_id,
-                    "record": record.to_dict()})
+            reply = self._stored_reply(run_id, counted=False)
+            if reply is not None:
+                self._settle(run_id, fut, reply)
                 return None
 
     async def _run_on_pool(self, run_id: str, spec: JobSpec,
@@ -570,6 +569,19 @@ class JobService:
         self.cache.put(record, out.get("timeline_z"))
         return {"ok": True, "run_id": run_id, "record": out["record"]}
 
+    def _stored_reply(self, run_id: str, *, counted: bool = True
+                      ) -> dict[str, Any] | None:
+        """The reply serving ``run_id`` from the store, or None.  A
+        submit/await lookup counts one hit or one miss; a lease poll,
+        whose waiters were counted when they submitted, counts none."""
+        record = self.cache.get(run_id)
+        if record is None:
+            self.stats.misses += counted
+            return None
+        self.stats.hits += counted
+        return {"ok": True, "run_id": run_id, "cache": protocol.CACHE_HIT,
+                "record": record}
+
     def _settle(self, run_id: str, fut: asyncio.Future,
                 reply: dict[str, Any]) -> None:
         self._inflight.pop(run_id, None)
@@ -629,11 +641,9 @@ class JobService:
         poison = self._poison.get(run_id)
         if poison is not None:
             return dict(poison)
-        record = self.cache.get(run_id)
-        if record is not None:
-            return {"ok": True, "run_id": run_id,
-                    "cache": protocol.CACHE_HIT,
-                    "record": record.to_dict()}
+        reply = self._stored_reply(run_id)
+        if reply is not None:
+            return reply
         return protocol.error_reply(f"unknown run id {run_id[:12]!r}",
                                     run_id=run_id)
 

@@ -1,0 +1,363 @@
+"""A hit is served from its encoding.
+
+The job service keeps each stored record's wire JSON while the record
+file keeps its inode, size and mtime, and splices it into the reply.
+The previous hit path (membership check, ``store.get``, ``to_dict``, a
+full ``json.dumps`` of the reply) is kept below as the reference: every
+``submit``, ``submit_many`` and ``await`` hit must put the reference's
+bytes on the wire, on the first hit and on memoised ones, for records
+drawn with escape-heavy and non-ASCII strings, floats, ``None``s, empty
+and large per-PE stats and odd exit values.
+"""
+
+import asyncio
+import io
+import json
+import os
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+import pytest
+from hypothesis import Phase, find, given, settings, strategies as st
+
+from repro.errors import ReproError
+from repro.harness.jobspec import JobSpec, code_version
+from repro.provenance import ProvenanceStore, RunRecord, run_id_for
+from repro.serve import JobService, protocol
+from repro.serve import cache as cache_mod
+
+# -- the previous hit path ---------------------------------------------------
+
+
+def reference_get(store, run_id):
+    """``ResultCache.get`` before the memo: every hit re-read."""
+    if run_id not in store:
+        return None
+    try:
+        return store.get(run_id, touch=False)
+    except (OSError, ValueError, KeyError, ReproError):
+        return None
+
+
+def reference_line(store, run_id, **extra):
+    """The hit reply line the previous path put on the wire."""
+    record = reference_get(store, run_id)
+    msg = {"ok": True, "run_id": run_id, "cache": protocol.CACHE_HIT,
+           "record": record.to_dict(), **extra}
+    return (json.dumps(msg, sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+# -- generated records -------------------------------------------------------
+
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+ESCAPES = st.text(st.sampled_from('"\\/\n\t\x00\x1f é€😀 ab'),
+                  max_size=12)
+STRING = st.one_of(TEXT, ESCAPES)
+FLOAT = st.floats(allow_nan=False, allow_infinity=False)
+SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-2**70, 2**70),
+                   FLOAT, STRING)
+VALUE = st.recursive(SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(STRING, inner, max_size=4)),
+    max_leaves=8)
+
+
+@st.composite
+def pe_stats(draw):
+    n = draw(st.one_of(st.just(0), st.integers(1, 4), st.integers(200, 600)))
+    util = draw(FLOAT)
+    return [{"pe": i, "busy_ns": i * 1009, "util": util / (i + 1),
+             "note": None if i % 3 else draw(STRING)} for i in range(n)]
+
+
+@st.composite
+def records(draw):
+    spec = JobSpec(app="hello", nvp=draw(st.integers(1, 8)), method="none",
+                   app_config=draw(st.dictionaries(STRING, SCALAR,
+                                                   max_size=4)),
+                   argv=tuple(draw(st.lists(STRING, max_size=3))))
+    ver = code_version()
+    return RunRecord(
+        spec=spec, run_id=run_id_for(spec, ver), spec_digest=spec.digest(),
+        code_version=ver, timeline_sha256=draw(STRING),
+        events=draw(st.integers(0, 2**40)),
+        makespan_ns=draw(st.integers(0, 2**62)),
+        startup_ns=draw(st.integers(0, 2**62)),
+        counters=draw(st.dictionaries(STRING, st.integers(0, 2**62),
+                                      max_size=6)),
+        pe_stats=draw(pe_stats()),
+        rollbacks=draw(st.dictionaries(st.integers(0, 1024),
+                                       st.integers(0, 9), max_size=4)),
+        recoveries=draw(st.integers(0, 9)),
+        unrecoverable_reason=draw(st.one_of(st.none(), STRING)),
+        migrations=draw(st.integers(0, 99)),
+        lb_moves=draw(st.integers(0, 99)),
+        exit_values=draw(st.dictionaries(st.integers(0, 1024), VALUE,
+                                         max_size=4)),
+        created_at=draw(st.floats(0, 4e9)))
+
+
+def run(coro):
+    return asyncio.run(coro)
+
+
+class Writer:
+    """Collects what the service writes to one connection."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def write(self, data):
+        self.data += data
+
+    async def drain(self):
+        pass
+
+
+def service_on(root) -> JobService:
+    """A service on ``root`` that is never started: hits need no pool."""
+    return JobService(ProvenanceStore(Path(root) / "store"),
+                      socket_path=Path(root) / "s.sock")
+
+
+async def served_lines(service, spec_d, run_id):
+    """The reply lines of a ``submit``, a two-spec ``submit_many`` and an
+    ``await`` hit, each with the reference's."""
+    store = service.store
+    got = [protocol.encode(await service.submit(spec_d))]
+    want = [reference_line(store, run_id)]
+    writer = Writer()
+    await service._submit_many({"op": protocol.OP_SUBMIT_MANY,
+                                "specs": [spec_d, spec_d]}, writer)
+    *batch, done = bytes(writer.data).splitlines(keepends=True)
+    got += sorted(batch)
+    want += sorted(reference_line(store, run_id, index=i) for i in (0, 1))
+    assert protocol.decode(done)["n"] == 2
+    got.append(protocol.encode(await service.await_result(run_id)))
+    want.append(reference_line(store, run_id))
+    return got, want
+
+
+def serves_the_reference(record) -> bool:
+    with tempfile.TemporaryDirectory() as root:
+        service = service_on(root)
+        service.store.put(record)
+        spec_d = record.spec.to_dict()
+        for _ in range(2):          # the first hit, then memoised ones
+            got, want = run(served_lines(service, spec_d, record.run_id))
+            if got != want:
+                return False
+        return service.stats.hits == 8
+
+
+def ensure_ascii_false_init(self, record, json_text=None):
+    """Mutant: the splice is encoded with ``ensure_ascii=False``."""
+    dict.__init__(self, record)
+    self.json = (json.dumps(record, sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False)
+                 if json_text is None else json_text)
+
+
+def unchecked_identity(path):
+    """Mutant: the memo never notices the record file changing."""
+    return (0, 0, 0) if os.path.exists(path) else None
+
+
+MUTANT_SETTINGS = settings(max_examples=300, derandomize=True, database=None,
+                           phases=[Phase.generate])
+
+
+class TestHitsAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(records())
+    def test_reply_bytes_equal_the_previous_path(self, record):
+        assert serves_the_reference(record)
+
+    @settings(max_examples=25, deadline=None)
+    @given(records())
+    def test_in_process_record_is_the_reference_dict(self, record):
+        with tempfile.TemporaryDirectory() as root:
+            service = service_on(root)
+            service.store.put(record)
+            want = reference_get(service.store, record.run_id).to_dict()
+            for _ in range(2):
+                reply = run(service.submit(record.spec.to_dict()))
+                assert isinstance(reply["record"], dict)
+                assert reply["record"] == want
+                reply["record"]["events"] = -1      # the caller's copy
+                reply["record"]["spec"] = None
+
+    def test_the_oracle_catches_an_unescaped_splice(self, monkeypatch):
+        monkeypatch.setattr(protocol.EncodedRecord, "__init__",
+                            ensure_ascii_false_init)
+        caught = find(records(), lambda r: not serves_the_reference(r),
+                      settings=MUTANT_SETTINGS)
+        assert not json.dumps(caught.to_dict(), ensure_ascii=False).isascii()
+
+    def test_the_oracle_catches_an_unchecked_memo(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(cache_mod, "_identity", unchecked_identity)
+        with pytest.raises(AssertionError):
+            TestStaleness().test_deleted_and_reput_serves_new_bytes(tmp_path)
+
+
+# -- staleness, the bound and recency ---------------------------------------
+
+
+def _record(name: str, created_at: float = 1.5) -> RunRecord:
+    spec = JobSpec(app="hello", nvp=2, method="none",
+                   app_config={"name": name})
+    ver = code_version()
+    return RunRecord(
+        spec=spec, run_id=run_id_for(spec, ver), spec_digest=spec.digest(),
+        code_version=ver, timeline_sha256="ab" * 32, events=4,
+        makespan_ns=100, startup_ns=10, counters={"ctx_switch": 4},
+        pe_stats=[{"pe": 0}], rollbacks={}, recoveries=0,
+        unrecoverable_reason=None, migrations=0, lb_moves=0,
+        exit_values={0: None, 1: "ok"}, created_at=created_at)
+
+
+def _hit(service, record):
+    reply = run(service.await_result(record.run_id))
+    return reply.get("record") if reply["ok"] else None
+
+
+class TestStaleness:
+    def test_gc_deleted_record_is_a_miss_and_leaves_the_memo(self, tmp_path):
+        service = service_on(tmp_path)
+        record = _record("gc")
+        service.store.put(record)
+        assert _hit(service, record) == record.to_dict()
+        report = service.store.gc(max_age_s=1.0, now=1e12)
+        assert report.deleted_ids == (record.run_id,)
+        assert _hit(service, record) is None
+        assert record.run_id not in service.cache._memo
+        assert (service.stats.hits, service.stats.misses) == (1, 1)
+
+    def test_deleted_and_reput_serves_new_bytes(self, tmp_path):
+        service = service_on(tmp_path)
+        store = service.store
+        old = _record("reput", created_at=1.5)
+        store.put(old)
+        assert _hit(service, old)["created_at"] == 1.5
+        store.delete(old.run_id)
+        store.put(_record("reput", created_at=123456.25))
+        served = protocol.encode(run(service.await_result(old.run_id)))
+        assert served == reference_line(store, old.run_id)
+        assert b'"created_at":123456.25' in served
+
+    def test_rewritten_in_place_is_read_again(self, tmp_path):
+        service = service_on(tmp_path)
+        record = _record("in-place")
+        service.store.put(record)
+        _hit(service, record)
+        path = service.store._record_path(record.run_id)
+        inode, mtime = path.stat().st_ino, path.stat().st_mtime_ns
+        data = json.loads(path.read_text())
+        data["makespan_ns"] = 999                  # same length as "100"
+        with open(path, "r+") as f:
+            f.write(json.dumps(data, sort_keys=True, indent=1) + "\n")
+        os.utime(path, ns=(mtime, mtime + 1))
+        assert path.stat().st_ino == inode
+        assert _hit(service, record)["makespan_ns"] == 999
+
+    def test_corrupt_record_is_a_miss(self, tmp_path):
+        service = service_on(tmp_path)
+        record = _record("corrupt")
+        service.store.put(record)
+        _hit(service, record)
+        path = service.store._record_path(record.run_id)
+        path.write_text("{not json")
+        assert _hit(service, record) is None
+        assert record.run_id not in service.cache._memo
+        reply = run(service.await_result(record.run_id))
+        assert not reply["ok"] and "unknown run id" in reply["error"]
+
+    def test_filling_past_the_bound_drops_least_recent_first(
+            self, tmp_path, monkeypatch):
+        service = service_on(tmp_path)
+        recs = [_record(f"bound-{i}") for i in range(4)]
+        for r in recs:
+            service.store.put(r)
+        size = len(protocol.EncodedRecord(recs[0].to_dict()).json)
+        monkeypatch.setattr(cache_mod, "MEMO_BYTES", 3 * size)
+        for r in recs[:3]:
+            _hit(service, r)
+        _hit(service, recs[0])                  # now the most recent
+        _hit(service, recs[3])
+        memo = service.cache._memo
+        assert list(memo) == [recs[i].run_id for i in (2, 0, 3)]
+        assert service.cache._memo_bytes == sum(
+            len(rec.json) for *_, rec in memo.values()) <= 3 * size
+
+    def test_memoised_hit_moves_last_used(self, tmp_path):
+        service = service_on(tmp_path)
+        store = service.store
+        record = _record("recency")
+        store.put(record)
+        _hit(service, record)
+        os.utime(store._touch_path(record.run_id), (1000.0, 1000.0))
+        assert store.last_used(record.run_id) == 1000.0
+        _hit(service, record)
+        assert record.run_id in service.cache._memo
+        assert store.last_used(record.run_id) > 1000.0
+
+
+# -- the structural guard ---------------------------------------------------
+
+
+@contextmanager
+def hit_path_calls():
+    """Counts what a hit reads and rebuilds while open: ``json.loads``,
+    ``RunRecord.from_dict``/``to_dict`` and opens of record files."""
+    counts = dict.fromkeys(("json.loads", "from_dict", "to_dict", "opens"), 0)
+
+    def counted(name, fn, only=lambda *args: True):
+        def wrapper(*args, **kwargs):
+            counts[name] += only(*args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def record_file(file, *args):
+        return str(file).endswith(".json")
+
+    patches = {
+        (json, "loads"): counted("json.loads", json.loads),
+        (RunRecord, "from_dict"): classmethod(
+            counted("from_dict", RunRecord.from_dict.__func__)),
+        (RunRecord, "to_dict"): counted("to_dict", RunRecord.to_dict),
+        (io, "open"): counted("opens", io.open, record_file),
+        (os, "open"): counted("opens", os.open, record_file),
+    }
+    saved = {(obj, name): vars(obj)[name] for obj, name in patches}
+    try:
+        for (obj, name), fn in patches.items():
+            setattr(obj, name, fn)
+        yield counts
+    finally:
+        for (obj, name), fn in saved.items():
+            setattr(obj, name, fn)
+
+
+class TestStructuralGuard:
+    def test_memoised_hits_read_and_rebuild_nothing(self, tmp_path):
+        service = service_on(tmp_path)
+        record = _record("guard")
+        service.store.put(record)
+        spec_d = record.spec.to_dict()
+
+        async def hits(n):
+            return [await service.submit(spec_d) for _ in range(n)]
+
+        with hit_path_calls() as first_hit:
+            first, = run(hits(1))
+        assert first["cache"] == protocol.CACHE_HIT
+        assert first_hit == {"json.loads": 1, "from_dict": 1,
+                             "to_dict": 1, "opens": 1}
+        with hit_path_calls() as counts:
+            replies = run(hits(100))
+        assert all(r["record"] == first["record"] for r in replies)
+        assert counts == {"json.loads": 0, "from_dict": 0,
+                          "to_dict": 0, "opens": 0}
+        assert service.stats.hits == 101

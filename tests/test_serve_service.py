@@ -7,6 +7,7 @@ fresh execution would produce, and N identical concurrent submissions
 execute exactly once (single-flight).
 """
 
+import asyncio
 import concurrent.futures
 import json
 import time
@@ -210,6 +211,46 @@ class TestOps:
         assert stats["hit_rate"] == 0.5
         assert stats["worker_mode"] == "thread"
         assert stats["records"] == 1
+
+    def test_stats_op_carries_the_service_hit_count(self, serve):
+        """A miss, a hit and two ``await`` hits: one hit/miss pair,
+        counted per reply and reported once."""
+        service, client = serve
+        spec = _spec("counted")
+        assert client.submit(spec).cache == CACHE_MISS
+        run_id = client.submit(spec).run_id
+        for _ in range(2):
+            assert client.await_result(run_id).hit
+        stats = client.stats()
+        assert (stats["hits"], stats["misses"], stats["hit_rate"]) == \
+            (3, 1, 0.75)
+        assert (service.stats.hits, service.stats.misses) == (3, 1)
+
+    def test_lease_polls_count_no_misses(self, tmp_path):
+        """A submission that waits out a peer's lease and is answered
+        from the peer's record is one miss, as its reply says."""
+        service = JobService(ProvenanceStore(tmp_path / "store"),
+                             socket_path=tmp_path / "serve.sock",
+                             lease_poll_s=0.05)
+        spec = _spec("leased")
+        job, result = run_spec_job(spec, strict=False)
+        record = RunRecord.from_run(spec, job, result)
+
+        async def wait_out_a_peer():
+            peer = service.store.acquire_lease(record.run_id)
+            submitted = asyncio.ensure_future(service.submit(spec.to_dict()))
+            await asyncio.sleep(0.5)
+            service.store.put(record)
+            peer.release()
+            return (await submitted,
+                    await service._dispatch({"op": protocol.OP_STATS}))
+
+        reply, stats = asyncio.run(wait_out_a_peer())
+        assert reply["ok"] and reply["cache"] == CACHE_MISS
+        assert reply["record"] == record.to_dict()
+        assert service.stats.lease_waits == 1 and service.stats.executed == 0
+        assert (stats["stats"]["hits"], stats["stats"]["misses"],
+                stats["stats"]["hit_rate"]) == (0, 1, 0.0)
 
     def test_unknown_op(self, serve):
         _, client = serve
