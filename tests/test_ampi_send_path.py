@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import __future__
 import cProfile
+import gc
 import importlib.util
 import itertools
 import inspect
@@ -24,6 +25,7 @@ import pstats
 import sys
 import textwrap
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -685,12 +687,27 @@ def calls_inside(spec: JobSpec, entries: dict) -> tuple[dict, dict, Any, Any]:
         elif event == "return" and open_ and open_[-1][1] is frame:
             open_.pop()
 
-    sys.setprofile(profile)
-    try:
-        result = job.run()
-    finally:
-        sys.setprofile(None)
+    with collector_paused():
+        sys.setprofile(profile)
+        try:
+            result = job.run()
+        finally:
+            sys.setprofile(None)
     return entered, inside, called, result
+
+
+@contextmanager
+def collector_paused():
+    """No garbage collection while open.  Hypothesis registers a Python
+    ``gc.callbacks`` hook, so a collection that falls inside a counted
+    window would add calls that depend on what earlier tests left, not
+    on the code measured."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")
@@ -736,7 +753,8 @@ class TestStructuralGuards:
             job = build_job(JobSpec(app="startup", nvp=256, method=method,
                                     machine="bridges2", layout=(1, 2, 4)))
             profile = cProfile.Profile()
-            profile.runcall(job.start)
+            with collector_paused():
+                profile.runcall(job.start)
             per_rank[method] = pstats.Stats(profile).total_calls / 256
         assert all(per_rank[m] <= STARTUP_BUDGET[m] for m in STARTUP_BUDGET), \
             per_rank
