@@ -8,24 +8,20 @@ for ``complete()`` to replace — is kept here verbatim as a reference job
 name).  Hypothesis-generated deadlock-free point-to-point programs must
 give the same timeline, counters and per-rank received payloads on both,
 and two known-bad mutants must fail that comparison.  The rest is
-structural, not timed: Python calls per ``isend``/``irecv`` on the
-``jacobi_1k`` shape, per rank of ``AmpiJob.start`` on ``method_sweep``
-shapes, and the seams the host benchmark wraps by name.
+structural, not timed (counted through ``counted.py``): Python calls per
+``isend``/``irecv`` on the ``jacobi_1k`` shape, per rank of
+``AmpiJob.start`` on ``method_sweep`` shapes, and the shapes and seams
+the host benchmark runs and wraps by name.
 """
 
 from __future__ import annotations
 
 import __future__
-import cProfile
-import gc
 import importlib.util
 import itertools
 import inspect
-import pstats
 import sys
 import textwrap
-from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -56,6 +52,15 @@ from repro.perf.counters import (
 from repro.program.context import GlobalsProxy
 from repro.program.source import Program
 from repro.trace.stream import timeline_sha
+
+from counted import (
+    JACOBI_1K,
+    METHOD_SWEEP,
+    SWITCH_STORM,
+    Calls,
+    profiled_calls,
+    python_calls,
+)
 
 
 # -- the previous path, verbatim -----------------------------------------------------
@@ -634,19 +639,9 @@ class TestTheOracleHasTeeth:
 
 # -- structural guards on the jacobi_1k shape ----------------------------------------
 
-JACOBI_1K = JobSpec(app="jacobi3d", nvp=1024,
-                    app_config={"n": 16, "iters": 1, "reduce_every": 1},
-                    method="pieglobals", machine="generic-linux",
-                    layout=(2, 2, 4))
-
 #: Python calls inside one ``MpiHandle.isend``/``irecv`` on the
 #: ``jacobi_1k`` shape, measured plus one (the previous path: 33.5/10.8)
 CALL_BUDGET = {"isend": 19, "irecv": 8}
-
-SWITCH_STORM = JobSpec(app="pingpong", nvp=64,
-                       app_config={"yields_per_rank": 200}, method="none",
-                       machine="generic-linux", layout=(1, 1, 1),
-                       slot_size=1 << 26)
 
 #: Python calls per quantum of the whole run (the facade that repacked
 #: every call through ``MpiHandle._call``: 27.0 and 112.1)
@@ -656,63 +651,21 @@ QUANTUM_BUDGET = {"switch_storm": 23, "jacobi_1k": 102}
 #: ``ctx.g`` read/write (previously 3, 2.81, 6 and 7)
 ENTRY_BUDGET = {"yield_": 2, "wait": 2, "g_read": 3, "g_write": 4}
 #: calls per rank inside ``AmpiJob.start`` on ``method_sweep``'s shape of
-#: each method, as cProfile counts them (C functions included; before
-#: ranks were admitted in bulk and a rank's start-up paid only for
-#: itself: 67.2, 110.3 and 184.7)
+#: each method, C functions included (before ranks were admitted in bulk
+#: and a rank's start-up paid only for itself: 67.2, 110.3 and 184.7)
 STARTUP_BUDGET = {"none": 55, "pieglobals": 92, "fsglobals": 160}
 
 
-def calls_inside(spec: JobSpec, entries: dict) -> tuple[dict, dict, Any, Any]:
-    """Run ``spec`` under ``sys.setprofile``.  Per entry: how often it
-    was called from outside every entry, and the Python ``call`` events
-    inside those calls.  Also: calls per code object, and the result."""
+def run_calls(spec: JobSpec, entries: dict) -> Calls:
+    """The Python calls of ``run()`` on a started job of ``spec``."""
     job = build_job(spec)
     job.start()
-    names = {fn.__code__: name for name, fn in entries.items()}
-    entered = dict.fromkeys(entries, 0)
-    inside = dict.fromkeys(entries, 0)
-    called: Counter = Counter()
-    open_: list = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called[frame.f_code] += 1
-            if open_:
-                inside[open_[-1][0]] += 1
-            else:
-                name = names.get(frame.f_code)
-                if name is not None:
-                    entered[name] += 1
-                    open_.append((name, frame))
-        elif event == "return" and open_ and open_[-1][1] is frame:
-            open_.pop()
-
-    with collector_paused():
-        sys.setprofile(profile)
-        try:
-            result = job.run()
-        finally:
-            sys.setprofile(None)
-    return entered, inside, called, result
-
-
-@contextmanager
-def collector_paused():
-    """No garbage collection while open.  Hypothesis registers a Python
-    ``gc.callbacks`` hook, so a collection that falls inside a counted
-    window would add calls that depend on what earlier tests left, not
-    on the code measured."""
-    gc.collect()
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
+    return python_calls(job.run, entries)
 
 
 @pytest.fixture(scope="module")
 def jacobi_1k_calls():
-    return calls_inside(JACOBI_1K, {
+    return run_calls(JACOBI_1K, {
         "isend": MpiHandle.isend, "irecv": MpiHandle.irecv,
         "wait": MpiHandle.wait, "g_read": GlobalsProxy.__getattr__,
         "g_write": GlobalsProxy.__setattr__})
@@ -722,25 +675,25 @@ class TestStructuralGuards:
     """Counted, not timed: the budget fails on the previous path."""
 
     def test_call_budget_and_seams_on_the_jacobi_1k_shape(self, jacobi_1k_calls):
-        entered, inside, called, result = jacobi_1k_calls
-        sent = result.counters[EV_MSG_SENT]
-        assert entered["isend"] == entered["irecv"] == sent == 5504
-        per_call = {name: inside[name] / entered[name] for name in CALL_BUDGET}
+        calls = jacobi_1k_calls
+        sent = calls.result.counters[EV_MSG_SENT]
+        assert calls.entered["isend"] == calls.entered["irecv"] == sent == 5504
+        per_call = {name: calls.per_call(name) for name in CALL_BUDGET}
         assert all(per_call[name] <= CALL_BUDGET[name] for name in CALL_BUDGET), \
             per_call
         # the seam bench.py wraps as ``net``: once per send
-        assert called[Network.transfer_ns.__code__] == sent
+        assert calls.called[Network.transfer_ns.__code__] == sent
 
     def test_calls_per_quantum_and_per_entry(self, jacobi_1k_calls):
-        storm = calls_inside(SWITCH_STORM, {"yield_": MpiHandle.yield_})
+        storm = run_calls(SWITCH_STORM, {"yield_": MpiHandle.yield_})
         per_quantum, per_call = {}, {}
-        for shape, (entered, inside, called, result) in (
-                ("switch_storm", storm), ("jacobi_1k", jacobi_1k_calls)):
-            per_quantum[shape] = (sum(called.values())
-                                  / result.counters[EV_CTX_SWITCH])
-            per_call.update((name, inside[name] / entered[name])
-                            for name in entered if name in ENTRY_BUDGET)
-        assert storm[3].counters[EV_CTX_SWITCH] == 12864
+        for shape, calls in (("switch_storm", storm),
+                             ("jacobi_1k", jacobi_1k_calls)):
+            per_quantum[shape] = (calls.total
+                                  / calls.result.counters[EV_CTX_SWITCH])
+            per_call.update((name, calls.per_call(name))
+                            for name in calls.entered if name in ENTRY_BUDGET)
+        assert storm.result.counters[EV_CTX_SWITCH] == 12864
         assert all(per_quantum[s] <= QUANTUM_BUDGET[s]
                    for s in QUANTUM_BUDGET), per_quantum
         assert set(per_call) == set(ENTRY_BUDGET)
@@ -748,22 +701,32 @@ class TestStructuralGuards:
             per_call
 
     def test_startup_calls_per_rank(self):
+        shapes = {spec.method: spec for spec in METHOD_SWEEP}
         per_rank = {}
         for method in STARTUP_BUDGET:
-            job = build_job(JobSpec(app="startup", nvp=256, method=method,
-                                    machine="bridges2", layout=(1, 2, 4)))
-            profile = cProfile.Profile()
-            with collector_paused():
-                profile.runcall(job.start)
-            per_rank[method] = pstats.Stats(profile).total_calls / 256
+            job = build_job(shapes[method])
+            per_rank[method] = profiled_calls(job.start) / job.nvp
         assert all(per_rank[m] <= STARTUP_BUDGET[m] for m in STARTUP_BUDGET), \
             per_rank
 
+    @staticmethod
+    def host_module(name: str) -> Any:
+        """A ``benchmarks/host`` module, loaded by path (read-only)."""
+        path = Path(__file__).parents[1] / "benchmarks" / "host" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"hostbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_the_guards_measure_the_benchmark_shapes(self):
+        workloads = self.host_module("workloads")
+        assert JACOBI_1K == JobSpec(**workloads.Jacobi1k.SHAPES[0])
+        assert SWITCH_STORM == JobSpec(**workloads.SwitchStorm.SHAPES[0])
+        assert METHOD_SWEEP == [JobSpec(**shape)
+                                for shape in workloads.MethodSweep.SHAPES]
+
     def test_the_benchmark_wraps_existing_handle_methods(self):
-        path = Path(__file__).parents[1] / "benchmarks" / "host" / "spans.py"
-        spec = importlib.util.spec_from_file_location("hostbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = self.host_module("spans")
         for group in (spans.MPI_P2P, spans.MPI_COLL, spans.MPI_MISC,
                       spans.MPI_LB):
             for name in group:

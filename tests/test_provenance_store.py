@@ -3,7 +3,6 @@
 import hashlib
 import json
 import random
-import sys
 import zlib
 from itertools import chain
 from typing import Iterable
@@ -31,6 +30,8 @@ from repro.trace.stream import (
     timeline_events,
     timeline_sha,
 )
+
+from counted import counting
 
 SPEC = JobSpec(app="hello", nvp=2, method="pieglobals")
 
@@ -231,21 +232,11 @@ class TestStore:
 
 
 @pytest.fixture
-def encodes(monkeypatch):
+def encodes():
     """Calls of the canonical encoder, under every name a ``repro``
     module holds it by."""
-    calls = []
-    original = stream.encode_timeline
-
-    def counted(timeline):
-        calls.append(timeline)
-        return original(timeline)
-
-    for name, module in list(sys.modules.items()):
-        if (name.partition(".")[0] == "repro"
-                and getattr(module, "encode_timeline", None) is original):
-            monkeypatch.setattr(module, "encode_timeline", counted)
-    return calls
+    with counting((stream, "encode_timeline"), aliases=True) as calls:
+        yield calls
 
 
 def finished_job():

@@ -8,6 +8,7 @@ generator form; their ``plain_bodies`` twins are the plain case.
 Every test runs on a private worker pool.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -22,6 +23,7 @@ from repro.threads import (
     orphan_count,
 )
 from repro.threads.ult import UltKilled, UltState, drive
+from counted import SWITCH_STORM
 from test_charm_scheduler import make_ranks
 
 
@@ -49,10 +51,8 @@ def make_sched(backend, bodies):
 
 
 def pingpong(nvp, **kw):
-    return JobSpec(app="pingpong", nvp=nvp,
-                   app_config={"yields_per_rank": 200}, method="none",
-                   machine="generic-linux", layout=(1, 1, 1),
-                   slot_size=1 << 26, **kw)
+    """The ``switch_storm`` shape at ``nvp`` ranks."""
+    return dataclasses.replace(SWITCH_STORM, nvp=nvp, **kw)
 
 
 #: both land mid-run (see :func:`crashing_jacobi`)
@@ -96,7 +96,7 @@ class TestHandoffCount:
         """64 ranks x 200 yields on one PE, in the form the app is
         written in: stepped on this thread from start to end."""
         threads = threading.active_count()
-        sched = run_spec(pingpong(64), backend)
+        sched = run_spec(SWITCH_STORM, backend)
         assert len(sched.timeline) == 64 * 201
         assert backend.created == backend.binds == 0
         assert threading.active_count() == threads

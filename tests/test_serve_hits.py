@@ -15,7 +15,7 @@ import io
 import json
 import os
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import pytest
@@ -26,6 +26,8 @@ from repro.harness.jobspec import JobSpec, code_version
 from repro.provenance import ProvenanceStore, RunRecord, run_id_for
 from repro.serve import JobService, protocol
 from repro.serve import cache as cache_mod
+
+from counted import counting
 
 # -- the previous hit path ---------------------------------------------------
 
@@ -307,37 +309,29 @@ class TestStaleness:
 # -- the structural guard ---------------------------------------------------
 
 
+def record_file(file, *args):
+    return str(file).endswith(".json")
+
+
+#: what a hit may read and rebuild: name -> (seams, predicate)
+HIT_READS = {
+    "json.loads": ([(json, "loads")], None),
+    "from_dict": ([(RunRecord, "from_dict")], None),
+    "to_dict": ([(RunRecord, "to_dict")], None),
+    "opens": ([(io, "open"), (os, "open")], record_file),
+}
+
+
 @contextmanager
-def hit_path_calls():
-    """Counts what a hit reads and rebuilds while open: ``json.loads``,
-    ``RunRecord.from_dict``/``to_dict`` and opens of record files."""
-    counts = dict.fromkeys(("json.loads", "from_dict", "to_dict", "opens"), 0)
+def hit_reads():
+    """Calls of each of :data:`HIT_READS` while open, by name."""
+    with ExitStack() as stack:
+        yield {name: stack.enter_context(counting(*seams, only=only))
+               for name, (seams, only) in HIT_READS.items()}
 
-    def counted(name, fn, only=lambda *args: True):
-        def wrapper(*args, **kwargs):
-            counts[name] += only(*args)
-            return fn(*args, **kwargs)
-        return wrapper
 
-    def record_file(file, *args):
-        return str(file).endswith(".json")
-
-    patches = {
-        (json, "loads"): counted("json.loads", json.loads),
-        (RunRecord, "from_dict"): classmethod(
-            counted("from_dict", RunRecord.from_dict.__func__)),
-        (RunRecord, "to_dict"): counted("to_dict", RunRecord.to_dict),
-        (io, "open"): counted("opens", io.open, record_file),
-        (os, "open"): counted("opens", os.open, record_file),
-    }
-    saved = {(obj, name): vars(obj)[name] for obj, name in patches}
-    try:
-        for (obj, name), fn in patches.items():
-            setattr(obj, name, fn)
-        yield counts
-    finally:
-        for (obj, name), fn in saved.items():
-            setattr(obj, name, fn)
+def tally(calls):
+    return {name: len(seen) for name, seen in calls.items()}
 
 
 class TestStructuralGuard:
@@ -350,14 +344,14 @@ class TestStructuralGuard:
         async def hits(n):
             return [await service.submit(spec_d) for _ in range(n)]
 
-        with hit_path_calls() as first_hit:
+        with hit_reads() as first_hit:
             first, = run(hits(1))
         assert first["cache"] == protocol.CACHE_HIT
-        assert first_hit == {"json.loads": 1, "from_dict": 1,
-                             "to_dict": 1, "opens": 1}
-        with hit_path_calls() as counts:
+        assert tally(first_hit) == {"json.loads": 1, "from_dict": 1,
+                                    "to_dict": 1, "opens": 1}
+        with hit_reads() as calls:
             replies = run(hits(100))
         assert all(r["record"] == first["record"] for r in replies)
-        assert counts == {"json.loads": 0, "from_dict": 0,
-                          "to_dict": 0, "opens": 0}
+        assert tally(calls) == {"json.loads": 0, "from_dict": 0,
+                                "to_dict": 0, "opens": 0}
         assert service.stats.hits == 101

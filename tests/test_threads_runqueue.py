@@ -7,11 +7,12 @@ from typing import Callable, Iterable
 
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from repro.harness.jobspec import JobSpec, build_job
+from repro.harness.jobspec import build_job
+from repro.threads import PooledBackend
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UserLevelThread
-from test_ampi_send_path import JACOBI_1K
-from test_sched_dispatch import pingpong
+
+from counted import JACOBI_1K, METHOD_SWEEP, SWITCH_STORM, counting
 
 
 class FakePe:
@@ -507,20 +508,14 @@ class TestAgainstReference:
 # -- the slow path stays cold -------------------------------------------------------
 
 
-def slow_path_entries(monkeypatch, spec):
+def clean_top_quanta(spec, **kw):
     """Run ``spec``; return the quantum index at each ``_clean_top`` call
     and the number of quanta."""
-    job = build_job(spec)
+    job = build_job(spec, **kw)
     job.start()
-    at = []
-    clean_top = RunQueue._clean_top
-
-    def counted(q, key):
-        at.append(len(job.scheduler.timeline))
-        return clean_top(q, key)
-
-    monkeypatch.setattr(RunQueue, "_clean_top", counted)
-    job.run()
+    with counting((RunQueue, "_clean_top"),
+                  where=lambda q, key: len(job.scheduler.timeline)) as at:
+        job.run()
     return at, len(job.scheduler.timeline)
 
 
@@ -528,25 +523,32 @@ class TestSlowPathStaysCold:
     """Structural, not timed: a steady-state quantum re-keys inline and
     never enters ``_clean_top``."""
 
-    def test_switch_storm_shape(self, monkeypatch):
-        at, quanta = slow_path_entries(monkeypatch, pingpong(64))
-        assert quanta == 64 * 201
-        assert [i for i in at if i >= 64] == []
+    def test_switch_storm_shape(self, request):
+        """As written, then as its plain-body twin (one pool worker bound
+        per rank)."""
+        pool = PooledBackend()
+        try:
+            for binds in (0, 64):
+                if binds:
+                    request.getfixturevalue("plain_bodies")
+                at, quanta = clean_top_quanta(SWITCH_STORM, ult_backend=pool)
+                assert quanta == 64 * 201 and pool.binds == binds
+                assert [i for i in at if i >= 64] == []
+        finally:
+            pool.close()
 
-    def test_jacobi_1k_shape(self, monkeypatch):
-        at, quanta = slow_path_entries(monkeypatch, JACOBI_1K)
+    def test_jacobi_1k_shape(self):
+        pool = PooledBackend()
+        at, quanta = clean_top_quanta(JACOBI_1K, ult_backend=pool)
         assert quanta > 1024
+        assert pool.created == 0        # 1 024 generator ranks, no thread
         assert len(at) <= 0.05 * quanta
 
 
 # -- ranks enter and leave in bulk -------------------------------------------------
 
-#: the host benchmark's ``method_sweep`` shapes and their PEs holding ranks
-METHOD_SWEEP = [(JobSpec(app="startup", nvp=256, method=m, machine="bridges2",
-                         layout=(1, 32, 1) if m == "pipglobals" else (1, 2, 4)),
-                 npes)
-                for m, npes in (("none", 8), ("tlsglobals", 8), ("pipglobals", 32),
-                                ("fsglobals", 8), ("pieglobals", 8))]
+#: PEs holding ranks in each ``method_sweep`` shape, then in ``jacobi_1k``
+PES_HOLDING = [8, 8, 32, 8, 8, 16]
 
 
 class TestBulkAdmission:
@@ -554,7 +556,7 @@ class TestBulkAdmission:
     one global-heap entry per PE, not one per rank."""
 
     def test_startup_pushes_one_global_entry_per_pe(self):
-        for spec, npes in METHOD_SWEEP + [(JACOBI_1K, 16)]:
+        for spec, npes in zip(METHOD_SWEEP + [JACOBI_1K], PES_HOLDING):
             job = build_job(spec)
             job.start()
             holding = {rank.pe.index for rank in job.scheduler.ranks()}
@@ -562,7 +564,7 @@ class TestBulkAdmission:
             assert len(job.scheduler.runq._global) == len(holding) == npes
 
     def test_a_256_rank_barrier_releases_one_entry_per_pe(self, monkeypatch):
-        spec, npes = METHOD_SWEEP[0]
+        spec, npes = METHOD_SWEEP[0], PES_HOLDING[0]
         job = build_job(spec)
         job.start()
         g = job.scheduler.runq._global
