@@ -11,6 +11,10 @@ submits the identical batch again and asserts the cache contract:
 - pass 1 executes every spec (no prior store), all submissions succeed;
 - pass 2 is 100% cache hits with the *same* run_ids and byte-identical
   records — nothing re-executed, nothing drifted;
+- pass 3 repeats pass 2's request lines, which the server now answers
+  from its submit memo (no decoding or keying): again 100% hits, same
+  run_ids, byte-identical records, and the ``stats`` op's
+  ``submissions`` and ``hits`` each advance by exactly the corpus size;
 - a burst of N identical submissions of a fresh spec coalesces onto
   exactly one execution (single-flight);
 - the gc janitor cycled during serving without errors or evictions;
@@ -95,20 +99,36 @@ def main() -> int:
                       f"({[r.cache for r in replies].count('hit')} hits)")
                 return replies, wall
 
+            def check_hits(label: str, replies) -> None:
+                """100% hits, cold's run_ids, byte-identical records."""
+                if not all(r.hit for r in replies):
+                    fail(f"{label} pass not 100% hits: "
+                         f"{[r.cache for r in replies]}")
+                if [r.run_id for r in cold] != [r.run_id for r in replies]:
+                    fail(f"{label} run_ids differ from cold run_ids")
+                for c, w in zip(cold, replies):
+                    if json.dumps(c.record, sort_keys=True) != \
+                            json.dumps(w.record, sort_keys=True):
+                        fail(f"{label}: record drifted for {c.run_id[:12]}")
+
             cold, cold_s = batch("cold")
             warm, warm_s = batch("warm")
-
-            if not all(r.hit for r in warm):
-                fail(f"warm pass not 100% hits: "
-                     f"{[r.cache for r in warm]}")
-            if [r.run_id for r in cold] != [r.run_id for r in warm]:
-                fail("warm run_ids differ from cold run_ids")
-            for c, w in zip(cold, warm):
-                if json.dumps(c.record, sort_keys=True) != \
-                        json.dumps(w.record, sort_keys=True):
-                    fail(f"record drifted for {c.run_id[:12]}")
+            check_hits("warm", warm)
             print(f"warm/cold speedup: {cold_s / warm_s:.1f}x, "
                   f"run_ids identical, records byte-identical")
+
+            # --- memo pass: every warm request line hit, so a repeat
+            # is answered from the submit memo and counted as before.
+            before = client.stats()
+            memo, _ = batch("memo")
+            after = client.stats()
+            check_hits("memo", memo)
+            for key in ("submissions", "hits"):
+                if after[key] - before[key] != len(specs):
+                    fail(f"memo pass moved {key} by "
+                         f"{after[key] - before[key]}, expected {len(specs)}")
+            print(f"memo pass: {len(specs)} submissions and hits counted, "
+                  f"records byte-identical")
 
             burst_spec = JobSpec(
                 app="pingpong", nvp=4,
@@ -174,14 +194,7 @@ def main() -> int:
             server = spawn_server()
             wait_ready(client)
             rewarm, _ = batch("rewarm")
-            if not all(r.hit for r in rewarm):
-                fail(f"post-restart pass not 100% hits: "
-                     f"{[r.cache for r in rewarm]}")
-            for c, w in zip(cold, rewarm):
-                if json.dumps(c.record, sort_keys=True) != \
-                        json.dumps(w.record, sort_keys=True):
-                    fail(f"record drifted across server restart for "
-                         f"{c.run_id[:12]}")
+            check_hits("post-restart", rewarm)
             print("server-restart drill: SIGKILL + restart, client "
                   "reconnected, store intact, 100% hits")
 

@@ -194,14 +194,22 @@ class JobSpec:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def validate(self) -> None:
-        """Refuse a spec that names something unknown — registry and enum
-        membership only, cheap enough for :func:`build_job` and ``repro
-        serve``'s submit path to call first, before the spec is keyed."""
+        """Refuse a spec that holds a mistyped scalar or names something
+        unknown — field types, registry and enum membership only, cheap
+        enough for :func:`build_job` and ``repro serve``'s submit path to
+        call first, before the spec is keyed."""
+        for name, kind in _SCALAR_TYPES.items():
+            value = getattr(self, name)
+            # exact types: a bool is an int, and nvp=True would run as 1
+            if type(value) is not kind and not (
+                    name == "ft_interval_ns" and value is None):
+                raise ReproError(f"{name} must be {kind.__name__}, got "
+                                 f"{type(value).__name__} {value!r}")
         for what, value, known in (
             ("app", self.app, _APPS),
             ("privatization method", self.method, method_names()),
             ("machine preset", self.machine, PRESETS),
-            ("LB strategy", str(self.lb_strategy).lower(), strategy_names()),
+            ("LB strategy", self.lb_strategy.lower(), strategy_names()),
         ):
             if value not in known:
                 raise ReproError(f"unknown {what} {value!r}; known: "
@@ -217,6 +225,16 @@ class JobSpec:
 #: every spec field, read off the dataclass: encoder, decoder and
 #: :func:`build_job` walk this list, none carries its own
 _FIELDS = tuple(f.name for f in dataclasses.fields(JobSpec))
+
+#: the scalar fields :meth:`JobSpec.validate` holds to one type
+#: (``ft_interval_ns`` may also be None)
+_SCALAR_TYPES = {
+    **dict.fromkeys(("app", "method", "machine", "lb_strategy", "placement",
+                     "transport", "recovery"), str),
+    **dict.fromkeys(("nvp", "optimize", "stack_bytes", "slot_size",
+                     "ft_interval_ns"), int),
+    "sanitize": bool,
+}
 
 
 def machine_preset_name(machine: MachineModel) -> str | None:

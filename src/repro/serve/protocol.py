@@ -43,6 +43,9 @@ Timelines never cross the wire — they live in the store; replies carry
 only the record (spec, digests, counters, per-PE stats).  A record
 served from the store is an :class:`EncodedRecord`, whose JSON is
 spliced into the reply line as it was encoded once, not encoded again.
+The server reads each request as its raw line (:func:`read_line`), so a
+``submit`` line it already answered from the store is recognised by its
+exact bytes instead of being decoded again.
 """
 
 from __future__ import annotations
@@ -151,15 +154,13 @@ def shed_reply(reason: str, error: str, **extra: Any) -> dict[str, Any]:
             "retryable": reason in RETRYABLE_REASONS, **extra}
 
 
-async def read_message(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """Read one message; None on clean EOF."""
+async def read_line(reader: asyncio.StreamReader) -> bytes | None:
+    """Read one message's line, undecoded; None on clean EOF."""
     try:
         line = await reader.readline()
     except (asyncio.LimitOverrunError, ValueError):
         raise ProtocolError(f"message exceeds {MAX_LINE} bytes") from None
-    if not line:
-        return None
-    return decode(line)
+    return line or None
 
 
 async def write_message(writer: asyncio.StreamWriter,

@@ -77,6 +77,10 @@ _log = logging.getLogger(__name__)
 #: default Unix socket path, relative to the working directory
 DEFAULT_SOCKET = ".repro/serve.sock"
 
+#: request-line bytes the submit memo may hold; past it the least
+#: recently repeated lines are dropped first
+LINE_MEMO_BYTES = 1 << 20
+
 
 @dataclass
 class ServeStats:
@@ -175,6 +179,10 @@ class JobService:
         self._server: asyncio.base_events.Server | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._poison: dict[str, dict[str, Any]] = {}
+        #: submit line -> (wait, deadline_ms, spec, run_id) for each
+        #: line whose reply was a store hit, least recently repeated first
+        self._lines: dict[bytes, tuple] = {}
+        self._line_bytes = 0
         self._draining = False
         self._shutdown: asyncio.Event | None = None
         self._gc_task: asyncio.Task | None = None
@@ -285,17 +293,23 @@ class JobService:
         try:
             while True:
                 try:
-                    msg = await protocol.read_message(reader)
+                    line = await protocol.read_line(reader)
+                    if line is None:
+                        break
+                    # a repeat of a submit line that hit is not decoded
+                    msg = (None if line in self._lines
+                           else protocol.decode(line))
                 except protocol.ProtocolError as e:
                     await protocol.write_message(
                         writer, protocol.error_reply(str(e)))
                     break
                 if msg is None:
-                    break
-                if msg.get("op") == protocol.OP_SUBMIT_MANY:
+                    reply = await self.submit(None, line=line)
+                elif msg.get("op") == protocol.OP_SUBMIT_MANY:
                     await self._submit_many(msg, writer)
                     continue
-                reply = await self._dispatch(msg)
+                else:
+                    reply = await self._dispatch(msg, line)
                 await protocol.write_message(writer, reply)
         except (ConnectionResetError, BrokenPipeError):
             pass
@@ -309,7 +323,8 @@ class JobService:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _dispatch(self, msg: dict[str, Any]) -> dict[str, Any]:
+    async def _dispatch(self, msg: dict[str, Any],
+                        line: bytes | None = None) -> dict[str, Any]:
         op = msg.get("op")
         if op == protocol.OP_PING:
             return {"ok": True, "op": "pong",
@@ -333,7 +348,7 @@ class JobService:
             return await self.submit(msg.get("spec"),
                                      wait=bool(msg.get("wait", True)),
                                      deadline_ms=msg.get("deadline_ms"),
-                                     chaos=msg.get("chaos"))
+                                     chaos=msg.get("chaos"), line=line)
         if op == protocol.OP_AWAIT:
             return await self.await_result(
                 str(msg.get("run_id", "")),
@@ -374,30 +389,43 @@ class JobService:
 
     async def submit(self, spec_dict: Any, wait: bool = True,
                      deadline_ms: float | None = None,
-                     chaos: dict[str, Any] | None = None
-                     ) -> dict[str, Any]:
-        """Submit one spec: hit, coalesce, shed, or execute."""
+                     chaos: dict[str, Any] | None = None, *,
+                     line: bytes | None = None) -> dict[str, Any]:
+        """Submit one spec: hit, coalesce, shed, or execute.
+
+        ``line`` is the request line the submission arrived as.  A line
+        without ``chaos`` whose reply is a store hit is memoised with
+        its ``wait``, ``deadline_ms``, spec and run_id; a repeat of it
+        comes in as the line alone (``spec_dict`` None) and is not
+        parsed, validated or keyed again.  Exact bytes only: any other
+        line is its own entry.
+        """
         self.stats.submissions += 1
         if self._draining:
             self.stats.shed += 1
             return protocol.shed_reply(
                 protocol.REASON_DRAINING,
                 "service is draining; not accepting new submissions")
-        if not isinstance(spec_dict, dict):
+        keyed = self._lines.pop(line, None)
+        if keyed is not None:
+            self._line_bytes -= len(line)
+            wait, deadline_ms, spec, run_id = keyed
+        elif not isinstance(spec_dict, dict):
             self.stats.invalid += 1
             return protocol.error_reply("submit needs a spec object")
-        if chaos is not None and not self.enable_chaos:
+        elif chaos is not None and not self.enable_chaos:
             self.stats.invalid += 1
             return protocol.error_reply(
                 "chaos envelope rejected: server started without "
                 "chaos hooks")
-        try:
-            spec = JobSpec.from_dict(dict(spec_dict))
-            spec.validate()     # before it is keyed, admitted or leased
-        except (ReproError, TypeError, ValueError) as e:
-            self.stats.invalid += 1
-            return protocol.error_reply(f"bad spec: {e}")
-        run_id = self.cache.key(spec)
+        else:
+            try:
+                spec = JobSpec.from_dict(dict(spec_dict))
+                spec.validate()     # before it is keyed, admitted or leased
+            except (ReproError, TypeError, ValueError) as e:
+                self.stats.invalid += 1
+                return protocol.error_reply(f"bad spec: {e}")
+            run_id = self.cache.key(spec)
 
         poison = self._poison.get(run_id)
         if poison is not None:
@@ -406,6 +434,8 @@ class JobService:
 
         reply = self._stored_reply(run_id)
         if reply is not None:
+            if line is not None and chaos is None:
+                self._remember(line, (wait, deadline_ms, spec, run_id))
             return reply
 
         fut = self._inflight.get(run_id)
@@ -581,6 +611,16 @@ class JobService:
         self.stats.hits += counted
         return {"ok": True, "run_id": run_id, "cache": protocol.CACHE_HIT,
                 "record": record}
+
+    def _remember(self, line: bytes, keyed: tuple) -> None:
+        """Memoise a submit line that hit, least recently repeated
+        lines dropped first past :data:`LINE_MEMO_BYTES`."""
+        self._lines[line] = keyed
+        self._line_bytes += len(line)
+        while self._line_bytes > LINE_MEMO_BYTES:
+            dropped = next(iter(self._lines))
+            del self._lines[dropped]
+            self._line_bytes -= len(dropped)
 
     def _settle(self, run_id: str, fut: asyncio.Future,
                 reply: dict[str, Any]) -> None:

@@ -117,6 +117,57 @@ class TestValidation:
         with pytest.raises(ReproError, match="unknown app"):
             s.build_source()
 
+    #: a value of another type than the field's, as JSON can carry one
+    MISTYPED = [
+        ("nvp", 2.0), ("nvp", True), ("nvp", "2"), ("optimize", "2"),
+        ("optimize", 2.0), ("stack_bytes", 65536.0), ("slot_size", None),
+        ("ft_interval_ns", 1.5), ("ft_interval_ns", False),
+        ("app", None), ("method", 3), ("machine", ["generic-linux"]),
+        ("lb_strategy", 1), ("placement", None), ("transport", {}),
+        ("recovery", 0), ("sanitize", 1), ("sanitize", "true"),
+    ]
+
+    @pytest.mark.parametrize("name,value", MISTYPED,
+                             ids=[f"{n}={v!r}" for n, v in MISTYPED])
+    def test_refuses_a_mistyped_scalar(self, name, value):
+        d = {**JobSpec(app="hello", nvp=2).to_dict(), name: value}
+        if name == "nvp" and isinstance(value, str):
+            with pytest.raises(TypeError):      # __post_init__'s nvp < 1
+                JobSpec.from_dict(d)
+            return
+        spec = JobSpec.from_dict(d)     # a stored record still loads
+        with pytest.raises(ReproError,
+                           match=f"^{name} must be (int|str|bool), got "):
+            spec.validate()
+        with pytest.raises(ReproError, match=f"^{name} must be"):
+            build_job(spec)
+
+    def test_a_bool_rank_count_is_not_one_rank(self):
+        with pytest.raises(ReproError,
+                           match="nvp must be int, got bool True"):
+            JobSpec(app="hello", nvp=True).validate()
+
+    def test_every_in_tree_spec_still_validates(self):
+        """The pins, the chaos campaigns' specs, the host benchmark's
+        shapes and ``repro hello``'s spec all keep validating."""
+        from counted import JACOBI_1K, METHOD_SWEEP, SWITCH_STORM
+        from repro.chaos.scenario import generate_scenarios
+        from repro.chaos.serve_faults import generate_serve_scenario
+        from repro.provenance import DEFAULT_MANIFEST, load_manifest
+
+        root = Path(__file__).resolve().parents[1]
+        specs = [e.spec for e in
+                 load_manifest(root / DEFAULT_MANIFEST).values()]
+        specs += [sc.base_spec for sc in generate_scenarios(0, 200)]
+        specs += [generate_serve_scenario(0, i).spec for i in range(50)]
+        specs += [JACOBI_1K, SWITCH_STORM, *METHOD_SWEEP,
+                  JobSpec(app="hello", nvp=2, method="none",
+                          machine="generic-linux", layout=(1, 1, 1),
+                          slot_size=1 << 24)]
+        assert len(specs) > 250
+        for spec in specs:
+            spec.validate()
+
 
 class TestRegistry:
     def test_builtin_apps_registered(self):

@@ -193,6 +193,24 @@ class TestErrors:
         assert not keyed and service.inflight == 0
         assert not list(service.cache.store.root.rglob("*.lease"))
 
+    @pytest.mark.parametrize("bad", [{"nvp": 2.0}, {"optimize": "2"},
+                                     {"nvp": True}], ids=str)
+    def test_a_mistyped_scalar_is_invalid_not_an_error(self, serve, bad):
+        """Refused where the names are checked, with the spec's own
+        wording: not leased, not run into a worker's ``TypeError``, and
+        ``nvp=True`` not filed as a duplicate of ``nvp=1``."""
+        service, client = serve
+        (name, value), = bad.items()
+        spec_d = {**JobSpec(app="hello", nvp=2).to_dict(), **bad}
+        for _ in range(2):
+            reply = client.submit(spec_d)
+            assert not reply.ok
+            assert reply.error == (f"bad spec: {name} must be int, got "
+                                   f"{type(value).__name__} {value!r}")
+        stats = client.stats()
+        assert (stats["invalid"], stats["executed"], stats["errors"],
+                stats["records"]) == (2, 0, 0, 0)
+
     def test_connection_error_is_typed(self, tmp_path):
         client = ServeClient(socket_path=tmp_path / "nowhere.sock")
         with pytest.raises(ServeConnectionError):
