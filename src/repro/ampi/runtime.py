@@ -22,7 +22,7 @@ from repro.ampi.datatypes import payload_nbytes
 from repro.ampi.funcptr import pack_transport, shim_compile_unit
 from repro.ampi.ops import UserOp
 from repro.ampi.requests import Request, RequestKind, Status
-from repro.charm.lb import RankStat, get_strategy, summarize_loads
+from repro.charm.lb import RankStat, get_strategy
 from repro.charm.locmgr import LocationManager
 from repro.charm.messages import Message, next_seq
 from repro.charm.migration import MigrationEngine, MigrationRecord
@@ -54,22 +54,22 @@ from repro.perf.counters import (
 )
 from repro.privatization import get_method
 from repro.privatization.base import SetupEnv
-from repro.privatization.pieglobals import PieGlobals
 from repro.program.binary import Binary
 from repro.program.compiler import Compiler, CompileOptions
 from repro.program.context import ExecutionContext, FetchTracer, GlobalsView
 from repro.program.source import ProgramSource
 from repro.threads.ult import UserLevelThread
-from repro.trace.recorder import TraceRecorder
 
-# Fault tolerance and the reliable transport are optional subsystems: a
-# job that arms neither never imports them (see __init__ and start()).
+# Fault tolerance, the reliable transport and tracing are optional
+# subsystems: a job that arms none of them never imports them (see
+# __init__ and start()).
 if TYPE_CHECKING:  # pragma: no cover
     from repro.ft.buddy import BuddyCheckpointer, FtConfig
     from repro.ft.msglog import MessageLogger
     from repro.ft.plan import FaultPlan
     from repro.ft.recovery import RecoveryManager
     from repro.net.reliable import ReliableTransport
+    from repro.trace.recorder import TraceRecorder
 
 _job_ids = itertools.count(0)
 
@@ -293,6 +293,8 @@ class AmpiJob:
         self.trace_fetches = trace_fetches
         #: Projections-style tracing: off unless a recorder is attached.
         if trace is True:
+            from repro.trace.recorder import TraceRecorder
+
             trace = TraceRecorder()
         elif trace is False:
             trace = None
@@ -986,6 +988,8 @@ class AmpiJob:
 
     def _api_op_create(self, rank: VirtualRank, fn_name: str,
                        commute: bool = True) -> UserOp:
+        from repro.privatization.pieglobals import PieGlobals
+
         addr = rank.ctx.addr_of(fn_name)
         if isinstance(self.method, PieGlobals):
             return UserOp(
@@ -1033,6 +1037,8 @@ class AmpiJob:
         """AMPI_Migrate's completion rule (the ``lb_sync`` collective
         over MPI_COMM_WORLD); runs in the last arriver's ULT: decide +
         migrate + release."""
+        from repro.charm.lb.instrumentation import summarize_loads
+
         comm = state.comm
         T = self.collectives._max_arrival(state)
         stats = [

@@ -25,12 +25,12 @@ from repro.perf.counters import (
     EV_MIGRATION_BYTES,
 )
 from repro.privatization.base import PrivatizationMethod
-from repro.trace.recorder import TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.locmgr import LocationManager
     from repro.charm.node import Pe
     from repro.charm.vrank import VirtualRank
+    from repro.trace.recorder import TraceRecorder
 
 
 @dataclass(frozen=True)

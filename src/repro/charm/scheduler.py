@@ -22,10 +22,10 @@ from repro.perf.costs import CostModel
 from repro.perf.counters import CounterSet, EV_CTX_SWITCH
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UltState, UserLevelThread
-from repro.trace.recorder import PE_TID, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.vrank import VirtualRank
+    from repro.trace.recorder import TraceRecorder
 
 
 class JobScheduler:
@@ -184,6 +184,8 @@ class JobScheduler:
         # and a rank's re-raised exception all happen in place.
         ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
         tr = self.trace
+        if tr is not None:      # a recorder exists, so its module is loaded
+            from repro.trace.recorder import PE_TID
         pid_base = self.trace_pid_base
         runq_pop = self.runq.pop
         ranks_by_tid = self._ranks_by_tid

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import LoaderError, NamespaceLimitError, SymbolNotFound
 from repro.elf.got import GotInstance
@@ -43,7 +43,9 @@ from repro.mem.segments import CodeInstance, SegmentInstance
 from repro.perf.clock import SimClock
 from repro.perf.costs import CostModel
 from repro.perf.counters import CounterSet, EV_DLMOPEN, EV_DLOPEN
-from repro.trace.recorder import TraceRecorder
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.trace.recorder import TraceRecorder
 
 LM_ID_BASE = 0
 LM_ID_NEWLM = -1

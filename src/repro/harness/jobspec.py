@@ -34,9 +34,7 @@ recorder in their process never sees a tenant's job.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -191,6 +189,8 @@ class JobSpec:
 
     def digest(self) -> str:
         """SHA-256 of the canonical encoding — the content address."""
+        import hashlib
+
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def validate(self) -> None:
@@ -306,8 +306,6 @@ ResultHook = Callable[[JobSpec, AmpiJob, JobResult], None]
 #: process-global hooks fired after every spec-built run
 _result_hooks: list[ResultHook] = []
 
-_log = logging.getLogger(__name__)
-
 
 def add_result_hook(fn: ResultHook) -> None:
     _result_hooks.append(fn)
@@ -341,8 +339,10 @@ def run_spec_job(spec: JobSpec, **runtime: Any) -> tuple[AmpiJob, JobResult]:
         try:
             fn(spec, job, result)
         except Exception:
-            _log.exception("result hook %r failed; run result is "
-                           "unaffected", fn)
+            import logging
+
+            logging.getLogger(__name__).exception(
+                "result hook %r failed; run result is unaffected", fn)
     return job, result
 
 
@@ -424,6 +424,8 @@ def keyed_sources(root: Path) -> list[str]:
 
 def source_digest(root: Path) -> str:
     """SHA-256 over the relative path and bytes of every keyed source."""
+    import hashlib
+
     h = hashlib.sha256()
     for name in keyed_sources(root):
         h.update(name.encode())

@@ -28,7 +28,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import routes_for, unpack_funcptr_shim
 from repro.machine import MachineModel
 from repro.program.binary import Binary
@@ -106,6 +105,3 @@ class FsGlobals(PrivatizationMethod):
                 shim_calltable=calltable,
             )
         return wirings
-
-
-register("fsglobals", FsGlobals)

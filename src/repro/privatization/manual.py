@@ -23,7 +23,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import (
     clone_instance_private,
     routes_for,
@@ -97,7 +96,3 @@ class Photran(ManualRefactoring):
                 f"photran only refactors Fortran sources; "
                 f"{binary.source.name!r} is {binary.source.language}"
             )
-
-
-register("manual", ManualRefactoring)
-register("photran", Photran)

@@ -23,7 +23,6 @@ from repro.machine import MachineModel
 from repro.mem.address_space import MapKind
 from repro.mem.segments import SegmentImage, SegmentKind
 from repro.privatization.base import Capabilities, RankWiring, SetupEnv
-from repro.privatization.registry import register
 from repro.privatization.tlsglobals import TlsGlobals
 from repro.privatization._util import (
     clone_instance_private,
@@ -136,6 +135,3 @@ class MpcPrivatize(TlsGlobals):
                        if v.hls_level == "node")
         return (per_rank * ranks_per_process * processes_per_node
                 + per_proc * processes_per_node + per_node)
-
-
-register("mpc", MpcPrivatize)

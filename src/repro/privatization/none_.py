@@ -16,7 +16,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import routes_for
 from repro.program.binary import Binary
 
@@ -49,6 +48,3 @@ class NoPrivatization(PrivatizationMethod):
                 routes=routes, code=lm.code, tls_instance=None
             )
         return wirings
-
-
-register("none", NoPrivatization)

@@ -56,7 +56,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import (
     clone_instance_private,
     routes_for,
@@ -478,14 +477,3 @@ class PieGlobals(PrivatizationMethod):
             f"pieglobalsfind: {addr:#x} is not inside any privatized "
             "code/data copy"
         )
-
-
-register("pieglobals", PieGlobals)
-register("pieglobals-shared-rodata",
-         lambda: PieGlobals(share_rodata=True))
-register("pieglobals-robust-scan",
-         lambda: PieGlobals(robust_scan=True))
-register("pieglobals-dedup-migration",
-         lambda: PieGlobals(dedup_migration=True))
-register("pieglobals-mmap-code",
-         lambda: PieGlobals(mmap_code_sharing=True))

@@ -29,7 +29,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import routes_for, unpack_funcptr_shim
 from repro.program.binary import Binary
 
@@ -84,6 +83,3 @@ class PipGlobals(PrivatizationMethod):
                 shim_calltable=calltable,
             )
         return wirings
-
-
-register("pipglobals", PipGlobals)

@@ -28,7 +28,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import routes_for
 from repro.program.binary import Binary
 from repro.program.compiler import CompileOptions
@@ -122,6 +121,3 @@ class Swapglobals(PrivatizationMethod):
 
             wirings[rank.vp] = RankWiring(routes=routes, code=lm.code)
         return wirings
-
-
-register("swapglobals", Swapglobals)

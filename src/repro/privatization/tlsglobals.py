@@ -30,7 +30,6 @@ from repro.privatization.base import (
     RankWiring,
     SetupEnv,
 )
-from repro.privatization.registry import register
 from repro.privatization._util import (
     clone_instance_private,
     routes_for,
@@ -98,6 +97,3 @@ class TlsGlobals(PrivatizationMethod):
                 routes=routes_for(lm.data, lm.rodata, tls_priv),
                 code=lm.code, tls_instance=tls_priv)
         return wirings
-
-
-register("tlsglobals", TlsGlobals)

@@ -9,28 +9,28 @@ at run time every global access goes through a per-rank
 privatization method's correctness and per-access cost semantics live.
 """
 
-from repro.program.source import Program, ProgramSource
-from repro.program.compiler import Compiler, CompileOptions
-from repro.program.binary import Binary
-from repro.program.context import (
-    AccessKind,
-    AccessRoute,
-    ExecutionContext,
-    FetchTracer,
-    GlobalsProxy,
-    GlobalsView,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "Program",
-    "ProgramSource",
-    "Compiler",
-    "CompileOptions",
-    "Binary",
-    "AccessKind",
-    "AccessRoute",
-    "ExecutionContext",
-    "FetchTracer",
-    "GlobalsProxy",
-    "GlobalsView",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.program.source import Program, ProgramSource
+    from repro.program.compiler import Compiler, CompileOptions
+    from repro.program.binary import Binary
+    from repro.program.context import (
+        AccessKind,
+        AccessRoute,
+        ExecutionContext,
+        FetchTracer,
+        GlobalsProxy,
+        GlobalsView,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.program.source": ("Program", "ProgramSource"),
+    "repro.program.compiler": ("Compiler", "CompileOptions"),
+    "repro.program.binary": ("Binary",),
+    "repro.program.context": ("AccessKind", "AccessRoute",
+                              "ExecutionContext", "FetchTracer",
+                              "GlobalsProxy", "GlobalsView"),
+})

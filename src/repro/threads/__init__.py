@@ -8,22 +8,23 @@ worker while the scheduler waits — only one thread ever runs at a time.
 All *reported* time comes from per-ULT simulated clocks.
 """
 
-from repro.threads.ult import UserLevelThread, UltState, UltKilled
-from repro.threads.runqueue import RunQueue
-from repro.threads.backend import (
-    PooledBackend,
-    consume_orphan_count,
-    get_backend,
-    orphan_count,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "UserLevelThread",
-    "UltState",
-    "UltKilled",
-    "RunQueue",
-    "PooledBackend",
-    "get_backend",
-    "orphan_count",
-    "consume_orphan_count",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.threads.ult import UserLevelThread, UltState, UltKilled
+    from repro.threads.runqueue import RunQueue
+    from repro.threads.backend import (
+        PooledBackend,
+        consume_orphan_count,
+        get_backend,
+        orphan_count,
+    )
+
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.threads.ult": ("UserLevelThread", "UltState", "UltKilled"),
+    "repro.threads.runqueue": ("RunQueue",),
+    "repro.threads.backend": ("PooledBackend", "get_backend", "orphan_count",
+                              "consume_orphan_count"),
+})

@@ -37,9 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
         utilization_profile,
     )
 
-# The recorder is on every job's import path (the scheduler and loader
-# name its type); exporters, the timeline codec and the text renderer
-# load when a trace is actually written, hashed or rendered.
+# A job loads the recorder when tracing is on (the scheduler, loader and
+# migration engine name its type only for annotations); exporters, the
+# timeline codec and the text renderer load when a trace is actually
+# written, hashed or rendered.
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.trace.export": ("chrome_trace", "dumps_chrome_trace",
                            "validate_chrome_trace", "write_chrome_trace"),

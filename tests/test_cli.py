@@ -24,6 +24,8 @@ class TestCommands:
         assert main(["list-methods"]) == 0
         out = capsys.readouterr().out
         assert "pieglobals" in out and "swapglobals" in out
+        rows = [l for l in out.splitlines() if l.startswith("| ")]
+        assert len(rows) == 1 + 13      # header + every registered name
 
     def test_list_machines(self, capsys):
         assert main(["list-machines"]) == 0

@@ -26,23 +26,46 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def modules_after(code: str) -> set[str]:
-    """``sys.modules`` of a fresh interpreter after it ran ``code``."""
+def run_fresh(code: str) -> str:
+    """The stdout of a fresh interpreter that ran ``code``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_PROVENANCE", None)   # would turn auto-recording on
-    p = subprocess.run(
-        [sys.executable, "-c",
-         code + "\nimport sys, json; print(json.dumps(sorted(sys.modules)))"],
-        env=env, capture_output=True, text=True, timeout=120)
+    p = subprocess.run([sys.executable, "-c", code], env=env,
+                       capture_output=True, text=True, timeout=120)
     assert p.returncode == 0, p.stderr
-    return set(json.loads(p.stdout.splitlines()[-1]))
+    return p.stdout
+
+
+def modules_after(code: str) -> set[str]:
+    """``sys.modules`` of a fresh interpreter after it ran ``code``."""
+    out = run_fresh(
+        code + "\nimport sys, json; print(json.dumps(sorted(sys.modules)))")
+    return set(json.loads(out.splitlines()[-1]))
 
 
 def loaded(modules: set[str], *prefixes: str) -> list[str]:
     """The modules at or under any of ``prefixes`` (dotted names)."""
     return sorted(m for m in modules
                   if any(m == p or m.startswith(p + ".") for p in prefixes))
+
+
+def source_lines(modules: set[str]) -> int:
+    """Total source lines of the ``repro`` modules among ``modules``:
+    what a run compiles when it cannot read cached bytecode."""
+    total = 0
+    for name in loaded(modules, "repro"):
+        path = os.path.join(SRC, *name.split("."))
+        if os.path.isdir(path):
+            path = os.path.join(path, "__init__")
+        with open(path + ".py") as f:
+            total += sum(1 for _ in f)
+    return total
+
+
+#: the method modules under ``repro.privatization``
+METHOD_MODULES = ("none_", "manual", "swapglobals", "tlsglobals", "mpc",
+                  "pipglobals", "fsglobals", "pieglobals")
 
 
 #: tiers above the parser: nothing here may load to print ``--help``
@@ -73,6 +96,55 @@ class TestTiers:
             "import repro.cli; assert repro.cli.main(['hello']) == 0")
         assert loaded(mods, *ABOVE_MICRO_JOB) == []
         assert "repro.ampi.runtime" in mods and "repro.apps.micro" in mods
+        # Every CLI run compiles this closure from source when bytecode
+        # is not written (PYTHONDONTWRITEBYTECODE=1), so its size is the
+        # counted proxy for ``cli_hello``.  It was 76 modules and 11 381
+        # lines while every simulator package imported its whole subtree
+        # and the registry imported all nine method modules.
+        assert len(loaded(mods, "repro")) <= 65
+        assert source_lines(mods) <= 9_900
+        assert loaded(mods, *(f"repro.privatization.{m}"
+                              for m in METHOD_MODULES)) \
+            == ["repro.privatization.none_"]
+        assert loaded(mods, "repro.ampi.checkpoint", "repro.trace",
+                      "logging", "hashlib") == []
+
+    def test_a_job_loads_only_its_own_method(self):
+        """``hello --method M`` loads M's home module and no other method
+        module (mpc's home imports tlsglobals', the class it extends).
+        A method ``hello`` refuses is built with ``build_job`` on a spec
+        it accepts.  One interpreter; the method modules are dropped from
+        ``sys.modules`` before each name."""
+        out = run_fresh(
+            "import contextlib, io, json, sys\n"
+            "from repro.cli import main\n"
+            "from repro.harness.jobspec import JobSpec, build_job\n"
+            "from repro.privatization.registry import method_names\n"
+            "refused = {\n"
+            "    'mpc': dict(app='hello', machine='stampede2-icx'),\n"
+            "    'swapglobals': dict(app='hello', layout=(1, 1, 1),\n"
+            "                        machine='legacy-linux-old-ld'),\n"
+            "    'photran': dict(app='adcirc')}\n"
+            f"homes = {['repro.privatization.' + m for m in METHOD_MODULES]}\n"
+            "got = {}\n"
+            "for name in method_names():\n"
+            "    for home in homes:\n"
+            "        sys.modules.pop(home, None)\n"
+            "    if name in refused:\n"
+            "        build_job(JobSpec(nvp=2, method=name, **refused[name]))\n"
+            "    else:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert main(['hello', '--method', name]) == 0\n"
+            "    got[name] = sorted(h for h in homes if h in sys.modules)\n"
+            "print(json.dumps(got))\n")
+        from repro.privatization.registry import METHODS
+
+        got = json.loads(out.splitlines()[-1])
+        assert sorted(got) == sorted(METHODS)
+        for name, (home, _, _) in METHODS.items():
+            expect = {home, "tlsglobals"} if home == "mpc" else {home}
+            assert got[name] == sorted(f"repro.privatization.{m}"
+                                       for m in expect), name
 
     def test_numeric_app_resolves_numpy(self):
         mods = modules_after(
@@ -83,8 +155,62 @@ class TestTiers:
         assert loaded(mods, "repro.apps.adcirc", "repro.apps.memhog") == []
 
 
+class TestMethodRegistry:
+    def test_names_without_loading_a_method(self):
+        out = run_fresh(
+            "import json, sys\n"
+            "from repro.privatization.registry import get_method, "
+            "method_names\n"
+            "try:\n"
+            "    get_method('magicglobals')\n"
+            "except Exception as e:\n"
+            "    error = str(e)\n"
+            "print(json.dumps([method_names(), error, sorted(sys.modules)]))")
+        names, error, mods = json.loads(out.splitlines()[-1])
+        assert len(names) == 13
+        assert error.endswith("known: " + ", ".join(names))
+        assert loaded(set(mods), *(f"repro.privatization.{m}"
+                                   for m in METHOD_MODULES)) == []
+
+    def test_first_resolution_from_threads(self):
+        """Eight threads resolving one name for the first time (a
+        thread-mode ``repro serve`` does this) each get a fresh instance
+        of the one class its module defined; the module is found and
+        executed once, also counting a later resolution."""
+        out = run_fresh(
+            "import json, sys, threading\n"
+            "from repro.privatization.registry import get_method\n"
+            "HOME = 'repro.privatization.pieglobals'\n"
+            "finds = []\n"
+            "class CountFinds:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == HOME:\n"
+            "            finds.append(name)\n"
+            "sys.meta_path.insert(0, CountFinds())\n"
+            "sys.setswitchinterval(1e-6)\n"
+            "start = threading.Barrier(8)\n"
+            "got, errors = [], []\n"
+            "def resolve():\n"
+            "    start.wait()\n"
+            "    try:\n"
+            "        got.append(get_method('pieglobals'))\n"
+            "    except Exception as e:\n"
+            "        errors.append(repr(e))\n"
+            "threads = [threading.Thread(target=resolve) for _ in range(8)]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(timeout=60)\n"
+            "assert not any(t.is_alive() for t in threads)\n"
+            "got.append(get_method('pieglobals'))\n"
+            "cls = sys.modules[HOME].PieGlobals\n"
+            "print(json.dumps([errors, len(finds), len({id(m) for m in got}),\n"
+            "                  all(type(m) is cls for m in got)]))")
+        assert json.loads(out.splitlines()[-1]) == [[], 1, 9, True]
+
+
 LAZY_PACKAGES = ("repro", "repro.harness", "repro.apps", "repro.perf",
-                 "repro.net", "repro.trace")
+                 "repro.net", "repro.trace", "repro.ampi", "repro.charm",
+                 "repro.charm.lb", "repro.elf", "repro.mem", "repro.program",
+                 "repro.threads", "repro.fs", "repro.privatization")
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

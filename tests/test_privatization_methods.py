@@ -18,7 +18,8 @@ from repro.machine import (
 from repro.perf.counters import EV_DLMOPEN, EV_DLOPEN
 from repro.privatization import get_method, method_names
 from repro.privatization.manual import ManualRefactoring
-from repro.privatization.registry import register
+from repro.privatization import registry
+from repro.privatization.registry import METHODS, register
 
 from conftest import make_hello, run_job
 
@@ -38,12 +39,30 @@ class TestRegistry:
         assert get_method(m) is m
 
     def test_unknown_method(self):
-        with pytest.raises(PrivatizationError, match="known"):
+        with pytest.raises(PrivatizationError, match="known") as err:
             get_method("magicglobals")
+        assert str(err.value).endswith("known: " + ", ".join(sorted(METHODS)))
+        assert len(METHODS) == 13
+
+    @pytest.mark.parametrize("name", sorted(METHODS))
+    def test_every_name_resolves_to_its_table_row(self, name):
+        home, cls, options = METHODS[name]
+        m = get_method(name)
+        assert type(m).__name__ == cls
+        assert type(m).__module__ == f"repro.privatization.{home}"
+        assert all(getattr(m, k) == v for k, v in options.items())
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(PrivatizationError):
             register("manual", ManualRefactoring)
+
+    def test_registered_method_resolves_and_is_listed(self, monkeypatch):
+        monkeypatch.setattr(registry, "_REGISTRY", {})
+        register("manual-again", ManualRefactoring)
+        assert isinstance(get_method("manual-again"), ManualRefactoring)
+        assert "manual-again" in method_names()
+        with pytest.raises(PrivatizationError, match="already registered"):
+            register("manual-again", ManualRefactoring)
 
 
 class TestSwapglobals:
