@@ -169,7 +169,7 @@ def serve_ledger(outcomes: list[ServeFaultOutcome]) -> dict[str, int]:
 
 class _ServerProc:
     """A real ``repro serve`` subprocess on a Unix socket, with chaos
-    hooks enabled and a short lease TTL (so crash takeover is fast)."""
+    hooks enabled."""
 
     def __init__(self, store_dir: Path, socket_path: Path):
         self.store_dir = store_dir
@@ -185,8 +185,7 @@ class _ServerProc:
             [sys.executable, "-m", "repro", "serve",
              "--store", str(self.store_dir),
              "--socket", str(self.socket_path),
-             "--workers", "2", "--chaos-hooks",
-             "--lease-ttl", "5.0", "--max-queue", "64"],
+             "--workers", "2", "--chaos-hooks", "--max-queue", "64"],
             env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
         deadline = time.monotonic() + timeout_s  # repro: allow(det-wallclock) campaign harness paces a real subprocess
         last: Exception | None = None
@@ -374,8 +373,8 @@ def _run_one(sc: ServeFaultScenario, client: ServeClient,
         elif sc.kind == "server-crash":
             # Accept the job, SIGKILL the server mid-flight, restart on
             # the same store+socket: the resubmitted (idempotent) job
-            # must execute, taking over — or waiting out — any stale
-            # lease the dead server left behind.
+            # must execute, taking over the lease the dead server left
+            # behind.
             client.submit(sc.spec, wait=False)
             server.sigkill()
             server.start()

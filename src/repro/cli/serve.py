@@ -29,7 +29,6 @@ def cmd_serve(args) -> int:
         worker_mode=args.worker_mode,
         max_queue=args.max_queue if args.max_queue > 0 else None,
         retries=args.retries,
-        lease_ttl_s=args.lease_ttl if args.lease_ttl > 0 else None,
         enable_chaos=args.chaos_hooks,
         gc_every_s=args.gc_every,
         gc_max_age_s=gc_max_age_s,
@@ -82,10 +81,6 @@ def register(sub) -> None:
     serve.add_argument("--retries", type=int, default=2, metavar="N",
                        help="retry a job whose worker died up to N "
                             "times before quarantining it (default 2)")
-    serve.add_argument("--lease-ttl", type=float, default=30.0,
-                       metavar="S",
-                       help="cross-server execution-lease heartbeat TTL "
-                            "(default 30; 0 disables leases)")
     serve.add_argument("--chaos-hooks", action="store_true",
                        help="accept protocol-level fault-injection "
                             "envelopes (service chaos campaigns only; "

@@ -41,7 +41,6 @@ from repro.provenance.runner import (
 )
 from repro.provenance.store import (
     DEFAULT_STORE_DIR,
-    LEASE_TTL_S,
     STORE_ENV,
     GcReport,
     ProvenanceStore,
@@ -52,7 +51,6 @@ from repro.provenance.store import (
 __all__ = [
     "DEFAULT_MANIFEST",
     "DEFAULT_STORE_DIR",
-    "LEASE_TTL_S",
     "STORE_ENV",
     "DiffReport",
     "Divergence",

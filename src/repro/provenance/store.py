@@ -32,18 +32,21 @@ creation time for provenance.
 Execution leases: ``<id>.lease`` sidecars give several *servers*
 mounting one root a crash-safe cross-server single-flight protocol —
 see :meth:`ProvenanceStore.acquire_lease` and :class:`RunLease`.  A
-lease is an atomically created file whose mtime is the owner's
-heartbeat; an expired heartbeat (or a provably dead same-host owner
-pid) means the owner crashed mid-execution and the next acquirer takes
-over and re-executes.
+lease is an advisory ``flock`` on that file, held for as long as the
+owner keeps its descriptor open; the kernel drops it when the owner
+dies, so an unlocked lease file means the owner crashed mid-execution
+and the next acquirer takes over and re-executes.  Exclusivity is exact
+among servers on one host, or on a filesystem that honours ``flock``
+across hosts.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
+import fcntl
 import json
 import os
-import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,15 +59,6 @@ from repro.trace.stream import compress_timeline, decompress_timeline
 #: age (seconds) past which a tmp file whose pid cannot be parsed or
 #: liveness-checked is considered a crash leftover
 TMP_GRACE_S = 3600.0
-
-#: default execution-lease time-to-live: a lease whose heartbeat
-#: (mtime) is older than this is considered abandoned and may be
-#: taken over by another server
-LEASE_TTL_S = 30.0
-
-#: process-local uniquifier so two leases acquired by one process are
-#: still distinguishable tokens
-_lease_seq = itertools.count()
 
 #: default store location relative to the working directory
 DEFAULT_STORE_DIR = ".repro/store"
@@ -165,79 +159,50 @@ class ProvenanceStore:
 
     # -- execution leases ---------------------------------------------------
     #
-    # Cross-*server* single-flight: several servers mounting one store
-    # root coalesce identical in-flight submissions through an atomic
-    # ``<run_id>.lease`` file.  The owner heartbeats by refreshing the
-    # file's mtime; a lease whose heartbeat is stale (owner crashed,
-    # was SIGKILLed, or lost power) is taken over by the next acquirer,
-    # which re-executes the job — no execution is ever duplicated while
-    # its owner is alive, and no job is lost when its owner dies.
+    # Only a lock holder ever unlinks a lease path, so a holder that
+    # finds the path naming its locked inode keeps it until it lets go.
 
-    def acquire_lease(self, run_id: str, *, ttl_s: float = LEASE_TTL_S,
-                      now: float | None = None) -> "RunLease | None":
+    def acquire_lease(self, run_id: str) -> "RunLease | None":
         """Try to claim the exclusive right to execute ``run_id``.
 
         Returns a :class:`RunLease` on success (``lease.takeover`` is
-        True when a stale lease from a dead owner was broken), or None
-        while another live owner holds the claim.  Acquisition is
-        atomic (``O_CREAT | O_EXCL``); takeover is unlink-then-create,
-        so of two simultaneous takers exactly one wins.
+        True when the lease file was left by an owner that died without
+        releasing it), or None while another owner holds the lock.  A
+        fresh lease is a temp file locked *before* it is linked to the
+        lease path, so the path never names an unlocked file while its
+        creator lives.
         """
-        now = time.time() if now is None else now  # repro: allow(det-wallclock) lease heartbeats are host mtimes by design
-        path = self._lease_path(run_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        token = f"{socket.gethostname()}:{os.getpid()}:{next(_lease_seq)}"
-        payload = json.dumps({"host": socket.gethostname(),
-                              "pid": os.getpid(), "token": token,
-                              "acquired_at": now}).encode()
-        for attempt in (0, 1):
+        lease_path = self._lease_path(run_id)
+        lease_path.parent.mkdir(parents=True, exist_ok=True)
+        path = str(lease_path)
+        while True:
+            fd, tmp = tempfile.mkstemp(dir=lease_path.parent,
+                                       prefix=lease_path.name + ".",
+                                       suffix=f".tmp{os.getpid()}")
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-                             0o644)
-            except FileExistsError:
-                if attempt or not self._lease_is_stale(path, ttl_s, now):
-                    return None
-                # Stale: break it and race the O_EXCL create once.
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                continue
-            with os.fdopen(fd, "wb") as f:
-                f.write(payload)
-            return RunLease(self, run_id, token, ttl_s=ttl_s,
-                            takeover=bool(attempt))
-        return None
-
-    def _lease_is_stale(self, path: Path, ttl_s: float,
-                        now: float) -> bool:
-        """Dead-owner detection: heartbeat older than the TTL, or a
-        same-host owner pid that provably no longer exists."""
-        try:
-            mtime = path.stat().st_mtime  # repro: allow(det-wallclock) lease heartbeats are host-side liveness, not simulation state
-        except OSError:
-            return False        # vanished: owner released it
-        if now - mtime > ttl_s:
-            return True
-        holder = self.lease_holder(path.name[:-len(".lease")])
-        if (holder and holder.get("host") == socket.gethostname()
-                and isinstance(holder.get("pid"), int)):
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                os.link(tmp, path)
+                return RunLease(run_id, path, fd)
+            except BaseException as e:
+                os.close(fd)
+                if not isinstance(e, FileExistsError):
+                    raise
+            finally:
+                os.unlink(tmp)
             try:
-                os.kill(holder["pid"], 0)
-            except ProcessLookupError:
-                return True     # owner died without releasing
-            except (PermissionError, OSError):
-                pass
-        return False
-
-    def lease_holder(self, run_id: str) -> dict | None:
-        """The current lease payload for ``run_id``, or None (no lease,
-        or a half-written one — judged only by its heartbeat then)."""
-        try:
-            data = json.loads(self._lease_path(run_id).read_bytes())
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-        return data if isinstance(data, dict) else None
+                fd = os.open(path, os.O_RDONLY)
+            except FileNotFoundError:
+                continue        # released meanwhile: race the link again
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BaseException as e:
+                os.close(fd)
+                if isinstance(e, BlockingIOError):
+                    return None     # a live owner holds it
+                raise
+            if _names(path, fd):
+                return RunLease(run_id, path, fd, takeover=True)
+            os.close(fd)        # locked a released file: try again
 
     # -- reading ------------------------------------------------------------
 
@@ -305,19 +270,24 @@ class ProvenanceStore:
 
         Safe against a concurrent delete of the same record: a path that
         vanishes between the stat and the unlink simply counts as
-        already freed by the other process.
+        already freed by the other process.  A lease still held by a
+        live owner is left to it (its release unlinks the file): delete
+        takes the lease like any acquirer, so only a dead owner's
+        leftover goes.
         """
         freed = 0
         for path in (self._record_path(run_id),
                      self._timeline_path(run_id),
-                     self._touch_path(run_id),
-                     self._lease_path(run_id)):
+                     self._touch_path(run_id)):
             try:
                 size = path.stat().st_size
                 path.unlink()
             except OSError:
                 continue
             freed += size
+        lease = self.acquire_lease(run_id)
+        if lease is not None:
+            lease.release()
         return freed
 
     # -- stale tmp files ----------------------------------------------------
@@ -448,54 +418,52 @@ class ProvenanceStore:
 
 
 class RunLease:
-    """An exclusive, crash-expiring claim on one run_id's execution.
+    """An exclusive claim on one run_id's execution: an open descriptor
+    holding ``flock`` on the run's lease file.
 
-    Held by the server that is executing the job.  :meth:`renew`
-    refreshes the heartbeat (the lease file's mtime) and must be called
-    at least every ``ttl_s`` seconds while the execution runs;
-    :meth:`release` drops the claim when the result has been filed.
-    Both verify the on-disk token first, so a lease that was broken by
-    a takeover (we were presumed dead) is never renewed or released on
-    the usurper's behalf.
+    Held by the server that is executing the job; :meth:`release` drops
+    the claim when the result has been filed.  The descriptor is not
+    inheritable, so no worker process ever holds a run's lock.
     """
 
-    def __init__(self, store: ProvenanceStore, run_id: str, token: str,
-                 *, ttl_s: float = LEASE_TTL_S, takeover: bool = False):
-        self.store = store
+    def __init__(self, run_id: str, path: str, fd: int,
+                 *, takeover: bool = False):
         self.run_id = run_id
-        self.token = token
-        self.ttl_s = ttl_s
-        #: True when acquisition broke a dead owner's stale lease
+        self.path = path
+        self._fd: int | None = fd
+        #: True when acquisition took over a dead owner's lease file
         self.takeover = takeover
 
-    def _owned(self) -> bool:
-        holder = self.store.lease_holder(self.run_id)
-        return bool(holder) and holder.get("token") == self.token
-
     def renew(self) -> bool:
-        """Refresh the heartbeat; False if the lease was lost."""
-        if not self._owned():
-            return False
-        try:
-            os.utime(self.store._lease_path(self.run_id))
-            return True
-        except OSError:
-            return False
+        """True while this lease still holds its run: it is not
+        released, and its path still names the locked file.  A flock
+        needs no refreshing; the name is the heartbeat's it replaced,
+        kept because ``benchmarks/host`` wraps the method by name."""
+        return self._fd is not None and _names(self.path, self._fd)
 
     def release(self) -> None:
-        """Drop the claim (no-op if a takeover already broke it)."""
-        if not self._owned():
-            return
-        try:
-            self.store._lease_path(self.run_id).unlink()
-        except OSError:
-            pass
+        """Drop the claim: unlink the lease file while still holding
+        the lock, then close (no-op once released)."""
+        fd, self._fd = self._fd, None
+        if fd is not None:
+            if _names(self.path, fd):
+                with contextlib.suppress(OSError):
+                    os.unlink(self.path)
+            os.close(fd)
 
     def __enter__(self) -> "RunLease":
         return self
 
     def __exit__(self, *exc: object) -> None:
         self.release()
+
+
+def _names(path: str, fd: int) -> bool:
+    """Whether ``path`` still names the file open as ``fd``."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(fd))
+    except OSError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -37,9 +37,9 @@ components dying):
   *remembers* — resubmitting a quarantined run_id is answered
   instantly without feeding it more workers.
 - **Cross-server leases**: when several servers mount one store root,
-  an atomic per-run_id lease file (heartbeat = mtime) makes execution
-  exactly-once *across servers*; a server that crashes mid-run stops
-  heartbeating, and a peer takes the lease over and re-executes.
+  a per-run_id lease file held under ``flock`` makes execution
+  exactly-once *across servers*; the kernel drops the lock of a server
+  that crashes mid-run, and a peer takes the lease over and re-executes.
 - **Graceful drain**: the ``drain`` op (and shutdown) flips the
   service into a mode that refuses new submissions (``draining``
   reply) while in-flight jobs run to completion.
@@ -67,7 +67,7 @@ from typing import Any
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec
 from repro.provenance.record import RunRecord
-from repro.provenance.store import LEASE_TTL_S, ProvenanceStore
+from repro.provenance.store import ProvenanceStore
 from repro.serve import protocol
 from repro.serve.cache import ResultCache
 from repro.serve.pool import WorkerPool
@@ -80,6 +80,10 @@ DEFAULT_SOCKET = ".repro/serve.sock"
 #: request-line bytes the submit memo may hold; past it the least
 #: recently repeated lines are dropped first
 LINE_MEMO_BYTES = 1 << 20
+
+#: seconds between a waiter's looks at the store while a peer server
+#: holds the run's lease
+LEASE_POLL_S = 0.1
 
 
 @dataclass
@@ -132,11 +136,10 @@ class JobService:
     reachable as the ``shutdown`` op); ``await close()`` drains.  For
     synchronous hosts (tests, the host benchmark) use :class:`ServiceThread`.
 
-    ``lease_ttl_s=None`` disables cross-server leases (single-server
-    deployments save two file ops per execution); any float enables
-    them with that heartbeat TTL.  ``enable_chaos`` unlocks the
-    protocol-level fault-injection envelope used by the service chaos
-    campaign — never enable it on a real deployment.
+    Every execution takes the run's cross-server lease.
+    ``enable_chaos`` unlocks the protocol-level fault-injection
+    envelope used by the service chaos campaign — never enable it on a
+    real deployment.
     """
 
     def __init__(self, store: ProvenanceStore | str | Path | None = None,
@@ -148,8 +151,6 @@ class JobService:
                  worker_mode: str = "process",
                  max_queue: int | None = 256,
                  retries: int = 2,
-                 lease_ttl_s: float | None = LEASE_TTL_S,
-                 lease_poll_s: float = 0.1,
                  enable_chaos: bool = False,
                  gc_every_s: float | None = None,
                  gc_max_age_s: float | None = None,
@@ -162,8 +163,6 @@ class JobService:
         self.worker_mode = worker_mode
         self.max_queue = max_queue
         self.retries = retries
-        self.lease_ttl_s = lease_ttl_s
-        self.lease_poll_s = lease_poll_s
         self.enable_chaos = enable_chaos
         if socket_path is None and host is None:
             socket_path = DEFAULT_SOCKET
@@ -383,7 +382,7 @@ class JobService:
                 "inflight": self.inflight,
                 "max_queue": self.max_queue,
                 "quarantined": len(self._poison),
-                "leases": self.lease_ttl_s is not None}
+                "leases": True}
 
     # -- the submit path ----------------------------------------------------
 
@@ -496,18 +495,19 @@ class JobService:
     async def _execute(self, run_id: str, spec: JobSpec,
                        chaos: dict[str, Any] | None,
                        fut: asyncio.Future) -> None:
-        lease = None
         try:
-            if self.lease_ttl_s is not None:
-                lease = await self._acquire_lease_or_result(run_id, fut)
-                if lease is None:
-                    return      # resolved from a peer's execution
-            self.stats.executed += 1
-            out = await self._run_on_pool(run_id, spec, chaos, lease)
-            self._settle(run_id, fut, self._reply_from_pool(run_id, out))
+            lease = await self._acquire_lease_or_result(run_id, fut)
+            if lease is None:
+                return      # resolved from a peer's execution
+            with lease:
+                self.stats.executed += 1
+                out = await self._run_on_pool(run_id, spec, chaos)
+                if not lease.renew():   # filed anyway: put is append-only
+                    _log.warning("lease lost for %s (its file was "
+                                 "removed)", run_id[:12])
+                self._settle(run_id, fut,
+                             self._reply_from_pool(run_id, out))
         finally:
-            if lease is not None:
-                lease.release()
             self._inflight.pop(run_id, None)
             if not fut.done():      # belt and braces: never hang a waiter
                 fut.set_result(protocol.error_reply(
@@ -517,11 +517,19 @@ class JobService:
                                        fut: asyncio.Future):
         """Cross-server single-flight: either win the lease (we
         execute) or wait the peer out — serving its stored record when
-        it lands, or taking over its expired lease when it crashes."""
+        it lands, or taking over its lease when it dies."""
         waited = False
         while True:
-            lease = self.store.acquire_lease(run_id,
-                                             ttl_s=self.lease_ttl_s)
+            lease = self.store.acquire_lease(run_id)
+            # Looked up after the lease is won: an owner files its
+            # record before it releases, so a peer's run that finished
+            # since our submit missed is served, not executed again.
+            reply = self._stored_reply(run_id, counted=False)
+            if reply is not None:
+                if lease is not None:
+                    lease.release()
+                self._settle(run_id, fut, reply)
+                return None
             if lease is not None:
                 if lease.takeover:
                     self.stats.lease_takeovers += 1
@@ -529,15 +537,10 @@ class JobService:
             if not waited:
                 waited = True
                 self.stats.lease_waits += 1
-            await asyncio.sleep(self.lease_poll_s)
-            reply = self._stored_reply(run_id, counted=False)
-            if reply is not None:
-                self._settle(run_id, fut, reply)
-                return None
+            await asyncio.sleep(LEASE_POLL_S)
 
     async def _run_on_pool(self, run_id: str, spec: JobSpec,
-                           chaos: dict[str, Any] | None,
-                           lease) -> dict[str, Any]:
+                           chaos: dict[str, Any] | None) -> dict[str, Any]:
         loop = asyncio.get_running_loop()
         assert self._pool is not None
         try:
@@ -545,34 +548,11 @@ class JobService:
                 self._pool.submit(spec.to_dict(), chaos=chaos), loop=loop)
         except RuntimeError as e:
             return {"record": None, "timeline_z": None, "error": str(e)}
-        hb: asyncio.Task | None = None
-        if lease is not None:
-            hb = loop.create_task(self._heartbeat(lease))
         try:
             return await pool_fut
         except Exception as e:   # wrap_future surfaced a pool failure
             return {"record": None, "timeline_z": None,
                     "error": f"{type(e).__name__}: {e}"}
-        finally:
-            if hb is not None:
-                hb.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await hb
-
-    async def _heartbeat(self, lease) -> None:
-        """Keep the lease's mtime fresh while the job runs; a lost
-        lease (a peer presumed us dead and took over) is logged but the
-        execution continues — the store's append-only put makes the
-        duplicate harmless."""
-        interval = max(self.lease_ttl_s / 3.0, 0.05)
-        while True:
-            await asyncio.sleep(interval)
-            renewed = await asyncio.get_running_loop().run_in_executor(
-                None, lease.renew)
-            if not renewed:
-                _log.warning("lease lost for %s (takeover by a peer?)",
-                             lease.run_id[:12])
-                return
 
     def _reply_from_pool(self, run_id: str,
                          out: dict[str, Any]) -> dict[str, Any]:

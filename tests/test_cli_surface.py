@@ -130,7 +130,6 @@ FLAGS = {
               ('gc_every', ('--gc-every',), None, None, None, 'float'),
               ('host', ('--host',), '127.0.0.1', None, None, None),
               ('keep_pinned', ('--keep-pinned',), False, None, 0, None),
-              ('lease_ttl', ('--lease-ttl',), 30.0, None, None, 'float'),
               ('manifest', ('--manifest',), None, None, None, None),
               ('max_age_days', ('--max-age-days',), None, None, None,
                'float'),

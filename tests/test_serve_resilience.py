@@ -29,6 +29,7 @@ from repro.serve import (
     ServiceThread,
     WorkerPool,
     protocol,
+    server,
 )
 
 
@@ -43,8 +44,12 @@ def _service(tmp_path, **kw) -> JobService:
     kw.setdefault("workers", 1)
     kw.setdefault("worker_mode", "thread")
     kw.setdefault("socket_path", tmp_path / "serve.sock")
-    kw.setdefault("lease_poll_s", 0.01)
     return JobService(ProvenanceStore(tmp_path / "store"), **kw)
+
+
+@pytest.fixture(autouse=True)
+def _fast_lease_polls(monkeypatch):
+    monkeypatch.setattr(server, "LEASE_POLL_S", 0.01)
 
 
 def _client(tmp_path, **kw) -> ServeClient:
@@ -402,12 +407,10 @@ class TestCrossServerLeases:
         store_root = tmp_path / "store"
         s1 = JobService(ProvenanceStore(store_root), workers=1,
                         worker_mode="thread",
-                        socket_path=tmp_path / "a.sock",
-                        lease_poll_s=0.01)
+                        socket_path=tmp_path / "a.sock")
         s2 = JobService(ProvenanceStore(store_root), workers=1,
                         worker_mode="thread",
-                        socket_path=tmp_path / "b.sock",
-                        lease_poll_s=0.01)
+                        socket_path=tmp_path / "b.sock")
         # Long enough (~0.1 s) that the two submissions overlap: a 3 ms
         # job can finish on one server before the other has looked the
         # spec up, which is then a legitimate cache hit, not a lease wait.
@@ -436,19 +439,17 @@ class TestCrossServerLeases:
         rb = dict(replies["b"].record)
         assert ra == rb                   # byte-identical, created_at too
         # No lease survives the execution.
-        store = ProvenanceStore(store_root)
-        assert store.lease_holder(replies["a"].run_id) is None
+        assert not list(store_root.rglob("*.lease*"))
 
     def test_stale_lease_of_dead_server_taken_over(self, tmp_path):
         """A server that died holding a lease must not wedge the job:
-        the next server takes the expired lease and executes."""
+        the next server takes its leftover lease file and executes."""
         store_root = tmp_path / "store"
         store = ProvenanceStore(store_root)
         spec = _spec("orphaned")
         service = JobService(ProvenanceStore(store_root), workers=1,
                              worker_mode="thread",
-                             socket_path=tmp_path / "serve.sock",
-                             lease_ttl_s=30.0, lease_poll_s=0.01)
+                             socket_path=tmp_path / "serve.sock")
         # Plant a lease from a "dead server": dead pid, fresh mtime.
         from repro.provenance import run_id_for
         from repro.serve.cache import ResultCache

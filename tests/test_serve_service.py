@@ -24,7 +24,7 @@ from repro.serve import (
     ServeConnectionError,
     ServiceThread,
 )
-from repro.serve import protocol
+from repro.serve import protocol, server
 from test_one_road import BAD_SPECS
 
 
@@ -244,12 +244,12 @@ class TestOps:
             (3, 1, 0.75)
         assert (service.stats.hits, service.stats.misses) == (3, 1)
 
-    def test_lease_polls_count_no_misses(self, tmp_path):
+    def test_lease_polls_count_no_misses(self, tmp_path, monkeypatch):
         """A submission that waits out a peer's lease and is answered
         from the peer's record is one miss, as its reply says."""
+        monkeypatch.setattr(server, "LEASE_POLL_S", 0.05)
         service = JobService(ProvenanceStore(tmp_path / "store"),
-                             socket_path=tmp_path / "serve.sock",
-                             lease_poll_s=0.05)
+                             socket_path=tmp_path / "serve.sock")
         spec = _spec("leased")
         job, result = run_spec_job(spec, strict=False)
         record = RunRecord.from_run(spec, job, result)
@@ -269,6 +269,27 @@ class TestOps:
         assert service.stats.lease_waits == 1 and service.stats.executed == 0
         assert (stats["stats"]["hits"], stats["stats"]["misses"],
                 stats["stats"]["hit_rate"]) == (0, 1, 0.0)
+
+    def test_a_run_filed_before_the_lease_is_won_runs_once(
+            self, tmp_path, monkeypatch):
+        """A peer files its record and releases between our miss and
+        our acquire: the free lease is not a licence to run it again."""
+        service = JobService(ProvenanceStore(tmp_path / "store"),
+                             socket_path=tmp_path / "serve.sock")
+        spec = _spec("raced")
+        job, result = run_spec_job(spec, strict=False)
+        record = RunRecord.from_run(spec, job, result)
+        acquire = service.store.acquire_lease
+
+        def peer_files_first(run_id):
+            service.store.put(record)
+            return acquire(run_id)
+
+        monkeypatch.setattr(service.store, "acquire_lease", peer_files_first)
+        reply = asyncio.run(service.submit(spec.to_dict()))
+        assert reply["ok"] and reply["record"] == record.to_dict()
+        assert service.stats.executed == 0
+        assert not list(service.store.root.rglob("*.lease*"))
 
     def test_unknown_op(self, serve):
         _, client = serve

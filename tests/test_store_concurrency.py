@@ -6,9 +6,12 @@ files are swept, and usage recency (the ``.touch`` sidecar) keeps hot
 cache entries alive without falsifying ``created_at``.
 """
 
+import fcntl
+import itertools
 import json
 import multiprocessing
 import os
+import socket
 import time
 
 import pytest
@@ -282,6 +285,17 @@ class TestTmpSweepPidReuse:
 # execution leases: cross-server single-flight
 # ---------------------------------------------------------------------------
 
+def _plant_dead_owner_lease(store: ProvenanceStore, run_id: str,
+                            pid: int) -> None:
+    """A lease file as a server that died mid-run leaves it: never
+    unlocked by a release, naming a pid that no longer exists."""
+    path = store._lease_path(run_id)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "host": socket.gethostname(), "pid": pid, "token": "ghost",
+        "acquired_at": time.time()}))
+
+
 class TestLeases:
     RUN = "ab" + "0" * 62
 
@@ -290,77 +304,127 @@ class TestLeases:
         assert lease is not None and not lease.takeover
         # Same host, live owner: nobody else gets it.
         assert store.acquire_lease(self.RUN) is None
-        holder = store.lease_holder(self.RUN)
-        assert holder["pid"] == os.getpid()
+        assert store._lease_path(self.RUN).exists()
         lease.release()
-        assert store.lease_holder(self.RUN) is None
+        assert not store._lease_path(self.RUN).exists()
         again = store.acquire_lease(self.RUN)
         assert again is not None and not again.takeover
         again.release()
 
-    def test_stale_heartbeat_takeover(self, store):
-        t0 = time.time()
-        lease = store.acquire_lease(self.RUN, ttl_s=30.0, now=t0)
+    def test_live_owner_never_taken_over(self, store):
+        """No amount of quiet takes a run from a live owner: its lease
+        file backdated an hour is still held."""
+        lease = store.acquire_lease(self.RUN)
         assert lease is not None
-        # Heartbeat still fresh: no takeover even near the TTL.
-        assert store.acquire_lease(self.RUN, ttl_s=30.0,
-                                   now=t0 + 29.0) is None
-        # Heartbeat expired: the owner is presumed dead even though the
-        # pid is alive (a wedged server must not hold the job forever).
-        taken = store.acquire_lease(self.RUN, ttl_s=30.0, now=t0 + 31.0)
-        assert taken is not None and taken.takeover
-        # The usurped lease must refuse to renew or release.
-        assert lease.renew() is False
-        lease.release()
-        assert store.lease_holder(self.RUN)["token"] == taken.token
-        taken.release()
-
-    def test_renew_refreshes_heartbeat(self, store):
-        lease = store.acquire_lease(self.RUN, ttl_s=30.0)
-        assert lease is not None
-        path = store._lease_path(self.RUN)
-        old = time.time() - 100
-        os.utime(path, (old, old))
-        # The backdated heartbeat reads as a dead owner...
-        assert store._lease_is_stale(path, 30.0, time.time())
+        old = time.time() - 3600
+        os.utime(store._lease_path(self.RUN), (old, old))
+        assert store.acquire_lease(self.RUN) is None
         assert lease.renew() is True
-        # ...until one renew makes it fresh again.
-        assert not store._lease_is_stale(path, 30.0, time.time())
-        assert store.acquire_lease(self.RUN, ttl_s=30.0) is None
         lease.release()
+
+    def test_renew_false_once_lease_file_removed(self, store):
+        lease = store.acquire_lease(self.RUN)
+        assert lease is not None and lease.renew() is True
+        os.unlink(store._lease_path(self.RUN))
+        assert lease.renew() is False
+        # The path is free again; the stale lease's release must not
+        # unlink the new owner's file.
+        fresh = store.acquire_lease(self.RUN)
+        assert fresh is not None and not fresh.takeover
+        lease.release()
+        assert fresh.renew() is True
+        assert store.acquire_lease(self.RUN) is None
+        fresh.release()
+        assert fresh.renew() is False
 
     def test_dead_pid_takeover_before_ttl(self, store):
-        """A same-host owner that provably died is stale immediately —
-        no need to wait out the TTL."""
-        import socket as socketlib
-
-        path = store._lease_path(self.RUN)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({
-            "host": socketlib.gethostname(), "pid": _dead_pid(),
-            "token": "ghost", "acquired_at": time.time()}))
-        lease = store.acquire_lease(self.RUN, ttl_s=3600.0)
+        """A dead owner's lease is taken over at once: there is no TTL
+        to wait out."""
+        _plant_dead_owner_lease(store, self.RUN, _dead_pid())
+        lease = store.acquire_lease(self.RUN)
         assert lease is not None and lease.takeover
         lease.release()
 
-    def test_half_written_lease_judged_by_heartbeat(self, store):
+    def test_unlocked_leftover_taken_over_at_once(self, store):
+        """Whatever an unlocked lease file holds — half-written JSON,
+        nothing, garbage, even our own live pid — nobody holds it, so
+        it is taken over at once."""
         path = store._lease_path(self.RUN)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b'{"host": "trunc')
-        t0 = path.stat().st_mtime
-        assert store.acquire_lease(self.RUN, ttl_s=30.0,
-                                   now=t0 + 1.0) is None
-        lease = store.acquire_lease(self.RUN, ttl_s=30.0, now=t0 + 31.0)
-        assert lease is not None and lease.takeover
-        lease.release()
+        alive = json.dumps({"host": socket.gethostname(),
+                            "pid": os.getpid(), "token": "t",
+                            "acquired_at": time.time()}).encode()
+        for leftover in (b'{"host": "trunc', b"", b"\xff\x00garbage",
+                         alive):
+            path.write_bytes(leftover)
+            lease = store.acquire_lease(self.RUN)
+            assert lease is not None and lease.takeover, leftover
+            lease.release()
+            assert not path.exists()
 
-    def test_delete_clears_lease(self, store):
+    def test_delete_keeps_a_held_lease(self, store):
+        """gc must not free a run a live owner is executing: deleting
+        its record leaves the lease held."""
         record = _fake_record(0)
         store.put(record)
         lease = store.acquire_lease(record.run_id)
         assert lease is not None
         store.delete(record.run_id)
-        assert store.lease_holder(record.run_id) is None
+        assert record.run_id not in store
+        assert store.acquire_lease(record.run_id) is None
+        assert lease.renew() is True
+        lease.release()
+        assert not list(store.records_dir.rglob("*.lease*"))
+
+    def test_delete_clears_a_dead_owners_lease(self, store):
+        record = _fake_record(0)
+        store.put(record)
+        _plant_dead_owner_lease(store, record.run_id, _dead_pid())
+        store.delete(record.run_id)
+        assert not list(store.records_dir.rglob("*.lease*"))
+
+    @pytest.mark.parametrize("start", ["dead-owner", "no-file"])
+    def test_every_interleaving_of_two_takers(self, tmp_path, monkeypatch,
+                                              start):
+        """Taker A runs one whole ``acquire_lease`` at taker B's k-th
+        file-system call, for every k B makes: exactly one of the two
+        owns the run, and with no lease file to start from, neither
+        calls its win a takeover."""
+        dead = _dead_pid()
+        hooked = [(os, name) for name in ("open", "unlink", "link", "stat",
+                                          "fstat", "close", "kill")]
+        hooked.append((fcntl, "flock"))
+        for k in itertools.count(1):
+            store = ProvenanceStore(tmp_path / f"k{k}")
+            if start == "dead-owner":
+                _plant_dead_owner_lease(store, self.RUN, dead)
+            calls = 0
+            taker_a = []
+
+            def hook(real):
+                def at_kth_call(*args, **kwargs):
+                    nonlocal calls
+                    calls += 1
+                    if calls == k:   # A's own calls count past k
+                        taker_a.append(store.acquire_lease(self.RUN))
+                    return real(*args, **kwargs)
+                return at_kth_call
+
+            with monkeypatch.context() as m:
+                for module, name in hooked:
+                    m.setattr(module, name, hook(getattr(module, name)))
+                taker_b = store.acquire_lease(self.RUN)
+            if not taker_a:
+                break           # B made fewer than k calls: all covered
+            owners = [lease for lease in (taker_a[0], taker_b)
+                      if lease is not None]
+            takeovers = [lease.takeover for lease in owners]
+            for lease in owners:
+                lease.release()
+            assert len(owners) == 1, f"k={k}: {len(owners)} owners"
+            if start == "no-file":
+                assert takeovers == [False], f"k={k}"
+        assert k > 1            # B was interleaved at least once
 
     def test_sigkilled_owner_is_taken_over(self, store, tmp_path):
         """End to end: another *process* acquires the lease and is
