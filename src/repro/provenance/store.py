@@ -7,11 +7,14 @@ On-disk layout (everything under one root, default ``.repro/store`` or
     <root>/records/<id[:2]>/<id>.timeline.zz  # zlib'd canonical event stream
 
 Records are keyed by ``run_id`` (spec digest + code version, see
-:mod:`repro.provenance.record`).  Writes are atomic (tmp file + rename)
-and never overwrite: putting a record whose id already exists is a
-*cache hit* — the store reports it and leaves the original untouched,
-which keeps ``created_at`` honest and makes the store safe to share
-between concurrent runs.
+:mod:`repro.provenance.record`).  A file is written once and never
+overwritten: it is written to a fresh ``<name>.*.tmp`` beside its path,
+held under ``flock`` from creation, and ``os.link``\\ ed into place, so
+its path either names nothing or the whole file.  Putting a record
+whose id already exists — filed earlier, or by a concurrent put that
+linked first — is a *cache hit*: the store reports it and leaves the
+original untouched, which keeps ``created_at`` honest and makes the
+store safe to share between concurrent runs.
 
 Concurrency contract: any number of processes may ``put``, ``get`` and
 ``gc`` the same root simultaneously (the ``repro serve`` worker pool
@@ -19,8 +22,9 @@ does exactly that).  Every cross-process race therefore degrades, never
 raises: ``gc`` skips records that vanish or are half-written between
 its listing and its read (counted in :attr:`GcReport.skipped`),
 ``delete`` tolerates a concurrent delete of the same record, and
-crash-leftover ``*.tmp<pid>`` files are swept by ``gc`` once their
-writing process is gone.
+``gc`` sweeps every tmp file no writer holds: the kernel drops a
+writer's lock when it dies, so an unlocked tmp is a crash leftover,
+whatever its name, age or pid namespace.
 
 Usage recency: a cache-hit ``put`` or a ``get`` records a *last used*
 touch in a zero-byte ``<id>.touch`` sidecar (its mtime is the
@@ -55,10 +59,6 @@ from typing import Iterable
 from repro.errors import ReproError
 from repro.provenance.record import RunRecord
 from repro.trace.stream import compress_timeline, decompress_timeline
-
-#: age (seconds) past which a tmp file whose pid cannot be parsed or
-#: liveness-checked is considered a crash leftover
-TMP_GRACE_S = 3600.0
 
 #: default store location relative to the working directory
 DEFAULT_STORE_DIR = ".repro/store"
@@ -95,13 +95,6 @@ class ProvenanceStore:
     def _lease_path(self, run_id: str) -> Path:
         return self.records_dir / run_id[:2] / f"{run_id}.lease"
 
-    @staticmethod
-    def _atomic_write(path: Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-
     # -- writing ------------------------------------------------------------
 
     def put(self, record: RunRecord,
@@ -113,10 +106,12 @@ class ProvenanceStore:
         Returns ``(run_id, cache_hit)``; a cache hit means a record with
         this id (same spec, same code version) already exists and
         nothing was written — the hit refreshes the record's last-used
-        time instead.  ``compressed_timeline`` accepts an already
-        zlib-compressed stream (the serve workers compress in-process
-        before shipping results over the queue).  ``timeline`` is not
-        re-encoded while it is the list ``record`` was taken from.
+        time instead; so is losing a race to a concurrent put of the
+        same id, whose record stays as filed.  ``compressed_timeline``
+        accepts an already zlib-compressed stream (the serve workers
+        compress in-process before shipping results over the pipe).
+        ``timeline`` is not re-encoded while it is the list ``record``
+        was taken from.
         """
         path = self._record_path(record.run_id)
         source = record._take_encoding(timeline)
@@ -126,13 +121,16 @@ class ProvenanceStore:
         if compressed_timeline is None and source is not None:
             compressed_timeline = compress_timeline(source)
         if compressed_timeline is not None:
-            self._atomic_write(self._timeline_path(record.run_id),
-                               compressed_timeline)
-        self._atomic_write(
-            path,
-            (json.dumps(record.to_dict(), sort_keys=True, indent=1)
-             + "\n").encode(),
-        )
+            fd = _file_once(self._timeline_path(record.run_id),
+                            compressed_timeline)
+            if fd is not None:
+                os.close(fd)
+        fd = _file_once(path, (json.dumps(record.to_dict(), sort_keys=True,
+                                          indent=1) + "\n").encode())
+        if fd is None:
+            self.touch(record.run_id)
+            return record.run_id, True
+        os.close(fd)
         return record.run_id, False
 
     # -- usage recency ------------------------------------------------------
@@ -168,27 +166,16 @@ class ProvenanceStore:
         Returns a :class:`RunLease` on success (``lease.takeover`` is
         True when the lease file was left by an owner that died without
         releasing it), or None while another owner holds the lock.  A
-        fresh lease is a temp file locked *before* it is linked to the
-        lease path, so the path never names an unlocked file while its
-        creator lives.
+        fresh lease is filed like a record (:func:`_file_once`), locked
+        *before* it is linked to the lease path, so the path never names
+        an unlocked file while its creator lives.
         """
         lease_path = self._lease_path(run_id)
-        lease_path.parent.mkdir(parents=True, exist_ok=True)
         path = str(lease_path)
         while True:
-            fd, tmp = tempfile.mkstemp(dir=lease_path.parent,
-                                       prefix=lease_path.name + ".",
-                                       suffix=f".tmp{os.getpid()}")
-            try:
-                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-                os.link(tmp, path)
+            fd = _file_once(lease_path)
+            if fd is not None:
                 return RunLease(run_id, path, fd)
-            except BaseException as e:
-                os.close(fd)
-                if not isinstance(e, FileExistsError):
-                    raise
-            finally:
-                os.unlink(tmp)
             try:
                 fd = os.open(path, os.O_RDONLY)
             except FileNotFoundError:
@@ -207,12 +194,11 @@ class ProvenanceStore:
     # -- reading ------------------------------------------------------------
 
     def ids(self) -> list[str]:
-        """All record ids, sorted.  In-flight/stale ``*.tmp<pid>`` files
-        and ``*.touch`` sidecars are never listed."""
+        """All record ids, sorted.  Tmp files and sidecars are never
+        listed."""
         if not self.records_dir.is_dir():
             return []
-        return sorted(p.stem for p in self.records_dir.glob("*/*.json")
-                      if ".tmp" not in p.name)
+        return sorted(p.stem for p in self.records_dir.glob("*/*.json"))
 
     def resolve(self, id_or_prefix: str) -> str:
         """Resolve a (possibly abbreviated) record id."""
@@ -292,48 +278,34 @@ class ProvenanceStore:
 
     # -- stale tmp files ----------------------------------------------------
 
-    @staticmethod
-    def _tmp_is_stale(path: Path, now: float) -> bool:
-        """A ``*.tmp<pid>`` file is stale once its writer is provably
-        gone (the pid no longer exists) or, when the pid cannot be
-        judged (unparseable, recycled, or another user's), once it is
-        older than :data:`TMP_GRACE_S` — an in-flight atomic write lives
-        milliseconds, not hours."""
-        _, _, pid_s = path.name.rpartition(".tmp")
-        try:
-            pid = int(pid_s)
-        except ValueError:
-            pid = None
-        if pid is not None:
-            if pid == os.getpid():
-                return False            # our own in-flight write
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True             # writer died mid-replace
-            except PermissionError:
-                pass                    # alive, other user
-        try:
-            return now - path.stat().st_mtime > TMP_GRACE_S  # repro: allow(det-wallclock) host mtimes drive cache eviction recency only
-        except OSError:
-            return False                # vanished: writer completed
+    def sweep_tmp(self, *, dry_run: bool = False) -> tuple[int, int]:
+        """Delete tmp files no writer holds; returns (count, bytes).
 
-    def sweep_tmp(self, *, now: float | None = None,
-                  dry_run: bool = False) -> tuple[int, int]:
-        """Delete crash-leftover tmp files; returns (count, bytes)."""
+        A tmp file is judged by its lock alone: a writer holds it from
+        creation until the tmp name is unlinked, so one the sweeper can
+        lock, and that its path still names, is a crash leftover.  The
+        sweeper unlinks it while holding that lock.  The glob also
+        matches the ``*.tmp<pid>`` names of older versions.
+        """
         if not self.records_dir.is_dir():
             return 0, 0
-        now = time.time() if now is None else now  # repro: allow(det-wallclock) host mtimes drive cache eviction recency only
         swept = nbytes = 0
         for path in self.records_dir.glob("*/*.tmp*"):
-            if not self._tmp_is_stale(path, now):
-                continue
             try:
-                size = path.stat().st_size
-                if not dry_run:
-                    path.unlink()
+                fd = os.open(path, os.O_RDONLY)
             except OSError:
+                continue                # filed or swept meanwhile
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if not _names(path, fd):
+                    continue
+                size = os.fstat(fd).st_size
+                if not dry_run:
+                    os.unlink(path)
+            except OSError:             # a live writer holds it
                 continue
+            finally:
+                os.close(fd)
             swept += 1
             nbytes += size
         return swept, nbytes
@@ -352,8 +324,8 @@ class ProvenanceStore:
 
         Safe to run while other processes put/get/gc the same store: a
         record that vanishes or is half-visible between the listing and
-        its read is skipped (and counted), never a crash.  Stale tmp
-        files from crashed writers are swept as a side effect.
+        its read is skipped (and counted), never a crash.  Tmp files
+        left by crashed writers are swept as a side effect.
         """
         now = time.time() if now is None else now  # repro: allow(det-wallclock) host mtimes drive cache eviction recency only
         entries = []   # (last_used, run_id, spec_digest, bytes)
@@ -408,7 +380,7 @@ class ProvenanceStore:
         if not dry_run:
             for run_id in doomed:
                 freed += self.delete(run_id)
-        swept_tmp, tmp_bytes = self.sweep_tmp(now=now, dry_run=dry_run)
+        swept_tmp, tmp_bytes = self.sweep_tmp(dry_run=dry_run)
         return GcReport(scanned=len(entries), deleted=len(doomed),
                         protected=protected,
                         freed_bytes=freed + (0 if dry_run else tmp_bytes),
@@ -458,12 +430,58 @@ class RunLease:
         self.release()
 
 
-def _names(path: str, fd: int) -> bool:
+def _names(path: str | Path, fd: int) -> bool:
     """Whether ``path`` still names the file open as ``fd``."""
     try:
         return os.path.samestat(os.stat(path), os.fstat(fd))
     except OSError:
         return False
+
+
+def _locked_tmp(path: Path) -> tuple[int, str]:
+    """A fresh ``<name>.*.tmp`` beside ``path``, open and ``flock``\\ ed.
+
+    :meth:`ProvenanceStore.sweep_tmp` may lock and unlink the file
+    between its creation and our lock; then take a fresh one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    while True:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                                   suffix=".tmp")
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if _names(tmp, fd):
+                return fd, tmp
+        except BlockingIOError:
+            pass                # the sweeper holds it, to unlink it
+        except BaseException:
+            os.close(fd)
+            raise
+        os.close(fd)
+
+
+def _file_once(path: Path, data: bytes = b"") -> int | None:
+    """File ``data`` at ``path`` unless a file is already there.
+
+    The data goes to a locked tmp (:func:`_locked_tmp`), which is
+    ``os.link``\\ ed to ``path`` and then unlinked, still under the
+    lock.  Returns the descriptor, still holding the lock (closing it
+    drops the lock), or None when ``path`` already exists.
+    """
+    fd, tmp = _locked_tmp(path)
+    filed = False
+    try:
+        with open(fd, "wb", closefd=False) as f:
+            f.write(data)
+        os.link(tmp, path)
+        filed = True
+    except FileExistsError:
+        pass
+    finally:
+        os.unlink(tmp)
+        if not filed:
+            os.close(fd)
+    return fd if filed else None
 
 
 @dataclass(frozen=True)
@@ -478,7 +496,7 @@ class GcReport:
     #: records that vanished / were unreadable mid-scan (concurrent
     #: writer or gc) — skipped this cycle, not an error
     skipped: int = 0
-    #: crash-leftover ``*.tmp<pid>`` files swept
+    #: crash-leftover tmp files swept
     swept_tmp: int = 0
 
     def to_dict(self) -> dict:

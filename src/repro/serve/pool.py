@@ -12,12 +12,18 @@ concurrently running jobs.
 Crash resilience (the serving-layer contract: every submitted future
 *resolves*, to a result or a structured failure — never hangs):
 
-- Each worker has a private inbox and at most one assigned task, so
-  the parent always knows exactly which job a dead worker was holding.
+- Each worker is a spawned process with one duplex pipe and at most
+  one assigned task, so the pool always knows exactly which job a dead
+  worker was holding.  Liveness is the kernel's answer, not a poll:
+  one supervisor thread waits on every worker's pipe and process
+  sentinel at once, and a worker reads EOF the moment its pool is gone.
+  No lock or queue is shared between processes, so a worker killed at
+  any instant cannot leave the others unable to reply.
 - A worker that dies mid-job (segfault, OOM kill, operator SIGKILL) is
-  replaced by a fresh process (same slot, fresh inbox — no stale
+  replaced by a fresh process (same slot, fresh pipe — no stale
   message can reach the replacement) and its job is *retried*, up to
-  ``retries`` times.
+  ``retries`` times; an idle live worker takes the retry before the
+  replacement is spawned.
 - A job that keeps killing workers is **quarantined**: its future
   resolves to a structured ``poison-job`` failure
   (``unrecoverable_reason="poison-job"``) instead of grinding the pool
@@ -51,14 +57,16 @@ worker crashes deterministically.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import queue
 import threading
-import time
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import asdict, dataclass
-from typing import Any, Iterator
+from multiprocessing.connection import wait
+from typing import Any
 
 from repro.harness.jobspec import JobSpec, build_job
 from repro.provenance.record import RunRecord
@@ -66,9 +74,6 @@ from repro.trace.stream import compress_timeline
 
 #: exit status a worker uses when the chaos kill hook fires
 CHAOS_EXIT = 86
-
-#: how often an idle process worker checks that its parent is alive
-IDLE_POLL_S = 2.0
 
 #: simulator state is process-wide; thread-mode pools in one process
 #: must never run two jobs at once, even across pool instances
@@ -96,35 +101,35 @@ def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
                 "error": f"{type(e).__name__}: {e}"}
 
 
-def _worker_main(wid: int, inbox: Any, results: Any, parent: int) -> None:
-    """Process-mode worker loop: drain the inbox until the sentinel.
+def _worker_main(conn: Any) -> None:
+    """Process-mode worker loop: run tasks off the pipe until ``None``.
 
-    Each item is ``(task_id, spec_dict, attempt, chaos)``; the chaos
-    kill hook terminates the process abruptly (``os._exit``) to model a
-    segfaulting/OOM-killed worker — no cleanup, no reply.
+    Each item is ``(task_id, spec_dict, attempt, chaos)`` and is
+    answered by ``(task_id, reply)``; the chaos kill hook terminates the
+    process abruptly (``os._exit``) to model a segfaulting/OOM-killed
+    worker — no cleanup, no reply.
 
-    The idle loop polls so an orphaned worker notices its parent died
-    (SIGKILLed server: workers are reparented to init) and exits
-    instead of blocking on the inbox forever — a leaked worker holds
+    The pool's end of the pipe exists only in the pool's process, so
+    EOF means the pool is gone (a SIGKILLed server included) and the
+    worker exits at once, with no poll — a leaked worker holds
     inherited pipes open, which can hang the parent's own parent (CI
-    steps, shells) waiting for EOF.  ``parent`` is the spawning
-    process's pid, passed in by it: read here, after the ~1 s spawn
-    bootstrap, ``os.getppid()`` is already init's for a worker whose
-    parent died in that window, and the check would never fire.
+    steps, shells) waiting for EOF.
     """
-    while True:
-        try:
-            item = inbox.get(timeout=IDLE_POLL_S)
-        except queue.Empty:
-            if os.getppid() != parent:
-                os._exit(0)
-            continue
-        if item is None:
-            return
-        task_id, spec_dict, attempt, chaos = item
-        if chaos and attempt <= int(chaos.get("kill_worker_attempts", 0)):
-            os._exit(CHAOS_EXIT)
-        results.put((wid, task_id, execute_spec(spec_dict)))
+    with conn:
+        while True:
+            try:
+                item = conn.recv()
+            except (EOFError, OSError):
+                return
+            if item is None:
+                return
+            task_id, spec_dict, attempt, chaos = item
+            if chaos and attempt <= int(chaos.get("kill_worker_attempts", 0)):
+                os._exit(CHAOS_EXIT)
+            try:
+                conn.send((task_id, execute_spec(spec_dict)))
+            except OSError:
+                return
 
 
 @dataclass
@@ -140,17 +145,12 @@ class _Task:
 
 @dataclass
 class _Slot:
-    """One worker slot (process mode); the process is replaceable."""
+    """One worker slot (process mode): a process and the pool's end of
+    its pipe, both replaced when the process dies."""
 
-    wid: int
     proc: Any = None
-    inbox: Any = None
-    task_id: int | None = None
-    dead: bool = False
-
-    @property
-    def pid(self) -> int | None:
-        return self.proc.pid if self.proc is not None else None
+    conn: Any = None
+    task: _Task | None = None   #: the one task the worker is holding
 
 
 @dataclass
@@ -190,34 +190,24 @@ class WorkerPool:
         self.stats = PoolStats()
         self._seq = 0
         self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
         self._tasks: dict[int, _Task] = {}
-        self._backlog: queue.Queue = queue.Queue()
         self._closed = False
         self._pool_dead = False
         if mode == "process":
             # Only "spawn" is safe: a fork()ed worker would inherit a
             # ULT pool without its threads.
             self._ctx = multiprocessing.get_context("spawn")
-            self._results = self._ctx.Queue()
-            self._slots = [_Slot(wid=i) for i in range(workers)]
-            self._idle: list[int] = []
+            self._queued: deque[_Task] = deque()
+            self._slots = [_Slot() for _ in range(workers)]
             for slot in self._slots:
-                self._spawn(slot, respawn=False)
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="serve-pool-dispatch",
+                self._spawn(slot)
+            self._supervisor = threading.Thread(
+                target=self._supervise, name="serve-pool-supervisor",
                 daemon=True)
-            self._dispatcher.start()
-            self._reader = threading.Thread(
-                target=self._drain_results, name="serve-pool-reader",
-                daemon=True)
-            self._reader.start()
-            self._monitor = threading.Thread(
-                target=self._watch_workers, name="serve-pool-monitor",
-                daemon=True)
-            self._monitor.start()
+            self._supervisor.start()
         else:
             self._slots = []
+            self._backlog: queue.Queue = queue.Queue()
             self._threads = [
                 threading.Thread(target=self._thread_worker,
                                  name=f"serve-worker-{i}", daemon=True)
@@ -239,22 +229,21 @@ class WorkerPool:
         """True once every worker died and the respawn budget is spent."""
         return self._pool_dead
 
+    def _live(self) -> list[Any]:
+        """Worker processes still running (none in thread mode)."""
+        with self._lock:
+            return [s.proc for s in self._slots
+                    if s.proc is not None and s.proc.is_alive()]
+
     def alive_workers(self) -> int:
         if self.mode == "thread":
             return sum(1 for t in self._threads if t.is_alive())
-        with self._lock:
-            return sum(1 for s in self._slots
-                       if s.proc is not None and s.proc.is_alive())
+        return len(self._live())
 
     def worker_pids(self) -> list[int]:
         """Live worker pids (empty in thread mode) — lets operators and
         the chaos campaign aim kill signals at real workers."""
-        if self.mode == "thread":
-            return []
-        with self._lock:
-            return [s.pid for s in self._slots
-                    if s.proc is not None and s.proc.is_alive()
-                    and s.pid is not None]
+        return [proc.pid for proc in self._live()]
 
     def pool_stats(self) -> dict[str, Any]:
         return {"mode": self.mode, "workers": self.workers,
@@ -270,146 +259,139 @@ class WorkerPool:
         if self._closed:
             raise RuntimeError("worker pool is closed")
         fut: Future = Future()
-        if self._pool_dead:
-            fut.set_result(_pool_dead_reply())
-            return fut
         with self._lock:
-            self._seq += 1
-            task = _Task(task_id=self._seq, spec_dict=spec_dict, fut=fut,
-                         chaos=chaos)
-            self._tasks[task.task_id] = task
-        self._backlog.put(task.task_id)
+            if not self._pool_dead:
+                self._seq += 1
+                task = _Task(task_id=self._seq, spec_dict=spec_dict,
+                             fut=fut, chaos=chaos)
+                self._tasks[task.task_id] = task
+                if self.mode == "process":
+                    self._queued.append(task)
+                    self._dispatch()
+                else:
+                    self._backlog.put(task)
+                return fut
+        fut.set_result(_pool_dead_reply())
         return fut
 
-    def _resolve(self, task_id: int, out: dict[str, Any]) -> None:
+    def _resolve(self, task: _Task, out: dict[str, Any]) -> None:
         with self._lock:
-            task = self._tasks.pop(task_id, None)
-        if task is not None and not task.fut.done():
+            self._tasks.pop(task.task_id, None)
+        if not task.fut.done():
             task.fut.set_result(out)
 
-    # -- process mode: dispatch / results / supervision ---------------------
+    # -- process mode: dispatch and supervision -----------------------------
 
-    def _spawn(self, slot: _Slot, *, respawn: bool) -> None:
-        """(Re)populate a slot with a fresh process and a fresh inbox —
-        a stale message queued for a dead worker can never leak to its
-        replacement."""
-        slot.inbox = self._ctx.Queue()
-        slot.proc = self._ctx.Process(
-            target=_worker_main,
-            args=(slot.wid, slot.inbox, self._results, os.getpid()),
-            daemon=True)
+    def _spawn(self, slot: _Slot) -> None:
+        """Populate a slot with a fresh process and a fresh pipe — a
+        stale message sent to a dead worker can never reach its
+        replacement.  The worker's end is closed here once the worker
+        holds it."""
+        slot.conn, theirs = self._ctx.Pipe()
+        slot.proc = self._ctx.Process(target=_worker_main, args=(theirs,),
+                                      daemon=True)
         slot.proc.start()
-        slot.dead = False
-        if respawn:
-            self.stats.respawns += 1
-        with self._lock:
-            if slot.wid not in self._idle:
-                self._idle.append(slot.wid)
-            self._cond.notify_all()
+        theirs.close()
 
-    def _runnable_tasks(self) -> Iterator[_Task]:
-        """Backlog entries still worth a worker (not resolved while
-        queued), until the close sentinel."""
-        while (item := self._backlog.get()) is not None:
-            with self._lock:
-                task = self._tasks.get(item)
-            if task is not None:
-                yield task
+    def _dispatch(self) -> None:
+        """Send queued tasks down idle live workers' pipes (pool lock
+        held).  A send to a worker that died meanwhile fails quietly:
+        the worker keeps the task, and its sentinel retries it.  A
+        closed pool dispatches nothing: :meth:`close` resolves the
+        queue."""
+        for slot in self._slots:
+            if self._closed or not self._queued:
+                return
+            if slot.proc is None or slot.task is not None:
+                continue
+            task = slot.task = self._queued.popleft()
+            task.attempts += 1
+            with contextlib.suppress(OSError):
+                slot.conn.send((task.task_id, task.spec_dict,
+                                task.attempts, task.chaos))
 
-    def _dispatch_loop(self) -> None:
-        for task in self._runnable_tasks():
-            with self._cond:
-                while not self._idle and not self._closed \
-                        and not self._pool_dead:
-                    self._cond.wait(timeout=0.5)
-                if self._closed or self._pool_dead:
-                    return
-                wid = self._idle.pop()
-                slot = self._slots[wid]
-                slot.task_id = task.task_id
-                task.attempts += 1
-                attempt = task.attempts
-            slot.inbox.put((task.task_id, task.spec_dict, attempt,
-                            task.chaos))
-
-    def _drain_results(self) -> None:
+    def _supervise(self) -> None:
+        """The pool's one thread: wait on every live worker's pipe and
+        process sentinel at once.  A reply frees its slot; EOF or a
+        ready sentinel means the worker died.  Returns once no slot has
+        a process left (pool closed or dead)."""
         while True:
-            item = self._results.get()
-            if item is None:
+            with self._lock:
+                live = [s for s in self._slots if s.proc is not None]
+            if not live:
                 return
-            wid, task_id, out = item
-            with self._cond:
-                slot = self._slots[wid]
-                if slot.task_id == task_id:
-                    slot.task_id = None
-                    if not slot.dead and wid not in self._idle:
-                        self._idle.append(wid)
-                        self._cond.notify_all()
-            self._resolve(task_id, out)
+            ready = wait([x for s in live for x in (s.conn, s.proc.sentinel)])
+            for slot in live:
+                if slot.conn in ready or slot.proc.sentinel in ready:
+                    self._service(slot)
 
-    def _watch_workers(self) -> None:
-        """Supervisor: reap dead workers, retry or quarantine their
-        jobs, respawn replacements, and declare the pool dead (failing
-        every pending future with a typed reply) when nothing is left."""
-        while not self._closed and not self._pool_dead:
-            for slot in self._slots:
-                if (slot.proc is not None and not slot.dead
-                        and not slot.proc.is_alive()):
-                    self._handle_worker_death(slot)
-            self._check_pool_dead()
-            time.sleep(0.2)  # repro: allow(det-wallclock) supervisor poll interval, host-side
-
-    def _handle_worker_death(self, slot: _Slot) -> None:
-        with self._cond:
-            slot.dead = True
-            if slot.wid in self._idle:
-                self._idle.remove(slot.wid)
-            task_id = slot.task_id
-            slot.task_id = None
-            task = self._tasks.get(task_id) if task_id is not None else None
+    def _service(self, slot: _Slot) -> None:
+        """Take the reply a worker sent, or handle its death.  A dead
+        worker's pipe reads its last reply, if any, and then EOF."""
         try:
-            slot.proc.join(timeout=1.0)
-        except Exception:
-            pass
-        if task is not None and not task.fut.done():
-            if task.attempts > self.retries:
-                self.stats.quarantined += 1
-                self._resolve(task.task_id, {
-                    "record": None, "timeline_z": None,
-                    "error": (f"poison job: killed {task.attempts} "
-                              f"worker(s); quarantined"),
-                    "unrecoverable_reason": "poison-job",
-                    "reason": "poison-job",
-                    "attempts": task.attempts})
-            else:
-                self.stats.retries += 1
-                self._backlog.put(task.task_id)
-        if not self._closed and self.stats.respawns < self.max_respawns:
-            self._spawn(slot, respawn=True)
-
-    def _check_pool_dead(self) -> None:
+            reply = slot.conn.recv() if slot.conn.poll() else None
+        except (EOFError, OSError):
+            reply = None
+        if reply is None:
+            self._on_death(slot)
+            return
         with self._lock:
-            alive = any(s.proc is not None and s.proc.is_alive()
-                        for s in self._slots)
-            if alive or self._closed:
+            task, slot.task = slot.task, None   # the one task it was sent
+            self._dispatch()
+        self._resolve(task, reply[1])
+
+    def _on_death(self, slot: _Slot) -> None:
+        """Reap a dead worker; retry or quarantine its task, hand queued
+        work to an idle live worker, *then* respawn within budget (a
+        retry never waits for a new process's bootstrap), and declare
+        the pool dead — failing every pending future with a typed reply
+        — when no slot has a process left.  Once closed, only reap:
+        :meth:`close` resolves what is left."""
+        poisoned = None
+        doomed: list[_Task] = []
+        with self._lock:
+            slot.proc.join()
+            slot.conn.close()
+            task, slot.proc, slot.conn, slot.task = slot.task, None, None, None
+            if self._closed:
                 return
+            if task is not None and task.attempts > self.retries:
+                self.stats.quarantined += 1
+                poisoned = task
+            elif task is not None:
+                self.stats.retries += 1
+                self._queued.append(task)
+                self._dispatch()
             if self.stats.respawns < self.max_respawns:
-                return              # replacements still possible
-            self._pool_dead = True
-            pending = list(self._tasks.values())
-            self._tasks.clear()
-            self._cond.notify_all()
-        for task in pending:
+                self.stats.respawns += 1
+                self._spawn(slot)
+                self._dispatch()
+            elif all(s.proc is None for s in self._slots):
+                self._pool_dead = True
+                doomed = list(self._tasks.values())
+                self._tasks.clear()
+                self._queued.clear()
+        if poisoned is not None:
+            self._resolve(poisoned, {
+                "record": None, "timeline_z": None,
+                "error": (f"poison job: killed {poisoned.attempts} "
+                          f"worker(s); quarantined"),
+                "unrecoverable_reason": "poison-job",
+                "reason": "poison-job",
+                "attempts": poisoned.attempts})
+        for task in doomed:
             if not task.fut.done():
                 task.fut.set_result(_pool_dead_reply())
 
     # -- thread mode --------------------------------------------------------
 
     def _thread_worker(self) -> None:
-        for task in self._runnable_tasks():
+        while (task := self._backlog.get()) is not None:
+            if task.fut.done():
+                continue            # resolved while queued
             with _THREAD_EXEC_LOCK:
                 out = execute_spec(task.spec_dict)
-            self._resolve(task.task_id, out)
+            self._resolve(task, out)
 
     # -- teardown -----------------------------------------------------------
 
@@ -421,27 +403,22 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        self._backlog.put(None)     # dispatcher / thread workers exit
         if self.mode == "process":
-            with self._cond:
-                self._cond.notify_all()
-            for slot in self._slots:
-                if slot.inbox is not None:
-                    try:
-                        slot.inbox.put(None)
-                    except (OSError, ValueError):
-                        pass
-            for slot in self._slots:
-                if slot.proc is None:
-                    continue
-                slot.proc.join(timeout=timeout)
-                if slot.proc.is_alive():
-                    slot.proc.terminate()
-                    slot.proc.join(timeout=1.0)
-            self._results.put(None)
-            self._reader.join(timeout=timeout)
+            # The supervisor reaps each worker as it exits and returns
+            # once none is left; it is the only thread that joins them.
+            with self._lock:
+                for slot in self._slots:
+                    if slot.conn is not None:
+                        with contextlib.suppress(OSError):
+                            slot.conn.send(None)
+            self._supervisor.join(timeout=timeout)
+            with self._lock:
+                for slot in self._slots:
+                    if slot.proc is not None:
+                        slot.proc.terminate()
+            self._supervisor.join(timeout=timeout)
         else:
-            for _ in range(self.workers - 1):
+            for _ in self._threads:
                 self._backlog.put(None)
             for t in self._threads:
                 t.join(timeout=timeout)

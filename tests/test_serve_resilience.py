@@ -107,25 +107,93 @@ class TestPoolCrashRecovery:
             pool.close()
 
 
+def _sem_mappings(pid) -> set[str]:
+    """The process's ``/dev/shm`` semaphore mappings — the cross-process
+    locks behind ``multiprocessing`` queues."""
+    with open(f"/proc/{pid}/maps") as f:
+        return {line for line in f if "/dev/shm/sem." in line}
+
+
+@pytest.mark.slow
+class TestPoolLiveness:
+    def test_no_cross_process_lock_a_dying_worker_can_hold(self):
+        """A worker killed while holding a lock shared with the pool
+        would leave every other worker unable to reply.  After 4 jobs
+        on 2 workers there is no such lock to hold: no semaphore is
+        mapped in the pool's process or a worker, each worker runs one
+        thread, and the pool adds one thread (its supervisor)."""
+        threads = set(threading.enumerate())
+        sems = _sem_mappings(os.getpid())
+        with WorkerPool(2) as pool:
+            futs = [pool.submit(_spec(f"count-{i}").to_dict())
+                    for i in range(4)]
+            assert all(f.result(timeout=120)["error"] is None
+                       for f in futs)
+            pids = pool.worker_pids()
+            assert len(pids) == 2
+            assert _sem_mappings(os.getpid()) - sems == set()
+            assert len(set(threading.enumerate()) - threads) == 1
+            for pid in pids:
+                assert _sem_mappings(pid) == set(), pid
+                assert len(os.listdir(f"/proc/{pid}/task")) == 1, pid
+
+    def test_a_run_of_deaths_resolves_every_future(self):
+        """20 of 40 jobs kill their first worker: each is retried once,
+        every death is replaced, and every future resolves."""
+        with WorkerPool(2, max_respawns=64) as pool:
+            futs = [pool.submit(_spec(f"storm-{i}").to_dict(),
+                                chaos=({"kill_worker_attempts": 1}
+                                       if i % 2 == 0 else None))
+                    for i in range(40)]
+            outs = [f.result(timeout=300) for f in futs]
+        assert all(out["error"] is None for out in outs)
+        assert pool.stats.retries == pool.stats.respawns == 20
+        assert pool.stats.quarantined == 0
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or only its zombie (reaping is its new
+    parent's business, not the worker's)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
 class TestOrphanedWorker:
-    def test_worker_exits_when_its_parent_is_not_the_spawner(self):
-        """A worker compares ``os.getppid()`` against the pid its
-        spawner handed it, not against what it reads after the spawn
-        bootstrap — by then a SIGKILLed server's worker already belongs
-        to init, and the comparison would hold forever."""
+    def test_worker_exits_on_eof_when_its_pool_is_killed(self):
+        """The pool's end of a worker's pipe lives only in the pool's
+        process: SIGKILL that process and the worker reads EOF and
+        exits, with no poll to wait out."""
         import subprocess
         import sys
 
         code = (
-            "import queue\n"
-            "from repro.serve import pool\n"
-            "pool.IDLE_POLL_S = 0.05\n"
-            # no process has parent pid -1: the spawner is 'gone'
-            "pool._worker_main(0, queue.Queue(), queue.Queue(), -1)\n"
-            "raise SystemExit('worker kept serving a dead parent')\n")
-        p = subprocess.run([sys.executable, "-c", code], timeout=60,
-                           capture_output=True, text=True)
-        assert p.returncode == 0, p.stderr
+            "import os, signal\n"
+            "from repro.serve import WorkerPool\n"
+            "pool = WorkerPool(1)\n"
+            "print(pool.worker_pids()[0], flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # The worker inherits stdout: read the pid line, never to EOF.
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                stdout=subprocess.PIPE)
+        try:
+            pid = int(proc.stdout.readline())
+            assert proc.wait(timeout=60) == -9
+            deadline = time.monotonic() + 5.0
+            while not _gone(pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert _gone(pid), f"worker {pid} outlived its pool"
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 # ---------------------------------------------------------------------------

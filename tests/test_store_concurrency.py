@@ -1,11 +1,14 @@
 """Concurrency hardening of the provenance store.
 
 Covers the contract the ``repro serve`` worker pool relies on: gc
-degrades (never raises) under concurrent mutation, crash-leftover tmp
-files are swept, and usage recency (the ``.touch`` sidecar) keeps hot
+degrades (never raises) under concurrent mutation, a tmp file is swept
+exactly when no writer holds its lock, concurrent puts of one run_id
+file it once, and usage recency (the ``.touch`` sidecar) keeps hot
 cache entries alive without falsifying ``created_at``.
 """
 
+import contextlib
+import dataclasses
 import fcntl
 import itertools
 import json
@@ -96,12 +99,46 @@ def _dead_pid() -> int:
     return p.pid
 
 
+@contextlib.contextmanager
+def _held(path):
+    """Hold ``flock`` on ``path`` as a live writer holds its tmp."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        yield
+    finally:
+        os.close(fd)
+
+
+#: tmp names the lock rule must judge alike: pid 1 (what a recycled
+#: pid looks like), no pid, and the current ``<name>.*.tmp`` form
+TMP_NAMES = [pytest.param("aa77.json.tmp1", id="tmp1"),
+             pytest.param("aa44.json.tmpgarbage", id="tmpgarbage"),
+             pytest.param("aa55.json.k3j_x9.tmp", id="new")]
+
+
 class TestTmpSweep:
+    """A tmp file is judged by its lock, never by its name or age."""
+
     def test_ids_never_list_tmp_files(self, store):
         record = _fake_record(0)
         store.put(record)
         (_shard(store) / "aa11.json.tmp12345").write_bytes(b"{}")
+        (_shard(store) / "aa11.json.k3j_x9.tmp").write_bytes(b"{}")
         assert store.ids() == [record.run_id]
+
+    @pytest.mark.parametrize("name", [
+        pytest.param(None, id="dead-pid"), *TMP_NAMES])
+    def test_locked_tmp_survives_sweep_and_gc(self, store, name):
+        tmp = _shard(store) / (name or f"aa22.json.tmp{_dead_pid()}")
+        tmp.write_bytes(b"inflight")
+        week_ago = time.time() - 7 * 86400
+        os.utime(tmp, (week_ago, week_ago))
+        with _held(tmp):
+            assert store.sweep_tmp() == (0, 0)
+            report = store.gc()
+            assert report.swept_tmp == 0 and report.freed_bytes == 0
+            assert tmp.exists()
 
     def test_dead_writer_tmp_is_swept(self, store):
         tmp = _shard(store) / f"aa22.json.tmp{_dead_pid()}"
@@ -110,21 +147,33 @@ class TestTmpSweep:
         assert (swept, nbytes) == (1, len(b"partial"))
         assert not tmp.exists()
 
+    @pytest.mark.parametrize("name", TMP_NAMES)
+    def test_unlocked_tmp_is_swept_at_once(self, store, name):
+        tmp = _shard(store) / name
+        tmp.write_bytes(b"partial")
+        swept, nbytes = store.sweep_tmp()
+        assert (swept, nbytes) == (1, len(b"partial"))
+        assert not tmp.exists()
+
     def test_own_inflight_tmp_survives(self, store):
-        tmp = _shard(store) / f"aa33.json.tmp{os.getpid()}"
-        tmp.write_bytes(b"inflight")
-        assert store.sweep_tmp() == (0, 0)
-        assert tmp.exists()
+        """A put of this very process, caught between its tmp and its
+        link, keeps its tmp: the put holds the lock."""
+        seen = []
 
-    def test_unparseable_pid_uses_mtime_grace(self, store):
-        from repro.provenance.store import TMP_GRACE_S
+        def hook(real):
+            def sweep_then_name(src, dst, *args, **kwargs):
+                seen.append(store.sweep_tmp())
+                return real(src, dst, *args, **kwargs)
+            return sweep_then_name
 
-        tmp = _shard(store) / "aa44.json.tmpgarbage"
-        tmp.write_bytes(b"??")
-        now = time.time()
-        assert store.sweep_tmp(now=now) == (0, 0)          # fresh: kept
-        swept, _ = store.sweep_tmp(now=now + TMP_GRACE_S + 1)
-        assert swept == 1 and not tmp.exists()
+        record = _fake_record(0)
+        with pytest.MonkeyPatch.context() as m:
+            for name in ("link", "replace"):
+                m.setattr(os, name, hook(getattr(os, name)))
+            assert store.put(record) == (record.run_id, False)
+        assert seen == [(0, 0)]
+        assert store.get(record.run_id).run_id == record.run_id
+        assert not list(store.records_dir.rglob("*.tmp*"))
 
     def test_gc_sweeps_and_reports(self, store):
         store.put(_fake_record(0))
@@ -141,6 +190,36 @@ class TestTmpSweep:
         report = store.gc(dry_run=True)
         assert report.swept_tmp == 1 and report.freed_bytes == 0
         assert tmp.exists()
+
+
+class TestConcurrentPuts:
+    def test_one_run_id_is_filed_once_and_neither_put_raises(self, store):
+        """B's whole put of the same run_id runs inside A's, at the
+        call that gives A's record its name: the record is filed once,
+        with B's bytes untouched, and A reports a cache hit."""
+        a = _fake_record(0)
+        b = dataclasses.replace(a, created_at=a.created_at + 1.0)
+        path = str(store._record_path(a.run_id))
+        inner = []
+
+        def hook(real):
+            def naming_call(src, dst, *args, **kwargs):
+                if str(dst) == path and not inner:
+                    inner.append("B runs")
+                    inner[0] = store.put(b)
+                    inner.append(store._record_path(a.run_id).read_bytes())
+                return real(src, dst, *args, **kwargs)
+            return naming_call
+
+        with pytest.MonkeyPatch.context() as m:
+            for name in ("link", "replace"):
+                m.setattr(os, name, hook(getattr(os, name)))
+            outer = store.put(a)
+        assert inner[0] == (a.run_id, False)
+        assert outer == (a.run_id, True)
+        assert store._record_path(a.run_id).read_bytes() == inner[1]
+        assert store.get(a.run_id).created_at == b.created_at
+        assert not list(store.records_dir.rglob("*.tmp*"))
 
 
 # ---------------------------------------------------------------------------
@@ -244,41 +323,6 @@ class TestMultiProcess:
         report = store.gc(max_bytes=0)
         assert report.deleted == 2 * self.N_PER_WRITER
         assert len(store) == 0
-
-
-# ---------------------------------------------------------------------------
-# pid reuse: a recycled pid must not protect a stale tmp forever
-# ---------------------------------------------------------------------------
-
-class TestTmpSweepPidReuse:
-    def test_alive_foreign_pid_expires_past_grace(self, store):
-        """Pid 1 is always alive — exactly what a recycled pid looks
-        like to the sweeper.  Liveness must only defer the sweep until
-        the mtime grace, never indefinitely."""
-        from repro.provenance.store import TMP_GRACE_S
-
-        tmp = _shard(store) / "aa77.json.tmp1"
-        tmp.write_bytes(b"orphan")
-        now = time.time()
-        # Within the grace the (apparently) live writer is trusted.
-        assert store.sweep_tmp(now=now) == (0, 0)
-        assert tmp.exists()
-        # Past the grace the pid no longer buys protection: no real
-        # atomic write lives an hour, so the pid must be recycled.
-        swept, nbytes = store.sweep_tmp(now=now + TMP_GRACE_S + 1)
-        assert (swept, nbytes) == (1, len(b"orphan"))
-        assert not tmp.exists()
-
-    def test_backdated_mtime_with_alive_pid_swept_by_gc(self, store):
-        from repro.provenance.store import TMP_GRACE_S
-
-        tmp = _shard(store) / "aa88.json.tmp1"
-        tmp.write_bytes(b"x")
-        old = time.time() - TMP_GRACE_S - 60
-        os.utime(tmp, (old, old))
-        report = store.gc()
-        assert report.swept_tmp == 1
-        assert not tmp.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -387,44 +431,58 @@ class TestLeases:
     def test_every_interleaving_of_two_takers(self, tmp_path, monkeypatch,
                                               start):
         """Taker A runs one whole ``acquire_lease`` at taker B's k-th
-        file-system call, for every k B makes: exactly one of the two
-        owns the run, and with no lease file to start from, neither
-        calls its win a takeover."""
+        file-system call, for every k B makes, and the tmp sweeper runs
+        at the j-th call of any actor, for every j (0: no sweep):
+        neither acquire raises, exactly one of the two owns the run, no
+        tmp file is left behind, and with no lease file to start from,
+        neither calls its win a takeover."""
         dead = _dead_pid()
         hooked = [(os, name) for name in ("open", "unlink", "link", "stat",
                                           "fstat", "close", "kill")]
         hooked.append((fcntl, "flock"))
-        for k in itertools.count(1):
-            store = ProvenanceStore(tmp_path / f"k{k}")
+
+        def interleave(k: int, j: int) -> tuple[bool, bool]:
+            store = ProvenanceStore(tmp_path / f"k{k}-j{j}")
             if start == "dead-owner":
                 _plant_dead_owner_lease(store, self.RUN, dead)
             calls = 0
-            taker_a = []
+            taker_a, sweeps = [], []
 
             def hook(real):
-                def at_kth_call(*args, **kwargs):
+                def at_call(*args, **kwargs):
                     nonlocal calls
-                    calls += 1
-                    if calls == k:   # A's own calls count past k
+                    calls += 1      # nested actors' calls count too
+                    if calls == k:
                         taker_a.append(store.acquire_lease(self.RUN))
+                    if calls == j:
+                        sweeps.append(store.sweep_tmp())
                     return real(*args, **kwargs)
-                return at_kth_call
+                return at_call
 
             with monkeypatch.context() as m:
                 for module, name in hooked:
                     m.setattr(module, name, hook(getattr(module, name)))
                 taker_b = store.acquire_lease(self.RUN)
-            if not taker_a:
-                break           # B made fewer than k calls: all covered
-            owners = [lease for lease in (taker_a[0], taker_b)
+            owners = [lease for lease in (*taker_a, taker_b)
                       if lease is not None]
             takeovers = [lease.takeover for lease in owners]
             for lease in owners:
                 lease.release()
-            assert len(owners) == 1, f"k={k}: {len(owners)} owners"
+            where = f"k={k} j={j}"
+            assert len(owners) == 1, f"{where}: {len(owners)} owners"
             if start == "no-file":
-                assert takeovers == [False], f"k={k}"
-        assert k > 1            # B was interleaved at least once
+                assert takeovers == [False], where
+            assert not list(store.records_dir.rglob("*.tmp*")), where
+            return bool(taker_a), bool(sweeps)
+
+        for k in itertools.count(1):
+            for j in itertools.count(0):
+                ran_a, swept = interleave(k, j)
+                if j and not swept:
+                    break       # fewer than j calls in all
+            if not ran_a:
+                break           # B made fewer than k calls: all covered
+        assert k > 1 and j > 1  # both were interleaved at least once
 
     def test_sigkilled_owner_is_taken_over(self, store, tmp_path):
         """End to end: another *process* acquires the lease and is
