@@ -13,7 +13,6 @@ paper's tables and tests assert on the shapes:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -346,21 +345,8 @@ def adcirc_scaling_experiment(
     method: str = "pieglobals",
     lb_strategy: str = "greedyrefine",
 ) -> tuple[list[AdcircRow], list[AdcircSummary]]:
-    """Memoized front-end: Table 2 and Figure 9 share one sweep."""
-    return _adcirc_scaling_experiment(tuple(cores_list), tuple(ratios), cfg,
-                                      machine, method, lb_strategy)
-
-
-@functools.lru_cache(maxsize=None)
-def _adcirc_scaling_experiment(
-    cores_list: tuple[int, ...],
-    ratios: tuple[int, ...],
-    cfg: AdcircConfig,
-    machine: MachineModel,
-    method: str,
-    lb_strategy: str,
-) -> tuple[list[AdcircRow], list[AdcircSummary]]:
-    """Strong scaling: same global problem, cores x virtualization sweep.
+    """Table 2 and Figure 9: strong scaling, same global problem, cores x
+    virtualization sweep.
 
     Baseline is 1 VP/core without LB; virtualized runs add GreedyRefineLB
     at the app's LB period (the paper's ADCIRC setup).  The storm-surge

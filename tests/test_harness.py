@@ -1,6 +1,7 @@
 """Tests for the experiment harness: tables, capability probes, drivers."""
 
 
+from repro.apps.adcirc import AdcircConfig
 from repro.apps.memhog import MemhogConfig, build_memhog_program
 from repro.harness.capabilities import (
     correctness_program,
@@ -10,6 +11,7 @@ from repro.harness.capabilities import (
     probe_smp,
 )
 from repro.harness.experiments import (
+    adcirc_scaling_experiment,
     context_switch_experiment,
     migration_experiment,
     startup_experiment,
@@ -99,6 +101,15 @@ class TestExperimentDrivers:
         tls = next(r for r in rows if r.method == "tlsglobals")
         pie = next(r for r in rows if r.method == "pieglobals")
         assert pie.bytes_moved > tls.bytes_moved
+
+    def test_adcirc_sweep_hands_each_caller_its_own_lists(self):
+        cfg = AdcircConfig(width=8, height=8, steps=4)
+        first = adcirc_scaling_experiment((1,), (1, 2), cfg=cfg)
+        second = adcirc_scaling_experiment((1,), (1, 2), cfg=cfg)
+        assert first == second
+        assert first[0] is not second[0] and first[1] is not second[1]
+        first[0].clear()
+        assert adcirc_scaling_experiment((1,), (1, 2), cfg=cfg) == second
 
     def test_memhog_program_allocates_requested_heap(self):
         from repro.ampi.runtime import AmpiJob
