@@ -26,7 +26,6 @@ def cmd_serve(args) -> int:
         socket_path=None if use_tcp else (args.socket or DEFAULT_SOCKET),
         host=args.host if use_tcp else None,
         port=args.port or 0,
-        worker_mode=args.worker_mode,
         max_queue=args.max_queue if args.max_queue > 0 else None,
         retries=args.retries,
         enable_chaos=args.chaos_hooks,
@@ -39,7 +38,7 @@ def cmd_serve(args) -> int:
     async def amain() -> None:
         await service.start()
         print(f"repro serve: listening on {service.endpoint} "
-              f"({service.workers} {service.worker_mode} worker(s), "
+              f"({service.workers} worker process(es), "
               f"store {service.store.root})", flush=True)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -70,10 +69,6 @@ def register(sub) -> None:
                             "(0 = ephemeral port, printed at startup)")
     serve.add_argument("--workers", type=int, default=2,
                        help="worker pool size (default 2)")
-    serve.add_argument("--worker-mode", choices=["process", "thread"],
-                       default="process",
-                       help="process workers execute jobs in parallel; "
-                            "thread workers serialize (tests/debug)")
     serve.add_argument("--max-queue", type=int, default=256, metavar="N",
                        help="admission watermark: shed new executions "
                             "past N in flight (default 256; <=0 "

@@ -56,8 +56,8 @@ def format_markdown_table(headers: Sequence[str],
 @dataclass(frozen=True)
 class Experiment:
     """One experiment of the paper's evaluation, declared once: ``repro
-    run|trace <name>`` and its ``benchmarks/test_*`` writer both print
-    :meth:`table`, the first table of the committed
+    run|trace <name>`` and its run in ``benchmarks/claims.py`` both
+    print :meth:`table`, the first table of the committed
     ``benchmarks/results/*.txt``."""
 
     title: str

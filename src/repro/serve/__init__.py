@@ -21,59 +21,59 @@ clients retry idempotently with jittered backoff.  See
 ``docs/ARCHITECTURE.md`` §16 and §18.
 """
 
-from repro.serve.cache import ResultCache
-from repro.serve.client import (
-    ServeClient,
-    ServeConnectionError,
-    SubmitReply,
-)
-from repro.serve.pool import CHAOS_EXIT, PoolStats, WorkerPool, execute_spec
-from repro.serve.protocol import (
-    CACHE_COALESCED,
-    CACHE_HIT,
-    CACHE_INFLIGHT,
-    CACHE_MISS,
-    MAX_LINE,
-    REASON_BUSY,
-    REASON_DEADLINE,
-    REASON_DRAINING,
-    REASON_POISON,
-    REASON_POOL_DEAD,
-    REASONS,
-    RETRYABLE_REASONS,
-    ProtocolError,
-)
-from repro.serve.server import (
-    DEFAULT_SOCKET,
-    JobService,
-    ServeStats,
-    ServiceThread,
-)
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CACHE_COALESCED",
-    "CACHE_HIT",
-    "CACHE_INFLIGHT",
-    "CACHE_MISS",
-    "CHAOS_EXIT",
-    "DEFAULT_SOCKET",
-    "MAX_LINE",
-    "REASONS",
-    "REASON_BUSY",
-    "REASON_DEADLINE",
-    "REASON_DRAINING",
-    "REASON_POISON",
-    "REASON_POOL_DEAD",
-    "RETRYABLE_REASONS",
-    "JobService",
-    "PoolStats",
-    "ProtocolError",
-    "ResultCache",
-    "ServeClient",
-    "ServeConnectionError",
-    "ServeStats",
-    "ServiceThread",
-    "SubmitReply",
-    "WorkerPool",
-    "execute_spec",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.serve.cache import ResultCache
+    from repro.serve.client import (
+        ServeClient,
+        ServeConnectionError,
+        SubmitReply,
+    )
+    from repro.serve.pool import (
+        CHAOS_EXIT,
+        PoolStats,
+        WorkerPool,
+        execute_spec,
+    )
+    from repro.serve.protocol import (
+        CACHE_COALESCED,
+        CACHE_HIT,
+        CACHE_INFLIGHT,
+        CACHE_MISS,
+        MAX_LINE,
+        REASON_BUSY,
+        REASON_DEADLINE,
+        REASON_DRAINING,
+        REASON_POISON,
+        REASON_POOL_DEAD,
+        REASONS,
+        RETRYABLE_REASONS,
+        ProtocolError,
+    )
+    from repro.serve.server import (
+        DEFAULT_SOCKET,
+        JobService,
+        ServeStats,
+        ServiceThread,
+    )
+
+# A spawned worker imports ``repro.serve.pool`` to reach its entry
+# point: the package must not pull the asyncio edge in behind it.
+__getattr__, __dir__, __all__ = lazy_exports(globals(), {
+    "repro.serve.cache": ("ResultCache",),
+    "repro.serve.client": ("ServeClient", "ServeConnectionError",
+                           "SubmitReply"),
+    "repro.serve.pool": ("CHAOS_EXIT", "PoolStats", "WorkerPool",
+                         "execute_spec"),
+    "repro.serve.protocol": ("CACHE_COALESCED", "CACHE_HIT",
+                             "CACHE_INFLIGHT", "CACHE_MISS", "MAX_LINE",
+                             "REASON_BUSY", "REASON_DEADLINE",
+                             "REASON_DRAINING", "REASON_POISON",
+                             "REASON_POOL_DEAD", "REASONS",
+                             "RETRYABLE_REASONS", "ProtocolError"),
+    "repro.serve.server": ("DEFAULT_SOCKET", "JobService", "ServeStats",
+                           "ServiceThread"),
+})

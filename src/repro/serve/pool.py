@@ -2,12 +2,11 @@
 
 The doeff-style runtime split: the service edge is real-async
 (:mod:`repro.serve.server` on asyncio), while every job runs entirely
-in *simulated* time inside a worker.  Workers are OS processes
-(``mode="process"``, the default) so N jobs really execute in parallel
-and a crashing simulation cannot take the front-end down; each worker
-runs one job at a time, start to finish — the simulator's process-wide
-state (pooled ULT backend, loader namespaces) is never shared between
-concurrently running jobs.
+in *simulated* time inside a worker.  Workers are OS processes, so N
+jobs really execute in parallel and a crashing simulation cannot take
+the front-end down; each worker runs one job at a time, start to
+finish — the simulator's process-wide state (pooled ULT backend, loader
+namespaces) is never shared between concurrently running jobs.
 
 Crash resilience (the serving-layer contract: every submitted future
 *resolves*, to a result or a structured failure — never hangs):
@@ -41,18 +40,11 @@ never double-record (or cross-record) one.  ``strict=False``: a
 deterministic unrecoverable run is a *result* (with
 ``unrecoverable_reason`` set), and results are cacheable.
 
-``mode="thread"`` trades parallelism for startup cost: workers are
-threads in the current process, execution is serialized by a
-process-wide lock (the simulator's state is not reentrant — the lock
-is module-level so even two pools in one process never interleave).
-Threads cannot be killed, so the crash-retry machinery is process-mode
-only.
-
 Chaos hook: a task may carry ``chaos={"kill_worker_attempts": N}``
 (injected via the server's ``enable_chaos`` flag, never from specs) —
-a process worker then ``os._exit``\\ s on its first N delivery
-attempts, which is how the service fault campaign provokes real
-worker crashes deterministically.
+a worker then ``os._exit``\\ s on its first N delivery attempts, which
+is how the service fault campaign provokes real worker crashes
+deterministically.
 """
 
 from __future__ import annotations
@@ -60,7 +52,6 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
-import queue
 import threading
 from collections import deque
 from concurrent.futures import Future
@@ -74,11 +65,6 @@ from repro.trace.stream import compress_timeline
 
 #: exit status a worker uses when the chaos kill hook fires
 CHAOS_EXIT = 86
-
-#: simulator state is process-wide; thread-mode pools in one process
-#: must never run two jobs at once, even across pool instances
-_THREAD_EXEC_LOCK = threading.Lock()
-
 
 def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
     """Run one spec dict to completion; never raises.
@@ -102,7 +88,7 @@ def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
 
 
 def _worker_main(conn: Any) -> None:
-    """Process-mode worker loop: run tasks off the pipe until ``None``.
+    """Worker loop: run tasks off the pipe until ``None``.
 
     Each item is ``(task_id, spec_dict, attempt, chaos)`` and is
     answered by ``(task_id, reply)``; the chaos kill hook terminates the
@@ -145,8 +131,8 @@ class _Task:
 
 @dataclass
 class _Slot:
-    """One worker slot (process mode): a process and the pool's end of
-    its pipe, both replaced when the process dies."""
+    """One worker slot: a process and the pool's end of its pipe, both
+    replaced when the process dies."""
 
     proc: Any = None
     conn: Any = None
@@ -176,14 +162,11 @@ class WorkerPool:
     the pool's lifetime (budget spent + all workers dead = pool-dead).
     """
 
-    def __init__(self, workers: int = 2, *, mode: str = "process",
-                 retries: int = 2, max_respawns: int | None = None):
+    def __init__(self, workers: int = 2, *, retries: int = 2,
+                 max_respawns: int | None = None):
         if workers < 1:
             raise ValueError("need at least one worker")
-        if mode not in ("process", "thread"):
-            raise ValueError(f"unknown pool mode {mode!r}")
         self.workers = workers
-        self.mode = mode
         self.retries = retries
         self.max_respawns = (workers * 8 if max_respawns is None
                              else max_respawns)
@@ -193,28 +176,17 @@ class WorkerPool:
         self._tasks: dict[int, _Task] = {}
         self._closed = False
         self._pool_dead = False
-        if mode == "process":
-            # Only "spawn" is safe: a fork()ed worker would inherit a
-            # ULT pool without its threads.
-            self._ctx = multiprocessing.get_context("spawn")
-            self._queued: deque[_Task] = deque()
-            self._slots = [_Slot() for _ in range(workers)]
-            for slot in self._slots:
-                self._spawn(slot)
-            self._supervisor = threading.Thread(
-                target=self._supervise, name="serve-pool-supervisor",
-                daemon=True)
-            self._supervisor.start()
-        else:
-            self._slots = []
-            self._backlog: queue.Queue = queue.Queue()
-            self._threads = [
-                threading.Thread(target=self._thread_worker,
-                                 name=f"serve-worker-{i}", daemon=True)
-                for i in range(workers)
-            ]
-            for t in self._threads:
-                t.start()
+        # Only "spawn" is safe: a fork()ed worker would inherit a ULT
+        # pool without its threads.
+        self._ctx = multiprocessing.get_context("spawn")
+        self._queued: deque[_Task] = deque()
+        self._slots = [_Slot() for _ in range(workers)]
+        for slot in self._slots:
+            self._spawn(slot)
+        self._supervisor = threading.Thread(
+            target=self._supervise, name="serve-pool-supervisor",
+            daemon=True)
+        self._supervisor.start()
 
     # -- introspection ------------------------------------------------------
 
@@ -230,23 +202,21 @@ class WorkerPool:
         return self._pool_dead
 
     def _live(self) -> list[Any]:
-        """Worker processes still running (none in thread mode)."""
+        """Worker processes still running."""
         with self._lock:
             return [s.proc for s in self._slots
                     if s.proc is not None and s.proc.is_alive()]
 
     def alive_workers(self) -> int:
-        if self.mode == "thread":
-            return sum(1 for t in self._threads if t.is_alive())
         return len(self._live())
 
     def worker_pids(self) -> list[int]:
-        """Live worker pids (empty in thread mode) — lets operators and
-        the chaos campaign aim kill signals at real workers."""
+        """Live worker pids — lets operators and the chaos campaign aim
+        kill signals at real workers."""
         return [proc.pid for proc in self._live()]
 
     def pool_stats(self) -> dict[str, Any]:
-        return {"mode": self.mode, "workers": self.workers,
+        return {"workers": self.workers,
                 "workers_alive": self.alive_workers(),
                 "backlog": self.backlog, "dead": self.dead,
                 "retries_allowed": self.retries,
@@ -265,11 +235,8 @@ class WorkerPool:
                 task = _Task(task_id=self._seq, spec_dict=spec_dict,
                              fut=fut, chaos=chaos)
                 self._tasks[task.task_id] = task
-                if self.mode == "process":
-                    self._queued.append(task)
-                    self._dispatch()
-                else:
-                    self._backlog.put(task)
+                self._queued.append(task)
+                self._dispatch()
                 return fut
         fut.set_result(_pool_dead_reply())
         return fut
@@ -280,7 +247,7 @@ class WorkerPool:
         if not task.fut.done():
             task.fut.set_result(out)
 
-    # -- process mode: dispatch and supervision -----------------------------
+    # -- dispatch and supervision -------------------------------------------
 
     def _spawn(self, slot: _Slot) -> None:
         """Populate a slot with a fresh process and a fresh pipe — a
@@ -383,16 +350,6 @@ class WorkerPool:
             if not task.fut.done():
                 task.fut.set_result(_pool_dead_reply())
 
-    # -- thread mode --------------------------------------------------------
-
-    def _thread_worker(self) -> None:
-        while (task := self._backlog.get()) is not None:
-            if task.fut.done():
-                continue            # resolved while queued
-            with _THREAD_EXEC_LOCK:
-                out = execute_spec(task.spec_dict)
-            self._resolve(task, out)
-
     # -- teardown -----------------------------------------------------------
 
     def close(self, *, timeout: float = 10.0) -> None:
@@ -403,25 +360,19 @@ class WorkerPool:
         if self._closed:
             return
         self._closed = True
-        if self.mode == "process":
-            # The supervisor reaps each worker as it exits and returns
-            # once none is left; it is the only thread that joins them.
-            with self._lock:
-                for slot in self._slots:
-                    if slot.conn is not None:
-                        with contextlib.suppress(OSError):
-                            slot.conn.send(None)
-            self._supervisor.join(timeout=timeout)
-            with self._lock:
-                for slot in self._slots:
-                    if slot.proc is not None:
-                        slot.proc.terminate()
-            self._supervisor.join(timeout=timeout)
-        else:
-            for _ in self._threads:
-                self._backlog.put(None)
-            for t in self._threads:
-                t.join(timeout=timeout)
+        # The supervisor reaps each worker as it exits and returns once
+        # none is left; it is the only thread that joins them.
+        with self._lock:
+            for slot in self._slots:
+                if slot.conn is not None:
+                    with contextlib.suppress(OSError):
+                        slot.conn.send(None)
+        self._supervisor.join(timeout=timeout)
+        with self._lock:
+            for slot in self._slots:
+                if slot.proc is not None:
+                    slot.proc.terminate()
+        self._supervisor.join(timeout=timeout)
         with self._lock:
             pending = list(self._tasks.values())
             self._tasks.clear()

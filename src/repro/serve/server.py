@@ -60,7 +60,7 @@ import contextlib
 import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
@@ -107,25 +107,12 @@ class ServeStats:
     started_at: float = field(default_factory=time.time)
 
     def to_dict(self) -> dict[str, Any]:
+        """Every counter, plus the two values derived from them."""
+        out = asdict(self)
         looked = self.hits + self.misses
-        return {
-            "submissions": self.submissions,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": round(self.hits / looked, 4) if looked else 0.0,
-            "executed": self.executed,
-            "coalesced": self.coalesced,
-            "errors": self.errors,
-            "invalid": self.invalid,
-            "shed": self.shed,
-            "deadline_exceeded": self.deadline_exceeded,
-            "quarantined": self.quarantined,
-            "lease_waits": self.lease_waits,
-            "lease_takeovers": self.lease_takeovers,
-            "gc_cycles": self.gc_cycles,
-            "gc_errors": self.gc_errors,
-            "uptime_s": round(time.time() - self.started_at, 3),  # repro: allow(det-wallclock) operator-facing uptime metric, host-side
-        }
+        out["hit_rate"] = round(self.hits / looked, 4) if looked else 0.0
+        out["uptime_s"] = round(time.time() - out.pop("started_at"), 3)  # repro: allow(det-wallclock) operator-facing uptime metric, host-side
+        return out
 
 
 class JobService:
@@ -140,6 +127,10 @@ class JobService:
     ``enable_chaos`` unlocks the protocol-level fault-injection
     envelope used by the service chaos campaign — never enable it on a
     real deployment.
+
+    Every job runs in a worker process.  ``worker_mode`` accepts only
+    ``"process"`` and selects nothing; the keyword is kept because
+    ``benchmarks/host`` passes it by name.
     """
 
     def __init__(self, store: ProvenanceStore | str | Path | None = None,
@@ -156,11 +147,13 @@ class JobService:
                  gc_max_age_s: float | None = None,
                  gc_max_bytes: int | None = None,
                  gc_keep: frozenset[str] = frozenset()):
+        if worker_mode != "process":
+            raise ValueError(f"unknown worker mode {worker_mode!r}: every "
+                             f"job runs in a worker process")
         self.store = (store if isinstance(store, ProvenanceStore)
                       else ProvenanceStore(store))
         self.cache = ResultCache(self.store)
         self.workers = workers
-        self.worker_mode = worker_mode
         self.max_queue = max_queue
         self.retries = retries
         self.enable_chaos = enable_chaos
@@ -204,8 +197,7 @@ class JobService:
 
     async def start(self) -> None:
         self._shutdown = asyncio.Event()
-        self._pool = WorkerPool(self.workers, mode=self.worker_mode,
-                                retries=self.retries)
+        self._pool = WorkerPool(self.workers, retries=self.retries)
         if self.socket_path is not None:
             self.socket_path.parent.mkdir(parents=True, exist_ok=True)
             with contextlib.suppress(OSError):
@@ -337,7 +329,6 @@ class JobService:
                               "draining": self._draining,
                               "max_queue": self.max_queue,
                               "workers": self.workers,
-                              "worker_mode": self.worker_mode,
                               "endpoint": self.endpoint,
                               "pool": pool,
                               **self.cache.stats()}}
@@ -370,8 +361,7 @@ class JobService:
         alive = pool.alive_workers() if pool is not None else 0
         pool_dead = pool.dead if pool is not None else True
         ready = (self._server is not None and not self._draining
-                 and not pool_dead
-                 and (alive > 0 or self.worker_mode == "thread"))
+                 and not pool_dead and alive > 0)
         return {"ok": True, "op": "health",
                 "ready": ready,
                 "draining": self._draining,

@@ -97,3 +97,44 @@ def run_job(source, nvp, *, method="pieglobals", machine=TEST_MACHINE,
 @pytest.fixture
 def run():
     return run_job
+
+
+class InlinePool:
+    """A ``WorkerPool`` stand-in that runs each job on the caller's
+    thread, start to finish: the service's event loop, so jobs run one
+    at a time and the loop waits for each."""
+
+    dead = False
+
+    def __init__(self, workers: int = 1, **_: object):
+        self.workers = workers
+
+    def submit(self, spec_dict, *, chaos=None):
+        from concurrent.futures import Future
+
+        from repro.serve.pool import execute_spec
+
+        fut = Future()
+        fut.set_result(execute_spec(spec_dict))
+        return fut
+
+    def alive_workers(self) -> int:
+        return self.workers
+
+    def worker_pids(self) -> list[int]:
+        return []
+
+    def pool_stats(self) -> dict:
+        return {"workers": self.workers}
+
+    def close(self) -> None:
+        pass
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Services built in this test execute jobs with :class:`InlinePool`
+    instead of worker processes: for tests of the service's request
+    logic (admission, drain, stats, memo, batches, the janitor), which
+    no worker's crash or concurrency changes."""
+    monkeypatch.setattr("repro.serve.server.WorkerPool", InlinePool)

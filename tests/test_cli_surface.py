@@ -139,8 +139,6 @@ FLAGS = {
               ('retries', ('--retries',), 2, None, None, 'int'),
               ('socket', ('--socket',), None, None, None, None),
               ('store', ('--store',), None, None, None, None),
-              ('worker_mode', ('--worker-mode',), 'process',
-               ['process', 'thread'], None, None),
               ('workers', ('--workers',), 2, None, None, 'int')],
     'chaos': [],
     'chaos run': [('count', ('--count',), 50, None, None, 'int'),

@@ -154,6 +154,15 @@ class TestTiers:
         assert "numpy" in mods and "repro.apps.jacobi3d" in mods
         assert loaded(mods, "repro.apps.adcirc", "repro.apps.memhog") == []
 
+    def test_a_serve_worker_loads_no_edge(self):
+        """A spawned worker imports ``repro.serve.pool`` to reach its
+        entry point: that costs what ``execute_spec`` runs, not the
+        asyncio edge, the client or the cache."""
+        mods = modules_after("import repro.serve.pool")
+        assert "asyncio" not in mods
+        assert loaded(mods, "repro.serve.server", "repro.serve.client",
+                      "repro.serve.cache") == []
+
 
 class TestMethodRegistry:
     def test_names_without_loading_a_method(self):
@@ -173,10 +182,11 @@ class TestMethodRegistry:
                                    for m in METHOD_MODULES)) == []
 
     def test_first_resolution_from_threads(self):
-        """Eight threads resolving one name for the first time (a
-        thread-mode ``repro serve`` does this) each get a fresh instance
-        of the one class its module defined; the module is found and
-        executed once, also counting a later resolution."""
+        """Eight threads resolving one name for the first time (a host
+        program that builds jobs on several threads at once does this)
+        each get a fresh instance of the one class its module defined;
+        the module is found and executed once, also counting a later
+        resolution."""
         out = run_fresh(
             "import json, sys, threading\n"
             "from repro.privatization.registry import get_method\n"
@@ -210,7 +220,8 @@ class TestMethodRegistry:
 LAZY_PACKAGES = ("repro", "repro.harness", "repro.apps", "repro.perf",
                  "repro.net", "repro.trace", "repro.ampi", "repro.charm",
                  "repro.charm.lb", "repro.elf", "repro.mem", "repro.program",
-                 "repro.threads", "repro.fs", "repro.privatization")
+                 "repro.threads", "repro.fs", "repro.privatization",
+                 "repro.serve")
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)

@@ -483,6 +483,7 @@ def _pingpong(name: str) -> JobSpec:
                    layout=(1, 1, 1), slot_size=1 << 24)
 
 
+@pytest.mark.usefixtures("inline_pool")
 class TestStructuralGuard:
     def test_a_novel_hit_line_is_keyed_once(self, tmp_path):
         service = service_on(tmp_path)
@@ -507,8 +508,7 @@ class TestStructuralGuard:
 
     def test_cold_misses_memoise_nothing(self, tmp_path):
         service = JobService(ProvenanceStore(tmp_path / "store"),
-                             workers=1, worker_mode="thread",
-                             socket_path=tmp_path / "s.sock")
+                             workers=1, socket_path=tmp_path / "s.sock")
         with ServiceThread(service):
             client = ServeClient(socket_path=tmp_path / "s.sock",
                                  timeout=120.0)

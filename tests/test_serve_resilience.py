@@ -6,13 +6,16 @@ and batch submission (the clients), the never-dying gc janitor, and
 cross-server execution leases — each failure mode gets a regression
 test at the lowest layer that exhibits it.
 
-Thread-mode services keep most tests in-process and fast; the pool
-crash tests use real worker processes (threads cannot be killed).
+Tests of the pool and of anything a worker's crash, pace or
+concurrency can change run real worker processes; tests of the
+service's request logic alone run their jobs inline (``inline_pool`` in
+``conftest.py``).
 """
 
 import concurrent.futures
 import json
 import os
+import signal
 import socket as socketlib
 import threading
 import time
@@ -42,7 +45,6 @@ def _spec(name: str, nvp: int = 2, yields: int = 10) -> JobSpec:
 
 def _service(tmp_path, **kw) -> JobService:
     kw.setdefault("workers", 1)
-    kw.setdefault("worker_mode", "thread")
     kw.setdefault("socket_path", tmp_path / "serve.sock")
     return JobService(ProvenanceStore(tmp_path / "store"), **kw)
 
@@ -201,6 +203,7 @@ class TestOrphanedWorker:
 # ---------------------------------------------------------------------------
 
 class TestAdmissionControl:
+    @pytest.mark.usefixtures("inline_pool")
     def test_queue_watermark_sheds_busy(self, tmp_path):
         service = _service(tmp_path, max_queue=0)
         with ServiceThread(service):
@@ -210,6 +213,7 @@ class TestAdmissionControl:
         assert reply.retryable
         assert service.stats.shed == 1
 
+    @pytest.mark.usefixtures("inline_pool")
     def test_hits_are_admitted_past_watermark(self, tmp_path):
         # Warm the cache with a roomy queue, then shrink the watermark
         # to zero: the warm submit must still be served (hits are free).
@@ -221,6 +225,7 @@ class TestAdmissionControl:
             reply = client.submit(_spec("warm"))
         assert reply.ok and reply.cache == CACHE_HIT
 
+    @pytest.mark.usefixtures("inline_pool")
     def test_drain_refuses_new_finishes_inflight(self, tmp_path):
         service = _service(tmp_path)
         with ServiceThread(service):
@@ -235,18 +240,29 @@ class TestAdmissionControl:
             health = client.health()
             assert health["draining"] and not health["ready"]
 
+    @pytest.mark.slow
     def test_health_probe_shape(self, tmp_path):
         service = _service(tmp_path)
         with ServiceThread(service):
             h = _client(tmp_path).health()
+            pids = service._pool.worker_pids()
         assert h["ok"] and h["ready"]
         assert h["draining"] is False
         assert h["pool_dead"] is False
         assert h["quarantined"] == 0
         assert h["leases"] is True
-        assert isinstance(h["worker_pids"], list)
+        assert h["workers_alive"] == 1
+        assert h["worker_pids"] == pids and len(pids) == 1
 
 
+def test_every_job_runs_in_a_worker_process(tmp_path):
+    for mode in ("thread", "inline"):
+        with pytest.raises(ValueError, match=mode):
+            _service(tmp_path, worker_mode=mode)
+    assert _service(tmp_path, worker_mode="process").workers == 1
+
+
+@pytest.mark.slow
 class TestServiceDeadlines:
     def test_deadline_exceeded_is_structured_and_shielded(self, tmp_path):
         service = _service(tmp_path)
@@ -270,22 +286,23 @@ class TestServiceDeadlines:
         onto it with no deadline, must get the record."""
         import asyncio
 
-        from repro.serve import pool
-
         service = _service(tmp_path)
         spec = _spec("shared").to_dict()
 
         async def scenario():
             await service.start()
             try:
-                # Thread-mode execution is serialized by this lock:
-                # holding it parks the one worker on the blocker job.
-                with pool._THREAD_EXEC_LOCK:
+                # A stopped worker holds the blocker job until SIGCONT.
+                (worker,) = service._pool.worker_pids()
+                os.kill(worker, signal.SIGSTOP)
+                try:
                     await service.submit(_spec("blocker").to_dict(),
                                          wait=False)
                     a = await service.submit(spec, deadline_ms=1.0)
                     b = asyncio.ensure_future(service.submit(spec))
                     await asyncio.sleep(0)      # B attaches
+                finally:
+                    os.kill(worker, signal.SIGCONT)
                 return a, await b
             finally:
                 await service.close()
@@ -304,8 +321,7 @@ class TestServiceDeadlines:
 @pytest.mark.slow
 class TestServiceQuarantine:
     def test_resubmit_answered_from_quarantine(self, tmp_path):
-        service = _service(tmp_path, worker_mode="process", workers=1,
-                           retries=0, enable_chaos=True)
+        service = _service(tmp_path, retries=0, enable_chaos=True)
         with ServiceThread(service):
             client = _client(tmp_path)
             first = client.submit(_spec("venom"),
@@ -319,6 +335,7 @@ class TestServiceQuarantine:
             assert client.status(first.run_id) == "quarantined"
             assert client.health()["quarantined"] == 1
 
+    @pytest.mark.usefixtures("inline_pool")
     def test_chaos_envelope_rejected_without_flag(self, tmp_path):
         service = _service(tmp_path)      # enable_chaos defaults False
         with ServiceThread(service):
@@ -342,7 +359,6 @@ class TestClientReconnect:
         # The server is gone; the client's socket is now dead.  A new
         # server on the same path must be reached transparently.
         s2 = JobService(ProvenanceStore(store_root), workers=1,
-                        worker_mode="thread",
                         socket_path=tmp_path / "serve.sock")
         with ServiceThread(s2):
             reply = client.submit(_spec("persist"))
@@ -356,6 +372,7 @@ class TestClientReconnect:
         with pytest.raises(ServeConnectionError):
             client.ping()
 
+    @pytest.mark.usefixtures("inline_pool")
     def test_requests_reuse_one_connection(self, tmp_path):
         service = _service(tmp_path)
         with ServiceThread(service):
@@ -366,6 +383,7 @@ class TestClientReconnect:
             client.health()
             assert client._sock is sock
 
+    @pytest.mark.usefixtures("inline_pool")
     def test_shared_client_is_thread_safe(self, tmp_path):
         # One client across a thread pool: connections are thread-local,
         # so concurrent submits must never steal each other's replies
@@ -383,6 +401,7 @@ class TestClientReconnect:
             assert got == spec.app_config["name"]
 
 
+@pytest.mark.usefixtures("inline_pool")
 class TestSubmitMany:
     def test_batch_replies_in_request_order(self, tmp_path):
         service = _service(tmp_path)
@@ -444,10 +463,11 @@ class _ExplodingStore(ProvenanceStore):
         raise OSError("disk on fire")
 
 
+@pytest.mark.usefixtures("inline_pool")
 class TestJanitorSurvivesStoreErrors:
     def test_gc_loop_logs_and_continues(self, tmp_path):
         store = _ExplodingStore(tmp_path / "store")
-        service = JobService(store, workers=1, worker_mode="thread",
+        service = JobService(store, workers=1,
                              socket_path=tmp_path / "serve.sock",
                              gc_every_s=0.02)
         with ServiceThread(service):
@@ -467,6 +487,7 @@ class TestJanitorSurvivesStoreErrors:
 # cross-server leases: two services, one store, exactly one execution
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 class TestCrossServerLeases:
     def test_two_servers_execute_once(self, tmp_path):
         """Two services on one store root receive the same spec
@@ -474,10 +495,8 @@ class TestCrossServerLeases:
         execution, with the loser serving the winner's stored record."""
         store_root = tmp_path / "store"
         s1 = JobService(ProvenanceStore(store_root), workers=1,
-                        worker_mode="thread",
                         socket_path=tmp_path / "a.sock")
         s2 = JobService(ProvenanceStore(store_root), workers=1,
-                        worker_mode="thread",
                         socket_path=tmp_path / "b.sock")
         # Long enough (~0.1 s) that the two submissions overlap: a 3 ms
         # job can finish on one server before the other has looked the
@@ -516,34 +535,20 @@ class TestCrossServerLeases:
         store = ProvenanceStore(store_root)
         spec = _spec("orphaned")
         service = JobService(ProvenanceStore(store_root), workers=1,
-                             worker_mode="thread",
                              socket_path=tmp_path / "serve.sock")
-        # Plant a lease from a "dead server": dead pid, fresh mtime.
+        # The lease file a dead server left behind, which nobody locks.
         from repro.provenance import run_id_for
         from repro.serve.cache import ResultCache
 
         run_id = ResultCache(store).key(spec)
         path = store._lease_path(run_id)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({
-            "host": socketlib.gethostname(), "pid": _reaped_pid(),
-            "token": "ghost", "acquired_at": time.time()}))
+        path.write_bytes(b"")
         with ServiceThread(service):
             reply = _client(tmp_path).submit(spec)
         assert reply.ok and reply.record is not None
         assert service.stats.lease_takeovers == 1
         assert run_id_for(spec, reply.record["code_version"]) == run_id
-
-
-def _reaped_pid() -> int:
-    """A pid that provably no longer exists (a reaped child's)."""
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    p = ctx.Process(target=lambda: None)
-    p.start()
-    p.join()
-    return p.pid
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +576,7 @@ class TestProtocolAdditions:
         assert len(set(protocol.REASONS)) == len(protocol.REASONS)
         assert set(protocol.RETRYABLE_REASONS) < set(protocol.REASONS)
 
+    @pytest.mark.usefixtures("inline_pool")
     def test_frame_garbage_does_not_kill_server(self, tmp_path):
         service = _service(tmp_path)
         with ServiceThread(service):

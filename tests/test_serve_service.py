@@ -1,7 +1,8 @@
 """End-to-end tests for the ``repro serve`` job service.
 
-Thread-mode workers keep most tests in-process and fast; one test each
-covers real worker processes and the TCP transport.  The cache contract
+Tests of the service's request logic run their jobs inline
+(``inline_pool`` in ``conftest.py``); ``test_process_workers`` drives
+the real worker processes end to end.  The cache contract
 under test: a warm submit returns the byte-identical stored record a
 fresh execution would produce, and N identical concurrent submissions
 execute exactly once (single-flight).
@@ -36,11 +37,10 @@ def _spec(name: str, nvp: int = 2, yields: int = 20) -> JobSpec:
 
 
 @pytest.fixture
-def serve(tmp_path):
-    """(service, client) over a thread-mode worker on a Unix socket."""
+def serve(tmp_path, inline_pool):
+    """(service, client) over an inline executor on a Unix socket."""
     service = JobService(ProvenanceStore(tmp_path / "store"),
-                         workers=1, worker_mode="thread",
-                         socket_path=tmp_path / "serve.sock")
+                         workers=1, socket_path=tmp_path / "serve.sock")
     with ServiceThread(service):
         yield service, ServeClient(socket_path=tmp_path / "serve.sock",
                                    timeout=120.0)
@@ -65,8 +65,8 @@ class TestProtocol:
 class TestServiceJobsFireNoHooks:
     def test_global_observer_sees_run_spec_but_no_service_job(self, serve):
         """What ``--provenance`` installs is a process-global result
-        hook; a job the service executes in the same process (thread
-        workers, or ``execute_spec`` called directly) must never reach
+        hook; a job the service executes in the same process (an inline
+        executor, or ``execute_spec`` called directly) must never reach
         it — a tenant's job is recorded by the service, once — while a
         ``run_spec_job`` in that process still does."""
         from repro.harness import jobspec as js
@@ -227,7 +227,6 @@ class TestOps:
         assert stats["submissions"] == 2
         assert stats["executed"] == 1 and stats["hits"] == 1
         assert stats["hit_rate"] == 0.5
-        assert stats["worker_mode"] == "thread"
         assert stats["records"] == 1
 
     def test_stats_op_carries_the_service_hit_count(self, serve):
@@ -297,10 +296,9 @@ class TestOps:
         assert reply["ok"] is False
         assert "unknown op" in reply["error"]
 
-    def test_shutdown_op_stops_the_service(self, tmp_path):
+    def test_shutdown_op_stops_the_service(self, tmp_path, inline_pool):
         service = JobService(ProvenanceStore(tmp_path / "store"),
-                             workers=1, worker_mode="thread",
-                             socket_path=tmp_path / "serve.sock")
+                             workers=1, socket_path=tmp_path / "serve.sock")
         st = ServiceThread(service).start()
         client = ServeClient(socket_path=tmp_path / "serve.sock",
                              timeout=30.0)
@@ -311,10 +309,9 @@ class TestOps:
 
 
 class TestTransportsAndPool:
-    def test_tcp_transport(self, tmp_path):
+    def test_tcp_transport(self, tmp_path, inline_pool):
         service = JobService(ProvenanceStore(tmp_path / "store"),
-                             workers=1, worker_mode="thread",
-                             host="127.0.0.1", port=0)
+                             workers=1, host="127.0.0.1", port=0)
         with ServiceThread(service):
             client = ServeClient(host="127.0.0.1", port=service.port,
                                  timeout=120.0)
@@ -324,8 +321,7 @@ class TestTransportsAndPool:
 
     def test_process_workers(self, tmp_path):
         service = JobService(ProvenanceStore(tmp_path / "store"),
-                             workers=2, worker_mode="process",
-                             socket_path=tmp_path / "serve.sock")
+                             workers=2, socket_path=tmp_path / "serve.sock")
         with ServiceThread(service):
             client = ServeClient(socket_path=tmp_path / "serve.sock",
                                  timeout=120.0)
@@ -338,10 +334,9 @@ class TestTransportsAndPool:
             assert json.dumps(first.record, sort_keys=True) == \
                 json.dumps(second.record, sort_keys=True)
 
-    def test_gc_janitor_runs_during_service(self, tmp_path):
+    def test_gc_janitor_runs_during_service(self, tmp_path, inline_pool):
         service = JobService(ProvenanceStore(tmp_path / "store"),
-                             workers=1, worker_mode="thread",
-                             socket_path=tmp_path / "serve.sock",
+                             workers=1, socket_path=tmp_path / "serve.sock",
                              gc_every_s=0.02, gc_max_age_s=7 * 86400.0)
         with ServiceThread(service):
             client = ServeClient(socket_path=tmp_path / "serve.sock",

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import socket
 import time
+from pathlib import Path
 
 import pytest
 
@@ -329,15 +330,14 @@ class TestMultiProcess:
 # execution leases: cross-server single-flight
 # ---------------------------------------------------------------------------
 
-def _plant_dead_owner_lease(store: ProvenanceStore, run_id: str,
-                            pid: int) -> None:
+def _plant_leftover_lease(store: ProvenanceStore, run_id: str,
+                          content: bytes = b"") -> Path:
     """A lease file as a server that died mid-run leaves it: never
-    unlocked by a release, naming a pid that no longer exists."""
+    unlocked by a release, so nobody holds it, whatever it holds."""
     path = store._lease_path(run_id)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({
-        "host": socket.gethostname(), "pid": pid, "token": "ghost",
-        "acquired_at": time.time()}))
+    path.write_bytes(content)
+    return path
 
 
 class TestLeases:
@@ -381,26 +381,18 @@ class TestLeases:
         fresh.release()
         assert fresh.renew() is False
 
-    def test_dead_pid_takeover_before_ttl(self, store):
-        """A dead owner's lease is taken over at once: there is no TTL
-        to wait out."""
-        _plant_dead_owner_lease(store, self.RUN, _dead_pid())
-        lease = store.acquire_lease(self.RUN)
-        assert lease is not None and lease.takeover
-        lease.release()
-
     def test_unlocked_leftover_taken_over_at_once(self, store):
         """Whatever an unlocked lease file holds — half-written JSON,
-        nothing, garbage, even our own live pid — nobody holds it, so
-        it is taken over at once."""
-        path = store._lease_path(self.RUN)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        alive = json.dumps({"host": socket.gethostname(),
-                            "pid": os.getpid(), "token": "t",
-                            "acquired_at": time.time()}).encode()
+        nothing, garbage, a reaped pid, even our own live pid — nobody
+        holds it, so it is taken over at once."""
+        def owner(pid: int) -> bytes:
+            return json.dumps({"host": socket.gethostname(), "pid": pid,
+                               "token": "t",
+                               "acquired_at": time.time()}).encode()
+
         for leftover in (b'{"host": "trunc', b"", b"\xff\x00garbage",
-                         alive):
-            path.write_bytes(leftover)
+                         owner(_dead_pid()), owner(os.getpid())):
+            path = _plant_leftover_lease(store, self.RUN, leftover)
             lease = store.acquire_lease(self.RUN)
             assert lease is not None and lease.takeover, leftover
             lease.release()
@@ -423,7 +415,7 @@ class TestLeases:
     def test_delete_clears_a_dead_owners_lease(self, store):
         record = _fake_record(0)
         store.put(record)
-        _plant_dead_owner_lease(store, record.run_id, _dead_pid())
+        _plant_leftover_lease(store, record.run_id)
         store.delete(record.run_id)
         assert not list(store.records_dir.rglob("*.lease*"))
 
@@ -436,15 +428,14 @@ class TestLeases:
         neither acquire raises, exactly one of the two owns the run, no
         tmp file is left behind, and with no lease file to start from,
         neither calls its win a takeover."""
-        dead = _dead_pid()
         hooked = [(os, name) for name in ("open", "unlink", "link", "stat",
-                                          "fstat", "close", "kill")]
+                                          "fstat", "close")]
         hooked.append((fcntl, "flock"))
 
         def interleave(k: int, j: int) -> tuple[bool, bool]:
             store = ProvenanceStore(tmp_path / f"k{k}-j{j}")
             if start == "dead-owner":
-                _plant_dead_owner_lease(store, self.RUN, dead)
+                _plant_leftover_lease(store, self.RUN)
             calls = 0
             taker_a, sweeps = [], []
 

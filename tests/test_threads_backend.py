@@ -270,34 +270,26 @@ class TestOrphanSurfacing:
 @pytest.mark.usefixtures("plain_bodies")
 class TestServeWorkersReuseSharedPool:
     """Serve workers run on the shared pool, so the second same-shaped
-    job a worker executes creates no OS thread."""
+    job a worker executes creates no OS thread.  A worker process runs
+    each job through :func:`~repro.serve.pool.execute_spec`, called
+    here directly."""
 
     NVP = 6
-
-    def _assert_second_run_reuses(self, run):
-        spec_dict = pingpong(self.NVP).to_dict()
-        consume_orphan_count()
-        assert run(spec_dict)["error"] is None
-        pool = get_backend(None)
-        created, binds = pool.created, pool.binds
-        assert created >= self.NVP
-        assert run(spec_dict)["error"] is None
-        assert get_backend(None) is pool
-        assert pool.created == created
-        assert pool.binds == binds + self.NVP
-        assert orphan_count() == 0
 
     def test_execute_spec(self):
         from repro.serve.pool import execute_spec
 
-        self._assert_second_run_reuses(execute_spec)
-
-    def test_thread_mode_worker_pool(self):
-        from repro.serve.pool import WorkerPool
-
-        with WorkerPool(1, mode="thread") as workers:
-            self._assert_second_run_reuses(
-                lambda spec_dict: workers.submit(spec_dict).result(timeout=60))
+        spec_dict = pingpong(self.NVP).to_dict()
+        consume_orphan_count()
+        assert execute_spec(spec_dict)["error"] is None
+        pool = get_backend(None)
+        created, binds = pool.created, pool.binds
+        assert created >= self.NVP
+        assert execute_spec(spec_dict)["error"] is None
+        assert get_backend(None) is pool
+        assert pool.created == created
+        assert pool.binds == binds + self.NVP
+        assert orphan_count() == 0
 
 
 @pytest.mark.usefixtures("plain_bodies")
