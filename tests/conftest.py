@@ -100,23 +100,21 @@ def run():
 
 
 class InlinePool:
-    """A ``WorkerPool`` stand-in that runs each job on the caller's
-    thread, start to finish: the service's event loop, so jobs run one
-    at a time and the loop waits for each."""
+    """A ``WorkerPool`` stand-in that hands each job to one shared
+    background thread: jobs run one at a time (the simulator's state is
+    process-wide), and the service's event loop stays free to read
+    requests, coalesce submissions and wait on runs in flight."""
 
     dead = False
 
-    def __init__(self, workers: int = 1, **_: object):
+    def __init__(self, executor, workers: int = 1, **_: object):
+        self._ex = executor
         self.workers = workers
 
     def submit(self, spec_dict, *, chaos=None):
-        from concurrent.futures import Future
-
         from repro.serve.pool import execute_spec
 
-        fut = Future()
-        fut.set_result(execute_spec(spec_dict))
-        return fut
+        return self._ex.submit(execute_spec, spec_dict)
 
     def alive_workers(self) -> int:
         return self.workers
@@ -136,5 +134,12 @@ def inline_pool(monkeypatch):
     """Services built in this test execute jobs with :class:`InlinePool`
     instead of worker processes: for tests of the service's request
     logic (admission, drain, stats, memo, batches, the janitor), which
-    no worker's crash or concurrency changes."""
-    monkeypatch.setattr("repro.serve.server.WorkerPool", InlinePool)
+    no worker's crash or concurrency changes.  All services in the test
+    share one executor thread, so no two jobs ever interleave."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as executor:
+        monkeypatch.setattr(
+            "repro.serve.server.WorkerPool",
+            lambda *args, **kw: InlinePool(executor, *args, **kw))
+        yield
