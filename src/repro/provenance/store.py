@@ -89,8 +89,8 @@ class ProvenanceStore:
     def _timeline_path(self, run_id: str) -> Path:
         return self.records_dir / run_id[:2] / f"{run_id}.timeline.zz"
 
-    def _touch_path(self, run_id: str) -> Path:
-        return self.records_dir / run_id[:2] / f"{run_id}.touch"
+    def _touch_path(self, run_id: str) -> str:
+        return f"{self.root}/records/{run_id[:2]}/{run_id}.touch"
 
     def _lease_path(self, run_id: str) -> Path:
         return self.records_dir / run_id[:2] / f"{run_id}.lease"
@@ -142,16 +142,13 @@ class ProvenanceStore:
         its whole shard directory) between our caller's check and now —
         losing one touch is harmless, so never raise.
         """
-        try:
-            self._touch_path(run_id).touch()
-        except OSError:
-            pass
+        touch_file(self._touch_path(run_id))
 
     def last_used(self, run_id: str) -> float | None:
         """Epoch seconds of the most recent touch, or None if never
         touched since creation."""
         try:
-            return self._touch_path(run_id).stat().st_mtime  # repro: allow(det-wallclock) host mtimes drive cache eviction recency only
+            return os.stat(self._touch_path(run_id)).st_mtime  # repro: allow(det-wallclock) host mtimes drive cache eviction recency only
         except OSError:
             return None
 
@@ -266,8 +263,8 @@ class ProvenanceStore:
                      self._timeline_path(run_id),
                      self._touch_path(run_id)):
             try:
-                size = path.stat().st_size
-                path.unlink()
+                size = os.stat(path).st_size
+                os.unlink(path)
             except OSError:
                 continue
             freed += size
@@ -428,6 +425,16 @@ class RunLease:
 
     def __exit__(self, *exc: object) -> None:
         self.release()
+
+
+def touch_file(path: str) -> None:
+    """Set ``path``'s mtime to now, creating the file if it is missing;
+    a vanished directory is ignored."""
+    with contextlib.suppress(OSError):
+        try:
+            os.utime(path)
+        except FileNotFoundError:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
 
 
 def _names(path: str | Path, fd: int) -> bool:

@@ -17,12 +17,12 @@ construction; restart the service after changing sources.
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec, code_version
 from repro.provenance.record import RunRecord, run_id_for
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, touch_file
+from repro.serve import protocol
 from repro.serve.protocol import EncodedRecord
 
 #: encoded bytes the hit memo may hold; past it the least recently
@@ -30,7 +30,7 @@ from repro.serve.protocol import EncodedRecord
 MEMO_BYTES = 16 << 20
 
 
-def _identity(path: Path) -> tuple[int, int, int] | None:
+def _identity(path: str) -> tuple[int, int, int] | None:
     """What a replaced or rewritten record file changes; None if gone."""
     try:
         st = os.stat(path)
@@ -39,14 +39,26 @@ def _identity(path: Path) -> tuple[int, int, int] | None:
     return st.st_ino, st.st_size, st.st_mtime_ns  # repro: allow(det-wallclock) identifies a record file's version, never simulation state
 
 
+def _size(entry: tuple) -> int:
+    """Memo bytes of an entry: the record's JSON and its reply line."""
+    return len(entry[2].json) + len(entry[3])
+
+
+def hit_reply(run_id: str, record: EncodedRecord) -> dict:
+    """The reply that serves ``run_id``'s stored ``record``."""
+    return {"ok": True, "run_id": run_id, "cache": protocol.CACHE_HIT,
+            "record": record}
+
+
 class ResultCache:
     """Content-addressed record cache over a provenance store."""
 
     def __init__(self, store: ProvenanceStore):
         self.store = store
         self.code_version = code_version()
-        #: run_id -> (record file, its identity, encoded record), least
-        #: recently served first; kept while the file's identity holds
+        #: run_id -> (record file, its identity, encoded record, hit
+        #: reply line, touch file), least recently served first; kept
+        #: while the file's identity holds
         self._memo: dict[str, tuple] = {}
         self._memo_bytes = 0
 
@@ -58,27 +70,37 @@ class ResultCache:
         *use* (the store refreshes the record's eviction age); a record
         missing, unreadable or corrupt — a concurrent gc deleted it — is
         a miss, not a crash.  Each hit gets its own shallow copy."""
-        entry = self._memo.pop(run_id, None)
-        if entry is not None:
-            self._memo_bytes -= len(entry[2].json)
-        path = entry[0] if entry else self.store._record_path(run_id)
+        if self.hit_line(run_id) is not None:
+            return self._memo[run_id][2].copy()
+        stale = self._memo.pop(run_id, None)
+        if stale is not None:
+            self._memo_bytes -= _size(stale)
+        path = str(self.store._record_path(run_id))
         ident = _identity(path)
         if ident is None:
             return None
-        if entry is not None and entry[1] == ident:
-            self.store.touch(run_id)
-            record = entry[2]
-        else:
-            try:
-                record = EncodedRecord(self.store.get(run_id).to_dict())
-            except (OSError, ValueError, KeyError, ReproError):
-                return None
-        self._memo[run_id] = (path, ident, record)
-        self._memo_bytes += len(record.json)
+        try:
+            record = EncodedRecord(self.store.get(run_id).to_dict())
+        except (OSError, ValueError, KeyError, ReproError):
+            return None
+        entry = (path, ident, record,
+                 protocol.encode(hit_reply(run_id, record)),
+                 self.store._touch_path(run_id))
+        self._memo[run_id] = entry
+        self._memo_bytes += _size(entry)
         while self._memo_bytes > MEMO_BYTES:
-            *_, dropped = self._memo.pop(next(iter(self._memo)))
-            self._memo_bytes -= len(dropped.json)
+            self._memo_bytes -= _size(self._memo.pop(next(iter(self._memo))))
         return record.copy()
+
+    def hit_line(self, run_id: str) -> bytes | None:
+        """The hit reply line of a memoised ``run_id`` whose record file
+        keeps its identity, touched and made most recent; else None."""
+        entry = self._memo.get(run_id)
+        if entry is None or _identity(entry[0]) != entry[1]:
+            return None
+        touch_file(entry[4])
+        self._memo[run_id] = self._memo.pop(run_id)
+        return entry[3]
 
     def put(self, record: RunRecord,
             compressed_timeline: bytes | None = None) -> tuple[str, bool]:

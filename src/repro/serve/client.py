@@ -110,6 +110,15 @@ class _Backoff:
         self._prev = self.base_s
 
 
+@dataclass
+class _Conn:
+    """One thread's connection: its socket, read buffer and backoff."""
+
+    backoff: _Backoff
+    sock: socket.socket | None = None
+    buf: bytes = b""
+
+
 class ServeClient:
     """Synchronous client over persistent, self-healing sockets.
 
@@ -137,33 +146,22 @@ class ServeClient:
 
     # -- per-thread connection state ----------------------------------------
 
+    def _conn(self) -> _Conn:
+        """The calling thread's connection state, made on first use."""
+        try:
+            return self._local.conn
+        except AttributeError:
+            conn = self._local.conn = _Conn(
+                _Backoff(self._backoff_base_s, self._backoff_cap_s))
+            return conn
+
     @property
     def _sock(self) -> socket.socket | None:
-        return getattr(self._local, "sock", None)
-
-    @_sock.setter
-    def _sock(self, value: socket.socket | None) -> None:
-        self._local.sock = value
-
-    @property
-    def _buf(self) -> bytes:
-        return getattr(self._local, "buf", b"")
-
-    @_buf.setter
-    def _buf(self, value: bytes) -> None:
-        self._local.buf = value
-
-    @property
-    def _backoff(self) -> _Backoff:
-        bo = getattr(self._local, "backoff", None)
-        if bo is None:
-            bo = _Backoff(self._backoff_base_s, self._backoff_cap_s)
-            self._local.backoff = bo
-        return bo
+        return self._conn().sock
 
     # -- transport ----------------------------------------------------------
 
-    def _connect(self) -> None:
+    def _connect(self, conn: _Conn) -> None:
         try:
             if self.socket_path is not None:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -177,69 +175,69 @@ class ServeClient:
                 f"cannot reach serve at "
                 f"{self.socket_path or f'{self.host}:{self.port}'}: {e}"
             ) from None
-        self._sock = sock
-        self._buf = b""
+        conn.sock = sock
+        conn.buf = b""
 
     def close(self) -> None:
         """Close the *calling thread's* connection (other threads'
         sockets close when their thread exits or on their next EOF)."""
-        if self._sock is not None:
+        conn = self._conn()
+        if conn.sock is not None:
             try:
-                self._sock.close()
+                conn.sock.close()
             except OSError:
                 pass
-            self._sock = None
-        self._buf = b""
+            conn.sock = None
+        conn.buf = b""
 
-    def _send(self, msg: dict[str, Any]) -> None:
-        assert self._sock is not None
+    def _send(self, conn: _Conn, msg: dict[str, Any]) -> None:
         try:
-            self._sock.sendall(protocol.encode(msg))
+            conn.sock.sendall(protocol.encode(msg))
         except OSError as e:
             raise ServeConnectionError(
                 f"serve connection lost on send: {e}") from None
 
-    def _read_line(self) -> bytes:
-        assert self._sock is not None
-        while b"\n" not in self._buf:
+    def _read_line(self, conn: _Conn) -> bytes:
+        sock, buf = conn.sock, conn.buf
+        while b"\n" not in buf:
             try:
-                chunk = self._sock.recv(65536)
+                chunk = sock.recv(65536)
             except OSError as e:
                 raise ServeConnectionError(
                     f"serve connection lost: {e}") from None
             if not chunk:
                 raise ServeConnectionError("serve hung up (EOF)")
-            self._buf += chunk
-            if len(self._buf) > protocol.MAX_LINE:
+            buf += chunk
+            if len(buf) > protocol.MAX_LINE:
                 raise protocol.ProtocolError(
                     f"reply exceeds {protocol.MAX_LINE} bytes")
-        line, _, self._buf = self._buf.partition(b"\n")
+        line, _, conn.buf = buf.partition(b"\n")
         return line + b"\n"
 
-    def _with_retry(self, exchange: Callable[[], Any]) -> Any:
+    def _with_retry(self, exchange: Callable[[_Conn], Any]) -> Any:
         """Run one request/reply exchange; on a connection failure,
         reconnect and replay it (idempotent: run ids are content-
         addressed), with decorrelated-jitter backoff between attempts."""
-        self._backoff.reset()
+        conn = self._conn()
+        conn.backoff.reset()
         last: ServeConnectionError | None = None
         for attempt in range(self.retries + 1):
             try:
-                if self._sock is None:
-                    self._connect()
-                out = exchange()
-                return out
+                if conn.sock is None:
+                    self._connect(conn)
+                return exchange(conn)
             except ServeConnectionError as e:
                 last = e
                 self.close()
                 if attempt < self.retries:
-                    time.sleep(self._backoff.next_delay())  # repro: allow(det-wallclock) client retry pacing against a real server
+                    time.sleep(conn.backoff.next_delay())  # repro: allow(det-wallclock) client retry pacing against a real server
         assert last is not None
         raise last
 
     def _request(self, msg: dict[str, Any]) -> dict[str, Any]:
-        def exchange() -> dict[str, Any]:
-            self._send(msg)
-            return protocol.decode(self._read_line())
+        def exchange(conn: _Conn) -> dict[str, Any]:
+            self._send(conn, msg)
+            return protocol.decode(self._read_line(conn))
         return self._with_retry(exchange)
 
     # -- verbs --------------------------------------------------------------
@@ -272,12 +270,12 @@ class ServeClient:
             msg["deadline_ms"] = deadline_ms
         n = len(specs)
 
-        def exchange() -> list[SubmitReply]:
+        def exchange(conn: _Conn) -> list[SubmitReply]:
             t0 = time.perf_counter()  # repro: allow(det-wallclock) client-observed host latency, reported not simulated
-            self._send(msg)
+            self._send(conn, msg)
             out: list[SubmitReply | None] = [None] * n
             while True:
-                reply = protocol.decode(self._read_line())
+                reply = protocol.decode(self._read_line(conn))
                 if reply.get("op") == protocol.OP_SUBMIT_MANY_DONE:
                     break
                 wall = time.perf_counter() - t0  # repro: allow(det-wallclock) client-observed host latency, reported not simulated

@@ -69,7 +69,7 @@ from repro.harness.jobspec import JobSpec
 from repro.provenance.record import RunRecord
 from repro.provenance.store import ProvenanceStore
 from repro.serve import protocol
-from repro.serve.cache import ResultCache
+from repro.serve.cache import ResultCache, hit_reply
 from repro.serve.pool import WorkerPool
 
 _log = logging.getLogger(__name__)
@@ -295,6 +295,11 @@ class JobService:
                         writer, protocol.error_reply(str(e)))
                     break
                 if msg is None:
+                    hit = self._repeat(line)
+                    if hit is not None:
+                        writer.write(hit)
+                        await writer.drain()
+                        continue
                     reply = await self.submit(None, line=line)
                 elif msg.get("op") == protocol.OP_SUBMIT_MANY:
                     await self._submit_many(msg, writer)
@@ -384,10 +389,11 @@ class JobService:
 
         ``line`` is the request line the submission arrived as.  A line
         without ``chaos`` whose reply is a store hit is memoised with
-        its ``wait``, ``deadline_ms``, spec and run_id; a repeat of it
-        comes in as the line alone (``spec_dict`` None) and is not
-        parsed, validated or keyed again.  Exact bytes only: any other
-        line is its own entry.
+        its ``wait``, ``deadline_ms``, spec and run_id.  A repeat that
+        hits again is answered from its reply bytes (:meth:`_repeat`);
+        any other repeat comes in as the line alone (``spec_dict``
+        None) and is not parsed, validated or keyed again.  Exact bytes
+        only: any other line is its own entry.
         """
         self.stats.submissions += 1
         if self._draining:
@@ -579,8 +585,20 @@ class JobService:
             self.stats.misses += counted
             return None
         self.stats.hits += counted
-        return {"ok": True, "run_id": run_id, "cache": protocol.CACHE_HIT,
-                "record": record}
+        return hit_reply(run_id, record)
+
+    def _repeat(self, line: bytes) -> bytes | None:
+        """The reply line of a memoised submit line that hits again,
+        after :meth:`submit`'s checks and counters; else None."""
+        keyed = self._lines.get(line)
+        if keyed is None or self._draining or keyed[3] in self._poison:
+            return None
+        reply = self.cache.hit_line(keyed[3])
+        if reply is not None:
+            self.stats.submissions += 1
+            self.stats.hits += 1
+            self._lines[line] = self._lines.pop(line)
+        return reply
 
     def _remember(self, line: bytes, keyed: tuple) -> None:
         """Memoise a submit line that hit, least recently repeated

@@ -4,8 +4,8 @@ The job service keeps each stored record's wire JSON while the record
 file keeps its inode, size and mtime, and splices it into the reply.
 The previous hit path (membership check, ``store.get``, ``to_dict``, a
 full ``json.dumps`` of the reply) is kept below as the reference: every
-``submit``, ``submit_many`` and ``await`` hit must put the reference's
-bytes on the wire, on the first hit and on memoised ones, for records
+``submit``, ``submit_many``, ``await`` and repeated submit-line hit must
+put the reference's bytes on the wire, on the first hit and on memoised ones, for records
 drawn with escape-heavy and non-ASCII strings, floats, ``None``s, empty
 and large per-PE stats and odd exit values.
 """
@@ -14,6 +14,7 @@ import asyncio
 import io
 import json
 import os
+import pathlib
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -27,7 +28,7 @@ from repro.provenance import ProvenanceStore, RunRecord, run_id_for
 from repro.serve import JobService, protocol
 from repro.serve import cache as cache_mod
 
-from counted import counting
+from counted import counting, python_calls
 
 # -- the previous hit path ---------------------------------------------------
 
@@ -116,6 +117,28 @@ class Writer:
     async def drain(self):
         pass
 
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+async def exchange(service, lines):
+    """What one connection carrying ``lines`` gets back."""
+    reader = asyncio.StreamReader(limit=protocol.MAX_LINE)
+    for line in lines:
+        reader.feed_data(line)
+    reader.feed_eof()
+    conn = Writer()
+    await service._handle_conn(reader, conn)
+    return bytes(conn.data)
+
+
+def submit_line(spec_d, **extra):
+    return protocol.encode({"op": protocol.OP_SUBMIT, "spec": spec_d,
+                            "wait": True, **extra})
+
 
 def service_on(root) -> JobService:
     """A service on ``root`` that is never started: hits need no pool."""
@@ -138,6 +161,8 @@ async def served_lines(service, spec_d, run_id):
     assert protocol.decode(done)["n"] == 2
     got.append(protocol.encode(await service.await_result(run_id)))
     want.append(reference_line(store, run_id))
+    got.append(await exchange(service, [submit_line(spec_d)] * 2))
+    want.append(reference_line(store, run_id) * 2)
     return got, want
 
 
@@ -150,7 +175,7 @@ def serves_the_reference(record) -> bool:
             got, want = run(served_lines(service, spec_d, record.run_id))
             if got != want:
                 return False
-        return service.stats.hits == 8
+        return service.stats.hits == 12
 
 
 def ensure_ascii_false_init(self, record, json_text=None):
@@ -282,7 +307,9 @@ class TestStaleness:
         recs = [_record(f"bound-{i}") for i in range(4)]
         for r in recs:
             service.store.put(r)
-        size = len(protocol.EncodedRecord(recs[0].to_dict()).json)
+        record = protocol.EncodedRecord(recs[0].to_dict())
+        size = len(record.json) + len(protocol.encode(
+            cache_mod.hit_reply(recs[0].run_id, record)))
         monkeypatch.setattr(cache_mod, "MEMO_BYTES", 3 * size)
         for r in recs[:3]:
             _hit(service, r)
@@ -291,7 +318,7 @@ class TestStaleness:
         memo = service.cache._memo
         assert list(memo) == [recs[i].run_id for i in (2, 0, 3)]
         assert service.cache._memo_bytes == sum(
-            len(rec.json) for *_, rec in memo.values()) <= 3 * size
+            map(cache_mod._size, memo.values())) <= 3 * size
 
     def test_memoised_hit_moves_last_used(self, tmp_path):
         service = service_on(tmp_path)
@@ -355,3 +382,135 @@ class TestStructuralGuard:
         assert tally(calls) == {"json.loads": 0, "from_dict": 0,
                                 "to_dict": 0, "opens": 0}
         assert service.stats.hits == 101
+
+    def test_a_repeated_hit_line_is_one_stat_and_one_touch(self, tmp_path):
+        """The ledger of N repeats of a submit line that hit."""
+        assert repeat_ledger(tmp_path, 100) == expected_ledger(100)
+
+    @pytest.mark.parametrize("mutant, rows", [
+        ("previous_path", ("submit", "encode", "copy")),
+        ("decoding_path", ("submit", "encode", "json", "copy")),
+        ("pathlib_touch", ("pathlib",)),
+        ("unchecked_identity", ("stat",)),
+        ("lost_touch", ("utime",)),
+    ])
+    def test_the_guard_catches(self, mutant, rows, tmp_path, monkeypatch):
+        for owner, name, value in REPEAT_MUTANTS[mutant]():
+            monkeypatch.setattr(owner, name, value)
+        got, want = repeat_ledger(tmp_path, 20), expected_ledger(20)
+        assert [row for row in want if got[row] != want[row]] == list(rows)
+
+
+# -- the repeated-hit ledger -------------------------------------------------
+
+
+def expected_ledger(n):
+    """What ``n`` repeats of a hit line do, by row."""
+    return {"submit": 0, "encode": 0, "json": 0, "copy": 0, "pathlib": 0,
+            "stat": n, "utime": n}
+
+
+#: the counted rows of :func:`expected_ledger`; ``pathlib`` is profiled
+REPEAT_SEAMS = {
+    "submit": [(JobService, "submit")],
+    "encode": [(protocol, "encode")],
+    "json": [(json, "loads"), (json, "dumps")],
+    "copy": [(protocol.EncodedRecord, "copy")],
+    "stat": [(os, "stat")],
+    "utime": [(os, "utime")],
+}
+
+PATHLIB = (os.path.dirname(pathlib.__file__) + os.sep
+           if hasattr(pathlib, "__path__") else pathlib.__file__)
+
+
+def repeat_ledger(root, n):
+    """:func:`expected_ledger`'s rows as counted over ``n`` repeats, on a
+    live ``_handle_conn``, of a line that hit once before."""
+    service = service_on(root)
+    record = _record("ledger")
+    service.store.put(record)
+    line = submit_line(record.spec.to_dict())
+    first = run(exchange(service, [line]))
+    assert protocol.decode(first)["cache"] == protocol.CACHE_HIT
+    with ExitStack() as stack:
+        calls = {name: stack.enter_context(counting(*seams))
+                 for name, seams in REPEAT_SEAMS.items()}
+        profiled = python_calls(lambda: run(exchange(service, [line] * n)))
+    assert profiled.result == first * n
+    assert service.stats.hits == service.stats.submissions == n + 1
+    ledger = tally(calls)
+    ledger["pathlib"] = sum(
+        k for code, k in profiled.called.items()
+        if code.co_filename.startswith(PATHLIB))
+    return ledger
+
+
+async def previous_handle_conn(self, reader, writer):
+    """The connection handler before memoised hits were answered from
+    their bytes: a memoised line went through ``submit``."""
+    try:
+        while True:
+            try:
+                line = await protocol.read_line(reader)
+                if line is None:
+                    break
+                msg = (None if line in self._lines
+                       else protocol.decode(line))
+            except protocol.ProtocolError as e:
+                await protocol.write_message(
+                    writer, protocol.error_reply(str(e)))
+                break
+            if msg is None:
+                reply = await self.submit(None, line=line)
+            elif msg.get("op") == protocol.OP_SUBMIT_MANY:
+                await self._submit_many(msg, writer)
+                continue
+            else:
+                reply = await self._dispatch(msg, line)
+            await protocol.write_message(writer, reply)
+    finally:
+        writer.close()
+
+
+def _decoding_path():
+    from test_serve_memo import ReferenceService
+    return [(JobService, "_handle_conn", ReferenceService._handle_conn)]
+
+
+#: mutant name -> the (owner, name, value) patches that make it
+REPEAT_MUTANTS = {
+    "previous_path": lambda: [(JobService, "_handle_conn",
+                               previous_handle_conn)],
+    "decoding_path": _decoding_path,
+    "pathlib_touch": lambda: [(cache_mod, "touch_file",
+                               lambda path: Path(path).touch())],
+    "unchecked_identity": lambda: [(cache_mod, "_identity",
+                                    lambda path: (0, 0, 0))],
+    "lost_touch": lambda: [(cache_mod, "touch_file", lambda path: None)],
+}
+
+
+class TestHitBytes:
+    def test_memoised_bytes_are_the_full_paths_encoding(self, tmp_path):
+        service = service_on(tmp_path)
+        spec = JobSpec(app="hello", nvp=2, method="none",
+                       app_config={"name": "bytes-é€😀", "x": 0.1})
+        ver = code_version()
+        record = RunRecord(
+            spec=spec, run_id=run_id_for(spec, ver),
+            spec_digest=spec.digest(), code_version=ver,
+            timeline_sha256="\u00e9\"\\\n", events=3,
+            makespan_ns=7, startup_ns=1, counters={"ctx_switch": 3},
+            pe_stats=[{"pe": 0, "util": 1 / 3, "note": "naïve ✓"}],
+            rollbacks={}, recoveries=0, unrecoverable_reason=None,
+            migrations=0, lb_moves=0,
+            exit_values={0: {"nested": {"é": [1e-300, -0.0, 2.5e17]}},
+                         1: "日本語"},
+            created_at=1234.0625)
+        service.store.put(record)
+        full = protocol.encode(run(service.submit(spec.to_dict())))
+        line = submit_line(spec.to_dict())
+        assert run(exchange(service, [line] * 3)) == full * 3
+        assert service.cache._memo[record.run_id][3] == full
+        assert full.isascii() and b'\\u65e5' in full

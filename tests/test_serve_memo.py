@@ -15,6 +15,7 @@ be the reference's.
 
 import asyncio
 import json
+import os
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
@@ -27,9 +28,10 @@ from repro.harness.jobspec import JobSpec
 from repro.provenance import ProvenanceStore
 from repro.provenance import record as record_mod
 from repro.serve import JobService, ServeClient, ServiceThread, protocol
+from repro.serve import cache as cache_mod
 
 from counted import counting
-from test_serve_hits import _record, run
+from test_serve_hits import _record, exchange, run
 
 # -- the previous read and submit path ---------------------------------------
 
@@ -117,39 +119,6 @@ async def reference_read_message(reader):
     if not line:
         return None
     return protocol.decode(line)
-
-
-# -- driving a service without a socket --------------------------------------
-
-
-class Conn:
-    """The writer half of one connection: collects what is written."""
-
-    def __init__(self):
-        self.data = bytearray()
-
-    def write(self, data):
-        self.data += data
-
-    async def drain(self):
-        pass
-
-    def close(self):
-        pass
-
-    async def wait_closed(self):
-        pass
-
-
-async def exchange(service, lines):
-    """What one connection carrying ``lines`` gets back."""
-    reader = asyncio.StreamReader(limit=protocol.MAX_LINE)
-    for line in lines:
-        reader.feed_data(line)
-    reader.feed_eof()
-    conn = Conn()
-    await service._handle_conn(reader, conn)
-    return bytes(conn.data)
 
 
 #: the spec pool: the first two are filed before a sequence starts
@@ -300,13 +269,49 @@ async def play(service, steps):
                 **protocol.error_reply("poisoned", run_id=record.run_id,
                                        reason=protocol.REASON_POISON),
                 "quarantined": True}
-        else:
+        elif kind == "settle":
             service._inflight.pop(record.run_id, None)
+        else:
+            STALENESS[kind](service, arg)
     stats = json.loads(await exchange(service, [op_line(op="stats")]))
     for host_dependent in ("uptime_s", "store_root", "endpoint"):
         stats["stats"].pop(host_dependent)
     out.append(stats)
     return out
+
+
+def _rewrite(service, i):
+    """Rewrite a record file in place: same inode, new bytes."""
+    path = service.store._record_path(RECORDS[i].run_id)
+    mtime = path.stat().st_mtime_ns
+    data = json.loads(path.read_text())
+    data["makespan_ns"] = 999                  # same length as "100"
+    with open(path, "r+") as f:
+        f.write(json.dumps(data, sort_keys=True, indent=1) + "\n")
+    os.utime(path, ns=(mtime, mtime + 1))
+
+
+def _reput(service, i):
+    """Delete a record and file it again with other bytes."""
+    service.store.delete(RECORDS[i].run_id)
+    service.store.put(_record(f"memo-{i}", created_at=123456.25))
+
+
+def _evict(service, i):
+    """Drop a record from the hit memo, as its bound would."""
+    cache = service.cache
+    cache._memo_bytes -= cache_mod._size(cache._memo.pop(RECORDS[i].run_id))
+
+
+#: what leaves a stored record stale, by spec index (out of the draws)
+STALENESS = {
+    "gc": lambda service, i: service.store.gc(max_age_s=1.0, now=1e12),
+    "reput": _reput,
+    "rewrite": _rewrite,
+    "corrupt": lambda service, i: service.store._record_path(
+        RECORDS[i].run_id).write_text("{not json"),
+    "evict": _evict,
+}
 
 
 def matches_the_reference(steps, cls=JobService, chaos=False) -> bool:
@@ -376,6 +381,41 @@ class Uncounted(JobService):
         return reply
 
 
+class RepeatDrainBlind(JobService):
+    """Mutant: a repeat answered from its bytes skips the draining
+    check."""
+
+    def _repeat(self, line):
+        draining, self._draining = self._draining, False
+        try:
+            return super()._repeat(line)
+        finally:
+            self._draining = draining
+
+
+class RepeatPoisonBlind(JobService):
+    """Mutant: a repeat answered from its bytes skips the poison
+    lookup."""
+
+    def _repeat(self, line):
+        poison, self._poison = self._poison, {}
+        try:
+            return super()._repeat(line)
+        finally:
+            self._poison = poison
+
+
+class RepeatUncounted(JobService):
+    """Mutant: a repeat answered from its bytes is not counted."""
+
+    def _repeat(self, line):
+        reply = super()._repeat(line)
+        if reply is not None:
+            self.stats.submissions -= 1
+            self.stats.hits -= 1
+        return reply
+
+
 MUTANT_SETTINGS = settings(max_examples=1000, derandomize=True,
                            database=None, phases=[Phase.generate],
                            deadline=None)
@@ -388,7 +428,9 @@ class TestSubmitLinesAgainstReference:
                                                            chaos):
         assert matches_the_reference(steps, chaos=chaos)
 
-    @pytest.mark.parametrize("mutant", [WaitBlind, DrainBlind, Uncounted],
+    @pytest.mark.parametrize("mutant", [WaitBlind, DrainBlind, Uncounted,
+                                        RepeatDrainBlind, RepeatPoisonBlind,
+                                        RepeatUncounted],
                              ids=lambda cls: cls.__name__)
     def test_the_oracle_catches(self, mutant):
         find(sequences(),
@@ -405,6 +447,49 @@ class TestSubmitLinesAgainstReference:
         assert json.loads(replies[-2])["cache"] == protocol.CACHE_INFLIGHT
         assert matches_the_reference(steps)
         assert not matches_the_reference(steps, WaitBlind)
+
+
+# -- a repeat meets a stale record -------------------------------------------
+
+
+#: the first repeat after each event: what its reply carries, and
+#: whether the line stays memoised
+AFTER = {
+    "gc": ({"cache": protocol.CACHE_COALESCED}, False),
+    "reput": ({"cache": protocol.CACHE_HIT}, True),
+    "rewrite": ({"cache": protocol.CACHE_HIT}, True),
+    "corrupt": ({"cache": protocol.CACHE_COALESCED}, False),
+    "evict": ({"cache": protocol.CACHE_HIT}, True),
+    "delete": ({"cache": protocol.CACHE_COALESCED}, False),
+    "poison": ({"reason": protocol.REASON_POISON}, False),
+    "drain": ({"reason": protocol.REASON_DRAINING}, True),
+}
+
+
+class TestStalenessThroughLines:
+    """``test_serve_hits.TestStaleness``'s cases, draining and a
+    poisoned run_id, met by a repeat of a submit line that hit: every
+    reply and the stats are the full path's."""
+
+    @pytest.mark.parametrize("event", list(AFTER))
+    def test_a_repeat_after(self, event, tmp_path):
+        line = submit_line(RECORDS[0])
+        steps = [("line", line), ("line", line),
+                 ("line", DRAIN) if event == "drain" else (event, 0),
+                 ("line", line), ("line", line)]
+        assert matches_the_reference(steps)
+        service = service_on(tmp_path)
+        *_, after, again, stats = run(play(service, steps))
+        carries, memoised = AFTER[event]
+        reply = json.loads(after)
+        assert reply.items() >= carries.items()
+        if event == "reput":
+            assert reply["record"]["created_at"] == 123456.25
+        if event == "rewrite":
+            assert reply["record"]["makespan_ns"] == 999
+        assert (line in service._lines) is memoised
+        assert again == after
+        assert stats["stats"]["submissions"] == 4
 
 
 # -- what enters the memo ----------------------------------------------------

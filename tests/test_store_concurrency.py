@@ -274,9 +274,31 @@ class TestLastUsed:
         store.put(record)
         store.touch(record.run_id)
         sidecar = store._touch_path(record.run_id)
-        assert sidecar.exists()
+        assert os.path.exists(sidecar)
         store.delete(record.run_id)
-        assert not sidecar.exists()
+        assert not os.path.exists(sidecar)
+        assert store.last_used(record.run_id) is None
+
+    def test_touch_creates_a_missing_sidecar(self, store):
+        record = _fake_record(0)
+        store.put(record)
+        assert store.last_used(record.run_id) is None
+        store.touch(record.run_id)
+        assert os.stat(store._touch_path(record.run_id)).st_size == 0
+        os.utime(store._touch_path(record.run_id), (1000.0, 1000.0))
+        store.touch(record.run_id)
+        assert store.last_used(record.run_id) > 1000.0
+
+    def test_touch_of_a_vanished_shard_is_ignored(self, store):
+        record = _fake_record(0)
+        store.put(record)
+        store.touch(record.run_id)
+        shard = os.path.dirname(store._touch_path(record.run_id))
+        for name in os.listdir(shard):
+            os.unlink(os.path.join(shard, name))
+        os.rmdir(shard)
+        store.touch(record.run_id)              # no raise, nothing made
+        assert not os.path.exists(shard)
         assert store.last_used(record.run_id) is None
 
 
