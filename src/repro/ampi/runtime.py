@@ -1128,5 +1128,9 @@ class AmpiJob:
             yield from self.scheduler.yield_current(rank.clock.now + rec.ns)
 
     def _api_yield_(self, rank: VirtualRank) -> Blocking:
-        """AMPI_Yield: cooperative yield to the PE scheduler."""
-        yield from self.scheduler.yield_current(rank.ult.clock.now)
+        """AMPI_Yield: cooperative yield to the PE scheduler, requeued
+        at the rank's own clock and suspended in this frame, so a yield
+        resumes one generator, not two."""
+        ult = rank.ult
+        self.scheduler.runq.push(ult, ult.clock.now)
+        yield "reschedule"

@@ -21,7 +21,7 @@ from repro.errors import DeadlockError, ReproError
 from repro.perf.costs import CostModel
 from repro.perf.counters import CounterSet, EV_CTX_SWITCH
 from repro.threads.runqueue import RunQueue
-from repro.threads.ult import UltState, UserLevelThread
+from repro.threads.ult import UltState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.charm.vrank import VirtualRank
@@ -44,12 +44,10 @@ class JobScheduler:
         #: tally per job, not one per component to merge afterwards)
         self.counters = counters if counters is not None else CounterSet()
         self.current: "VirtualRank | None" = None
-        self._ranks_by_tid: dict[int, "VirtualRank"] = {}
-        self._tid_by_vp: dict[int, int] = {}
         self._all_ranks: list["VirtualRank"] = []
         #: ULTs that kept their pool worker past the kill at shutdown
         self.orphaned = 0
-        self.runq = RunQueue(self._pe_busy_of, pe_of=self._pe_of)
+        self.runq = RunQueue()
         #: (pe index, vp, start ns) per scheduling quantum, in order —
         #: consumed by the instruction-cache study to reconstruct the
         #: interleaving of rank code on each PE.
@@ -73,31 +71,28 @@ class JobScheduler:
     # -- setup ------------------------------------------------------------------
 
     def register(self, rank: "VirtualRank", start_time: int) -> None:
-        if rank.ult is None:
+        ult = rank.ult
+        if ult is None:
             raise ReproError(f"rank {rank.vp} has no ULT")
-        self._ranks_by_tid[rank.ult.tid] = rank
-        self._tid_by_vp[rank.vp] = rank.ult.tid
+        ult.owner = rank
         self._all_ranks.append(rank)
-        rank.ult.start()
-        self.runq.push(rank.ult, start_time)
+        ult.start()
+        self.runq.push(ult, start_time)
 
     def reregister(self, rank: "VirtualRank", start_time: int) -> None:
         """Re-admit a rank after fault recovery gave it a fresh ULT.
 
-        The rank stays in ``_all_ranks``; the dead ULT generation's tid
-        mapping is purged so repeated crash/recover cycles cannot grow
-        ``_ranks_by_tid`` without bound.
+        The rank stays in ``_all_ranks``.  A quantum still queued for its
+        dead ULT generation is skipped when popped: that ULT's owner has
+        moved on to another ULT.
         """
-        if rank.ult is None:
+        ult = rank.ult
+        if ult is None:
             raise ReproError(f"rank {rank.vp} has no ULT")
-        old_tid = self._tid_by_vp.get(rank.vp)
-        if old_tid is not None and old_tid != rank.ult.tid:
-            self._ranks_by_tid.pop(old_tid, None)
-        self._ranks_by_tid[rank.ult.tid] = rank
-        self._tid_by_vp[rank.vp] = rank.ult.tid
-        if rank.ult.state is UltState.NEW:
-            rank.ult.start()
-        self.runq.push(rank.ult, start_time)
+        ult.owner = rank
+        if ult.state is UltState.NEW:
+            ult.start()
+        self.runq.push(ult, start_time)
 
     def flush(self) -> None:
         """Drop every queued quantum and pending timer (fault rollback)."""
@@ -120,12 +115,6 @@ class JobScheduler:
     @property
     def pending_timers(self) -> int:
         return len(self._timers)
-
-    def _pe_busy_of(self, ult: UserLevelThread) -> int:
-        return self._ranks_by_tid[ult.tid].pe.busy_until
-
-    def _pe_of(self, ult: UserLevelThread):
-        return self._ranks_by_tid[ult.tid].pe
 
     # -- blocking / waking (called by the MPI layer) ---------------------------------
 
@@ -173,13 +162,13 @@ class JobScheduler:
         # trace/timeline/fault guards (all decided before run() and fixed
         # for its duration).
         #
-        # The body is two closures, ``next_quantum`` (pop + pre-switch
-        # accounting of the quantum to run) and ``account`` (the one that
-        # just ended), with ``step()`` between them.  ``step()`` returns
-        # when the rank has yielded or finished — resumed right here if
-        # its body is a generator, on its pool worker while this thread
-        # waits if it is a plain function — so both closures only ever
-        # run on this thread with every rank parked: a fault's rollback,
+        # The body is the closure ``next_quantum`` (pop + pre-switch
+        # accounting of the quantum to run), ``step()``, and the charge
+        # for the quantum that just ended, written inline.  ``step()``
+        # returns when the rank has yielded or finished — resumed right
+        # here if its body is a generator, on its pool worker while this
+        # thread waits if it is a plain function — so the loop only ever
+        # runs on this thread with every rank parked: a fault's rollback,
         # a timer, ``on_rank_done``, ``on_quantum``, a deadlock report
         # and a rank's re-raised exception all happen in place.
         ctx_switch_ns = self.costs.context_switch_ns + self.ctx_switch_extra_ns
@@ -188,7 +177,6 @@ class JobScheduler:
             from repro.trace.recorder import PE_TID
         pid_base = self.trace_pid_base
         runq_pop = self.runq.pop
-        ranks_by_tid = self._ranks_by_tid
         counts = self.counters._counts
         fault_check = self.fault_check
         on_quantum = self.on_quantum
@@ -197,15 +185,13 @@ class JobScheduler:
         heappop = heapq.heappop
         DONE = UltState.DONE
         ERROR = UltState.ERROR
-        #: (rank, ult, the PE it started on, start ns) of the quantum in
-        #: flight; a rank may migrate itself mid-quantum, and the quantum
-        #: is charged to the PE that ran it
-        running: tuple = ()
 
-        def next_quantum() -> UserLevelThread | None:
+        def next_quantum() -> tuple | None:
             """Pop the next quantum, fire the timers due before it and do
-            its pre-switch accounting; None when nothing is runnable."""
-            nonlocal running
+            its pre-switch accounting; return (rank, ult, the PE it starts
+            on, start ns), or None when nothing is runnable.  A rank may
+            migrate itself mid-quantum, and the quantum is charged to the
+            PE that ran it."""
             while True:
                 item = runq_pop()
                 if item is None:
@@ -226,8 +212,8 @@ class JobScheduler:
                         continue
                     return None
                 ult, ready_time = item
-                rank = ranks_by_tid.get(ult.tid)
-                if rank is None:
+                rank = ult.owner
+                if rank.ult is not ult:
                     # Stale quantum of a rolled-back ULT generation
                     # (local recovery does not flush survivors' queues).
                     continue
@@ -246,7 +232,7 @@ class JobScheduler:
                             continue  # rollback may have cleared timers
                         at, _, fn = heappop(timers)
                         fn()
-                    if ranks_by_tid.get(ult.tid) is rank:
+                    if rank.ult is ult:
                         self.runq.push(ult, ready_time)
                     continue
 
@@ -255,7 +241,7 @@ class JobScheduler:
                     # global recovery the popped quantum belongs to a
                     # killed ULT generation; under local recovery a
                     # survivor's quantum stays valid and is requeued.
-                    if ranks_by_tid.get(ult.tid) is rank:
+                    if rank.ult is ult:
                         self.runq.push(ult, ready_time)
                     continue
 
@@ -286,40 +272,35 @@ class JobScheduler:
                 if on_quantum is not None:
                     on_quantum()
                 self.current = rank
-                running = (rank, ult, pe, start)
-                return ult
-
-        def account() -> None:
-            """Charge the quantum that just ended; raises the exception
-            its rank died of."""
-            rank, ult, pe, start = running
-            self.current = None
-            now = ult.clock.now
-            ran_ns = now - start
-            if ran_ns < 0:
-                ran_ns = 0
-            rank.load_ns += ran_ns          # VirtualRank.record_run, inline
-            rank.total_cpu_ns += ran_ns
-            pe.busy_ns += ran_ns
-            pe.busy_until = now
-            pe.last_rank = rank
-            if tr is not None and ran_ns > 0:
-                tr.span(f"vp{rank.vp}", "exec", start, ran_ns,
-                        pid=pid_base + pe.index, tid=rank.vp)
-
-            state = ult.state
-            if state is DONE:
-                rank.finished = True
-                rank.exit_value = ult.result
-                if self.on_rank_done is not None:
-                    self.on_rank_done(rank)
-            elif state is ERROR:
-                raise ult.exception
+                return rank, ult, pe, start
 
         try:
-            while (ult := next_quantum()) is not None:
+            while (quantum := next_quantum()) is not None:
+                rank, ult, pe, start = quantum
                 ult.step()
-                account()
+                # charge the quantum to the PE it started on
+                self.current = None
+                now = ult.clock.now
+                ran_ns = now - start
+                if ran_ns < 0:
+                    ran_ns = 0
+                rank.load_ns += ran_ns      # VirtualRank.record_run, inline
+                rank.total_cpu_ns += ran_ns
+                pe.busy_ns += ran_ns
+                pe.busy_until = now
+                pe.last_rank = rank
+                if tr is not None and ran_ns > 0:
+                    tr.span(f"vp{rank.vp}", "exec", start, ran_ns,
+                            pid=pid_base + pe.index, tid=rank.vp)
+
+                state = ult.state
+                if state is DONE:
+                    rank.finished = True
+                    rank.exit_value = ult.result
+                    if self.on_rank_done is not None:
+                        self.on_rank_done(rank)
+                elif state is ERROR:
+                    raise ult.exception
             if not all(r.finished for r in self._all_ranks):
                 self._report_deadlock()
         finally:

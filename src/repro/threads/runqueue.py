@@ -8,6 +8,10 @@ with the globally smallest *effective start time*:
 
 because a PE serializes its resident ranks.
 
+A queued ULT's PE is ``ult.owner.pe`` — the scheduler makes each rank
+its ULT's owner when it registers it — and the queue reads the PE's
+``busy_until`` itself: it calls nothing back to learn where a ULT lives.
+
 The queue is two-level: a per-PE min-heap of ``(ready_time, seq, ult)``
 plus one global min-heap over PEs keyed by each PE's effective start
 (``max(pe busy_until, its earliest ready time)``).  Since every rank on
@@ -24,6 +28,9 @@ when the key's value does not change — and changing when a re-key
 happens changes timelines.  The hot paths re-key inline from a bucket
 top they have checked is live on its PE; ``_clean_top``/``_repost`` are
 only the slow path for superseded, discarded and migrated entries.
+Rerouting a migrated rank re-keys its new PE, possibly ahead of the
+entry ``pop`` was examining, so ``pop`` then starts over from the
+heap's top.
 
 The batch rule: where start-up or a collective's release admits N ranks
 at once (:meth:`RunQueue.batch`), the global heap gets one entry per PE.
@@ -41,7 +48,7 @@ from __future__ import annotations
 import itertools
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Callable, Iterator
+from typing import Iterator
 
 from repro.threads.ult import UserLevelThread
 
@@ -61,28 +68,24 @@ class _Posted(list):
 class RunQueue:
     """Priority queue of (ULT, ready_time) honouring per-PE serialization.
 
-    ``pe_busy_until`` maps a ULT to its PE's current ``busy_until`` time;
-    it is supplied by the owner (the charm scheduler) so this module stays
-    free of runtime dependencies.  ``pe_of`` (optional) maps a ULT to a
-    stable PE identity used to bucket entries; without it every ULT gets
-    its own bucket, which degenerates to the classic single-heap queue.
+    A ULT is bucketed on its owner's PE, ``ult.owner.pe``: anything with
+    a ``busy_until`` time, so this module stays free of runtime
+    dependencies.  The constructor's two parameters are accepted and
+    ignored, so code written for the queue that took ``pe_busy_until``
+    and ``pe_of`` callables still builds one; its ULTs sit where their
+    owners say, an unplaced one on the idle PE of
+    :data:`~repro.threads.ult.UNPLACED`.
     """
 
-    def __init__(
-        self,
-        pe_busy_until: Callable[[UserLevelThread], int],
-        pe_of: Callable[[UserLevelThread], object] | None = None,
-    ):
-        self._pe_busy_until = pe_busy_until
-        self._pe_of = pe_of
+    def __init__(self, pe_busy_until: object = None, pe_of: object = None):
         self._seq = itertools.count()
         #: authoritative ready time per queued ULT (tid -> time); a ULT not
         #: present here is not ready, whatever stale heap entries say.
         self._ready_time: dict[int, int] = {}
-        #: bucket key -> heap of entries; never left empty
+        #: PE -> heap of entries; never left empty
         self._buckets: dict[object, list[_Entry]] = {}
-        #: heap of (effective_start, version, key); one *live* entry per
-        #: non-empty bucket, identified by ``_bucket_ver[key]``
+        #: heap of (effective_start, version, PE); one *live* entry per
+        #: non-empty bucket, identified by ``_bucket_ver[pe]``
         self._global: list[tuple[int, int, object]] = []
         self._bucket_ver: dict[object, int] = {}
 
@@ -99,27 +102,25 @@ class RunQueue:
         if prev is not None and prev <= ready_time:
             return
         ready_times[ult.tid] = ready_time
-        pe_of = self._pe_of
-        key = ult.tid if pe_of is None else pe_of(ult)
-        bucket = self._buckets.get(key)
+        pe = ult.owner.pe
+        bucket = self._buckets.get(pe)
         if bucket is None:
-            bucket = self._buckets[key] = []
+            bucket = self._buckets[pe] = []
         entry = (ready_time, next(self._seq), ult)
         heappush(bucket, entry)
         ready, _, top = bucket[0]
         # Re-key from the new entry or from an older top still live on
         # this PE; any other top needs the cleanup first.
-        if bucket[0] is not entry and (
-                ready_times.get(top.tid) != ready
-                or (pe_of is not None and pe_of(top) != key)):
-            self._repost(key)
+        if bucket[0] is not entry and (ready_times.get(top.tid) != ready
+                                       or top.owner.pe is not pe):
+            self._repost(pe)
             return
-        eff = self._pe_busy_until(top)
+        eff = pe.busy_until
         if ready > eff:
             eff = ready
         ver = next(self._seq)
-        self._bucket_ver[key] = ver
-        heappush(self._global, (eff, ver, key))
+        self._bucket_ver[pe] = ver
+        heappush(self._global, (eff, ver, pe))
 
     @contextmanager
     def batch(self) -> Iterator[None]:
@@ -139,12 +140,11 @@ class RunQueue:
 
     # -- the slow path -----------------------------------------------------------
 
-    def _clean_top(self, key: object) -> _Entry | None:
-        """Drop stale entries off bucket ``key``'s top; return the live
+    def _clean_top(self, pe: object) -> _Entry | None:
+        """Drop stale entries off bucket ``pe``'s top; return the live
         top ``(ready, seq, ult)`` or None if the bucket emptied."""
-        bucket = self._buckets[key]
+        bucket = self._buckets[pe]
         ready_times = self._ready_time
-        pe_of = self._pe_of
         while bucket:
             top = bucket[0]
             ready, _, ult = top
@@ -152,33 +152,33 @@ class RunQueue:
             if current is None or current != ready:
                 heappop(bucket)  # popped or re-pushed earlier
                 continue
-            actual_key = ult.tid if pe_of is None else pe_of(ult)
-            if actual_key != key:
+            actual = ult.owner.pe
+            if actual is not pe:
                 # Rank migrated while queued: route to its current PE.
                 heappop(bucket)
-                nb = self._buckets.get(actual_key)
+                nb = self._buckets.get(actual)
                 if nb is None:
-                    nb = self._buckets[actual_key] = []
+                    nb = self._buckets[actual] = []
                 heappush(nb, top)
-                self._repost(actual_key)
+                self._repost(actual)
                 continue
             return top
-        del self._buckets[key]
-        self._bucket_ver.pop(key, None)
+        del self._buckets[pe]
+        self._bucket_ver.pop(pe, None)
         return None
 
-    def _repost(self, key: object) -> None:
-        """Refresh bucket ``key``'s single live entry in the global heap."""
-        top = self._clean_top(key)
+    def _repost(self, pe: object) -> None:
+        """Refresh bucket ``pe``'s single live entry in the global heap."""
+        top = self._clean_top(pe)
         if top is None:
             return
-        ready, _, ult = top
-        eff = self._pe_busy_until(ult)
+        ready = top[0]
+        eff = pe.busy_until
         if ready > eff:
             eff = ready
         ver = next(self._seq)
-        self._bucket_ver[key] = ver
-        heappush(self._global, (eff, ver, key))
+        self._bucket_ver[pe] = ver
+        heappush(self._global, (eff, ver, pe))
 
     # -- consuming ---------------------------------------------------------------
 
@@ -187,23 +187,25 @@ class RunQueue:
         start, or None when empty."""
         g = self._global
         ready_times = self._ready_time
-        pe_of = self._pe_of
+        bucket_ver = self._bucket_ver
         while g:
-            eff, ver, key = g[0]
-            if self._bucket_ver.get(key) != ver:
+            entry = g[0]
+            eff, ver, pe = entry
+            if bucket_ver.get(pe) != ver:
                 heappop(g)  # superseded by a newer re-key
                 continue
-            bucket = self._buckets[key]
+            bucket = self._buckets[pe]
             ready, _, ult = bucket[0]
-            if ready_times.get(ult.tid) != ready or (
-                    pe_of is not None and pe_of(ult) != key):
-                # A superseded, discarded or migrated top.
-                top = self._clean_top(key)
-                if top is None:
-                    heappop(g)
+            if ready_times.get(ult.tid) != ready or ult.owner.pe is not pe:
+                # A superseded, discarded or migrated top.  Rerouting a
+                # migrated rank re-keys its new PE, which may now start
+                # first: then, or once the bucket emptied (its entry is
+                # stale now), look at the heap's top afresh.
+                top = self._clean_top(pe)
+                if top is None or g[0] is not entry:
                     continue
                 ready, _, ult = top
-            true_eff = self._pe_busy_until(ult)
+            true_eff = pe.busy_until
             if ready > true_eff:
                 true_eff = ready
             heappop(g)
@@ -212,27 +214,27 @@ class RunQueue:
                 # version is the newest, so unless another entry starts no
                 # later it would be the next one popped: commit it unpushed.
                 ver = next(self._seq)
-                self._bucket_ver[key] = ver
+                bucket_ver[pe] = ver
                 if g and g[0][0] <= true_eff:
-                    heappush(g, (true_eff, ver, key))
+                    heappush(g, (true_eff, ver, pe))
                     continue
             heappop(bucket)
             del ready_times[ult.tid]
             if not bucket:
-                del self._buckets[key]
-                self._bucket_ver.pop(key, None)
+                del self._buckets[pe]
+                bucket_ver.pop(pe, None)
                 return ult, ready
             nready, _, top_ult = bucket[0]
-            if ready_times.get(top_ult.tid) != nready or (
-                    pe_of is not None and pe_of(top_ult) != key):
-                self._repost(key)
+            if ready_times.get(top_ult.tid) != nready \
+                    or top_ult.owner.pe is not pe:
+                self._repost(pe)
                 return ult, ready
-            eff = self._pe_busy_until(top_ult)
+            eff = pe.busy_until
             if nready > eff:
                 eff = nready
             ver = next(self._seq)
-            self._bucket_ver[key] = ver
-            heappush(g, (eff, ver, key))
+            bucket_ver[pe] = ver
+            heappush(g, (eff, ver, pe))
             return ult, ready
         return None
 

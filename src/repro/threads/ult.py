@@ -53,12 +53,22 @@ class UltKilled(BaseException):
     """
 
 
+class _Unplaced:
+    """The owner of a ULT nothing has placed, and its PE: one that is never
+    busy, so a bare run queue orders such ULTs by ready time alone."""
+    __slots__ = ()
+    busy_until = 0
+
+
+UNPLACED = _Unplaced.pe = _Unplaced()
+
+
 class UserLevelThread:
     """One cooperative thread of execution with its own simulated clock."""
 
     __slots__ = ("tid", "name", "target", "args", "stack_bytes", "backend",
-                 "clock", "state", "block_reason", "result", "exception",
-                 "stackless", "gen", "_kill", "_runner", "_back",
+                 "owner", "clock", "state", "block_reason", "result",
+                 "exception", "stackless", "gen", "_kill", "_runner", "_back",
                  "_orphan_recorded")
 
     _id_counter = 0
@@ -78,6 +88,9 @@ class UserLevelThread:
         self.args = args
         self.stack_bytes = stack_bytes  #: simulated ULT stack reservation
         self.backend = get_backend(backend)
+        #: what runs on this ULT: the run queue buckets it on
+        #: ``owner.pe``; a job's scheduler makes it the rank it registers
+        self.owner: Any = UNPLACED
         self.clock = SimClock()
         self.state = UltState.NEW
         self.block_reason: str = ""

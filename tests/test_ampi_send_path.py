@@ -643,9 +643,12 @@ class TestTheOracleHasTeeth:
 #: ``jacobi_1k`` shape, measured plus one (the previous path: 33.5/10.8)
 CALL_BUDGET = {"isend": 19, "irecv": 8}
 
-#: Python calls per quantum of the whole run (the facade that repacked
-#: every call through ``MpiHandle._call``: 27.0 and 112.1)
-QUANTUM_BUDGET = {"switch_storm": 23, "jacobi_1k": 102}
+#: Python calls per quantum of the whole run, measured plus one (the run
+#: queue asking the scheduler where each ULT lives, a closure charging
+#: each quantum and ``AMPI_Yield`` delegating to ``yield_current``: 21.0
+#: and 96.8; the facade that repacked every call through
+#: ``MpiHandle._call``: 27.0 and 112.1)
+QUANTUM_BUDGET = {"switch_storm": 12, "jacobi_1k": 89}
 #: ... and inside one call of each entry: the dispatch part of
 #: ``yield_``/``wait`` (before the generator is handed out) and one
 #: ``ctx.g`` read/write (previously 3, 2.81, 6 and 7)
@@ -726,8 +729,13 @@ class TestStructuralGuards:
                                 for shape in workloads.MethodSweep.SHAPES]
 
     def test_the_benchmark_wraps_existing_handle_methods(self):
+        """Every (owner, attribute) ``bench.py trace`` wraps — the
+        ``MpiHandle`` groups among them — exists where it looks, so a
+        rename cannot silently drop a span."""
         spans = self.host_module("spans")
-        for group in (spans.MPI_P2P, spans.MPI_COLL, spans.MPI_MISC,
-                      spans.MPI_LB):
-            for name in group:
-                assert callable(vars(MpiHandle).get(name)), name
+        targets = spans.simulator_targets() + spans.serve_targets()
+        assert len(targets) >= 24
+        for owner, attrs, _ in targets:
+            for attr in (attrs,) if isinstance(attrs, str) else attrs:
+                fn = vars(owner).get(attr)
+                assert callable(getattr(fn, "__func__", fn)), (owner, attr)

@@ -9,7 +9,7 @@ from repro.errors import DeadlockError
 from repro.machine import TEST_MACHINE
 from repro.mem.isomalloc import IsomallocArena
 from repro.perf.costs import TEST_COSTS
-from repro.threads.ult import UserLevelThread
+from repro.threads.ult import UltState, UserLevelThread
 
 CS = TEST_COSTS.context_switch_ns
 
@@ -271,31 +271,36 @@ class TestRecoveryWindowGuards:
         assert "no ULT (awaiting recovery)" in str(exc.value)
         assert "recv" in str(exc.value)
 
-    def test_reregister_purges_dead_ult_tid(self):
+    def test_a_dead_generations_quantum_is_skipped(self):
         sched, (r,), _ = make_ranks(1)
         sched.register(r, 0)
-        sched.run()
-        old_tid = r.ult.tid
+        dead = r.ult                    # queued at 0, never run
         # Fault recovery hands the rank a fresh ULT generation.
-        r.finished = False
         r.ult = UserLevelThread("vp0-gen2", lambda: "again")
-        sched.reregister(r, 0)
-        assert old_tid not in sched._ranks_by_tid
-        assert sched._ranks_by_tid[r.ult.tid] is r
+        sched.reregister(r, 5)
         sched.run()
         assert r.exit_value == "again"
+        assert dead.owner is r and dead.state is UltState.READY
+        assert len(sched.timeline) == 1
 
-    def test_repeated_reregister_keeps_map_bounded(self):
+    def test_recoveries_keep_no_per_generation_state(self):
+        def sizes():
+            return {name: len(value) for name, value in vars(sched).items()
+                    if isinstance(value, (dict, list, set))
+                    and name != "timeline"}
+
         sched, (r,), _ = make_ranks(1)
         sched.register(r, 0)
         sched.run()
+        after_one = sizes()
         for gen in range(5):
             r.finished = False
             r.ult = UserLevelThread(f"vp0-g{gen}", lambda: gen)
             sched.reregister(r, 0)
             sched.run()
-        assert len(sched._ranks_by_tid) == 1
-        assert len(sched._tid_by_vp) == 1
+            assert r.exit_value == gen
+        assert sizes() == after_one
+        assert len(sched.runq) == 0 and not sched.runq._buckets
 
 
 class TestShutdownLeakSurfacing:

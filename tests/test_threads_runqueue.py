@@ -3,12 +3,13 @@
 import heapq
 import itertools
 from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from hypothesis import Phase, find, given, settings, strategies as st
 
 from repro.harness.jobspec import build_job
-from repro.threads import PooledBackend
+from repro.threads import PooledBackend, runqueue
 from repro.threads.runqueue import RunQueue
 from repro.threads.ult import UserLevelThread
 
@@ -20,15 +21,18 @@ class FakePe:
         self.busy_until = busy
 
 
+def placed(name, pe):
+    """A ULT whose owner (a stand-in rank) lives on ``pe``."""
+    ult = UserLevelThread(name, lambda: 0)
+    ult.owner = SimpleNamespace(pe=pe)
+    return ult
+
+
 def make(n=3):
-    pes = {}
-    ults = []
-    for i in range(n):
-        u = UserLevelThread(f"u{i}", lambda: 0)
-        pes[u.tid] = FakePe()
-        ults.append(u)
-    q = RunQueue(lambda ult: pes[ult.tid].busy_until)
-    return q, ults, pes
+    """A queue and ``n`` ULTs, each on a PE of its own."""
+    ults = [placed(f"u{i}", FakePe()) for i in range(n)]
+    pes = {u.tid: u.owner.pe for u in ults}
+    return RunQueue(), ults, pes
 
 
 class TestOrdering:
@@ -78,6 +82,18 @@ class TestOrdering:
         q.pop()
         assert len(q) == 0
 
+    def test_unplaced_ults_share_one_idle_pe(self):
+        """As ``benchmarks/host/probes.py`` builds a queue: with the
+        callables the constructor once took (ignored) and ULTs no
+        scheduler placed, which pop in ready-time order."""
+        a, b, c = (UserLevelThread(f"q{i}", int) for i in range(3))
+        q = RunQueue(lambda u: 0, pe_of=lambda u: u.tid % 2)
+        q.push(a, 30)
+        q.push(b, 10)
+        q.push(c, 20)
+        assert [q.pop(), q.pop(), q.pop(), q.pop()] == [(b, 10), (c, 20),
+                                                        (a, 30), None]
+
     def test_drain(self):
         q, (a, b, _), _ = make()
         q.push(a, 1)
@@ -96,14 +112,11 @@ class TestProperties:
         """With static PE business, pops come out in effective-start
         order (the causality requirement)."""
         ults = {}
-        pes = {}
-        q = RunQueue(lambda ult: pes[ult.tid].busy_until)
+        q = RunQueue()
         for idx, (slot, ready, busy) in enumerate(entries):
             u = ults.get(slot)
             if u is None:
-                u = UserLevelThread(f"p{slot}", lambda: 0)
-                ults[slot] = u
-                pes[u.tid] = FakePe(busy)
+                u = ults[slot] = placed(f"p{slot}", FakePe(busy))
             q.push(u, ready)
         seq = []
         while True:
@@ -111,7 +124,7 @@ class TestProperties:
             if item is None:
                 break
             ult, ready = item
-            seq.append(max(ready, pes[ult.tid].busy_until))
+            seq.append(max(ready, ult.owner.pe.busy_until))
         assert seq == sorted(seq)
 
 
@@ -144,18 +157,13 @@ class TestStalePaths:
     def test_migrated_ult_rerouted_to_new_bucket(self):
         """A rank that migrates while queued pops from its *new* PE's
         bucket with that PE's business applied."""
-        pes = {"p0": FakePe(), "p1": FakePe()}
-        where = {}
-        a = UserLevelThread("ma", lambda: 0)
-        b = UserLevelThread("mb", lambda: 0)
-        where[a.tid] = "p0"
-        where[b.tid] = "p0"
-        q = RunQueue(lambda u: pes[where[u.tid]].busy_until,
-                     pe_of=lambda u: where[u.tid])
+        p0, p1 = FakePe(), FakePe()
+        a, b = placed("ma", p0), placed("mb", p0)
+        q = RunQueue()
         q.push(a, 10)
         q.push(b, 20)
-        where[a.tid] = "p1"             # a migrated after being queued
-        pes["p1"].busy_until = 1000     # and its new PE is busy
+        a.owner.pe = p1                 # a migrated after being queued
+        p1.busy_until = 1000            # and its new PE is busy
         assert q.pop() == (b, 20)       # b overtakes on the old PE
         assert q.pop() == (a, 10)       # a pops with effective start 1000
         assert q.pop() is None
@@ -167,9 +175,11 @@ class TestStalePaths:
 class ReferenceRunQueue:
     """The two-level lazy queue as it was before its hot paths re-keyed
     inline: every re-key goes through ``_repost`` → ``_clean_top``.  Kept
-    verbatim as the oracle, less a peek method that had no caller; the
-    tie order among PEs is behaviour, so ``RunQueue`` must agree with it
-    on every pop, not just on effective starts."""
+    verbatim as the oracle, less a peek method that had no caller, and
+    with one fix: ``pop`` no longer drops whatever a reroute put at the
+    global heap's top (``test_a_rerouted_rank_is_not_lost``).  The tie
+    order among PEs is behaviour, so ``RunQueue`` must agree with it on
+    every pop, not just on effective starts."""
 
     def __init__(
         self,
@@ -264,13 +274,15 @@ class ReferenceRunQueue:
         start, or None when empty."""
         g = self._global
         while g:
-            eff, ver, key = g[0]
+            entry = g[0]
+            eff, ver, key = entry
             if self._bucket_ver.get(key) != ver:
                 heapq.heappop(g)           # superseded by a newer repost
                 continue
             top = self._clean_top(key)
-            if top is None:
-                heapq.heappop(g)
+            if top is None or g[0] is not entry:
+                # The fix: a reroute may have re-keyed another PE ahead
+                # of this entry, which was popped in its place.
                 continue
             ready, _, ult = top
             true_eff = self._pe_busy_until(ult)
@@ -317,7 +329,7 @@ class SkipUnchangedTopRekey(RunQueue):
     new entry), instead of re-keying the PE as every push must."""
 
     def push(self, ult, ready_time):
-        key = self._pe_of(ult) if self._pe_of is not None else ult.tid
+        key = ult.owner.pe
         bucket = self._buckets.get(key)
         top = bucket[0] if bucket else None
         ver = self._bucket_ver.get(key)
@@ -357,11 +369,12 @@ BATCH_KINDS = ("push",) * 6 + ("discard", "migrate")
 
 @st.composite
 def scenarios(draw):
-    """(PE of each ULT, bucketed?, operations) on 1–6 PEs.  Ready times
-    and every business increment are 0 or 10 ns, so equal effective
-    starts — ties — are the common case.  The operations come from a
-    Random that hypothesis controls (and shrinks): its list strategies
-    favour runs of one operation, and a tie needs interleavings."""
+    """(PE of each ULT, operations): the ULTs share 1–6 PEs or, half the
+    time, each has a PE of its own.  Ready times and every business
+    increment are 0 or 10 ns, so equal effective starts — ties — are the
+    common case.  The operations come from a Random that hypothesis
+    controls (and shrinks): its list strategies favour runs of one
+    operation, and a tie needs interleavings."""
     rng = draw(st.randoms(use_true_random=False))
     npes, nults = rng.randint(1, 6), rng.randint(1, 8)
 
@@ -382,13 +395,21 @@ def scenarios(draw):
         return (kind,)
 
     ops = [op(rng.choice(KINDS)) for _ in range(rng.randint(8, 60))]
-    return ([rng.randrange(npes) for _ in range(nults)],
-            rng.random() < 0.5, ops)
+    placement = [rng.randrange(npes) for _ in range(nults)]
+    if rng.random() < 0.5:
+        placement = list(range(nults))      # every ULT on a PE of its own
+    return placement, ops
 
 
-def replay(queue_cls, scenario):
-    """Run ``scenario`` on a fresh ``queue_cls``; return every result of
-    ``pop``, ``drain``, ``len`` and ``in``, ULTs as their indices.
+def reference():
+    """The oracle, told where a ULT lives by the owner ``RunQueue`` reads."""
+    return ReferenceRunQueue(lambda u: u.owner.pe.busy_until,
+                             pe_of=lambda u: u.owner.pe)
+
+
+def replay(make_queue, scenario):
+    """Run ``scenario`` on a fresh ``make_queue()``; return every result
+    of ``pop``, ``drain``, ``len`` and ``in``, ULTs as their indices.
 
     ``("pop", run_ns, requeue)`` is a quantum: its PE's ``busy_until``
     becomes the effective start plus ``run_ns``, and with ``requeue`` the
@@ -396,23 +417,25 @@ def replay(queue_cls, scenario):
     business only grows), ``migrate`` re-maps a ULT — queued or not — to
     another PE, ``batch`` runs its operations inside ``q.batch()`` (as
     plain operations on a queue without one), and the queue is popped
-    empty at the end."""
-    placement, bucketed, ops = scenario
-    where = list(placement)
-    busy = [0] * 6
-    ults = [UserLevelThread(f"o{i}", int) for i in range(len(where))]
+    empty at the end.  A pop that finds nothing must leave the queue
+    empty: a queued ULT no pop returns is a rank nobody runs."""
+    placement, ops = scenario
+    pes = [FakePe() for _ in range(8)]
+    ults = [placed(f"o{i}", pes[p]) for i, p in enumerate(placement)]
     index = {u.tid: i for i, u in enumerate(ults)}
-    q = queue_cls(lambda u: busy[where[index[u.tid]]],
-                  pe_of=(lambda u: where[index[u.tid]]) if bucketed else None)
+    q = make_queue()
     seen: list = []
 
     def pop(run_ns=0, requeue=False):
         item = q.pop()
-        if item is not None:
+        if item is None:
+            assert len(q) == 0, f"pop() found nothing, {len(q)} queued"
+        else:
             i, ready = index[item[0].tid], item[1]
-            busy[where[i]] = max(busy[where[i]], ready) + run_ns
+            pe = ults[i].owner.pe
+            pe.busy_until = max(pe.busy_until, ready) + run_ns
             if requeue:
-                q.push(ults[i], busy[where[i]])
+                q.push(ults[i], pe.busy_until)
             item = (i, ready)
         seen.append(("pop", item))
         return item
@@ -423,11 +446,11 @@ def replay(queue_cls, scenario):
         elif op[0] == "pop":
             pop(op[1], op[2])
         elif op[0] == "busy":
-            busy[op[1]] += op[2]
+            pes[op[1]].busy_until += op[2]
         elif op[0] == "discard":
             q.discard(ults[op[1]])
         elif op[0] == "migrate":
-            where[op[1]] = op[2]
+            ults[op[1]].owner.pe = pes[op[2]]
         elif op[0] == "batch":
             with getattr(q, "batch", nullcontext)():
                 for inner in op[1]:
@@ -454,43 +477,54 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(scenarios())
     def test_same_results_as_the_reference(self, scenario):
-        assert replay(RunQueue, scenario) == replay(ReferenceRunQueue, scenario)
+        assert replay(RunQueue, scenario) == replay(reference, scenario)
 
     def test_ties_go_to_the_pe_rekeyed_earliest(self):
         """PE 0 and PE 1 both start at 10.  ULT 2's push re-keys PE 0
         after PE 1 was keyed, so PE 1 runs first — although PE 0's top
         (ULT 0) was keyed before it and did not change."""
-        scenario = ([0, 1, 0], True, [("push", 0, 10), ("push", 1, 10),
-                                      ("push", 2, 20)])
+        scenario = ([0, 1, 0], [("push", 0, 10), ("push", 1, 10),
+                                ("push", 2, 20)])
         seen = replay(RunQueue, scenario)
-        assert seen == replay(ReferenceRunQueue, scenario)
+        assert seen == replay(reference, scenario)
         assert pops(seen) == [(1, 10), (0, 10), (2, 20), None]
         assert pops(replay(SkipUnchangedTopRekey, scenario))[0] == (0, 10)
 
     def test_migrated_while_queued(self):
         """ULT 0, queued on PE 0 at t=10, moves to PE 1, busy until 300:
         it is found there and starts at 300, after ULT 1 (PE 0, t=200)."""
-        scenario = ([0, 0], True, [("push", 0, 10), ("push", 1, 200),
-                                   ("busy", 1, 300), ("migrate", 0, 1)])
+        scenario = ([0, 0], [("push", 0, 10), ("push", 1, 200),
+                             ("busy", 1, 300), ("migrate", 0, 1)])
         seen = replay(RunQueue, scenario)
-        assert seen == replay(ReferenceRunQueue, scenario)
+        assert seen == replay(reference, scenario)
         assert pops(seen) == [(1, 200), (0, 10), None]
+
+    def test_a_rerouted_rank_is_not_lost(self):
+        """ULT 0 runs on PE 1 (busy until 10), is requeued at 10, woken
+        earlier at 0, then moves to PE 0.  Popping PE 1's entry reroutes
+        it and re-keys PE 0 at 0, ahead of that entry: the pop must take
+        PE 0's new entry as the next top, not drop it as PE 1's."""
+        scenario = ([1], [("push", 0, 0), ("pop", 10, True),
+                          ("push", 0, 0), ("migrate", 0, 0)])
+        seen = replay(RunQueue, scenario)
+        assert seen == replay(reference, scenario)
+        assert pops(seen) == [(0, 0), (0, 0), None]
 
     def test_a_batch_rekeys_in_last_push_order(self):
         """In one batch PE 0 is pushed (ULT 0), then PE 1 (ULT 2), then
         PE 0 again (ULT 1), all at 10: PE 1's last push comes first, so
         it runs first — as when the three are pushed one by one."""
-        scenario = ([0, 0, 1], True, [("batch", (
+        scenario = ([0, 0, 1], [("batch", (
             ("push", 0, 10), ("push", 2, 10), ("push", 1, 10)))])
         seen = replay(RunQueue, scenario)
-        assert seen == replay(ReferenceRunQueue, scenario)
+        assert seen == replay(reference, scenario)
         assert pops(seen) == [(2, 10), (0, 10), (1, 10), None]
         assert pops(replay(FlushInFirstPushOrder, scenario))[0] == (0, 10)
 
     @staticmethod
     def caught(mutant):
         find(scenarios(),
-             lambda s: replay(mutant, s) != replay(ReferenceRunQueue, s),
+             lambda s: replay(mutant, s) != replay(reference, s),
              settings=settings(max_examples=300, derandomize=True,
                                database=None, phases=[Phase.generate]))
 
@@ -506,6 +540,12 @@ class TestAgainstReference:
 
 
 # -- the slow path stays cold -------------------------------------------------------
+
+
+#: (quanta, global-heap pushes, global-heap pops, ``_clean_top`` calls)
+#: over ``run()`` of each benchmark shape
+GLOBAL_HEAP_ROWS = {"switch_storm": (12864, 25663, 25664, 0),
+                    "jacobi_1k": (4090, 8868, 8884, 0)}
 
 
 def clean_top_quanta(spec, **kw):
@@ -543,6 +583,26 @@ class TestSlowPathStaysCold:
         assert quanta > 1024
         assert pool.created == 0        # 1 024 generator ranks, no thread
         assert len(at) <= 0.05 * quanta
+
+    def test_global_heap_rows(self):
+        """Global-heap pushes and pops and slow-path entries over
+        ``run()``, exact, so a change that moves a re-key shows here
+        (start-up's batch is not counted)."""
+        rows = {}
+        for shape, spec in (("switch_storm", SWITCH_STORM),
+                            ("jacobi_1k", JACOBI_1K)):
+            job = build_job(spec)
+            job.start()
+            g = job.scheduler.runq._global
+            with counting((runqueue, "heappush"),
+                          only=lambda heap, entry: heap is g) as pushes, \
+                    counting((runqueue, "heappop"),
+                             only=lambda heap: heap is g) as pops, \
+                    counting((RunQueue, "_clean_top")) as slow:
+                job.run()
+            rows[shape] = (len(job.scheduler.timeline), len(pushes),
+                           len(pops), len(slow))
+        assert rows == GLOBAL_HEAP_ROWS
 
 
 # -- ranks enter and leave in bulk -------------------------------------------------
