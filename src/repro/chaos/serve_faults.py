@@ -34,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -130,6 +131,10 @@ class ServeFaultOutcome:
     #: drift of the completed record from its fault-free local twin
     #: (None: no record to audit; empty: reproduced)
     twin_drift: dict[str, tuple[Any, Any]] | None = None
+    #: why a completed record went unaudited: ``connection`` (reading
+    #: it back raised) or ``not-ok`` (the read-back failed), then ": "
+    #: and what was said; empty when audited or when there is no record
+    unverified: str = ""
     restarts: int = 0         #: server SIGKILL + restart cycles survived
     wall_s: float = 0.0
 
@@ -147,6 +152,7 @@ class ServeFaultOutcome:
                 "resolution": self.resolution,
                 "run_id": self.run_id,
                 "detail": self.detail,
+                "unverified": self.unverified,
                 "wall_s": round(self.wall_s, 3)}
 
 
@@ -154,16 +160,22 @@ def serve_ledger(outcomes: list[ServeFaultOutcome]) -> dict[str, int]:
     """The campaign's two invariants as totals over its outcomes: every
     submission the service did not shed is *accepted* and must be
     *resolved* (to a record or a resolving reason; the rest are *lost*),
-    and every audited record must reproduce its fault-free twin."""
+    and every audited record must reproduce its fault-free twin.  A
+    record that could not be read back for its audit is counted as
+    unverified, in total and per reason (``unverified:<reason>``)."""
     accepted = sum(o.resolution != "shed" for o in outcomes)
     lost = sum(o.resolution == "" for o in outcomes)
+    reasons = Counter(o.unverified.partition(":")[0]
+                      for o in outcomes if o.unverified)
     return {
         "accepted": accepted,
         "resolved": accepted - lost,
         "lost": lost,
         "records_verified": sum(o.twin_drift is not None for o in outcomes),
+        "records_unverified": sum(reasons.values()),
         "twin_mismatches": sum(bool(o.twin_drift) for o in outcomes),
         "server_restarts": sum(o.restarts for o in outcomes),
+        **{f"unverified:{r}": n for r, n in sorted(reasons.items())},
     }
 
 
@@ -293,12 +305,16 @@ def _submit(client: ServeClient, spec: JobSpec, out: ServeFaultOutcome,
 
 def _audit_twin(client: ServeClient, out: ServeFaultOutcome) -> None:
     """Invariant 2: the completed record, read back through the service
-    (hit path), against a fault-free local execution of the same spec."""
+    (hit path), against a fault-free local execution of the same spec.
+    A record that cannot be read back is left unaudited, and why is
+    recorded on the outcome."""
     try:
         served = client.await_result(out.run_id)
-    except ServeConnectionError:
+    except ServeConnectionError as e:
+        out.unverified = f"connection: {e}"
         return
     if not served.ok:
+        out.unverified = f"not-ok: {served.reason or served.error}"
         return
     twin = execute_spec(out.scenario.spec.to_dict())
     if twin["record"] is None:

@@ -4,8 +4,9 @@ A :class:`RunRecord` is the PROBE-style answer to "what exactly ran?":
 the full :class:`~repro.harness.jobspec.JobSpec` (inputs), the code
 digest (which sources produced it), and the observed outputs — timeline
 SHA, counter totals, per-PE utilization, rollback counts, makespan.
-Records are plain JSON; the (compressed) scheduler event stream rides
-alongside in the store so ``repro diff`` can bisect without re-running.
+A record's one encoding is :func:`encode_record`, its canonical JSON;
+the (compressed) scheduler event stream rides alongside in the store so
+``repro diff`` can bisect without re-running.
 
 Identity: ``record_id = sha256(spec_canonical + "\\n" + code_version)``.
 Two runs of the same spec under the same sources are the *same* record
@@ -16,6 +17,7 @@ sources is a new record, so history stays attributable per commit.
 from __future__ import annotations
 
 import hashlib
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -29,6 +31,14 @@ def run_id_for(spec: JobSpec, code_ver: str) -> str:
     """The content address of a (spec, code version) pair."""
     data = spec.canonical() + "\n" + code_ver
     return hashlib.sha256(data.encode()).hexdigest()
+
+
+def encode_record(record: dict[str, Any]) -> str:
+    """A record's canonical JSON: its ``to_dict()`` with sorted keys and
+    no whitespace, from the C encoder.  The one encoding of a filed
+    run: the store files it, the serve worker ships it, and a served
+    reply splices it (the form of ``repro.serve.protocol``'s lines)."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass

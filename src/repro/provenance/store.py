@@ -3,8 +3,14 @@
 On-disk layout (everything under one root, default ``.repro/store`` or
 ``$REPRO_PROVENANCE``)::
 
-    <root>/records/<id[:2]>/<id>.json         # RunRecord (plain JSON)
+    <root>/records/<id[:2]>/<id>.json         # RunRecord: canonical JSON line
     <root>/records/<id[:2]>/<id>.timeline.zz  # zlib'd canonical event stream
+
+A record file is one line, the record's canonical JSON
+(:func:`~repro.provenance.record.encode_record`) and a newline, so a
+served hit splices the file's text as it is; a file of an earlier
+version (indented JSON over several lines) reads the same way through
+:meth:`ProvenanceStore.get`.
 
 Records are keyed by ``run_id`` (spec digest + code version, see
 :mod:`repro.provenance.record`).  A file is written once and never
@@ -54,10 +60,10 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.errors import ReproError
-from repro.provenance.record import RunRecord
+from repro.provenance.record import RunRecord, encode_record
 from repro.trace.stream import compress_timeline, decompress_timeline
 
 #: default store location relative to the working directory
@@ -83,11 +89,11 @@ class ProvenanceStore:
 
     # -- paths --------------------------------------------------------------
 
-    def _record_path(self, run_id: str) -> Path:
-        return self.records_dir / run_id[:2] / f"{run_id}.json"
+    def _record_path(self, run_id: str) -> str:
+        return f"{self.root}/records/{run_id[:2]}/{run_id}.json"
 
-    def _timeline_path(self, run_id: str) -> Path:
-        return self.records_dir / run_id[:2] / f"{run_id}.timeline.zz"
+    def _timeline_path(self, run_id: str) -> str:
+        return f"{self.root}/records/{run_id[:2]}/{run_id}.timeline.zz"
 
     def _touch_path(self, run_id: str) -> str:
         return f"{self.root}/records/{run_id[:2]}/{run_id}.touch"
@@ -111,27 +117,41 @@ class ProvenanceStore:
         accepts an already zlib-compressed stream (the serve workers
         compress in-process before shipping results over the pipe).
         ``timeline`` is not re-encoded while it is the list ``record``
-        was taken from.
+        was taken from.  The record is encoded once, on a write.
         """
         path = self._record_path(record.run_id)
         source = record._take_encoding(timeline)
-        if path.exists():
+        if os.path.exists(path):
             self.touch(record.run_id)
             return record.run_id, True
         if compressed_timeline is None and source is not None:
             compressed_timeline = compress_timeline(source)
+        return self.put_encoded(record.run_id,
+                                encode_record(record.to_dict()),
+                                compressed_timeline)
+
+    def put_encoded(self, run_id: str, record_json: str,
+                    compressed_timeline: bytes | None = None
+                    ) -> tuple[str, bool]:
+        """:meth:`put` of a record already encoded by
+        :func:`~repro.provenance.record.encode_record`: ``repro serve``
+        files the bytes its worker made under the run_id it leased.
+        The timeline goes first; the record line makes the run visible,
+        and a concurrent put that linked it first wins."""
+        path = self._record_path(run_id)
+        if os.path.exists(path):
+            self.touch(run_id)
+            return run_id, True
         if compressed_timeline is not None:
-            fd = _file_once(self._timeline_path(record.run_id),
-                            compressed_timeline)
+            fd = _file_once(self._timeline_path(run_id), compressed_timeline)
             if fd is not None:
                 os.close(fd)
-        fd = _file_once(path, (json.dumps(record.to_dict(), sort_keys=True,
-                                          indent=1) + "\n").encode())
+        fd = _file_once(path, (record_json + "\n").encode())
         if fd is None:
-            self.touch(record.run_id)
-            return record.run_id, True
+            self.touch(run_id)
+            return run_id, True
         os.close(fd)
-        return record.run_id, False
+        return run_id, False
 
     # -- usage recency ------------------------------------------------------
 
@@ -167,10 +187,9 @@ class ProvenanceStore:
         *before* it is linked to the lease path, so the path never names
         an unlocked file while its creator lives.
         """
-        lease_path = self._lease_path(run_id)
-        path = str(lease_path)
+        path = str(self._lease_path(run_id))
         while True:
-            fd = _file_once(lease_path)
+            fd = _file_once(path)
             if fd is not None:
                 return RunLease(run_id, path, fd)
             try:
@@ -200,8 +219,7 @@ class ProvenanceStore:
     def resolve(self, id_or_prefix: str) -> str:
         """Resolve a (possibly abbreviated) record id."""
         if len(id_or_prefix) >= 4:
-            exact = self._record_path(id_or_prefix)
-            if exact.exists():
+            if os.path.exists(self._record_path(id_or_prefix)):
                 return id_or_prefix
         matches = [i for i in self.ids() if i.startswith(id_or_prefix)]
         if not matches:
@@ -218,18 +236,29 @@ class ProvenanceStore:
         the record's eviction age) unless ``touch=False`` — bulk listing
         (:meth:`records`) does not mark every record used."""
         run_id = self.resolve(id_or_prefix)
-        data = json.loads(self._record_path(run_id).read_text())
+        data, _ = self.read_record(run_id)
         if touch:
             self.touch(run_id)
         return RunRecord.from_dict(data)
 
+    def read_record(self, run_id: str) -> tuple[Any, str | None]:
+        """A record file's parsed JSON, and its canonical text when the
+        file is one canonical line (None for an earlier version's
+        indented file): one read, one parse, nothing checked or
+        touched.  Raises ``OSError`` or ``ValueError``."""
+        with open(self._record_path(run_id), "rb") as f:
+            text = f.read().decode()
+        canonical = text[:-1] if text.find("\n") == len(text) - 1 else None
+        return json.loads(text), canonical
+
     def load_timeline(self, record: RunRecord
                       ) -> list[tuple[int, int, int]] | None:
         """The stored event stream, or None when it was not recorded."""
-        path = self._timeline_path(record.run_id)
-        if not path.exists():
+        try:
+            with open(self._timeline_path(record.run_id), "rb") as f:
+                return decompress_timeline(f.read())
+        except FileNotFoundError:
             return None
-        return decompress_timeline(path.read_bytes())
 
     def records(self) -> list[RunRecord]:
         return [self.get(i, touch=False) for i in self.ids()]
@@ -244,7 +273,7 @@ class ProvenanceStore:
         return len(self.ids())
 
     def __contains__(self, run_id: str) -> bool:
-        return self._record_path(run_id).exists()
+        return os.path.exists(self._record_path(run_id))
 
     # -- garbage collection -------------------------------------------------
 
@@ -331,15 +360,16 @@ class ProvenanceStore:
             rec_path = self._record_path(run_id)
             tl_path = self._timeline_path(run_id)
             try:
-                data = json.loads(rec_path.read_text())
-                nbytes = rec_path.stat().st_size
+                with open(rec_path, "rb") as f:
+                    data = json.loads(f.read())
+                    nbytes = os.fstat(f.fileno()).st_size
             except (OSError, json.JSONDecodeError, UnicodeDecodeError):
                 # Deleted by a concurrent gc, or listed mid-write by a
                 # non-atomic producer: not ours to judge this cycle.
                 skipped += 1
                 continue
             try:
-                nbytes += tl_path.stat().st_size
+                nbytes += os.stat(tl_path).st_size
             except OSError:
                 pass
             created = data.get("created_at", 0.0)
@@ -445,15 +475,16 @@ def _names(path: str | Path, fd: int) -> bool:
         return False
 
 
-def _locked_tmp(path: Path) -> tuple[int, str]:
+def _locked_tmp(path: str) -> tuple[int, str]:
     """A fresh ``<name>.*.tmp`` beside ``path``, open and ``flock``\\ ed.
 
     :meth:`ProvenanceStore.sweep_tmp` may lock and unlink the file
     between its creation and our lock; then take a fresh one.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
+    parent, name = os.path.split(path)
+    os.makedirs(parent, exist_ok=True)
     while True:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+        fd, tmp = tempfile.mkstemp(dir=parent, prefix=name + ".",
                                    suffix=".tmp")
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -467,7 +498,7 @@ def _locked_tmp(path: Path) -> tuple[int, str]:
         os.close(fd)
 
 
-def _file_once(path: Path, data: bytes = b"") -> int | None:
+def _file_once(path: str, data: bytes = b"") -> int | None:
     """File ``data`` at ``path`` unless a file is already there.
 
     The data goes to a locked tmp (:func:`_locked_tmp`), which is

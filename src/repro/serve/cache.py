@@ -12,6 +12,11 @@ Keying: ``run_id = sha256(spec.canonical() + "\\n" + code_version)``
 changed sources is a different entry, so a stale binary can never serve
 yesterday's timeline.  The code version is digested once at
 construction; restart the service after changing sources.
+
+A record file is its record's canonical JSON line, the form the wire
+carries, so a first hit reads and parses the file once and splices its
+text into the reply without encoding it; an indented file an earlier
+version wrote is encoded once instead.
 """
 
 from __future__ import annotations
@@ -68,21 +73,27 @@ class ResultCache:
     def get(self, run_id: str) -> EncodedRecord | None:
         """The stored record's ``to_dict()``, or None.  A hit counts as
         *use* (the store refreshes the record's eviction age); a record
-        missing, unreadable or corrupt — a concurrent gc deleted it — is
-        a miss, not a crash.  Each hit gets its own shallow copy."""
+        missing, unreadable or not a record — a concurrent gc deleted
+        it, or it holds JSON of another shape — is a miss, not a crash.
+        Each hit gets its own shallow copy."""
         if self.hit_line(run_id) is not None:
             return self._memo[run_id][2].copy()
         stale = self._memo.pop(run_id, None)
         if stale is not None:
             self._memo_bytes -= _size(stale)
-        path = str(self.store._record_path(run_id))
+        path = self.store._record_path(run_id)
         ident = _identity(path)
         if ident is None:
             return None
         try:
-            record = EncodedRecord(self.store.get(run_id).to_dict())
-        except (OSError, ValueError, KeyError, ReproError):
+            data, text = self.store.read_record(run_id)
+            stored = RunRecord.from_dict(data)
+        except (OSError, ValueError, KeyError, TypeError, AttributeError,
+                ReproError):
             return None
+        self.store.touch(run_id)
+        record = (EncodedRecord(stored.to_dict()) if text is None
+                  else EncodedRecord(data, text))
         entry = (path, ident, record,
                  protocol.encode(hit_reply(run_id, record)),
                  self.store._touch_path(run_id))
@@ -102,12 +113,13 @@ class ResultCache:
         self._memo[run_id] = self._memo.pop(run_id)
         return entry[3]
 
-    def put(self, record: RunRecord,
+    def put(self, run_id: str, record: EncodedRecord,
             compressed_timeline: bytes | None = None) -> tuple[str, bool]:
-        """File an executed result; append-only (a concurrent identical
-        execution that won the race leaves the original untouched)."""
-        return self.store.put(record,
-                              compressed_timeline=compressed_timeline)
+        """File an executed result as its encoding; append-only (a
+        concurrent identical execution that won the race leaves the
+        original untouched)."""
+        return self.store.put_encoded(run_id, record.json,
+                                      compressed_timeline)
 
     def stats(self) -> dict:
         return {

@@ -60,7 +60,7 @@ from multiprocessing.connection import wait
 from typing import Any
 
 from repro.harness.jobspec import JobSpec, build_job
-from repro.provenance.record import RunRecord
+from repro.provenance.record import RunRecord, encode_record
 from repro.trace.stream import compress_timeline
 
 #: exit status a worker uses when the chaos kill hook fires
@@ -69,17 +69,21 @@ CHAOS_EXIT = 86
 def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
     """Run one spec dict to completion; never raises.
 
-    Returns ``{"record": RunRecord.to_dict(), "timeline_z": bytes,
-    "error": None}`` on success (including structured-unrecoverable
-    runs), or ``{"record": None, "timeline_z": None, "error": str}``
-    when the job cannot be built or dies unstructured.
+    Returns ``{"record": RunRecord.to_dict(), "record_json": its
+    encode_record(), "timeline_z": bytes, "error": None}`` on success
+    (including structured-unrecoverable runs), or ``{"record": None,
+    "timeline_z": None, "error": str}`` when the job cannot be built or
+    dies unstructured.  The record is encoded here, once: the server
+    files and replies with ``record_json`` as it is.
     """
     try:
         spec = JobSpec.from_dict(dict(spec_dict))
         job = build_job(spec)
         record = RunRecord.from_run(spec, job, job.run(strict=False))
         encoded = record._take_encoding(job.scheduler.timeline)
-        return {"record": record.to_dict(),
+        record_dict = record.to_dict()
+        return {"record": record_dict,
+                "record_json": encode_record(record_dict),
                 "timeline_z": compress_timeline(encoded),
                 "error": None}
     except Exception as e:

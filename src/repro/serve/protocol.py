@@ -41,8 +41,9 @@ The protocol is deliberately line-based: every message is valid JSON on
 one line, so ``socat``/``nc`` sessions and log captures stay readable.
 Timelines never cross the wire — they live in the store; replies carry
 only the record (spec, digests, counters, per-PE stats).  A record
-served from the store is an :class:`EncodedRecord`, whose JSON is
-spliced into the reply line as it was encoded once, not encoded again;
+served from the store or filed by a worker is an :class:`EncodedRecord`,
+whose JSON is spliced into the reply line as it was encoded once (the
+record file's line, or the worker's), not encoded again;
 so is a client's ``JobSpec``, as the ``canonical()`` it keeps.
 The server reads each request as its raw line (:func:`read_line`), so a
 ``submit`` line it already answered from the store is recognised by its

@@ -66,7 +66,6 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec
-from repro.provenance.record import RunRecord
 from repro.provenance.store import ProvenanceStore
 from repro.serve import protocol
 from repro.serve.cache import ResultCache, hit_reply
@@ -568,12 +567,13 @@ class JobService:
             else:
                 self.stats.errors += 1
             return reply
-        record = RunRecord.from_dict(out["record"])
-        # File before resolving: every waiter observes a stored,
-        # re-readable record.  The store write is tiny; doing it on
-        # the loop keeps put-then-resolve atomic wrt new submits.
-        self.cache.put(record, out.get("timeline_z"))
-        return {"ok": True, "run_id": run_id, "record": out["record"]}
+        # The worker's encoding is filed and replied as it is.  File
+        # before resolving: every waiter observes a stored, re-readable
+        # record.  The store write is tiny; doing it on the loop keeps
+        # put-then-resolve atomic wrt new submits.
+        record = protocol.EncodedRecord(out["record"], out["record_json"])
+        self.cache.put(run_id, record, out.get("timeline_z"))
+        return {"ok": True, "run_id": run_id, "record": record}
 
     def _stored_reply(self, run_id: str, *, counted: bool = True
                       ) -> dict[str, Any] | None:

@@ -81,8 +81,11 @@ def timeline_sha(timeline: bytes | Iterable[tuple[int, int, int]]) -> str:
 
 def compress_timeline(timeline: bytes | Iterable[tuple[int, int, int]]
                       ) -> bytes:
-    """Canonical encoding (or its bytes), zlib'd: the on-disk form."""
-    return zlib.compress(_encoded(timeline), level=6)
+    """Canonical encoding (or its bytes), zlib'd: the on-disk form.
+    :data:`zlib.Z_BEST_SPEED`: every filed run pays the compression,
+    while only ``repro replay`` and ``repro diff`` read it back; any
+    level decompresses alike, so older stores read unchanged."""
+    return zlib.compress(_encoded(timeline), zlib.Z_BEST_SPEED)
 
 
 def decompress_timeline(data: bytes) -> list[tuple[int, int, int]]:

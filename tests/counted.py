@@ -13,14 +13,18 @@ from __future__ import annotations
 
 import cProfile
 import gc
+import json
 import pstats
 import sys
+import zlib
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator
 
 from repro.harness.jobspec import JobSpec
+from repro.provenance.record import RunRecord
+from repro.trace import stream
 
 # -- the host benchmark's shapes ---------------------------------------------
 
@@ -165,3 +169,37 @@ def counting(*seams: tuple[Any, str], only: Callable[..., bool] | None = None,
     finally:
         for holder, attr, original in reversed(saved):
             setattr(holder, attr, original)
+
+
+# -- filing a run ------------------------------------------------------------
+
+
+def carries_a_record(encoder: Any, obj: Any, *rest: Any) -> bool:
+    """Whether a JSON encode is of a record's dict, or of a message
+    holding one as a plain dict."""
+    return isinstance(obj, dict) and (
+        "timeline_sha256" in obj or isinstance(obj.get("record"), dict))
+
+
+@contextmanager
+def filing(where: Callable[..., Any] | None = None
+           ) -> Iterator[dict[str, list]]:
+    """While open, the calls that file a run, by row: ``timeline`` (the
+    canonical timeline encoder, under every name a ``repro`` module
+    holds it by), ``zlib`` (``zlib.compress``), ``record_json`` (a JSON
+    encode of a record, :func:`carries_a_record`), ``pure_python``
+    (json's pure-Python encoder being built, as for ``indent``) and
+    ``RunRecord``'s ``from_dict`` and ``to_dict``.  ``where`` as for
+    :func:`counting`."""
+    rows = {"timeline": ([(stream, "encode_timeline")], None, True),
+            "zlib": ([(zlib, "compress")], None, False),
+            "record_json": ([(json.JSONEncoder, "iterencode")],
+                            carries_a_record, False),
+            "pure_python": ([(json.encoder, "_make_iterencode")], None,
+                            False),
+            "from_dict": ([(RunRecord, "from_dict")], None, False),
+            "to_dict": ([(RunRecord, "to_dict")], None, False)}
+    with ExitStack() as stack:
+        yield {name: stack.enter_context(counting(
+                   *seams, only=only, where=where, aliases=aliases))
+               for name, (seams, only, aliases) in rows.items()}

@@ -6,13 +6,14 @@ import pytest
 
 from repro.chaos.serve_faults import (
     ServeFaultOutcome,
+    _audit_twin,
     classify,
     generate_serve_scenario,
     run_serve_campaign,
     serve_ledger,
 )
 from repro.serve import protocol
-from repro.serve.client import SubmitReply
+from repro.serve.client import ServeConnectionError, SubmitReply
 
 
 class TestClassify:
@@ -62,11 +63,53 @@ class TestLedger:
         ]
         assert serve_ledger(outcomes) == {
             "accepted": 6, "resolved": 5, "lost": 1,
-            "records_verified": 3, "twin_mismatches": 1,
-            "server_restarts": 1}
+            "records_verified": 3, "records_unverified": 0,
+            "twin_mismatches": 1, "server_restarts": 1}
 
     def test_empty_campaign(self):
         assert set(serve_ledger([]).values()) == {0}
+
+
+class StubClient:
+    """Answers ``await_result`` with one reply, or raises one error."""
+
+    def __init__(self, reply=None, error=None):
+        self.reply, self.error = reply, error
+
+    def await_result(self, run_id):
+        if self.error is not None:
+            raise self.error
+        return self.reply
+
+
+class TestUnverifiedTwins:
+    def test_a_record_not_read_back_is_counted_with_its_reason(self):
+        sc = generate_serve_scenario(0, 0)
+
+        def audited(client):
+            out = ServeFaultOutcome(scenario=sc, resolution="record",
+                                    run_id="ab" * 32)
+            _audit_twin(client, out)
+            return out
+
+        raised = audited(StubClient(
+            error=ServeConnectionError("serve hung up (EOF)")))
+        refused = audited(StubClient(reply=SubmitReply(
+            ok=False, error="deadline exceeded after 5 ms",
+            reason=protocol.REASON_DEADLINE)))
+        assert raised.unverified == "connection: serve hung up (EOF)"
+        assert refused.unverified == "not-ok: deadline-exceeded"
+        for out in (raised, refused):
+            assert out.ok and out.twin_drift is None
+            assert out.to_dict()["unverified"] == out.unverified
+        ledger = serve_ledger([
+            raised, refused,
+            ServeFaultOutcome(scenario=sc, resolution="record",
+                              twin_drift={})])
+        assert ledger["records_verified"] == 1
+        assert ledger["records_unverified"] == 2
+        assert ledger["unverified:connection"] == 1
+        assert ledger["unverified:not-ok"] == 1
 
 
 class TestCampaign:
@@ -84,6 +127,8 @@ class TestCampaign:
         ledger = report.ledger
         assert ledger["accepted"] == ledger["resolved"] == 12
         assert ledger["lost"] == 0 and ledger["twin_mismatches"] == 0
+        assert ledger["records_unverified"] == 0, [
+            o.unverified for o in report.outcomes if o.unverified]
         assert ledger["records_verified"] == 11     # all but the poison job
         assert ledger["server_restarts"] == 2
         assert all(o.twin_drift == {} for o in report.outcomes

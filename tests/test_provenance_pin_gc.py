@@ -1,5 +1,7 @@
 """The pinned-scenario regression gate and store garbage collection."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.charm.scheduler import JobScheduler
@@ -117,7 +119,7 @@ class TestPinnedGc:
             JobSpec(app="hello", nvp=2, method="pieglobals"), store).record
         # Age both records far into the past.
         for run_id in store.ids():
-            p = store._record_path(run_id)
+            p = Path(store._record_path(run_id))
             d = json.loads(p.read_text())
             d["created_at"] = 0.0
             p.write_text(json.dumps(d))

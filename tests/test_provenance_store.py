@@ -5,6 +5,7 @@ import json
 import random
 import zlib
 from itertools import chain
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -19,6 +20,8 @@ from repro.provenance import (
     record_run,
     run_id_for,
 )
+from repro.provenance import store as store_mod
+from repro.provenance.record import encode_record
 from repro.provenance.runner import file_run
 from repro.serve.pool import execute_spec
 from repro.trace import stream
@@ -31,7 +34,7 @@ from repro.trace.stream import (
     timeline_sha,
 )
 
-from counted import counting
+from counted import counting, filing
 
 SPEC = JobSpec(app="hello", nvp=2, method="pieglobals")
 
@@ -85,8 +88,9 @@ def reference_timeline_sha(timeline: Iterable[tuple[int, int, int]]) -> str:
 
 
 def reference_compress_timeline(timeline: Iterable[tuple[int, int, int]]) -> bytes:
-    """Canonical encoding, zlib-compressed (the store's on-disk form)."""
-    return zlib.compress(reference_encode_timeline(timeline), level=6)
+    """Canonical encoding, zlib-compressed at the fastest level (the
+    store's on-disk form)."""
+    return zlib.compress(reference_encode_timeline(timeline), level=1)
 
 
 def percent_d_encode_timeline(timeline):
@@ -117,7 +121,7 @@ def same_as_reference(encode, timeline):
     return (data == reference_encode_timeline(timeline)
             and hashlib.sha256(data).hexdigest()
             == reference_timeline_sha(timeline)
-            and zlib.compress(data, level=6)
+            and zlib.compress(data, level=1)
             == reference_compress_timeline(timeline))
 
 
@@ -287,7 +291,7 @@ class TestOneEncodingPerRun:
 
     def test_put_after_a_cache_hit(self, store):
         first = record_run(SPEC, store).record
-        written = store._timeline_path(first.run_id).read_bytes()
+        written = Path(store._timeline_path(first.run_id)).read_bytes()
         job, result = finished_job()
         again = RunRecord.from_run(SPEC, job, result)
         assert store.put(again, job.scheduler.timeline) == \
@@ -299,7 +303,7 @@ class TestOneEncodingPerRun:
         store.delete(again.run_id)
         assert store.put(again, job.scheduler.timeline) == \
             (again.run_id, False)
-        assert store._timeline_path(again.run_id).read_bytes() == written
+        assert Path(store._timeline_path(again.run_id)).read_bytes() == written
 
     def test_carried_bytes_are_not_part_of_the_record(self):
         record = RunRecord.from_run(SPEC, *finished_job())
@@ -311,11 +315,89 @@ class TestOneEncodingPerRun:
         assert "_encoding" not in repr(record)
 
 
+# -- the filing ledger --------------------------------------------------------
+
+
+#: what filing one finished run in-process costs, by row
+FILED_RUN = {"timeline": 1, "zlib": 1, "record_json": 1, "pure_python": 0}
+
+
+def filing_ledger(root) -> dict[str, int]:
+    """:data:`FILED_RUN`'s rows, counted over ``file_run`` of a job that
+    has finished, into a fresh store."""
+    store = ProvenanceStore(root)
+    job, result = finished_job()
+    with filing() as calls:
+        filed = file_run(SPEC, job, result, store)
+    assert not filed.cache_hit
+    assert store.get(filed.record.run_id) == filed.record
+    return {row: len(calls[row]) for row in FILED_RUN}
+
+
+def best_of_two_levels(timeline):
+    """Mutant: the smaller of two compression levels."""
+    data = stream._encoded(timeline)
+    return min(zlib.compress(data, 1), zlib.compress(data, 6), key=len)
+
+
+def sized_then_encoded(record):
+    """Mutant: the record is encoded to check its size, then again to
+    be written."""
+    assert len(encode_record(record)) < 1 << 26
+    return encode_record(record)
+
+
+def dropped_encoding(self, timeline):
+    """Mutant: the timeline bytes ``from_run`` made are not carried."""
+    self._encoding = None
+    return timeline
+
+
+#: mutant name -> the (owner, name, value) patches that make it
+FILING_MUTANTS = {
+    "indented_file": lambda: [(store_mod, "encode_record", lambda d: (
+        json.dumps(d, sort_keys=True, indent=1)))],
+    "best_of_two_levels": lambda: [(store_mod, "compress_timeline",
+                                    best_of_two_levels)],
+    "sized_then_encoded": lambda: [(store_mod, "encode_record",
+                                    sized_then_encoded)],
+    "dropped_encoding": lambda: [(RunRecord, "_take_encoding",
+                                  dropped_encoding)],
+}
+
+
+class TestFilingLedger:
+    """A run filed in-process is encoded once: one timeline encode, one
+    ``zlib.compress``, one record JSON from the C encoder."""
+
+    def test_a_filed_run(self, tmp_path):
+        assert filing_ledger(tmp_path) == FILED_RUN
+
+    def test_the_record_file_is_its_canonical_line(self, store):
+        record = record_run(SPEC, store).record
+        text = Path(store._record_path(record.run_id)).read_text()
+        assert text == json.dumps(record.to_dict(), sort_keys=True,
+                                  separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("mutant, rows", [
+        ("indented_file", ("pure_python",)),
+        ("best_of_two_levels", ("zlib",)),
+        ("sized_then_encoded", ("record_json",)),
+        ("dropped_encoding", ("timeline",)),
+    ])
+    def test_the_ledger_catches(self, mutant, rows, tmp_path, monkeypatch):
+        for owner, name, value in FILING_MUTANTS[mutant]():
+            monkeypatch.setattr(owner, name, value)
+        got = filing_ledger(tmp_path)
+        assert [row for row in FILED_RUN if got[row] != FILED_RUN[row]] \
+            == list(rows)
+
+
 class TestGc:
     def _put_aged(self, store, spec, created_at):
         rr = record_run(spec, store)
         # Rewrite created_at so age-based GC has something to bite on.
-        path = store._record_path(rr.record.run_id)
+        path = Path(store._record_path(rr.record.run_id))
         data = json.loads(path.read_text())
         data["created_at"] = created_at
         path.write_text(json.dumps(data))

@@ -16,6 +16,8 @@ client sent when it encoded each spec's ``to_dict()`` whole.
 """
 
 import asyncio
+import builtins
+import contextlib
 import io
 import json
 import os
@@ -32,11 +34,12 @@ from repro.errors import ReproError
 from repro.harness import jobspec
 from repro.harness.jobspec import JobSpec, build_job, code_version
 from repro.provenance import ProvenanceStore, RunRecord, run_id_for
+from repro.provenance import store as store_mod
 from repro.serve import JobService, ServeClient, ServiceThread, protocol
 from repro.serve import cache as cache_mod
 from repro.serve.client import SubmitReply
 
-from counted import counting, python_calls
+from counted import carries_a_record, counting, filing, python_calls
 
 # -- the previous hit path ---------------------------------------------------
 
@@ -186,12 +189,11 @@ def serves_the_reference(record) -> bool:
         return service.stats.hits == 12
 
 
-def ensure_ascii_false_init(self, record, json_text=None):
-    """Mutant: the splice is encoded with ``ensure_ascii=False``."""
-    dict.__init__(self, record)
-    self.json = (json.dumps(record, sort_keys=True, separators=(",", ":"),
-                            ensure_ascii=False)
-                 if json_text is None else json_text)
+def unescaped_encode_record(record):
+    """Mutant: the record file, hence the splice, is encoded with
+    ``ensure_ascii=False``."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
 
 
 def unchecked_identity(path):
@@ -224,8 +226,8 @@ class TestHitsAgainstReference:
                 reply["record"]["spec"] = None
 
     def test_the_oracle_catches_an_unescaped_splice(self, monkeypatch):
-        monkeypatch.setattr(protocol.EncodedRecord, "__init__",
-                            ensure_ascii_false_init)
+        monkeypatch.setattr(store_mod, "encode_record",
+                            unescaped_encode_record)
         caught = find(records(), lambda r: not serves_the_reference(r),
                       settings=MUTANT_SETTINGS)
         assert not json.dumps(caught.to_dict(), ensure_ascii=False).isascii()
@@ -287,7 +289,7 @@ class TestStaleness:
         record = _record("in-place")
         service.store.put(record)
         _hit(service, record)
-        path = service.store._record_path(record.run_id)
+        path = Path(service.store._record_path(record.run_id))
         inode, mtime = path.stat().st_ino, path.stat().st_mtime_ns
         data = json.loads(path.read_text())
         data["makespan_ns"] = 999                  # same length as "100"
@@ -302,7 +304,7 @@ class TestStaleness:
         record = _record("corrupt")
         service.store.put(record)
         _hit(service, record)
-        path = service.store._record_path(record.run_id)
+        path = Path(service.store._record_path(record.run_id))
         path.write_text("{not json")
         assert _hit(service, record) is None
         assert record.run_id not in service.cache._memo
@@ -353,8 +355,14 @@ HIT_READS = {
     "json.loads": ([(json, "loads")], None),
     "from_dict": ([(RunRecord, "from_dict")], None),
     "to_dict": ([(RunRecord, "to_dict")], None),
-    "opens": ([(io, "open"), (os, "open")], record_file),
+    "opens": ([(io, "open"), (os, "open"), (builtins, "open")], record_file),
+    "record_json": ([(json.JSONEncoder, "iterencode")], carries_a_record),
 }
+
+#: the first hit of a canonical record file: one read, one parse (and
+#: the check that it holds a record), no encode
+FIRST_HIT = {"json.loads": 1, "from_dict": 1, "to_dict": 0, "opens": 1,
+             "record_json": 0}
 
 
 @contextmanager
@@ -382,14 +390,30 @@ class TestStructuralGuard:
         with hit_reads() as first_hit:
             first, = run(hits(1))
         assert first["cache"] == protocol.CACHE_HIT
-        assert tally(first_hit) == {"json.loads": 1, "from_dict": 1,
-                                    "to_dict": 1, "opens": 1}
+        assert tally(first_hit) == FIRST_HIT
         with hit_reads() as calls:
             replies = run(hits(100))
         assert all(r["record"] == first["record"] for r in replies)
-        assert tally(calls) == {"json.loads": 0, "from_dict": 0,
-                                "to_dict": 0, "opens": 0}
+        assert tally(calls) == dict.fromkeys(FIRST_HIT, 0)
         assert service.stats.hits == 101
+
+    @pytest.mark.parametrize("mutant, rows", [
+        ("previous_get", ("to_dict", "record_json")),
+        ("read_twice", ("json.loads", "from_dict", "opens")),
+    ])
+    def test_the_first_hit_guard_catches(self, mutant, rows, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setattr(cache_mod.ResultCache, "get",
+                            FIRST_HIT_MUTANTS[mutant]())
+        service = service_on(tmp_path)
+        record = _record("first-hit")
+        service.store.put(record)
+        with hit_reads() as calls:
+            reply = run(service.submit(record.spec.to_dict()))
+        assert reply["cache"] == protocol.CACHE_HIT
+        got = tally(calls)
+        assert [row for row in FIRST_HIT
+                if got[row] != FIRST_HIT[row]] == list(rows)
 
     def test_a_repeated_hit_line_is_one_stat_and_one_touch(self, tmp_path):
         """The ledger of N repeats of a submit line that hit."""
@@ -407,6 +431,41 @@ class TestStructuralGuard:
             monkeypatch.setattr(owner, name, value)
         got, want = repeat_ledger(tmp_path, 20), expected_ledger(20)
         assert [row for row in want if got[row] != want[row]] == list(rows)
+
+
+def previous_get(self, run_id):
+    """Mutant: the first hit as it was, rebuilding the record through
+    ``store.get`` and encoding its ``to_dict()`` again."""
+    if self.hit_line(run_id) is not None:
+        return self._memo[run_id][2].copy()
+    path = self.store._record_path(run_id)
+    ident = cache_mod._identity(path)
+    if ident is None:
+        return None
+    try:
+        record = protocol.EncodedRecord(self.store.get(run_id).to_dict())
+    except (OSError, ValueError, KeyError, ReproError):
+        return None
+    self._memo[run_id] = (path, ident, record, protocol.encode(
+        cache_mod.hit_reply(run_id, record)), self.store._touch_path(run_id))
+    return record.copy()
+
+
+def read_twice():
+    """Mutant: a first hit checks the record through ``store.get``,
+    then reads the file again for its text."""
+    real = cache_mod.ResultCache.get
+
+    def get(self, run_id):
+        if run_id not in self._memo:
+            with contextlib.suppress(ReproError, OSError, ValueError):
+                self.store.get(run_id, touch=False)
+        return real(self, run_id)
+    return get
+
+
+FIRST_HIT_MUTANTS = {"previous_get": lambda: previous_get,
+                     "read_twice": read_twice}
 
 
 # -- the repeated-hit ledger -------------------------------------------------
@@ -522,6 +581,119 @@ class TestHitBytes:
         assert run(exchange(service, [line] * 3)) == full * 3
         assert service.cache._memo[record.run_id][3] == full
         assert full.isascii() and b'\\u65e5' in full
+
+
+# -- a miss is filed and replied as its worker encoded it --------------------
+
+
+def side(*args) -> str:
+    """Which end of a served miss a call runs on."""
+    thread = threading.current_thread()
+    if thread is threading.main_thread():
+        return "client"
+    return ("worker" if thread.name.startswith("ThreadPoolExecutor")
+            else "server")
+
+
+#: what one served miss costs, by row and side: the worker encodes the
+#: record once; the server files and replies with those bytes
+MISS = {f"{row}@{where}": int(row != "from_dict" and where == "worker")
+        for row in ("record_json", "to_dict", "from_dict")
+        for where in ("worker", "server", "client")}
+
+
+def miss_ledger(root, n):
+    """:data:`MISS`'s rows as counted over ``n`` ``ServeClient`` submits
+    of never-seen specs, each divided by ``n``; every record file is the
+    reply's record as its canonical line."""
+    specs = [JobSpec(app="hello", nvp=2, method="none",
+                     app_config={"name": f"miss-{i}"}) for i in range(n)]
+    service = JobService(ProvenanceStore(root / "store"), workers=1,
+                         socket_path=root / "s.sock")
+    with ServiceThread(service):
+        client = ServeClient(socket_path=root / "s.sock", timeout=120.0)
+        with filing(where=side) as calls:
+            replies = [client.submit(spec) for spec in specs]
+        client.close()
+    assert [r.cache for r in replies] == [protocol.CACHE_MISS] * n
+    for r in replies:
+        assert Path(service.store._record_path(r.run_id)).read_text() == \
+            json.dumps(r.record, sort_keys=True, separators=(",", ":")) + "\n"
+    ledger = dict.fromkeys(MISS, 0)
+    for row in ("record_json", "to_dict", "from_dict"):
+        for where in calls[row]:
+            ledger[f"{row}@{where}"] += 1
+    return {row: k / n for row, k in ledger.items()}
+
+
+def previous_reply_from_pool(self, run_id, out):
+    """Mutant: the server as it was, rebuilding the worker's record and
+    filing it through ``store.put``; the reply holds the plain dict."""
+    self.cache.store.put(RunRecord.from_dict(out["record"]),
+                         compressed_timeline=out["timeline_z"])
+    return {"ok": True, "run_id": run_id, "record": out["record"]}
+
+
+def server_encoded():
+    """Mutant: the server encodes the worker's record again."""
+    real = JobService._reply_from_pool
+
+    def reply_from_pool(self, run_id, out):
+        return real(self, run_id, {**out, "record_json": json.dumps(
+            out["record"], sort_keys=True, separators=(",", ":"))})
+    return reply_from_pool
+
+
+MISS_MUTANTS = {"previous_server": lambda: previous_reply_from_pool,
+                "server_encoded": server_encoded}
+
+
+#: valid JSON in a record file that is not a record
+NOT_RECORDS = {
+    "list": lambda d: [1, 2],
+    "null-spec": lambda d: {**d, "spec": None},
+    "scalar-pe-stats": lambda d: {**d, "pe_stats": 5},
+}
+
+
+class TestMissFiledAsEncoded:
+    def test_a_miss_encodes_its_record_once_in_the_worker(self, tmp_path,
+                                                          inline_pool):
+        assert miss_ledger(tmp_path, 3) == MISS
+
+    @pytest.mark.parametrize("mutant, rows", [
+        ("previous_server", ("record_json@server", "to_dict@server",
+                             "from_dict@server")),
+        ("server_encoded", ("record_json@server",)),
+    ])
+    def test_the_guard_catches(self, mutant, rows, tmp_path, inline_pool,
+                               monkeypatch):
+        monkeypatch.setattr(JobService, "_reply_from_pool",
+                            MISS_MUTANTS[mutant]())
+        got = miss_ledger(tmp_path, 2)
+        assert [row for row in MISS if got[row] != MISS[row]] == list(rows)
+
+    @pytest.mark.parametrize("shape", NOT_RECORDS)
+    def test_a_file_that_is_not_a_record_is_a_miss(self, shape, tmp_path,
+                                                   inline_pool):
+        """Behind a live service: each submit executes and is answered,
+        and the connection lives on."""
+        record = _record(f"not-a-record-{shape}")
+        store = ProvenanceStore(tmp_path / "store")
+        path = Path(store._record_path(record.run_id))
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(NOT_RECORDS[shape](record.to_dict())))
+        service = JobService(store, workers=1, socket_path=tmp_path / "s.sock")
+        with ServiceThread(service):
+            client = ServeClient(socket_path=tmp_path / "s.sock",
+                                 timeout=120.0, retries=0)
+            replies = [client.submit(record.spec) for _ in range(2)]
+            assert client.ping()["ok"]
+            client.close()
+        assert [(r.ok, r.cache) for r in replies] == \
+            [(True, protocol.CACHE_MISS)] * 2
+        assert replies[0].record["spec"] == record.spec.to_dict()
+        assert service.stats.misses == 2 and service.stats.hits == 0
 
 
 # -- a repeated submit is encoded once ---------------------------------------

@@ -282,7 +282,7 @@ async def play(service, steps):
 
 def _rewrite(service, i):
     """Rewrite a record file in place: same inode, new bytes."""
-    path = service.store._record_path(RECORDS[i].run_id)
+    path = Path(service.store._record_path(RECORDS[i].run_id))
     mtime = path.stat().st_mtime_ns
     data = json.loads(path.read_text())
     data["makespan_ns"] = 999                  # same length as "100"
@@ -308,8 +308,8 @@ STALENESS = {
     "gc": lambda service, i: service.store.gc(max_age_s=1.0, now=1e12),
     "reput": _reput,
     "rewrite": _rewrite,
-    "corrupt": lambda service, i: service.store._record_path(
-        RECORDS[i].run_id).write_text("{not json"),
+    "corrupt": lambda service, i: Path(service.store._record_path(
+        RECORDS[i].run_id)).write_text("{not json"),
     "evict": _evict,
 }
 

@@ -40,7 +40,7 @@ def _fake_record(i: int, code_ver: str = "v-test") -> RunRecord:
 def _age_record(store: ProvenanceStore, record: RunRecord,
                 age_s: float) -> None:
     """Rewrite a stored record's created_at to ``age_s`` seconds ago."""
-    path = store._record_path(record.run_id)
+    path = Path(store._record_path(record.run_id))
     data = json.loads(path.read_text())
     data["created_at"] = time.time() - age_s
     path.write_text(json.dumps(data, sort_keys=True, indent=1) + "\n")
@@ -200,7 +200,7 @@ class TestConcurrentPuts:
         with B's bytes untouched, and A reports a cache hit."""
         a = _fake_record(0)
         b = dataclasses.replace(a, created_at=a.created_at + 1.0)
-        path = str(store._record_path(a.run_id))
+        path = store._record_path(a.run_id)
         inner = []
 
         def hook(real):
@@ -208,7 +208,7 @@ class TestConcurrentPuts:
                 if str(dst) == path and not inner:
                     inner.append("B runs")
                     inner[0] = store.put(b)
-                    inner.append(store._record_path(a.run_id).read_bytes())
+                    inner.append(Path(store._record_path(a.run_id)).read_bytes())
                 return real(src, dst, *args, **kwargs)
             return naming_call
 
@@ -218,7 +218,7 @@ class TestConcurrentPuts:
             outer = store.put(a)
         assert inner[0] == (a.run_id, False)
         assert outer == (a.run_id, True)
-        assert store._record_path(a.run_id).read_bytes() == inner[1]
+        assert Path(store._record_path(a.run_id)).read_bytes() == inner[1]
         assert store.get(a.run_id).created_at == b.created_at
         assert not list(store.records_dir.rglob("*.tmp*"))
 
@@ -254,7 +254,7 @@ class TestLastUsed:
         assert store.last_used(run_id) is not None
         assert store.gc(max_age_s=100.0).deleted == 0
         # created_at in the JSON stays the honest (old) creation time.
-        stored = json.loads(store._record_path(run_id).read_text())
+        stored = json.loads(Path(store._record_path(run_id)).read_text())
         assert stored["created_at"] < time.time() - 900.0
 
     def test_get_touches_but_bulk_listing_does_not(self, store):
