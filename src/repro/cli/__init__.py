@@ -27,10 +27,12 @@ COMMANDS: dict[str, tuple[str, str]] = {
     "list-methods": ("harness", "privatization methods and capabilities"),
     "list-machines": ("harness", "machine presets and their toolchains"),
     "probe": ("harness", "run the capability probes for one method"),
-    "tables": ("harness", "regenerate the paper's Tables 1 and 3 from probes"),
-    "run": ("harness", "run one of the paper's experiments, print its table"),
+    "run": ("harness", "run one of the paper's experiments, print its "
+                       "committed results"),
     "trace": ("harness", "run an experiment traced: Chrome trace-event JSON "
                          "and a per-PE text timeline"),
+    "claims": ("harness", "check the paper's claims, one row each; exits "
+                          "nonzero if a row fails"),
     "faults": ("harness", "failure-free vs. k-crash overhead sweep, with "
                           "deterministic fault injection"),
     "hello": ("harness", "the Figure 2/3 hello world under a chosen method"),

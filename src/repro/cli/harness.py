@@ -1,6 +1,7 @@
 """The commands that drive the simulator directly: the method and
-machine catalogues, the capability probes, the paper's experiments
-(``run``/``trace``), the fault sweep and the Figure 2/3 hello world."""
+machine catalogues, the capability probes, the paper's evaluation
+(``run``/``trace``/``claims``), the fault sweep and the Figure 2/3 hello
+world."""
 
 from __future__ import annotations
 
@@ -9,10 +10,16 @@ import dataclasses
 import sys
 
 from repro.cli import add_command, emit
-from repro.harness.tables import EXPERIMENTS, format_table
+from repro.harness.tables import format_table
 
-#: experiments ``trace`` and ``run --sanitize`` can attach a recorder to
-_TRACEABLE = [name for name, exp in EXPERIMENTS.items() if exp.traceable]
+#: The runs of :data:`repro.harness.claims.RUNS`, and those that take a
+#: recorder (``trace``, ``run --sanitize``): named here so that building
+#: the parser loads no catalogue; ``tests/test_claims_table.py`` holds
+#: them to it.
+RUN_NAMES = ("tables", "fig5", "fig6", "fig6-globals", "fig7", "fig7-O0",
+             "fig8", "icache", "adcirc", "lb", "pie-memory", "pie-scan",
+             "pip-namespaces", "dedup")
+TRACEABLE = ("fig5", "fig6", "fig7", "fig8")
 
 
 def cmd_list_methods(_args) -> int:
@@ -66,52 +73,62 @@ def cmd_probe(args) -> int:
     return 0
 
 
-def cmd_tables(_args) -> int:
-    from repro.harness.capabilities import (
-        TABLE1_METHODS,
-        TABLE3_METHODS,
-        capability_table,
-    )
+class _Positive(argparse.Action):
+    """A flag of positive integers (``--cores`` takes them
+    comma-separated); anything else is a usage error."""
 
-    print(capability_table(TABLE1_METHODS,
-                           title="Table 1: existing methods"))
-    print()
-    print(capability_table(TABLE3_METHODS,
-                           title="Table 3: incl. the 3 new methods"))
-    return 0
+    def __call__(self, parser, namespace, values, option_string=None):
+        ints = [int(v) if v.isdecimal() else 0 for v in str(values).split(",")]
+        if min(ints) < 1:
+            parser.error(f"{option_string}: expected " + (
+                "a positive integer" if self.type is int else
+                "comma-separated positive integers") + f", got {values!r}")
+        setattr(namespace, self.dest,
+                ints[0] if self.type is int else tuple(ints))
 
 
-def _experiment_rows(args, **recorders):
-    """(the experiment, its rows): the driver called with the keywords
-    the experiment's ``run``/``trace`` flags stand for and, if it takes
-    them, the ``trace=``/``sanitize=`` recorders."""
-    from repro.harness import experiments
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
 
-    exp = EXPERIMENTS[args.experiment]
-    out = getattr(experiments, exp.driver)(
-        **{key: value(args) for key, value in exp.flags.items()},
-        **(recorders if exp.traceable else {}))
-    return exp, (out if exp.part is None else out[exp.part])
+
+def _plain(value):
+    """``value`` with its dataclasses and sets as JSON types."""
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, set)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def cmd_run(args) -> int:
+    from repro.harness.claims import RUNS, show
+
+    run = RUNS[args.experiment]
+    given = {dest: getattr(args, dest) for dest in ("cores", "quick_n")
+             if getattr(args, dest) is not None}
+    unread = [_flag(dest) for dest in given if dest not in run.flags]
+    if unread:
+        print(f"repro run: error: {args.experiment} does not read "
+              f"{', '.join(unread)} (flags it reads: "
+              f"{', '.join(map(_flag, run.flags)) or 'none'})",
+              file=sys.stderr)
+        return 2
     detector = None
     if args.sanitize:
-        if args.experiment not in _TRACEABLE:
-            print(f"--sanitize supports: {', '.join(_TRACEABLE)}",
+        if not run.traceable:
+            print(f"--sanitize supports: {', '.join(TRACEABLE)}",
                   file=sys.stderr)
             return 2
         from repro.sanitize import RaceDetector
 
         detector = RaceDetector()
-    try:
-        exp, rows = _experiment_rows(args, sanitize=detector)
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return 2
+        given["sanitize"] = detector
+    data = run.execute(**given)
     findings = detector.sorted_findings() if detector is not None else []
     payload = {"experiment": args.experiment,
-               "rows": [dataclasses.asdict(r) for r in rows]}
+               "rows": _plain(run.rows(data) if run.rows else data)}
     if detector is not None:
         payload["sanitize"] = {
             "findings": [f.to_dict() for f in findings],
@@ -120,7 +137,7 @@ def cmd_run(args) -> int:
         }
 
     def text() -> str:
-        lines = [exp.table(rows)]
+        lines = [run.text(data) or show(data)]
         if detector is not None:
             lines += ["", *(f.format() for f in findings),
                       f"\nsanitizer: {len(findings)} finding(s)" if findings
@@ -134,19 +151,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.harness.claims import RUNS
     from repro.trace import (
         TraceRecorder,
         render_timeline,
         write_chrome_trace,
     )
 
-    try:
-        recorder = TraceRecorder(capacity=args.capacity)
-        exp, rows = _experiment_rows(args, trace=recorder)
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return 2
-    print(exp.table(rows))
+    run = RUNS[args.experiment]
+    recorder = TraceRecorder(capacity=args.capacity)
+    data = run.execute(trace=recorder, **(
+        {"quick_n": args.quick_n} if "quick_n" in run.flags else {}))
+    print(run.text(data))
 
     out = args.out or f"{args.experiment}-trace.json"
     timeline = render_timeline(recorder)
@@ -165,6 +181,37 @@ def cmd_trace(args) -> int:
           f"{recorder.dropped} dropped) — open in https://ui.perfetto.dev")
     print(f"wrote {timeline_out}")
     return 0
+
+
+def cmd_claims(args) -> int:
+    from pathlib import Path
+
+    from repro.harness import claims as catalogue
+
+    rows = [c for c in catalogue.CLAIMS if args.row in (None, c.id)]
+    if not rows:
+        print(f"repro claims: error: no row {args.row!r} (`repro claims` "
+              "lists every row)", file=sys.stderr)
+        return 2
+    out = Path(args.out) if args.out else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
+    data = {}
+    for name in dict.fromkeys(c.run for c in rows):
+        run = catalogue.RUNS[name]
+        data[name] = run.execute()
+        if out:
+            for stem, render in run.files.items():
+                (out / f"{stem}.txt").write_text(render(data[name]) + "\n")
+    measured = {c.id: c.measure(data[c.run]) for c in rows}
+    if args.row is None:
+        text = catalogue.render(measured)
+        if out:
+            (out / "claims.txt").write_text(text)
+    else:
+        text = catalogue.render_row(rows[0], measured[args.row]) + "\n"
+    print(text, end="")
+    return 0 if all(c.check.test(measured[c.id]) for c in rows) else 1
 
 
 def cmd_faults(args) -> int:
@@ -230,33 +277,40 @@ def register(sub) -> None:
     probe.add_argument("--json", action="store_true",
                        help="emit the capability row as JSON")
 
-    add_command(sub, "tables", cmd_tables)
-
     run = add_command(sub, "run", cmd_run)
-    run.add_argument("experiment", choices=list(EXPERIMENTS))
-    run.add_argument("--cores", help="adcirc: comma-separated core counts")
-    run.add_argument("--quick-n", type=int, default=None,
+    run.add_argument("experiment", choices=list(RUN_NAMES))
+    run.add_argument("--cores", action=_Positive,
+                     help="adcirc: comma-separated core counts")
+    run.add_argument("--quick-n", type=int, default=None, action=_Positive,
                      help="fig6: yields per rank")
     run.add_argument("--json", action="store_true",
                      help="emit result rows as JSON instead of a table")
     run.add_argument("--sanitize", action="store_true",
                      help="run with the shared-state race detector on; "
                           "exits nonzero on error findings "
-                          f"({'/'.join(_TRACEABLE)} only)")
+                          f"({'/'.join(TRACEABLE)} only)")
     _add_provenance_flag(run)
 
     trace = add_command(sub, "trace", cmd_trace)
-    trace.add_argument("experiment", choices=_TRACEABLE)
+    trace.add_argument("experiment", choices=list(TRACEABLE))
     trace.add_argument("--out", default=None,
                        help="Chrome trace-event JSON path "
                             "(default: <experiment>-trace.json)")
     trace.add_argument("--timeline-out", default=None,
                        help="text timeline path (default: <out>.timeline.txt)")
-    trace.add_argument("--quick-n", type=int, default=2000,
+    trace.add_argument("--quick-n", type=int, default=2000, action=_Positive,
                        help="fig6: yields per rank (small default keeps the "
                             "trace within the ring buffer)")
     trace.add_argument("--capacity", type=int, default=1 << 20,
+                       action=_Positive,
                        help="trace ring-buffer capacity in events")
+
+    claims = add_command(sub, "claims", cmd_claims)
+    claims.add_argument("--row", default=None,
+                        help="check only the row with this id")
+    claims.add_argument("--out", default=None, metavar="DIR",
+                        help="write every executed run's results files "
+                             "(and, for all rows, claims.txt) into DIR")
 
     faults = add_command(sub, "faults", cmd_faults)
     faults.add_argument("app", choices=["jacobi"])

@@ -1,6 +1,8 @@
 """Experiment harness shared by the benchmarks, examples, and docs:
-capability probes (Tables 1/3), table formatting, and the per-figure
-experiment drivers."""
+capability probes (Tables 1/3), table formatting, the per-figure
+experiment drivers, and :mod:`repro.harness.claims`, the catalogue of
+the paper's evaluation (imported by ``repro run``/``trace``/``claims``
+only)."""
 
 from typing import TYPE_CHECKING
 
@@ -8,7 +10,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.tables import format_table, format_markdown_table
-    from repro.harness.capabilities import CapabilityRow, probe_method, capability_table
+    from repro.harness.capabilities import CapabilityRow, probe_method
     from repro.harness.jobspec import (
         JobSpec,
         add_result_hook,
@@ -38,8 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # neither.
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
     "repro.harness.tables": ("format_table", "format_markdown_table"),
-    "repro.harness.capabilities": ("CapabilityRow", "probe_method",
-                                   "capability_table"),
+    "repro.harness.capabilities": ("CapabilityRow", "probe_method"),
     "repro.harness.jobspec": (
         "JobSpec", "add_result_hook", "app_names", "build_app_source",
         "build_job", "code_version", "register_app", "remove_result_hook",

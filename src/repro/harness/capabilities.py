@@ -204,19 +204,3 @@ TABLE1_METHODS = ("manual", "photran", "swapglobals", "tlsglobals", "mpc",
                   "pipglobals")
 TABLE3_METHODS = TABLE1_METHODS + ("fsglobals", "pieglobals")
 
-
-def capability_table(method_names: tuple[str, ...],
-                     title: str = "") -> str:
-    from repro.harness.tables import format_table
-
-    rows = []
-    for name in method_names:
-        r = probe_method(name)
-        rows.append([r.display_name, r.automation, r.portability,
-                     r.smp_support, r.migration])
-    return format_table(
-        ["Method", "Automation", "Portability", "SMP Mode Support",
-         "Migration Support"],
-        rows,
-        title=title,
-    )

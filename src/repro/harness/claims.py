@@ -1,12 +1,15 @@
-"""The paper's evaluation as one table: every claim is a checked row.
+"""The paper's evaluation as one catalogue: every run and every claim.
 
-A :class:`Claim` says where it stands in the paper, what it claims, the
-:class:`Run` it reads, how its value is measured, the predicate (with
+A :class:`Run` is one experiment of the paper's evaluation, declared
+once: ``repro run <name>`` executes it and prints its committed
+``benchmarks/results/*.txt``, and ``repro claims`` executes the runs its
+rows read.  A :class:`Claim` says where it stands in the paper, what it
+claims, the run it reads, how its value is measured, the predicate (with
 its tolerance) the value must meet, the paper's reason and a status:
 ``reproduced``, ``shape`` (the trend holds, not the paper's numbers, or
 the paper gives none) or ``diverges`` (the predicate asserts the
 documented divergence, so closing it fails the row too).  Importing
-this module runs nothing; ``test_claims.py`` runs it.
+this module runs nothing.
 """
 
 from __future__ import annotations
@@ -17,14 +20,12 @@ from typing import Any, Callable, Mapping
 
 from repro.ampi.runtime import AmpiJob
 from repro.apps.adcirc import AdcircConfig, build_adcirc_program
-from repro.apps.jacobi3d import JacobiConfig
 from repro.apps.memhog import MemhogConfig, build_memhog_program
 from repro.charm.node import JobLayout
 from repro.errors import NamespaceLimitError
 from repro.harness.capabilities import (
     TABLE1_METHODS,
     TABLE3_METHODS,
-    capability_table,
     probe_method,
 )
 from repro.harness.experiments import (
@@ -35,7 +36,7 @@ from repro.harness.experiments import (
     migration_experiment,
     startup_experiment,
 )
-from repro.harness.tables import EXPERIMENTS, format_table
+from repro.harness.tables import format_table
 from repro.machine import BRIDGES2, BRIDGES2_PATCHED_GLIBC
 from repro.perf.counters import EV_CTX_SWITCH
 from repro.privatization import get_method
@@ -53,8 +54,18 @@ class Run:
     """One experiment: ``execute()`` once, then render each results file
     (by stem) from what it returned."""
 
-    execute: Callable[[], Any]
+    execute: Callable[..., Any]
     files: Mapping[str, Callable[[Any], str]]
+    #: the ``run``/``trace`` flags (by dest) ``execute`` takes as keywords
+    flags: tuple[str, ...] = ()
+    #: ``execute`` takes the ``trace=``/``sanitize=`` recorders
+    traceable: bool = False
+    #: the data -> what ``run --json`` prints as its rows, if not all of it
+    rows: Callable[[Any], Any] | None = None
+
+    def text(self, data: Any) -> str:
+        """The run's results files, one after the other."""
+        return "\n".join(render(data) for render in self.files.values())
 
 
 @dataclass(frozen=True)
@@ -141,6 +152,17 @@ PAPER_TABLE3 = {
 }
 
 
+def _capability_table(names: tuple[str, ...],
+                      title: str) -> Callable[[Any], str]:
+    """Renders the probed rows of ``names`` as the paper's table."""
+    return lambda rows: format_table(
+        ["Method", "Automation", "Portability", "SMP Mode Support",
+         "Migration Support"],
+        [[rows[n].display_name, rows[n].automation, rows[n].portability,
+          rows[n].smp_support, rows[n].migration] for n in names],
+        title=title)
+
+
 def _table3_row(name: str) -> Claim:
     """A method's row of Table 3.  ``*`` marks a measured cell read from
     the method's declared ``Capabilities``, not from an executed probe:
@@ -165,10 +187,11 @@ def _table3_row(name: str) -> Claim:
 
 # -- Figures 5-8, Section 4.5 -----------------------------------------------
 
-def _fig5() -> tuple[list, list]:
-    rows = startup_experiment()
+def _fig5(**recorders) -> tuple[list, list]:
+    rows = startup_experiment(**recorders)
     fs_by_nodes = [
-        startup_experiment(methods=("none", "fsglobals"), nodes=n)[-1]
+        startup_experiment(methods=("none", "fsglobals"), nodes=n,
+                           **recorders)[-1]
         for n in (1, 2, 4, 8)
     ]
     return rows, fs_by_nodes
@@ -176,7 +199,11 @@ def _fig5() -> tuple[list, list]:
 
 def _fig5_text(data) -> str:
     rows, fs_by_nodes = data
-    return EXPERIMENTS["fig5"].table(rows) + "\n" + format_table(
+    return format_table(
+        ["Method", "Startup (ms)", "Overhead vs baseline (%)"],
+        [[r.method, r.startup_ns / 1e6, r.overhead_pct] for r in rows],
+        title="Figure 5: startup overhead, 8x virtualization, Bridges-2",
+    ) + "\n" + format_table(
         ["Nodes", "FSglobals startup (ms)", "Overhead (%)"],
         [[r.nodes, r.startup_ns / 1e6, r.overhead_pct] for r in fs_by_nodes],
         title="FSglobals startup vs node count (the one method that scales)",
@@ -205,6 +232,13 @@ def _only_tls_swappers_pay(delta: dict[str, float]) -> bool:
     slowest = sorted(delta, key=delta.get)[-2:]
     return (set(slowest) == {"tlsglobals", "pieglobals"}
             and max(delta["pipglobals"], delta["fsglobals"]) <= 1.0)
+
+
+def _access_table(title: str) -> Callable[[Any], str]:
+    return lambda rows: format_table(
+        ["Method", "Exec (ms)", "Relative to baseline"],
+        [[r.method, r.exec_ns / 1e6, r.rel_to_baseline] for r in rows],
+        title=title)
 
 
 def _fig8(rows) -> dict[str, list]:
@@ -244,7 +278,12 @@ def _icache_verdicts(rows) -> dict[str, tuple[str, float]]:
 
 
 def _icache_text(rows) -> str:
-    return EXPERIMENTS["icache"].table(rows) + "\n" + format_table(
+    return format_table(
+        ["Machine", "Method", "Line fetches", "L1i misses", "Miss rate"],
+        [[r.machine, r.method, r.accesses, r.misses,
+          f"{100 * r.miss_rate:.1f}%"] for r in rows],
+        title="Section 4.5: L1 icache misses (PAPI stand-in)",
+    ) + "\n" + format_table(
         ["Machine", "Fewer misses with", "By (%)"],
         [[m, w, f"{p:.0f}"] for m, (w, p) in _icache_verdicts(rows).items()],
     )
@@ -254,16 +293,31 @@ def _icache_text(rows) -> str:
 
 CORES = (1, 2, 4, 8, 16, 32, 64)
 
+#: Table 2 as printed in the paper: cores -> speedup %
+PAPER_TABLE2 = {1: 13, 2: 59, 4: 79, 8: 70, 16: 43, 32: 24, 64: 17}
 
-def _adcirc() -> dict[str, Any]:
+
+def _adcirc(cores: tuple[int, ...] = CORES) -> dict[str, Any]:
     """The sweep's Table 2 summaries and speedups (cores -> %), and its
     Figure 9 series (virtualization ratio -> cores -> ns)."""
-    rows, summaries = adcirc_scaling_experiment(CORES, (1, 2, 4, 8))
+    rows, summaries = adcirc_scaling_experiment(cores, (1, 2, 4, 8))
     series: dict[int, dict[int, int]] = {}
     for r in rows:
         series.setdefault(r.virtualization, {})[r.cores] = r.exec_ns
     return {"summaries": summaries, "series": series,
             "speedup": {s.cores: s.speedup_pct for s in summaries}}
+
+
+def _table2_text(data) -> str:
+    return format_table(
+        ["Cores", "Best ratio", "Baseline (ms)", "Best (ms)", "Speedup %",
+         "Paper %"],
+        [[s.cores, s.best_ratio, s.baseline_ns / 1e6, s.best_ns / 1e6,
+          s.speedup_pct, PAPER_TABLE2.get(s.cores, "-")]
+         for s in data["summaries"]],
+        title="Table 2: ADCIRC speedup of best virtualization ratio over "
+              "baseline",
+    )
 
 
 def _fig9_text(data) -> str:
@@ -449,41 +503,46 @@ def _dedup_migration() -> list[tuple[int, int, int, int]]:
             for heap in (1, 4, 16, 64)]
 
 
-# -- The runs, each executed once per session --------------------------------
+# -- The runs ----------------------------------------------------------------
 
 RUNS: dict[str, Run] = {
     "tables": Run(lambda: {m: probe_method(m) for m in TABLE3_METHODS}, {
-        "table1_existing_methods": lambda _: capability_table(
-            TABLE1_METHODS, title="Table 1: existing privatization methods"),
-        "table3_all_methods": lambda _: capability_table(
+        "table1_existing_methods": _capability_table(
+            TABLE1_METHODS, "Table 1: existing privatization methods"),
+        "table3_all_methods": _capability_table(
             TABLE3_METHODS,
-            title="Table 3: all privatization methods (incl. the 3 new ones)"),
+            "Table 3: all privatization methods (incl. the 3 new ones)"),
     }),
-    "fig5": Run(_fig5, {"fig5_startup": _fig5_text}),
-    "fig6": Run(lambda: context_switch_experiment(yields_per_rank=50_000),
-                {"fig6_context_switch": EXPERIMENTS["fig6"].table}),
+    "fig5": Run(_fig5, {"fig5_startup": _fig5_text}, traceable=True,
+                rows=lambda data: data[0]),
+    "fig6": Run(lambda quick_n=50_000, **recorders: context_switch_experiment(
+        yields_per_rank=quick_n, **recorders),
+        {"fig6_context_switch": lambda rows: format_table(
+            ["Method", "Switches", "ns/switch", "Delta vs baseline (ns)"],
+            [[r.method, r.switches, r.ns_per_switch, r.delta_vs_baseline_ns]
+             for r in rows],
+            title="Figure 6: ULT context-switch time (ns)")},
+        flags=("quick_n",), traceable=True),
     "fig6-globals": Run(
         lambda: (_switch_ns(2, 4096), _switch_ns(500, 4 << 20)), {}),
-    "fig7": Run(lambda: jacobi_access_experiment(
-        cfg=JacobiConfig(n=20, iters=8), optimize=2),
-        {"fig7_jacobi_access": EXPERIMENTS["fig7"].table}),
-    "fig7-O0": Run(lambda: jacobi_access_experiment(
-        cfg=JacobiConfig(n=20, iters=8), optimize=0),
-        {"ablation_access_O0": lambda rows: format_table(
-            ["Method", "Exec (ms)", "Relative to baseline"],
-            [[r.method, r.exec_ns / 1e6, r.rel_to_baseline] for r in rows],
-            title="Ablation: Jacobi-3D access overhead at -O0")}),
-    "fig8": Run(lambda: migration_experiment(
-        heap_mbs=(1, 2, 4, 8, 16, 32, 64, 100)),
-        {"fig8_migration": EXPERIMENTS["fig8"].table}),
-    "icache": Run(lambda: icache_experiment(
-        cfg=JacobiConfig(n=14, iters=10, reduce_every=1)),
-        {"sec45_icache": _icache_text}),
-    "adcirc": Run(_adcirc, {
-        "table2_adcirc_speedup": lambda data: EXPERIMENTS["adcirc"].table(
-            data["summaries"]),
-        "fig9_adcirc_scaling": _fig9_text,
-    }),
+    "fig7": Run(jacobi_access_experiment, {"fig7_jacobi_access": _access_table(
+        "Figure 7: Jacobi-3D with privatized inner-loop globals (-O2)")},
+        traceable=True),
+    "fig7-O0": Run(lambda: jacobi_access_experiment(optimize=0), {
+        "ablation_access_O0": _access_table(
+            "Ablation: Jacobi-3D access overhead at -O0")}),
+    "fig8": Run(migration_experiment, {"fig8_migration": lambda rows: (
+        format_table(
+            ["Method", "Heap (MB)", "Migration (ms)", "Payload (MB)"],
+            [[r.method, r.heap_mb, r.migrate_ns / 1e6, r.bytes_moved / 2**20]
+             for r in rows],
+            title="Figure 8: migration time vs per-rank memory "
+                  "(14 MB ADCIRC-sized code segment)"))},
+        traceable=True),
+    "icache": Run(icache_experiment, {"sec45_icache": _icache_text}),
+    "adcirc": Run(_adcirc, {"table2_adcirc_speedup": _table2_text,
+                            "fig9_adcirc_scaling": _fig9_text},
+                  flags=("cores",), rows=lambda data: data["summaries"]),
     "lb": Run(_lb_strategies, {"ablation_lb_strategies": lambda out: (
         format_table(
             ["Strategy", "Exec (ms)", "Migrations"],
@@ -701,21 +760,28 @@ CLAIMS: tuple[Claim, ...] = tuple(map(_table3_row, TABLE3_METHODS)) + (
 )
 
 
+_WRAP = textwrap.TextWrapper(width=78, initial_indent="  ",
+                             subsequent_indent="    ")
+
+
+def render_row(c: Claim, value: Any) -> str:
+    """One row of ``claims.txt``: the claim, its measured value and
+    verdict."""
+    verdict = "holds" if c.check.test(value) else "FAILS"
+    return "\n".join([
+        f"[{c.status}] {c.id}  ({c.where}; run {c.run})",
+        *_WRAP.wrap(f"claim: {c.claim}"),
+        *_WRAP.wrap(f"measured: {show(value)}  ({verdict}: {c.check.text})"),
+        *_WRAP.wrap(f"reason: {c.reason}")])
+
+
 def render(measured: Mapping[str, Any]) -> str:
     """``claims.txt``: every row with its measured value and verdict."""
     counts = ", ".join(f"{sum(c.status == s for c in CLAIMS)} {s}"
                        for s in STATUSES)
-    out = ["Paper claims, one checked row each (benchmarks/claims.py)",
+    out = ["Paper claims, one checked row each (repro.harness.claims)",
            f"{len(CLAIMS)} claims: {counts}",
            "* = read from the method's declared Capabilities, not probed"]
-    wrap = textwrap.TextWrapper(width=78, initial_indent="  ",
-                                subsequent_indent="    ")
     for c in CLAIMS:
-        value = measured[c.id]
-        verdict = "holds" if c.check.test(value) else "FAILS"
-        out += ["", f"[{c.status}] {c.id}  ({c.where}; run {c.run})"]
-        out += wrap.wrap(f"claim: {c.claim}")
-        out += wrap.wrap(f"measured: {show(value)}  ({verdict}: "
-                         f"{c.check.text})")
-        out += wrap.wrap(f"reason: {c.reason}")
+        out += ["", render_row(c, measured[c.id])]
     return "\n".join(out) + "\n"

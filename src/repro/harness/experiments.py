@@ -277,7 +277,7 @@ def _build_fetch_trace(job: AmpiJob, machine: MachineModel,
 def icache_experiment(
     machines: Sequence[MachineModel] = (BRIDGES2, STAMPEDE2_ICX),
     *,
-    cfg: JacobiConfig = JacobiConfig(n=18, iters=12, reduce_every=1),
+    cfg: JacobiConfig = JacobiConfig(n=14, iters=10, reduce_every=1),
     nvp: int = 8,
     methods: Sequence[str] = ("tlsglobals", "pieglobals"),
 ) -> list[IcacheRow]:

@@ -433,7 +433,8 @@ def run_app(
 #: ``tests/test_jobspec.py`` holds it to what a job actually imports.
 UNKEYED_SOURCES = (
     "__main__.py", "cli/", "analyze/", "chaos/", "serve/",
-    "harness/capabilities.py", "harness/experiments.py", "harness/tables.py",
+    "harness/capabilities.py", "harness/claims.py", "harness/experiments.py",
+    "harness/tables.py",
     "sanitize/check.py", "sanitize/fixtures.py",
     "trace/export.py", "trace/timeline.py",
 )

@@ -19,6 +19,45 @@ class TestParser:
             build_parser().parse_args(["run", "fig99"])
 
 
+class TestRunFlags:
+    """``--cores``/``--quick-n`` take positive integers, and only a run
+    that reads a flag accepts it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "adcirc", "--cores", "0"],
+        ["run", "adcirc", "--cores", "-2"],
+        ["run", "adcirc", "--cores", "1,,2"],
+        ["run", "adcirc", "--cores", "2,x"],
+        ["run", "fig6", "--quick-n", "0"],
+        ["run", "fig6", "--quick-n", "-5"],
+        ["trace", "fig6", "--quick-n", "0"],
+    ], ids=" ".join)
+    def test_a_bad_value_is_a_usage_error(self, argv, capsys, tmp_path,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro ")
+        assert f"error: {argv[2]}: expected " in err
+        assert "positive integer" in err
+
+    @pytest.mark.parametrize("argv, reads", [
+        (["run", "fig5", "--cores", "4"], "none"),
+        (["run", "fig7", "--quick-n", "10"], "none"),
+        (["run", "fig6", "--cores", "1"], "--quick-n"),
+        (["run", "adcirc", "--quick-n", "10"], "--cores"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_a_flag_the_run_does_not_read_is_refused(self, argv, reads,
+                                                     capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[1]} does not read {argv[2]} (flags it reads: " \
+               f"{reads})" in captured.err
+
+
 class TestCommands:
     def test_list_methods(self, capsys):
         assert main(["list-methods"]) == 0

@@ -21,8 +21,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import COMMANDS, build_parser, main
+from repro.harness.claims import RUNS
 from repro.harness.jobspec import code_version
-from repro.harness.tables import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "data" / "cli_golden.json"
@@ -57,10 +57,11 @@ FLAGS = {
     'list-machines': [],
     'probe': [('json', ('--json',), False, None, 0, None),
               ('method', (), None, None, None, None)],
-    'tables': [],
     'run': [('cores', ('--cores',), None, None, None, None),
             ('experiment', (), None,
-             ['fig5', 'fig6', 'fig7', 'fig8', 'icache', 'adcirc'], None, None),
+             ['tables', 'fig5', 'fig6', 'fig6-globals', 'fig7', 'fig7-O0',
+              'fig8', 'icache', 'adcirc', 'lb', 'pie-memory', 'pie-scan',
+              'pip-namespaces', 'dedup'], None, None),
             ('json', ('--json',), False, None, 0, None),
             ('provenance', ('--provenance',), None, None, '?', None),
             ('quick_n', ('--quick-n',), None, None, None, 'int'),
@@ -81,6 +82,8 @@ FLAGS = {
               ('out', ('--out',), None, None, None, None),
               ('quick_n', ('--quick-n',), 2000, None, None, 'int'),
               ('timeline_out', ('--timeline-out',), None, None, None, None)],
+    'claims': [('out', ('--out',), None, None, None, None),
+               ('row', ('--row',), None, None, None, None)],
     'faults': [('app', (), None, ['jacobi'], None, None),
                ('corrupt', ('--corrupt',), 0.0, None, None, 'float'),
                ('drop', ('--drop',), 0.0, None, None, 'float'),
@@ -194,7 +197,7 @@ INVOCATIONS = {
     "list-methods": ["list-methods"],
     "list-machines": ["list-machines"],
     "probe": ["probe", "pieglobals", "--json"],
-    "tables": ["tables"],
+    "tables": ["run", "tables"],
     "hello": ["hello", "--vp", "4", "--method", "pieglobals"],
     "run-fig5": ["run", "fig5", "--json"],
     "run-fig6": ["run", "fig6", "--quick-n", "200", "--json"],
@@ -276,37 +279,29 @@ def test_main_imports_only_the_invoked_commands_family(tmp_path):
         "repro.cli.provenance"]
 
 
-#: experiment -> (its committed result file, flags that keep the run
-#: short, whether the run is then the one the benchmark commits)
-RESULT_FILES = {
-    "fig5": ("fig5_startup", [], True),
-    "fig6": ("fig6_context_switch", ["--quick-n", "200"], False),
-    "fig7": ("fig7_jacobi_access", [], True),
-    "fig8": ("fig8_migration", [], True),
-    "icache": ("sec45_icache", [], False),      # committed: a smaller grid
-    "adcirc": ("table2_adcirc_speedup", ["--cores", "1,2"], False),
-}
+#: runs too slow for tier-1 (the paper-tables CI job regenerates their
+#: files) -> flags that keep them short
+SHORT = {"adcirc": ["--cores", "1,2"]}
 
 
-def _first_table(text: str) -> list[str]:
-    """Title, rule, header, rule, rows, closing rule."""
+def _heads(text: str) -> list[tuple[str, list[str]]]:
+    """Each titled table's title and column names."""
     lines = text.splitlines()
-    rules = [i for i, line in enumerate(lines) if line.startswith("+")]
-    return lines[:rules[2] + 1]
+    return [(line, lines[i + 2].split()) for i, line in enumerate(lines[:-2])
+            if line and line[0] not in "+|" and lines[i + 1].startswith("+")]
 
 
-@pytest.mark.parametrize("name", EXPERIMENTS)
+@pytest.mark.parametrize("name", [name for name, run in RUNS.items()
+                                  if run.files])
 def test_run_prints_the_committed_table(name):
-    stem, quick, same_run = RESULT_FILES[name]
-    committed = _first_table(
-        (ROOT / "benchmarks" / "results" / f"{stem}.txt").read_text())
-    status, out = run_cli(["run", name, *quick])
-    printed = _first_table(out)
+    committed = "".join((ROOT / "benchmarks" / "results" / f"{stem}.txt")
+                        .read_text() for stem in RUNS[name].files)
+    status, out = run_cli(["run", name, *SHORT.get(name, [])])
     assert status == 0
-    assert printed[0] == committed[0]                       # title
-    assert printed[2].split() == committed[2].split()       # header
-    if same_run:
-        assert printed == committed
+    if name in SHORT:       # the same tables, fewer rows
+        assert _heads(out) == _heads(committed)
+    else:
+        assert out == committed
 
 
 if __name__ == "__main__":

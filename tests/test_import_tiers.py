@@ -71,11 +71,12 @@ METHOD_MODULES = ("none_", "manual", "swapglobals", "tlsglobals", "mpc",
 #: tiers above the parser: nothing here may load to print ``--help``
 ABOVE_PARSER = ("numpy", "repro.ampi", "repro.provenance", "repro.serve",
                 "repro.chaos", "repro.analyze", "repro.sanitize",
-                "repro.harness.experiments")
+                "repro.harness.experiments", "repro.harness.claims")
 #: what a micro job (hello/pingpong/startup) additionally leaves alone
 ABOVE_MICRO_JOB = ("numpy", "repro.provenance", "repro.serve", "repro.chaos",
                    "repro.analyze", "repro.sanitize",
                    "repro.harness.experiments", "repro.harness.capabilities",
+                   "repro.harness.claims",
                    "repro.apps.jacobi3d", "repro.apps.adcirc",
                    "repro.apps.memhog", "repro.perf.icache", "repro.ft",
                    "repro.net.reliable", "repro.trace.export",
@@ -88,7 +89,6 @@ class TestTiers:
         assert loaded(mods, *ABOVE_PARSER) == []
         # the whole tier: the package, its lazy-export helper, the CLI
         # (command table + five family modules) and the table formatter
-        # with the experiment catalogue
         assert len(loaded(mods, "repro")) <= 10
 
     def test_hello_tier(self):
