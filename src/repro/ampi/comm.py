@@ -32,29 +32,23 @@ class Communicator:
         return len(self.group)
 
     @cached_property
-    def _rank_by_vp(self) -> dict[int, int]:
-        # The linear tuple.index scan here was O(nvp) per send — at
-        # paper-scale VP counts that made membership lookup quadratic
-        # job-wide.  The group is immutable, so invert it once.
+    def rank_by_vp(self) -> dict[int, int]:
+        """vp -> comm rank: the group inverted once (the send path reads it)."""
         return {vp: i for i, vp in enumerate(self.group)}
 
     def rank_of_vp(self, vp: int) -> int:
-        try:
-            return self._rank_by_vp[vp]
-        except KeyError:
-            raise MpiError(
-                f"vp {vp} is not a member of {self.name}"
-            ) from None
+        if vp not in self.rank_by_vp:
+            raise MpiError(f"vp {vp} is not a member of {self.name}")
+        return self.rank_by_vp[vp]
 
     def vp_of_rank(self, rank: int) -> int:
         if not 0 <= rank < len(self.group):
-            raise MpiError(
-                f"rank {rank} out of range for {self.name} (size {self.size})"
-            )
+            raise MpiError(f"rank {rank} out of range for {self.name} "
+                           f"(size {self.size})")
         return self.group[rank]
 
     def __contains__(self, vp: int) -> bool:
-        return vp in self._rank_by_vp
+        return vp in self.rank_by_vp
 
     def derive(self, group: tuple[int, ...], name: str) -> "Communicator":
         if not group:

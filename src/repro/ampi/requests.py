@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -23,8 +23,9 @@ class Status:
 
 @dataclass(slots=True, eq=False)
 class Request:
-    """Handle for an in-flight isend/irecv (compared by identity: two
-    receives with one signature are still two receives)."""
+    """Handle for an in-flight isend/irecv, compared by identity.  A receive
+    copies what it needs from the message it takes; a send is born
+    complete; neither builds its :attr:`status` before it is read."""
 
     kind: RequestKind
     vp: int                      #: owning rank (vp)
@@ -34,11 +35,14 @@ class Request:
     completed: bool = False
     completion_time: int = 0     #: simulated ns at which it completed
     payload: Any = None          #: recv: delivered data
-    status: Status | None = None  #: set at completion
+    msg_src: int = -1            #: recv: the taken message's source rank,
+    msg_tag: int = -1            #: tag
+    msg_nbytes: int = 0          #: and size
+    _status: Status | None = field(default=None, repr=False)
 
-    def complete(self, when: int, payload: Any = None,
-                 source: int = -1, tag: int = -1, nbytes: int = 0) -> None:
-        self.completed = True
-        self.completion_time = when
-        self.payload = payload
-        self.status = Status(source, tag, nbytes)
+    @property
+    def status(self) -> Status | None:
+        """None until completion, then built once from ``msg_*``."""
+        if self._status is None and self.completed:
+            self._status = Status(self.msg_src, self.msg_tag, self.msg_nbytes)
+        return self._status

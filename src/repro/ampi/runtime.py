@@ -662,8 +662,12 @@ class AmpiJob:
     def ranks(self) -> list[VirtualRank]:
         return [self._ranks[vp] for vp in range(self.nvp)]
 
-    def _resolve_comm(self, comm: Communicator | None) -> Communicator:
-        return comm if comm is not None else self.world
+    def _resolve_comm(self, comm: Communicator | None,
+                      source: int = ANY_SOURCE) -> Communicator:
+        comm = comm if comm is not None else self.world
+        if source != ANY_SOURCE:
+            comm.vp_of_rank(source)             # raises: out of range
+        return comm
 
     # =====================================================================
     # MPI API implementations (reached through the function-pointer shim or
@@ -709,12 +713,15 @@ class AmpiJob:
 
     # -- point-to-point -------------------------------------------------------------
 
-    def _send(self, rank: VirtualRank, payload: Any, dest: int, tag: int,
-              comm: Communicator) -> None:
-        """The one send body (MPI_Send, MPI_Isend, MPI_Sendrecv's send
-        half), on an already resolved communicator."""
-        src_cr = comm.rank_of_vp(rank.vp)
-        dst_vp = comm.vp_of_rank(dest)
+    def _send(self, rank: VirtualRank, payload: Any, dest: int, tag: int = 0,
+              comm: Communicator | None = None) -> None:
+        """The one send body: MPI_Send, and the send half of isend/sendrecv."""
+        if comm is None:
+            comm = self.world
+        src_cr = comm.rank_by_vp.get(rank.vp)
+        if src_cr is None or not 0 <= dest < len(comm.group):
+            comm.rank_of_vp(rank.vp), comm.vp_of_rank(dest)  # one raises
+        dst_vp = comm.group[dest]
         nbytes = payload_nbytes(payload)
         clock = rank.ult.clock
         now = clock.now
@@ -740,13 +747,13 @@ class AmpiJob:
                 )
         msg = Message(src_cr, dest, tag, comm.cid, payload, nbytes, now,
                       now + ns, next_seq(), rank.vp, dst_vp)
-        clock.advance(costs.msg_overhead_ns)
+        # SimClock.advance and CounterSet.incr written out (amounts >= 0)
+        clock.now += costs.msg_overhead_ns
         if nbytes > costs.eager_threshold_bytes:
-            clock.advance(costs.rendezvous_handshake_ns)
-        # CounterSet.incr without the call: a count of one is never negative
+            clock.now += costs.rendezvous_handshake_ns
         counts = self.counters._counts
         counts[EV_MSG_SENT] = counts.get(EV_MSG_SENT, 0) + 1
-        self.counters.incr(EV_MSG_BYTES, nbytes)
+        counts[EV_MSG_BYTES] = counts.get(EV_MSG_BYTES, 0) + nbytes
         if self.trace is not None:
             self.trace.instant(
                 "send", "msg", now, pid=self.trace_pid_of(rank.pe),
@@ -766,19 +773,13 @@ class AmpiJob:
             self._deliver(msg)
 
     def _deliver_frame(self, msg: Message) -> None:
-        """Reliable-transport delivery hook: the final, checksum-clean
-        attempt of a frame (possibly fired from a retransmission timer,
-        long after the send)."""
-        dst_rank = self._ranks[msg.dst_vp]
+        """Reliable-transport sink: a frame's final, checksum-clean attempt
+        (maybe from a retransmission timer); only it meets logged duplicates."""
+        dst_vp, dst_rank = msg.dst_vp, self._ranks[msg.dst_vp]
         san = self.sanitizer
         if (san is not None and msg.dest_endpoint is not None
                 and dst_rank.pe.endpoint != msg.dest_endpoint):
             san.on_stale_delivery(dst_rank, msg)
-        self._deliver(msg)
-
-    def _deliver(self, msg: Message) -> None:
-        dst_vp = msg.dst_vp
-        dst_rank = self._ranks[dst_vp]
         ml = self.msglog
         if ml is not None and ml.already_consumed(dst_vp, msg.src_vp,
                                                   msg.chan_seq):
@@ -795,29 +796,29 @@ class AmpiJob:
                     args={"src_vp": msg.src_vp, "chan_seq": msg.chan_seq},
                 )
             return
+        self._deliver(msg)
+
+    def _deliver(self, msg: Message) -> None:
+        dst_rank = self._ranks[msg.dst_vp]
         req, wake = dst_rank.mailbox.deliver(msg)
         if req is not None:
-            self._consume(req, msg)
+            req.completed, req.completion_time, req.payload = (
+                True, msg.arrival, msg.payload)
+            req.msg_src, req.msg_tag, req.msg_nbytes = (
+                msg.src, msg.tag, msg.nbytes)
+            if self.msglog is not None:
+                self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
             if self.trace is not None:
                 self.trace.instant(
                     "recv-match", "msg", msg.arrival,
-                    pid=self.trace_pid_of(dst_rank.pe), tid=dst_vp,
+                    pid=self.trace_pid_of(dst_rank.pe), tid=msg.dst_vp,
                     args={"src": msg.src, "tag": msg.tag,
                           "nbytes": msg.nbytes},
                 )
         if wake:
             self.scheduler.wake(dst_rank, msg.arrival)
 
-    def _consume(self, req: Request, msg: Message) -> None:
-        """Receive ``req`` takes ``msg``."""
-        req.complete(msg.arrival, msg.payload, msg.src, msg.tag, msg.nbytes)
-        if self.msglog is not None:
-            self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
-
-    def _api_send(self, rank: VirtualRank, payload: Any, dest: int,
-                  tag: int = 0, comm: Communicator | None = None) -> None:
-        self._send(rank, payload, dest, tag,
-                   comm if comm is not None else self.world)
+    _api_send = _send
 
     def _api_isend(self, rank: VirtualRank, payload: Any, dest: int,
                    tag: int = 0, comm: Communicator | None = None) -> Request:
@@ -826,15 +827,18 @@ class AmpiJob:
         self._send(rank, payload, dest, tag, comm)
         # complete on return: a send never waits for its receiver
         return Request(RequestKind.SEND, rank.vp, comm.cid, -1, tag, True,
-                       rank.ult.clock.now, None, Status())
+                       rank.ult.clock.now)
 
     def _api_irecv(self, rank: VirtualRank, source: int = ANY_SOURCE,
                    tag: int = ANY_TAG,
                    comm: Communicator | None = None) -> Request:
         if comm is None:
             comm = self.world
+        if source != ANY_SOURCE and not 0 <= source < len(comm.group):
+            comm.vp_of_rank(source)             # raises: out of range
         req = Request(RequestKind.RECV, rank.vp, comm.cid, source, tag)
         ml = self.msglog
+        msg = None
         if ml is not None and ml.is_replaying(rank.vp):
             # A recovering rank re-executes: serve its receives from the
             # message log first.  Anything in the mailbox is a *fresh*
@@ -842,47 +846,50 @@ class AmpiJob:
             # it before the logged history would break non-overtaking.
             src_vp = (None if source == ANY_SOURCE
                       else comm.vp_of_rank(source))
-            entry = ml.replay_match(rank.vp, src_vp, tag, comm.cid)
-            if entry is not None:
-                sender = self._ranks[entry.src_vp]
-                fetch_ns = self.network.transfer_ns(
-                    entry.nbytes, sender.pe.endpoint, rank.pe.endpoint
-                )
+            msg = ml.replay_match(rank.vp, src_vp, tag, comm.cid)
+            if msg is not None:
+                src_pe = self._ranks[msg.src_vp].pe
+                fetch_ns = self.network.transfer_ns(msg.nbytes, src_pe.endpoint,
+                                                    rank.pe.endpoint)
                 now = rank.ult.clock.now
-                entry.sent_at = now
-                entry.arrival = now + fetch_ns
-                req.complete(entry.arrival, entry.payload, entry.src,
-                             entry.tag, entry.nbytes)
-                ml.on_consume(rank.vp, entry.src_vp, entry.chan_seq)
+                msg.sent_at = now
+                msg.arrival = now + fetch_ns
                 self.counters.incr(EV_REPLAYED)
                 if self.trace is not None:
                     self.trace.instant(
                         "replay:msg", "ft", now,
                         pid=self.trace_pid_of(rank.pe), tid=rank.vp,
-                        args={"src_vp": entry.src_vp,
-                              "chan_seq": entry.chan_seq},
+                        args={"src_vp": msg.src_vp,
+                              "chan_seq": msg.chan_seq},
                     )
-                return req
-        while True:
+        if msg is None:
             msg = rank.mailbox.post(req)
-            if msg is None or ml is None or not ml.already_consumed(
+            while msg is not None and ml is not None and ml.already_consumed(
                     rank.vp, msg.src_vp, msg.chan_seq):
-                break
-            # A duplicate copy of a seq this rank already replayed from
-            # the message log (see _deliver): discard and post again.
-            self.counters.incr(EV_DEDUP_DROP)
+                # A duplicate of a seq this rank already replayed from the
+                # message log (see _deliver_frame): discard, post again.
+                self.counters.incr(EV_DEDUP_DROP)
+                msg = rank.mailbox.post(req)
         if msg is not None:
-            self._consume(req, msg)
+            req.completed, req.completion_time, req.payload = (
+                True, msg.arrival, msg.payload)
+            req.msg_src, req.msg_tag, req.msg_nbytes = (
+                msg.src, msg.tag, msg.nbytes)
+            if ml is not None:
+                ml.on_consume(rank.vp, msg.src_vp, msg.chan_seq)
         return req
 
     def _api_recv(self, rank: VirtualRank, source: int = ANY_SOURCE,
                   tag: int = ANY_TAG, comm: Communicator | None = None,
                   status: Status | None = None) -> Blocking:
         req = self._api_irecv(rank, source, tag, comm)
-        return (yield from self._api_wait(rank, req, status))
+        payload = yield from self._api_wait(rank, req)
+        if status is not None:
+            status.source, status.tag, status.nbytes = (
+                req.msg_src, req.msg_tag, req.msg_nbytes)
+        return payload
 
-    def _api_wait(self, rank: VirtualRank, request: Request,
-                  status: Status | None = None) -> Blocking:
+    def _api_wait(self, rank: VirtualRank, request: Request) -> Blocking:
         if request.vp != rank.vp:
             self._own(rank, (request,))
         clock = rank.ult.clock
@@ -899,12 +906,8 @@ class AmpiJob:
                     max(0, request.completion_time - t_block),
                     pid=self.trace_pid_of(rank.pe), tid=rank.vp,
                 )
-        clock.advance_to(request.completion_time)
-        clock.advance(self.costs.msg_overhead_ns)
-        if status is not None:
-            status.source = request.status.source
-            status.tag = request.status.tag
-            status.nbytes = request.status.nbytes
+        clock.now = max(request.completion_time, clock.now) + \
+            self.costs.msg_overhead_ns          # advance_to, then advance
         return request.payload
 
     @staticmethod
@@ -955,7 +958,7 @@ class AmpiJob:
     def _api_probe(self, rank: VirtualRank, source: int = ANY_SOURCE,
                    tag: int = ANY_TAG,
                    comm: Communicator | None = None) -> Blocking:
-        comm = self._resolve_comm(comm)
+        comm = self._resolve_comm(comm, source)
         while True:
             msg = rank.mailbox.peek(source, tag, comm.cid)
             if msg is not None:
@@ -967,7 +970,7 @@ class AmpiJob:
     def _api_iprobe(self, rank: VirtualRank, source: int = ANY_SOURCE,
                     tag: int = ANY_TAG,
                     comm: Communicator | None = None) -> Status | None:
-        comm = self._resolve_comm(comm)
+        comm = self._resolve_comm(comm, source)
         rank.clock.advance(self.costs.scheduler_poll_ns)
         msg = rank.mailbox.peek(source, tag, comm.cid)
         if msg is not None and msg.arrival <= rank.clock.now:
@@ -978,8 +981,6 @@ class AmpiJob:
                       source: int = ANY_SOURCE, sendtag: int = 0,
                       recvtag: int = ANY_TAG,
                       comm: Communicator | None = None) -> Blocking:
-        if comm is None:
-            comm = self.world
         req = self._api_irecv(rank, source, recvtag, comm)
         self._send(rank, payload, dest, sendtag, comm)
         return (yield from self._api_wait(rank, req))

@@ -86,10 +86,13 @@ class Mailbox:
         matches, else onto the unexpected queue.  Returns ``(receive,
         wake)``: the receive it completes (None when queued) and whether
         the rank is blocked on exactly that — or on a probe this message
-        answers, which is then cleared."""
+        answers, which is then cleared.  Here and in :meth:`post` the
+        scan is :meth:`Message.matches` written out (once per message)."""
+        src, tag, comm_id = msg.src, msg.tag, msg.comm_id
         receives = self._receives
         for i, req in enumerate(receives):
-            if msg.matches(req.src, req.tag, req.comm_id):
+            if (req.comm_id == comm_id and (req.src == src or req.src == ANY_SOURCE)
+                    and (req.tag == tag or req.tag == ANY_TAG)):
                 del receives[i]
                 for awaited in self.awaiting:
                     if awaited is req:
@@ -108,19 +111,16 @@ class Mailbox:
     def post(self, req: Any) -> Message | None:
         """A new receive takes the earliest-arrived unexpected message it
         matches (returned, removed); otherwise it is posted."""
-        msg = self.match(req.src, req.tag, req.comm_id)
-        if msg is None:
-            if self._receives:
-                self._receives.append(req)
-            else:
-                self._receives = [req]
-        return msg
-
-    def match(self, src: int, tag: int, comm_id: int) -> Message | None:
-        """Remove and return the first matching message (None if absent)."""
-        for i, m in enumerate(self._messages):
-            if m.matches(src, tag, comm_id):
-                return self._messages.pop(i)
+        src, tag, comm_id = req.src, req.tag, req.comm_id
+        messages = self._messages
+        for i, m in enumerate(messages):
+            if (m.comm_id == comm_id and (m.src == src or src == ANY_SOURCE)
+                    and (m.tag == tag or tag == ANY_TAG)):
+                return messages.pop(i)
+        if self._receives:
+            self._receives.append(req)
+        else:
+            self._receives = [req]
         return None
 
     def peek(self, src: int, tag: int, comm_id: int) -> Message | None:

@@ -20,6 +20,7 @@ RUN_NAMES = ("tables", "fig5", "fig6", "fig6-globals", "fig7", "fig7-O0",
              "fig8", "icache", "adcirc", "lb", "pie-memory", "pie-scan",
              "pip-namespaces", "dedup")
 TRACEABLE = ("fig5", "fig6", "fig7", "fig8")
+TRACE_QUICK_N = 2000
 
 
 def cmd_list_methods(_args) -> int:
@@ -91,6 +92,17 @@ def _flag(dest: str) -> str:
     return "--" + dest.replace("_", "-")
 
 
+def _given(command: str, args, run, dests: tuple[str, ...]) -> dict | None:
+    """Given flags among ``dests``; None, after a usage error, if ``run`` ignores one."""
+    given = {d: getattr(args, d) for d in dests if getattr(args, d) is not None}
+    unread = [_flag(d) for d in given if d not in run.flags]
+    if unread:
+        print(f"repro {command}: error: {args.experiment} does not read "
+              f"{', '.join(unread)} (flags it reads: "
+              f"{', '.join(map(_flag, run.flags)) or 'none'})", file=sys.stderr)
+    return None if unread else given
+
+
 def _plain(value):
     """``value`` with its dataclasses and sets as JSON types."""
     if dataclasses.is_dataclass(value):
@@ -106,14 +118,8 @@ def cmd_run(args) -> int:
     from repro.harness.claims import RUNS, show
 
     run = RUNS[args.experiment]
-    given = {dest: getattr(args, dest) for dest in ("cores", "quick_n")
-             if getattr(args, dest) is not None}
-    unread = [_flag(dest) for dest in given if dest not in run.flags]
-    if unread:
-        print(f"repro run: error: {args.experiment} does not read "
-              f"{', '.join(unread)} (flags it reads: "
-              f"{', '.join(map(_flag, run.flags)) or 'none'})",
-              file=sys.stderr)
+    given = _given("run", args, run, ("cores", "quick_n"))
+    if given is None:
         return 2
     detector = None
     if args.sanitize:
@@ -159,9 +165,13 @@ def cmd_trace(args) -> int:
     )
 
     run = RUNS[args.experiment]
+    given = _given("trace", args, run, ("quick_n",))
+    if given is None:
+        return 2
+    if "quick_n" in run.flags:
+        given.setdefault("quick_n", TRACE_QUICK_N)
     recorder = TraceRecorder(capacity=args.capacity)
-    data = run.execute(trace=recorder, **(
-        {"quick_n": args.quick_n} if "quick_n" in run.flags else {}))
+    data = run.execute(trace=recorder, **given)
     print(run.text(data))
 
     out = args.out or f"{args.experiment}-trace.json"
@@ -298,9 +308,9 @@ def register(sub) -> None:
                             "(default: <experiment>-trace.json)")
     trace.add_argument("--timeline-out", default=None,
                        help="text timeline path (default: <out>.timeline.txt)")
-    trace.add_argument("--quick-n", type=int, default=2000, action=_Positive,
-                       help="fig6: yields per rank (small default keeps the "
-                            "trace within the ring buffer)")
+    trace.add_argument("--quick-n", type=int, default=None, action=_Positive,
+                       help=f"fig6: yields per rank (default {TRACE_QUICK_N}, "
+                            "which keeps the trace within the ring buffer)")
     trace.add_argument("--capacity", type=int, default=1 << 20,
                        action=_Positive,
                        help="trace ring-buffer capacity in events")

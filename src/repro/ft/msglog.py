@@ -235,7 +235,7 @@ class MessageLogger:
                 return self._to_message(entry)
             # First unconsumed entry decides per (source, tag) order;
             # a tag mismatch just means this one replays via another
-            # receive — keep scanning, like Mailbox.match does.
+            # receive — keep scanning, like Mailbox.post does.
         return None
 
     @staticmethod

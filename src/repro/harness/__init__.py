@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.tables import format_table, format_markdown_table
+    from repro.harness.tables import format_table
     from repro.harness.capabilities import CapabilityRow, probe_method
     from repro.harness.jobspec import (
         JobSpec,
@@ -39,7 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # numpy); a caller that wants ``format_table`` or ``JobSpec`` pays for
 # neither.
 __getattr__, __dir__, __all__ = lazy_exports(globals(), {
-    "repro.harness.tables": ("format_table", "format_markdown_table"),
+    "repro.harness.tables": ("format_table",),
     "repro.harness.capabilities": ("CapabilityRow", "probe_method"),
     "repro.harness.jobspec": (
         "JobSpec", "add_result_hook", "app_names", "build_app_source",

@@ -1,4 +1,4 @@
-"""Plain-text and markdown table rendering for experiment output."""
+"""Plain-text table rendering for experiment output."""
 
 from __future__ import annotations
 
@@ -39,12 +39,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]],
     out.append(sep)
     return "\n".join(out)
 
-
-def format_markdown_table(headers: Sequence[str],
-                          rows: Sequence[Sequence[Any]]) -> str:
-    cells = [[_cell(v) for v in row] for row in rows]
-    out = ["| " + " | ".join(headers) + " |",
-           "|" + "|".join("---" for _ in headers) + "|"]
-    for r in cells:
-        out.append("| " + " | ".join(r) + " |")
-    return "\n".join(out)

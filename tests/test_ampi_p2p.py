@@ -1,6 +1,7 @@
 """Point-to-point MPI semantics, exercised through real jobs."""
 
 import numpy as np
+import pytest
 
 from repro.ampi.comm import ANY_SOURCE, ANY_TAG
 from repro.ampi.requests import Status
@@ -203,6 +204,43 @@ class TestNonblocking:
 
         r = run_job(program(main2), 2)
         assert r.exit_values[1] == "raised"
+
+
+class TestRankRange:
+    """A peer rank outside the communicator is refused with one wording
+    on either side: a receive (or probe) from it used to wait forever and
+    end in a DeadlockError, or, nonblocking, to return as if posted."""
+
+    @pytest.mark.parametrize("call", [
+        "send", "isend", "recv", "irecv", "probe", "iprobe", "sendrecv"])
+    @pytest.mark.parametrize("peer", [5, 2, -2])
+    def test_out_of_range_peer_is_an_mpi_error(self, call, peer):
+        def main(ctx):
+            mpi = ctx.mpi
+            if mpi.rank() == 0:
+                if call == "sendrecv":
+                    mpi.sendrecv("x", dest=1, source=peer)
+                elif call in ("send", "isend"):
+                    getattr(mpi, call)("x", dest=peer)
+                else:
+                    getattr(mpi, call)(source=peer)
+            return None
+
+        with pytest.raises(MpiError) as err:
+            run_job(program(main), 2)
+        assert str(err.value) == \
+            f"rank {peer} out of range for MPI_COMM_WORLD (size 2)"
+
+    def test_any_source_is_still_any_source(self):
+        def main(ctx):
+            mpi = ctx.mpi
+            if mpi.rank() == 1:
+                mpi.send("hi", dest=0, tag=4)
+                return None
+            status = mpi.probe(source=ANY_SOURCE, tag=ANY_TAG)
+            return status.source, mpi.recv(source=ANY_SOURCE)
+
+        assert run_job(program(main), 2).exit_values[0] == (1, "hi")
 
 
 class TestProbe:

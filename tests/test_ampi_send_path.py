@@ -1,15 +1,18 @@
 """The point-to-point path, one pass per message.
 
 ``AmpiJob._send`` is the one send body and a message's facts are
-computed once per call.  The previous path — ``_api_send`` with its own
-body, ``_transfer_plan``, a ``Request`` that built a default ``Status``
-for ``complete()`` to replace — is kept here verbatim as a reference job
-(:class:`ReferenceJob`; ``pack_transport`` picks the overrides up by
-name).  Hypothesis-generated deadlock-free point-to-point programs must
-give the same timeline, counters and per-rank received payloads on both,
-and two known-bad mutants must fail that comparison.  The rest is
-structural, not timed (counted through ``counted.py``): Python calls per
-``isend``/``irecv`` on the ``jacobi_1k`` shape, per rank of
+computed once per call; a message builds one ``Message`` and one
+``Request`` per side, and a ``Status`` only when a request's ``status``
+is read.  An earlier path — ``_api_send`` with its own body,
+``_transfer_plan``, a completion helper, a ``Request`` that built a
+default ``Status`` for ``complete()`` to replace — is kept here as a
+reference job (:class:`ReferenceJob`; ``pack_transport`` picks the
+overrides up by name).  Hypothesis-generated deadlock-free point-to-point programs must
+give the same timeline, counters, per-rank received payloads and
+statuses of every completed request on both, and four known-bad mutants
+must fail that comparison.  The rest is structural, not timed (counted
+through ``counted.py``): Python calls per ``isend``/``irecv`` and objects
+built per message on the ``jacobi_1k`` shape, calls per rank of
 ``AmpiJob.start`` on ``method_sweep`` shapes, and the shapes and seams
 the host benchmark runs and wraps by name.
 """
@@ -17,6 +20,7 @@ the host benchmark runs and wraps by name.
 from __future__ import annotations
 
 import __future__
+import dataclasses
 import importlib.util
 import itertools
 import inspect
@@ -29,6 +33,7 @@ from typing import Any
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
+from repro.ampi import requests
 from repro.ampi.api import MpiHandle
 from repro.ampi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.ampi.datatypes import payload_nbytes
@@ -90,11 +95,12 @@ class Request:
 
 
 class ReferenceJob(AmpiJob):
-    """An :class:`AmpiJob` whose point-to-point entries are the previous
+    """An :class:`AmpiJob` whose point-to-point entries are an earlier
     path's: ``_api_send`` with its own body (``_transfer_plan``), the
     ``_api_isend`` that resolved the communicator twice, ``_api_irecv``,
-    ``_api_wait``, ``_api_sendrecv``, ``_deliver``, ``_consume`` and the
-    :class:`Request` above."""
+    ``_api_recv``, ``_api_wait``, ``_api_sendrecv``, ``_deliver_frame``,
+    ``_deliver`` (its completion helper written out at both call sites) and
+    the :class:`Request` above."""
 
     def _transfer_plan(self, rank: VirtualRank, dst_vp: int,
                        nbytes: int) -> tuple[int, Any]:
@@ -157,6 +163,17 @@ class ReferenceJob(AmpiJob):
         else:
             self._deliver(msg)
 
+    def _deliver_frame(self, msg: Message) -> None:
+        """Reliable-transport delivery hook: the final, checksum-clean
+        attempt of a frame (possibly fired from a retransmission timer,
+        long after the send)."""
+        dst_rank = self._ranks[msg.dst_vp]
+        san = self.sanitizer
+        if (san is not None and msg.dest_endpoint is not None
+                and dst_rank.pe.endpoint != msg.dest_endpoint):
+            san.on_stale_delivery(dst_rank, msg)
+        self._deliver(msg)
+
     def _deliver(self, msg: Message) -> None:
         dst_vp = msg.dst_vp
         dst_rank = self._ranks[dst_vp]
@@ -178,7 +195,10 @@ class ReferenceJob(AmpiJob):
             return
         req, wake = dst_rank.mailbox.deliver(msg)
         if req is not None:
-            self._consume(req, msg)
+            req.complete(when=msg.arrival, payload=msg.payload,
+                         source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+            if self.msglog is not None:
+                self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
             if self.trace is not None:
                 self.trace.instant(
                     "recv-match", "msg", msg.arrival,
@@ -188,13 +208,6 @@ class ReferenceJob(AmpiJob):
                 )
         if wake:
             self.scheduler.wake(dst_rank, msg.arrival)
-
-    def _consume(self, req: Request, msg: Message) -> None:
-        """Receive ``req`` takes ``msg``."""
-        req.complete(when=msg.arrival, payload=msg.payload,
-                     source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
-        if self.msglog is not None:
-            self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
 
     def _api_isend(self, rank: VirtualRank, payload: Any, dest: int,
                    tag: int = 0, comm: Communicator | None = None) -> Request:
@@ -249,8 +262,17 @@ class ReferenceJob(AmpiJob):
             # the message log (see _deliver): discard and post again.
             self.counters.incr(EV_DEDUP_DROP)
         if msg is not None:
-            self._consume(req, msg)
+            req.complete(when=msg.arrival, payload=msg.payload,
+                         source=msg.src, tag=msg.tag, nbytes=msg.nbytes)
+            if self.msglog is not None:
+                self.msglog.on_consume(req.vp, msg.src_vp, msg.chan_seq)
         return req
+
+    def _api_recv(self, rank: VirtualRank, source: int = ANY_SOURCE,
+                  tag: int = ANY_TAG, comm: Communicator | None = None,
+                  status: Status | None = None) -> Blocking:
+        req = self._api_irecv(rank, source, tag, comm)
+        return (yield from self._api_wait(rank, req, status))
 
     def _api_wait(self, rank: VirtualRank, request: Request,
                   status: Status | None = None) -> Blocking:
@@ -288,7 +310,7 @@ class ReferenceJob(AmpiJob):
         return (yield from self._api_wait(rank, req))
 
 
-# -- the two mutants the oracle must catch ---------------------------------------------
+# -- the mutants the oracle must catch -------------------------------------------------
 
 
 def _without_line(fn: Any, marker: str) -> Any:
@@ -323,6 +345,34 @@ def deliver_to_last_posted(self: Mailbox, msg: Message) -> tuple[Any, bool]:
             del receives[i]
             return req, any(a is req for a in self.awaiting)
     return _deliver(self, msg)
+
+
+_status = requests.Request.status.fget
+
+
+@property
+def status_of_the_signature(self) -> Status | None:
+    """Mutant ``Request.status``: a receive reports the source and tag it
+    asked for, not the message's — the same unless it used a wildcard."""
+    s = _status(self)
+    if s is None or self.kind is RequestKind.SEND:
+        return s
+    return Status(self.src, self.tag, s.nbytes)
+
+
+_one_per_rank: dict[int, Status] = {}
+
+
+@property
+def one_status_per_rank(self) -> Status | None:
+    """Mutant ``Request.status``: one Status object per rank, refilled
+    by every read — equal values, shared storage."""
+    s = _status(self)
+    if s is None:
+        return None
+    shared = _one_per_rank.setdefault(self.vp, Status())
+    shared.source, shared.tag, shared.nbytes = s.source, s.tag, s.nbytes
+    return shared
 
 
 # -- generated deadlock-free point-to-point programs ---------------------------------
@@ -458,22 +508,24 @@ def build(program) -> Any:
                                                          status))))
                     got.append((status.source, status.tag, status.nbytes))
                 elif kind == "wait":
-                    got.append(seen((yield from mpi.wait(reqs.pop(op[1])))))
+                    req = reqs.pop(op[1])
+                    got.append((seen((yield from mpi.wait(req))), req.status))
                 elif kind == "waitall":
-                    done = yield from mpi.waitall([reqs.pop(k) for k in op[1]])
-                    got.append([seen(x) for x in done])
+                    left = [reqs.pop(k) for k in op[1]]
+                    done = yield from mpi.waitall(left)
+                    got.append([(seen(x), r.status)
+                                for x, r in zip(done, left)])
                 elif kind == "waitany":
                     left = [reqs.pop(k) for k in op[1]]
                     while left:
                         i, x = yield from mpi.waitany(left)
-                        left.pop(i)
-                        got.append((i, seen(x)))
+                        got.append((i, seen(x), left.pop(i).status))
                 elif kind == "test":
                     req = reqs.pop(op[1])
                     flag, x = mpi.test(req)
                     if not flag:
                         x = yield from mpi.wait(req)
-                    got.append((flag, seen(x)))
+                    got.append((flag, seen(x), req.status))
                 else:
                     yield from mpi.barrier()
         yield from mpi.finalize()
@@ -607,22 +659,23 @@ class TestAgainstReference:
                     slot_size=1 << 24).run()
 
 
-def caught(mutant: Any) -> Any:
-    """The first generated case on which ``mutant`` (a job class, or a
-    ``(job class, Mailbox.deliver)`` pair) and the reference disagree."""
-    job_cls, deliver = mutant if isinstance(mutant, tuple) else (mutant, None)
+def caught(job_cls: type, *patches: tuple[Any, str, Any]) -> Any:
+    """The first generated case on which ``job_cls``, run with each
+    ``(owner, name, value)`` patch in place, and the reference disagree."""
 
     def differs(case) -> bool:
         source = build(case[0])
         want = history(ReferenceJob, case, source)
-        real = Mailbox.deliver
-        Mailbox.deliver = deliver or real
+        real = [(owner, name, vars(owner)[name]) for owner, name, _ in patches]
+        for owner, name, value in patches:
+            setattr(owner, name, value)
         try:
             return history(job_cls, case, source) != want
         except ReproError:   # e.g. a receive left waiting: DeadlockError
             return True
         finally:
-            Mailbox.deliver = real
+            for owner, name, value in real:
+                setattr(owner, name, value)
 
     return find(cases(), differs,
                 settings=settings(max_examples=300, derandomize=True,
@@ -634,21 +687,32 @@ class TestTheOracleHasTeeth:
         assert caught(NoByteCountJob)
 
     def test_last_posted_matching_is_caught(self):
-        assert caught((AmpiJob, deliver_to_last_posted))
+        assert caught(AmpiJob, (Mailbox, "deliver", deliver_to_last_posted))
+
+    @pytest.mark.parametrize("status", [status_of_the_signature,
+                                        one_status_per_rank],
+                             ids=lambda p: p.fget.__name__)
+    def test_a_wrong_status_is_caught(self, status):
+        assert caught(AmpiJob, (requests.Request, "status", status))
 
 
 # -- structural guards on the jacobi_1k shape ----------------------------------------
 
 #: Python calls inside one ``MpiHandle.isend``/``irecv`` on the
-#: ``jacobi_1k`` shape, measured plus one (the previous path: 33.5/10.8)
-CALL_BUDGET = {"isend": 19, "irecv": 8}
+#: ``jacobi_1k`` shape: 10.44 and 4.00 measured, plus at most one (with
+#: a completion helper, ``Request.complete``, a ``Status`` per request, the
+#: communicator lookups, the clock and byte-count calls and a
+#: ``Message.matches`` per scanned entry: 17.76/7.65; before one pass per
+#: message: 33.5/10.8)
+CALL_BUDGET = {"isend": 11, "irecv": 5}
 
-#: Python calls per quantum of the whole run, measured plus one (the run
-#: queue asking the scheduler where each ULT lives, a closure charging
-#: each quantum and ``AMPI_Yield`` delegating to ``yield_current``: 21.0
-#: and 96.8; the facade that repacked every call through
-#: ``MpiHandle._call``: 27.0 and 112.1)
-QUANTUM_BUDGET = {"switch_storm": 12, "jacobi_1k": 89}
+#: Python calls per quantum of the whole run: 11.05 and 70.27 measured,
+#: plus at most one (the send path above: 87.73; the run queue asking
+#: the scheduler where each ULT lives, a closure charging each quantum
+#: and ``AMPI_Yield`` delegating to ``yield_current``: 21.0 and 96.8; the
+#: facade that repacked every call through ``MpiHandle._call``: 27.0 and
+#: 112.1)
+QUANTUM_BUDGET = {"switch_storm": 12, "jacobi_1k": 71}
 #: ... and inside one call of each entry: the dispatch part of
 #: ``yield_``/``wait`` (before the generator is handed out) and one
 #: ``ctx.g`` read/write (previously 3, 2.81, 6 and 7)
@@ -657,6 +721,10 @@ ENTRY_BUDGET = {"yield_": 2, "wait": 2, "g_read": 3, "g_write": 4}
 #: each method, C functions included (before ranks were admitted in bulk
 #: and a rank's start-up paid only for itself: 67.2, 110.3 and 184.7)
 STARTUP_BUDGET = {"none": 55, "pieglobals": 92, "fsglobals": 160}
+#: objects built per message on the ``jacobi_1k`` shape, exact: the
+#: message and one request per side, no ``Status`` until a request's
+#: ``status`` is read (a ``Status`` per request before: 1 / 2 / 2)
+PER_MESSAGE = {"Message": 1, "Request": 2, "Status": 0}
 
 
 def run_calls(spec: JobSpec, entries: dict) -> Calls:
@@ -674,6 +742,39 @@ def jacobi_1k_calls():
         "g_write": GlobalsProxy.__setattr__})
 
 
+def per_message(calls: Calls) -> dict[str, float]:
+    """``PER_MESSAGE``'s rows as counted: constructions per message sent."""
+    sent = calls.result.counters[EV_MSG_SENT]
+    return {cls.__name__: calls.called[cls.__init__.__code__] / sent
+            for cls in (Message, requests.Request, Status)}
+
+
+_real_deliver, _real_isend = AmpiJob._deliver, AmpiJob._api_isend
+
+
+def _delivers_a_copy(self: AmpiJob, msg: Message) -> None:
+    _real_deliver(self, dataclasses.replace(msg))
+
+
+def _returns_a_copy(self: AmpiJob, *args: Any) -> Any:
+    return dataclasses.replace(_real_isend(self, *args))
+
+
+def _reads_the_status(self: AmpiJob, *args: Any) -> Any:
+    req = _real_isend(self, *args)
+    req.status
+    return req
+
+
+#: one mutant per ``PER_MESSAGE`` row, each moving only its row by one:
+#: a copy of each message delivered, a copy of each send's request
+#: returned, a send's status built at birth (the previous path's
+#: throwaway ``Status``)
+ROW_MUTANTS = {"Message": ("_deliver", _delivers_a_copy),
+               "Request": ("_api_isend", _returns_a_copy),
+               "Status": ("_api_isend", _reads_the_status)}
+
+
 class TestStructuralGuards:
     """Counted, not timed: the budget fails on the previous path."""
 
@@ -686,6 +787,19 @@ class TestStructuralGuards:
             per_call
         # the seam bench.py wraps as ``net``: once per send
         assert calls.called[Network.transfer_ns.__code__] == sent
+
+    def test_objects_per_message_on_the_jacobi_1k_shape(self, jacobi_1k_calls):
+        assert per_message(jacobi_1k_calls) == PER_MESSAGE
+
+    @pytest.mark.parametrize("row", PER_MESSAGE)
+    def test_each_object_row_has_a_mutant(self, row, monkeypatch):
+        """On a 64-rank cut of the shape each mutant moves its row by one
+        and no other row."""
+        spec = dataclasses.replace(JACOBI_1K, nvp=64)
+        assert per_message(run_calls(spec, {})) == PER_MESSAGE
+        monkeypatch.setattr(AmpiJob, *ROW_MUTANTS[row])
+        assert per_message(run_calls(spec, {})) == {
+            name: n + (name == row) for name, n in PER_MESSAGE.items()}
 
     def test_calls_per_quantum_and_per_entry(self, jacobi_1k_calls):
         storm = run_calls(SWITCH_STORM, {"yield_": MpiHandle.yield_})

@@ -37,12 +37,12 @@ class TestMailbox:
     def test_match_removes(self):
         box = Mailbox()
         box.deliver(msg(tag=5))
-        m = box.match(ANY_SOURCE, 5, 0)
+        m = box.post(recv(tag=5))
         assert m is not None
         assert len(box) == 0
 
     def test_match_none_when_empty(self):
-        assert Mailbox().match(ANY_SOURCE, ANY_TAG, 0) is None
+        assert Mailbox().post(recv()) is None
 
     def test_peek_preserves(self):
         box = Mailbox()
@@ -58,16 +58,16 @@ class TestMailbox:
         second = msg(src=0, tag=1, arrival=20, payload="second")
         box.deliver(first)
         box.deliver(second)
-        assert box.match(0, 1, 0).payload == "first"
-        assert box.match(0, 1, 0).payload == "second"
+        assert box.post(recv(0, 1)).payload == "first"
+        assert box.post(recv(0, 1)).payload == "second"
 
     def test_tag_selective_receive_can_overtake(self):
         """Different tags may be drained out of arrival order."""
         box = Mailbox()
         box.deliver(msg(tag=1, payload="a"))
         box.deliver(msg(tag=2, payload="b"))
-        assert box.match(ANY_SOURCE, 2, 0).payload == "b"
-        assert box.match(ANY_SOURCE, 1, 0).payload == "a"
+        assert box.post(recv(tag=2)).payload == "b"
+        assert box.post(recv(tag=1)).payload == "a"
 
     def test_pending_listing(self):
         box = Mailbox()
@@ -87,7 +87,7 @@ class TestMailbox:
             pass
         drained = []
         while True:
-            m = box.match(ANY_SOURCE, ANY_TAG, 0)
+            m = box.post(recv())
             if m is None:
                 break
             drained.append(m.payload)

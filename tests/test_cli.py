@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.cli.harness import TRACEABLE
 
 
 class TestParser:
@@ -48,14 +51,44 @@ class TestRunFlags:
         (["run", "fig7", "--quick-n", "10"], "none"),
         (["run", "fig6", "--cores", "1"], "--quick-n"),
         (["run", "adcirc", "--quick-n", "10"], "--cores"),
+        (["trace", "fig5", "--quick-n", "500"], "none"),
+        (["trace", "fig7", "--quick-n", "500"], "none"),
+        (["trace", "fig8", "--quick-n", "500"], "none"),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_a_flag_the_run_does_not_read_is_refused(self, argv, reads,
-                                                     capsys):
+                                                     capsys, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith(f"repro {argv[0]}: error: ")
         assert f"{argv[1]} does not read {argv[2]} (flags it reads: " \
                f"{reads})" in captured.err
+        assert list(tmp_path.iterdir()) == []   # nothing ran, nothing written
+
+    def test_trace_gives_fig6_its_own_default(self, monkeypatch):
+        """``trace`` applies its 2000 yields per rank only to the run
+        that reads ``--quick-n`` (fig6) and passes a given value through."""
+        from repro.harness import claims
+
+        class Ran(Exception):
+            pass
+
+        def execute(**kwargs):
+            raise Ran(kwargs.get("quick_n"))
+
+        for name in TRACEABLE:
+            monkeypatch.setitem(claims.RUNS, name, dataclasses.replace(
+                claims.RUNS[name], execute=execute))
+        seen = {}
+        for argv in (["fig6"], ["fig6", "--quick-n", "50"], ["fig5"],
+                     ["fig7"], ["fig8"]):
+            with pytest.raises(Ran) as ran:
+                main(["trace", *argv])
+            seen[" ".join(argv)] = ran.value.args[0]
+        assert seen == {"fig6": 2000, "fig6 --quick-n 50": 50, "fig5": None,
+                        "fig7": None, "fig8": None}
 
 
 class TestCommands:

@@ -80,7 +80,7 @@ FLAGS = {
               ('experiment', (), None, ['fig5', 'fig6', 'fig7', 'fig8'],
                None, None),
               ('out', ('--out',), None, None, None, None),
-              ('quick_n', ('--quick-n',), 2000, None, None, 'int'),
+              ('quick_n', ('--quick-n',), None, None, None, 'int'),
               ('timeline_out', ('--timeline-out',), None, None, None, None)],
     'claims': [('out', ('--out',), None, None, None, None),
                ('row', ('--row',), None, None, None, None)],

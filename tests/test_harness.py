@@ -16,7 +16,7 @@ from repro.harness.experiments import (
     migration_experiment,
     startup_experiment,
 )
-from repro.harness.tables import format_markdown_table, format_table
+from repro.harness.tables import format_table
 from repro.machine import TEST_MACHINE
 
 
@@ -29,10 +29,6 @@ class TestTables:
         out = format_table(["col"], [["short"], ["a-much-longer-cell"]])
         lines = [l for l in out.splitlines() if l.startswith("|")]
         assert len({len(l) for l in lines}) == 1
-
-    def test_markdown_table(self):
-        out = format_markdown_table(["A"], [[1]])
-        assert out.splitlines()[1] == "|---|"
 
     def test_float_formatting(self):
         out = format_table(["x"], [[0.001234], [12345.6]])
