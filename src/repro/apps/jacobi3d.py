@@ -17,77 +17,50 @@ each privatized global per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
 from repro.ampi.ops import MAX as MPI_MAX
 from repro.ampi.runtime import JobResult
+from repro.apps.jacobi_config import JacobiConfig, _block_bounds, dims_create
 from repro.charm.node import JobLayout
-from repro.errors import ReproError
 from repro.machine import GENERIC_LINUX, MachineModel
 from repro.program.source import Program, ProgramSource
 
-#: simulated .text footprint: "our Jacobi-3D standalone benchmark is
-#: around 100 lines of code and has a PIEglobals code segment size of 3 MB"
-JACOBI_CODE_BYTES = 3 * 1024 * 1024
+#: the flat indices a sweep gathers, per block shape (:func:`_sweep_plan`);
+#: one entry per distinct shape, shared by every job in the process
+_PLANS: dict[tuple[int, ...], np.ndarray] = {}
 
 
-@dataclass(frozen=True)
-class JacobiConfig:
-    n: int = 24                      #: global cube edge (n^3 cells)
-    iters: int = 10
-    reduce_every: int = 5            #: residual allreduce period
-    omega: float = 0.8               #: relaxation weight
-    compute_ns_per_cell: float = 2.0
-    code_bytes: int = JACOBI_CODE_BYTES
-    lb_period: int = 0               #: call AMPI_Migrate every k iters (0=off)
-    #: collective checkpoint every k iters (0=off); makes the solver
-    #: restart-aware: it resumes from the checkpointed iteration, both
-    #: after an in-run crash recovery and under ``restore_from=``
-    ckpt_period: int = 0
-    #: tag the inner-loop globals ``thread_local`` — what a user does when
-    #: building for TLSglobals (Figure 7's per-access overhead probe)
-    tag_tls: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.iters < 1:
-            raise ReproError("jacobi needs n >= 2 and iters >= 1")
+def _sweep_plan(shape: tuple[int, ...]) -> np.ndarray:
+    """Build and keep the gather of a sweep over blocks of ``shape``:
+    row by row the flat indices of the interior's -x, +x, -y, +y, -z and
+    +z neighbours, then of the interior itself (where the sweep also
+    scatters its result).  Read-only: every rank of that shape shares it."""
+    nx, ny, nz = shape
+    interior = np.arange(nx * ny * nz).reshape(shape)[1:-1, 1:-1, 1:-1]
+    gather = np.stack([interior.ravel() + offset for offset in
+                       (-ny * nz, ny * nz, -nz, nz, -1, 1, 0)])
+    gather.flags.writeable = False
+    _PLANS[shape] = gather
+    return gather
 
 
-@lru_cache(maxsize=None)
-def dims_create(nranks: int, ndims: int = 3) -> tuple[int, ...]:
-    """MPI_Dims_create-style balanced factorization of ``nranks``.
-
-    Pure function of its arguments and called once per rank, so it is
-    memoized — at 4k VPs the repeated factorization showed up in the
-    event-loop profile.
-    """
-    dims = [1] * ndims
-    remaining = nranks
-    f = 2
-    factors: list[int] = []
-    while f * f <= remaining:
-        while remaining % f == 0:
-            factors.append(f)
-            remaining //= f
-        f += 1
-    if remaining > 1:
-        factors.append(remaining)
-    for p in sorted(factors, reverse=True):
-        dims[dims.index(min(dims))] *= p
-    return tuple(sorted(dims, reverse=True))
+def _plane(axis: int, at: int) -> tuple[Any, ...]:
+    """The index of plane ``at`` along ``axis``, without the ghost rim."""
+    return tuple(at if a == axis else slice(1, -1) for a in range(3))
 
 
-def _block_bounds(n: int, parts: int, idx: int) -> tuple[int, int]:
-    """[start, end) of block ``idx`` when n cells split into ``parts``."""
-    base = n // parts
-    extra = n % parts
-    start = idx * base + min(idx, extra)
-    end = start + base + (1 if idx < extra else 0)
-    return start, end
+#: the six halo faces in exchange order: (axis, step to the neighbour's
+#: coordinate, send tag, receive tag, the interior plane sent, the ghost
+#: plane received).  The message a rank receives travels opposite to the
+#: one it sends.  Negative indices count from the far side, so one table
+#: serves every block shape.
+_FACES = tuple(
+    (axis, step, 10 + axis * 2 + (step > 0), 10 + axis * 2 + (step < 0),
+     _plane(axis, 1 if step < 0 else -2), _plane(axis, 0 if step < 0 else -1))
+    for axis in (0, 1, 2) for step in (-1, +1))
 
 
 def build_jacobi_program(cfg: JacobiConfig) -> ProgramSource:
@@ -128,47 +101,44 @@ def build_jacobi_program(cfg: JacobiConfig) -> ProgramSource:
         deadlock-free and overlappable by the message-driven scheduler."""
         mpi = ctx.mpi
         cx, cy, cz = coords
+        strides = (dims[1] * dims[2], dims[2], 1)
+        me = cx * strides[0] + cy * strides[1] + cz
         recvs = []
-        for axis in (0, 1, 2):
-            for direction in (-1, +1):
-                nc = [cx, cy, cz]
-                nc[axis] += direction
-                if not 0 <= nc[axis] < dims[axis]:
-                    continue
-                # Row-major rank of the neighbour coordinate.
-                nbr = (nc[0] * dims[1] + nc[1]) * dims[2] + nc[2]
-                # The message I receive travels opposite to the one I send.
-                send_tag = 10 + axis * 2 + (direction > 0)
-                recv_tag = 10 + axis * 2 + (direction < 0)
-                recvs.append(
-                    (axis, direction,
-                     mpi.irecv(source=nbr, tag=recv_tag, comm=comm))
-                )
-                mpi.isend(_face(u, axis, direction, interior=True).copy(),
-                          dest=nbr, tag=send_tag, comm=comm)
-        for axis, direction, req in recvs:
-            _set_face(u, axis, direction, (yield from mpi.wait(req)))
+        for axis, step, send_tag, recv_tag, send_at, ghost_at in _FACES:
+            if not 0 <= coords[axis] + step < dims[axis]:
+                continue
+            nbr = me + step * strides[axis]
+            recvs.append(
+                (ghost_at, mpi.irecv(source=nbr, tag=recv_tag, comm=comm)))
+            mpi.isend(u[send_at].copy(), dest=nbr, tag=send_tag, comm=comm)
+        for ghost_at, req in recvs:
+            u[ghost_at] = yield from mpi.wait(req)
 
     @p.function(code_bytes=24576)
     def relax(ctx, u):
         """One Jacobi sweep over the interior; returns (new u, residual)."""
         om = ctx.g.omega
         inv6 = ctx.g.inv6
-        stencil = (
-            u[:-2, 1:-1, 1:-1] + u[2:, 1:-1, 1:-1]
-            + u[1:-1, :-2, 1:-1] + u[1:-1, 2:, 1:-1]
-            + u[1:-1, 1:-1, :-2] + u[1:-1, 1:-1, 2:]
-        )
-        interior = u[1:-1, 1:-1, 1:-1]
+        gather = _PLANS.get(u.shape)
+        if gather is None:
+            gather = _sweep_plan(u.shape)
+        xm, xp, ym, yp, zm, zp, interior = u.take(gather)
+        # Added left to right like the compiled loop: a reduction starts
+        # from +0.0, so six -0.0 neighbours would come out +0.0.
+        stencil = xm + xp
+        stencil += ym
+        stencil += yp
+        stencil += zm
+        stencil += zp
         updated = (1.0 - om) * interior + (om * inv6) * stencil
-        resid = float(np.max(np.abs(updated - interior)))
+        resid = float(abs(updated - interior).max())
         cells = interior.size
         # Simulated cost of the compiled loop: arithmetic plus one access
         # to each privatized inner-loop global per cell.
         ctx.compute(cells * compute_ns)
         ctx.charge_accesses({"omega": cells, "inv6": cells})
         out = u.copy()
-        out[1:-1, 1:-1, 1:-1] = updated
+        out.reshape(-1)[gather[6]] = updated
         return out, resid
 
     @p.function(code_bytes=16384)
@@ -223,23 +193,6 @@ def build_jacobi_program(cfg: JacobiConfig) -> ProgramSource:
         return resid
 
     return p.build()
-
-
-def _face(u: np.ndarray, axis: int, direction: int, interior: bool) -> np.ndarray:
-    """The face plane to send (interior=True) or the ghost plane index."""
-    idx: list[Any] = [slice(1, -1)] * 3
-    if interior:
-        idx[axis] = 1 if direction < 0 else u.shape[axis] - 2
-    else:
-        idx[axis] = 0 if direction < 0 else u.shape[axis] - 1
-    return u[tuple(idx)]
-
-
-def _set_face(u: np.ndarray, axis: int, direction: int,
-              data: np.ndarray) -> None:
-    idx: list[Any] = [slice(1, -1)] * 3
-    idx[axis] = 0 if direction < 0 else u.shape[axis] - 1
-    u[tuple(idx)] = data
 
 
 def run_jacobi(

@@ -59,17 +59,31 @@ from repro.program.source import ProgramSource
 # ---------------------------------------------------------------------------
 
 AppBuilder = Callable[[dict], ProgramSource]
+#: refuses a config that cannot run on ``nvp`` ranks, without building
+AppCheck = Callable[[dict, int], None]
 
 _APPS: dict[str, AppBuilder] = {}
+_CHECKS: dict[str, AppCheck | None] = {}
 
 
-def register_app(name: str, builder: AppBuilder) -> None:
-    """Register (or replace) a named program builder.
+def register_app(name: str, builder: AppBuilder,
+                 check: AppCheck | None = None) -> None:
+    """Register (or replace) a named program builder, and the check of
+    a config against a rank count, if the app has one.
 
     The builder must be a pure function of its config dict so that equal
     specs build bit-identical programs.
     """
     _APPS[name] = builder
+    _CHECKS[name] = check
+
+
+def check_app(app: str, config: dict, nvp: int) -> None:
+    """Refuse ``config`` if it cannot run on ``nvp`` ranks of a
+    registered ``app`` (raises :class:`ReproError` or ``TypeError``)."""
+    check = _CHECKS.get(app)
+    if check:
+        check(config, nvp)
 
 
 def app_names() -> list[str]:
@@ -96,6 +110,13 @@ def _build_jacobi3d(cfg: dict) -> ProgramSource:
     return build_jacobi_program(JacobiConfig(**cfg))
 
 
+def _check_jacobi3d(cfg: dict, nvp: int) -> None:
+    # numpy-free: this runs where a spec is validated
+    from repro.apps.jacobi_config import JacobiConfig
+
+    JacobiConfig(**cfg).check_grid(nvp)
+
+
 def _build_adcirc(cfg: dict) -> ProgramSource:
     from repro.apps.adcirc import AdcircConfig, build_adcirc_program
 
@@ -108,7 +129,7 @@ def _build_memhog(cfg: dict) -> ProgramSource:
     return build_memhog_program(MemhogConfig(**cfg))
 
 
-register_app("jacobi3d", _build_jacobi3d)
+register_app("jacobi3d", _build_jacobi3d, _check_jacobi3d)
 register_app("adcirc", _build_adcirc)
 register_app("memhog", _build_memhog)
 register_app("startup", lambda cfg: build_startup_program(**cfg))
@@ -218,10 +239,11 @@ class JobSpec:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
     def validate(self) -> None:
-        """Refuse a spec that holds a mistyped scalar or names something
-        unknown — field types, registry and enum membership only, cheap
-        enough for :func:`build_job` and ``repro serve``'s submit path to
-        call first, before the spec is keyed."""
+        """Refuse a spec that holds a mistyped scalar, names something
+        unknown or gives its app a config the app cannot run on ``nvp``
+        ranks (:func:`check_app`) — cheap enough for :func:`build_job`
+        and ``repro serve``'s submit path to call first, before the spec
+        is keyed."""
         for name, kind in _SCALAR_TYPES.items():
             value = getattr(self, name)
             # exact types: a bool is an int, and nvp=True would run as 1
@@ -239,6 +261,7 @@ class JobSpec:
                 raise ReproError(f"unknown {what} {value!r}; known: "
                                  f"{', '.join(sorted(known))}")
         check_job_options(self.placement, self.transport, self.recovery)
+        check_app(self.app, self.app_config, self.nvp)
 
     # -- materialization ----------------------------------------------------
 
@@ -416,6 +439,7 @@ def run_app(
             **same)
         return run_spec_job(spec, **runtime)
     strict = runtime.pop("strict", True)
+    check_app(app, config, nvp)
     job = AmpiJob(build_app_source(app, config), nvp, machine=machine,
                   layout=layout, fault_plan=fault_plan, ft=ft, **same,
                   **runtime)

@@ -211,6 +211,21 @@ class TestErrors:
         assert (stats["invalid"], stats["executed"], stats["errors"],
                 stats["records"]) == (2, 0, 0, 0)
 
+    @pytest.mark.parametrize("nvp, n, grid", [(27, 2, "3x3x3"),
+                                              (64, 3, "4x4x4")])
+    def test_a_grid_finer_than_the_domain_is_invalid(self, serve, nvp, n,
+                                                     grid):
+        """Refused at the edge in the in-process wording, not run into
+        a rank's numpy error."""
+        service, client = serve
+        reply = client.submit(JobSpec(app="jacobi3d", nvp=nvp,
+                                      app_config={"n": n, "iters": 2}))
+        assert not reply.ok
+        assert reply.error.startswith("bad spec: jacobi needs")
+        assert f"n={n}" in reply.error and grid in reply.error
+        stats = service.stats
+        assert (stats.invalid, stats.executed, stats.errors) == (1, 0, 0)
+
     def test_connection_error_is_typed(self, tmp_path):
         client = ServeClient(socket_path=tmp_path / "nowhere.sock")
         with pytest.raises(ServeConnectionError):
