@@ -12,8 +12,8 @@ submits the identical batch again and asserts the cache contract:
 - pass 2 is 100% cache hits with the *same* run_ids and byte-identical
   records — nothing re-executed, nothing drifted;
 - pass 3 repeats pass 2's request lines, which the server now answers
-  from its submit memo (no decoding or keying): again 100% hits, same
-  run_ids, byte-identical records, and the ``stats`` op's
+  from its hit memo (no decoding, keying or record read): again 100%
+  hits, same run_ids, byte-identical records, and the ``stats`` op's
   ``submissions`` and ``hits`` each advance by exactly the corpus size;
 - a burst of N identical submissions of a fresh spec coalesces onto
   exactly one execution (single-flight);
@@ -118,7 +118,7 @@ def main() -> int:
                   f"run_ids identical, records byte-identical")
 
             # --- memo pass: every warm request line hit, so a repeat
-            # is answered from the submit memo and counted as before.
+            # is answered from the hit memo and counted as before.
             before = client.stats()
             memo, _ = batch("memo")
             after = client.stats()

@@ -17,6 +17,7 @@ each privatized global per cell.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any
 
 import numpy as np
@@ -28,23 +29,35 @@ from repro.charm.node import JobLayout
 from repro.machine import GENERIC_LINUX, MachineModel
 from repro.program.source import Program, ProgramSource
 
-#: the flat indices a sweep gathers, per block shape (:func:`_sweep_plan`);
-#: one entry per distinct shape, shared by every job in the process
-_PLANS: dict[tuple[int, ...], np.ndarray] = {}
+#: the flat indices a sweep gathers (:func:`_sweep_plan`), per job and
+#: block shape; a job is keyed by a weak reference to the code image its
+#: ranks share, so its plans go when the image does (:func:`_job_plans`)
+_PLANS: dict[weakref.ref, dict[tuple[int, ...], np.ndarray]] = {}
 
 
 def _sweep_plan(shape: tuple[int, ...]) -> np.ndarray:
-    """Build and keep the gather of a sweep over blocks of ``shape``:
-    row by row the flat indices of the interior's -x, +x, -y, +y, -z and
-    +z neighbours, then of the interior itself (where the sweep also
-    scatters its result).  Read-only: every rank of that shape shares it."""
+    """The gather of a sweep over blocks of ``shape``: row by row the
+    flat indices of the interior's -x, +x, -y, +y, -z and +z neighbours,
+    then of the interior itself (where the sweep also scatters its
+    result).  Read-only: a job's ranks of that shape share it."""
     nx, ny, nz = shape
     interior = np.arange(nx * ny * nz).reshape(shape)[1:-1, 1:-1, 1:-1]
     gather = np.stack([interior.ravel() + offset for offset in
                        (-ny * nz, ny * nz, -nz, nz, -1, 1, 0)])
     gather.flags.writeable = False
-    _PLANS[shape] = gather
     return gather
+
+
+def _job_plans(image: Any) -> dict[tuple[int, ...], np.ndarray]:
+    """A new entry of :data:`_PLANS` for the job whose code image is
+    ``image``, removed when the image is collected."""
+    plans: dict[tuple[int, ...], np.ndarray] = {}
+    _PLANS[weakref.ref(image, _drop_plans)] = plans
+    return plans
+
+
+def _drop_plans(key: weakref.ref) -> None:
+    _PLANS.pop(key, None)
 
 
 def _plane(axis: int, at: int) -> tuple[Any, ...]:
@@ -119,9 +132,13 @@ def build_jacobi_program(cfg: JacobiConfig) -> ProgramSource:
         """One Jacobi sweep over the interior; returns (new u, residual)."""
         om = ctx.g.omega
         inv6 = ctx.g.inv6
-        gather = _PLANS.get(u.shape)
+        # a weak reference hashes and compares as its image does
+        plans = _PLANS.get(weakref.ref(ctx.code.image))
+        if plans is None:
+            plans = _job_plans(ctx.code.image)
+        gather = plans.get(u.shape)
         if gather is None:
-            gather = _sweep_plan(u.shape)
+            gather = plans[u.shape] = _sweep_plan(u.shape)
         xm, xp, ym, yp, zm, zp, interior = u.take(gather)
         # Added left to right like the compiled loop: a reduction starts
         # from +0.0, so six -0.0 neighbours would come out +0.0.

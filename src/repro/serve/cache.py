@@ -14,9 +14,11 @@ yesterday's timeline.  The code version is digested once at
 construction; restart the service after changing sources.
 
 A record file is its record's canonical JSON line, the form the wire
-carries, so a first hit reads and parses the file once and splices its
-text into the reply without encoding it; an indented file an earlier
-version wrote is encoded once instead.
+carries, so a hit reads and parses the file once and splices its text
+into the reply without encoding it; an indented file an earlier version
+wrote is encoded once instead.  The cache keeps nothing between calls:
+the job service's one hit memo (:mod:`repro.serve.server`) keeps a hit's
+reply line with the file identity :meth:`ResultCache.get` found.
 """
 
 from __future__ import annotations
@@ -26,27 +28,18 @@ import os
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec, code_version
 from repro.provenance.record import RunRecord, run_id_for
-from repro.provenance.store import ProvenanceStore, touch_file
+from repro.provenance.store import ProvenanceStore
 from repro.serve import protocol
 from repro.serve.protocol import EncodedRecord
 
-#: encoded bytes the hit memo may hold; past it the least recently
-#: served records are dropped first
-MEMO_BYTES = 16 << 20
 
-
-def _identity(path: str) -> tuple[int, int, int] | None:
+def file_identity(path: str) -> tuple[int, int, int] | None:
     """What a replaced or rewritten record file changes; None if gone."""
     try:
         st = os.stat(path)
     except OSError:
         return None
     return st.st_ino, st.st_size, st.st_mtime_ns  # repro: allow(det-wallclock) identifies a record file's version, never simulation state
-
-
-def _size(entry: tuple) -> int:
-    """Memo bytes of an entry: the record's JSON and its reply line."""
-    return len(entry[2].json) + len(entry[3])
 
 
 def hit_reply(run_id: str, record: EncodedRecord) -> dict:
@@ -61,28 +54,19 @@ class ResultCache:
     def __init__(self, store: ProvenanceStore):
         self.store = store
         self.code_version = code_version()
-        #: run_id -> (record file, its identity, encoded record, hit
-        #: reply line, touch file), least recently served first; kept
-        #: while the file's identity holds
-        self._memo: dict[str, tuple] = {}
-        self._memo_bytes = 0
 
     def key(self, spec: JobSpec) -> str:
         return run_id_for(spec, self.code_version)
 
-    def get(self, run_id: str) -> EncodedRecord | None:
-        """The stored record's ``to_dict()``, or None.  A hit counts as
-        *use* (the store refreshes the record's eviction age); a record
-        missing, unreadable or not a record — a concurrent gc deleted
-        it, or it holds JSON of another shape — is a miss, not a crash.
-        Each hit gets its own shallow copy."""
-        if self.hit_line(run_id) is not None:
-            return self._memo[run_id][2].copy()
-        stale = self._memo.pop(run_id, None)
-        if stale is not None:
-            self._memo_bytes -= _size(stale)
-        path = self.store._record_path(run_id)
-        ident = _identity(path)
+    def get(self, run_id: str
+            ) -> tuple[EncodedRecord, tuple[int, int, int]] | None:
+        """The stored record's ``to_dict()`` and the :func:`file_identity`
+        its file had when read, or None.  A hit counts as *use* (the
+        store refreshes the record's eviction age); a record missing,
+        unreadable or not a record — a concurrent gc deleted it, or it
+        holds JSON of another shape — is a miss, not a crash.  Every
+        call reads the file, so each hit gets its own record."""
+        ident = file_identity(self.store._record_path(run_id))
         if ident is None:
             return None
         try:
@@ -94,24 +78,7 @@ class ResultCache:
         self.store.touch(run_id)
         record = (EncodedRecord(stored.to_dict()) if text is None
                   else EncodedRecord(data, text))
-        entry = (path, ident, record,
-                 protocol.encode(hit_reply(run_id, record)),
-                 self.store._touch_path(run_id))
-        self._memo[run_id] = entry
-        self._memo_bytes += _size(entry)
-        while self._memo_bytes > MEMO_BYTES:
-            self._memo_bytes -= _size(self._memo.pop(next(iter(self._memo))))
-        return record.copy()
-
-    def hit_line(self, run_id: str) -> bytes | None:
-        """The hit reply line of a memoised ``run_id`` whose record file
-        keeps its identity, touched and made most recent; else None."""
-        entry = self._memo.get(run_id)
-        if entry is None or _identity(entry[0]) != entry[1]:
-            return None
-        touch_file(entry[4])
-        self._memo[run_id] = self._memo.pop(run_id)
-        return entry[3]
+        return record, ident
 
     def put(self, run_id: str, record: EncodedRecord,
             compressed_timeline: bytes | None = None) -> tuple[str, bool]:

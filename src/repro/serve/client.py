@@ -36,6 +36,7 @@ from repro.serve import protocol
 
 #: default retry envelope: attempts = retries + 1
 DEFAULT_RETRIES = 2
+#: reconnect backoff: the first delay's floor and every delay's cap
 BACKOFF_BASE_S = 0.05
 BACKOFF_CAP_S = 2.0
 
@@ -91,11 +92,10 @@ class _Backoff:
     Each client gets its own RNG so a fleet re-approaching a restarted
     server spreads out instead of retrying in lockstep."""
 
-    def __init__(self, base_s: float = BACKOFF_BASE_S,
-                 cap_s: float = BACKOFF_CAP_S):
-        self.base_s, self.cap_s = base_s, cap_s
+    def __init__(self) -> None:
+        self.base_s, self.cap_s = BACKOFF_BASE_S, BACKOFF_CAP_S
         self._rng = random.Random()  # repro: allow(det-unseeded-random) backoff jitter must differ across clients; never touches simulation state
-        self._prev = base_s
+        self._prev = self.base_s
 
     def next_delay(self) -> float:
         self._prev = min(self.cap_s,
@@ -127,17 +127,13 @@ class ServeClient:
     def __init__(self, socket_path: str | Path | None = None, *,
                  host: str | None = None, port: int | None = None,
                  timeout: float | None = None,
-                 retries: int = DEFAULT_RETRIES,
-                 backoff_base_s: float = BACKOFF_BASE_S,
-                 backoff_cap_s: float = BACKOFF_CAP_S):
+                 retries: int = DEFAULT_RETRIES):
         if socket_path is None and host is None:
             raise ReproError("need a socket_path or a host/port")
         self.socket_path = str(socket_path) if socket_path else None
         self.host, self.port = host, port
         self.timeout = timeout
         self.retries = retries
-        self._backoff_base_s = backoff_base_s
-        self._backoff_cap_s = backoff_cap_s
         self._local = threading.local()
 
     # -- per-thread connection state ----------------------------------------
@@ -147,8 +143,7 @@ class ServeClient:
         try:
             return self._local.conn
         except AttributeError:
-            conn = self._local.conn = _Conn(
-                _Backoff(self._backoff_base_s, self._backoff_cap_s))
+            conn = self._local.conn = _Conn(_Backoff())
             return conn
 
     @property

@@ -66,6 +66,10 @@ from repro.trace.stream import compress_timeline
 #: exit status a worker uses when the chaos kill hook fires
 CHAOS_EXIT = 86
 
+#: replacement workers a pool may spawn over its lifetime, per worker
+RESPAWNS_PER_WORKER = 8
+
+
 def execute_spec(spec_dict: dict[str, Any]) -> dict[str, Any]:
     """Run one spec dict to completion; never raises.
 
@@ -162,18 +166,17 @@ class WorkerPool:
     to :func:`execute_spec`'s reply dict — the asyncio server wraps it
     with :func:`asyncio.wrap_future`.  Thread-safe.  ``retries`` is the
     number of *re*-dispatches a job gets after killing a worker before
-    it is quarantined; ``max_respawns`` bounds replacement workers over
-    the pool's lifetime (budget spent + all workers dead = pool-dead).
+    it is quarantined; :data:`RESPAWNS_PER_WORKER` bounds replacement
+    workers over the pool's lifetime (budget spent + all workers dead =
+    pool-dead).
     """
 
-    def __init__(self, workers: int = 2, *, retries: int = 2,
-                 max_respawns: int | None = None):
+    def __init__(self, workers: int = 2, *, retries: int = 2):
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
         self.retries = retries
-        self.max_respawns = (workers * 8 if max_respawns is None
-                             else max_respawns)
+        self.max_respawns = workers * RESPAWNS_PER_WORKER
         self.stats = PoolStats()
         self._seq = 0
         self._lock = threading.Lock()

@@ -109,16 +109,13 @@ _compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 class EncodedRecord(dict):
     """A stored ``RunRecord.to_dict()`` that carries its own compact
-    sorted-key JSON; :meth:`copy` shares the JSON, not the dict."""
+    sorted-key JSON."""
 
     __slots__ = ("json",)
 
     def __init__(self, record: dict[str, Any], json_text: str | None = None):
         super().__init__(record)
         self.json = _compact(record) if json_text is None else json_text
-
-    def copy(self) -> "EncodedRecord":
-        return EncodedRecord(self, self.json)
 
     def canonical(self) -> str:
         return self.json

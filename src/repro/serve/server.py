@@ -66,9 +66,9 @@ from typing import Any
 
 from repro.errors import ReproError
 from repro.harness.jobspec import JobSpec
-from repro.provenance.store import ProvenanceStore
+from repro.provenance.store import ProvenanceStore, touch_file
 from repro.serve import protocol
-from repro.serve.cache import ResultCache, hit_reply
+from repro.serve.cache import ResultCache, file_identity, hit_reply
 from repro.serve.pool import WorkerPool
 
 _log = logging.getLogger(__name__)
@@ -76,9 +76,9 @@ _log = logging.getLogger(__name__)
 #: default Unix socket path, relative to the working directory
 DEFAULT_SOCKET = ".repro/serve.sock"
 
-#: request-line bytes the submit memo may hold; past it the least
-#: recently repeated lines are dropped first
-LINE_MEMO_BYTES = 1 << 20
+#: request-line and reply-line bytes the hit memo may hold; past it the
+#: least recently repeated lines are dropped first
+HIT_MEMO_BYTES = 16 << 20
 
 #: seconds between a waiter's looks at the store while a peer server
 #: holds the run's lease
@@ -170,10 +170,11 @@ class JobService:
         self._server: asyncio.base_events.Server | None = None
         self._inflight: dict[str, asyncio.Future] = {}
         self._poison: dict[str, dict[str, Any]] = {}
-        #: submit line -> (wait, deadline_ms, spec, run_id) for each
-        #: line whose reply was a store hit, least recently repeated first
-        self._lines: dict[bytes, tuple] = {}
-        self._line_bytes = 0
+        #: submit line -> (run_id, record file, its identity, hit reply
+        #: line, touch file) for each line whose reply was a store hit,
+        #: least recently repeated first
+        self._memo: dict[bytes, tuple] = {}
+        self._memo_size = 0
         self._draining = False
         self._shutdown: asyncio.Event | None = None
         self._gc_task: asyncio.Task | None = None
@@ -286,21 +287,17 @@ class JobService:
                     line = await protocol.read_line(reader)
                     if line is None:
                         break
-                    # a repeat of a submit line that hit is not decoded
-                    msg = (None if line in self._lines
-                           else protocol.decode(line))
+                    hit = self._repeat(line)
+                    if hit is not None:     # neither decoded nor keyed
+                        writer.write(hit)
+                        await writer.drain()
+                        continue
+                    msg = protocol.decode(line)
                 except protocol.ProtocolError as e:
                     await protocol.write_message(
                         writer, protocol.error_reply(str(e)))
                     break
-                if msg is None:
-                    hit = self._repeat(line)
-                    if hit is not None:
-                        writer.write(hit)
-                        await writer.drain()
-                        continue
-                    reply = await self.submit(None, line=line)
-                elif msg.get("op") == protocol.OP_SUBMIT_MANY:
+                if msg.get("op") == protocol.OP_SUBMIT_MANY:
                     await self._submit_many(msg, writer)
                     continue
                 else:
@@ -387,12 +384,8 @@ class JobService:
         """Submit one spec: hit, coalesce, shed, or execute.
 
         ``line`` is the request line the submission arrived as.  A line
-        without ``chaos`` whose reply is a store hit is memoised with
-        its ``wait``, ``deadline_ms``, spec and run_id.  A repeat that
-        hits again is answered from its reply bytes (:meth:`_repeat`);
-        any other repeat comes in as the line alone (``spec_dict``
-        None) and is not parsed, validated or keyed again.  Exact bytes
-        only: any other line is its own entry.
+        without ``chaos`` whose reply is a store hit enters the hit
+        memo, which answers its exact bytes again (:meth:`_repeat`).
         """
         self.stats.submissions += 1
         if self._draining:
@@ -400,36 +393,33 @@ class JobService:
             return protocol.shed_reply(
                 protocol.REASON_DRAINING,
                 "service is draining; not accepting new submissions")
-        keyed = self._lines.pop(line, None)
-        if keyed is not None:
-            self._line_bytes -= len(line)
-            wait, deadline_ms, spec, run_id = keyed
-        elif not isinstance(spec_dict, dict):
+        if not isinstance(spec_dict, dict):
             self.stats.invalid += 1
             return protocol.error_reply("submit needs a spec object")
-        elif chaos is not None and not self.enable_chaos:
+        if chaos is not None and not self.enable_chaos:
             self.stats.invalid += 1
             return protocol.error_reply(
                 "chaos envelope rejected: server started without "
                 "chaos hooks")
-        else:
-            try:
-                spec = JobSpec.from_dict(dict(spec_dict))
-                spec.validate()     # before it is keyed, admitted or leased
-            except (ReproError, TypeError, ValueError) as e:
-                self.stats.invalid += 1
-                return protocol.error_reply(f"bad spec: {e}")
-            run_id = self.cache.key(spec)
+        refused = self._refuse_deadline(deadline_ms)
+        if refused is not None:
+            return refused
+        try:
+            spec = JobSpec.from_dict(dict(spec_dict))
+            spec.validate()     # before it is keyed, admitted or leased
+        except (ReproError, TypeError, ValueError) as e:
+            self.stats.invalid += 1
+            return protocol.error_reply(f"bad spec: {e}")
+        run_id = self.cache.key(spec)
 
         poison = self._poison.get(run_id)
         if poison is not None:
             # Quarantined: answer from memory, never feed it workers.
             return dict(poison)
 
-        reply = self._stored_reply(run_id)
+        reply = self._stored_reply(run_id,
+                                   line=line if chaos is None else None)
         if reply is not None:
-            if line is not None and chaos is None:
-                self._remember(line, (wait, deadline_ms, spec, run_id))
             return reply
 
         fut = self._inflight.get(run_id)
@@ -453,6 +443,18 @@ class JobService:
             return {"ok": True, "run_id": run_id,
                     "cache": protocol.CACHE_INFLIGHT}
         return await self._await_reply(fut, run_id, cache, deadline_ms)
+
+    def _refuse_deadline(self, deadline_ms: Any) -> dict[str, Any] | None:
+        """The ``invalid`` reply to a ``deadline_ms`` that is neither
+        absent nor a non-negative number of milliseconds (a bool is not
+        one), counted; None for one that is."""
+        if deadline_ms is None or (type(deadline_ms) in (int, float)
+                                   and deadline_ms >= 0):
+            return None
+        self.stats.invalid += 1
+        return protocol.error_reply(
+            f"deadline_ms must be a non-negative number, "
+            f"got {deadline_ms!r:.40}")
 
     async def _await_reply(self, fut: asyncio.Future, run_id: str,
                            cache: str, deadline_ms: float | None
@@ -575,46 +577,68 @@ class JobService:
         self.cache.put(run_id, record, out.get("timeline_z"))
         return {"ok": True, "run_id": run_id, "record": record}
 
-    def _stored_reply(self, run_id: str, *, counted: bool = True
-                      ) -> dict[str, Any] | None:
+    def _stored_reply(self, run_id: str, *, counted: bool = True,
+                      line: bytes | None = None) -> dict[str, Any] | None:
         """The reply serving ``run_id`` from the store, or None.  A
         submit/await lookup counts one hit or one miss; a lease poll,
-        whose waiters were counted when they submitted, counts none."""
-        record = self.cache.get(run_id)
-        if record is None:
+        whose waiters were counted when they submitted, counts none.
+        A hit memoises the submit ``line`` it answers."""
+        got = self.cache.get(run_id)
+        if got is None:
             self.stats.misses += counted
             return None
         self.stats.hits += counted
-        return hit_reply(run_id, record)
-
-    def _repeat(self, line: bytes) -> bytes | None:
-        """The reply line of a memoised submit line that hits again,
-        after :meth:`submit`'s checks and counters; else None."""
-        keyed = self._lines.get(line)
-        if keyed is None or self._draining or keyed[3] in self._poison:
-            return None
-        reply = self.cache.hit_line(keyed[3])
-        if reply is not None:
-            self.stats.submissions += 1
-            self.stats.hits += 1
-            self._lines[line] = self._lines.pop(line)
+        record, ident = got
+        reply = hit_reply(run_id, record)
+        if line is not None:
+            self._remember(line, run_id, ident, protocol.encode(reply))
         return reply
-
-    def _remember(self, line: bytes, keyed: tuple) -> None:
-        """Memoise a submit line that hit, least recently repeated
-        lines dropped first past :data:`LINE_MEMO_BYTES`."""
-        self._lines[line] = keyed
-        self._line_bytes += len(line)
-        while self._line_bytes > LINE_MEMO_BYTES:
-            dropped = next(iter(self._lines))
-            del self._lines[dropped]
-            self._line_bytes -= len(dropped)
 
     def _settle(self, run_id: str, fut: asyncio.Future,
                 reply: dict[str, Any]) -> None:
         self._inflight.pop(run_id, None)
         if not fut.done():
             fut.set_result(reply)
+
+    # -- the hit memo -------------------------------------------------------
+
+    def _repeat(self, line: bytes) -> bytes | None:
+        """The reply line of a memoised submit line, after
+        :meth:`submit`'s checks and counters: not draining, not
+        poisoned, one stat finding the record file unchanged, one
+        touch.  Else None, and the entry is dropped: the line is
+        decoded and takes the full path."""
+        entry = self._memo.get(line)
+        if entry is None:
+            return None
+        run_id, path, ident, reply, touch = entry
+        if (self._draining or run_id in self._poison
+                or file_identity(path) != ident):
+            self._forget(line)
+            return None
+        touch_file(touch)
+        self.stats.submissions += 1
+        self.stats.hits += 1
+        self._memo[line] = self._memo.pop(line)
+        return reply
+
+    def _remember(self, line: bytes, run_id: str,
+                  ident: tuple[int, int, int], reply: bytes) -> None:
+        """Memoise a submit line whose ``reply`` line served ``run_id``
+        from a record file of identity ``ident``; past
+        :data:`HIT_MEMO_BYTES` of lines and replies, the least recently
+        repeated go first."""
+        self._forget(line)
+        self._memo[line] = (run_id, self.store._record_path(run_id), ident,
+                            reply, self.store._touch_path(run_id))
+        self._memo_size += len(line) + len(reply)
+        while self._memo_size > HIT_MEMO_BYTES:
+            self._forget(next(iter(self._memo)))
+
+    def _forget(self, line: bytes) -> None:
+        entry = self._memo.pop(line, None)
+        if entry is not None:
+            self._memo_size -= len(line) + len(entry[3])
 
     # -- batch submission ---------------------------------------------------
 
@@ -662,6 +686,9 @@ class JobService:
                            ) -> dict[str, Any]:
         """Block until ``run_id`` resolves (submitted earlier with
         ``wait=false``), or serve it from the store."""
+        refused = self._refuse_deadline(deadline_ms)
+        if refused is not None:
+            return refused
         fut = self._inflight.get(run_id)
         if fut is not None:
             return await self._await_reply(

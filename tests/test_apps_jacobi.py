@@ -2,6 +2,8 @@
 
 import dataclasses
 import functools
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,13 +183,18 @@ def slice_exchange(u, coords, dims):
     return posted, sent, ghosts
 
 
+class StubImage:
+    """The code image a job's ranks share: what its sweep plans go with."""
+
+
 class StubRank:
     """What ``relax`` and ``exchange_halos`` use of a rank's context:
-    the two globals, the charges, and an MPI whose ``wait`` hands back a
-    distinct plane per receive."""
+    the two globals, the code image, the charges, and an MPI whose
+    ``wait`` hands back a distinct plane per receive."""
 
     def __init__(self, omega, ghost_shapes=()):
         self.g = SimpleNamespace(omega=omega, inv6=1.0 / 6.0)
+        self.code = SimpleNamespace(image=StubImage())
         self.mpi = self
         self.ghost_shapes = ghost_shapes
         self.charged, self.posted, self.sent = [], [], []
@@ -326,25 +333,41 @@ def block_shapes(spec):
 
 
 class TestSweepPlans:
-    def test_a_job_builds_one_plan_per_block_shape(self, monkeypatch):
-        """Exact, counted: the plans one ``jacobi_1k`` job builds in a
-        fresh process equal its distinct block shapes; a second job
-        builds none."""
-        monkeypatch.setattr(jacobi3d, "_PLANS", {})
+    def test_a_job_builds_one_plan_per_block_shape(self):
+        """Exact, counted: the plans a ``jacobi_1k`` job builds equal
+        its distinct block shapes, and so do a second job's."""
         built = []
         for _ in range(2):
             with counting((jacobi3d, "_sweep_plan")) as calls:
                 run_spec(JACOBI_1K)
             built.append(len(calls))
         assert block_shapes(JACOBI_1K) == {JACOBI_1K_BLOCK}
-        assert built == [len(block_shapes(JACOBI_1K)), 0]
+        assert built == [len(block_shapes(JACOBI_1K))] * 2
 
-    def test_uneven_blocks_build_one_plan_each(self, monkeypatch):
-        monkeypatch.setattr(jacobi3d, "_PLANS", {})
+    def test_uneven_blocks_build_one_plan_each(self):
         spec = dataclasses.replace(JACOBI_1K, nvp=12,
                                    app_config={"n": 7, "iters": 2})
         with counting((jacobi3d, "_sweep_plan")) as calls:
             run_spec(spec)
         assert sorted(shape for shape, in calls) \
             == sorted(block_shapes(spec))
-        assert set(jacobi3d._PLANS) == block_shapes(spec)
+
+    def test_a_jobs_plans_go_with_it(self, monkeypatch):
+        """Once a job is unreachable and collected, none of its plans is
+        alive: a long-lived process does not keep every shape it ran."""
+        build, plans = jacobi3d._sweep_plan, []
+
+        def kept(shape):
+            plan = build(shape)
+            plans.append(weakref.ref(plan))
+            return plan
+
+        monkeypatch.setattr(jacobi3d, "_sweep_plan", kept)
+        for n in (16, 24):
+            run_spec(JobSpec(app="jacobi3d", nvp=1,
+                             app_config={"n": n, "iters": 2},
+                             method="none", machine="generic-linux",
+                             layout=(1, 1, 1)))
+        gc.collect()
+        assert len(plans) == 2
+        assert [plan() is None for plan in plans] == [True, True]

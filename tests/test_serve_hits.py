@@ -1,13 +1,14 @@
 """A hit is served from its encoding.
 
-The job service keeps each stored record's wire JSON while the record
-file keeps its inode, size and mtime, and splices it into the reply.
-The previous hit path (membership check, ``store.get``, ``to_dict``, a
-full ``json.dumps`` of the reply) is kept below as the reference: every
-``submit``, ``submit_many``, ``await`` and repeated submit-line hit must
-put the reference's bytes on the wire, on the first hit and on memoised ones, for records
-drawn with escape-heavy and non-ASCII strings, floats, ``None``s, empty
-and large per-PE stats and odd exit values.
+A hit splices the record file's canonical line into the reply, and the
+job service's hit memo keeps a submit line's reply line while the record
+file keeps its inode, size and mtime.  The previous hit path
+(membership check, ``store.get``, ``to_dict``, a full ``json.dumps`` of
+the reply) is kept below as the reference: every ``submit``,
+``submit_many``, ``await`` and repeated submit-line hit must put the
+reference's bytes on the wire, on the first hit and on memoised ones,
+for records drawn with escape-heavy and non-ASCII strings, floats,
+``None``s, empty and large per-PE stats and odd exit values.
 
 A request is encoded once too: ``ServeClient`` splices a ``JobSpec`` as
 its cached ``canonical()``, so N submits of one spec encode it once, a
@@ -37,6 +38,7 @@ from repro.provenance import ProvenanceStore, RunRecord, run_id_for
 from repro.provenance import store as store_mod
 from repro.serve import JobService, ServeClient, ServiceThread, protocol
 from repro.serve import cache as cache_mod
+from repro.serve import server as server_mod
 from repro.serve.client import SubmitReply
 
 from counted import carries_a_record, counting, filing, python_calls
@@ -151,10 +153,10 @@ def submit_line(spec_d, **extra):
                             "wait": True, **extra})
 
 
-def service_on(root) -> JobService:
+def service_on(root, **kw) -> JobService:
     """A service on ``root`` that is never started: hits need no pool."""
     return JobService(ProvenanceStore(Path(root) / "store"),
-                      socket_path=Path(root) / "s.sock")
+                      socket_path=Path(root) / "s.sock", **kw)
 
 
 async def served_lines(service, spec_d, run_id):
@@ -234,7 +236,8 @@ class TestHitsAgainstReference:
 
     def test_the_oracle_catches_an_unchecked_memo(self, tmp_path,
                                                   monkeypatch):
-        monkeypatch.setattr(cache_mod, "_identity", unchecked_identity)
+        for module in (cache_mod, server_mod):
+            monkeypatch.setattr(module, "file_identity", unchecked_identity)
         with pytest.raises(AssertionError):
             TestStaleness().test_deleted_and_reput_serves_new_bytes(tmp_path)
 
@@ -255,37 +258,47 @@ def _record(name: str, created_at: float = 1.5) -> RunRecord:
         exit_values={0: None, 1: "ok"}, created_at=created_at)
 
 
+def _line(record):
+    return submit_line(record.spec.to_dict())
+
+
 def _hit(service, record):
-    reply = run(service.await_result(record.run_id))
+    """The record a submit line of ``record``'s spec is served, or None
+    (a miss is shed: the service has no queue slots)."""
+    reply = protocol.decode(run(exchange(service, [_line(record)])))
     return reply.get("record") if reply["ok"] else None
+
+
+def stale_service(root) -> JobService:
+    return service_on(root, max_queue=0)
 
 
 class TestStaleness:
     def test_gc_deleted_record_is_a_miss_and_leaves_the_memo(self, tmp_path):
-        service = service_on(tmp_path)
+        service = stale_service(tmp_path)
         record = _record("gc")
         service.store.put(record)
         assert _hit(service, record) == record.to_dict()
         report = service.store.gc(max_age_s=1.0, now=1e12)
         assert report.deleted_ids == (record.run_id,)
         assert _hit(service, record) is None
-        assert record.run_id not in service.cache._memo
+        assert _line(record) not in service._memo
         assert (service.stats.hits, service.stats.misses) == (1, 1)
 
     def test_deleted_and_reput_serves_new_bytes(self, tmp_path):
-        service = service_on(tmp_path)
+        service = stale_service(tmp_path)
         store = service.store
         old = _record("reput", created_at=1.5)
         store.put(old)
         assert _hit(service, old)["created_at"] == 1.5
         store.delete(old.run_id)
         store.put(_record("reput", created_at=123456.25))
-        served = protocol.encode(run(service.await_result(old.run_id)))
+        served = run(exchange(service, [_line(old)]))
         assert served == reference_line(store, old.run_id)
         assert b'"created_at":123456.25' in served
 
     def test_rewritten_in_place_is_read_again(self, tmp_path):
-        service = service_on(tmp_path)
+        service = stale_service(tmp_path)
         record = _record("in-place")
         service.store.put(record)
         _hit(service, record)
@@ -300,35 +313,36 @@ class TestStaleness:
         assert _hit(service, record)["makespan_ns"] == 999
 
     def test_corrupt_record_is_a_miss(self, tmp_path):
-        service = service_on(tmp_path)
+        service = stale_service(tmp_path)
         record = _record("corrupt")
         service.store.put(record)
         _hit(service, record)
         path = Path(service.store._record_path(record.run_id))
         path.write_text("{not json")
         assert _hit(service, record) is None
-        assert record.run_id not in service.cache._memo
+        assert _line(record) not in service._memo
         reply = run(service.await_result(record.run_id))
         assert not reply["ok"] and "unknown run id" in reply["error"]
 
     def test_filling_past_the_bound_drops_least_recent_first(
             self, tmp_path, monkeypatch):
+        """The bound counts each line and its reply line."""
         service = service_on(tmp_path)
         recs = [_record(f"bound-{i}") for i in range(4)]
         for r in recs:
             service.store.put(r)
-        record = protocol.EncodedRecord(recs[0].to_dict())
-        size = len(record.json) + len(protocol.encode(
-            cache_mod.hit_reply(recs[0].run_id, record)))
-        monkeypatch.setattr(cache_mod, "MEMO_BYTES", 3 * size)
+        size = len(_line(recs[0])) + len(reference_line(service.store,
+                                                        recs[0].run_id))
+        monkeypatch.setattr(server_mod, "HIT_MEMO_BYTES", 3 * size)
         for r in recs[:3]:
             _hit(service, r)
         _hit(service, recs[0])                  # now the most recent
         _hit(service, recs[3])
-        memo = service.cache._memo
-        assert list(memo) == [recs[i].run_id for i in (2, 0, 3)]
-        assert service.cache._memo_bytes == sum(
-            map(cache_mod._size, memo.values())) <= 3 * size
+        memo = service._memo
+        assert list(memo) == [_line(recs[i]) for i in (2, 0, 3)]
+        assert service._memo_size == sum(
+            len(line) + len(entry[3]) for line, entry in memo.items()) \
+            == 3 * size
 
     def test_memoised_hit_moves_last_used(self, tmp_path):
         service = service_on(tmp_path)
@@ -339,7 +353,7 @@ class TestStaleness:
         os.utime(store._touch_path(record.run_id), (1000.0, 1000.0))
         assert store.last_used(record.run_id) == 1000.0
         _hit(service, record)
-        assert record.run_id in service.cache._memo
+        assert _line(record) in service._memo
         assert store.last_used(record.run_id) > 1000.0
 
 
@@ -357,12 +371,15 @@ HIT_READS = {
     "to_dict": ([(RunRecord, "to_dict")], None),
     "opens": ([(io, "open"), (os, "open"), (builtins, "open")], record_file),
     "record_json": ([(json.JSONEncoder, "iterencode")], carries_a_record),
+    "stat": ([(os, "stat")], None),
+    "utime": ([(os, "utime")], None),
 }
 
-#: the first hit of a canonical record file: one read, one parse (and
-#: the check that it holds a record), no encode
+#: the first hit of a canonical record file: one stat, one read, one
+#: parse (and the check that it holds a record), one touch, no encode;
+#: filling the hit memo with it costs nothing more
 FIRST_HIT = {"json.loads": 1, "from_dict": 1, "to_dict": 0, "opens": 1,
-             "record_json": 0}
+             "record_json": 0, "stat": 1, "utime": 1}
 
 
 @contextmanager
@@ -377,8 +394,27 @@ def tally(calls):
     return {name: len(seen) for name, seen in calls.items()}
 
 
+def first_hit_ledger(root):
+    """:data:`FIRST_HIT`'s rows as counted over the first hit of a
+    submit line, which fills the hit memo."""
+    service = service_on(root)
+    record = _record("first-hit")
+    service.store.put(record)
+    line = _line(record)
+    with hit_reads() as calls:
+        reply = run(service.submit(record.spec.to_dict(), line=line))
+    assert reply["cache"] == protocol.CACHE_HIT
+    assert service._memo[line][3] == protocol.encode(reply)
+    return tally(calls)
+
+
 class TestStructuralGuard:
-    def test_memoised_hits_read_and_rebuild_nothing(self, tmp_path):
+    def test_a_first_hit_fills_the_memo_from_one_read(self, tmp_path):
+        assert first_hit_ledger(tmp_path) == FIRST_HIT
+
+    def test_in_process_hits_read_the_record_each_call(self, tmp_path):
+        """A hit that is not a repeated line (here ``JobService.submit``
+        of a dict) reads the record file every time."""
         service = service_on(tmp_path)
         record = _record("guard")
         service.store.put(record)
@@ -387,31 +423,23 @@ class TestStructuralGuard:
         async def hits(n):
             return [await service.submit(spec_d) for _ in range(n)]
 
-        with hit_reads() as first_hit:
-            first, = run(hits(1))
-        assert first["cache"] == protocol.CACHE_HIT
-        assert tally(first_hit) == FIRST_HIT
         with hit_reads() as calls:
             replies = run(hits(100))
-        assert all(r["record"] == first["record"] for r in replies)
-        assert tally(calls) == dict.fromkeys(FIRST_HIT, 0)
-        assert service.stats.hits == 101
+        want = reference_line(service.store, record.run_id)
+        assert all(protocol.encode(r) == want for r in replies)
+        assert tally(calls) == {row: 100 * k for row, k in FIRST_HIT.items()}
+        assert service.stats.hits == 100 and not service._memo
 
     @pytest.mark.parametrize("mutant, rows", [
-        ("previous_get", ("to_dict", "record_json")),
-        ("read_twice", ("json.loads", "from_dict", "opens")),
+        ("previous_get", ("to_dict", "record_json", "stat")),
+        ("read_twice", ("json.loads", "from_dict", "opens", "stat")),
+        ("stat_twice", ("stat",)),
     ])
     def test_the_first_hit_guard_catches(self, mutant, rows, tmp_path,
                                          monkeypatch):
-        monkeypatch.setattr(cache_mod.ResultCache, "get",
-                            FIRST_HIT_MUTANTS[mutant]())
-        service = service_on(tmp_path)
-        record = _record("first-hit")
-        service.store.put(record)
-        with hit_reads() as calls:
-            reply = run(service.submit(record.spec.to_dict()))
-        assert reply["cache"] == protocol.CACHE_HIT
-        got = tally(calls)
+        for owner, name, value in FIRST_HIT_MUTANTS[mutant]():
+            monkeypatch.setattr(owner, name, value)
+        got = first_hit_ledger(tmp_path)
         assert [row for row in FIRST_HIT
                 if got[row] != FIRST_HIT[row]] == list(rows)
 
@@ -420,8 +448,8 @@ class TestStructuralGuard:
         assert repeat_ledger(tmp_path, 100) == expected_ledger(100)
 
     @pytest.mark.parametrize("mutant, rows", [
-        ("previous_path", ("submit", "encode", "copy")),
-        ("decoding_path", ("submit", "encode", "json", "copy")),
+        ("previous_path", ("submit", "encode", "json", "record", "pathlib")),
+        ("decoding_path", ("submit", "encode", "json", "record", "pathlib")),
         ("pathlib_touch", ("pathlib",)),
         ("unchecked_identity", ("stat",)),
         ("lost_touch", ("utime",)),
@@ -436,36 +464,39 @@ class TestStructuralGuard:
 def previous_get(self, run_id):
     """Mutant: the first hit as it was, rebuilding the record through
     ``store.get`` and encoding its ``to_dict()`` again."""
-    if self.hit_line(run_id) is not None:
-        return self._memo[run_id][2].copy()
-    path = self.store._record_path(run_id)
-    ident = cache_mod._identity(path)
+    ident = cache_mod.file_identity(self.store._record_path(run_id))
     if ident is None:
         return None
     try:
         record = protocol.EncodedRecord(self.store.get(run_id).to_dict())
     except (OSError, ValueError, KeyError, ReproError):
         return None
-    self._memo[run_id] = (path, ident, record, protocol.encode(
-        cache_mod.hit_reply(run_id, record)), self.store._touch_path(run_id))
-    return record.copy()
+    return record, ident
 
 
-def read_twice():
+def read_twice(self, run_id):
     """Mutant: a first hit checks the record through ``store.get``,
     then reads the file again for its text."""
-    real = cache_mod.ResultCache.get
-
-    def get(self, run_id):
-        if run_id not in self._memo:
-            with contextlib.suppress(ReproError, OSError, ValueError):
-                self.store.get(run_id, touch=False)
-        return real(self, run_id)
-    return get
+    with contextlib.suppress(ReproError, OSError, ValueError):
+        self.store.get(run_id, touch=False)
+    return REAL_GET(self, run_id)
 
 
-FIRST_HIT_MUTANTS = {"previous_get": lambda: previous_get,
-                     "read_twice": read_twice}
+def stat_twice(self, line, run_id, ident, reply):
+    """Mutant: filling the memo stats the record file again."""
+    REAL_REMEMBER(self, line, run_id, server_mod.file_identity(
+        self.store._record_path(run_id)), reply)
+
+
+REAL_GET = cache_mod.ResultCache.get
+REAL_REMEMBER = JobService._remember
+
+#: mutant name -> the (owner, name, value) patches that make it
+FIRST_HIT_MUTANTS = {
+    "previous_get": lambda: [(cache_mod.ResultCache, "get", previous_get)],
+    "read_twice": lambda: [(cache_mod.ResultCache, "get", read_twice)],
+    "stat_twice": lambda: [(JobService, "_remember", stat_twice)],
+}
 
 
 # -- the repeated-hit ledger -------------------------------------------------
@@ -473,7 +504,7 @@ FIRST_HIT_MUTANTS = {"previous_get": lambda: previous_get,
 
 def expected_ledger(n):
     """What ``n`` repeats of a hit line do, by row."""
-    return {"submit": 0, "encode": 0, "json": 0, "copy": 0, "pathlib": 0,
+    return {"submit": 0, "encode": 0, "json": 0, "record": 0, "pathlib": 0,
             "stat": n, "utime": n}
 
 
@@ -482,7 +513,7 @@ REPEAT_SEAMS = {
     "submit": [(JobService, "submit")],
     "encode": [(protocol, "encode")],
     "json": [(json, "loads"), (json, "dumps")],
-    "copy": [(protocol.EncodedRecord, "copy")],
+    "record": [(protocol.EncodedRecord, "__init__")],
     "stat": [(os, "stat")],
     "utime": [(os, "utime")],
 }
@@ -514,23 +545,21 @@ def repeat_ledger(root, n):
 
 
 async def previous_handle_conn(self, reader, writer):
-    """The connection handler before memoised hits were answered from
-    their bytes: a memoised line went through ``submit``."""
+    """Mutant: the path a repeat took before the memo answered it, with
+    no memo lookup: every line is decoded and goes through ``submit``
+    (which memoises a hit again)."""
     try:
         while True:
             try:
                 line = await protocol.read_line(reader)
                 if line is None:
                     break
-                msg = (None if line in self._lines
-                       else protocol.decode(line))
+                msg = protocol.decode(line)
             except protocol.ProtocolError as e:
                 await protocol.write_message(
                     writer, protocol.error_reply(str(e)))
                 break
-            if msg is None:
-                reply = await self.submit(None, line=line)
-            elif msg.get("op") == protocol.OP_SUBMIT_MANY:
+            if msg.get("op") == protocol.OP_SUBMIT_MANY:
                 await self._submit_many(msg, writer)
                 continue
             else:
@@ -550,11 +579,12 @@ REPEAT_MUTANTS = {
     "previous_path": lambda: [(JobService, "_handle_conn",
                                previous_handle_conn)],
     "decoding_path": _decoding_path,
-    "pathlib_touch": lambda: [(cache_mod, "touch_file",
+    "pathlib_touch": lambda: [(server_mod, "touch_file",
                                lambda path: Path(path).touch())],
-    "unchecked_identity": lambda: [(cache_mod, "_identity",
-                                    lambda path: (0, 0, 0))],
-    "lost_touch": lambda: [(cache_mod, "touch_file", lambda path: None)],
+    "unchecked_identity": lambda: [(module, "file_identity",
+                                    lambda path: (0, 0, 0))
+                                   for module in (cache_mod, server_mod)],
+    "lost_touch": lambda: [(server_mod, "touch_file", lambda path: None)],
 }
 
 
@@ -579,7 +609,7 @@ class TestHitBytes:
         full = protocol.encode(run(service.submit(spec.to_dict())))
         line = submit_line(spec.to_dict())
         assert run(exchange(service, [line] * 3)) == full * 3
-        assert service.cache._memo[record.run_id][3] == full
+        assert service._memo[line][3] == full
         assert full.isascii() and b'\\u65e5' in full
 
 

@@ -12,6 +12,7 @@ service's request logic alone run their jobs inline (``inline_pool`` in
 ``conftest.py``).
 """
 
+import asyncio
 import concurrent.futures
 import json
 import os
@@ -34,6 +35,10 @@ from repro.serve import (
     protocol,
     server,
 )
+from repro.serve import client as client_mod
+from repro.serve import pool as pool_mod
+
+from test_serve_hits import Writer
 
 
 def _spec(name: str, nvp: int = 2, yields: int = 10) -> JobSpec:
@@ -89,8 +94,9 @@ class TestPoolCrashRecovery:
             ok = pool.submit(_spec("after-poison").to_dict())
             assert ok.result(timeout=120)["error"] is None
 
-    def test_all_workers_dead_fails_pending_typed(self):
-        pool = WorkerPool(1, retries=0, max_respawns=0)
+    def test_all_workers_dead_fails_pending_typed(self, monkeypatch):
+        monkeypatch.setattr(pool_mod, "RESPAWNS_PER_WORKER", 0)
+        pool = WorkerPool(1, retries=0)
         try:
             bad = pool.submit(_spec("killer").to_dict(),
                               chaos={"kill_worker_attempts": 99})
@@ -139,10 +145,11 @@ class TestPoolLiveness:
                 assert _sem_mappings(pid) == set(), pid
                 assert len(os.listdir(f"/proc/{pid}/task")) == 1, pid
 
-    def test_a_run_of_deaths_resolves_every_future(self):
+    def test_a_run_of_deaths_resolves_every_future(self, monkeypatch):
         """20 of 40 jobs kill their first worker: each is retried once,
         every death is replaced, and every future resolves."""
-        with WorkerPool(2, max_respawns=64) as pool:
+        monkeypatch.setattr(pool_mod, "RESPAWNS_PER_WORKER", 32)
+        with WorkerPool(2) as pool:
             futs = [pool.submit(_spec(f"storm-{i}").to_dict(),
                                 chaos=({"kill_worker_attempts": 1}
                                        if i % 2 == 0 else None))
@@ -314,6 +321,80 @@ class TestServiceDeadlines:
         assert service.stats.deadline_exceeded == 1
 
 
+#: ``deadline_ms`` values refused at the edge: not absent, null or a
+#: non-negative number
+BAD_DEADLINES = ["abc", [1], {"a": 1}, -5, True]
+
+
+class TestMalformedDeadlines:
+    """Each is answered ``invalid`` before anything is keyed or launched;
+    the connection lives on."""
+
+    @pytest.mark.parametrize("deadline_ms", BAD_DEADLINES, ids=repr)
+    def test_refused_in_process(self, tmp_path, deadline_ms):
+        service = _service(tmp_path)
+        spec = _spec("never-run").to_dict()
+        in_flight = "f" * 64
+
+        async def scenario():
+            service._inflight[in_flight] = \
+                asyncio.get_running_loop().create_future()
+            writer = Writer()
+            replies = [
+                await service.submit(spec, deadline_ms=deadline_ms),
+                await service.await_result(in_flight,
+                                           deadline_ms=deadline_ms)]
+            await service._submit_many(
+                {"op": protocol.OP_SUBMIT_MANY, "specs": [spec, spec],
+                 "deadline_ms": deadline_ms}, writer)
+            return replies + [protocol.decode(line) for line in
+                              bytes(writer.data).splitlines()]
+
+        *refused, done = asyncio.run(scenario())
+        assert [(r["ok"], r.get("index")) for r in refused] == \
+            [(False, None)] * 2 + [(False, 0), (False, 1)]
+        assert all(r["error"].startswith("deadline_ms must be")
+                   for r in refused)
+        assert done == {"ok": True, "op": protocol.OP_SUBMIT_MANY_DONE,
+                        "n": 2}
+        assert list(service._inflight) == [in_flight]
+        assert (service.stats.invalid, service.stats.executed) == (4, 0)
+
+    @pytest.mark.usefixtures("inline_pool")
+    def test_refused_over_a_socket(self, tmp_path):
+        service = _service(tmp_path)
+        spec = _spec("never-run").to_dict()
+        requests = []
+        for deadline_ms in BAD_DEADLINES:
+            requests += [
+                {"op": protocol.OP_SUBMIT, "spec": spec,
+                 "deadline_ms": deadline_ms},
+                {"op": protocol.OP_SUBMIT_MANY, "specs": [spec],
+                 "deadline_ms": deadline_ms},
+                {"op": protocol.OP_AWAIT, "run_id": "f" * 64,
+                 "deadline_ms": deadline_ms}]
+        requests.append({"op": protocol.OP_PING})
+        with ServiceThread(service):
+            s = socketlib.socket(socketlib.AF_UNIX, socketlib.SOCK_STREAM)
+            s.settimeout(120.0)
+            s.connect(str(tmp_path / "serve.sock"))
+            s.sendall(b"".join(map(protocol.encode, requests)))
+            buf = b""
+            while buf.count(b"\n") < 4 * len(BAD_DEADLINES) + 1:
+                chunk = s.recv(65536)
+                assert chunk, "the server hung up"
+                buf += chunk
+            s.close()
+        replies = [json.loads(x) for x in buf.splitlines()]
+        assert replies[-1]["op"] == "pong"
+        refused = [r for r in replies if r.get("op") is None]
+        assert len(refused) == 3 * len(BAD_DEADLINES)
+        assert all(not r["ok"] and r["error"].startswith("deadline_ms must")
+                   for r in refused)
+        assert service.stats.invalid == 3 * len(BAD_DEADLINES)
+        assert service.stats.executed == 0
+
+
 # ---------------------------------------------------------------------------
 # service: poison quarantine memory (served without burning workers)
 # ---------------------------------------------------------------------------
@@ -365,10 +446,11 @@ class TestClientReconnect:
             assert reply.ok and reply.cache == CACHE_HIT
         client.close()
 
-    def test_connection_error_after_retries(self, tmp_path):
+    def test_connection_error_after_retries(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(client_mod, "BACKOFF_BASE_S", 0.01)
+        monkeypatch.setattr(client_mod, "BACKOFF_CAP_S", 0.02)
         client = ServeClient(socket_path=tmp_path / "nothing.sock",
-                             retries=1, backoff_base_s=0.01,
-                             backoff_cap_s=0.02)
+                             retries=1)
         with pytest.raises(ServeConnectionError):
             client.ping()
 
