@@ -10,7 +10,7 @@ for every figure in the paper.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from inspect import isgeneratorfunction
 from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Generator, Sequence
@@ -153,56 +153,6 @@ class JobResult:
     def app_ns(self) -> int:
         """Post-startup execution time."""
         return max(0, self.makespan_ns - self.startup_ns)
-
-    def summary(self) -> str:
-        top = sorted(self.counters.items(), key=lambda kv: (-kv[1], kv[0]))
-        highlights = " ".join(f"{k}={v}" for k, v in top[:3])
-        return (
-            f"[{self.method}] nvp={self.nvp} "
-            f"pes={self.layout.total_pes} "
-            f"startup={self.startup_ns} ns app={self.app_ns} ns "
-            f"makespan={self.makespan_ns} ns "
-            f"migrations={sum(1 for m in self.migrations if m.src_pe != m.dst_pe)}"
-            + (f" | {highlights}" if highlights else "")
-        )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Machine-readable report (gem5-style standardized results).
-
-        Everything is plain JSON-able data; rank exit values that are not
-        JSON-native are stringified.
-        """
-        return {
-            "method": self.method,
-            "nvp": self.nvp,
-            "machine": self.machine,
-            "layout": asdict(self.layout),
-            "makespan_ns": self.makespan_ns,
-            "startup_ns": self.startup_ns,
-            "app_ns": self.app_ns,
-            "startup_per_process_ns": list(self.startup_per_process),
-            "counters": dict(sorted(self.counters.snapshot().items())),
-            "pe_stats": [p.to_dict() for p in self.pe_stats],
-            "migrations": [asdict(m) for m in self.migrations],
-            "lb_reports": [asdict(r) for r in self.lb_reports],
-            "forwarded_messages": self.forwarded_messages,
-            "collectives_completed": self.collectives_completed,
-            "recoveries": self.recoveries,
-            "transport": self.transport,
-            "recovery": self.recovery,
-            "rollbacks": {str(vp): n
-                          for vp, n in sorted(self.rollbacks.items())},
-            "status": ("ok" if self.unrecoverable_reason is None
-                       else "unrecoverable"),
-            "unrecoverable_reason": self.unrecoverable_reason,
-            "error": self.error,
-            "crashes": list(self.crashes),
-            "sanitize_findings": [f.to_dict() for f in self.sanitize_findings],
-            "rank_cpu_ns": {str(vp): ns
-                            for vp, ns in sorted(self.rank_cpu_ns.items())},
-            "exit_values": {str(vp): jsonable(v)
-                            for vp, v in sorted(self.exit_values.items())},
-        }
 
 
 #: the legal values of a job's enumerated options, default first

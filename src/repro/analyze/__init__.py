@@ -1,4 +1,5 @@
-"""Static analysis over program sources (``repro analyze``).
+"""Static analysis over program sources (the source phase of
+``repro check``).
 
 An interprocedural AST analyzer over :class:`ProgramSource` function
 bodies: it recovers each body's Python source, builds a whole-program
@@ -15,7 +16,7 @@ model (global accesses, rank-dependence taint, MPI call shapes, the
    mismatches, symmetric recv deadlocks, never-completed requests.
 4. **Determinism** (``det-*``) — host nondeterminism (wall clock,
    unseeded RNG, set iteration order, ``id()`` keys), applied both to
-   program bodies and — as the ``repro analyze self`` self-lint — to
+   program bodies and — as the ``repro check self`` self-lint — to
    the simulator's own sources.
 """
 

@@ -5,8 +5,8 @@ enforced by the pinned-scenario CI gate, chaos replay, and the serve
 result cache — only holds if nothing on a simulated-time path consults
 the host: wall clocks, unseeded RNGs, set iteration order, or ``id()``
 values.  This scan finds exactly those four shapes, in program function
-bodies (via ``repro analyze``) and over the simulator's own sources
-(via the ``repro analyze self`` self-lint).
+bodies (via ``repro check``) and over the simulator's own sources
+(via the ``repro check self`` self-lint).
 
 Codes
 -----

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.analyze.model import ProgramModel, build_model
 from repro.analyze.rules import (
@@ -43,30 +44,45 @@ def cost_order() -> list[str]:
 
 @dataclass
 class AnalysisReport:
-    """Everything one analyzer run produced, JSON-serializable."""
+    """Everything ``repro check`` found in one target, JSON-serializable:
+    the findings of every phase that ran and, for a program, the
+    analyzer's model of its globals, its binary's features and the
+    sanitized run's counters."""
 
     target: str
-    program: str
-    method: str | None
     findings: list[Finding]
-    classifications: dict[str, str]
-    inferred_unsafe: list[str]
-    predicted_method: str | None
-    functions: list[str]
-    unscanned: list[str]
+    method: str | None = None
+    nvp: int | None = None
+    program: str = ""
+    classifications: dict[str, str] = field(default_factory=dict)
+    inferred_unsafe: list[str] = field(default_factory=list)
+    predicted_method: str | None = None
+    functions: list[str] = field(default_factory=list)
+    unscanned: list[str] = field(default_factory=list)
+    #: feature flags of the checked binary (empty unless one was built)
+    features: dict[str, Any] = field(default_factory=dict)
+    #: whether the target was also executed under the runtime detector
+    executed: bool = False
+    #: sanitizer counters from the run (SAN_CHECK / SAN_FINDING)
+    counters: dict[str, int] = field(default_factory=dict)
     elapsed_ms: float = 0.0
     model: ProgramModel | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:
-        return not self.findings
+        """A warning or an error fails the report; info never does."""
+        return all(f.severity is Severity.INFO for f in self.findings)
 
-    def to_dict(self) -> dict:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "target": self.target,
             "program": self.program,
             "method": self.method,
+            "nvp": self.nvp,
             "ok": self.ok,
+            "executed": self.executed,
+            "features": self.features,
+            "counters": dict(sorted(self.counters.items())),
             "findings": [f.to_dict() for f in self.findings],
             "classifications": dict(sorted(self.classifications.items())),
             "inferred_unsafe": list(self.inferred_unsafe),

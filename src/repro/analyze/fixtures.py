@@ -3,7 +3,7 @@
 One tiny program per analyzer rule, each exhibiting exactly one defect.
 They serve the same three masters as the sanitizer's fixtures and live
 in the same registry (:data:`repro.sanitize.fixtures.FIXTURES`, phase
-``"source"``): ``repro analyze fixture:<name>`` demos each diagnostic,
+``"source"``): ``repro check fixture:<name>`` demos each diagnostic,
 the test suite asserts exact finding codes, and CI's diagnostics-smoke
 job keeps the catalog honest.
 
@@ -16,7 +16,7 @@ analyzer reports.
 The determinism fixtures deliberately contain the host-nondeterminism
 shapes the self-lint forbids, so their offending lines carry
 ``# repro: allow(...)`` pragmas.  Pragmas are honored only by the
-*file* lint (``repro analyze self``); the program analyzer ignores
+*file* lint (``repro check self``); the program analyzer ignores
 them, which is exactly what lets these bodies stay detectable.
 """
 
@@ -30,7 +30,7 @@ from typing import Callable
 from repro.ampi.runtime import AmpiJob
 from repro.charm.node import JobLayout
 from repro.program.source import Program, ProgramSource
-from repro.sanitize.fixtures import FIXTURES, Fixture
+from repro.sanitize.fixtures import FIXTURES, Fixture, get_fixture
 from repro.sanitize.runtime import RaceDetector
 
 #: host interpreter state for the module-global-write fixture
@@ -54,21 +54,6 @@ class AnalyzeFixture(Fixture):
     #: privatization method the runtime-agreement run uses
     run_method: str = "pieglobals"
     nvp: int = 4
-
-
-def fixture_names() -> list[str]:
-    """This module's fixtures (the analyzer's set)."""
-    return sorted(EXPECTED)
-
-
-def get_fixture(name: str) -> AnalyzeFixture:
-    fx = FIXTURES.get(name)
-    if not isinstance(fx, AnalyzeFixture):
-        raise ValueError(
-            f"unknown analyze fixture {name!r}; "
-            f"have: {', '.join(fixture_names())}"
-        )
-    return fx
 
 
 def _fixture(name: str, expected: set[str], runtime: str, **kw):

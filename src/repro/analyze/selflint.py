@@ -1,6 +1,6 @@
 """Determinism self-lint over the simulator's own sources.
 
-``repro analyze self`` parses every ``.py`` file under ``src/repro``
+``repro check self`` parses every ``.py`` file under ``src/repro``
 and applies rule family 4 (:mod:`repro.analyze.determinism`) to the
 whole module — the mechanical enforcement of the byte-identical-timeline
 contract the provenance/chaos/serve subsystems stand on.

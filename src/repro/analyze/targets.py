@@ -1,15 +1,17 @@
-"""Target resolution for ``repro analyze``.
-
-Accepted target forms:
+"""The target words of ``repro check``.
 
 ``<app>``            a registered app (``repro.harness.jobspec``), built
                      with a small analysis-sized config
 ``apps``             every registered app
+``probe``            the capability probes' correctness program
 ``example:<name>``   one bundled ``examples/*.py`` script's program
 ``examples``         every bundled example
 ``fixture:<name>``   one seeded-violation fixture
 ``fixtures``         every fixture
 ``self``             determinism self-lint over ``src/repro`` itself
+
+A program runs in check's shape (``--nvp`` virtual ranks on two PEs of
+one process); an example runs in its script's shape.
 """
 
 from __future__ import annotations
@@ -49,33 +51,38 @@ def _load_example(stem: str):
     return mod
 
 
-#: example name -> builder for the program that example drives
-EXAMPLE_BUILDERS: dict[str, Callable[[], ProgramSource]] = {
-    "quickstart": lambda: _load_example("quickstart").build_hello(),
-    "checkpoint_restart":
+#: example name -> (builder of the program that example drives, the
+#: virtual ranks and the PEs of the one-process layout its script runs)
+EXAMPLES: dict[str, tuple[Callable[[], ProgramSource], int, int]] = {
+    "quickstart": (lambda: _load_example("quickstart").build_hello(), 2, 1),
+    "checkpoint_restart": (
         lambda: _load_example("checkpoint_restart").build(
-            crash_after_checkpoint=False),
-    "cloud_elasticity": lambda: _load_example("cloud_elasticity").build(),
-    "method_tour": lambda: _load_example("method_tour").build_probe(),
-    "jacobi3d_overdecomposition": lambda: _registered(
-        "jacobi3d", n=24, iters=12, reduce_every=3),
-    "storm_surge_load_balancing": lambda: _registered(
-        "adcirc", steps=100, lb_period=5),
+            crash_after_checkpoint=False), 4, 2),
+    "cloud_elasticity": (lambda: _load_example("cloud_elasticity").build(),
+                         16, 8),
+    "method_tour": (lambda: _load_example("method_tour").build_probe(), 4, 2),
+    "jacobi3d_overdecomposition": (lambda: _registered(
+        "jacobi3d", n=24, iters=12, reduce_every=3), 32, 4),
+    "storm_surge_load_balancing": (lambda: _registered(
+        "adcirc", steps=100, lb_period=5), 32, 8),
 }
 
 
 def example_names() -> list[str]:
-    return sorted(EXAMPLE_BUILDERS)
+    return sorted(EXAMPLES)
 
 
 def build_example(name: str) -> ProgramSource:
+    return _example(name)[0]()
+
+
+def _example(name: str) -> tuple[Callable[[], ProgramSource], int, int]:
     try:
-        builder = EXAMPLE_BUILDERS[name]
+        return EXAMPLES[name]
     except KeyError:
         raise ValueError(
             f"unknown example {name!r}; have: {', '.join(example_names())}"
         ) from None
-    return builder()
 
 
 def _registered(app: str, **config) -> ProgramSource:
@@ -88,37 +95,39 @@ def app_source(app: str) -> ProgramSource:
     return _registered(app, **APP_CONFIGS.get(app, {}))
 
 
-def resolve_targets(target: str) -> list[tuple[str, ProgramSource, dict]]:
-    """Expand one CLI target word into (label, source, kwargs) triples.
-
-    ``kwargs`` are per-target analyzer overrides (fixtures may require
-    ``method=`` or ``suggest=`` to exhibit their defect).  ``self`` is
-    handled by the CLI directly (it lints files, not a program) and is
-    rejected here.
-    """
+def resolve_targets(word: str) -> list[str]:
+    """The single targets one target word names, in report order."""
     from repro.harness.jobspec import app_names
 
-    if target == "self":
-        raise ValueError("'self' target lints files, not programs")
-    if target == "apps":
-        return [(a, app_source(a), {}) for a in app_names()]
-    if target == "examples":
-        return [(f"example:{n}", build_example(n), {})
-                for n in example_names()]
-    if target == "fixtures" or target.startswith("fixture:"):
-        from repro.analyze.fixtures import fixture_names, get_fixture
+    if word == "apps":
+        return app_names()
+    if word == "examples":
+        return [f"example:{n}" for n in example_names()]
+    if word == "fixtures":
+        from repro.sanitize.fixtures import fixture_names
 
-        names = (fixture_names() if target == "fixtures"
-                 else [target.partition(":")[2]])
-        return [(f"fixture:{fx.name}", fx.build(), dict(fx.analyze_kwargs))
-                for fx in map(get_fixture, names)]
+        return [f"fixture:{n}" for n in fixture_names()]
+    return [word]
+
+
+def program_target(target: str, nvp: int
+                   ) -> tuple[ProgramSource, int, int]:
+    """The program a single target names and the shape it runs in:
+    (source, virtual ranks, PEs); ``nvp`` ranks on two PEs unless the
+    target is an example."""
+    from repro.harness.jobspec import app_names
+
     if target.startswith("example:"):
-        name = target.partition(":")[2]
-        return [(target, build_example(name), {})]
+        build, vps, pes = _example(target.partition(":")[2])
+        return build(), vps, pes
+    if target == "probe":
+        from repro.harness.capabilities import correctness_program
+
+        return correctness_program(), nvp, 2
     if target in app_names():
-        return [(target, app_source(target), {})]
+        return app_source(target), nvp, 2
     raise ValueError(
-        f"unknown analyze target {target!r}; have app names "
-        f"({', '.join(app_names())}), apps, example:<name>, examples, "
-        f"fixture:<name>, fixtures, or self"
+        f"unknown check target {target!r}; have app names "
+        f"({', '.join(app_names())}), apps, probe, example:<name>, "
+        f"examples, fixture:<name>, fixtures, or self"
     )

@@ -36,10 +36,10 @@ COMMANDS: dict[str, tuple[str, str]] = {
     "faults": ("harness", "failure-free vs. k-crash overhead sweep, with "
                           "deterministic fault injection"),
     "hello": ("harness", "the Figure 2/3 hello world under a chosen method"),
-    "check": ("diagnostics", "binary lint + privatization-compatibility "
-                             "matrix, then a sanitized execution"),
-    "analyze": ("diagnostics", "static analysis of program sources (or, "
-                               "'self', the determinism lint of src/repro)"),
+    "check": ("diagnostics", "binary lint, privatization-compatibility "
+                             "matrix and source analysis, then a sanitized "
+                             "execution (or, 'self', the determinism lint "
+                             "of src/repro)"),
     "runs": ("provenance", "list the provenance store's run records"),
     "replay": ("provenance", "re-execute a stored run; exits nonzero if any "
                              "recorded observable drifted"),

@@ -30,10 +30,10 @@ def cmd_list_methods(_args) -> int:
     for name in method_names():
         m = get_method(name)
         c = m.capabilities
-        rows.append([name, c.automation, c.smp_support, c.migration,
+        rows.append([name, c.automation, "yes" if m.smp_capable else "no",
                      "yes" if m.uses_funcptr_shim else "no"])
     print(format_table(
-        ["method", "automation", "SMP", "migration", "funcptr shim"],
+        ["method", "automation", "SMP capable", "funcptr shim"],
         rows, title="Registered privatization methods"))
     return 0
 

@@ -43,8 +43,6 @@ class Capabilities:
     method: str
     automation: str          #: "Poor" / "Mediocre" / "Good" / "Fortran-specific" / ...
     portability: str
-    smp_support: str         #: "Yes" / "No" / "Limited w/o patched glibc"
-    migration: str           #: "Yes" / "No" / "Not implemented, but possible" / "Unknown"
     requires_source_changes: bool = False
 
 
@@ -95,7 +93,7 @@ class PrivatizationMethod(abc.ABC):
     #: shim (Figure 4) because its code is duplicated per rank
     uses_funcptr_shim: bool = False
     #: place among the automatic runtime methods, cheapest machinery
-    #: first: the order ``repro analyze`` tries them in when it predicts
+    #: first: the order ``repro check`` tries them in when it predicts
     #: the minimal sufficient method (None: never predicted — a source
     #: refactoring, or an option variant registered under a second name)
     cost_rank: int | None = None

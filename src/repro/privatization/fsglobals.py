@@ -44,8 +44,6 @@ class FsGlobals(PrivatizationMethod):
         method="FSglobals",
         automation="Good",
         portability="Shared file system needed",
-        smp_support="Yes",
-        migration="No",
     )
     supports_migration = False
     migration_blocker = (

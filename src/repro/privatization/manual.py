@@ -40,8 +40,6 @@ class ManualRefactoring(PrivatizationMethod):
         method="Manual refactoring",
         automation="Poor",
         portability="Good",
-        smp_support="Yes",
-        migration="Yes",
         requires_source_changes=True,
     )
 
@@ -84,8 +82,6 @@ class Photran(ManualRefactoring):
         method="Photran",
         automation="Fortran-specific",
         portability="Good",
-        smp_support="Yes",
-        migration="Yes",
         requires_source_changes=True,
     )
     source_language = "fortran"

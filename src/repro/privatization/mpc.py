@@ -44,8 +44,6 @@ class MpcPrivatize(TlsGlobals):
         method="-fmpc-privatize",
         automation="Good",
         portability="Compiler-specific",
-        smp_support="Yes",
-        migration="Not implemented, but possible",
     )
     supports_migration = False
     migration_blocker = (

@@ -30,8 +30,6 @@ class NoPrivatization(PrivatizationMethod):
         method="none (baseline)",
         automation="n/a",
         portability="Good",
-        smp_support="Yes",
-        migration="Yes",
     )
 
     def privatizes_var(self, var) -> bool:

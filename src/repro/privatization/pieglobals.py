@@ -126,8 +126,6 @@ class PieGlobals(PrivatizationMethod):
         method="PIEglobals",
         automation="Good",
         portability="Implemented w/ GNU libc extension",
-        smp_support="Yes",
-        migration="Yes",
     )
     uses_funcptr_shim = True
 

@@ -44,8 +44,6 @@ class PipGlobals(PrivatizationMethod):
         method="PIPglobals",
         automation="Good",
         portability="Requires GNU libc extension",
-        smp_support="Limited w/o patched glibc",
-        migration="No",
     )
     supports_migration = False
     migration_blocker = (

@@ -45,8 +45,6 @@ class Swapglobals(PrivatizationMethod):
         method="Swapglobals",
         automation="No static vars",
         portability="Linker-specific",
-        smp_support="No",
-        migration="Yes",
     )
     toolchain_preset = "legacy-linux-old-ld"   # ld <= 2.23 keeps GOT refs
     smp_capable = False

@@ -49,8 +49,6 @@ class TlsGlobals(PrivatizationMethod):
         method="TLSglobals",
         automation="Mediocre",
         portability="Compiler-specific",
-        smp_support="Yes",
-        migration="Yes",
     )
 
     def privatizes_var(self, var) -> bool:

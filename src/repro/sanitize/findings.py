@@ -15,7 +15,8 @@ from typing import Any, Iterable
 
 
 class Severity(enum.Enum):
-    """How bad a finding is; ``ERROR`` findings fail ``repro check``."""
+    """How bad a finding is; ``ERROR`` and ``WARNING`` findings fail
+    ``repro check``, ``INFO`` never does."""
 
     ERROR = "error"
     WARNING = "warning"

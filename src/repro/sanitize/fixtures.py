@@ -13,8 +13,8 @@ its findings.  They serve three masters:
 
 This module also holds the one fixture registry (:data:`FIXTURES`): the
 analyzer's source-phase fixtures (:mod:`repro.analyze.fixtures`)
-register into it, and ``repro check fixture:<name>`` and CI look a
-fixture up here whichever set it belongs to.
+register into it, and :func:`get_fixture` and :func:`fixture_names`
+look fixtures up here whichever set they belong to.
 
 Violations are seeded the way real corruption arrives: images are
 mutated post-link (relocation tables and segment layouts disagreeing is
@@ -62,11 +62,11 @@ class Fixture:
 
 
 #: the one registry: this module's fixtures, and the analyzer's once
-#: :mod:`repro.analyze.fixtures` is imported (:func:`all_fixtures` does)
+#: :mod:`repro.analyze.fixtures` is imported (the lookups below do)
 FIXTURES: dict[str, Fixture] = {}
 
 
-def all_fixtures() -> dict[str, Fixture]:
+def _registry() -> dict[str, Fixture]:
     import repro.analyze.fixtures  # noqa: F401 -- registers its set
 
     return FIXTURES
@@ -74,20 +74,16 @@ def all_fixtures() -> dict[str, Fixture]:
 
 def get_fixture(name: str) -> Fixture:
     try:
-        return all_fixtures()[name]
+        return _registry()[name]
     except KeyError:
         raise ValueError(
-            f"unknown fixture {name!r}; have: {', '.join(sorted(FIXTURES))}"
+            f"unknown fixture {name!r}; have: {', '.join(fixture_names())}"
         ) from None
 
 
 def fixture_names() -> list[str]:
-    """This module's fixtures (the sanitizer's set)."""
-    return sorted(EXPECTED)
-
-
-def run_fixture(name: str) -> list[Finding]:
-    return get_fixture(name).run()
+    """Every fixture, the sanitizer's and the analyzer's."""
+    return sorted(_registry())
 
 
 def _fixture(name: str, phase: str, expected: set[str]):

@@ -300,9 +300,19 @@ class JobService:
                 if msg.get("op") == protocol.OP_SUBMIT_MANY:
                     await self._submit_many(msg, writer)
                     continue
+                reply = await self._dispatch(msg, line)
+                # A hit that memoised its line is written as the memo's
+                # reply bytes, so it is encoded once.  The entry is this
+                # hit's: _repeat found none, and a hit reply is built
+                # without an await.
+                entry = (self._memo.get(line)
+                         if reply.get("cache") == protocol.CACHE_HIT
+                         else None)
+                if entry is not None:
+                    writer.write(entry[3])
+                    await writer.drain()
                 else:
-                    reply = await self._dispatch(msg, line)
-                await protocol.write_message(writer, reply)
+                    await protocol.write_message(writer, reply)
         except (ConnectionResetError, BrokenPipeError):
             pass
         except asyncio.CancelledError:

@@ -141,10 +141,6 @@ class TestResults:
         result = run_job(make_hello(), 2)
         assert set(result.rank_cpu_ns) == {0, 1}
 
-    def test_summary_mentions_method(self):
-        result = run_job(make_hello(), 2, method="tlsglobals")
-        assert "tlsglobals" in result.summary()
-
     def test_message_counter(self):
         p = Program("msgs")
         p.add_global("x", 0)

@@ -10,7 +10,7 @@ from repro.analyze.fixtures import (
     RUNTIME_RACES,
     RUNTIME_SEGFAULT,
     RUNTIME_SILENT,
-    fixture_names,
+    EXPECTED,
     get_fixture,
     run_fixture_job,
 )
@@ -18,7 +18,7 @@ from repro.errors import DeadlockError, SegFault
 
 
 def _fixtures_with(runtime):
-    return [n for n in fixture_names()
+    return [n for n in sorted(EXPECTED)
             if get_fixture(n).runtime == runtime]
 
 
@@ -54,5 +54,5 @@ class TestRuntimeAgreement:
     def test_every_fixture_declares_a_runtime_outcome(self):
         valid = {RUNTIME_SEGFAULT, RUNTIME_DEADLOCK, RUNTIME_RACES,
                  RUNTIME_SILENT}
-        for n in fixture_names():
+        for n in EXPECTED:
             assert get_fixture(n).runtime in valid

@@ -8,11 +8,12 @@ transparency oracle applied to *how a body is run* — and the rest pins
 what each shape costs and how a forgotten ``yield from`` fails.
 """
 
+import dataclasses
 import threading
 
 import pytest
 
-from repro.ampi.runtime import AmpiJob
+from repro.ampi.runtime import AmpiJob, jsonable
 from repro.charm.node import JobLayout
 from repro.errors import MpiError
 from repro.harness.jobspec import JobSpec, build_job
@@ -54,12 +55,15 @@ def pool():
 
 
 def history(spec, pool):
-    """(threads it left behind, everything it simulated): the report
+    """(threads it left behind, everything it simulated): the result
     carries makespan, exit values, counters, per-PE stats, migrations,
-    LB steps, rollbacks and crashes."""
+    LB steps, rollbacks and crashes, here all compared by value."""
     threads = threading.active_count()
     job = build_job(spec, ult_backend=pool)
-    report = job.run().to_dict()
+    result = job.run()
+    report = dataclasses.replace(
+        result, counters=result.counters.snapshot(),
+        exit_values={vp: jsonable(v) for vp, v in result.exit_values.items()})
     return (threading.active_count() - threads,
             (job.scheduler.timeline, report))
 

@@ -71,11 +71,8 @@ FLAGS = {
               ('nvp', ('--nvp',), 8, None, None, 'int'),
               ('slot_size', ('--slot-size',), 67108864, None, None, 'int'),
               ('static_only', ('--static-only',), False, None, 0, None),
+              ('suggest', ('--suggest',), False, None, 0, None),
               ('target', (), None, None, None, None)],
-    'analyze': [('json', ('--json',), False, None, 0, None),
-                ('method', ('--method',), None, None, None, None),
-                ('suggest', ('--suggest',), False, None, 0, None),
-                ('target', (), None, None, None, None)],
     'trace': [('capacity', ('--capacity',), 1048576, None, None, 'int'),
               ('experiment', (), None, ['fig5', 'fig6', 'fig7', 'fig8'],
                None, None),
@@ -208,7 +205,7 @@ INVOCATIONS = {
     "faults": ["faults", "jacobi", "--kmax", "1", "--json"],
     "check-static": ["check", "fixture:got-dangling", "--json"],
     "check-runtime": ["check", "fixture:race-shared-globals", "--json"],
-    "analyze-apps": ["analyze", "apps", "--json"],
+    "check-apps": ["check", "apps", "--json"],
     "runs": ["runs", "--store", "{store}", "--json"],
     "stats": ["stats", "{a}", "--store", "{store}", "--json"],
     "stats-compare": ["stats", "{a}", "--compare", "{b}", "--store",

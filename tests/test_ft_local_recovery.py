@@ -105,13 +105,20 @@ class TestLocalRecovery:
 
 class TestResultMetadata:
     def test_result_records_transport_and_recovery(self, baseline):
-        d = baseline.to_dict()
-        assert d["transport"] == "reliable"
-        assert d["recovery"] == "local"
-        assert d["rollbacks"] == {}
+        assert baseline.transport == "reliable"
+        assert baseline.recovery == "local"
+        assert baseline.rollbacks == {}
 
     def test_rollbacks_serialized_with_string_keys(self, crash_plan):
-        d = _run(crash_plan).to_dict()
+        # a run's one serialization is its provenance record
+        from repro.harness.jobspec import JobSpec, build_job
+        from repro.provenance import RunRecord
+
+        spec = JobSpec(app="jacobi3d", nvp=8, app_config=dict(CFG.__dict__),
+                       layout=(4, 1, 2), fault_plan=crash_plan.to_dict(),
+                       transport="reliable", recovery="local")
+        job = build_job(spec)
+        d = RunRecord.from_run(spec, job, job.run()).to_dict()
         assert d["rollbacks"] and all(isinstance(k, str)
                                       for k in d["rollbacks"])
 

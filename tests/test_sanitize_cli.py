@@ -1,5 +1,6 @@
-"""CLI surface of the sanitizer: ``repro check`` and ``repro run
---sanitize`` exit codes, JSON shapes, and error handling."""
+"""CLI surface of the sanitizer in ``repro run --sanitize`` (exit
+codes, JSON shapes, error handling) and of the parser; ``repro check``
+is tests/test_analyze_cli.py's."""
 
 from __future__ import annotations
 
@@ -8,71 +9,6 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.sanitize.fixtures import EXPECTED
-
-
-class TestCheck:
-    def test_clean_target_exits_zero(self, capsys):
-        assert main(["check", "hello", "--method", "pieglobals",
-                     "--nvp", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "clean" in out and "(executed)" in out
-
-    def test_broken_method_exits_one(self, capsys):
-        assert main(["check", "hello", "--method", "none",
-                     "--nvp", "4"]) == 1
-        out = capsys.readouterr().out
-        assert "FAILED" in out
-        assert "compat-unprivatized-global" in out
-
-    def test_static_only_skips_execution(self, capsys):
-        assert main(["check", "hello", "--method", "pieglobals",
-                     "--nvp", "4", "--static-only"]) == 0
-        assert "(executed)" not in capsys.readouterr().out
-
-    def test_fixture_target(self, capsys):
-        assert main(["check", "fixture:dup-strong-def", "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        codes = {f["code"] for f in payload["findings"]}
-        assert codes == EXPECTED["dup-strong-def"]
-        assert payload["executed"] is False
-
-    def test_stale_endpoint_fixture_target(self, capsys):
-        """The transport/migration race fixture runs through ``repro
-        check`` and reports exactly its code, at ERROR severity."""
-        assert main(["check", "fixture:stale-endpoint-delivery",
-                     "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        codes = [f["code"] for f in payload["findings"]]
-        assert codes == ["stale-endpoint-delivery"]
-        finding = payload["findings"][0]
-        assert finding["severity"] == "error"
-        assert "endpoint" in finding["fix_hint"]
-
-    def test_unknown_target_exits_two(self, capsys):
-        assert main(["check", "no-such-app"]) == 2
-        assert "no-such-app" in capsys.readouterr().err
-
-    def test_unknown_fixture_exits_two(self, capsys):
-        assert main(["check", "fixture:bogus"]) == 2
-        assert "unknown fixture" in capsys.readouterr().err
-
-    def test_json_shape_single_target(self, capsys):
-        assert main(["check", "hello", "--method", "pieglobals",
-                     "--nvp", "4", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["target"] == "hello"
-        assert payload["ok"] is True
-        assert payload["findings"] == []
-        assert payload["counters"].get("SAN_CHECK", 0) > 0
-
-    def test_examples_mode_lists_all_targets(self, capsys):
-        assert main(["check", "examples", "--method", "pieglobals",
-                     "--nvp", "4", "--static-only", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert isinstance(payload, list)
-        assert {r["target"] for r in payload} == {"hello", "jacobi", "probe"}
-        assert all(r["ok"] for r in payload)
 
 
 class TestRunSanitize:
@@ -121,6 +57,7 @@ class TestParserSurface:
         assert args.method == "pieglobals"
         assert args.nvp == 8
         assert args.static_only is False
+        assert args.suggest is False
 
     @staticmethod
     def _commands() -> dict:

@@ -139,13 +139,6 @@ def test_epoch_advances_with_quanta():
     assert det.epoch == len(job.scheduler.timeline)
 
 
-def test_result_to_dict_exports_findings():
-    _, result = _run(_racy_source(), "none", sanitize=True)
-    d = result.to_dict()
-    assert d["sanitize_findings"]
-    assert d["sanitize_findings"][0]["code"].startswith("race-")
-
-
 def test_stale_endpoint_delivery_dedups_per_frame():
     """Retransmitted copies of one frame produce one finding; a
     different channel sequence number is a new finding."""

@@ -16,7 +16,7 @@ from repro.sanitize import (
     project_isomalloc,
     sort_findings,
 )
-from repro.sanitize.fixtures import EXPECTED, fixture_names, run_fixture
+from repro.sanitize.fixtures import EXPECTED, fixture_names, get_fixture
 
 from conftest import make_hello
 
@@ -31,9 +31,9 @@ def _compile(source, method):
 
 # -- seeded violations ------------------------------------------------------
 
-@pytest.mark.parametrize("name", fixture_names())
+@pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_fixture_reports_exactly_its_codes(name):
-    findings = run_fixture(name)
+    findings = get_fixture(name).run()
     assert findings, f"fixture {name} produced no findings"
     assert {f.code for f in findings} == EXPECTED[name]
     assert all(f.severity is Severity.ERROR for f in findings)
@@ -41,11 +41,15 @@ def test_fixture_reports_exactly_its_codes(name):
 
 def test_unknown_fixture_rejected():
     with pytest.raises(ValueError, match="unknown fixture"):
-        run_fixture("no-such-thing")
+        get_fixture("no-such-thing")
 
 
 def test_every_fixture_has_expectations():
-    assert set(fixture_names()) == set(EXPECTED)
+    # one registry: the sanitizer's fixtures and the analyzer's
+    from repro.analyze.fixtures import EXPECTED as SOURCE_EXPECTED
+
+    assert set(fixture_names()) == set(EXPECTED) | set(SOURCE_EXPECTED)
+    assert all(get_fixture(n).expected for n in fixture_names())
 
 
 # -- clean binaries lint clean ----------------------------------------------

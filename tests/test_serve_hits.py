@@ -23,6 +23,7 @@ import io
 import json
 import os
 import pathlib
+import socket
 import tempfile
 import threading
 from contextlib import ExitStack, contextmanager
@@ -411,6 +412,23 @@ def first_hit_ledger(root):
 class TestStructuralGuard:
     def test_a_first_hit_fills_the_memo_from_one_read(self, tmp_path):
         assert first_hit_ledger(tmp_path) == FIRST_HIT
+
+    def test_a_first_hit_line_is_encoded_once(self, tmp_path):
+        """Over a socket, a submit line's first hit is written as the
+        reply bytes it memoised: one encode, none again for the write."""
+        service = service_on(tmp_path, workers=1)
+        record = _record("first-line")
+        service.store.put(record)
+        line = _line(record)
+        with ServiceThread(service), \
+                socket.socket(socket.AF_UNIX) as sock:
+            sock.connect(str(tmp_path / "s.sock"))
+            with counting((protocol, "encode")) as encodes:
+                sock.sendall(line)
+                reply = sock.makefile("rb").readline()
+        assert len(encodes) == 1
+        assert reply == service._memo[line][3]
+        assert reply == reference_line(service.store, record.run_id)
 
     def test_in_process_hits_read_the_record_each_call(self, tmp_path):
         """A hit that is not a repeated line (here ``JobService.submit``

@@ -258,22 +258,3 @@ class TestTimeline:
     def test_empty_recorder_renders(self):
         assert "no execution spans" in render_timeline(TraceRecorder())
 
-
-class TestResultExtensions:
-    def test_summary_mentions_app_time_and_counters(self):
-        res = run_job(make_hello(), 2)
-        s = res.summary()
-        assert "app=" in s
-        assert "ULT_CTX_SWITCH" in s or "GLOBAL_WRITE" in s
-
-    def test_to_dict_is_json_able(self):
-        rec = TraceRecorder()
-        res = run_job(make_hello(), 4, layout=JobLayout.single(2),
-                      trace=rec)
-        d = res.to_dict()
-        text = json.dumps(d, sort_keys=True)
-        back = json.loads(text)
-        assert back["method"] == "pieglobals"
-        assert back["nvp"] == 4
-        assert back["makespan_ns"] == res.makespan_ns
-        assert back["exit_values"]["0"] == 0
